@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format for tabular subcommands")
     common.add_argument("--country", action="append", default=None, metavar="NAME",
                         help="restrict to the named country (repeatable)")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel country evaluations")
 
     for name, text in (
         ("assess", "residue availability and pellet energy"),
@@ -91,7 +89,7 @@ def _finish(result, out_dir: Path, args) -> int:
 
 def _run_stage(args, stage: str, rows_fn, payload_key: str, stem: str) -> int:
     dataset = _load(args)
-    result = run_pipeline(dataset, through=stage, countries=args.country, jobs=args.jobs)
+    result = run_pipeline(dataset, through=stage, countries=args.country)
     out_dir = Path(args.out)
     if args.format == "json":
         payload = {payload_key: [reporting.country_payload(r) for r in result.reports],
@@ -132,7 +130,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     dataset = _load(args)
-    result = run_pipeline(dataset, through=STAGE_PLAN, countries=args.country, jobs=args.jobs)
+    result = run_pipeline(dataset, through=STAGE_PLAN, countries=args.country)
     out_dir = Path(args.out)
     reporting.write_report_files(out_dir, result)
     print(f"wrote report for {len(result.reports)} countries to {out_dir}")

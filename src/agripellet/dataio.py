@@ -2,15 +2,16 @@
 
 All model inputs arrive as UTF-8 CSV files with a header row ("-" or an empty
 cell means "no data") plus an optional JSON run configuration.  Loaded data is
-immutable; downstream modules treat a Dataset as read-only and may evaluate
-countries in parallel.
+immutable; downstream modules treat a Dataset as read-only.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 CROPS = ("maize", "rice", "sugarcane", "wheat")
@@ -108,6 +109,11 @@ class FuelProperties:
             raise DataError(f"fuel ef must be >= 0, got {self.ef}")
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _default_pellet_prices() -> tuple:
     return tuple(10.0 + 19.0 * i for i in range(11))  # 10 .. 200 $/t inclusive
 
@@ -125,7 +131,18 @@ class ModelConfig:
     pellet_prices: tuple = field(default_factory=_default_pellet_prices)
 
     def __post_init__(self):
-        problems = []
+        problems = [f"{name} must be a finite number, got {getattr(self, name)!r}"
+                    for name in ("plant_capacity", "salvage_rate", "tfc_capex_ratio",
+                                 "pellet_efficiency", "carbon_tax")
+                    if not _is_finite_number(getattr(self, name))]
+        if isinstance(self.horizon_years, bool) or not isinstance(self.horizon_years, int):
+            problems.append(f"horizon_years must be an integer, got {self.horizon_years!r}")
+        for name in ("fossil_multipliers", "pellet_prices"):
+            axis = getattr(self, name)
+            if not (isinstance(axis, (list, tuple)) and all(map(_is_finite_number, axis))):
+                problems.append(f"{name} must be a list of finite numbers, got {axis!r}")
+        if problems:
+            raise DataError(problems)
         if not self.plant_capacity > 0:
             problems.append("plant_capacity must be > 0")
         if self.horizon_years < 1:
@@ -202,6 +219,30 @@ class Dataset:
                 return c
         raise KeyError(name)
 
+    @cached_property
+    def _fallback_means(self) -> dict:
+        """Field -> (continent -> mean, world mean or None) over the countries
+        carrying the field, for every field with continent/world fallback.
+
+        Built in one pass over the countries in file order, so each mean sums
+        the same values in the same order as a scan of the whole dataset.
+        """
+        getters = {name: _field_getter(name) for name in RESOLVABLE_FIELDS
+                   if not name.startswith("dmr_")}
+        by_continent = {name: {} for name in getters}
+        world = {name: [] for name in getters}
+        for c in self.countries:
+            for name, get in getters.items():
+                value = get(c)
+                if value is not None:
+                    by_continent[name].setdefault(c.continent, []).append(value)
+                    world[name].append(value)
+        return {
+            name: ({k: sum(v) / len(v) for k, v in by_continent[name].items()},
+                   sum(world[name]) / len(world[name]) if world[name] else None)
+            for name in getters
+        }
+
 
 def default_crops() -> dict:
     return {
@@ -216,11 +257,28 @@ def default_fuel_properties() -> dict:
 
 
 def parse_cell(raw: str) -> float | None:
-    """One CSV cell to a float; '-' or empty means no data."""
+    """One CSV cell to a finite float; '-' or empty means no data."""
     raw = raw.strip()
     if raw in ("", "-"):
         return None
-    return float(raw)  # period decimal separator, locale independent
+    try:
+        value = float(raw)  # period decimal separator, locale independent
+    except ValueError:
+        raise DataError(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _parse_cells(columns: tuple, row: list) -> list:
+    """``parse_cell`` over a row; an error names the column of the bad cell."""
+    values = []
+    for column, raw in zip(columns, row):
+        try:
+            values.append(parse_cell(raw))
+        except DataError as exc:
+            raise DataError(f"{column}: {exc}") from None
+    return values
 
 
 def _read_rows(path: Path, columns: tuple) -> list:
@@ -261,7 +319,7 @@ def load_crops(path: str | Path) -> dict:
             problems.append(f"{path.name} line {lineno}: duplicate crop {name!r}")
             continue
         try:
-            vals = [parse_cell(c) for c in row[1:]]
+            vals = _parse_cells(CROPS_COLUMNS[1:], row[1:])
             if any(v is None for v in vals):
                 raise DataError("all four coefficients are required")
             crops[name] = CropCoefficients(*vals)
@@ -284,7 +342,7 @@ def load_fuels(path: str | Path) -> tuple:
     for lineno, row in _read_rows(path, FUELS_COLUMNS):
         name = row[0].strip()
         try:
-            lhv, ef = parse_cell(row[1]), parse_cell(row[2])
+            lhv, ef = _parse_cells(FUELS_COLUMNS[1:], row[1:])
             if name == "pellet":
                 if ef is None:
                     raise DataError("pellet row requires ef_kgco2e_per_t")
@@ -338,8 +396,8 @@ def load_countries(path: str | Path) -> tuple:
                 continue
             try:
                 values[k] = parse_cell(v)
-            except ValueError:
-                problems.append(f"{where}: {k}: not a number: {v!r}")
+            except DataError as exc:
+                problems.append(f"{where}: {k}: {exc}")
                 bad_cell = True
         if bad_cell:
             continue
@@ -357,10 +415,12 @@ def load_countries(path: str | Path) -> tuple:
             v = values[col]
             if v is not None and not 0 < v <= 1:
                 problems.append(f"{where}: {col}: fraction must be in (0, 1], got {v}")
-        for col in ("discount_rate", "tax_rate"):
-            v = values[col]
-            if v is not None and not 0 <= v <= 1:
-                problems.append(f"{where}: {col}: rate must be in [0, 1], got {v}")
+        v = values["discount_rate"]
+        if v is not None and not 0 <= v <= 1:
+            problems.append(f"{where}: discount_rate: rate must be in [0, 1], got {v}")
+        v = values["tax_rate"]
+        if v is not None and not 0 <= v < 1:
+            problems.append(f"{where}: tax_rate: rate must be in [0, 1), got {v}")
         profiles.append(CountryProfile(
             name=name,
             continent=continent,
@@ -536,46 +596,16 @@ def resolve(dataset: Dataset, country: CountryProfile, name: str) -> tuple:
     """
     if name not in RESOLVABLE_FIELDS:
         raise KeyError(f"not a resolvable field: {name!r}")
-    get = _field_getter(name)
-    own = get(country)
+    own = _field_getter(name)(country)
     if own is not None:
         return own, "country"
     if name.startswith("dmr_"):
         return dataset.crops[name[4:]].dmr_default, "world-average"
-    continent_vals = [get(c) for c in dataset.countries
-                      if c.continent == country.continent and get(c) is not None]
-    if continent_vals:
-        return sum(continent_vals) / len(continent_vals), "continent"
-    world_vals = [get(c) for c in dataset.countries if get(c) is not None]
-    if world_vals:
-        return sum(world_vals) / len(world_vals), "world"
+    continent_means, world_mean = dataset._fallback_means[name]
+    if country.continent in continent_means:
+        return continent_means[country.continent], "continent"
+    if world_mean is not None:
+        return world_mean, "world"
     raise UnresolvableFieldError(
         f"no country in the dataset has data for {name!r} (needed by {country.name!r})"
-    )
-
-
-@dataclass(frozen=True)
-class ResolvedInputs:
-    """Every resolvable field for one country, plus the tier each came from."""
-
-    dmr: dict          # fraction per crop
-    pli: dict          # index per component
-    discount_rate: float
-    tax_rate: float
-    fuel_price: dict   # $/t per fuel
-    tags: dict         # field name -> country | continent | world | world-average
-
-
-def resolve_country(dataset: Dataset, country: CountryProfile) -> ResolvedInputs:
-    values = {}
-    tags = {}
-    for name in RESOLVABLE_FIELDS:
-        values[name], tags[name] = resolve(dataset, country, name)
-    return ResolvedInputs(
-        dmr={c: values[f"dmr_{c}"] for c in CROPS},
-        pli={p: values[f"pli_{p}"] for p in PLI_COMPONENTS},
-        discount_rate=values["discount_rate"],
-        tax_rate=values["tax_rate"],
-        fuel_price={f: values[f"price_{f}"] for f in FUELS},
-        tags=tags,
     )

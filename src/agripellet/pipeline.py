@@ -1,14 +1,13 @@
 """End-to-end per-country evaluation and global aggregation.
 
-Countries are evaluated independently (optionally in parallel) and failures
-are isolated: one country with unresolvable data lands in the error list
-without aborting the rest.  Output ordering is by country name, so repeated
-runs over the same inputs are byte-identical downstream.
+Countries are evaluated independently and failures are isolated: one country
+with unresolvable data lands in the error list without aborting the rest.
+Output ordering is by country name, so repeated runs over the same inputs are
+byte-identical downstream.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import costs, energy, pricing, replacement, residues
@@ -53,13 +52,6 @@ class PipelineResult:
     errors: tuple        # (country, message), sorted by country name
 
 
-def _resolve_fields(dataset: Dataset, profile: CountryProfile, names, tags: dict) -> dict:
-    values = {}
-    for name in names:
-        values[name], tags[name] = resolve(dataset, profile, name)
-    return values
-
-
 def evaluate_country(dataset: Dataset, profile: CountryProfile,
                      through: str = STAGE_PLAN) -> CountryReport:
     """Evaluate one country up to the requested stage.
@@ -75,39 +67,34 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
     tags = {}
     resolved = {}
 
-    dmr = _resolve_fields(dataset, profile, [f"dmr_{c}" for c in CROPS], tags)
-    resolved.update(dmr)
+    def field(name):
+        resolved[name], tags[name] = resolve(dataset, profile, name)
+        return resolved[name]
+
     assessment = residues.assess_country(
-        dataset, profile, {c: dmr[f"dmr_{c}"] for c in CROPS}
+        dataset, profile, {c: field(f"dmr_{c}") for c in CROPS}
     )
     potential = energy.energy_for(assessment, dataset.crops, cfg.pellet_efficiency)
 
     cost = msp = plan = None
     if depth >= 1:
-        fin = _resolve_fields(
-            dataset, profile,
-            [f"pli_{p}" for p in PLI_COMPONENTS] + ["discount_rate", "tax_rate"],
-            tags,
-        )
-        resolved.update(fin)
-        cost = costs.estimate_costs({p: fin[f"pli_{p}"] for p in PLI_COMPONENTS})
+        cost = costs.estimate_costs({p: field(f"pli_{p}") for p in PLI_COMPONENTS})
         inputs = pricing.BreakEvenInputs(
             capex=cost.capex,
             opex=cost.opex_total,
             q=cfg.plant_capacity,
             n=cfg.horizon_years,
-            r=fin["discount_rate"],
-            tr=fin["tax_rate"],
+            r=field("discount_rate"),
+            tr=field("tax_rate"),
             salvage_rate=cfg.salvage_rate,
             tfc=cost.capex * cfg.tfc_capex_ratio,
         )
         msp = pricing.solve_msp(inputs, weighted_lhv=potential.weighted_lhv)
     if depth >= 2:
-        prices = _resolve_fields(dataset, profile, [f"price_{f}" for f in FUELS], tags)
-        resolved.update(prices)
+        prices = {f: field(f"price_{f}") for f in FUELS}
         if potential.weighted_lhv is not None:
             econ = replacement.build_economics(
-                {f: prices[f"price_{f}"] for f in FUELS},
+                prices,
                 dataset.fuel_properties,
                 msp.msp,
                 potential.weighted_lhv,
@@ -136,12 +123,10 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
 
 
 def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
-                 countries=None, jobs: int = 1) -> PipelineResult:
+                 countries=None) -> PipelineResult:
     """Evaluate every country (or the named subset), collecting failures.
 
-    Evaluation order and output order are by country name; with ``jobs > 1``
-    countries are evaluated concurrently but results are assembled in the
-    same deterministic order.
+    Evaluation order and output order are by country name.
     """
     selected = sorted(dataset.countries, key=lambda c: c.name)
     if countries is not None:
@@ -151,20 +136,13 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
             raise DataError(f"unknown countries requested: {sorted(unknown)}")
         selected = [c for c in selected if c.name in wanted]
 
-    def work(profile):
+    reports = []
+    errors = []
+    for profile in selected:
         try:
-            return profile.name, evaluate_country(dataset, profile, through), None
+            reports.append(evaluate_country(dataset, profile, through))
         except (DataError, ValueError) as exc:
-            return profile.name, None, str(exc)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(work, selected))
-    else:
-        outcomes = [work(c) for c in selected]
-
-    reports = tuple(rep for _, rep, err in outcomes if err is None)
-    errors = tuple((name, err) for name, _, err in outcomes if err is not None)
+            errors.append((profile.name, str(exc)))
 
     evaluated_names = {r.country for r in reports}
     total_cons = sum(
@@ -191,7 +169,8 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
         replaced_fraction_overall=total_alloc / total_cons if total_cons > 0 else 0.0,
         rank_first_counts=rank_first,
     )
-    return PipelineResult(reports=reports, global_report=global_report, errors=errors)
+    return PipelineResult(reports=tuple(reports), global_report=global_report,
+                          errors=tuple(errors))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ class BreakEvenInputs:
             problems.append("r must be >= 0")
         if not 0 <= self.tr < 1:
             problems.append("tr must be in [0, 1)")
-        if not 0 <= self.salvage_rate <= 1:
-            problems.append("salvage_rate must be in [0, 1]")
+        if not 0 <= self.salvage_rate < 1:
+            problems.append("salvage_rate must be in [0, 1)")
         if self.capex < 0 or self.opex < 0 or self.tfc < 0:
             problems.append("capex, opex, and tfc must be >= 0")
         if problems:

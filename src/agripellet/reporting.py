@@ -324,14 +324,6 @@ def sensitivity_payload(grid: SensitivityGrid) -> dict:
     }
 
 
-def growth_rows(result) -> list:
-    rows = [["year_from", "year_to", "growth"]]
-    for p in result.pairs:
-        rows.append([str(p.year_from), str(p.year_to), _cell(p.growth)])
-    rows.append(["average", "", _cell(result.average)])
-    return rows
-
-
 def growth_payload(result) -> dict:
     return {
         "pairs": [{"year_from": p.year_from, "year_to": p.year_to, "growth": p.growth}

@@ -90,7 +90,7 @@ def assess_country(dataset: Dataset, profile: CountryProfile, dmr: dict) -> Resi
     """Full residue assessment for one country.
 
     ``dmr`` carries the resolved dry matter fraction per crop (see
-    ``dataio.resolve_country``); everything else comes from the profile.
+    ``dataio.resolve``); everything else comes from the profile.
     """
     cr_total = {c: total_residue(profile.prod(c), dataset.crops[c].rtp) for c in CROPS}
     cr_removable = {

@@ -12,17 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 
 from . import replacement
-from .dataio import FUELS, DataError, Dataset, resolve
-from .pipeline import STAGE_PLAN, evaluate_country, run_pipeline
-
-
-@dataclass(frozen=True)
-class SweepCountry:
-    name: str
-    weighted_lhv: float | None
-    pellet_energy: float      # TJ/y
-    fuel_price: dict          # resolved $/t per fuel
-    consumption: dict         # TJ/y per fuel
+from .dataio import FUELS, DataError, Dataset
+from .pipeline import STAGE_PLAN, run_pipeline
 
 
 @dataclass(frozen=True)
@@ -35,37 +26,24 @@ class SensitivityGrid:
     baseline_s_em: float
 
 
-def prepare_countries(dataset: Dataset) -> list:
-    """Static per-country inputs reused across every grid cell."""
-    prep = []
-    for profile in sorted(dataset.countries, key=lambda c: c.name):
-        report = evaluate_country(dataset, profile, through="assess")
-        prices = {f: resolve(dataset, profile, f"price_{f}")[0] for f in FUELS}
-        prep.append(SweepCountry(
-            name=profile.name,
-            weighted_lhv=report.energy.weighted_lhv,
-            pellet_energy=report.energy.pellet_energy,
-            fuel_price=prices,
-            consumption={f: profile.consumption(f) for f in FUELS},
-        ))
-    return prep
+def cell_savings(countries: list, dataset: Dataset, multiplier: float,
+                 pellet_price: float) -> tuple:
+    """Global (s_ec, s_em) for one grid cell under scenario A.
 
-
-def cell_savings(prep: list, dataset: Dataset, multiplier: float, pellet_price: float) -> tuple:
-    """Global (s_ec, s_em) for one grid cell under scenario A."""
+    ``countries`` holds one ``(weighted_lhv, pellet_energy, fuel_price,
+    consumption)`` tuple per country with residue.
+    """
     total_ec = 0.0
     total_em = 0.0
-    for c in prep:
-        if c.weighted_lhv is None:
-            continue  # no residue, nothing to allocate
+    for weighted_lhv, pellet_energy, fuel_price, consumption in countries:
         econ = replacement.build_economics(
-            {f: c.fuel_price[f] * multiplier for f in FUELS},
+            {f: fuel_price[f] * multiplier for f in FUELS},
             dataset.fuel_properties,
             pellet_price,
-            c.weighted_lhv,
+            weighted_lhv,
             dataset.pellet_ef,
         )
-        plan = replacement.build_plan(c.pellet_energy, c.consumption, econ, "A")
+        plan = replacement.build_plan(pellet_energy, consumption, econ, "A")
         total_ec += plan.s_ec
         total_em += plan.s_em
     return total_ec, total_em
@@ -82,12 +60,18 @@ def sweep(dataset: Dataset, multipliers=None, pellet_prices=None) -> Sensitivity
     if baseline.errors:
         raise DataError([f"{name}: {message}" for name, message in baseline.errors])
 
-    prep = prepare_countries(dataset)
+    consumption = {c.name: {f: c.consumption(f) for f in FUELS} for c in dataset.countries}
+    countries = [
+        (r.energy.weighted_lhv, r.energy.pellet_energy,
+         {f: r.resolved[f"price_{f}"] for f in FUELS}, consumption[r.country])
+        for r in baseline.reports
+        if r.energy.weighted_lhv is not None  # no residue, nothing to allocate
+    ]
     s_ec = {}
     s_em = {}
     for m in multipliers:
         for p in pellet_prices:
-            s_ec[(m, p)], s_em[(m, p)] = cell_savings(prep, dataset, m, p)
+            s_ec[(m, p)], s_em[(m, p)] = cell_savings(countries, dataset, m, p)
     return SensitivityGrid(
         fossil_multipliers=multipliers,
         pellet_prices=pellet_prices,

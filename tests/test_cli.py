@@ -28,7 +28,7 @@ def test_report_is_byte_identical_across_runs(data_dir, tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     assert run_cli("report", "--data", data_dir, "--out", out1) == 0
-    assert run_cli("report", "--data", data_dir, "--out", out2, "--jobs", 4) == 0
+    assert run_cli("report", "--data", data_dir, "--out", out2) == 0
     for name in ("countries.csv", "global.json", "energy_by_country.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
@@ -139,3 +139,11 @@ def test_unresolvable_dataset_exits_1(tmp_path):
     assert "X: " in errors
     # assess still succeeds on the same data
     assert run_cli("assess", "--data", tmp_path, "--out", out) == 0
+
+
+def test_fractional_horizon_exits_2(data_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"horizon_years": 20.5}), encoding="utf-8")
+    code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
+    assert code == 2
+    assert "horizon_years" in capsys.readouterr().err

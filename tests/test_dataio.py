@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from agripellet.dataio import (
-    CROPS,
+    COUNTRIES_COLUMNS,
+    RESOLVABLE_FIELDS,
     DataError,
     ModelConfig,
     UnresolvableFieldError,
@@ -11,11 +13,12 @@ from agripellet.dataio import (
     load_countries,
     load_crops,
     load_dataset,
+    load_fuels,
     parse_cell,
     resolve,
-    resolve_country,
     save_dataset,
 )
+from agripellet.pipeline import evaluate_country, run_pipeline
 from conftest import make_dataset, make_profile
 
 COUNTRY_HEADER = (
@@ -37,6 +40,27 @@ def test_parse_cell_null_markers():
     assert parse_cell("-") is None
     assert parse_cell("") is None
     assert parse_cell(" 1.5 ") == 1.5
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_cell_rejected(tmp_path, raw):
+    with pytest.raises(DataError, match="not a finite number"):
+        parse_cell(raw)
+    countries = write_countries(tmp_path, [f"X,Y,{raw},,,,,,,,,,,,0,0,,,,,,,,,,,,"])
+    with pytest.raises(DataError, match=re.escape(
+            f"countries.csv line 2: prod_maize_t: not a finite number: '{raw}'")):
+        load_countries(countries)
+    crops = tmp_path / "crops.csv"
+    crops.write_text(f"crop,rtp,srr,dmr_world,lhv_mj_per_kg\nmaize,1.0,{raw},0.7,17.3\n",
+                     encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape("crops.csv line 2: srr: not a finite")):
+        load_crops(crops)
+    fuels = tmp_path / "fuels.csv"
+    fuels.write_text(f"fuel,lhv_mj_per_kg,ef_kgco2e_per_t\ncoal,23.9,{raw}\n",
+                     encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(
+            "fuels.csv line 2: ef_kgco2e_per_t: not a finite")):
+        load_fuels(fuels)
 
 
 def test_load_bundled_dataset(dataset):
@@ -101,6 +125,15 @@ def test_nonpositive_index_rejected(tmp_path):
         load_countries(path)
 
 
+def test_tax_rate_one_rejected(tmp_path):
+    # the solver needs a tax rate below 1, so the loader does too
+    cells = dict.fromkeys(COUNTRIES_COLUMNS, "")
+    cells.update(country="X", continent="Y", tax_rate="1")
+    path = write_countries(tmp_path, [",".join(cells.values())])
+    with pytest.raises(DataError, match=re.escape("tax_rate: rate must be in [0, 1)")):
+        load_countries(path)
+
+
 def test_header_mismatch_rejected(tmp_path):
     path = tmp_path / "countries.csv"
     path.write_text("country,continent\nX,Y\n", encoding="utf-8")
@@ -132,6 +165,23 @@ def test_config_validation(tmp_path):
     path.write_text(json.dumps({"plant_capacity": 1000.0}), encoding="utf-8")
     assert load_config(path).plant_capacity == 1000.0
     assert load_config(path).horizon_years == 20
+
+
+@pytest.mark.parametrize("key, value", [
+    ("horizon_years", 20.5),
+    ("horizon_years", True),
+    ("plant_capacity", "40080"),
+    ("carbon_tax", None),
+    ("carbon_tax", float("nan")),
+    ("salvage_rate", float("inf")),
+    ("pellet_prices", [10.0, "x"]),
+    ("fossil_multipliers", 1.0),
+])
+def test_config_value_types_rejected(tmp_path, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}), encoding="utf-8")
+    with pytest.raises(DataError, match=key):
+        load_config(path)
 
 
 def test_default_pellet_price_axis():
@@ -201,9 +251,12 @@ def test_resolve_unknown_field_rejected():
 
 def test_resolve_is_deterministic(dataset):
     country = dataset.country("Albania")
-    first = resolve_country(dataset, country)
-    second = resolve_country(dataset, country)
+    first = {name: resolve(dataset, country, name) for name in RESOLVABLE_FIELDS}
+    second = {name: resolve(dataset, country, name) for name in RESOLVABLE_FIELDS}
     assert first == second
+    report = evaluate_country(dataset, country)
+    assert first == {name: (report.resolved[name], report.provenance[name])
+                     for name in RESOLVABLE_FIELDS}
 
 
 def test_resolve_never_invents_data():
@@ -225,8 +278,88 @@ def test_dataset_round_trip(dataset, tmp_path):
 
 def test_resolved_inputs_cover_all_fields(dataset):
     country = dataset.country("Afghanistan")
-    resolved = resolve_country(dataset, country)
-    assert set(resolved.dmr) == set(CROPS)
-    assert resolved.tags["dmr_maize"] == "world-average"
-    assert resolved.tags["pli_labor"] == "country"
-    assert resolved.tags["discount_rate"] == "continent"
+    report = evaluate_country(dataset, country)
+    assert set(report.provenance) == set(RESOLVABLE_FIELDS)
+    assert report.provenance["dmr_maize"] == "world-average"
+    assert report.provenance["pli_labor"] == "country"
+    assert report.provenance["discount_rate"] == "continent"
+    assert resolve(dataset, country, "discount_rate") == (
+        report.resolved["discount_rate"], "continent")
+
+
+# ---------------------------------------------------------------------------
+# resolution oracle: the per-call continent/world scan that resolve replaced
+
+def field_value(country, name):
+    if name.startswith("dmr_"):
+        return country.dmr_override[name[4:]]
+    if name.startswith("pli_"):
+        return country.pli[name[4:]]
+    if name.startswith("price_"):
+        return country.fuel_price[name[6:]]
+    return getattr(country, name)
+
+
+def scan_resolve(dataset, country, name):
+    own = field_value(country, name)
+    if own is not None:
+        return own, "country"
+    if name.startswith("dmr_"):
+        return dataset.crops[name[4:]].dmr_default, "world-average"
+    continent_vals = [field_value(c, name) for c in dataset.countries
+                      if c.continent == country.continent
+                      and field_value(c, name) is not None]
+    if continent_vals:
+        return sum(continent_vals) / len(continent_vals), "continent"
+    world_vals = [field_value(c, name) for c in dataset.countries
+                  if field_value(c, name) is not None]
+    if world_vals:
+        return sum(world_vals) / len(world_vals), "world"
+    raise UnresolvableFieldError(
+        f"no country in the dataset has data for {name!r} (needed by {country.name!r})"
+    )
+
+
+def assert_resolve_matches_scan(dataset):
+    for country in dataset.countries:
+        for name in RESOLVABLE_FIELDS:
+            try:
+                expected = scan_resolve(dataset, country, name)
+            except UnresolvableFieldError as exc:
+                with pytest.raises(UnresolvableFieldError) as got:
+                    resolve(dataset, country, name)
+                assert str(got.value) == str(exc)
+            else:
+                assert resolve(dataset, country, name) == expected, (country.name, name)
+
+
+def test_resolve_matches_scan_on_bundled_data(dataset):
+    assert_resolve_matches_scan(dataset)
+
+
+def test_resolve_matches_scan_on_world_tier_and_unresolvable():
+    # K carries every rate, L carries none; nobody has a coal price
+    profiles = [
+        make_profile(name="A", continent="K", discount_rate=0.05, tax_rate=0.2,
+                     pli=0.9, prices={"oil": 500.0, "natural_gas": 300.0},
+                     production={"maize": 1e6}),
+        make_profile(name="B", continent="K", discount_rate=0.11, tax_rate=0.35,
+                     pli=1.3, prices={"oil": 650.0}, production={"wheat": 1e6}),
+        make_profile(name="C", continent="L", discount_rate=None, tax_rate=None,
+                     pli={"labor": 1.1, "raw_material": None, "construction": None,
+                          "electricity": None},
+                     dmr={"rice": 0.9}, production={"rice": 1e6}),
+        make_profile(name="D", continent="L", discount_rate=None, tax_rate=None,
+                     pli={"labor": None, "raw_material": None, "construction": None,
+                          "electricity": None}),
+    ]
+    ds = make_dataset(profiles)
+    assert_resolve_matches_scan(ds)
+    assert resolve(ds, profiles[2], "tax_rate")[1] == "world"
+    assert resolve(ds, profiles[3], "price_natural_gas")[1] == "world"
+    # only the plan stage needs fuel prices
+    assert run_pipeline(ds, through="assess").errors == ()
+    assert run_pipeline(ds, through="msp").errors == ()
+    plan = run_pipeline(ds, through="plan")
+    assert [name for name, _ in plan.errors] == ["A", "B", "C", "D"]
+    assert all("price_coal" in message for _, message in plan.errors)

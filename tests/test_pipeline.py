@@ -87,11 +87,11 @@ def test_field_missing_everywhere_fails_cleanly():
     assert assess.errors == ()
 
 
-def test_parallel_evaluation_is_deterministic(dataset):
-    serial = run_pipeline(dataset, jobs=1)
-    parallel = run_pipeline(dataset, jobs=4)
-    assert report_rows(serial) == report_rows(parallel)
-    assert global_payload(serial) == global_payload(parallel)
+def test_evaluation_is_deterministic(dataset):
+    first = run_pipeline(dataset)
+    second = run_pipeline(dataset)
+    assert report_rows(first) == report_rows(second)
+    assert global_payload(first) == global_payload(second)
 
 
 def test_zero_residue_country_gets_no_plan():

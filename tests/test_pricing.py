@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -40,8 +41,10 @@ def test_depreciation_reference(reference_inputs):
 
 
 def test_depreciation_full_salvage(reference_inputs):
-    inputs = replace(reference_inputs, salvage_rate=1.0)
-    assert depreciation(inputs) == 0.0
+    # salvage_rate must stay below 1; at the largest value below it almost
+    # nothing is left to depreciate
+    inputs = replace(reference_inputs, salvage_rate=math.nextafter(1.0, 0.0))
+    assert depreciation(inputs) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_depreciation_one_year_no_salvage(reference_inputs):
@@ -175,6 +178,12 @@ def test_tax_rate_one_rejected():
     with pytest.raises(DataError):
         BreakEvenInputs(capex=1e6, opex=1e5, q=1e4, n=10, r=0.05, tr=1.0,
                     salvage_rate=0.1, tfc=8e5)
+
+
+def test_salvage_rate_one_rejected(reference_inputs):
+    # the same [0, 1) range as ModelConfig.salvage_rate
+    with pytest.raises(DataError, match="salvage_rate"):
+        replace(reference_inputs, salvage_rate=1.0)
 
 
 def test_bisection_bracket_guard(reference_inputs):
