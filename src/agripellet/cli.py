@@ -23,7 +23,7 @@ from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from . import reporting, sensitivity
-from .dataio import DataError, load_dataset
+from .dataio import DataError, load_dataset, parse_cell
 from .pipeline import STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, run_pipeline, yoy_growth
 
 DATA_DIR_ENV = "AGRIPELLET_DATA"
@@ -116,7 +116,7 @@ def cmd_recop(args) -> int:
 
 def cmd_sweep(args) -> int:
     dataset = _load(args)
-    grid = sensitivity.sweep(dataset)
+    grid = sensitivity.sweep(dataset, countries=args.country)
     out_dir = Path(args.out)
     if args.format == "json":
         reporting.write_json(out_dir / "sensitivity.json",
@@ -125,7 +125,7 @@ def cmd_sweep(args) -> int:
     else:
         reporting.write_sensitivity_files(out_dir, grid)
         print(f"wrote {out_dir / 'sensitivity.csv'} and {out_dir / 'sensitivity_long.csv'}")
-    return 0
+    return _finish(grid.baseline, out_dir, args)
 
 
 def cmd_report(args) -> int:
@@ -160,9 +160,11 @@ def _read_series(path: Path) -> dict:
                 continue
             try:
                 if with_country:
-                    name, year, value = row[0].strip(), int(row[1]), float(row[2])
+                    name, year, value = row[0].strip(), int(row[1]), parse_cell(row[2])
                 else:
-                    name, year, value = "all", int(row[0]), float(row[1])
+                    name, year, value = "all", int(row[0]), parse_cell(row[1])
+                if value is None:
+                    raise DataError("missing value")
             except (IndexError, ValueError) as exc:
                 raise DataError(f"{path.name} line {lineno}: {exc}") from None
             series.setdefault(name, []).append((year, value))

@@ -157,6 +157,11 @@ class ModelConfig:
             problems.append(f"scenario must be A, B, or C, got {self.scenario!r}")
         if self.carbon_tax < 0:
             problems.append("carbon_tax must be >= 0")
+        # the sweep's closed form holds only for multipliers > 0
+        if not self.fossil_multipliers or min(self.fossil_multipliers) <= 0:
+            problems.append("fossil_multipliers must be a non-empty list of values > 0")
+        if not self.pellet_prices:
+            problems.append("pellet_prices must not be empty")
         if problems:
             raise DataError(problems)
         object.__setattr__(self, "fossil_multipliers", tuple(self.fossil_multipliers))

@@ -314,8 +314,8 @@ def sensitivity_payload(grid: SensitivityGrid) -> dict:
     return {
         "fossil_multipliers": list(grid.fossil_multipliers),
         "pellet_prices_usd_per_t": list(grid.pellet_prices),
-        "baseline": {"s_ec_usd_per_y": grid.baseline_s_ec,
-                     "s_em_kgco2e_per_y": grid.baseline_s_em},
+        "baseline": {"s_ec_usd_per_y": grid.baseline.global_report.total_s_ec,
+                     "s_em_kgco2e_per_y": grid.baseline.global_report.total_s_em},
         "cells": [
             {"fossil_multiplier": m, "pellet_price_usd_t": p,
              "s_ec_usd_per_y": grid.s_ec[(m, p)], "s_em_kgco2e_per_y": grid.s_em[(m, p)]}

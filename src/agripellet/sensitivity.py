@@ -1,19 +1,25 @@
 """Two-axis sensitivity sweep: fossil price multipliers x exogenous pellet prices.
 
-Each cell scales every country's resolved fossil prices by the multiplier,
-overrides the pellet price globally (the break-even solver is bypassed; the
-price is an input here), reruns the cost-optimized replacement plan per
-country, and sums global savings.  A baseline cell at multiplier 1.0 with each
-country's own solved break-even price is kept separately for reference.
+Each cell scales every country's resolved fossil prices by ``m`` and sets one
+global pellet price ``p`` (an input here, not the break-even price).  The grid
+is always scenario A, where a fuel scores ``m * lcoe_f - pellet_lcoe(p)``: for
+``m > 0`` (enforced by ``ModelConfig``) the ranking follows the fossil LCOE
+order alone, and the greedy allocation ignores the score's sign, so every cell
+allocates as the baseline plan does (each country at its own break-even price,
+``m = 1``).  Summed over the planned countries, the grid is therefore
+
+    s_ec(m, p) = m * sum(alloc_f * lcoe_f) - p * sum(alloc_f * pellet_lcoe(1))
+
+and ``s_em`` is the baseline's in every cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
 
-from . import replacement
-from .dataio import FUELS, DataError, Dataset
-from .pipeline import STAGE_PLAN, run_pipeline
+from .dataio import FUELS, Dataset
+from .pipeline import STAGE_PLAN, PipelineResult, run_pipeline
+from .replacement import fuel_lcoe
 
 
 @dataclass(frozen=True)
@@ -22,63 +28,32 @@ class SensitivityGrid:
     pellet_prices: tuple
     s_ec: dict    # (multiplier, price) -> $/y
     s_em: dict    # (multiplier, price) -> kgCO2e/y
-    baseline_s_ec: float
-    baseline_s_em: float
+    baseline: PipelineResult  # scenario A, failed countries in its errors
 
 
-def cell_savings(countries: list, dataset: Dataset, multiplier: float,
-                 pellet_price: float) -> tuple:
-    """Global (s_ec, s_em) for one grid cell under scenario A.
-
-    ``countries`` holds one ``(weighted_lhv, pellet_energy, fuel_price,
-    consumption)`` tuple per country with residue.
-    """
-    total_ec = 0.0
-    total_em = 0.0
-    for weighted_lhv, pellet_energy, fuel_price, consumption in countries:
-        econ = replacement.build_economics(
-            {f: fuel_price[f] * multiplier for f in FUELS},
-            dataset.fuel_properties,
-            pellet_price,
-            weighted_lhv,
-            dataset.pellet_ef,
-        )
-        plan = replacement.build_plan(pellet_energy, consumption, econ, "A")
-        total_ec += plan.s_ec
-        total_em += plan.s_em
-    return total_ec, total_em
-
-
-def sweep(dataset: Dataset, multipliers=None, pellet_prices=None) -> SensitivityGrid:
-    cfg = dataset.config
-    multipliers = tuple(multipliers if multipliers is not None else cfg.fossil_multipliers)
-    pellet_prices = tuple(pellet_prices if pellet_prices is not None else cfg.pellet_prices)
-
-    # baseline: unscaled prices, each country at its own break-even price
-    baseline_dataset = dc_replace(dataset, config=dc_replace(cfg, scenario="A"))
-    baseline = run_pipeline(baseline_dataset, through=STAGE_PLAN)
-    if baseline.errors:
-        raise DataError([f"{name}: {message}" for name, message in baseline.errors])
-
-    consumption = {c.name: {f: c.consumption(f) for f in FUELS} for c in dataset.countries}
-    countries = [
-        (r.energy.weighted_lhv, r.energy.pellet_energy,
-         {f: r.resolved[f"price_{f}"] for f in FUELS}, consumption[r.country])
-        for r in baseline.reports
-        if r.energy.weighted_lhv is not None  # no residue, nothing to allocate
-    ]
-    s_ec = {}
-    s_em = {}
-    for m in multipliers:
-        for p in pellet_prices:
-            s_ec[(m, p)], s_em[(m, p)] = cell_savings(countries, dataset, m, p)
+def sweep(dataset: Dataset, multipliers=None, pellet_prices=None,
+          countries=None) -> SensitivityGrid:
+    """The grid over the countries (all, or the named subset) that evaluate."""
+    axes = {"fossil_multipliers": multipliers, "pellet_prices": pellet_prices}
+    cfg = dc_replace(dataset.config, scenario="A",
+                     **{k: v for k, v in axes.items() if v is not None})
+    baseline = run_pipeline(dc_replace(dataset, config=cfg), through=STAGE_PLAN,
+                            countries=countries)
+    a = b = 0.0
+    for r in baseline.reports:
+        if r.plan is None:  # no residue, nothing to allocate
+            continue
+        alloc = r.plan.allocation
+        a += sum(alloc[f] * fuel_lcoe(r.resolved[f"price_{f}"], dataset.fuel_properties[f].lhv)
+                 for f in FUELS)
+        b += sum(alloc[f] for f in FUELS) * fuel_lcoe(1.0, r.energy.weighted_lhv)
+    s_ec = {(m, p): m * a - p * b for m in cfg.fossil_multipliers for p in cfg.pellet_prices}
     return SensitivityGrid(
-        fossil_multipliers=multipliers,
-        pellet_prices=pellet_prices,
+        fossil_multipliers=cfg.fossil_multipliers,
+        pellet_prices=cfg.pellet_prices,
         s_ec=s_ec,
-        s_em=s_em,
-        baseline_s_ec=baseline.global_report.total_s_ec,
-        baseline_s_em=baseline.global_report.total_s_em,
+        s_em=dict.fromkeys(s_ec, baseline.global_report.total_s_em),
+        baseline=baseline,
     )
 
 

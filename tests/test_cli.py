@@ -93,6 +93,61 @@ def test_sweep_json(data_dir, tmp_path):
     assert "baseline" in payload
 
 
+def read_sweep_cells(path):
+    with path.open(newline="", encoding="utf-8") as f:
+        return {(r["fossil_multiplier"], r["pellet_price_usd_t"]):
+                (float(r["s_ec_usd_per_y"]), float(r["s_em_kgco2e_per_y"]))
+                for r in csv.DictReader(f)}
+
+
+def test_sweep_country_subset(data_dir, tmp_path):
+    assert run_cli("sweep", "--data", data_dir, "--out", tmp_path / "all") == 0
+    assert run_cli("sweep", "--data", data_dir, "--out", tmp_path / "two",
+                   "--country", "Brazil", "--country", "Canada") == 0
+    full = read_sweep_cells(tmp_path / "all" / "sensitivity_long.csv")
+    two = read_sweep_cells(tmp_path / "two" / "sensitivity_long.csv")
+    assert set(two) == set(full)
+    for cell, (ec, em) in two.items():
+        assert 0 < em < full[cell][1]
+        assert ec != full[cell][0]
+
+
+def test_sweep_with_failed_country_exits_1(tmp_path, capsys):
+    write_unresolvable_dataset(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--data", tmp_path, "--out", out) == 1
+    lines = (out / "errors.txt").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("X: ")
+    assert "1 of 1 countries failed" in capsys.readouterr().err
+    cells = read_sweep_cells(out / "sensitivity_long.csv")
+    assert len(cells) == 77
+    assert all(v == (0.0, 0.0) for v in cells.values())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("fossil_multipliers", [-1.0, 1.0]),
+    ("fossil_multipliers", [0.0]),
+    ("fossil_multipliers", []),
+    ("pellet_prices", []),
+])
+def test_bad_sweep_axis_exits_2(data_dir, tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    code = run_cli("sweep", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "1e400"])
+def test_yoy_non_finite_value_exits_2(tmp_path, capsys, raw):
+    series = tmp_path / "series.csv"
+    series.write_text(f"country,year,value\nA,2000,1\nA,2001,{raw}\nA,2002,2\n",
+                      encoding="utf-8")
+    assert run_cli("yoy", series, "--out", tmp_path / "out") == 2
+    assert "series.csv line 3: not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_yoy_subcommand(data_dir, tmp_path):
     code = run_cli("yoy", data_dir / "production_series.csv", "--out", tmp_path)
     assert code == 0
@@ -122,8 +177,9 @@ def test_missing_data_dir_exits_2(tmp_path):
     assert run_cli("report", "--data", tmp_path / "nowhere", "--out", tmp_path) == 2
 
 
-def test_unresolvable_dataset_exits_1(tmp_path):
-    (tmp_path / "countries.csv").write_text(
+def write_unresolvable_dataset(data_dir):
+    """One country, X, with production only: nothing to resolve its costs or prices from."""
+    (data_dir / "countries.csv").write_text(
         "country,continent,prod_maize_t,prod_rice_t,prod_sugarcane_t,prod_wheat_t,"
         "dmr_maize,dmr_rice,dmr_sugarcane,dmr_wheat,cattle,horses,sheep,swine,"
         "bagasse_bioenergy_t,other_bioenergy_t,pli_labor,pli_raw,pli_construction,"
@@ -132,6 +188,10 @@ def test_unresolvable_dataset_exits_1(tmp_path):
         "X,K,1000000,,,,,,,,,,,,0,0,,,,,,,,,,,,\n",
         encoding="utf-8",
     )
+
+
+def test_unresolvable_dataset_exits_1(tmp_path):
+    write_unresolvable_dataset(tmp_path)
     out = tmp_path / "out"
     code = run_cli("report", "--data", tmp_path, "--out", out)
     assert code == 1

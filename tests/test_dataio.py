@@ -176,6 +176,11 @@ def test_config_validation(tmp_path):
     ("salvage_rate", float("inf")),
     ("pellet_prices", [10.0, "x"]),
     ("fossil_multipliers", 1.0),
+    # the sweep's closed form needs multipliers > 0 and non-empty axes
+    ("fossil_multipliers", [-1.0, 1.0]),
+    ("fossil_multipliers", [0.0]),
+    ("fossil_multipliers", []),
+    ("pellet_prices", []),
 ])
 def test_config_value_types_rejected(tmp_path, key, value):
     path = tmp_path / "config.json"

@@ -1,9 +1,59 @@
 import random
+from dataclasses import replace as dc_replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from agripellet.dataio import CROPS, FUELS, DataError
+from agripellet.pipeline import STAGE_PLAN, run_pipeline
+from agripellet.replacement import build_economics, build_plan
 from agripellet.sensitivity import grid_rows_long, grid_rows_wide, sweep
 from conftest import make_dataset, make_profile, synthetic_market_profiles
+
+
+def replanned_grid(dataset, multipliers, pellet_prices):
+    """Oracle: rebuild every evaluated country's scenario A plan in every cell.
+
+    This is the per-cell loop that ``sweep``'s closed form replaced; it maps
+    ``(multiplier, price)`` to global ``(s_ec, s_em)``.
+    """
+    scenario_a = dc_replace(dataset, config=dc_replace(dataset.config, scenario="A"))
+    baseline = run_pipeline(scenario_a, through=STAGE_PLAN)
+    consumption = {c.name: {f: c.consumption(f) for f in FUELS} for c in dataset.countries}
+    countries = [
+        (r.energy.weighted_lhv, r.energy.pellet_energy,
+         {f: r.resolved[f"price_{f}"] for f in FUELS}, consumption[r.country])
+        for r in baseline.reports
+        if r.energy.weighted_lhv is not None
+    ]
+    grid = {}
+    for m in multipliers:
+        for p in pellet_prices:
+            total_ec = total_em = 0.0
+            for weighted_lhv, pellet_energy, fuel_price, cons in countries:
+                econ = build_economics({f: fuel_price[f] * m for f in FUELS},
+                                       dataset.fuel_properties, p, weighted_lhv,
+                                       dataset.pellet_ef)
+                plan = build_plan(pellet_energy, cons, econ, "A")
+                total_ec += plan.s_ec
+                total_em += plan.s_em
+            grid[(m, p)] = (total_ec, total_em)
+    return grid
+
+
+def assert_matches_replanning(dataset, multipliers, pellet_prices):
+    """s_ec within 1e-9 of the grid's largest |s_ec|, s_em within 1e-9 relative.
+
+    The tolerance is scale-relative: near the zero crossing of a row the
+    pointwise relative error of either sum is far above machine precision.
+    """
+    grid = sweep(dataset, multipliers=multipliers, pellet_prices=pellet_prices)
+    oracle = replanned_grid(dataset, multipliers, pellet_prices)
+    assert set(grid.s_ec) == set(oracle) == set(grid.s_em)
+    scale = max(abs(ec) for ec, _ in oracle.values())
+    for cell, (ec, em) in oracle.items():
+        assert abs(grid.s_ec[cell] - ec) <= 1e-9 * scale, cell
+        assert abs(grid.s_em[cell] - em) <= 1e-9 * abs(em), cell
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +126,9 @@ def test_custom_axes_respected(market_dataset):
 def test_baseline_uses_break_even_prices(market_dataset):
     grid = sweep(market_dataset)
     # the baseline is a real evaluation, not a grid cell
-    assert grid.baseline_s_ec not in {v for v in grid.s_ec.values()}
-    assert grid.baseline_s_em != 0.0
+    baseline = grid.baseline.global_report
+    assert baseline.total_s_ec not in {v for v in grid.s_ec.values()}
+    assert baseline.total_s_em != 0.0
 
 
 def test_csv_row_builders(market_dataset):
@@ -99,3 +150,85 @@ def test_countries_without_residue_contribute_nothing():
     grid = sweep(ds, multipliers=(1.0,), pellet_prices=(50.0,))
     assert grid.s_ec[(1.0, 50.0)] == 0.0
     assert grid.s_em[(1.0, 50.0)] == 0.0
+
+
+def test_matches_replanning_on_bundled_data(dataset):
+    cfg = dataset.config
+    assert_matches_replanning(dataset, cfg.fossil_multipliers, cfg.pellet_prices)
+
+
+def test_matches_replanning_on_fine_grid(dataset):
+    # 25 x 40 stratified grid: one seeded value inside each equal-width bin
+    rng = random.Random(1)
+
+    def axis(lo, hi, count, digits):
+        step = (hi - lo) / count
+        return [round(lo + step * (i + rng.uniform(0.05, 0.95)), digits)
+                for i in range(count)]
+
+    assert_matches_replanning(dataset, axis(0.1, 1.9, 25, 4), axis(5.0, 200.0, 40, 2))
+
+
+# Integer $/t prices keep any two fuel LCOEs either exactly equal (oil and
+# natural gas share one heating value) or apart by far more than rounding.
+_price = st.integers(1, 400).map(float)
+_amount = st.sampled_from([None, 0.0]) | st.floats(1e2, 5e6)
+
+
+@st.composite
+def markets(draw):
+    profiles = []
+    for i in range(draw(st.integers(1, 4))):
+        prices = {f: draw(_price) for f in FUELS}
+        if draw(st.booleans()):
+            prices["natural_gas"] = prices["oil"]  # tied on LCOE
+        has_residue = draw(st.booleans())
+        profiles.append(make_profile(
+            name=f"C{i}",
+            continent="KL"[i % 2],
+            production={c: draw(_amount) for c in CROPS} if has_residue else None,
+            pli=draw(st.floats(0.5, 2.0)),
+            discount_rate=draw(st.floats(0.03, 0.15)),
+            tax_rate=draw(st.floats(0.1, 0.4)),
+            prices=prices,
+            consumption={f: draw(_amount) for f in FUELS},
+        ))
+    return make_dataset(profiles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dataset=markets(),
+       multipliers=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4),
+       pellet_prices=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=4))
+def test_matches_replanning_on_generated_markets(dataset, multipliers, pellet_prices):
+    assert_matches_replanning(dataset, multipliers, pellet_prices)
+
+
+def test_failed_country_is_left_out(market_dataset):
+    broken = make_profile(name="Broken", production={"rice": 1e7},
+                          pli={"labor": 1.0, "raw_material": 1.0,
+                               "construction": 0.0, "electricity": 1.0})
+    ds = make_dataset(market_dataset.countries + (broken,))
+    grid = sweep(ds)
+    assert [name for name, _ in grid.baseline.errors] == ["Broken"]
+    assert grid.s_ec == sweep(market_dataset).s_ec
+
+
+def test_country_subset(market_dataset):
+    # every synthetic field is the country's own, so the subset's inputs do
+    # not depend on the other countries
+    grid = sweep(market_dataset, countries=["Mkt00", "Mkt03"])
+    assert [r.country for r in grid.baseline.reports] == ["Mkt00", "Mkt03"]
+    pair = make_dataset([market_dataset.countries[0], market_dataset.countries[3]])
+    assert grid.s_ec == sweep(pair).s_ec != sweep(market_dataset).s_ec
+
+
+@pytest.mark.parametrize("axes, key", [
+    ({"multipliers": (0.0,)}, "fossil_multipliers"),
+    ({"multipliers": (-1.0, 1.0)}, "fossil_multipliers"),
+    ({"multipliers": ()}, "fossil_multipliers"),
+    ({"pellet_prices": ()}, "pellet_prices"),
+])
+def test_bad_axes_rejected(market_dataset, axes, key):
+    with pytest.raises(DataError, match=key):
+        sweep(market_dataset, **axes)
