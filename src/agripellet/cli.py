@@ -10,7 +10,8 @@ report   full pipeline: countries.csv, global.json, errors.txt, plot CSVs
 yoy      year-on-year growth statistics for an annual production series
 
 The data directory defaults to $AGRIPELLET_DATA, then the current directory.
-Exit code is 0 only when every country evaluated cleanly.
+Exit code is 0 only when every country evaluated cleanly.  Every subcommand
+but yoy writes errors.txt once past loading; it is empty on a clean run.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ def _load(args):
     return dataset
 
 
-def _finish(result, out_dir: Path, args) -> int:
+def _finish(result, out_dir: Path) -> int:
+    """Write ``errors.txt`` (empty on a clean run) and give the exit code."""
+    reporting.write_errors_txt(out_dir / "errors.txt", result)
     if result.errors:
-        reporting.write_errors_txt(out_dir / "errors.txt", result)
         print(f"{len(result.errors)} of "
               f"{len(result.errors) + len(result.reports)} countries failed "
               f"(see {out_dir / 'errors.txt'})", file=sys.stderr)
@@ -87,31 +89,31 @@ def _finish(result, out_dir: Path, args) -> int:
     return 0
 
 
-def _run_stage(args, stage: str, rows_fn, payload_key: str, stem: str) -> int:
+def _run_stage(args, stage: str, columns: tuple, stem: str) -> int:
     dataset = _load(args)
     result = run_pipeline(dataset, through=stage, countries=args.country)
     out_dir = Path(args.out)
     if args.format == "json":
-        payload = {payload_key: [reporting.country_payload(r) for r in result.reports],
+        payload = {"countries": [reporting.country_payload(r) for r in result.reports],
                    "errors": [{"country": n, "message": m} for n, m in result.errors]}
         reporting.write_json(out_dir / f"{stem}.json", payload)
     else:
-        reporting.write_csv(out_dir / f"{stem}.csv", rows_fn(result))
+        reporting.write_csv(out_dir / f"{stem}.csv", reporting.table_rows(columns, result))
     print(f"wrote {out_dir / (stem + '.' + args.format)} "
           f"({len(result.reports)} countries)")
-    return _finish(result, out_dir, args)
+    return _finish(result, out_dir)
 
 
 def cmd_assess(args) -> int:
-    return _run_stage(args, STAGE_ASSESS, reporting.assess_rows, "countries", "assess")
+    return _run_stage(args, STAGE_ASSESS, reporting.ASSESS_COLUMNS, "assess")
 
 
 def cmd_msp(args) -> int:
-    return _run_stage(args, STAGE_MSP, reporting.msp_rows, "countries", "msp")
+    return _run_stage(args, STAGE_MSP, reporting.MSP_COLUMNS, "msp")
 
 
 def cmd_recop(args) -> int:
-    return _run_stage(args, STAGE_PLAN, reporting.recop_rows, "countries", "recop")
+    return _run_stage(args, STAGE_PLAN, reporting.RECOP_COLUMNS, "recop")
 
 
 def cmd_sweep(args) -> int:
@@ -125,7 +127,7 @@ def cmd_sweep(args) -> int:
     else:
         reporting.write_sensitivity_files(out_dir, grid)
         print(f"wrote {out_dir / 'sensitivity.csv'} and {out_dir / 'sensitivity_long.csv'}")
-    return _finish(grid.baseline, out_dir, args)
+    return _finish(grid.baseline, out_dir)
 
 
 def cmd_report(args) -> int:
@@ -134,7 +136,7 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out)
     reporting.write_report_files(out_dir, result)
     print(f"wrote report for {len(result.reports)} countries to {out_dir}")
-    return _finish(result, out_dir, args)
+    return _finish(result, out_dir)
 
 
 def _read_series(path: Path) -> dict:

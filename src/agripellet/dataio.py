@@ -162,6 +162,10 @@ class ModelConfig:
             problems.append("fossil_multipliers must be a non-empty list of values > 0")
         if not self.pellet_prices:
             problems.append("pellet_prices must not be empty")
+        for name in ("fossil_multipliers", "pellet_prices"):
+            axis = getattr(self, name)
+            if len(set(axis)) != len(axis):  # a repeat would write one grid cell twice
+                problems.append(f"{name} must not repeat a value, got {list(axis)!r}")
         if problems:
             raise DataError(problems)
         object.__setattr__(self, "fossil_multipliers", tuple(self.fossil_multipliers))
@@ -513,8 +517,15 @@ def load_dataset(data_dir: str | Path, config: ModelConfig | str | Path | None =
     )
 
 
-def _cell(value) -> str:
-    return "" if value is None else repr(float(value))
+def format_cell(value) -> str:
+    """One CSV cell: empty for None, ``true``/``false``, ``repr`` for floats."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
@@ -526,28 +537,29 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
         w.writerow(CROPS_COLUMNS)
         for c in CROPS:
             k = dataset.crops[c]
-            w.writerow([c, _cell(k.rtp), _cell(k.srr), _cell(k.dmr_default), _cell(k.lhv)])
+            w.writerow([c, format_cell(k.rtp), format_cell(k.srr),
+                        format_cell(k.dmr_default), format_cell(k.lhv)])
     with (out_dir / "fuels.csv").open("w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(FUELS_COLUMNS)
         for name in FUELS:
             p = dataset.fuel_properties[name]
-            w.writerow([name, _cell(p.lhv), _cell(p.ef)])
-        w.writerow(["pellet", "", _cell(dataset.pellet_ef)])
+            w.writerow([name, format_cell(p.lhv), format_cell(p.ef)])
+        w.writerow(["pellet", "", format_cell(dataset.pellet_ef)])
     with (out_dir / "countries.csv").open("w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(COUNTRIES_COLUMNS)
         for c in dataset.countries:
             w.writerow([
                 c.name, c.continent,
-                *[_cell(c.production[crop]) for crop in CROPS],
-                *[_cell(c.dmr_override[crop]) for crop in CROPS],
-                *[_cell(c.livestock[a]) for a in ANIMALS],
-                _cell(c.bagasse_bioenergy), _cell(c.other_residue_bioenergy),
-                *[_cell(c.pli[p]) for p in PLI_COMPONENTS],
-                _cell(c.discount_rate), _cell(c.tax_rate),
-                *[_cell(c.fuel_price[fuel]) for fuel in FUELS],
-                *[_cell(c.fuel_consumption[fuel]) for fuel in FUELS],
+                *[format_cell(c.production[crop]) for crop in CROPS],
+                *[format_cell(c.dmr_override[crop]) for crop in CROPS],
+                *[format_cell(c.livestock[a]) for a in ANIMALS],
+                format_cell(c.bagasse_bioenergy), format_cell(c.other_residue_bioenergy),
+                *[format_cell(c.pli[p]) for p in PLI_COMPONENTS],
+                format_cell(c.discount_rate), format_cell(c.tax_rate),
+                *[format_cell(c.fuel_price[fuel]) for fuel in FUELS],
+                *[format_cell(c.fuel_consumption[fuel]) for fuel in FUELS],
             ])
     cfg = dataset.config
     payload = {

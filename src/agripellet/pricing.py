@@ -45,19 +45,24 @@ class BreakEvenInputs:
 
 
 @dataclass(frozen=True)
-class YearCashFlow:
-    year: int
-    revenue: float
-    tax: float
-    cash_flow: float
-    discounted_cash_flow: float
+class AnnualCashFlow:
+    """One plant year at the MSP; every year of the horizon is the same.
+
+    Year t's discounted flow is ``cash_flow * (1 + r) ** -t``, and their sum
+    over the horizon is ``annuity_factor * cash_flow``.
+    """
+
+    revenue: float         # $/y
+    tax: float             # $/y
+    cash_flow: float       # $/y
+    annuity_factor: float  # sum of (1 + r)^-t over t = 1..n
 
 
 @dataclass(frozen=True)
 class MspResult:
     msp: float                 # $/t
     npv_at_msp: float          # $
-    annual_trace: tuple        # YearCashFlow per year
+    annual_trace: AnnualCashFlow  # one plant year at the MSP
     msp_per_tj: float | None   # $/TJ when a heating-value context is attached
 
 
@@ -142,24 +147,20 @@ def solve_msp_bisection(inputs: BreakEvenInputs, npv_tol: float = 1e-5, max_iter
 
 
 def solve_msp(inputs: BreakEvenInputs, weighted_lhv: float | None = None) -> MspResult:
-    """Solve the break-even price and assemble the annual cash-flow trace.
+    """Solve the break-even price and the plant year's cash flow at that price.
 
     The closed form is the primary route; if its residual NPV strays beyond a
-    cent (it should never), the bisection fallback takes over.
+    cent (it should never), the bisection fallback takes over.  Cash flows
+    are constant, so one year and the annuity factor stand for the horizon.
     """
     price = solve_msp_closed_form(inputs)
     if abs(npv(price, inputs) - inputs.target_npv) > 0.01:
         price = solve_msp_bisection(inputs)
-    revenue, tax, cf = annual_cash_flow(price, inputs)
-    trace = []
-    factor = 1.0
-    for year in range(1, inputs.n + 1):
-        factor /= 1.0 + inputs.r
-        trace.append(YearCashFlow(year, revenue, tax, cf, cf * factor))
     per_tj = price / (weighted_lhv * 1e-3) if weighted_lhv else None
     return MspResult(
         msp=price,
         npv_at_msp=npv(price, inputs),
-        annual_trace=tuple(trace),
+        annual_trace=AnnualCashFlow(*annual_cash_flow(price, inputs),
+                                    _annuity(inputs.r, inputs.n)),
         msp_per_tj=per_tj,
     )

@@ -10,11 +10,62 @@ import csv
 import json
 from pathlib import Path
 
-from .dataio import CROPS, FUELS, PLI_COMPONENTS, RESOLVABLE_FIELDS
+from .dataio import CROPS, FUELS, PLI_COMPONENTS, RESOLVABLE_FIELDS, format_cell
 from .pipeline import PipelineResult
 from .sensitivity import SensitivityGrid, grid_rows_long, grid_rows_wide
 
-SRC_COLUMNS = tuple(f"src_{name}" for name in RESOLVABLE_FIELDS)
+
+def _plan(attr: str):
+    return lambda r: getattr(r.plan, attr) if r.plan else None
+
+
+def _rank(i: int):
+    return lambda r: r.plan.ranking[i][0] if r.plan else None
+
+
+# One accessor per column name, each taking a CountryReport.  Every per-country
+# CSV is a tuple of these names, so a column reads the same in every file.
+COLUMNS = {
+    "country": lambda r: r.country,
+    "continent": lambda r: r.continent,
+    **{f"cr_total_{c}_t": (lambda r, c=c: r.assessment.cr_total[c]) for c in CROPS},
+    **{f"cr_removable_dry_{c}_t": (lambda r, c=c: r.assessment.cr_removable_dry[c])
+       for c in CROPS},
+    "cr_removable_dry_t": lambda r: r.assessment.total_removable_dry,
+    "feed_bedding_use_t": lambda r: r.assessment.feed_bedding_use,
+    "bagasse_bioenergy_use_t": lambda r: r.assessment.bioenergy_use_bagasse,
+    "other_bioenergy_attributed_t": lambda r: r.assessment.bioenergy_use_other_attributed,
+    "cr_final_t": lambda r: r.assessment.cr_final,
+    "use_saturated": lambda r: r.assessment.use_saturated,
+    "weighted_lhv_mj_per_kg": lambda r: r.energy.weighted_lhv,
+    "pellet_mass_t": lambda r: r.energy.pellet_mass,
+    "pellet_energy_tj": lambda r: r.energy.pellet_energy,
+    "epc_usd": lambda r: r.cost.epc,
+    "tfc_usd": lambda r: r.cost.tfc,
+    "capex_usd": lambda r: r.cost.capex,
+    "opex_usd_per_y": lambda r: r.cost.opex_total,
+    "discount_rate": lambda r: r.resolved.get("discount_rate"),
+    "tax_rate": lambda r: r.resolved.get("tax_rate"),
+    "msp_usd_per_t": lambda r: r.msp.msp,
+    "msp_usd_per_tj": lambda r: r.msp.msp_per_tj,
+    "npv_at_msp_usd": lambda r: r.msp.npv_at_msp,
+    "scenario": _plan("scenario"),
+    "carbon_tax_usd_per_tco2e": _plan("carbon_tax"),
+    "rank_1": _rank(0),
+    "rank_2": _rank(1),
+    "rank_3": _rank(2),
+    "top_fuel": _rank(0),
+    **{f"alloc_{f}_tj": (lambda r, f=f: r.plan.allocation[f] if r.plan else None)
+       for f in FUELS},
+    **{f"replaced_{f}_frac": (lambda r, f=f: r.plan.replaced_fraction[f] if r.plan else None)
+       for f in FUELS},
+    "replaced_overall_frac": _plan("replaced_fraction_overall"),
+    "unused_pellet_tj": _plan("unused_pellet_energy"),
+    "s_ec_usd_per_y": _plan("s_ec"),
+    "s_em_kgco2e_per_y": _plan("s_em"),
+    **{f"src_{name}": (lambda r, name=name: r.provenance.get(name))
+       for name in RESOLVABLE_FIELDS},
+}
 
 ASSESS_COLUMNS = (
     ("country", "continent")
@@ -33,12 +84,16 @@ MSP_COLUMNS = (
     + ("src_discount_rate", "src_tax_rate")
 )
 
+_PLAN_COLUMNS = (
+    tuple(f"alloc_{f}_tj" for f in FUELS)
+    + tuple(f"replaced_{f}_frac" for f in FUELS)
+    + ("replaced_overall_frac", "unused_pellet_tj", "s_ec_usd_per_y", "s_em_kgco2e_per_y")
+)
+
 RECOP_COLUMNS = (
     ("country", "continent", "scenario", "carbon_tax_usd_per_tco2e", "pellet_energy_tj",
      "rank_1", "rank_2", "rank_3")
-    + tuple(f"alloc_{f}_tj" for f in FUELS)
-    + tuple(f"replaced_{f}_frac" for f in FUELS)
-    + ("replaced_overall_frac", "unused_pellet_tj", "s_ec_usd_per_y", "s_em_kgco2e_per_y")
+    + _PLAN_COLUMNS
     + tuple(f"src_price_{f}" for f in FUELS)
 )
 
@@ -51,104 +106,26 @@ REPORT_COLUMNS = (
        "capex_usd", "opex_usd_per_y", "tfc_usd",
        "msp_usd_per_t", "msp_usd_per_tj", "npv_at_msp_usd",
        "scenario", "rank_1", "rank_2", "rank_3")
-    + tuple(f"alloc_{f}_tj" for f in FUELS)
-    + tuple(f"replaced_{f}_frac" for f in FUELS)
-    + ("replaced_overall_frac", "unused_pellet_tj", "s_ec_usd_per_y", "s_em_kgco2e_per_y")
-    + SRC_COLUMNS
+    + _PLAN_COLUMNS
+    + tuple(f"src_{name}" for name in RESOLVABLE_FIELDS)
 )
 
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# Plot-ready CSVs written beside countries.csv, by file name.
+PLOT_COLUMNS = {
+    "energy_by_country.csv": ("country", "pellet_energy_tj"),
+    "replacement_by_country.csv": ("country", "top_fuel", "replaced_overall_frac"),
+    "savings_by_country.csv": ("country", "s_ec_usd_per_y", "s_em_kgco2e_per_y"),
+}
 
 
-def _rank_names(plan):
-    if plan is None:
-        return [None, None, None]
-    return [fuel for fuel, _ in plan.ranking]
-
-
-def assess_rows(result: PipelineResult) -> list:
-    rows = [list(ASSESS_COLUMNS)]
-    for r in result.reports:
-        a = r.assessment
-        rows.append([_cell(v) for v in (
-            [r.country, r.continent]
-            + [a.cr_total[c] for c in CROPS]
-            + [a.cr_removable_dry[c] for c in CROPS]
-            + [a.feed_bedding_use, a.bioenergy_use_bagasse,
-               a.bioenergy_use_other_attributed, a.cr_final, a.use_saturated,
-               r.energy.weighted_lhv, r.energy.pellet_mass, r.energy.pellet_energy]
-            + [r.provenance.get(f"dmr_{c}") for c in CROPS]
-        )])
-    return rows
-
-
-def msp_rows(result: PipelineResult) -> list:
-    rows = [list(MSP_COLUMNS)]
-    for r in result.reports:
-        rows.append([_cell(v) for v in (
-            [r.country, r.continent,
-             r.cost.epc, r.cost.tfc, r.cost.capex, r.cost.opex_total,
-             r.resolved.get("discount_rate"), r.resolved.get("tax_rate"),
-             r.msp.msp, r.msp.msp_per_tj, r.msp.npv_at_msp]
-            + [r.provenance.get(f"pli_{p}") for p in PLI_COMPONENTS]
-            + [r.provenance.get("discount_rate"), r.provenance.get("tax_rate")]
-        )])
-    return rows
-
-
-def recop_rows(result: PipelineResult) -> list:
-    rows = [list(RECOP_COLUMNS)]
-    for r in result.reports:
-        plan = r.plan
-        ranks = _rank_names(plan)
-        rows.append([_cell(v) for v in (
-            [r.country, r.continent,
-             plan.scenario if plan else None,
-             plan.carbon_tax if plan else None,
-             r.energy.pellet_energy] + ranks
-            + [plan.allocation[f] if plan else None for f in FUELS]
-            + [plan.replaced_fraction[f] if plan else None for f in FUELS]
-            + [plan.replaced_fraction_overall if plan else None,
-               plan.unused_pellet_energy if plan else None,
-               plan.s_ec if plan else None,
-               plan.s_em if plan else None]
-            + [r.provenance.get(f"price_{f}") for f in FUELS]
-        )])
-    return rows
+def table_rows(columns: tuple, result: PipelineResult) -> list:
+    """Header plus one CSV row per evaluated country, for any tuple of COLUMNS names."""
+    getters = [COLUMNS[name] for name in columns]
+    return [list(columns)] + [[format_cell(get(r)) for get in getters] for r in result.reports]
 
 
 def report_rows(result: PipelineResult) -> list:
-    rows = [list(REPORT_COLUMNS)]
-    for r in result.reports:
-        a = r.assessment
-        plan = r.plan
-        ranks = _rank_names(plan)
-        rows.append([_cell(v) for v in (
-            [r.country, r.continent]
-            + [a.cr_total[c] for c in CROPS]
-            + [a.total_removable_dry, a.feed_bedding_use, a.bioenergy_use_bagasse,
-               a.bioenergy_use_other_attributed, a.cr_final, a.use_saturated,
-               r.energy.weighted_lhv, r.energy.pellet_mass, r.energy.pellet_energy,
-               r.cost.capex, r.cost.opex_total, r.cost.tfc,
-               r.msp.msp, r.msp.msp_per_tj, r.msp.npv_at_msp,
-               plan.scenario if plan else None] + ranks
-            + [plan.allocation[f] if plan else None for f in FUELS]
-            + [plan.replaced_fraction[f] if plan else None for f in FUELS]
-            + [plan.replaced_fraction_overall if plan else None,
-               plan.unused_pellet_energy if plan else None,
-               plan.s_ec if plan else None,
-               plan.s_em if plan else None]
-            + [r.provenance.get(name) for name in RESOLVABLE_FIELDS]
-        )])
-    return rows
+    return table_rows(REPORT_COLUMNS, result)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +177,10 @@ def _msp_payload(r):
         "msp_usd_per_t": r.msp.msp,
         "msp_usd_per_tj": r.msp.msp_per_tj,
         "npv_at_msp_usd": r.msp.npv_at_msp,
-        "annual_trace": [
-            {"year": t.year, "revenue": t.revenue, "tax": t.tax,
-             "cash_flow": t.cash_flow, "discounted_cash_flow": t.discounted_cash_flow}
-            for t in r.msp.annual_trace
-        ],
+        "revenue_usd_per_y": r.msp.annual_trace.revenue,
+        "tax_usd_per_y": r.msp.annual_trace.tax,
+        "cash_flow_usd_per_y": r.msp.annual_trace.cash_flow,
+        "annuity_factor": r.msp.annual_trace.annuity_factor,
     }
 
 
@@ -282,26 +258,12 @@ def write_errors_txt(path: str | Path, result: PipelineResult) -> None:
 
 
 def write_report_files(out_dir: str | Path, result: PipelineResult) -> None:
-    """The full fixed output set: wide CSV, nested JSON, errors, plot files."""
+    """The full fixed output set: wide CSV, nested JSON and plot files."""
     out_dir = Path(out_dir)
     write_csv(out_dir / "countries.csv", report_rows(result))
     write_json(out_dir / "global.json", global_payload(result))
-    write_errors_txt(out_dir / "errors.txt", result)
-    write_csv(out_dir / "energy_by_country.csv",
-              [["country", "pellet_energy_tj"]]
-              + [[r.country, _cell(r.energy.pellet_energy)] for r in result.reports])
-    write_csv(out_dir / "replacement_by_country.csv",
-              [["country", "top_fuel", "replaced_overall_frac"]]
-              + [[r.country,
-                  _cell(r.plan.ranking[0][0] if r.plan else None),
-                  _cell(r.plan.replaced_fraction_overall if r.plan else None)]
-                 for r in result.reports])
-    write_csv(out_dir / "savings_by_country.csv",
-              [["country", "s_ec_usd_per_y", "s_em_kgco2e_per_y"]]
-              + [[r.country,
-                  _cell(r.plan.s_ec if r.plan else None),
-                  _cell(r.plan.s_em if r.plan else None)]
-                 for r in result.reports])
+    for name, columns in PLOT_COLUMNS.items():
+        write_csv(out_dir / name, table_rows(columns, result))
 
 
 def write_sensitivity_files(out_dir: str | Path, grid: SensitivityGrid) -> None:

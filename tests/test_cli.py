@@ -33,6 +33,30 @@ def test_report_is_byte_identical_across_runs(data_dir, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_shared_columns_agree_across_outputs(data_dir, tmp_path):
+    for command in ("report", "assess", "msp", "recop"):
+        assert run_cli(command, "--data", data_dir, "--out", tmp_path) == 0
+    tables = {}  # file name -> country -> column -> cell; top_fuel read as rank_1
+    for path in sorted(tmp_path.glob("*.csv")):
+        with path.open(newline="", encoding="utf-8") as f:
+            tables[path.name] = {
+                row["country"]: {("rank_1" if k == "top_fuel" else k): v for k, v in row.items()}
+                for row in csv.DictReader(f)
+            }
+    assert len(tables) == 7
+    assert all(len(rows) == 178 for rows in tables.values())
+    files_with = {}
+    for name, rows in tables.items():
+        for column in next(iter(rows.values())):
+            files_with.setdefault(column, []).append(name)
+    shared = {c: names for c, names in files_with.items() if len(names) > 1}
+    assert {"rank_1", "pellet_energy_tj", "s_ec_usd_per_y", "src_tax_rate"} <= set(shared)
+    for column, (first, *others) in shared.items():
+        for other in others:
+            for country, row in tables[other].items():
+                assert row[column] == tables[first][country][column], (column, other, country)
+
+
 def test_assess_csv_and_country_filter(data_dir, tmp_path):
     code = run_cli("assess", "--data", data_dir, "--out", tmp_path,
                    "--country", "Brazil", "--country", "Canada")
@@ -124,11 +148,22 @@ def test_sweep_with_failed_country_exits_1(tmp_path, capsys):
     assert all(v == (0.0, 0.0) for v in cells.values())
 
 
+def test_clean_run_empties_stale_errors_txt(data_dir, tmp_path):
+    write_unresolvable_dataset(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--data", tmp_path, "--out", out) == 1
+    assert (out / "errors.txt").read_text().startswith("X: ")
+    assert run_cli("sweep", "--data", data_dir, "--out", out) == 0
+    assert (out / "errors.txt").read_text() == ""
+
+
 @pytest.mark.parametrize("key, value", [
     ("fossil_multipliers", [-1.0, 1.0]),
     ("fossil_multipliers", [0.0]),
     ("fossil_multipliers", []),
     ("pellet_prices", []),
+    ("fossil_multipliers", [1.0, 1.0]),
+    ("pellet_prices", [10.0, 20.0, 10.0]),
 ])
 def test_bad_sweep_axis_exits_2(data_dir, tmp_path, capsys, key, value):
     config = tmp_path / "config.json"

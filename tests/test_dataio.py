@@ -181,6 +181,9 @@ def test_config_validation(tmp_path):
     ("fossil_multipliers", [0.0]),
     ("fossil_multipliers", []),
     ("pellet_prices", []),
+    # a repeated axis value would write the same grid row twice
+    ("fossil_multipliers", [1.0, 1.0]),
+    ("pellet_prices", [10.0, 20.0, 10.0]),
 ])
 def test_config_value_types_rejected(tmp_path, key, value):
     path = tmp_path / "config.json"

@@ -98,14 +98,12 @@ def test_annual_trace_shape_and_discounting():
     rng = random.Random(19)
     inputs = random_break_even_inputs(rng)
     result = solve_msp(inputs)
-    assert len(result.annual_trace) == inputs.n
-    for t in result.annual_trace:
-        assert t.discounted_cash_flow == pytest.approx(
-            t.cash_flow / (1.0 + inputs.r) ** t.year, rel=1e-12
-        )
-    total = sum(t.discounted_cash_flow for t in result.annual_trace)
-    terminal = salvage_value(inputs) / (1.0 + inputs.r) ** inputs.n
-    assert total + terminal - inputs.capex == pytest.approx(result.npv_at_msp, abs=1e-6)
+    year = result.annual_trace
+    assert year.cash_flow == year.revenue - inputs.opex - year.tax
+    terminal = salvage_value(inputs) * (1.0 + inputs.r) ** -inputs.n
+    closed = year.annuity_factor * year.cash_flow + terminal - inputs.capex
+    assert closed == pytest.approx(result.npv_at_msp, abs=1e-6)
+    assert npv(result.msp, inputs) == pytest.approx(closed, abs=1e-6)
 
 
 def test_negative_tax_in_loss_years():

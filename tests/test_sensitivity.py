@@ -198,8 +198,8 @@ def markets(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(dataset=markets(),
-       multipliers=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4),
-       pellet_prices=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=4))
+       multipliers=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4, unique=True),
+       pellet_prices=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=4, unique=True))
 def test_matches_replanning_on_generated_markets(dataset, multipliers, pellet_prices):
     assert_matches_replanning(dataset, multipliers, pellet_prices)
 
