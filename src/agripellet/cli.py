@@ -94,9 +94,7 @@ def _run_stage(args, stage: str, columns: tuple, stem: str) -> int:
     result = run_pipeline(dataset, through=stage, countries=args.country)
     out_dir = Path(args.out)
     if args.format == "json":
-        payload = {"countries": [reporting.country_payload(r) for r in result.reports],
-                   "errors": [{"country": n, "message": m} for n, m in result.errors]}
-        reporting.write_json(out_dir / f"{stem}.json", payload)
+        reporting.write_json(out_dir / f"{stem}.json", reporting.table_records(columns, result))
     else:
         reporting.write_csv(out_dir / f"{stem}.csv", reporting.table_rows(columns, result))
     print(f"wrote {out_dir / (stem + '.' + args.format)} "

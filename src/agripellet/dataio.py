@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -561,19 +561,8 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
                 *[format_cell(c.fuel_price[fuel]) for fuel in FUELS],
                 *[format_cell(c.fuel_consumption[fuel]) for fuel in FUELS],
             ])
-    cfg = dataset.config
-    payload = {
-        "plant_capacity": cfg.plant_capacity,
-        "horizon_years": cfg.horizon_years,
-        "salvage_rate": cfg.salvage_rate,
-        "tfc_capex_ratio": cfg.tfc_capex_ratio,
-        "pellet_efficiency": cfg.pellet_efficiency,
-        "scenario": cfg.scenario,
-        "carbon_tax": cfg.carbon_tax,
-        "fossil_multipliers": list(cfg.fossil_multipliers),
-        "pellet_prices": list(cfg.pellet_prices),
-    }
-    (out_dir / "config.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    (out_dir / "config.json").write_text(json.dumps(asdict(dataset.config), indent=2) + "\n",
+                                         encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

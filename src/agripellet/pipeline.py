@@ -8,6 +8,7 @@ byte-identical downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import costs, energy, pricing, replacement, residues
@@ -59,6 +60,7 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
     ``assess`` stops after residues and energy, ``msp`` adds plant costs and
     the break-even price, ``plan`` adds the fuel replacement plan.  Later
     stages resolve more input fields and so can fail on sparser datasets.
+    A report holding a NaN or infinite number raises a ``DataError``.
     """
     if through not in _STAGE_ORDER:
         raise ValueError(f"unknown stage {through!r}")
@@ -109,7 +111,7 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
             )
         # no residue -> no pellet heating value; leave the plan empty
 
-    return CountryReport(
+    report = CountryReport(
         country=profile.name,
         continent=profile.continent,
         assessment=assessment,
@@ -120,6 +122,36 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
         resolved=resolved,
         provenance=tags,
     )
+    bad = _non_finite(report)
+    if bad:
+        raise DataError(f"non-finite {bad} for {profile.name!r}")
+    return report
+
+
+_SCALARS = (str, bool, int, type(None))
+
+
+def _non_finite(value, prefix=""):
+    """``"path = value"`` for the first NaN or infinite float inside a report, or None.
+
+    Finite inputs can still overflow (a production of 1e308 t), so every
+    number a report carries is checked before it can reach an output file.
+    """
+    if type(value) is dict:
+        items = value.items()
+    elif type(value) is tuple:
+        items = enumerate(value)
+    else:
+        items = vars(value).items()  # one of the report's frozen dataclasses
+    for key, item in items:
+        if type(item) is float:
+            if not math.isfinite(item):
+                return f"{prefix}{key} = {item!r}"
+        elif type(item) not in _SCALARS:
+            found = _non_finite(item, f"{prefix}{key}.")
+            if found:
+                return found
+    return None
 
 
 def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
@@ -169,6 +201,9 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
         replaced_fraction_overall=total_alloc / total_cons if total_cons > 0 else 0.0,
         rank_first_counts=rank_first,
     )
+    bad = _non_finite(global_report)
+    if bad:
+        raise DataError(f"non-finite global total {bad}")
     return PipelineResult(reports=tuple(reports), global_report=global_report,
                           errors=tuple(errors))
 

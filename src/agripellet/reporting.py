@@ -1,7 +1,9 @@
 """Deterministic CSV/JSON serialization of pipeline results.
 
-Column sets are fixed: adding countries never changes the schema, and two
-runs over identical inputs produce byte-identical files.
+Each per-country output is one tuple of ``COLUMNS`` names, its only schema:
+the CSV writes the formatted cells, the JSON one record per country with the
+same keys in the same order.  Adding countries never changes the schema, and
+two runs over identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -44,11 +46,13 @@ COLUMNS = {
     "tfc_usd": lambda r: r.cost.tfc,
     "capex_usd": lambda r: r.cost.capex,
     "opex_usd_per_y": lambda r: r.cost.opex_total,
-    "discount_rate": lambda r: r.resolved.get("discount_rate"),
-    "tax_rate": lambda r: r.resolved.get("tax_rate"),
     "msp_usd_per_t": lambda r: r.msp.msp,
     "msp_usd_per_tj": lambda r: r.msp.msp_per_tj,
     "npv_at_msp_usd": lambda r: r.msp.npv_at_msp,
+    "revenue_usd_per_y": lambda r: r.msp.annual_trace.revenue,
+    "tax_usd_per_y": lambda r: r.msp.annual_trace.tax,
+    "cash_flow_usd_per_y": lambda r: r.msp.annual_trace.cash_flow,
+    "annuity_factor": lambda r: r.msp.annual_trace.annuity_factor,
     "scenario": _plan("scenario"),
     "carbon_tax_usd_per_tco2e": _plan("carbon_tax"),
     "rank_1": _rank(0),
@@ -63,9 +67,16 @@ COLUMNS = {
     "unused_pellet_tj": _plan("unused_pellet_energy"),
     "s_ec_usd_per_y": _plan("s_ec"),
     "s_em_kgco2e_per_y": _plan("s_em"),
+    **{name: (lambda r, name=name: r.resolved.get(name)) for name in RESOLVABLE_FIELDS},
     **{f"src_{name}": (lambda r, name=name: r.provenance.get(name))
        for name in RESOLVABLE_FIELDS},
 }
+
+
+def _resolved(names) -> tuple:
+    """Each resolved input's value column followed by its fallback-tier column."""
+    return tuple(c for name in names for c in (name, f"src_{name}"))
+
 
 ASSESS_COLUMNS = (
     ("country", "continent")
@@ -74,14 +85,14 @@ ASSESS_COLUMNS = (
     + ("feed_bedding_use_t", "bagasse_bioenergy_use_t", "other_bioenergy_attributed_t",
        "cr_final_t", "use_saturated",
        "weighted_lhv_mj_per_kg", "pellet_mass_t", "pellet_energy_tj")
-    + tuple(f"src_dmr_{c}" for c in CROPS)
+    + _resolved(f"dmr_{c}" for c in CROPS)
 )
 
 MSP_COLUMNS = (
     ("country", "continent", "epc_usd", "tfc_usd", "capex_usd", "opex_usd_per_y",
-     "discount_rate", "tax_rate", "msp_usd_per_t", "msp_usd_per_tj", "npv_at_msp_usd")
-    + tuple(f"src_pli_{p}" for p in PLI_COMPONENTS)
-    + ("src_discount_rate", "src_tax_rate")
+     "msp_usd_per_t", "msp_usd_per_tj", "npv_at_msp_usd",
+     "revenue_usd_per_y", "tax_usd_per_y", "cash_flow_usd_per_y", "annuity_factor")
+    + _resolved([f"pli_{p}" for p in PLI_COMPONENTS] + ["discount_rate", "tax_rate"])
 )
 
 _PLAN_COLUMNS = (
@@ -94,7 +105,7 @@ RECOP_COLUMNS = (
     ("country", "continent", "scenario", "carbon_tax_usd_per_tco2e", "pellet_energy_tj",
      "rank_1", "rank_2", "rank_3")
     + _PLAN_COLUMNS
-    + tuple(f"src_price_{f}" for f in FUELS)
+    + _resolved(f"price_{f}" for f in FUELS)
 )
 
 REPORT_COLUMNS = (
@@ -105,9 +116,10 @@ REPORT_COLUMNS = (
        "weighted_lhv_mj_per_kg", "pellet_mass_t", "pellet_energy_tj",
        "capex_usd", "opex_usd_per_y", "tfc_usd",
        "msp_usd_per_t", "msp_usd_per_tj", "npv_at_msp_usd",
+       "revenue_usd_per_y", "tax_usd_per_y", "cash_flow_usd_per_y", "annuity_factor",
        "scenario", "rank_1", "rank_2", "rank_3")
     + _PLAN_COLUMNS
-    + tuple(f"src_{name}" for name in RESOLVABLE_FIELDS)
+    + _resolved(RESOLVABLE_FIELDS)
 )
 
 # Plot-ready CSVs written beside countries.csv, by file name.
@@ -118,101 +130,27 @@ PLOT_COLUMNS = {
 }
 
 
-def table_rows(columns: tuple, result: PipelineResult) -> list:
-    """Header plus one CSV row per evaluated country, for any tuple of COLUMNS names."""
+def _values(columns: tuple, result: PipelineResult) -> list:
+    """One list of typed values per evaluated country, for any tuple of COLUMNS names."""
     getters = [COLUMNS[name] for name in columns]
-    return [list(columns)] + [[format_cell(get(r)) for get in getters] for r in result.reports]
+    return [[get(r) for get in getters] for r in result.reports]
+
+
+def table_rows(columns: tuple, result: PipelineResult) -> list:
+    """The CSV form: header plus one row of formatted cells per evaluated country."""
+    return [list(columns)] + [[format_cell(v) for v in row] for row in _values(columns, result)]
+
+
+def table_records(columns: tuple, result: PipelineResult) -> dict:
+    """The JSON form: one ``{column: value}`` record per evaluated country, plus failures."""
+    return {
+        "countries": [dict(zip(columns, row)) for row in _values(columns, result)],
+        "errors": [{"country": name, "message": msg} for name, msg in result.errors],
+    }
 
 
 def report_rows(result: PipelineResult) -> list:
     return table_rows(REPORT_COLUMNS, result)
-
-
-# ---------------------------------------------------------------------------
-# Nested JSON payloads
-
-def _assessment_payload(r):
-    a = r.assessment
-    return {
-        "cr_total_t": {c: a.cr_total[c] for c in CROPS},
-        "cr_removable_dry_t": {c: a.cr_removable_dry[c] for c in CROPS},
-        "feed_bedding_use_t": a.feed_bedding_use,
-        "bagasse_bioenergy_use_t": a.bioenergy_use_bagasse,
-        "other_bioenergy_attributed_t": a.bioenergy_use_other_attributed,
-        "cr_final_t": a.cr_final,
-        "cr_final_by_crop_t": {c: a.cr_final_by_crop[c] for c in CROPS},
-        "use_saturated": a.use_saturated,
-    }
-
-
-def _energy_payload(r):
-    return {
-        "weighted_lhv_mj_per_kg": r.energy.weighted_lhv,
-        "pellet_mass_t": r.energy.pellet_mass,
-        "pellet_energy_tj": r.energy.pellet_energy,
-    }
-
-
-def _cost_payload(r):
-    if r.cost is None:
-        return None
-    return {
-        "epc_usd": r.cost.epc,
-        "direct_usd": r.cost.direct,
-        "indirect_usd": r.cost.indirect,
-        "misc_usd": r.cost.misc,
-        "tfc_usd": r.cost.tfc,
-        "working_capital_usd": r.cost.working_capital,
-        "startup_usd": r.cost.startup,
-        "capex_usd": r.cost.capex,
-        "opex_usd_per_y": r.cost.opex_total,
-        "opex_parts_usd_per_y": dict(r.cost.opex_parts),
-    }
-
-
-def _msp_payload(r):
-    if r.msp is None:
-        return None
-    return {
-        "msp_usd_per_t": r.msp.msp,
-        "msp_usd_per_tj": r.msp.msp_per_tj,
-        "npv_at_msp_usd": r.msp.npv_at_msp,
-        "revenue_usd_per_y": r.msp.annual_trace.revenue,
-        "tax_usd_per_y": r.msp.annual_trace.tax,
-        "cash_flow_usd_per_y": r.msp.annual_trace.cash_flow,
-        "annuity_factor": r.msp.annual_trace.annuity_factor,
-    }
-
-
-def _plan_payload(r):
-    if r.plan is None:
-        return None
-    plan = r.plan
-    return {
-        "scenario": plan.scenario,
-        "carbon_tax_usd_per_tco2e": plan.carbon_tax,
-        "ranking": [{"fuel": f, "score_per_tj": s} for f, s in plan.ranking],
-        "allocation_tj": dict(plan.allocation),
-        "replaced_fraction": dict(plan.replaced_fraction),
-        "replaced_fraction_overall": plan.replaced_fraction_overall,
-        "unused_pellet_energy_tj": plan.unused_pellet_energy,
-        "s_ec_usd_per_y": plan.s_ec,
-        "s_em_kgco2e_per_y": plan.s_em,
-    }
-
-
-def country_payload(r) -> dict:
-    return {
-        "country": r.country,
-        "continent": r.continent,
-        "residues": _assessment_payload(r),
-        "energy": _energy_payload(r),
-        "costs": _cost_payload(r),
-        "break_even": _msp_payload(r),
-        "replacement": _plan_payload(r),
-        "resolved_inputs": dict(sorted(r.resolved.items())),
-        "provenance": dict(sorted(r.provenance.items())),
-    }
 
 
 def global_payload(result: PipelineResult) -> dict:
@@ -229,8 +167,7 @@ def global_payload(result: PipelineResult) -> dict:
             "replaced_fraction_overall": g.replaced_fraction_overall,
             "rank_first_counts": dict(g.rank_first_counts),
         },
-        "countries": [country_payload(r) for r in result.reports],
-        "errors": [{"country": name, "message": msg} for name, msg in result.errors],
+        **table_records(REPORT_COLUMNS, result),
     }
 
 
@@ -247,7 +184,7 @@ def write_csv(path: str | Path, rows: list) -> None:
 def write_json(path: str | Path, payload) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def write_errors_txt(path: str | Path, result: PipelineResult) -> None:
@@ -258,7 +195,7 @@ def write_errors_txt(path: str | Path, result: PipelineResult) -> None:
 
 
 def write_report_files(out_dir: str | Path, result: PipelineResult) -> None:
-    """The full fixed output set: wide CSV, nested JSON and plot files."""
+    """The full fixed output set: wide CSV, its JSON records with the totals, and plot files."""
     out_dir = Path(out_dir)
     write_csv(out_dir / "countries.csv", report_rows(result))
     write_json(out_dir / "global.json", global_payload(result))

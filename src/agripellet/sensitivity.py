@@ -15,9 +15,10 @@ and ``s_em`` is the baseline's in every cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 
-from .dataio import FUELS, Dataset
+from .dataio import FUELS, DataError, Dataset
 from .pipeline import STAGE_PLAN, PipelineResult, run_pipeline
 from .replacement import fuel_lcoe
 
@@ -48,6 +49,9 @@ def sweep(dataset: Dataset, multipliers=None, pellet_prices=None,
                  for f in FUELS)
         b += sum(alloc[f] for f in FUELS) * fuel_lcoe(1.0, r.energy.weighted_lhv)
     s_ec = {(m, p): m * a - p * b for m in cfg.fossil_multipliers for p in cfg.pellet_prices}
+    for (m, p), value in s_ec.items():  # finite baseline plans can still overflow here
+        if not math.isfinite(value):
+            raise DataError(f"non-finite sweep cell s_ec(m={m:g}, p={p:g}) = {value!r}")
     return SensitivityGrid(
         fossil_multipliers=cfg.fossil_multipliers,
         pellet_prices=cfg.pellet_prices,

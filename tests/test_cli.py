@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from agripellet import reporting
 from agripellet.cli import main
+from agripellet.dataio import format_cell
 
 
 def run_cli(*args):
@@ -73,8 +75,27 @@ def test_assess_json_format(data_dir, tmp_path):
                    "--format", "json", "--country", "Albania")
     assert code == 0
     payload = json.loads((tmp_path / "assess.json").read_text())
-    assert payload["countries"][0]["country"] == "Albania"
-    assert payload["countries"][0]["costs"] is None  # assess stage only
+    (record,) = payload["countries"]
+    assert list(record) == list(reporting.ASSESS_COLUMNS)
+    assert record["country"] == "Albania"
+    assert payload["errors"] == []
+
+
+@pytest.mark.parametrize("command, stem", [
+    ("assess", "assess"), ("msp", "msp"), ("recop", "recop"), ("report", "countries"),
+])
+def test_json_records_match_csv_rows(data_dir, tmp_path, command, stem):
+    assert run_cli(command, "--data", data_dir, "--out", tmp_path / "csv") == 0
+    assert run_cli(command, "--data", data_dir, "--out", tmp_path / "json",
+                   "--format", "json") == 0
+    with (tmp_path / "csv" / f"{stem}.csv").open(newline="", encoding="utf-8") as f:
+        header, *rows = list(csv.reader(f))
+    json_name = "global.json" if command == "report" else f"{stem}.json"
+    records = json.loads((tmp_path / "json" / json_name).read_text())["countries"]
+    assert len(records) == len(rows) == 178
+    for record, row in zip(records, rows):
+        assert list(record) == header
+        assert [format_cell(v) for v in record.values()] == row, record["country"]
 
 
 def test_msp_subcommand(data_dir, tmp_path):
@@ -234,6 +255,35 @@ def test_unresolvable_dataset_exits_1(tmp_path):
     assert "X: " in errors
     # assess still succeeds on the same data
     assert run_cli("assess", "--data", tmp_path, "--out", out) == 0
+
+
+@pytest.mark.parametrize("country, column", [
+    ("Afghanistan", "prod_wheat_t"),
+    ("Albania", "price_coal_usd_t"),
+])
+def test_overflowing_input_fails_country(data_dir, tmp_path, country, column):
+    """A finite 1e308 that overflows downstream fails its country, never writes NaN."""
+    data = tmp_path / "data"
+    data.mkdir()
+    with (data_dir / "countries.csv").open(newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    for row in rows:
+        if row["country"] == country:
+            row[column] = "1e308"
+    with (data / "countries.csv").open("w", newline="", encoding="utf-8") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "out"
+    for args in (("report",), ("recop", "--format", "json")):
+        assert run_cli(*args, "--data", data, "--out", out) == 1
+        failed = [line.split(": ", 1)[0]
+                  for line in (out / "errors.txt").read_text().splitlines()]
+        assert country in failed
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8")
+        assert not any(token in text for token in ("nan", "NaN", "Infinity")), path.name
+    json.loads((out / "global.json").read_text())
 
 
 def test_fractional_horizon_exits_2(data_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields, replace
 
 import pytest
 
@@ -282,6 +283,18 @@ def test_dataset_round_trip(dataset, tmp_path):
     save_dataset(dataset, tmp_path)
     reloaded = load_dataset(tmp_path)
     assert reloaded == dataset
+
+
+def test_dataset_round_trip_keeps_every_config_field(dataset, tmp_path):
+    cfg = ModelConfig(plant_capacity=12_345.5, horizon_years=7, salvage_rate=0.2,
+                      tfc_capex_ratio=0.9, pellet_efficiency=0.8, scenario="C",
+                      carbon_tax=35.0, fossil_multipliers=(0.5, 2.0),
+                      pellet_prices=(15.0, 30.0, 45.0))
+    default = ModelConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(ModelConfig))
+    changed = replace(dataset, config=cfg)
+    save_dataset(changed, tmp_path)
+    assert load_dataset(tmp_path) == changed
 
 
 def test_resolved_inputs_cover_all_fields(dataset):

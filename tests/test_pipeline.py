@@ -94,6 +94,13 @@ def test_evaluation_is_deterministic(dataset):
     assert global_payload(first) == global_payload(second)
 
 
+def test_non_finite_global_total_raises():
+    # each country's consumption is finite, their sum is not
+    ds = make_dataset([make_profile(name=n, consumption={"coal": 1e308}) for n in "AB"])
+    with pytest.raises(DataError, match="non-finite global total total_fossil_consumption"):
+        run_pipeline(ds, through="assess")
+
+
 def test_zero_residue_country_gets_no_plan():
     p = make_profile(name="NoCrops", prices={"coal": 100.0, "oil": 500.0,
                                              "natural_gas": 400.0},

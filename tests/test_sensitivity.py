@@ -232,3 +232,18 @@ def test_country_subset(market_dataset):
 def test_bad_axes_rejected(market_dataset, axes, key):
     with pytest.raises(DataError, match=key):
         sweep(market_dataset, **axes)
+
+
+def test_overflowing_cell_rejected():
+    def dataset(oil_price):
+        return make_dataset([make_profile(
+            production={"wheat": 1e6}, prices={"coal": 100.0, "oil": oil_price,
+                                               "natural_gas": 400.0},
+            consumption={"oil": 1e9})])
+    (report,) = run_pipeline(dataset(500.0)).reports
+    # oil takes every pellet TJ; price it so the baseline is finite and 1.75x is not
+    oil_price = 1.2e308 / report.plan.allocation["oil"] * 42.0e-3
+    grid = sweep(dataset(oil_price), multipliers=(1.0,), pellet_prices=(10.0,))
+    assert grid.s_ec[(1.0, 10.0)] > 1e308
+    with pytest.raises(DataError, match=r"non-finite sweep cell s_ec\(m=1.75, p=10\)"):
+        sweep(dataset(oil_price), multipliers=(1.0, 1.75), pellet_prices=(10.0,))
