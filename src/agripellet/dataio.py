@@ -2,7 +2,9 @@
 
 All model inputs arrive as UTF-8 CSV files with a header row ("-" or an empty
 cell means "no data") plus an optional JSON run configuration.  Loaded data is
-immutable; downstream modules treat a Dataset as read-only.
+immutable; downstream modules treat a Dataset as read-only.  ``FIELDS``
+describes each numeric ``countries.csv`` column once (header, model key, bound,
+fallback tier); loading, bounds checks, resolution and saving derive from it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 CROPS = ("maize", "rice", "sugarcane", "wheat")
 FUELS = ("coal", "oil", "natural_gas")
@@ -27,26 +30,10 @@ DEFAULT_SRR = {"maize": 0.50, "rice": 0.60, "sugarcane": 0.875, "wheat": 0.40}
 DEFAULT_DMR_WORLD = {"maize": 0.7374, "rice": 0.8774, "sugarcane": 0.4388, "wheat": 0.8627}
 # Lower heating value of the residue, MJ/kg.
 DEFAULT_RESIDUE_LHV = {"maize": 17.3, "rice": 14.6, "sugarcane": 17.3, "wheat": 17.2}
-# Residue used per animal for feed/bedding, kg/day.
-DEFAULT_LIVESTOCK_RATES = {"cattle": 0.375, "horses": 1.500, "sheep": 0.100, "swine": 0.063}
 # Fossil fuel lower heating values (MJ/kg) and emission factors (kgCO2e/t).
 DEFAULT_FUEL_LHV = {"coal": 23.9, "oil": 42.0, "natural_gas": 42.0}
 DEFAULT_FUEL_EF = {"coal": 2592.0, "oil": 2977.0, "natural_gas": 2114.0}
 DEFAULT_PELLET_EF = 151.0  # kgCO2e per ton of pellets burned
-
-COUNTRIES_COLUMNS = (
-    "country", "continent",
-    "prod_maize_t", "prod_rice_t", "prod_sugarcane_t", "prod_wheat_t",
-    "dmr_maize", "dmr_rice", "dmr_sugarcane", "dmr_wheat",
-    "cattle", "horses", "sheep", "swine",
-    "bagasse_bioenergy_t", "other_bioenergy_t",
-    "pli_labor", "pli_raw", "pli_construction", "pli_electricity",
-    "discount_rate", "tax_rate",
-    "price_coal_usd_t", "price_oil_usd_t", "price_gas_usd_t",
-    "cons_coal_tj", "cons_oil_tj", "cons_gas_tj",
-)
-CROPS_COLUMNS = ("crop", "rtp", "srr", "dmr_world", "lhv_mj_per_kg")
-FUELS_COLUMNS = ("fuel", "lhv_mj_per_kg", "ef_kgco2e_per_t")
 
 
 class DataError(ValueError):
@@ -63,6 +50,87 @@ class UnresolvableFieldError(DataError):
     """No country anywhere in the dataset carries data for the requested field."""
 
 
+class Bound(NamedTuple):
+    """A range of accepted values, stored closed: an open end is kept as the
+    nearest float inside it, so ``lo <= value <= hi`` checks a value exactly
+    (and rejects NaN)."""
+
+    text: str   # as messages and the README write it: ">= 0", "in (0, 1]"
+    lo: float
+    hi: float
+
+    def check(self, label: str, value, problems: list) -> None:
+        if not self.lo <= value <= self.hi:
+            problems.append(f"{label}: must be {self.text}, got {value!r}")
+
+
+_ABOVE_ZERO = math.nextafter(0.0, 1.0)
+NONNEGATIVE = Bound(">= 0", 0.0, math.inf)
+POSITIVE = Bound("> 0", _ABOVE_ZERO, math.inf)
+FRACTION = Bound("in (0, 1]", _ABOVE_ZERO, 1.0)
+UNIT_INTERVAL = Bound("in [0, 1]", 0.0, 1.0)
+BELOW_ONE = Bound("in [0, 1)", 0.0, math.nextafter(1.0, 0.0))
+
+# Fallback tiers of an empty countries.csv cell (None: a missing value is a real zero).
+WORLD_AVERAGE = "world-average"  # the crop's world-average default from crops.csv
+CONTINENT = "continent"          # the continent mean, else the world mean
+
+
+class Field(NamedTuple):
+    column: str     # CSV header
+    key: str        # CountryProfile.values key; a resolved field's output column
+    bound: Bound
+    fallback: str | None = None
+
+
+# Every numeric countries.csv column, in file order after country and continent.
+FIELDS = (
+    *(Field(f"prod_{c}_t", f"prod_{c}", NONNEGATIVE) for c in CROPS),
+    *(Field(f"dmr_{c}", f"dmr_{c}", FRACTION, WORLD_AVERAGE) for c in CROPS),
+    *(Field(a, a, NONNEGATIVE) for a in ANIMALS),
+    Field("bagasse_bioenergy_t", "bagasse_bioenergy", NONNEGATIVE),
+    Field("other_bioenergy_t", "other_bioenergy", NONNEGATIVE),
+    Field("pli_labor", "pli_labor", POSITIVE, CONTINENT),
+    Field("pli_raw", "pli_raw_material", POSITIVE, CONTINENT),
+    Field("pli_construction", "pli_construction", POSITIVE, CONTINENT),
+    Field("pli_electricity", "pli_electricity", POSITIVE, CONTINENT),
+    Field("discount_rate", "discount_rate", UNIT_INTERVAL, CONTINENT),
+    Field("tax_rate", "tax_rate", BELOW_ONE, CONTINENT),
+    Field("price_coal_usd_t", "price_coal", NONNEGATIVE, CONTINENT),
+    Field("price_oil_usd_t", "price_oil", NONNEGATIVE, CONTINENT),
+    Field("price_gas_usd_t", "price_natural_gas", NONNEGATIVE, CONTINENT),
+    Field("cons_coal_tj", "cons_coal", NONNEGATIVE),
+    Field("cons_oil_tj", "cons_oil", NONNEGATIVE),
+    Field("cons_gas_tj", "cons_natural_gas", NONNEGATIVE),
+)
+COUNTRIES_COLUMNS = ("country", "continent") + tuple(f.column for f in FIELDS)
+RESOLVABLE_FIELDS = tuple(f.key for f in FIELDS if f.fallback)
+FIELD_BOUNDS = {f.key: f.bound for f in FIELDS}
+
+# The numeric cells of crops.csv and fuels.csv; keys are the dataclass attributes.
+CROP_FIELDS = (
+    Field("rtp", "rtp", POSITIVE),
+    Field("srr", "srr", UNIT_INTERVAL),
+    Field("dmr_world", "dmr_default", FRACTION),
+    Field("lhv_mj_per_kg", "lhv", POSITIVE),
+)
+FUEL_FIELDS = (
+    Field("lhv_mj_per_kg", "lhv", POSITIVE),
+    Field("ef_kgco2e_per_t", "ef", NONNEGATIVE),
+)
+CROPS_COLUMNS = ("crop",) + tuple(f.column for f in CROP_FIELDS)
+FUELS_COLUMNS = ("fuel",) + tuple(f.column for f in FUEL_FIELDS)
+
+
+def _check_fields(obj, table: tuple) -> None:
+    """A DataError naming the column of every attribute of ``obj`` outside its bound."""
+    problems = []
+    for f in table:
+        f.bound.check(f.column, getattr(obj, f.key), problems)
+    if problems:
+        raise DataError(problems)
+
+
 @dataclass(frozen=True)
 class CropCoefficients:
     rtp: float          # residue per ton produced, t/t
@@ -71,17 +139,7 @@ class CropCoefficients:
     lhv: float          # MJ/kg
 
     def __post_init__(self):
-        problems = []
-        if not self.rtp > 0:
-            problems.append(f"rtp must be > 0, got {self.rtp}")
-        if not 0 <= self.srr <= 1:
-            problems.append(f"srr must be in [0, 1], got {self.srr}")
-        if not 0 < self.dmr_default <= 1:
-            problems.append(f"dmr_default must be in (0, 1], got {self.dmr_default}")
-        if not self.lhv > 0:
-            problems.append(f"lhv must be > 0, got {self.lhv}")
-        if problems:
-            raise DataError(problems)
+        _check_fields(self, CROP_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -103,10 +161,7 @@ class FuelProperties:
     ef: float   # kgCO2e/t
 
     def __post_init__(self):
-        if not self.lhv > 0:
-            raise DataError(f"fuel lhv must be > 0, got {self.lhv}")
-        if self.ef < 0:
-            raise DataError(f"fuel ef must be >= 0, got {self.ef}")
+        _check_fields(self, FUEL_FIELDS)
 
 
 def _is_finite_number(value) -> bool:
@@ -143,20 +198,15 @@ class ModelConfig:
                 problems.append(f"{name} must be a list of finite numbers, got {axis!r}")
         if problems:
             raise DataError(problems)
-        if not self.plant_capacity > 0:
-            problems.append("plant_capacity must be > 0")
+        POSITIVE.check("plant_capacity", self.plant_capacity, problems)
         if self.horizon_years < 1:
-            problems.append("horizon_years must be >= 1")
-        if not 0 <= self.salvage_rate < 1:
-            problems.append("salvage_rate must be in [0, 1)")
-        if not 0 < self.tfc_capex_ratio <= 1:
-            problems.append("tfc_capex_ratio must be in (0, 1]")
-        if not 0 < self.pellet_efficiency <= 1:
-            problems.append("pellet_efficiency must be in (0, 1]")
+            problems.append(f"horizon_years: must be >= 1, got {self.horizon_years!r}")
+        BELOW_ONE.check("salvage_rate", self.salvage_rate, problems)  # as BreakEvenInputs
+        FRACTION.check("tfc_capex_ratio", self.tfc_capex_ratio, problems)
+        FRACTION.check("pellet_efficiency", self.pellet_efficiency, problems)
         if self.scenario not in ("A", "B", "C"):
             problems.append(f"scenario must be A, B, or C, got {self.scenario!r}")
-        if self.carbon_tax < 0:
-            problems.append("carbon_tax must be >= 0")
+        NONNEGATIVE.check("carbon_tax", self.carbon_tax, problems)
         # the sweep's closed form holds only for multipliers > 0
         if not self.fossil_multipliers or min(self.fossil_multipliers) <= 0:
             problems.append("fossil_multipliers must be a non-empty list of values > 0")
@@ -172,29 +222,15 @@ class ModelConfig:
         object.__setattr__(self, "pellet_prices", tuple(self.pellet_prices))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class CountryProfile:
     name: str
     continent: str
-    production: dict          # t/y per crop, None = not grown
-    dmr_override: dict        # dry matter fraction per crop, None = use fallback
-    livestock: dict           # head count per animal, None = none reported
-    bagasse_bioenergy: float | None        # t/y of bagasse burned for energy
-    other_residue_bioenergy: float | None  # t/y of "other vegetal" bioenergy
-    pli: dict                 # price level index per component, None = resolve
-    discount_rate: float | None
-    tax_rate: float | None
-    fuel_price: dict          # $/t per fuel, None = resolve
-    fuel_consumption: dict    # TJ/y per fuel, None = none
+    values: dict  # FIELDS key -> float, None where the cell is empty
 
-    def prod(self, crop: str) -> float:
-        return self.production[crop] or 0.0
-
-    def heads(self, animal: str) -> float:
-        return self.livestock[animal] or 0.0
-
-    def consumption(self, fuel: str) -> float:
-        return self.fuel_consumption[fuel] or 0.0
+    def amount(self, key: str) -> float:
+        """A field whose missing value is a real zero (no fallback tier)."""
+        return self.values[key] or 0.0
 
 
 @dataclass(frozen=True)
@@ -222,35 +258,35 @@ class Dataset:
         if problems:
             raise DataError(problems)
 
-    def country(self, name: str) -> CountryProfile:
-        for c in self.countries:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     @cached_property
-    def _fallback_means(self) -> dict:
-        """Field -> (continent -> mean, world mean or None) over the countries
-        carrying the field, for every field with continent/world fallback.
+    def _fallbacks(self) -> dict:
+        """Resolvable key -> (continent -> mean, world value or None, world tier tag).
 
-        Built in one pass over the countries in file order, so each mean sums
-        the same values in the same order as a scan of the whole dataset.
+        Continent and world means are built in one pass over the countries in
+        file order, so each mean sums the same values in the same order as a
+        scan of the whole dataset.  A world-average field has no continent
+        tier: it falls back to the crop's default dry matter.
         """
-        getters = {name: _field_getter(name) for name in RESOLVABLE_FIELDS
-                   if not name.startswith("dmr_")}
-        by_continent = {name: {} for name in getters}
-        world = {name: [] for name in getters}
+        keys = [f.key for f in FIELDS if f.fallback == CONTINENT]
+        by_continent = {key: {} for key in keys}
+        world = {key: [] for key in keys}
         for c in self.countries:
-            for name, get in getters.items():
-                value = get(c)
+            values = c.values
+            for key in keys:
+                value = values[key]
                 if value is not None:
-                    by_continent[name].setdefault(c.continent, []).append(value)
-                    world[name].append(value)
-        return {
-            name: ({k: sum(v) / len(v) for k, v in by_continent[name].items()},
-                   sum(world[name]) / len(world[name]) if world[name] else None)
-            for name in getters
+                    by_continent[key].setdefault(c.continent, []).append(value)
+                    world[key].append(value)
+        table = {
+            key: ({k: sum(v) / len(v) for k, v in by_continent[key].items()},
+                  sum(world[key]) / len(world[key]) if world[key] else None, "world")
+            for key in keys
         }
+        for f in FIELDS:
+            if f.fallback == WORLD_AVERAGE:  # key dmr_<crop>
+                crop = f.key.removeprefix("dmr_")
+                table[f.key] = ({}, self.crops[crop].dmr_default, WORLD_AVERAGE)
+        return table
 
 
 def default_crops() -> dict:
@@ -279,15 +315,24 @@ def parse_cell(raw: str) -> float | None:
     return value
 
 
-def _parse_cells(columns: tuple, row: list) -> list:
-    """``parse_cell`` over a row; an error names the column of the bad cell."""
-    values = []
-    for column, raw in zip(columns, row):
+def _parse_row(table: tuple, cells: list, where: str, problems: list) -> dict | None:
+    """``{key: value}`` for one row's numeric cells, or None when a cell is bad.
+
+    Each cell is parsed and checked against its field's bound; a bad cell adds
+    one problem naming ``where`` and the field's column.
+    """
+    found = len(problems)
+    values = {}
+    for (column, key, bound, _), raw in zip(table, cells):
         try:
-            values.append(parse_cell(raw))
+            value = parse_cell(raw)
         except DataError as exc:
-            raise DataError(f"{column}: {exc}") from None
-    return values
+            problems.append(f"{where}: {column}: {exc}")
+            continue
+        if value is not None and not bound.lo <= value <= bound.hi:
+            bound.check(f"{where}: {column}", value, problems)
+        values[key] = value
+    return values if len(problems) == found else None
 
 
 def _read_rows(path: Path, columns: tuple) -> list:
@@ -318,22 +363,25 @@ def _read_rows(path: Path, columns: tuple) -> list:
 def load_crops(path: str | Path) -> dict:
     path = Path(path)
     crops = {}
+    seen = {}
     problems = []
     for lineno, row in _read_rows(path, CROPS_COLUMNS):
+        where = f"{path.name} line {lineno}"
         name = row[0].strip()
         if name not in CROPS:
-            problems.append(f"{path.name} line {lineno}: unknown crop {name!r}")
+            problems.append(f"{where}: unknown crop {name!r}")
             continue
-        if name in crops:
-            problems.append(f"{path.name} line {lineno}: duplicate crop {name!r}")
+        if name in seen:
+            problems.append(f"{where}: duplicate crop {name!r} (first at line {seen[name]})")
             continue
-        try:
-            vals = _parse_cells(CROPS_COLUMNS[1:], row[1:])
-            if any(v is None for v in vals):
-                raise DataError("all four coefficients are required")
-            crops[name] = CropCoefficients(*vals)
-        except (ValueError, DataError) as exc:
-            problems.append(f"{path.name} line {lineno}: {exc}")
+        seen[name] = lineno
+        values = _parse_row(CROP_FIELDS, row[1:], where, problems)
+        if values is None:
+            continue
+        if None in values.values():
+            problems.append(f"{where}: all four coefficients are required")
+            continue
+        crops[name] = CropCoefficients(**values)
     missing = set(CROPS) - set(crops)
     if missing:
         problems.append(f"{path.name}: missing crops {sorted(missing)}")
@@ -343,29 +391,38 @@ def load_crops(path: str | Path) -> dict:
 
 
 def load_fuels(path: str | Path) -> tuple:
-    """Returns (fuel properties by fuel, pellet emission factor)."""
+    """Returns (fuel properties by fuel, pellet emission factor).
+
+    The optional ``pellet`` row carries only the pellet emission factor,
+    checked against the same bound as a fuel's.
+    """
     path = Path(path)
     props = {}
     pellet_ef = DEFAULT_PELLET_EF
+    seen = {}
     problems = []
     for lineno, row in _read_rows(path, FUELS_COLUMNS):
+        where = f"{path.name} line {lineno}"
         name = row[0].strip()
-        try:
-            lhv, ef = _parse_cells(FUELS_COLUMNS[1:], row[1:])
-            if name == "pellet":
-                if ef is None:
-                    raise DataError("pellet row requires ef_kgco2e_per_t")
-                pellet_ef = ef
-                continue
-            if name not in FUELS:
-                raise DataError(f"unknown fuel {name!r}")
-            if name in props:
-                raise DataError(f"duplicate fuel {name!r}")
-            if lhv is None or ef is None:
-                raise DataError("lhv and ef are required")
-            props[name] = FuelProperties(lhv, ef)
-        except (ValueError, DataError) as exc:
-            problems.append(f"{path.name} line {lineno}: {exc}")
+        if name != "pellet" and name not in FUELS:
+            problems.append(f"{where}: unknown fuel {name!r}")
+            continue
+        if name in seen:
+            problems.append(f"{where}: duplicate fuel {name!r} (first at line {seen[name]})")
+            continue
+        seen[name] = lineno
+        values = _parse_row(FUEL_FIELDS, row[1:], where, problems)
+        if values is None:
+            continue
+        if name == "pellet":
+            if values["ef"] is None:
+                problems.append(f"{where}: pellet row requires ef_kgco2e_per_t")
+            else:
+                pellet_ef = values["ef"]
+        elif None in values.values():
+            problems.append(f"{where}: lhv and ef are required")
+        else:
+            props[name] = FuelProperties(**values)
     missing = set(FUELS) - set(props)
     if missing:
         problems.append(f"{path.name}: missing fuels {sorted(missing)}")
@@ -374,20 +431,14 @@ def load_fuels(path: str | Path) -> tuple:
     return props, pellet_ef
 
 
-def _check_nonnegative(label, value, problems):
-    if value is not None and value < 0:
-        problems.append(f"{label}: negative quantity {value}")
-
-
 def load_countries(path: str | Path) -> tuple:
     path = Path(path)
     profiles = []
     seen = {}
     problems = []
     for lineno, row in _read_rows(path, COUNTRIES_COLUMNS):
-        cells = dict(zip(COUNTRIES_COLUMNS, row))
-        name = cells["country"].strip()
         where = f"{path.name} line {lineno}"
+        name = row[0].strip()
         if not name:
             problems.append(f"{where}: empty country name")
             continue
@@ -395,68 +446,12 @@ def load_countries(path: str | Path) -> tuple:
             problems.append(f"{where}: duplicate country {name!r} (first at line {seen[name]})")
             continue
         seen[name] = lineno
-        continent = cells["continent"].strip()
+        continent = row[1].strip()
         if not continent:
             problems.append(f"{where}: continent label is required")
-        values = {}
-        bad_cell = False
-        for k, v in cells.items():
-            if k in ("country", "continent"):
-                continue
-            try:
-                values[k] = parse_cell(v)
-            except DataError as exc:
-                problems.append(f"{where}: {k}: {exc}")
-                bad_cell = True
-        if bad_cell:
-            continue
-        for col in ("prod_maize_t", "prod_rice_t", "prod_sugarcane_t", "prod_wheat_t",
-                    "cattle", "horses", "sheep", "swine",
-                    "bagasse_bioenergy_t", "other_bioenergy_t",
-                    "price_coal_usd_t", "price_oil_usd_t", "price_gas_usd_t",
-                    "cons_coal_tj", "cons_oil_tj", "cons_gas_tj"):
-            _check_nonnegative(f"{where}: {col}", values[col], problems)
-        for col in ("pli_labor", "pli_raw", "pli_construction", "pli_electricity"):
-            v = values[col]
-            if v is not None and v <= 0:
-                problems.append(f"{where}: {col}: index ratio must be > 0, got {v}")
-        for col in ("dmr_maize", "dmr_rice", "dmr_sugarcane", "dmr_wheat"):
-            v = values[col]
-            if v is not None and not 0 < v <= 1:
-                problems.append(f"{where}: {col}: fraction must be in (0, 1], got {v}")
-        v = values["discount_rate"]
-        if v is not None and not 0 <= v <= 1:
-            problems.append(f"{where}: discount_rate: rate must be in [0, 1], got {v}")
-        v = values["tax_rate"]
-        if v is not None and not 0 <= v < 1:
-            problems.append(f"{where}: tax_rate: rate must be in [0, 1), got {v}")
-        profiles.append(CountryProfile(
-            name=name,
-            continent=continent,
-            production={c: values[f"prod_{c}_t"] for c in CROPS},
-            dmr_override={c: values[f"dmr_{c}"] for c in CROPS},
-            livestock={a: values[a] for a in ANIMALS},
-            bagasse_bioenergy=values["bagasse_bioenergy_t"],
-            other_residue_bioenergy=values["other_bioenergy_t"],
-            pli={
-                "labor": values["pli_labor"],
-                "raw_material": values["pli_raw"],
-                "construction": values["pli_construction"],
-                "electricity": values["pli_electricity"],
-            },
-            discount_rate=values["discount_rate"],
-            tax_rate=values["tax_rate"],
-            fuel_price={
-                "coal": values["price_coal_usd_t"],
-                "oil": values["price_oil_usd_t"],
-                "natural_gas": values["price_gas_usd_t"],
-            },
-            fuel_consumption={
-                "coal": values["cons_coal_tj"],
-                "oil": values["cons_oil_tj"],
-                "natural_gas": values["cons_gas_tj"],
-            },
-        ))
+        values = _parse_row(FIELDS, row[2:], where, problems)
+        if values is not None:
+            profiles.append(CountryProfile(name, continent, values))
     if problems:
         raise DataError(problems)
     return tuple(profiles)
@@ -509,7 +504,7 @@ def load_dataset(data_dir: str | Path, config: ModelConfig | str | Path | None =
         cfg = ModelConfig()
     return Dataset(
         crops=crops,
-        livestock_rates=LivestockRates(**DEFAULT_LIVESTOCK_RATES),
+        livestock_rates=LivestockRates(),
         countries=countries,
         fuel_properties=fuel_properties,
         pellet_ef=pellet_ef,
@@ -528,39 +523,28 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def _write_rows(path: Path, rows) -> None:
+    with path.open("w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(rows)
+
+
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     """Write a dataset back to CSV/JSON; reloading yields an equal Dataset."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "crops.csv").open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(CROPS_COLUMNS)
-        for c in CROPS:
-            k = dataset.crops[c]
-            w.writerow([c, format_cell(k.rtp), format_cell(k.srr),
-                        format_cell(k.dmr_default), format_cell(k.lhv)])
-    with (out_dir / "fuels.csv").open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(FUELS_COLUMNS)
-        for name in FUELS:
-            p = dataset.fuel_properties[name]
-            w.writerow([name, format_cell(p.lhv), format_cell(p.ef)])
-        w.writerow(["pellet", "", format_cell(dataset.pellet_ef)])
-    with (out_dir / "countries.csv").open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(COUNTRIES_COLUMNS)
-        for c in dataset.countries:
-            w.writerow([
-                c.name, c.continent,
-                *[format_cell(c.production[crop]) for crop in CROPS],
-                *[format_cell(c.dmr_override[crop]) for crop in CROPS],
-                *[format_cell(c.livestock[a]) for a in ANIMALS],
-                format_cell(c.bagasse_bioenergy), format_cell(c.other_residue_bioenergy),
-                *[format_cell(c.pli[p]) for p in PLI_COMPONENTS],
-                format_cell(c.discount_rate), format_cell(c.tax_rate),
-                *[format_cell(c.fuel_price[fuel]) for fuel in FUELS],
-                *[format_cell(c.fuel_consumption[fuel]) for fuel in FUELS],
-            ])
+    _write_rows(out_dir / "crops.csv", [CROPS_COLUMNS] + [
+        [c, *(format_cell(getattr(dataset.crops[c], f.key)) for f in CROP_FIELDS)]
+        for c in CROPS
+    ])
+    _write_rows(out_dir / "fuels.csv", [FUELS_COLUMNS] + [
+        [name, *(format_cell(getattr(dataset.fuel_properties[name], f.key))
+                 for f in FUEL_FIELDS)]
+        for name in FUELS
+    ] + [["pellet", "", format_cell(dataset.pellet_ef)]])
+    _write_rows(out_dir / "countries.csv", [COUNTRIES_COLUMNS] + [
+        [c.name, c.continent, *(format_cell(c.values[f.key]) for f in FIELDS)]
+        for c in dataset.countries
+    ])
     (out_dir / "config.json").write_text(json.dumps(asdict(dataset.config), indent=2) + "\n",
                                          encoding="utf-8")
 
@@ -568,50 +552,25 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # Missing-value resolution
 
-RESOLVABLE_FIELDS = tuple(
-    [f"dmr_{c}" for c in CROPS]
-    + [f"pli_{p}" for p in PLI_COMPONENTS]
-    + ["discount_rate", "tax_rate"]
-    + [f"price_{f}" for f in FUELS]
-)
-
-
-def _field_getter(name: str):
-    if name.startswith("dmr_"):
-        crop = name[4:]
-        return lambda c: c.dmr_override[crop]
-    if name.startswith("pli_"):
-        comp = name[4:]
-        return lambda c: c.pli[comp]
-    if name == "discount_rate":
-        return lambda c: c.discount_rate
-    if name == "tax_rate":
-        return lambda c: c.tax_rate
-    if name.startswith("price_"):
-        fuel = name[6:]
-        return lambda c: c.fuel_price[fuel]
-    raise KeyError(name)
-
-
 def resolve(dataset: Dataset, country: CountryProfile, name: str) -> tuple:
     """Resolve one nullable country field to ``(value, provenance_tag)``.
 
-    Financial and price fields fall back country -> continent mean -> world
-    mean over countries that carry data.  Dry-matter fields skip the continent
-    tier and fall back straight to the crop's world-average default.
+    A ``CONTINENT`` field falls back country -> continent mean -> world mean
+    over the countries that carry data.  A ``WORLD_AVERAGE`` (dry matter)
+    field skips the continent tier and falls back straight to the crop's
+    world-average default.
     """
-    if name not in RESOLVABLE_FIELDS:
+    fallback = dataset._fallbacks.get(name)
+    if fallback is None:
         raise KeyError(f"not a resolvable field: {name!r}")
-    own = _field_getter(name)(country)
+    own = country.values[name]
     if own is not None:
         return own, "country"
-    if name.startswith("dmr_"):
-        return dataset.crops[name[4:]].dmr_default, "world-average"
-    continent_means, world_mean = dataset._fallback_means[name]
+    continent_means, world, world_tag = fallback
     if country.continent in continent_means:
         return continent_means[country.continent], "continent"
-    if world_mean is not None:
-        return world_mean, "world"
+    if world is not None:
+        return world, world_tag
     raise UnresolvableFieldError(
         f"no country in the dataset has data for {name!r} (needed by {country.name!r})"
     )

@@ -104,7 +104,7 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
             )
             plan = replacement.build_plan(
                 potential.pellet_energy,
-                {f: profile.consumption(f) for f in FUELS},
+                {f: profile.amount(f"cons_{f}") for f in FUELS},
                 econ,
                 cfg.scenario,
                 cfg.carbon_tax,
@@ -178,7 +178,7 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
 
     evaluated_names = {r.country for r in reports}
     total_cons = sum(
-        c.consumption(f)
+        c.amount(f"cons_{f}")
         for c in selected if c.name in evaluated_names
         for f in FUELS
     )

@@ -9,9 +9,10 @@ the same NPV function provides an independent route to the root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .dataio import DataError
+from .dataio import BELOW_ONE, FIELD_BOUNDS, NONNEGATIVE, POSITIVE, DataError
 
 
 @dataclass(frozen=True)
@@ -27,19 +28,16 @@ class BreakEvenInputs:
     target_npv: float = 0.0
 
     def __post_init__(self):
+        # the bounds the loader and ModelConfig check the same quantities against
         problems = []
-        if not self.q > 0:
-            problems.append("q must be > 0")
+        POSITIVE.check("q", self.q, problems)
         if self.n < 1:
-            problems.append("n must be >= 1")
-        if self.r < 0:
-            problems.append("r must be >= 0")
-        if not 0 <= self.tr < 1:
-            problems.append("tr must be in [0, 1)")
-        if not 0 <= self.salvage_rate < 1:
-            problems.append("salvage_rate must be in [0, 1)")
-        if self.capex < 0 or self.opex < 0 or self.tfc < 0:
-            problems.append("capex, opex, and tfc must be >= 0")
+            problems.append(f"n: must be >= 1, got {self.n!r}")
+        FIELD_BOUNDS["discount_rate"].check("r", self.r, problems)
+        FIELD_BOUNDS["tax_rate"].check("tr", self.tr, problems)
+        BELOW_ONE.check("salvage_rate", self.salvage_rate, problems)
+        for name in ("capex", "opex", "tfc"):
+            NONNEGATIVE.check(name, getattr(self, name), problems)
         if problems:
             raise DataError(problems)
 
@@ -94,8 +92,11 @@ def npv(price: float, inputs: BreakEvenInputs) -> float:
 
 
 def _annuity(r: float, n: int) -> float:
+    """Sum of (1 + r)^-t over t = 1..n."""
     if r == 0:
         return float(n)
+    if r < 1e-6:  # 1 + r drops the digits of a tiny r (to 1.0 below 1.1e-16)
+        return -math.expm1(-n * math.log1p(r)) / r
     return (1.0 - (1.0 + r) ** -n) / r
 
 

@@ -44,7 +44,11 @@ def removable_dry_residue(cr_total: float, srr: float, dmr: float) -> float:
 
 
 def feed_bedding_use(livestock: dict, rates: LivestockRates) -> float:
-    """Annual residue demand (t/y) of the reported livestock herd."""
+    """Annual residue demand (t/y) of the reported livestock herd.
+
+    ``livestock`` maps each animal to its head count or None, as a
+    ``CountryProfile.values`` does.
+    """
     return sum(
         (livestock[a] or 0.0) * rates.rate(a) * DAYS_PER_YEAR / 1000.0
         for a in ANIMALS
@@ -92,13 +96,14 @@ def assess_country(dataset: Dataset, profile: CountryProfile, dmr: dict) -> Resi
     ``dmr`` carries the resolved dry matter fraction per crop (see
     ``dataio.resolve``); everything else comes from the profile.
     """
-    cr_total = {c: total_residue(profile.prod(c), dataset.crops[c].rtp) for c in CROPS}
+    cr_total = {c: total_residue(profile.amount(f"prod_{c}"), dataset.crops[c].rtp)
+                for c in CROPS}
     cr_removable = {
         c: removable_dry_residue(cr_total[c], dataset.crops[c].srr, dmr[c])
         for c in CROPS
     }
-    feed = feed_bedding_use(profile.livestock, dataset.livestock_rates)
+    feed = feed_bedding_use(profile.values, dataset.livestock_rates)
     bagasse_use, attributed = bioenergy_use(
-        profile.bagasse_bioenergy or 0.0, profile.other_residue_bioenergy or 0.0
+        profile.amount("bagasse_bioenergy"), profile.amount("other_bioenergy")
     )
     return final_residue(profile.name, cr_total, cr_removable, feed, bagasse_use, attributed)

@@ -7,6 +7,7 @@ from agripellet.dataio import (
     CROPS,
     FUELS,
     PLI_COMPONENTS,
+    FIELDS,
     CountryProfile,
     Dataset,
     LivestockRates,
@@ -43,31 +44,22 @@ def data_dir():
 def make_profile(name="Testland", continent="Testia", production=None, dmr=None,
                  livestock=None, bagasse=0.0, other=0.0, pli=None,
                  discount_rate=0.08, tax_rate=0.25, prices=None, consumption=None):
-    """CountryProfile with sane defaults for synthetic datasets."""
-    production = dict({c: None for c in CROPS}, **(production or {}))
-    dmr = dict({c: None for c in CROPS}, **(dmr or {}))
-    livestock = dict({a: None for a in ("cattle", "horses", "sheep", "swine")},
-                     **(livestock or {}))
+    """CountryProfile with sane defaults for synthetic datasets; unset fields are None."""
     if pli is None:
         pli = 1.0
     if isinstance(pli, (int, float)):
-        pli = {k: float(pli) for k in ("labor", "raw_material", "construction", "electricity")}
-    prices = dict({f: None for f in FUELS}, **(prices or {}))
-    consumption = dict({f: None for f in FUELS}, **(consumption or {}))
-    return CountryProfile(
-        name=name,
-        continent=continent,
-        production=production,
-        dmr_override=dmr,
-        livestock=livestock,
-        bagasse_bioenergy=bagasse,
-        other_residue_bioenergy=other,
-        pli=pli,
-        discount_rate=discount_rate,
-        tax_rate=tax_rate,
-        fuel_price=prices,
-        fuel_consumption=consumption,
-    )
+        pli = dict.fromkeys(PLI_COMPONENTS, float(pli))
+    values = dict.fromkeys(f.key for f in FIELDS)
+    values.update({f"prod_{c}": v for c, v in (production or {}).items()})
+    values.update({f"dmr_{c}": v for c, v in (dmr or {}).items()})
+    values.update(livestock or {})
+    values.update({f"pli_{p}": v for p, v in pli.items()})
+    values.update({f"price_{f}": v for f, v in (prices or {}).items()})
+    values.update({f"cons_{f}": v for f, v in (consumption or {}).items()})
+    values.update(bagasse_bioenergy=bagasse, other_bioenergy=other,
+                  discount_rate=discount_rate, tax_rate=tax_rate)
+    assert len(values) == len(FIELDS), "unknown field"
+    return CountryProfile(name, continent, values)
 
 
 def make_dataset(profiles, config=None, pellet_ef=151.0):

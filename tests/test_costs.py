@@ -8,7 +8,7 @@ from agripellet.costs import (
     estimate_costs,
     operating_costs,
 )
-from agripellet.dataio import DataError
+from agripellet.dataio import PLI_COMPONENTS, DataError
 
 
 def unit_pli():
@@ -89,7 +89,7 @@ def test_cost_table_reproduction(dataset, data_dir):
                     for row in csv.DictReader(f)}
     assert len(expected) == len(dataset.countries)
     for profile in dataset.countries:
-        est = estimate_costs(profile.pli)
+        est = estimate_costs({p: profile.values[f"pli_{p}"] for p in PLI_COMPONENTS})
         exp_capex, exp_opex = expected[profile.name]
         assert est.capex == pytest.approx(exp_capex, rel=1e-3), profile.name
         assert est.opex_total == pytest.approx(exp_opex, rel=1e-3), profile.name

@@ -6,6 +6,7 @@ import pytest
 
 from agripellet.dataio import (
     COUNTRIES_COLUMNS,
+    FIELD_BOUNDS,
     RESOLVABLE_FIELDS,
     DataError,
     ModelConfig,
@@ -20,6 +21,7 @@ from agripellet.dataio import (
     save_dataset,
 )
 from agripellet.pipeline import evaluate_country, run_pipeline
+from agripellet.pricing import BreakEvenInputs
 from conftest import make_dataset, make_profile
 
 COUNTRY_HEADER = (
@@ -64,13 +66,68 @@ def test_non_finite_cell_rejected(tmp_path, raw):
         load_fuels(fuels)
 
 
+FUELS_CSV = ("fuel,lhv_mj_per_kg,ef_kgco2e_per_t\n"
+             "coal,23.9,2592\noil,42.0,2977\nnatural_gas,42.0,2114\n")
+
+
+# countries.csv cells: tests/test_fields.py checks every column at each bound edge
+@pytest.mark.parametrize("name, text, messages", [
+    ("crops.csv", "crop,rtp,srr,dmr_world,lhv_mj_per_kg\nmaize,1.0,0.5,1.7,-17.3\n",
+     ["crops.csv line 2: dmr_world: must be in (0, 1], got 1.7",
+      "crops.csv line 2: lhv_mj_per_kg: must be > 0, got -17.3"]),
+    ("fuels.csv", "fuel,lhv_mj_per_kg,ef_kgco2e_per_t\ncoal,-1,2592\n",
+     ["fuels.csv line 2: lhv_mj_per_kg: must be > 0, got -1.0"]),
+])
+def test_out_of_range_cell_names_column(tmp_path, name, text, messages):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    load = {"crops.csv": load_crops, "fuels.csv": load_fuels}[name]
+    with pytest.raises(DataError) as exc:
+        load(path)
+    for message in messages:
+        assert message in exc.value.problems
+
+
+def test_negative_pellet_ef_rejected(tmp_path):
+    path = tmp_path / "fuels.csv"
+    path.write_text(FUELS_CSV + "pellet,,-500\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(
+            "fuels.csv line 5: ef_kgco2e_per_t: must be >= 0, got -500.0")):
+        load_fuels(path)
+
+
+def test_repeated_pellet_row_rejected(tmp_path):
+    path = tmp_path / "fuels.csv"
+    path.write_text(FUELS_CSV + "pellet,,151\npellet,,200\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(
+            "fuels.csv line 6: duplicate fuel 'pellet' (first at line 5)")):
+        load_fuels(path)
+    path.write_text(FUELS_CSV + "pellet,,151\n", encoding="utf-8")
+    assert load_fuels(path)[1] == 151.0
+
+
+def test_discount_rate_bound_shared_by_loader_and_solver(tmp_path):
+    cells = dict.fromkeys(COUNTRIES_COLUMNS, "")
+    cells.update(country="X", continent="Y", discount_rate="1.5")
+    path = write_countries(tmp_path, [",".join(cells.values())])
+    with pytest.raises(DataError) as loaded:
+        load_countries(path)
+    with pytest.raises(DataError) as solved:
+        BreakEvenInputs(capex=1e6, opex=1e5, q=1e4, n=10, r=1.5, tr=0.25,
+                        salvage_rate=0.1, tfc=8e5)
+    text = FIELD_BOUNDS["discount_rate"].text
+    assert text == "in [0, 1]"
+    assert str(loaded.value) == f"countries.csv line 2: discount_rate: must be {text}, got 1.5"
+    assert str(solved.value) == f"r: must be {text}, got 1.5"
+
+
 def test_load_bundled_dataset(dataset):
     assert len(dataset.countries) == 178
-    afg = dataset.country("Afghanistan")
+    afg = {c.name: c for c in dataset.countries}["Afghanistan"]
     assert afg.continent == "Asia"
-    assert afg.prod("wheat") == pytest.approx(3.90e6)
-    assert afg.livestock["swine"] is None
-    assert afg.heads("swine") == 0.0
+    assert afg.values["prod_wheat"] == pytest.approx(3.90e6)
+    assert afg.values["swine"] is None
+    assert afg.amount("swine") == 0.0
     assert dataset.crops["rice"].rtp == 1.40
     assert dataset.fuel_properties["coal"].ef == 2592.0
     assert dataset.pellet_ef == 151.0
@@ -80,8 +137,10 @@ def test_unit_index_row_parses_to_unit_pli(tmp_path):
     row = "Canada,North America,1,,,,,,,,,,,,0,0,1.0,1.0,1.0,1.0,,,,,,,,"
     path = write_countries(tmp_path, [row])
     (profile,) = load_countries(path)
-    assert profile.pli == {"labor": 1.0, "raw_material": 1.0,
-                           "construction": 1.0, "electricity": 1.0}
+    assert {k: profile.values[k] for k in ("pli_labor", "pli_raw_material",
+                                           "pli_construction", "pli_electricity")} == {
+        "pli_labor": 1.0, "pli_raw_material": 1.0,
+        "pli_construction": 1.0, "pli_electricity": 1.0}
 
 
 def test_empty_countries_file_is_valid(tmp_path):
@@ -115,14 +174,16 @@ def test_duplicate_country_is_an_error(tmp_path):
 def test_negative_quantity_rejected(tmp_path):
     row = "X,Y,-5,,,,,,,,,,,,0,0,,,,,,,,,,,,"
     path = write_countries(tmp_path, [row])
-    with pytest.raises(DataError, match="negative quantity"):
+    with pytest.raises(DataError, match=re.escape(
+            "countries.csv line 2: prod_maize_t: must be >= 0, got -5.0")):
         load_countries(path)
 
 
 def test_nonpositive_index_rejected(tmp_path):
     row = "X,Y,1,,,,,,,,,,,,0,0,0.0,1,1,1,,,,,,,,"
     path = write_countries(tmp_path, [row])
-    with pytest.raises(DataError, match="index ratio"):
+    with pytest.raises(DataError, match=re.escape(
+            "countries.csv line 2: pli_labor: must be > 0, got 0.0")):
         load_countries(path)
 
 
@@ -131,7 +192,8 @@ def test_tax_rate_one_rejected(tmp_path):
     cells = dict.fromkeys(COUNTRIES_COLUMNS, "")
     cells.update(country="X", continent="Y", tax_rate="1")
     path = write_countries(tmp_path, [",".join(cells.values())])
-    with pytest.raises(DataError, match=re.escape("tax_rate: rate must be in [0, 1)")):
+    with pytest.raises(DataError, match=re.escape(
+            "countries.csv line 2: tax_rate: must be in [0, 1), got 1.0")):
         load_countries(path)
 
 
@@ -259,7 +321,7 @@ def test_resolve_unknown_field_rejected():
 
 
 def test_resolve_is_deterministic(dataset):
-    country = dataset.country("Albania")
+    country = {c.name: c for c in dataset.countries}["Albania"]
     first = {name: resolve(dataset, country, name) for name in RESOLVABLE_FIELDS}
     second = {name: resolve(dataset, country, name) for name in RESOLVABLE_FIELDS}
     assert first == second
@@ -298,7 +360,7 @@ def test_dataset_round_trip_keeps_every_config_field(dataset, tmp_path):
 
 
 def test_resolved_inputs_cover_all_fields(dataset):
-    country = dataset.country("Afghanistan")
+    country = {c.name: c for c in dataset.countries}["Afghanistan"]
     report = evaluate_country(dataset, country)
     assert set(report.provenance) == set(RESOLVABLE_FIELDS)
     assert report.provenance["dmr_maize"] == "world-average"
@@ -311,29 +373,17 @@ def test_resolved_inputs_cover_all_fields(dataset):
 # ---------------------------------------------------------------------------
 # resolution oracle: the per-call continent/world scan that resolve replaced
 
-def field_value(country, name):
-    if name.startswith("dmr_"):
-        return country.dmr_override[name[4:]]
-    if name.startswith("pli_"):
-        return country.pli[name[4:]]
-    if name.startswith("price_"):
-        return country.fuel_price[name[6:]]
-    return getattr(country, name)
-
-
 def scan_resolve(dataset, country, name):
-    own = field_value(country, name)
+    own = country.values[name]
     if own is not None:
         return own, "country"
     if name.startswith("dmr_"):
         return dataset.crops[name[4:]].dmr_default, "world-average"
-    continent_vals = [field_value(c, name) for c in dataset.countries
-                      if c.continent == country.continent
-                      and field_value(c, name) is not None]
+    continent_vals = [c.values[name] for c in dataset.countries
+                      if c.continent == country.continent and c.values[name] is not None]
     if continent_vals:
         return sum(continent_vals) / len(continent_vals), "continent"
-    world_vals = [field_value(c, name) for c in dataset.countries
-                  if field_value(c, name) is not None]
+    world_vals = [c.values[name] for c in dataset.countries if c.values[name] is not None]
     if world_vals:
         return sum(world_vals) / len(world_vals), "world"
     raise UnresolvableFieldError(

@@ -1,0 +1,143 @@
+"""Tests generated from ``dataio.FIELDS``, the one description of countries.csv."""
+
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from agripellet.dataio import (
+    CONTINENT,
+    COUNTRIES_COLUMNS,
+    FIELDS,
+    FUELS,
+    WORLD_AVERAGE,
+    DataError,
+    load_countries,
+    load_dataset,
+)
+from agripellet.pipeline import run_pipeline
+
+README = Path(__file__).parent.parent / "README.md"
+TIER_TEXT = {None: "none (zero)", WORLD_AVERAGE: "world-average", CONTINENT: "continent"}
+
+# The bound texts read as predicates: an oracle independent of Bound.lo/hi.
+INSIDE = {
+    ">= 0": lambda v: v >= 0,
+    "> 0": lambda v: v > 0,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+}
+# Every bound ends at 0 and at 1 or infinity: each end, and the floats on either side.
+EDGES = (0.0, -0.0, 1.0, -1.0, math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0),
+         math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0))
+
+
+def test_readme_table_lists_every_field():
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.lstrip().startswith("| `") and len(cells) == 5:
+            rows[cells[0].strip("`")] = cells
+    assert list(rows) == [f.column for f in FIELDS]
+    for f in FIELDS:
+        _, key, _, bound, tier = rows[f.column]
+        assert (key, bound, tier) == (f"`{f.key}`", f.bound.text, TIER_TEXT[f.fallback])
+
+
+def test_bound_texts_have_an_oracle():
+    assert {f.bound.text for f in FIELDS} == set(INSIDE)
+
+
+def test_every_field_checks_its_bound_at_each_edge(tmp_path):
+    path = tmp_path / "countries.csv"
+    for j, f in enumerate(FIELDS):
+        for value in EDGES:
+            cells = ["X", "Y"] + [""] * len(FIELDS)
+            cells[2 + j] = repr(value)
+            path.write_text(",".join(COUNTRIES_COLUMNS) + "\n" + ",".join(cells) + "\n",
+                            encoding="utf-8")
+            if INSIDE[f.bound.text](value):
+                (profile,) = load_countries(path)
+                assert profile.values[f.key] == value
+            else:
+                with pytest.raises(DataError) as exc:
+                    load_countries(path)
+                assert exc.value.problems == [
+                    f"countries.csv line 2: {f.column}: must be {f.bound.text}, got {value!r}"]
+
+
+def _inside(bound):
+    ok = INSIDE[bound.text]
+    value = st.one_of(st.sampled_from([v for v in EDGES if ok(v)]),
+                      st.floats(0.0, 1e7 if ok(2.0) else 1.0).filter(ok))
+    return st.one_of(st.none(), value, value)  # mostly set, so later stages run
+
+
+def _outside(bound):
+    ok = INSIDE[bound.text]
+    values = [st.sampled_from([v for v in EDGES if not ok(v)]), st.floats(-1e9, -1e-300)]
+    if not ok(2.0):
+        values.append(st.floats(1.0, 1e9, exclude_min=True))
+    return st.one_of(values)
+
+
+ROW = st.tuples(*(_inside(f.bound) for f in FIELDS)).map(list)
+OUTSIDE = [_outside(f.bound) for f in FIELDS]
+
+
+@st.composite
+def countries_files(draw):
+    """Rows of countries.csv cells inside their bounds, up to two of them
+    replaced by a value outside, and the (row, field) of those."""
+    rows = draw(st.lists(ROW, min_size=1, max_size=3))
+    bad = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                  st.integers(0, len(FIELDS) - 1)),
+                        max_size=2, unique=True))
+    for i, j in bad:
+        rows[i][j] = draw(OUTSIDE[j])
+    continents = [draw(st.sampled_from(["K", "L"])) for _ in rows]
+    return rows, continents, sorted(bad)
+
+
+@settings(max_examples=60, deadline=None)  # keeps tier-1 near 10 s
+@given(countries_files())
+def test_generated_rows_load_and_evaluate_or_name_the_cell(case):
+    rows, continents, bad = case
+    lines = [",".join(COUNTRIES_COLUMNS)] + [
+        ",".join([f"C{i}", continents[i]] + ["" if v is None else repr(v) for v in row])
+        for i, row in enumerate(rows)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "countries.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if bad:
+            try:
+                load_dataset(tmp)
+            except DataError as exc:
+                problems = exc.problems
+            else:
+                raise AssertionError(f"cells {bad} outside their bounds were accepted")
+            assert problems == [
+                f"countries.csv line {i + 2}: {FIELDS[j].column}: "
+                f"must be {FIELDS[j].bound.text}, got {rows[i][j]!r}"
+                for i, j in bad
+            ]
+            return
+        dataset = load_dataset(tmp)
+    result = run_pipeline(dataset)
+    assert sorted([r.country for r in result.reports] + [name for name, _ in result.errors]) \
+        == [f"C{i}" for i in range(len(rows))]
+    g = result.global_report
+    assert all(math.isfinite(x) for x in (
+        g.total_cr_final, g.total_pellet_energy, g.total_s_ec, g.total_s_em,
+        g.total_fossil_consumption, g.replaced_fraction_overall))
+    profiles = {c.name: c for c in dataset.countries}
+    for r in result.reports:
+        if r.plan is None:
+            continue
+        alloc = r.plan.allocation
+        assert sum(alloc.values()) <= r.energy.pellet_energy * (1 + 1e-12)
+        for f in FUELS:
+            assert alloc[f] <= profiles[r.country].amount(f"cons_{f}") * (1 + 1e-12)

@@ -115,7 +115,8 @@ def test_zero_residue_country_gets_no_plan():
 
 
 def test_provenance_tags_cover_resolved_fields(dataset):
-    report = evaluate_country(dataset, dataset.country("Afghanistan"))
+    countries = {c.name: c for c in dataset.countries}
+    report = evaluate_country(dataset, countries["Afghanistan"])
     for c in CROPS:
         assert report.provenance[f"dmr_{c}"] == "world-average"
     assert report.provenance["pli_labor"] == "country"

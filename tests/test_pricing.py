@@ -178,6 +178,17 @@ def test_tax_rate_one_rejected():
                     salvage_rate=0.1, tfc=8e5)
 
 
+@pytest.mark.parametrize("r", [5e-324, 1e-17, 1e-12, 1e-7])
+def test_tiny_discount_rate_solves(reference_inputs, r):
+    # 1 + r rounds to 1.0 below r = 1.1e-16; the annuity must not collapse to 0
+    inputs = replace(reference_inputs, r=r)
+    result = solve_msp(inputs)
+    discounted = sum((1.0 + r) ** -t for t in range(1, inputs.n + 1))
+    assert result.annual_trace.annuity_factor == pytest.approx(discounted, rel=1e-9)
+    assert abs(npv(result.msp, inputs)) <= 0.01
+    assert result.msp == pytest.approx(solve_msp(replace(inputs, r=0.0)).msp, rel=1e-5)
+
+
 def test_salvage_rate_one_rejected(reference_inputs):
     # the same [0, 1) range as ModelConfig.salvage_rate
     with pytest.raises(DataError, match="salvage_rate"):

@@ -142,13 +142,13 @@ def test_brute_force_equivalence_ten_countries():
     for report, p in zip(result.reports, sorted(profiles, key=lambda x: x.name)):
         removable_sum = 0.0
         for c in CROPS:
-            gross = p.production[c] * rtp[c]
+            gross = p.values[f"prod_{c}"] * rtp[c]
             assert report.assessment.cr_total[c] == pytest.approx(gross, rel=1e-9)
-            removable = gross * srr[c] * p.dmr_override[c]
+            removable = gross * srr[c] * p.values[f"dmr_{c}"]
             assert report.assessment.cr_removable_dry[c] == pytest.approx(removable, rel=1e-9)
             removable_sum += removable
-        feed = sum(p.livestock[a] * rates[a] * 365.0 / 1000.0 for a in rates)
-        uses = feed + p.bagasse_bioenergy + p.other_residue_bioenergy * 0.313 * 0.91
+        feed = sum(p.values[a] * rates[a] * 365.0 / 1000.0 for a in rates)
+        uses = feed + p.values["bagasse_bioenergy"] + p.values["other_bioenergy"] * 0.313 * 0.91
         expected_final = max(0.0, removable_sum - uses)
         assert report.assessment.cr_final == pytest.approx(expected_final, rel=1e-9)
 

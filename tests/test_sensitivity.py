@@ -19,7 +19,8 @@ def replanned_grid(dataset, multipliers, pellet_prices):
     """
     scenario_a = dc_replace(dataset, config=dc_replace(dataset.config, scenario="A"))
     baseline = run_pipeline(scenario_a, through=STAGE_PLAN)
-    consumption = {c.name: {f: c.consumption(f) for f in FUELS} for c in dataset.countries}
+    consumption = {c.name: {f: c.amount(f"cons_{f}") for f in FUELS}
+                   for c in dataset.countries}
     countries = [
         (r.energy.weighted_lhv, r.energy.pellet_energy,
          {f: r.resolved[f"price_{f}"] for f in FUELS}, consumption[r.country])
