@@ -30,45 +30,32 @@ MAINTENANCE_REF = 152_400.0
 INSURANCE_TAX_REF = 101_600.0   # not index scaled
 ADDITIONAL_REF = 76_200.0       # not index scaled
 
-OPEX_PART_NAMES = ("raw_material", "labor_all", "utilities", "maintenance",
-                   "insurance_tax", "additional")
-
 
 @dataclass(frozen=True)
 class CostEstimate:
-    epc: float
-    direct: float
-    indirect: float
-    misc: float
-    tfc: float              # total fixed capital, the depreciable base
-    working_capital: float
-    startup: float
-    capex: float
+    epc: float              # equipment purchase cost, $
+    capex: float            # $
     opex_total: float       # $/y
-    opex_parts: dict        # $/y per OPEX_PART_NAMES entry
 
 
-def capital_costs(construction_index: float) -> dict:
-    """Capital cascade for one country; every line scales with the index."""
+def capital_costs(construction_index: float) -> tuple:
+    """(equipment purchase cost, CAPEX) for one country; every line scales with the index.
+
+    CAPEX is the total fixed capital (direct, indirect and miscellaneous
+    cost) plus working capital and start-up on top of it.
+    """
     if construction_index <= 0:
         raise DataError(f"construction index must be > 0, got {construction_index}")
     epc = EPC_REF * construction_index
     direct = DIRECT_FACTOR * epc
     indirect = INDIRECT_FACTOR * direct
-    misc = MISC_FACTOR * (direct + indirect)
-    tfc = direct + indirect + misc
-    working = WORKING_CAPITAL_FACTOR * tfc
-    startup = STARTUP_FACTOR * tfc
-    return {
-        "epc": epc, "direct": direct, "indirect": indirect, "misc": misc,
-        "tfc": tfc, "working_capital": working, "startup": startup,
-        "capex": tfc + working + startup,
-    }
+    tfc = direct + indirect + MISC_FACTOR * (direct + indirect)
+    return epc, tfc + WORKING_CAPITAL_FACTOR * tfc + STARTUP_FACTOR * tfc
 
 
 def operating_costs(labor_index: float, raw_material_index: float,
-                    electricity_index: float, construction_index: float) -> tuple:
-    """Annual OPEX as (total, parts).
+                    electricity_index: float, construction_index: float) -> float:
+    """Annual OPEX, $/y.
 
     All three labor lines (base, overhead, supervision) scale with the labor
     index; maintenance follows construction; insurance/tax and additional
@@ -78,15 +65,14 @@ def operating_costs(labor_index: float, raw_material_index: float,
                        ("electricity", electricity_index), ("construction", construction_index)):
         if idx <= 0:
             raise DataError(f"{label} index must be > 0, got {idx}")
-    parts = {
-        "raw_material": RAW_MATERIAL_REF * raw_material_index,
-        "labor_all": (LABOR_REF + LABOR_OVERHEAD_REF + LABOR_SUPERVISION_REF) * labor_index,
-        "utilities": UTILITIES_REF * electricity_index,
-        "maintenance": MAINTENANCE_REF * construction_index,
-        "insurance_tax": INSURANCE_TAX_REF,
-        "additional": ADDITIONAL_REF,
-    }
-    return sum(parts.values()), parts
+    return sum((
+        RAW_MATERIAL_REF * raw_material_index,
+        (LABOR_REF + LABOR_OVERHEAD_REF + LABOR_SUPERVISION_REF) * labor_index,
+        UTILITIES_REF * electricity_index,
+        MAINTENANCE_REF * construction_index,
+        INSURANCE_TAX_REF,
+        ADDITIONAL_REF,
+    ))
 
 
 def estimate_costs(pli: dict) -> CostEstimate:
@@ -94,8 +80,7 @@ def estimate_costs(pli: dict) -> CostEstimate:
 
     ``pli`` must carry labor, raw_material, construction, and electricity.
     """
-    cap = capital_costs(pli["construction"])
-    opex_total, parts = operating_costs(
-        pli["labor"], pli["raw_material"], pli["electricity"], pli["construction"]
-    )
-    return CostEstimate(opex_total=opex_total, opex_parts=parts, **cap)
+    epc, capex = capital_costs(pli["construction"])
+    opex = operating_costs(pli["labor"], pli["raw_material"], pli["electricity"],
+                           pli["construction"])
+    return CostEstimate(epc=epc, capex=capex, opex_total=opex)

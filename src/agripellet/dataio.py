@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -70,6 +71,8 @@ POSITIVE = Bound("> 0", _ABOVE_ZERO, math.inf)
 FRACTION = Bound("in (0, 1]", _ABOVE_ZERO, 1.0)
 UNIT_INTERVAL = Bound("in [0, 1]", 0.0, 1.0)
 BELOW_ONE = Bound("in [0, 1)", 0.0, math.nextafter(1.0, 0.0))
+# years of plant life: the NPV's closed form needs float(n), so n must fit a float
+HORIZON = Bound(f"in [1, {sys.float_info.max!r}]", 1.0, sys.float_info.max)
 
 # Fallback tiers of an empty countries.csv cell (None: a missing value is a real zero).
 WORLD_AVERAGE = "world-average"  # the crop's world-average default from crops.csv
@@ -199,8 +202,7 @@ class ModelConfig:
         if problems:
             raise DataError(problems)
         POSITIVE.check("plant_capacity", self.plant_capacity, problems)
-        if self.horizon_years < 1:
-            problems.append(f"horizon_years: must be >= 1, got {self.horizon_years!r}")
+        HORIZON.check("horizon_years", self.horizon_years, problems)
         BELOW_ONE.check("salvage_rate", self.salvage_rate, problems)  # as BreakEvenInputs
         FRACTION.check("tfc_capex_ratio", self.tfc_capex_ratio, problems)
         FRACTION.check("pellet_efficiency", self.pellet_efficiency, problems)

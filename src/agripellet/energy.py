@@ -8,10 +8,6 @@ from .dataio import CROPS
 from .residues import ResidueAssessment
 
 
-class NoResidueError(ValueError):
-    """Every crop share is zero, so no heating value can be weighted."""
-
-
 @dataclass(frozen=True)
 class EnergyPotential:
     weighted_lhv: float | None  # MJ/kg, None when there is no residue at all
@@ -19,11 +15,14 @@ class EnergyPotential:
     pellet_energy: float        # TJ/y
 
 
-def weighted_lhv(shares: dict, crops: dict) -> float:
-    """Mean crop heating value (MJ/kg) weighted by each crop's tonnage share."""
+def weighted_lhv(shares: dict, crops: dict) -> float | None:
+    """Mean crop heating value (MJ/kg) weighted by each crop's tonnage share.
+
+    None when every share is zero: there is no residue to weight.
+    """
     total = sum(shares.get(c, 0.0) for c in CROPS)
     if total <= 0:
-        raise NoResidueError("all crop shares are zero")
+        return None
     return sum(shares.get(c, 0.0) * crops[c].lhv for c in CROPS) / total
 
 
@@ -42,8 +41,7 @@ def pellet_energy(cr_final: float, lhv: float, efficiency: float) -> EnergyPoten
 
 def energy_for(assessment: ResidueAssessment, crops: dict, efficiency: float) -> EnergyPotential:
     """EnergyPotential for one assessed country; no residue maps to zero energy."""
-    try:
-        lhv = weighted_lhv(assessment.cr_final_by_crop, crops)
-    except NoResidueError:
+    lhv = weighted_lhv(assessment.cr_final_by_crop, crops)
+    if lhv is None:
         return EnergyPotential(weighted_lhv=None, pellet_mass=0.0, pellet_energy=0.0)
     return pellet_energy(assessment.cr_final, lhv, efficiency)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .dataio import FUELS
 
-MWH_PER_TJ = 277.78
-
 # Fixed order for breaking score ties, so output is reproducible.
 CANONICAL_FUEL_ORDER = ("coal", "natural_gas", "oil")
 
@@ -34,31 +32,20 @@ def emission_intensity(ef: float, lhv: float) -> float:
 
 @dataclass(frozen=True)
 class FuelEconomics:
-    fuel_price: dict        # $/t
     fuel_lcoe: dict         # $/TJ
-    fuel_lcoe_mwh: dict     # $/MWh
     fuel_intensity: dict    # kgCO2e/TJ
-    pellet_price: float     # $/t
     pellet_lcoe: float      # $/TJ
-    pellet_lcoe_mwh: float
-    pellet_intensity: float
+    pellet_intensity: float  # kgCO2e/TJ
 
 
 def build_economics(fuel_prices: dict, fuel_properties: dict,
                     pellet_price: float, weighted_lhv: float, pellet_ef: float,
                     ) -> FuelEconomics:
-    lcoe = {f: fuel_lcoe(fuel_prices[f], fuel_properties[f].lhv) for f in FUELS}
-    intensity = {f: emission_intensity(fuel_properties[f].ef, fuel_properties[f].lhv)
-                 for f in FUELS}
-    p_lcoe = fuel_lcoe(pellet_price, weighted_lhv)
     return FuelEconomics(
-        fuel_price=dict(fuel_prices),
-        fuel_lcoe=lcoe,
-        fuel_lcoe_mwh={f: lcoe[f] / MWH_PER_TJ for f in FUELS},
-        fuel_intensity=intensity,
-        pellet_price=pellet_price,
-        pellet_lcoe=p_lcoe,
-        pellet_lcoe_mwh=p_lcoe / MWH_PER_TJ,
+        fuel_lcoe={f: fuel_lcoe(fuel_prices[f], fuel_properties[f].lhv) for f in FUELS},
+        fuel_intensity={f: emission_intensity(fuel_properties[f].ef, fuel_properties[f].lhv)
+                        for f in FUELS},
+        pellet_lcoe=fuel_lcoe(pellet_price, weighted_lhv),
         pellet_intensity=emission_intensity(pellet_ef, weighted_lhv),
     )
 

@@ -43,7 +43,7 @@ COLUMNS = {
     "pellet_mass_t": lambda r: r.energy.pellet_mass,
     "pellet_energy_tj": lambda r: r.energy.pellet_energy,
     "epc_usd": lambda r: r.cost.epc,
-    "tfc_usd": lambda r: r.cost.tfc,
+    "tfc_usd": lambda r: r.msp.inputs.tfc,
     "capex_usd": lambda r: r.cost.capex,
     "opex_usd_per_y": lambda r: r.cost.opex_total,
     "msp_usd_per_t": lambda r: r.msp.msp,

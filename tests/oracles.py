@@ -1,0 +1,53 @@
+"""Reference implementations of the break-even solver.
+
+Plain loops, linear in the horizon but plainly right: tests compare the
+closed forms in ``agripellet.pricing`` with them.
+"""
+
+from agripellet.dataio import DataError
+from agripellet.pricing import BreakEvenInputs, annual_cash_flow, salvage_value
+
+BISECTION_BRACKET = (0.0, 1e6)  # $/t
+
+
+def npv(price: float, inputs: BreakEvenInputs) -> float:
+    """Net present value over the horizon, summed year by year."""
+    _, _, cf = annual_cash_flow(price, inputs)
+    total = 0.0
+    factor = 1.0
+    for _ in range(inputs.n):
+        factor /= 1.0 + inputs.r
+        total += cf * factor
+    return total + salvage_value(inputs) * factor - inputs.capex
+
+
+def solve_msp_bisection(inputs: BreakEvenInputs, npv_tol: float = 1e-5,
+                        max_iter: int = 200) -> float:
+    """Root of the year-by-year NPV(price) by bisection on the fixed price bracket.
+
+    Iterates until the residual NPV at the midpoint is within ``npv_tol``
+    dollars, so the returned price satisfies the break-even condition to the
+    same tolerance as the closed form.
+    """
+    lo, hi = BISECTION_BRACKET
+    f_lo = npv(lo, inputs)
+    f_hi = npv(hi, inputs)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0:
+        raise DataError(
+            f"no sign change on price bracket [{lo}, {hi}]: f({lo})={f_lo}, f({hi})={f_hi}"
+        )
+    mid = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        f_mid = npv(mid, inputs)
+        if abs(f_mid) <= npv_tol:
+            return mid
+        if (f_mid > 0) == (f_hi > 0):
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    return mid

@@ -286,6 +286,51 @@ def test_overflowing_input_fails_country(data_dir, tmp_path, country, column):
     json.loads((out / "global.json").read_text())
 
 
+def write_config(data_dir, path, **changes):
+    """The bundled config.json with some keys changed, written to ``path``."""
+    config = json.loads((data_dir / "config.json").read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**config, **changes}), encoding="utf-8")
+    return path
+
+
+def test_tfc_usd_is_the_solver_base(data_dir, tmp_path):
+    """tfc_usd is tfc_capex_ratio * capex_usd, and the README's NPV identity holds on it."""
+    config = write_config(data_dir, tmp_path / "config.json", tfc_capex_ratio=0.9)
+    assert run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path) == 0
+    with (tmp_path / "msp.csv").open(newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 178
+    for row in rows:
+        v = {k: float(row[k]) for k in ("capex_usd", "tfc_usd", "npv_at_msp_usd",
+                                         "annuity_factor", "cash_flow_usd_per_y",
+                                         "discount_rate")}
+        assert v["tfc_usd"] == 0.9 * v["capex_usd"], row["country"]
+        identity = (v["annuity_factor"] * v["cash_flow_usd_per_y"]
+                    + 0.1 * v["tfc_usd"] * (1 + v["discount_rate"]) ** -20 - v["capex_usd"])
+        assert abs(identity - v["npv_at_msp_usd"]) <= 0.01, row["country"]
+        assert abs(v["npv_at_msp_usd"]) <= 0.01, row["country"]
+
+
+def test_billion_year_horizon_runs(data_dir, tmp_path):
+    config = write_config(data_dir, tmp_path / "config.json", horizon_years=10**9)
+    code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path,
+                   "--country", "Albania")
+    assert code == 0
+    with (tmp_path / "msp.csv").open(newline="", encoding="utf-8") as f:
+        (row,) = list(csv.DictReader(f))
+    r = float(row["discount_rate"])
+    assert float(row["annuity_factor"]) == pytest.approx(1.0 / r, rel=1e-12)
+    assert abs(float(row["npv_at_msp_usd"])) <= 0.01
+
+
+def test_horizon_beyond_float_exits_2(data_dir, tmp_path, capsys):
+    config = write_config(data_dir, tmp_path / "config.json", horizon_years=10**400)
+    code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
+    assert code == 2
+    assert "horizon_years: must be in [1, 1.7976931348623157e+308], got 1000" \
+        in capsys.readouterr().err
+
+
 def test_fractional_horizon_exits_2(data_dir, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"horizon_years": 20.5}), encoding="utf-8")

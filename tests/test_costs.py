@@ -3,12 +3,17 @@ import csv
 import pytest
 
 from agripellet.costs import (
+    ADDITIONAL_REF,
+    DIRECT_FACTOR,
     EPC_REF,
+    INDIRECT_FACTOR,
+    INSURANCE_TAX_REF,
+    MISC_FACTOR,
     capital_costs,
     estimate_costs,
     operating_costs,
 )
-from agripellet.dataio import PLI_COMPONENTS, DataError
+from agripellet.dataio import PLI_COMPONENTS, DataError, ModelConfig
 
 
 def unit_pli():
@@ -16,53 +21,57 @@ def unit_pli():
 
 
 def test_reference_identity_capex():
-    cap = capital_costs(1.0)
-    assert cap["epc"] == EPC_REF == 1_249_570.0
-    assert cap["tfc"] == pytest.approx(5_450_000.0, abs=1.0)
-    assert cap["capex"] == pytest.approx(6_540_000.0, abs=1.0)
+    epc, capex = capital_costs(1.0)
+    assert epc == EPC_REF == 1_249_570.0
+    assert capex * ModelConfig().tfc_capex_ratio == pytest.approx(5_450_000.0, abs=1.0)
+    assert capex == pytest.approx(6_540_000.0, abs=1.0)
 
 
 def test_reference_identity_opex():
-    total, parts = operating_costs(1.0, 1.0, 1.0, 1.0)
+    total = operating_costs(1.0, 1.0, 1.0, 1.0)
     assert total == pytest.approx(2_540_000.0, abs=1e-6)
-    assert parts["labor_all"] == 812_800.0 + 558_800.0 + 152_400.0
-    assert parts["insurance_tax"] == 101_600.0
-    assert parts["additional"] == 76_200.0
+    # all three labor lines scale together; insurance/tax and additional do not scale
+    assert operating_costs(2.0, 1.0, 1.0, 1.0) - total == 812_800.0 + 558_800.0 + 152_400.0
+    assert (INSURANCE_TAX_REF, ADDITIONAL_REF) == (101_600.0, 76_200.0)
 
 
 def test_capex_linear_in_index():
-    assert capital_costs(0.5)["capex"] == pytest.approx(3_270_000.0, abs=1.0)
+    assert capital_costs(0.5)[1] == pytest.approx(3_270_000.0, abs=1.0)
 
 
 def test_capex_tfc_ratio_fixed():
+    # the default tfc_capex_ratio is the cascade's: total fixed capital
+    # (direct, indirect, miscellaneous) over CAPEX, at every index
     for idx in (0.2, 0.7, 1.0, 1.9, 3.4):
-        cap = capital_costs(idx)
-        assert cap["capex"] / cap["tfc"] == pytest.approx(1.2, rel=1e-12)
+        epc, capex = capital_costs(idx)
+        tfc = DIRECT_FACTOR * epc * (1 + INDIRECT_FACTOR) * (1 + MISC_FACTOR)
+        assert capex / tfc == pytest.approx(1.2, rel=1e-12)
+        assert capex * ModelConfig().tfc_capex_ratio == pytest.approx(tfc, rel=1e-12)
 
 
 def test_opex_labor_doubles():
-    total, _ = operating_costs(2.0, 1.0, 1.0, 1.0)
+    total = operating_costs(2.0, 1.0, 1.0, 1.0)
     assert total == pytest.approx(2_540_000.0 + 1_524_000.0, abs=1e-6)
 
 
 def test_opex_labor_partial_derivative():
-    base, _ = operating_costs(1.0, 1.0, 1.0, 1.0)
-    up, _ = operating_costs(2.0, 1.0, 1.0, 1.0)
+    base = operating_costs(1.0, 1.0, 1.0, 1.0)
+    up = operating_costs(2.0, 1.0, 1.0, 1.0)
     assert up - base == pytest.approx(1_524_000.0, abs=1e-6)
 
 
 def test_opex_unscaled_floor():
     eps = 1e-9
-    total, _ = operating_costs(eps, eps, eps, eps)
+    total = operating_costs(eps, eps, eps, eps)
     assert total == pytest.approx(177_800.0, abs=1.0)
 
 
 def test_opex_affine_in_each_index():
-    base, _ = operating_costs(1.0, 1.0, 1.0, 1.0)
+    base = operating_costs(1.0, 1.0, 1.0, 1.0)
     for pos, coeff in enumerate([1_524_000.0, 482_600.0, 203_200.0, 152_400.0]):
         args = [1.0, 1.0, 1.0, 1.0]
         args[pos] = 3.0
-        bumped, _ = operating_costs(*args)
+        bumped = operating_costs(*args)
         assert bumped - base == pytest.approx(2.0 * coeff, rel=1e-12)
 
 
@@ -77,9 +86,8 @@ def test_estimate_costs_combines_sides():
     est = estimate_costs(unit_pli())
     assert est.capex == pytest.approx(6_540_000.0, abs=1.0)
     assert est.opex_total == pytest.approx(2_540_000.0, abs=1e-6)
-    assert est.opex_total == pytest.approx(sum(est.opex_parts.values()), rel=1e-15)
-    assert est.working_capital == pytest.approx(0.05 * est.tfc, rel=1e-12)
-    assert est.startup == pytest.approx(0.15 * est.tfc, rel=1e-12)
+    assert (est.epc, est.capex) == capital_costs(1.0)
+    assert est.opex_total == operating_costs(1.0, 1.0, 1.0, 1.0)
 
 
 def test_cost_table_reproduction(dataset, data_dir):

@@ -247,6 +247,8 @@ def test_config_validation(tmp_path):
     # a repeated axis value would write the same grid row twice
     ("fossil_multipliers", [1.0, 1.0]),
     ("pellet_prices", [10.0, 20.0, 10.0]),
+    # the annuity factor needs float(horizon_years)
+    pytest.param("horizon_years", 10**400, id="horizon_years-10**400"),
 ])
 def test_config_value_types_rejected(tmp_path, key, value):
     path = tmp_path / "config.json"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from agripellet.dataio import CROPS, default_crops
-from agripellet.energy import NoResidueError, energy_for, pellet_energy, weighted_lhv
+from agripellet.energy import energy_for, pellet_energy, weighted_lhv
 from agripellet.residues import final_residue
 
 CROP_TABLE = default_crops()
@@ -36,8 +36,7 @@ def test_weighted_lhv_bounds():
 
 
 def test_weighted_lhv_no_residue():
-    with pytest.raises(NoResidueError):
-        weighted_lhv({c: 0.0 for c in CROPS}, CROP_TABLE)
+    assert weighted_lhv({c: 0.0 for c in CROPS}, CROP_TABLE) is None
 
 
 def test_pellet_energy_rice_unit_conversion():

@@ -1,37 +1,40 @@
 import math
 import random
+import time
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agripellet.costs import capital_costs
-from agripellet.dataio import DataError
+from agripellet.dataio import DataError, ModelConfig
+from agripellet.pipeline import evaluate_country
 from agripellet.pricing import (
     BreakEvenInputs,
     annual_cash_flow,
     depreciation,
-    npv,
     salvage_value,
     solve_msp,
-    solve_msp_bisection,
     solve_msp_closed_form,
 )
 from conftest import random_break_even_inputs
+from oracles import npv, solve_msp_bisection
 
 
 @pytest.fixture
 def reference_inputs():
     """Unit-index plant, zero discounting and tax: the hand-solvable anchor."""
-    cap = capital_costs(1.0)
+    _, capex = capital_costs(1.0)
     return BreakEvenInputs(
-        capex=cap["capex"],
+        capex=capex,
         opex=2_540_000.0,
         q=40_080.0,
         n=20,
         r=0.0,
         tr=0.0,
         salvage_rate=0.10,
-        tfc=cap["capex"] / 1.2,
+        tfc=capex / 1.2,
     )
 
 
@@ -72,8 +75,11 @@ def test_reference_msp_anchor(reference_inputs):
     assert abs(result.npv_at_msp) <= 0.01
 
 
-def test_msp_zero_when_target_is_base_npv(reference_inputs):
-    inputs = replace(reference_inputs, target_npv=npv(0.0, reference_inputs))
+def test_msp_zero_when_base_npv_is_zero(reference_inputs):
+    # no OPEX and a CAPEX equal to the tax shield plus salvage: NPV(0) = 0
+    free = replace(reference_inputs, opex=0.0, tr=0.3, capex=0.0)
+    inputs = replace(free, capex=npv(0.0, free))
+    assert npv(0.0, inputs) == pytest.approx(0.0, abs=1e-6)
     assert solve_msp(inputs).msp == pytest.approx(0.0, abs=1e-9)
 
 
@@ -196,8 +202,76 @@ def test_salvage_rate_one_rejected(reference_inputs):
 
 
 def test_bisection_bracket_guard(reference_inputs):
-    # a target above NPV at the top of the bracket leaves no root inside it
-    unreachable = npv(2e6, reference_inputs)
-    inputs = replace(reference_inputs, target_npv=unreachable)
+    # an OPEX of 1e12 $/y puts the root near 2.5e7 $/t, above the oracle's bracket
+    inputs = replace(reference_inputs, opex=1e12)
+    assert solve_msp(inputs).msp > 1e6
     with pytest.raises(DataError, match="bracket"):
         solve_msp_bisection(inputs)
+
+
+def test_long_horizon_solves_in_constant_time(reference_inputs):
+    # the horizon enters through the annuity factor alone, so 1e9 years cost
+    # what 20 do; the MSP tends to the perpetuity's (no depreciation, salvage
+    # or annuity tail left at 1e9 years and r = 8%)
+    inputs = replace(reference_inputs, n=10**9, r=0.08, tr=0.25)
+    start = time.perf_counter()
+    result = solve_msp(inputs)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1, f"solve took {elapsed:.3f}s"
+    perpetuity = (inputs.opex + inputs.r * inputs.capex / (1.0 - inputs.tr)) / inputs.q
+    assert result.msp == pytest.approx(perpetuity, rel=1e-9)
+    assert result.annual_trace.annuity_factor == pytest.approx(1.0 / inputs.r, rel=1e-12)
+    assert abs(result.npv_at_msp) <= 0.01
+
+
+def test_horizon_beyond_float_rejected(reference_inputs):
+    # the annuity factor needs float(n); 10**400 cannot be one
+    with pytest.raises(DataError, match=r"n: must be in \[1, 1.7976931348623157e\+308\]"):
+        replace(reference_inputs, n=10**400)
+
+
+def exact_msp(inputs: BreakEvenInputs) -> Fraction:
+    """The closed form's affine inversion evaluated in exact rationals."""
+    r, tr, q = Fraction(inputs.r), Fraction(inputs.tr), Fraction(inputs.q)
+    a = sum((1 + r) ** -t for t in range(1, inputs.n + 1))
+    salvage = Fraction(inputs.salvage_rate) * Fraction(inputs.tfc)
+    dep = (Fraction(inputs.tfc) - salvage) / inputs.n
+    terminal = salvage * (1 + r) ** -inputs.n
+    slope = a * (1 - tr) * q
+    intercept = a * (-(1 - tr) * Fraction(inputs.opex) + tr * dep) + terminal \
+        - Fraction(inputs.capex)
+    return -intercept / slope
+
+
+@pytest.mark.parametrize("tax_rate", [1 - 1e-9, 1 - 1e-12, math.nextafter(1.0, 0.0)])
+def test_tax_rate_near_one_solves(dataset, tax_rate):
+    # the MSP grows like 1/(1 - tax_rate) but stays the exact inversion's
+    profile = next(c for c in dataset.countries if c.name == "Afghanistan")
+    profile = replace(profile, values={**profile.values, "tax_rate": tax_rate})
+    report = evaluate_country(dataset, profile, "msp")
+    inputs = report.msp.inputs
+    assert inputs.tr == tax_rate
+    assert math.isfinite(report.msp.msp) and math.isfinite(report.msp.npv_at_msp)
+    assert report.msp.msp == pytest.approx(float(exact_msp(inputs)), rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plant_capacity=st.floats(1e3, 1e6),
+       horizon_years=st.integers(1, 200) | st.integers(1, 10**9),
+       salvage_rate=st.floats(0.0, 0.99),
+       tfc_capex_ratio=st.floats(0.01, 1.0),
+       r=st.floats(0.0, 1.0),
+       tr=st.floats(0.0, 0.9))
+def test_generated_configs_solve(plant_capacity, horizon_years, salvage_rate,
+                                 tfc_capex_ratio, r, tr):
+    cfg = ModelConfig(plant_capacity=plant_capacity, horizon_years=horizon_years,
+                      salvage_rate=salvage_rate, tfc_capex_ratio=tfc_capex_ratio)
+    _, capex = capital_costs(1.0)
+    inputs = BreakEvenInputs(capex=capex, opex=2_540_000.0, q=cfg.plant_capacity,
+                             n=cfg.horizon_years, r=r, tr=tr,
+                             salvage_rate=cfg.salvage_rate,
+                             tfc=capex * cfg.tfc_capex_ratio)
+    result = solve_msp(inputs)
+    assert math.isfinite(result.msp) and math.isfinite(result.npv_at_msp)
+    if inputs.n <= 200:
+        assert abs(result.msp - solve_msp_bisection(inputs)) <= 0.01

@@ -4,7 +4,6 @@ import pytest
 
 from agripellet.dataio import FUELS, FuelProperties, default_fuel_properties
 from agripellet.replacement import (
-    MWH_PER_TJ,
     allocate,
     build_economics,
     build_plan,
@@ -45,13 +44,6 @@ def test_emission_intensities_from_reference_tables():
     assert emission_intensity(2977.0, 42.0) == pytest.approx(70_880.95238095238)
     assert emission_intensity(2114.0, 42.0) == pytest.approx(50_333.333333333336)
     assert emission_intensity(151.0, 16.0) == pytest.approx(9_437.5)
-
-
-def test_economics_mwh_conversion():
-    econ = average_econ()
-    for f in FUELS:
-        assert econ.fuel_lcoe_mwh[f] == pytest.approx(econ.fuel_lcoe[f] / MWH_PER_TJ)
-    assert econ.pellet_lcoe_mwh == pytest.approx(econ.pellet_lcoe / MWH_PER_TJ)
 
 
 def test_scenario_a_ranking_at_global_averages():

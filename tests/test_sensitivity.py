@@ -4,7 +4,7 @@ from dataclasses import replace as dc_replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agripellet.dataio import CROPS, FUELS, DataError
+from agripellet.dataio import CROPS, FUELS, DataError, ModelConfig
 from agripellet.pipeline import STAGE_PLAN, run_pipeline
 from agripellet.replacement import build_economics, build_plan
 from agripellet.sensitivity import grid_rows_long, grid_rows_wide, sweep
@@ -203,6 +203,28 @@ def markets(draw):
        pellet_prices=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=4, unique=True))
 def test_matches_replanning_on_generated_markets(dataset, multipliers, pellet_prices):
     assert_matches_replanning(dataset, multipliers, pellet_prices)
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=st.builds(
+    ModelConfig,
+    plant_capacity=st.floats(1e3, 1e6),
+    horizon_years=st.integers(1, 10**9),
+    salvage_rate=st.floats(0.0, 0.99),
+    tfc_capex_ratio=st.floats(0.01, 1.0),
+    fossil_multipliers=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=6, unique=True),
+    pellet_prices=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=6, unique=True),
+))
+def test_monotone_on_bundled_data_for_generated_configs(dataset, config):
+    grid = sweep(dc_replace(dataset, config=config))
+    assert not grid.baseline.errors
+    ms, ps = sorted(grid.fossil_multipliers), sorted(grid.pellet_prices)
+    for m in ms:
+        row = [grid.s_ec[(m, p)] for p in ps]
+        assert all(a >= b for a, b in zip(row, row[1:])), f"row {m}"
+    for p in ps:
+        col = [grid.s_ec[(m, p)] for m in ms]
+        assert all(a <= b for a, b in zip(col, col[1:])), f"column {p}"
 
 
 def test_failed_country_is_left_out(market_dataset):
