@@ -37,30 +37,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--data", default=None,
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--data", default=None,
                         help=f"input data directory (default: ${DATA_DIR_ENV} or '.')")
-    common.add_argument("--config", default=None, help="path to a config JSON file")
-    common.add_argument("--scenario", choices=["A", "B", "C"], default=None,
+    inputs.add_argument("--config", default=None, help="path to a config JSON file")
+    inputs.add_argument("--scenario", choices=["A", "B", "C"], default=None,
                         help="replacement ranking objective (overrides config)")
-    common.add_argument("--carbon-tax", type=float, default=None, metavar="USD_PER_TCO2E",
+    inputs.add_argument("--carbon-tax", type=float, default=None, metavar="USD_PER_TCO2E",
                         help="carbon tax for scenario C (overrides config)")
-    common.add_argument("--out", default="out", help="output directory (default: ./out)")
-    common.add_argument("--format", choices=["csv", "json"], default="csv",
-                        help="output format for tabular subcommands")
-    common.add_argument("--country", action="append", default=None, metavar="NAME",
+    inputs.add_argument("--country", action="append", default=None, metavar="NAME",
                         help="restrict to the named country (repeatable)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="out", help="output directory (default: ./out)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["csv", "json"], default="csv",
+                     help="output format (default: csv)")
 
-    for name, text in (
-        ("assess", "residue availability and pellet energy"),
-        ("msp", "plant costs and break-even pellet price"),
-        ("recop", "fuel replacement plans and savings"),
-        ("sweep", "sensitivity grid of global savings"),
-        ("report", "full pipeline report"),
+    for name, text, parents in (
+        ("assess", "residue availability and pellet energy", [inputs, out, fmt]),
+        ("msp", "plant costs and break-even pellet price", [inputs, out, fmt]),
+        ("recop", "fuel replacement plans and savings", [inputs, out, fmt]),
+        ("sweep", "sensitivity grid of global savings", [inputs, out, fmt]),
+        ("report", "full pipeline report (CSVs and global.json)", [inputs, out]),
     ):
-        sub.add_parser(name, parents=[common], help=text)
+        sub.add_parser(name, parents=parents, help=text)
 
-    yoy = sub.add_parser("yoy", parents=[common], help="year-on-year growth statistics")
+    yoy = sub.add_parser("yoy", parents=[out, fmt], help="year-on-year growth statistics")
     yoy.add_argument("series", help="CSV with columns country,year,value (country optional)")
     return parser
 
@@ -123,7 +125,8 @@ def cmd_sweep(args) -> int:
                              reporting.sensitivity_payload(grid))
         print(f"wrote {out_dir / 'sensitivity.json'}")
     else:
-        reporting.write_sensitivity_files(out_dir, grid)
+        reporting.write_csv(out_dir / "sensitivity.csv", sensitivity.grid_rows_wide(grid))
+        reporting.write_csv(out_dir / "sensitivity_long.csv", sensitivity.grid_rows_long(grid))
         print(f"wrote {out_dir / 'sensitivity.csv'} and {out_dir / 'sensitivity_long.csv'}")
     return _finish(grid.baseline, out_dir)
 
@@ -192,9 +195,8 @@ def cmd_yoy(args) -> int:
         rows = [["country", "year_from", "year_to", "growth"]]
         for name, res in results.items():
             for p in res.pairs:
-                rows.append([name, str(p.year_from), str(p.year_to),
-                             "" if p.growth is None else repr(p.growth)])
-            rows.append([name, "average", "", repr(res.average)])
+                rows.append([name, p.year_from, p.year_to, p.growth])
+            rows.append([name, "average", None, res.average])
         reporting.write_csv(out_dir / "yoy.csv", rows)
         print(f"wrote {out_dir / 'yoy.csv'}")
     for name, message in failures:

@@ -514,18 +514,10 @@ def load_dataset(data_dir: str | Path, config: ModelConfig | str | Path | None =
     )
 
 
-def format_cell(value) -> str:
-    """One CSV cell: empty for None, ``true``/``false``, ``repr`` for floats."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_rows(path: Path, rows) -> None:
+def write_csv(path: str | Path, rows) -> None:
+    """Rows of typed cells: ``csv`` writes None as an empty cell and a float by ``repr``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerows(rows)
 
@@ -533,19 +525,15 @@ def _write_rows(path: Path, rows) -> None:
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     """Write a dataset back to CSV/JSON; reloading yields an equal Dataset."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_rows(out_dir / "crops.csv", [CROPS_COLUMNS] + [
-        [c, *(format_cell(getattr(dataset.crops[c], f.key)) for f in CROP_FIELDS)]
-        for c in CROPS
+    write_csv(out_dir / "crops.csv", [CROPS_COLUMNS] + [
+        [c, *(getattr(dataset.crops[c], f.key) for f in CROP_FIELDS)] for c in CROPS
     ])
-    _write_rows(out_dir / "fuels.csv", [FUELS_COLUMNS] + [
-        [name, *(format_cell(getattr(dataset.fuel_properties[name], f.key))
-                 for f in FUEL_FIELDS)]
+    write_csv(out_dir / "fuels.csv", [FUELS_COLUMNS] + [
+        [name, *(getattr(dataset.fuel_properties[name], f.key) for f in FUEL_FIELDS)]
         for name in FUELS
-    ] + [["pellet", "", format_cell(dataset.pellet_ef)]])
-    _write_rows(out_dir / "countries.csv", [COUNTRIES_COLUMNS] + [
-        [c.name, c.continent, *(format_cell(c.values[f.key]) for f in FIELDS)]
-        for c in dataset.countries
+    ] + [["pellet", None, dataset.pellet_ef]])
+    write_csv(out_dir / "countries.csv", [COUNTRIES_COLUMNS] + [
+        [c.name, c.continent, *(c.values[f.key] for f in FIELDS)] for c in dataset.countries
     ])
     (out_dir / "config.json").write_text(json.dumps(asdict(dataset.config), indent=2) + "\n",
                                          encoding="utf-8")

@@ -1,20 +1,20 @@
 """Deterministic CSV/JSON serialization of pipeline results.
 
 Each per-country output is one tuple of ``COLUMNS`` names, its only schema:
-the CSV writes the formatted cells, the JSON one record per country with the
-same keys in the same order.  Adding countries never changes the schema, and
-two runs over identical inputs produce byte-identical files.
+the CSV writes the typed values as its cells, the JSON one record per country
+with the same keys in the same order, and a report computes the values once
+for all its files.  Adding countries never changes the schema, and two runs
+over identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
-from .dataio import CROPS, FUELS, PLI_COMPONENTS, RESOLVABLE_FIELDS, format_cell
+from .dataio import CROPS, FUELS, PLI_COMPONENTS, RESOLVABLE_FIELDS, write_csv
 from .pipeline import PipelineResult
-from .sensitivity import SensitivityGrid, grid_rows_long, grid_rows_wide
+from .sensitivity import SensitivityGrid
 
 
 def _plan(attr: str):
@@ -122,12 +122,15 @@ REPORT_COLUMNS = (
     + _resolved(RESOLVABLE_FIELDS)
 )
 
-# Plot-ready CSVs written beside countries.csv, by file name.
+# Plot-ready CSVs written beside countries.csv, by file name, each a subset of
+# its columns (``top_fuel`` is ``rank_1``).
 PLOT_COLUMNS = {
     "energy_by_country.csv": ("country", "pellet_energy_tj"),
     "replacement_by_country.csv": ("country", "top_fuel", "replaced_overall_frac"),
     "savings_by_country.csv": ("country", "s_ec_usd_per_y", "s_em_kgco2e_per_y"),
 }
+_SAME_AS = {"top_fuel": "rank_1"}
+_FLAGS = frozenset({"use_saturated"})  # bool columns
 
 
 def _values(columns: tuple, result: PipelineResult) -> list:
@@ -136,55 +139,63 @@ def _values(columns: tuple, result: PipelineResult) -> list:
     return [[get(r) for get in getters] for r in result.reports]
 
 
+def _rows(columns: tuple, values: list) -> list:
+    """Header plus the values; ``csv.writer`` writes None empty and a float by ``repr``."""
+    for i, name in enumerate(columns):
+        if name in _FLAGS:  # spelled as in JSON, on copies of the rows JSON also reads
+            values = [[*row[:i], "true" if row[i] else "false", *row[i + 1:]] for row in values]
+    return [list(columns), *values]
+
+
+def _records(columns: tuple, values: list, result: PipelineResult) -> dict:
+    return {"countries": [dict(zip(columns, row)) for row in values],
+            "errors": [{"country": name, "message": msg} for name, msg in result.errors]}
+
+
 def table_rows(columns: tuple, result: PipelineResult) -> list:
-    """The CSV form: header plus one row of formatted cells per evaluated country."""
-    return [list(columns)] + [[format_cell(v) for v in row] for row in _values(columns, result)]
+    """The CSV form: header plus one row per evaluated country."""
+    return _rows(columns, _values(columns, result))
 
 
 def table_records(columns: tuple, result: PipelineResult) -> dict:
     """The JSON form: one ``{column: value}`` record per evaluated country, plus failures."""
-    return {
-        "countries": [dict(zip(columns, row)) for row in _values(columns, result)],
-        "errors": [{"country": name, "message": msg} for name, msg in result.errors],
-    }
+    return _records(columns, _values(columns, result), result)
 
 
-def report_rows(result: PipelineResult) -> list:
-    return table_rows(REPORT_COLUMNS, result)
-
-
-def global_payload(result: PipelineResult) -> dict:
+def global_totals(result: PipelineResult) -> dict:
+    """The ``global`` object of ``global.json``."""
     g = result.global_report
     return {
-        "global": {
-            "countries_evaluated": g.countries_evaluated,
-            "countries_failed": g.countries_failed,
-            "cr_final_t": g.total_cr_final,
-            "pellet_energy_tj": g.total_pellet_energy,
-            "s_ec_usd_per_y": g.total_s_ec,
-            "s_em_kgco2e_per_y": g.total_s_em,
-            "fossil_consumption_tj": g.total_fossil_consumption,
-            "replaced_fraction_overall": g.replaced_fraction_overall,
-            "rank_first_counts": dict(g.rank_first_counts),
-        },
-        **table_records(REPORT_COLUMNS, result),
+        "countries_evaluated": g.countries_evaluated,
+        "countries_failed": g.countries_failed,
+        "cr_final_t": g.total_cr_final,
+        "pellet_energy_tj": g.total_pellet_energy,
+        "s_ec_usd_per_y": g.total_s_ec,
+        "s_em_kgco2e_per_y": g.total_s_em,
+        "fossil_consumption_tj": g.total_fossil_consumption,
+        "replaced_fraction_overall": g.replaced_fraction_overall,
+        "rank_first_counts": dict(g.rank_first_counts),
     }
 
 
 # ---------------------------------------------------------------------------
 # File writers
 
-def write_csv(path: str | Path, rows: list) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerows(rows)
+_encode = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
 
 
-def write_json(path: str | Path, payload) -> None:
+def write_json(path: str | Path, payload: dict) -> None:
+    """Each top-level key on its own line and a list value one record per line, all
+    C-encoded (``json`` falls back to its pure-Python encoder whenever ``indent`` is set)."""
+    members = []
+    for key, value in payload.items():
+        if isinstance(value, list) and value:
+            members.append(f"{_encode(key)}:[\n" + ",\n".join(map(_encode, value)) + "\n]")
+        else:
+            members.append(f"{_encode(key)}:{_encode(value)}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    path.write_text("{\n" + ",\n".join(members) + "\n}\n", encoding="utf-8")
 
 
 def write_errors_txt(path: str | Path, result: PipelineResult) -> None:
@@ -195,18 +206,16 @@ def write_errors_txt(path: str | Path, result: PipelineResult) -> None:
 
 
 def write_report_files(out_dir: str | Path, result: PipelineResult) -> None:
-    """The full fixed output set: wide CSV, its JSON records with the totals, and plot files."""
+    """The full fixed output set: wide CSV, its JSON records with the totals, and plot
+    files, all read from one list of typed values per country."""
     out_dir = Path(out_dir)
-    write_csv(out_dir / "countries.csv", report_rows(result))
-    write_json(out_dir / "global.json", global_payload(result))
+    values = _values(REPORT_COLUMNS, result)
+    write_csv(out_dir / "countries.csv", _rows(REPORT_COLUMNS, values))
+    write_json(out_dir / "global.json",
+               {"global": global_totals(result), **_records(REPORT_COLUMNS, values, result)})
     for name, columns in PLOT_COLUMNS.items():
-        write_csv(out_dir / name, table_rows(columns, result))
-
-
-def write_sensitivity_files(out_dir: str | Path, grid: SensitivityGrid) -> None:
-    out_dir = Path(out_dir)
-    write_csv(out_dir / "sensitivity.csv", grid_rows_wide(grid))
-    write_csv(out_dir / "sensitivity_long.csv", grid_rows_long(grid))
+        index = [REPORT_COLUMNS.index(_SAME_AS.get(c, c)) for c in columns]
+        write_csv(out_dir / name, _rows(columns, [[row[i] for i in index] for row in values]))
 
 
 def sensitivity_payload(grid: SensitivityGrid) -> dict:

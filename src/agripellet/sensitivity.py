@@ -66,7 +66,7 @@ def grid_rows_wide(grid: SensitivityGrid) -> list:
     header = ["fossil_multiplier"] + [f"pellet_{p:g}_usd_t" for p in grid.pellet_prices]
     rows = [header]
     for m in grid.fossil_multipliers:
-        rows.append([f"{m:g}"] + [repr(grid.s_ec[(m, p)]) for p in grid.pellet_prices])
+        rows.append([f"{m:g}"] + [grid.s_ec[(m, p)] for p in grid.pellet_prices])
     return rows
 
 
@@ -75,5 +75,5 @@ def grid_rows_long(grid: SensitivityGrid) -> list:
     rows = [header]
     for m in grid.fossil_multipliers:
         for p in grid.pellet_prices:
-            rows.append([f"{m:g}", f"{p:g}", repr(grid.s_ec[(m, p)]), repr(grid.s_em[(m, p)])])
+            rows.append([f"{m:g}", f"{p:g}", grid.s_ec[(m, p)], grid.s_em[(m, p)]])
     return rows

@@ -1,7 +1,8 @@
-"""Reference implementations of the break-even solver.
+"""Reference implementations that tests compare the package with.
 
-Plain loops, linear in the horizon but plainly right: tests compare the
-closed forms in ``agripellet.pricing`` with them.
+The break-even solver as plain loops, linear in the horizon but plainly
+right, checks the closed forms in ``agripellet.pricing``; ``format_cell``
+spells out, one value at a time, the CSV cell each typed value is written as.
 """
 
 from agripellet.dataio import DataError
@@ -51,3 +52,14 @@ def solve_msp_bisection(inputs: BreakEvenInputs, npv_tol: float = 1e-5,
         else:
             lo, f_lo = mid, f_mid
     return mid
+
+
+def format_cell(value) -> str:
+    """One CSV cell: empty for None, ``true``/``false``, ``repr`` for floats."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)

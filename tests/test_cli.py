@@ -5,7 +5,8 @@ import pytest
 
 from agripellet import reporting
 from agripellet.cli import main
-from agripellet.dataio import format_cell
+from agripellet.pipeline import STAGE_PLAN, run_pipeline
+from oracles import format_cell
 
 
 def run_cli(*args):
@@ -26,13 +27,67 @@ def test_report_writes_fixed_file_set(data_dir, tmp_path):
     assert len(payload["countries"]) == 178
 
 
+def assert_same_files(out1, out2):
+    """The two output directories hold the same files with the same bytes; their names."""
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    return names
+
+
 def test_report_is_byte_identical_across_runs(data_dir, tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     assert run_cli("report", "--data", data_dir, "--out", out1) == 0
     assert run_cli("report", "--data", data_dir, "--out", out2) == 0
-    for name in ("countries.csv", "global.json", "energy_by_country.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    assert len(assert_same_files(out1, out2)) == 6
+
+
+def test_recop_json_is_byte_identical_across_runs(data_dir, tmp_path):
+    out1 = tmp_path / "run1"
+    out2 = tmp_path / "run2"
+    for out in (out1, out2):
+        assert run_cli("recop", "--data", data_dir, "--format", "json", "--out", out) == 0
+    assert assert_same_files(out1, out2) == ["errors.txt", "recop.json"]
+
+
+def test_report_csvs_render_typed_values(dataset, data_dir, tmp_path):
+    """Each report CSV cell is the oracle's rendering of its column's value."""
+    assert run_cli("report", "--data", data_dir, "--out", tmp_path) == 0
+    result = run_pipeline(dataset, through=STAGE_PLAN)
+    files = {"countries.csv": reporting.REPORT_COLUMNS, **reporting.PLOT_COLUMNS}
+    for name, columns in files.items():
+        with (tmp_path / name).open(newline="", encoding="utf-8") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == list(columns), name
+        expected = [[format_cell(v) for v in row]
+                    for row in reporting._values(columns, result)]
+        assert len(rows) == len(expected) == 178
+        for row, want in zip(rows, expected):
+            assert row == want, (name, row[0])
+
+
+def typed(value):
+    """``value`` with each leaf paired with its type, so ``==`` compares types too."""
+    if isinstance(value, dict):
+        return {k: typed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [typed(v) for v in value]
+    return type(value), value
+
+
+def test_global_json_loads_to_in_process_payload(dataset, data_dir, tmp_path):
+    assert run_cli("report", "--data", data_dir, "--out", tmp_path) == 0
+    result = run_pipeline(dataset, through=STAGE_PLAN)
+    expected = {"global": reporting.global_totals(result),
+                **reporting.table_records(reporting.REPORT_COLUMNS, result)}
+    text = (tmp_path / "global.json").read_text(encoding="utf-8")
+    assert typed(json.loads(text)) == typed(expected)
+    # one country record per line
+    lines = [json.loads(line.rstrip(",")) for line in text.splitlines()
+             if line.startswith('{"country":')]
+    assert lines == expected["countries"]
 
 
 def test_shared_columns_agree_across_outputs(data_dir, tmp_path):
@@ -86,16 +141,32 @@ def test_assess_json_format(data_dir, tmp_path):
 ])
 def test_json_records_match_csv_rows(data_dir, tmp_path, command, stem):
     assert run_cli(command, "--data", data_dir, "--out", tmp_path / "csv") == 0
-    assert run_cli(command, "--data", data_dir, "--out", tmp_path / "json",
-                   "--format", "json") == 0
+    if command == "report":  # one run writes countries.csv and global.json
+        json_path = tmp_path / "csv" / "global.json"
+    else:
+        assert run_cli(command, "--data", data_dir, "--out", tmp_path / "json",
+                       "--format", "json") == 0
+        json_path = tmp_path / "json" / f"{stem}.json"
     with (tmp_path / "csv" / f"{stem}.csv").open(newline="", encoding="utf-8") as f:
         header, *rows = list(csv.reader(f))
-    json_name = "global.json" if command == "report" else f"{stem}.json"
-    records = json.loads((tmp_path / "json" / json_name).read_text())["countries"]
+    records = json.loads(json_path.read_text())["countries"]
     assert len(records) == len(rows) == 178
     for record, row in zip(records, rows):
         assert list(record) == header
         assert [format_cell(v) for v in record.values()] == row, record["country"]
+
+
+@pytest.mark.parametrize("args", [
+    ("report", "--format", "json"),
+    ("yoy", "series.csv", "--country", "X"),
+    ("yoy", "series.csv", "--data", "."),
+])
+def test_flag_a_subcommand_ignores_exits_2(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args, "--out", tmp_path)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_msp_subcommand(data_dir, tmp_path):

@@ -12,8 +12,9 @@ from agripellet.pipeline import (
 )
 from agripellet.reporting import (
     REPORT_COLUMNS,
-    global_payload,
-    report_rows,
+    global_totals,
+    table_records,
+    table_rows,
 )
 from conftest import make_dataset, make_profile, synthetic_market_profiles
 
@@ -90,8 +91,9 @@ def test_field_missing_everywhere_fails_cleanly():
 def test_evaluation_is_deterministic(dataset):
     first = run_pipeline(dataset)
     second = run_pipeline(dataset)
-    assert report_rows(first) == report_rows(second)
-    assert global_payload(first) == global_payload(second)
+    assert table_rows(REPORT_COLUMNS, first) == table_rows(REPORT_COLUMNS, second)
+    assert table_records(REPORT_COLUMNS, first) == table_records(REPORT_COLUMNS, second)
+    assert global_totals(first) == global_totals(second)
 
 
 def test_non_finite_global_total_raises():
@@ -126,8 +128,8 @@ def test_provenance_tags_cover_resolved_fields(dataset):
 
 
 def test_report_schema_is_stable(dataset):
-    full = report_rows(run_pipeline(dataset))
-    subset = report_rows(run_pipeline(dataset, countries=["Brazil"]))
+    full = table_rows(REPORT_COLUMNS, run_pipeline(dataset))
+    subset = table_rows(REPORT_COLUMNS, run_pipeline(dataset, countries=["Brazil"]))
     assert full[0] == subset[0] == list(REPORT_COLUMNS)
     assert len(full) == 179  # header + 178 countries
     assert len(subset) == 2
