@@ -17,14 +17,13 @@ but yoy writes errors.txt once past loading; it is empty on a clean run.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from . import reporting, sensitivity
-from .dataio import DataError, load_dataset, parse_cell
+from .dataio import DataError, load_dataset, load_series
 from .pipeline import STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, run_pipeline, yoy_growth
 
 DATA_DIR_ENV = "AGRIPELLET_DATA"
@@ -41,12 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--data", default=None,
                         help=f"input data directory (default: ${DATA_DIR_ENV} or '.')")
     inputs.add_argument("--config", default=None, help="path to a config JSON file")
-    inputs.add_argument("--scenario", choices=["A", "B", "C"], default=None,
-                        help="replacement ranking objective (overrides config)")
-    inputs.add_argument("--carbon-tax", type=float, default=None, metavar="USD_PER_TCO2E",
-                        help="carbon tax for scenario C (overrides config)")
     inputs.add_argument("--country", action="append", default=None, metavar="NAME",
                         help="restrict to the named country (repeatable)")
+    scenario = argparse.ArgumentParser(add_help=False)  # only where a plan is ranked
+    scenario.add_argument("--scenario", choices=["A", "B", "C"], default=None,
+                          help="replacement ranking objective (overrides config)")
+    scenario.add_argument("--carbon-tax", type=float, default=None, metavar="USD_PER_TCO2E",
+                          help="carbon tax for scenario C (overrides config)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default="out", help="output directory (default: ./out)")
     fmt = argparse.ArgumentParser(add_help=False)
@@ -56,9 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text, parents in (
         ("assess", "residue availability and pellet energy", [inputs, out, fmt]),
         ("msp", "plant costs and break-even pellet price", [inputs, out, fmt]),
-        ("recop", "fuel replacement plans and savings", [inputs, out, fmt]),
+        ("recop", "fuel replacement plans and savings", [inputs, scenario, out, fmt]),
         ("sweep", "sensitivity grid of global savings", [inputs, out, fmt]),
-        ("report", "full pipeline report (CSVs and global.json)", [inputs, out]),
+        ("report", "full pipeline report (CSVs and global.json)", [inputs, scenario, out]),
     ):
         sub.add_parser(name, parents=parents, help=text)
 
@@ -70,13 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     data_dir = args.data or os.environ.get(DATA_DIR_ENV) or "."
     dataset = load_dataset(data_dir, config=args.config)
-    cfg = dataset.config
-    if args.scenario is not None:
-        cfg = dc_replace(cfg, scenario=args.scenario)
-    if args.carbon_tax is not None:
-        cfg = dc_replace(cfg, carbon_tax=args.carbon_tax)
-    if cfg is not dataset.config:
-        dataset = dc_replace(dataset, config=cfg)
+    # --scenario and --carbon-tax exist only on the subcommands that rank plans
+    overrides = {key: value for key in ("scenario", "carbon_tax")
+                 if (value := getattr(args, key, None)) is not None}
+    if overrides:
+        dataset = dc_replace(dataset, config=dc_replace(dataset.config, **overrides))
     return dataset
 
 
@@ -140,42 +138,8 @@ def cmd_report(args) -> int:
     return _finish(result, out_dir)
 
 
-def _read_series(path: Path) -> dict:
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    with path.open(newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path.name}: empty file, header row required")
-        header = [h.strip() for h in header]
-        if header == ["country", "year", "value"]:
-            with_country = True
-        elif header == ["year", "value"]:
-            with_country = False
-        else:
-            raise DataError(
-                f"{path.name}: header must be country,year,value or year,value"
-            )
-        series = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if with_country:
-                    name, year, value = row[0].strip(), int(row[1]), parse_cell(row[2])
-                else:
-                    name, year, value = "all", int(row[0]), parse_cell(row[1])
-                if value is None:
-                    raise DataError("missing value")
-            except (IndexError, ValueError) as exc:
-                raise DataError(f"{path.name} line {lineno}: {exc}") from None
-            series.setdefault(name, []).append((year, value))
-    return series
-
-
 def cmd_yoy(args) -> int:
-    series = _read_series(Path(args.series))
+    series = load_series(args.series)
     out_dir = Path(args.out)
     results = {}
     failures = []

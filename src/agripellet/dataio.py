@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -71,8 +70,8 @@ POSITIVE = Bound("> 0", _ABOVE_ZERO, math.inf)
 FRACTION = Bound("in (0, 1]", _ABOVE_ZERO, 1.0)
 UNIT_INTERVAL = Bound("in [0, 1]", 0.0, 1.0)
 BELOW_ONE = Bound("in [0, 1)", 0.0, math.nextafter(1.0, 0.0))
-# years of plant life: the NPV's closed form needs float(n), so n must fit a float
-HORIZON = Bound(f"in [1, {sys.float_info.max!r}]", 1.0, sys.float_info.max)
+# years of plant life: the NPV's closed form needs float(n) exact, so n <= 2**53
+HORIZON = Bound(f"in [1, {2**53}]", 1.0, float(2**53))
 
 # Fallback tiers of an empty countries.csv cell (None: a missing value is a real zero).
 WORLD_AVERAGE = "world-average"  # the crop's world-average default from crops.csv
@@ -121,6 +120,7 @@ FUEL_FIELDS = (
     Field("lhv_mj_per_kg", "lhv", POSITIVE),
     Field("ef_kgco2e_per_t", "ef", NONNEGATIVE),
 )
+SERIES_VALUE = Field("value", "value", NONNEGATIVE)  # the yoy series' value column
 CROPS_COLUMNS = ("crop",) + tuple(f.column for f in CROP_FIELDS)
 FUELS_COLUMNS = ("fuel",) + tuple(f.column for f in FUEL_FIELDS)
 
@@ -337,53 +337,78 @@ def _parse_row(table: tuple, cells: list, where: str, problems: list) -> dict | 
     return values if len(problems) == found else None
 
 
-def _read_rows(path: Path, columns: tuple) -> list:
+def _read_rows(path: Path, *headers: tuple) -> tuple:
+    """``(header, [(lineno, cells)])`` of a CSV whose header is one of ``headers``.
+
+    Blank lines are skipped; every other row must have the header's width.
+    """
     if not path.exists():
         raise DataError(f"missing file: {path}")
     with path.open(newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
-            header = next(reader)
+            header = tuple(h.strip() for h in next(reader))
         except StopIteration:
             raise DataError(f"{path.name}: empty file, header row required") from None
-        if tuple(h.strip() for h in header) != columns:
-            raise DataError(
-                f"{path.name}: header mismatch, expected {','.join(columns)}"
-            )
+        if header not in headers:
+            raise DataError(f"{path.name}: header mismatch, expected "
+                            + " or ".join(",".join(h) for h in headers))
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(columns):
+            if len(row) != len(header):
                 raise DataError(
-                    f"{path.name} line {lineno}: expected {len(columns)} columns, got {len(row)}"
+                    f"{path.name} line {lineno}: expected {len(header)} columns, got {len(row)}"
                 )
             rows.append((lineno, row))
-    return rows
+    return header, rows
+
+
+def _read_table(path: Path, columns: tuple, names, table: tuple, problems: list):
+    """Yield ``(where, name, text cells, values)`` for each good row of a table
+    keyed by its first column; every bad row adds its problems to ``problems``.
+
+    ``names`` holds the accepted names (None: any non-empty name), and a name
+    may not repeat.  The cells between the name and the ``table`` numeric
+    cells are text labels that may not be empty.  Rows are checked as they are
+    yielded, so a caller's own problems stay in line order.
+    """
+    _, rows = _read_rows(path, columns)
+    kind = columns[0]
+    first = len(columns) - len(table)  # the first numeric cell
+    seen = {}
+    for lineno, row in rows:
+        where = f"{path.name} line {lineno}"
+        name = row[0].strip()
+        if names is None and not name:
+            problems.append(f"{where}: empty {kind} name")
+            continue
+        if names is not None and name not in names:
+            problems.append(f"{where}: unknown {kind} {name!r}")
+            continue
+        if name in seen:
+            problems.append(f"{where}: duplicate {kind} {name!r} (first at line {seen[name]})")
+            continue
+        seen[name] = lineno
+        texts = [cell.strip() for cell in row[1:first]]
+        problems.extend(f"{where}: {label} label is required"
+                        for label, text in zip(columns[1:first], texts) if not text)
+        values = _parse_row(table, row[first:], where, problems)
+        if values is not None:
+            yield where, name, texts, values
 
 
 def load_crops(path: str | Path) -> dict:
     path = Path(path)
     crops = {}
-    seen = {}
     problems = []
-    for lineno, row in _read_rows(path, CROPS_COLUMNS):
-        where = f"{path.name} line {lineno}"
-        name = row[0].strip()
-        if name not in CROPS:
-            problems.append(f"{where}: unknown crop {name!r}")
-            continue
-        if name in seen:
-            problems.append(f"{where}: duplicate crop {name!r} (first at line {seen[name]})")
-            continue
-        seen[name] = lineno
-        values = _parse_row(CROP_FIELDS, row[1:], where, problems)
-        if values is None:
-            continue
+    for where, name, _, values in _read_table(path, CROPS_COLUMNS, CROPS, CROP_FIELDS,
+                                              problems):
         if None in values.values():
             problems.append(f"{where}: all four coefficients are required")
-            continue
-        crops[name] = CropCoefficients(**values)
+        else:
+            crops[name] = CropCoefficients(**values)
     missing = set(CROPS) - set(crops)
     if missing:
         problems.append(f"{path.name}: missing crops {sorted(missing)}")
@@ -401,21 +426,9 @@ def load_fuels(path: str | Path) -> tuple:
     path = Path(path)
     props = {}
     pellet_ef = DEFAULT_PELLET_EF
-    seen = {}
     problems = []
-    for lineno, row in _read_rows(path, FUELS_COLUMNS):
-        where = f"{path.name} line {lineno}"
-        name = row[0].strip()
-        if name != "pellet" and name not in FUELS:
-            problems.append(f"{where}: unknown fuel {name!r}")
-            continue
-        if name in seen:
-            problems.append(f"{where}: duplicate fuel {name!r} (first at line {seen[name]})")
-            continue
-        seen[name] = lineno
-        values = _parse_row(FUEL_FIELDS, row[1:], where, problems)
-        if values is None:
-            continue
+    for where, name, _, values in _read_table(path, FUELS_COLUMNS, FUELS + ("pellet",),
+                                              FUEL_FIELDS, problems):
         if name == "pellet":
             if values["ef"] is None:
                 problems.append(f"{where}: pellet row requires ef_kgco2e_per_t")
@@ -435,28 +448,42 @@ def load_fuels(path: str | Path) -> tuple:
 
 def load_countries(path: str | Path) -> tuple:
     path = Path(path)
-    profiles = []
-    seen = {}
     problems = []
-    for lineno, row in _read_rows(path, COUNTRIES_COLUMNS):
-        where = f"{path.name} line {lineno}"
-        name = row[0].strip()
-        if not name:
-            problems.append(f"{where}: empty country name")
-            continue
-        if name in seen:
-            problems.append(f"{where}: duplicate country {name!r} (first at line {seen[name]})")
-            continue
-        seen[name] = lineno
-        continent = row[1].strip()
-        if not continent:
-            problems.append(f"{where}: continent label is required")
-        values = _parse_row(FIELDS, row[2:], where, problems)
-        if values is not None:
-            profiles.append(CountryProfile(name, continent, values))
+    profiles = tuple(CountryProfile(name, continent, values) for _, name, (continent,), values
+                     in _read_table(path, COUNTRIES_COLUMNS, None, FIELDS, problems))
     if problems:
         raise DataError(problems)
-    return tuple(profiles)
+    return profiles
+
+
+def load_series(path: str | Path) -> dict:
+    """Annual series by name, each a list of ``(year, value)`` in file order.
+
+    The header is ``country,year,value``, or ``year,value`` for one series
+    named ``all``.  A year is an integer and a value is required and >= 0.
+    """
+    path = Path(path)
+    header, rows = _read_rows(path, ("country", "year", "value"), ("year", "value"))
+    series = {}
+    problems = []
+    for lineno, row in rows:
+        where = f"{path.name} line {lineno}"
+        found = len(problems)
+        name = row[0].strip() if header[0] == "country" else "all"
+        if not name:
+            problems.append(f"{where}: empty country name")
+        try:
+            year = int(row[-2])
+        except ValueError:
+            problems.append(f"{where}: year: not an integer: {row[-2].strip()!r}")
+        values = _parse_row((SERIES_VALUE,), row[-1:], where, problems)
+        if values is not None and values["value"] is None:
+            problems.append(f"{where}: value: missing value")
+        if len(problems) == found:
+            series.setdefault(name, []).append((year, values["value"]))
+    if problems:
+        raise DataError(problems)
+    return series
 
 
 def load_config(path: str | Path) -> ModelConfig:

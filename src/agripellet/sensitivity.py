@@ -32,12 +32,10 @@ class SensitivityGrid:
     baseline: PipelineResult  # scenario A, failed countries in its errors
 
 
-def sweep(dataset: Dataset, multipliers=None, pellet_prices=None,
-          countries=None) -> SensitivityGrid:
-    """The grid over the countries (all, or the named subset) that evaluate."""
-    axes = {"fossil_multipliers": multipliers, "pellet_prices": pellet_prices}
-    cfg = dc_replace(dataset.config, scenario="A",
-                     **{k: v for k, v in axes.items() if v is not None})
+def sweep(dataset: Dataset, countries=None) -> SensitivityGrid:
+    """The grid on the config's axes over the countries (all, or the named
+    subset) that evaluate."""
+    cfg = dc_replace(dataset.config, scenario="A")
     baseline = run_pipeline(dc_replace(dataset, config=cfg), through=STAGE_PLAN,
                             countries=countries)
     a = b = 0.0

@@ -160,6 +160,9 @@ def test_json_records_match_csv_rows(data_dir, tmp_path, command, stem):
     ("report", "--format", "json"),
     ("yoy", "series.csv", "--country", "X"),
     ("yoy", "series.csv", "--data", "."),
+    ("assess", "--scenario", "B"),
+    ("msp", "--carbon-tax", "10"),
+    ("sweep", "--scenario", "B", "--carbon-tax", "100"),
 ])
 def test_flag_a_subcommand_ignores_exits_2(tmp_path, capsys, args):
     with pytest.raises(SystemExit) as exc:
@@ -265,14 +268,34 @@ def test_bad_sweep_axis_exits_2(data_dir, tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw", ["nan", "inf", "1e400"])
-def test_yoy_non_finite_value_exits_2(tmp_path, capsys, raw):
+@pytest.mark.parametrize("line, message", [
+    ("A,2001,1,9", "series.csv line 3: expected 3 columns, got 4"),
+    ("A,2001", "series.csv line 3: expected 3 columns, got 2"),
+    (",2001,1", "series.csv line 3: empty country name"),
+    ("A,2001,-4", "series.csv line 3: value: must be >= 0, got -4.0"),
+    ("A,2000.5,1", "series.csv line 3: year: not an integer: '2000.5'"),
+    ("A,2001,", "series.csv line 3: value: missing value"),
+    ("A,2001,nan", "series.csv line 3: value: not a finite number: 'nan'"),
+    ("A,2001,inf", "series.csv line 3: value: not a finite number: 'inf'"),
+    ("A,2001,1e400", "series.csv line 3: value: not a finite number: '1e400'"),
+], ids=["extra-column", "short-row", "empty-name", "negative", "fractional-year",
+        "missing", "nan", "inf", "1e400"])
+def test_yoy_bad_input_exits_2(tmp_path, capsys, line, message):
     series = tmp_path / "series.csv"
-    series.write_text(f"country,year,value\nA,2000,1\nA,2001,{raw}\nA,2002,2\n",
-                      encoding="utf-8")
+    series.write_text(f"country,year,value\nA,2000,1\n{line}\nA,2002,2\n", encoding="utf-8")
     assert run_cli("yoy", series, "--out", tmp_path / "out") == 2
-    assert "series.csv line 3: not a finite number" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_yoy_reports_every_bad_line(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("year,value\n2000,1\n2001,-1\nx,2\n", encoding="utf-8")
+    assert run_cli("yoy", series, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: series.csv line 3: value: must be >= 0, got -1.0",
+        "error: series.csv line 4: year: not an integer: 'x'",
+    ]
 
 
 def test_yoy_subcommand(data_dir, tmp_path):
@@ -395,11 +418,15 @@ def test_billion_year_horizon_runs(data_dir, tmp_path):
 
 
 def test_horizon_beyond_float_exits_2(data_dir, tmp_path, capsys):
-    config = write_config(data_dir, tmp_path / "config.json", horizon_years=10**400)
-    code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
-    assert code == 2
-    assert "horizon_years: must be in [1, 1.7976931348623157e+308], got 1000" \
-        in capsys.readouterr().err
+    # 10**305 is a float but not an exact one: at discount_rate 0 its annuity
+    # factor overflowed the MSP to NaN
+    for horizon in (10**400, 10**305):
+        config = write_config(data_dir, tmp_path / "config.json", horizon_years=horizon)
+        code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
+        assert code == 2
+        assert "horizon_years: must be in [1, 9007199254740992], got 1000" \
+            in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fractional_horizon_exits_2(data_dir, tmp_path, capsys):

@@ -225,9 +225,18 @@ def test_long_horizon_solves_in_constant_time(reference_inputs):
 
 
 def test_horizon_beyond_float_rejected(reference_inputs):
-    # the annuity factor needs float(n); 10**400 cannot be one
-    with pytest.raises(DataError, match=r"n: must be in \[1, 1.7976931348623157e\+308\]"):
+    # the annuity factor needs float(n) exact; 10**400 cannot even be a float
+    with pytest.raises(DataError, match=r"n: must be in \[1, 9007199254740992\]"):
         replace(reference_inputs, n=10**400)
+
+
+def test_zero_rate_solves_up_to_largest_exact_horizon(reference_inputs):
+    # float(n) is exact up to 2**53, so the zero-rate annuity factor n is too
+    result = solve_msp(replace(reference_inputs, n=2**53))
+    assert math.isfinite(result.msp) and result.annual_trace.annuity_factor == 2**53
+    with pytest.raises(DataError, match=r"n: must be in \[1, 9007199254740992\], "
+                                        r"got 9007199254740993"):
+        replace(reference_inputs, n=2**53 + 1)
 
 
 def exact_msp(inputs: BreakEvenInputs) -> Fraction:
