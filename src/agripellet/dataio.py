@@ -1,10 +1,11 @@
 """Input dataset loading, validation, and missing-value resolution.
 
-All model inputs arrive as UTF-8 CSV files with a header row ("-" or an empty
-cell means "no data") plus an optional JSON run configuration.  Loaded data is
-immutable; downstream modules treat a Dataset as read-only.  ``FIELDS``
-describes each numeric ``countries.csv`` column once (header, model key, bound,
-fallback tier); loading, bounds checks, resolution and saving derive from it.
+All model inputs arrive as UTF-8 CSV files (a leading byte-order mark is
+skipped) with a header row ("-" or an empty cell means "no data") plus an
+optional JSON run configuration.  Loaded data is immutable; downstream modules
+treat a Dataset as read-only.  ``FIELDS`` describes each numeric
+``countries.csv`` column once (header, model key, bound, fallback tier);
+loading, bounds checks, resolution and saving derive from it.
 """
 
 from __future__ import annotations
@@ -340,11 +341,12 @@ def _parse_row(table: tuple, cells: list, where: str, problems: list) -> dict | 
 def _read_rows(path: Path, *headers: tuple) -> tuple:
     """``(header, [(lineno, cells)])`` of a CSV whose header is one of ``headers``.
 
-    Blank lines are skipped; every other row must have the header's width.
+    Blank lines are skipped; every other row must have the header's width,
+    and every row that has not is named in one ``DataError``.
     """
     if not path.exists():
         raise DataError(f"missing file: {path}")
-    with path.open(newline="", encoding="utf-8") as f:
+    with path.open(newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = tuple(h.strip() for h in next(reader))
@@ -354,14 +356,17 @@ def _read_rows(path: Path, *headers: tuple) -> tuple:
             raise DataError(f"{path.name}: header mismatch, expected "
                             + " or ".join(",".join(h) for h in headers))
         rows = []
+        problems = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise DataError(
+                problems.append(
                     f"{path.name} line {lineno}: expected {len(header)} columns, got {len(row)}"
                 )
             rows.append((lineno, row))
+    if problems:
+        raise DataError(problems)
     return header, rows
 
 
@@ -460,7 +465,8 @@ def load_series(path: str | Path) -> dict:
     """Annual series by name, each a list of ``(year, value)`` in file order.
 
     The header is ``country,year,value``, or ``year,value`` for one series
-    named ``all``.  A year is an integer and a value is required and >= 0.
+    named ``all``.  A year is written in ASCII digits alone, and a value is
+    required and >= 0.
     """
     path = Path(path)
     header, rows = _read_rows(path, ("country", "year", "value"), ("year", "value"))
@@ -472,10 +478,11 @@ def load_series(path: str | Path) -> dict:
         name = row[0].strip() if header[0] == "country" else "all"
         if not name:
             problems.append(f"{where}: empty country name")
-        try:
-            year = int(row[-2])
-        except ValueError:
-            problems.append(f"{where}: year: not an integer: {row[-2].strip()!r}")
+        raw_year = row[-2].strip()
+        if raw_year.isascii() and raw_year.isdigit():  # int() also takes 2_000, +2001, ٢٠٠١
+            year = int(raw_year)
+        else:
+            problems.append(f"{where}: year: not an integer: {raw_year!r}")
         values = _parse_row((SERIES_VALUE,), row[-1:], where, problems)
         if values is not None and values["value"] is None:
             problems.append(f"{where}: value: missing value")

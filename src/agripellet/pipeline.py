@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from . import costs, energy, pricing, replacement, residues
 from .dataio import CROPS, FUELS, PLI_COMPONENTS, CountryProfile, DataError, Dataset, resolve
@@ -23,25 +24,20 @@ _STAGE_ORDER = (STAGE_ASSESS, STAGE_MSP, STAGE_PLAN)
 @dataclass(frozen=True)
 class CountryReport:
     country: str
-    continent: str
-    assessment: residues.ResidueAssessment
-    energy: energy.EnergyPotential
-    cost: costs.CostEstimate | None
-    msp: pricing.MspResult | None
-    plan: replacement.ReplacementPlan | None
-    resolved: dict    # resolved field name -> value used
-    provenance: dict  # resolved field name -> fallback tier tag
+    values: dict  # output column name -> typed value, for each column its stage computes
 
 
 @dataclass(frozen=True)
 class GlobalReport:
+    """The ``global`` object of ``global.json``, its fields named as its keys."""
+
     countries_evaluated: int
     countries_failed: int
-    total_cr_final: float         # t/y
-    total_pellet_energy: float    # TJ/y
-    total_s_ec: float             # $/y
-    total_s_em: float             # kgCO2e/y
-    total_fossil_consumption: float  # TJ/y over evaluated countries
+    cr_final_t: float
+    pellet_energy_tj: float
+    s_ec_usd_per_y: float
+    s_em_kgco2e_per_y: float
+    fossil_consumption_tj: float  # over evaluated countries
     replaced_fraction_overall: float
     rank_first_counts: dict       # fuel -> number of countries ranking it first
 
@@ -60,25 +56,40 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
     ``assess`` stops after residues and energy, ``msp`` adds plant costs and
     the break-even price, ``plan`` adds the fuel replacement plan.  Later
     stages resolve more input fields and so can fail on sparser datasets.
-    A report holding a NaN or infinite number raises a ``DataError``.
+    Each resolved input is recorded as its value ``X`` and fallback tier
+    ``src_X``; a country without residue gets no plan columns.  A NaN or
+    infinite number among the values or the plan's ranking scores raises a
+    ``DataError``.
     """
     if through not in _STAGE_ORDER:
         raise ValueError(f"unknown stage {through!r}")
     depth = _STAGE_ORDER.index(through)
     cfg = dataset.config
-    tags = {}
     resolved = {}
 
     def field(name):
-        resolved[name], tags[name] = resolve(dataset, profile, name)
+        resolved[name], resolved[f"src_{name}"] = resolve(dataset, profile, name)
         return resolved[name]
 
-    assessment = residues.assess_country(
-        dataset, profile, {c: field(f"dmr_{c}") for c in CROPS}
-    )
+    assessment = residues.assess_country(dataset, profile,
+                                         {c: field(f"dmr_{c}") for c in CROPS})
     potential = energy.energy_for(assessment, dataset.crops, cfg.pellet_efficiency)
-
-    cost = msp = plan = None
+    values = {
+        "country": profile.name,
+        "continent": profile.continent,
+        **{f"cr_total_{c}_t": assessment.cr_total[c] for c in CROPS},
+        **{f"cr_removable_dry_{c}_t": assessment.cr_removable_dry[c] for c in CROPS},
+        "cr_removable_dry_t": assessment.total_removable_dry,
+        "feed_bedding_use_t": assessment.feed_bedding_use,
+        "bagasse_bioenergy_use_t": assessment.bioenergy_use_bagasse,
+        "other_bioenergy_attributed_t": assessment.bioenergy_use_other_attributed,
+        "cr_final_t": assessment.cr_final,
+        "use_saturated": assessment.use_saturated,
+        "weighted_lhv_mj_per_kg": potential.weighted_lhv,
+        "pellet_mass_t": potential.pellet_mass,
+        "pellet_energy_tj": potential.pellet_energy,
+    }
+    scores = ()
     if depth >= 1:
         cost = costs.estimate_costs({p: field(f"pli_{p}") for p in PLI_COMPONENTS})
         inputs = pricing.BreakEvenInputs(
@@ -92,9 +103,23 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
             tfc=cost.capex * cfg.tfc_capex_ratio,
         )
         msp = pricing.solve_msp(inputs, weighted_lhv=potential.weighted_lhv)
+        trace = msp.annual_trace
+        values.update({
+            "epc_usd": cost.epc,
+            "tfc_usd": inputs.tfc,
+            "capex_usd": cost.capex,
+            "opex_usd_per_y": cost.opex_total,
+            "msp_usd_per_t": msp.msp,
+            "msp_usd_per_tj": msp.msp_per_tj,
+            "npv_at_msp_usd": msp.npv_at_msp,
+            "revenue_usd_per_y": trace.revenue,
+            "tax_usd_per_y": trace.tax,
+            "cash_flow_usd_per_y": trace.cash_flow,
+            "annuity_factor": trace.annuity_factor,
+        })
     if depth >= 2:
         prices = {f: field(f"price_{f}") for f in FUELS}
-        if potential.weighted_lhv is not None:
+        if potential.weighted_lhv is not None:  # no residue, no pellet heating value: no plan
             econ = replacement.build_economics(
                 prices,
                 dataset.fuel_properties,
@@ -109,48 +134,37 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
                 cfg.scenario,
                 cfg.carbon_tax,
             )
-        # no residue -> no pellet heating value; leave the plan empty
-
-    report = CountryReport(
-        country=profile.name,
-        continent=profile.continent,
-        assessment=assessment,
-        energy=potential,
-        cost=cost,
-        msp=msp,
-        plan=plan,
-        resolved=resolved,
-        provenance=tags,
-    )
-    bad = _non_finite(report)
+            values.update({
+                "scenario": plan.scenario,
+                "carbon_tax_usd_per_tco2e": plan.carbon_tax,
+                **{f"rank_{i}": f for i, (f, _) in enumerate(plan.ranking, start=1)},
+                **{f"alloc_{f}_tj": plan.allocation[f] for f in FUELS},
+                **{f"replaced_{f}_frac": plan.replaced_fraction[f] for f in FUELS},
+                "replaced_overall_frac": plan.replaced_fraction_overall,
+                "unused_pellet_tj": plan.unused_pellet_energy,
+                "s_ec_usd_per_y": plan.s_ec,
+                "s_em_kgco2e_per_y": plan.s_em,
+            })
+            # the scores order rank_1..3 without being columns, and can overflow alone
+            scores = [(f"score_{f}", score) for f, score in plan.ranking]
+    values.update(resolved)
+    bad = _non_finite(chain(values.items(), scores))
     if bad:
         raise DataError(f"non-finite {bad} for {profile.name!r}")
-    return report
+    return CountryReport(profile.name, values)
 
 
-_SCALARS = (str, bool, int, type(None))
-
-
-def _non_finite(value, prefix=""):
-    """``"path = value"`` for the first NaN or infinite float inside a report, or None.
+def _non_finite(items) -> str | None:
+    """The name of the first NaN or infinite float among ``(name, value)`` pairs, or None.
 
     Finite inputs can still overflow (a production of 1e308 t), so every
-    number a report carries is checked before it can reach an output file.
+    number a report carries is checked before it can reach an output file;
+    the message names the number but not its value, so that ``errors.txt``
+    never holds ``nan`` or ``inf`` either.
     """
-    if type(value) is dict:
-        items = value.items()
-    elif type(value) is tuple:
-        items = enumerate(value)
-    else:
-        items = vars(value).items()  # one of the report's frozen dataclasses
-    for key, item in items:
-        if type(item) is float:
-            if not math.isfinite(item):
-                return f"{prefix}{key} = {item!r}"
-        elif type(item) not in _SCALARS:
-            found = _non_finite(item, f"{prefix}{key}.")
-            if found:
-                return found
+    for name, value in items:
+        if type(value) is float and not math.isfinite(value):
+            return name
     return None
 
 
@@ -182,26 +196,24 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
         for c in selected if c.name in evaluated_names
         for f in FUELS
     )
-    total_alloc = sum(
-        r.plan.allocation[f] for r in reports if r.plan is not None for f in FUELS
-    )
+    planned = [r.values for r in reports if "rank_1" in r.values]
+    total_alloc = sum(v[f"alloc_{f}_tj"] for v in planned for f in FUELS)
     rank_first = {f: 0 for f in FUELS}
-    for r in reports:
-        if r.plan is not None and r.plan.ranking:
-            rank_first[r.plan.ranking[0][0]] += 1
+    for v in planned:
+        rank_first[v["rank_1"]] += 1
 
     global_report = GlobalReport(
         countries_evaluated=len(reports),
         countries_failed=len(errors),
-        total_cr_final=sum(r.assessment.cr_final for r in reports),
-        total_pellet_energy=sum(r.energy.pellet_energy for r in reports),
-        total_s_ec=sum(r.plan.s_ec for r in reports if r.plan is not None),
-        total_s_em=sum(r.plan.s_em for r in reports if r.plan is not None),
-        total_fossil_consumption=total_cons,
+        cr_final_t=sum(r.values["cr_final_t"] for r in reports),
+        pellet_energy_tj=sum(r.values["pellet_energy_tj"] for r in reports),
+        s_ec_usd_per_y=sum(v["s_ec_usd_per_y"] for v in planned),
+        s_em_kgco2e_per_y=sum(v["s_em_kgco2e_per_y"] for v in planned),
+        fossil_consumption_tj=total_cons,
         replaced_fraction_overall=total_alloc / total_cons if total_cons > 0 else 0.0,
         rank_first_counts=rank_first,
     )
-    bad = _non_finite(global_report)
+    bad = _non_finite(vars(global_report).items())
     if bad:
         raise DataError(f"non-finite global total {bad}")
     return PipelineResult(reports=tuple(reports), global_report=global_report,

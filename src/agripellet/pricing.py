@@ -62,7 +62,6 @@ class MspResult:
     npv_at_msp: float          # $
     annual_trace: AnnualCashFlow  # one plant year at the MSP
     msp_per_tj: float | None   # $/TJ when a heating-value context is attached
-    inputs: BreakEvenInputs    # what was solved; inputs.tfc is the depreciable base
 
 
 def salvage_value(inputs: BreakEvenInputs) -> float:
@@ -121,5 +120,4 @@ def solve_msp(inputs: BreakEvenInputs, weighted_lhv: float | None = None) -> Msp
         npv_at_msp=a * cash_flow + _terminal(inputs) - inputs.capex,
         annual_trace=AnnualCashFlow(revenue, tax, cash_flow, a),
         msp_per_tj=per_tj,
-        inputs=inputs,
     )

@@ -1,76 +1,22 @@
 """Deterministic CSV/JSON serialization of pipeline results.
 
-Each per-country output is one tuple of ``COLUMNS`` names, its only schema:
-the CSV writes the typed values as its cells, the JSON one record per country
-with the same keys in the same order, and a report computes the values once
-for all its files.  Adding countries never changes the schema, and two runs
-over identical inputs produce byte-identical files.
+Each per-country output is one tuple of column names, its only schema: a
+``CountryReport``'s values are keyed by those names, the CSV writes the typed
+values as its cells, the JSON one record per country with the same keys in the
+same order, and a report computes the values once for all its files.  Adding
+countries never changes the schema, and two runs over identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .dataio import CROPS, FUELS, PLI_COMPONENTS, RESOLVABLE_FIELDS, write_csv
 from .pipeline import PipelineResult
 from .sensitivity import SensitivityGrid
-
-
-def _plan(attr: str):
-    return lambda r: getattr(r.plan, attr) if r.plan else None
-
-
-def _rank(i: int):
-    return lambda r: r.plan.ranking[i][0] if r.plan else None
-
-
-# One accessor per column name, each taking a CountryReport.  Every per-country
-# CSV is a tuple of these names, so a column reads the same in every file.
-COLUMNS = {
-    "country": lambda r: r.country,
-    "continent": lambda r: r.continent,
-    **{f"cr_total_{c}_t": (lambda r, c=c: r.assessment.cr_total[c]) for c in CROPS},
-    **{f"cr_removable_dry_{c}_t": (lambda r, c=c: r.assessment.cr_removable_dry[c])
-       for c in CROPS},
-    "cr_removable_dry_t": lambda r: r.assessment.total_removable_dry,
-    "feed_bedding_use_t": lambda r: r.assessment.feed_bedding_use,
-    "bagasse_bioenergy_use_t": lambda r: r.assessment.bioenergy_use_bagasse,
-    "other_bioenergy_attributed_t": lambda r: r.assessment.bioenergy_use_other_attributed,
-    "cr_final_t": lambda r: r.assessment.cr_final,
-    "use_saturated": lambda r: r.assessment.use_saturated,
-    "weighted_lhv_mj_per_kg": lambda r: r.energy.weighted_lhv,
-    "pellet_mass_t": lambda r: r.energy.pellet_mass,
-    "pellet_energy_tj": lambda r: r.energy.pellet_energy,
-    "epc_usd": lambda r: r.cost.epc,
-    "tfc_usd": lambda r: r.msp.inputs.tfc,
-    "capex_usd": lambda r: r.cost.capex,
-    "opex_usd_per_y": lambda r: r.cost.opex_total,
-    "msp_usd_per_t": lambda r: r.msp.msp,
-    "msp_usd_per_tj": lambda r: r.msp.msp_per_tj,
-    "npv_at_msp_usd": lambda r: r.msp.npv_at_msp,
-    "revenue_usd_per_y": lambda r: r.msp.annual_trace.revenue,
-    "tax_usd_per_y": lambda r: r.msp.annual_trace.tax,
-    "cash_flow_usd_per_y": lambda r: r.msp.annual_trace.cash_flow,
-    "annuity_factor": lambda r: r.msp.annual_trace.annuity_factor,
-    "scenario": _plan("scenario"),
-    "carbon_tax_usd_per_tco2e": _plan("carbon_tax"),
-    "rank_1": _rank(0),
-    "rank_2": _rank(1),
-    "rank_3": _rank(2),
-    "top_fuel": _rank(0),
-    **{f"alloc_{f}_tj": (lambda r, f=f: r.plan.allocation[f] if r.plan else None)
-       for f in FUELS},
-    **{f"replaced_{f}_frac": (lambda r, f=f: r.plan.replaced_fraction[f] if r.plan else None)
-       for f in FUELS},
-    "replaced_overall_frac": _plan("replaced_fraction_overall"),
-    "unused_pellet_tj": _plan("unused_pellet_energy"),
-    "s_ec_usd_per_y": _plan("s_ec"),
-    "s_em_kgco2e_per_y": _plan("s_em"),
-    **{name: (lambda r, name=name: r.resolved.get(name)) for name in RESOLVABLE_FIELDS},
-    **{f"src_{name}": (lambda r, name=name: r.provenance.get(name))
-       for name in RESOLVABLE_FIELDS},
-}
 
 
 def _resolved(names) -> tuple:
@@ -134,9 +80,10 @@ _FLAGS = frozenset({"use_saturated"})  # bool columns
 
 
 def _values(columns: tuple, result: PipelineResult) -> list:
-    """One list of typed values per evaluated country, for any tuple of COLUMNS names."""
-    getters = [COLUMNS[name] for name in columns]
-    return [[get(r) for get in getters] for r in result.reports]
+    """One list of typed values per evaluated country; a column its stage or a
+    plan-less country leaves out reads None."""
+    names = [_SAME_AS.get(name, name) for name in columns]
+    return [[r.values.get(name) for name in names] for r in result.reports]
 
 
 def _rows(columns: tuple, values: list) -> list:
@@ -160,22 +107,6 @@ def table_rows(columns: tuple, result: PipelineResult) -> list:
 def table_records(columns: tuple, result: PipelineResult) -> dict:
     """The JSON form: one ``{column: value}`` record per evaluated country, plus failures."""
     return _records(columns, _values(columns, result), result)
-
-
-def global_totals(result: PipelineResult) -> dict:
-    """The ``global`` object of ``global.json``."""
-    g = result.global_report
-    return {
-        "countries_evaluated": g.countries_evaluated,
-        "countries_failed": g.countries_failed,
-        "cr_final_t": g.total_cr_final,
-        "pellet_energy_tj": g.total_pellet_energy,
-        "s_ec_usd_per_y": g.total_s_ec,
-        "s_em_kgco2e_per_y": g.total_s_em,
-        "fossil_consumption_tj": g.total_fossil_consumption,
-        "replaced_fraction_overall": g.replaced_fraction_overall,
-        "rank_first_counts": dict(g.rank_first_counts),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +142,8 @@ def write_report_files(out_dir: str | Path, result: PipelineResult) -> None:
     out_dir = Path(out_dir)
     values = _values(REPORT_COLUMNS, result)
     write_csv(out_dir / "countries.csv", _rows(REPORT_COLUMNS, values))
-    write_json(out_dir / "global.json",
-               {"global": global_totals(result), **_records(REPORT_COLUMNS, values, result)})
+    write_json(out_dir / "global.json", {"global": asdict(result.global_report),
+                                         **_records(REPORT_COLUMNS, values, result)})
     for name, columns in PLOT_COLUMNS.items():
         index = [REPORT_COLUMNS.index(_SAME_AS.get(c, c)) for c in columns]
         write_csv(out_dir / name, _rows(columns, [[row[i] for i in index] for row in values]))
@@ -222,8 +153,8 @@ def sensitivity_payload(grid: SensitivityGrid) -> dict:
     return {
         "fossil_multipliers": list(grid.fossil_multipliers),
         "pellet_prices_usd_per_t": list(grid.pellet_prices),
-        "baseline": {"s_ec_usd_per_y": grid.baseline.global_report.total_s_ec,
-                     "s_em_kgco2e_per_y": grid.baseline.global_report.total_s_em},
+        "baseline": {"s_ec_usd_per_y": grid.baseline.global_report.s_ec_usd_per_y,
+                     "s_em_kgco2e_per_y": grid.baseline.global_report.s_em_kgco2e_per_y},
         "cells": [
             {"fossil_multiplier": m, "pellet_price_usd_t": p,
              "s_ec_usd_per_y": grid.s_ec[(m, p)], "s_em_kgco2e_per_y": grid.s_em[(m, p)]}

@@ -40,12 +40,12 @@ def sweep(dataset: Dataset, countries=None) -> SensitivityGrid:
                             countries=countries)
     a = b = 0.0
     for r in baseline.reports:
-        if r.plan is None:  # no residue, nothing to allocate
+        v = r.values
+        if "rank_1" not in v:  # no residue, no plan, nothing to allocate
             continue
-        alloc = r.plan.allocation
-        a += sum(alloc[f] * fuel_lcoe(r.resolved[f"price_{f}"], dataset.fuel_properties[f].lhv)
+        a += sum(v[f"alloc_{f}_tj"] * fuel_lcoe(v[f"price_{f}"], dataset.fuel_properties[f].lhv)
                  for f in FUELS)
-        b += sum(alloc[f] for f in FUELS) * fuel_lcoe(1.0, r.energy.weighted_lhv)
+        b += sum(v[f"alloc_{f}_tj"] for f in FUELS) * fuel_lcoe(1.0, v["weighted_lhv_mj_per_kg"])
     s_ec = {(m, p): m * a - p * b for m in cfg.fossil_multipliers for p in cfg.pellet_prices}
     for (m, p), value in s_ec.items():  # finite baseline plans can still overflow here
         if not math.isfinite(value):
@@ -54,7 +54,7 @@ def sweep(dataset: Dataset, countries=None) -> SensitivityGrid:
         fossil_multipliers=cfg.fossil_multipliers,
         pellet_prices=cfg.pellet_prices,
         s_ec=s_ec,
-        s_em=dict.fromkeys(s_ec, baseline.global_report.total_s_em),
+        s_em=dict.fromkeys(s_ec, baseline.global_report.s_em_kgco2e_per_y),
         baseline=baseline,
     )
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -80,7 +81,7 @@ def typed(value):
 def test_global_json_loads_to_in_process_payload(dataset, data_dir, tmp_path):
     assert run_cli("report", "--data", data_dir, "--out", tmp_path) == 0
     result = run_pipeline(dataset, through=STAGE_PLAN)
-    expected = {"global": reporting.global_totals(result),
+    expected = {"global": dataclasses.asdict(result.global_report),
                 **reporting.table_records(reporting.REPORT_COLUMNS, result)}
     text = (tmp_path / "global.json").read_text(encoding="utf-8")
     assert typed(json.loads(text)) == typed(expected)
@@ -278,8 +279,12 @@ def test_bad_sweep_axis_exits_2(data_dir, tmp_path, capsys, key, value):
     ("A,2001,nan", "series.csv line 3: value: not a finite number: 'nan'"),
     ("A,2001,inf", "series.csv line 3: value: not a finite number: 'inf'"),
     ("A,2001,1e400", "series.csv line 3: value: not a finite number: '1e400'"),
+    ("A,2_001,1", "series.csv line 3: year: not an integer: '2_001'"),
+    ("A,+2001,1", "series.csv line 3: year: not an integer: '+2001'"),
+    ("A,\u0662\u0660\u0660\u0661,1",
+     "series.csv line 3: year: not an integer: '\u0662\u0660\u0660\u0661'"),
 ], ids=["extra-column", "short-row", "empty-name", "negative", "fractional-year",
-        "missing", "nan", "inf", "1e400"])
+        "missing", "nan", "inf", "1e400", "underscore-year", "signed-year", "arabic-indic-year"])
 def test_yoy_bad_input_exits_2(tmp_path, capsys, line, message):
     series = tmp_path / "series.csv"
     series.write_text(f"country,year,value\nA,2000,1\n{line}\nA,2002,2\n", encoding="utf-8")
@@ -295,6 +300,16 @@ def test_yoy_reports_every_bad_line(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: series.csv line 3: value: must be >= 0, got -1.0",
         "error: series.csv line 4: year: not an integer: 'x'",
+    ]
+
+
+def test_yoy_reports_every_row_of_the_wrong_width(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("country,year,value\nA,2000\nA,2001\n", encoding="utf-8")
+    assert run_cli("yoy", series, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: series.csv line 2: expected 3 columns, got 2",
+        "error: series.csv line 3: expected 3 columns, got 2",
     ]
 
 
@@ -351,16 +366,43 @@ def test_unresolvable_dataset_exits_1(tmp_path):
     assert run_cli("assess", "--data", tmp_path, "--out", out) == 0
 
 
-@pytest.mark.parametrize("country, column", [
-    ("Afghanistan", "prod_wheat_t"),
-    ("Albania", "price_coal_usd_t"),
-])
-def test_overflowing_input_fails_country(data_dir, tmp_path, country, column):
-    """A finite 1e308 that overflows downstream fails its country, never writes NaN."""
+def failed_countries(out):
+    return {line.split(": ", 1)[0] for line in (out / "errors.txt").read_text().splitlines()}
+
+
+def planned_countries(data_dir, tmp_path):
+    """The countries a plain ``recop`` run on ``data_dir`` gives a plan."""
+    assert run_cli("recop", "--data", data_dir, "--out", tmp_path / "plain") == 0
+    with (tmp_path / "plain" / "recop.csv").open(newline="", encoding="utf-8") as f:
+        return {row["country"] for row in csv.DictReader(f) if row["rank_1"]}
+
+
+def assert_no_non_finite_text(out):
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8")
+        assert not any(token in text for token in ("nan", "NaN", "Infinity")), path.name
+
+
+@pytest.mark.parametrize("country, column, failed", [
+    ("Afghanistan", "prod_wheat_t", 1),
+    # 27 other European countries have a plan and no coal price of their own, so
+    # they price coal at the continent mean
+    ("Albania", "price_coal_usd_t", 28),
+], ids=["Afghanistan-prod_wheat_t", "Albania-price_coal_usd_t"])
+def test_overflowing_input_fails_country(data_dir, tmp_path, country, column, failed):
+    """A finite 1e308 that overflows downstream fails exactly the countries that
+    use it, and never writes NaN."""
     data = tmp_path / "data"
     data.mkdir()
     with (data_dir / "countries.csv").open(newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
+    continent = next(row["continent"] for row in rows if row["country"] == country)
+    expected = {country}
+    if column == "price_coal_usd_t":
+        planned = planned_countries(data_dir, tmp_path)
+        expected |= {row["country"] for row in rows if row["country"] in planned
+                     and row["continent"] == continent and row[column] in ("", "-")}
+    assert len(expected) == failed
     for row in rows:
         if row["country"] == country:
             row[column] = "1e308"
@@ -371,13 +413,23 @@ def test_overflowing_input_fails_country(data_dir, tmp_path, country, column):
     out = tmp_path / "out"
     for args in (("report",), ("recop", "--format", "json")):
         assert run_cli(*args, "--data", data, "--out", out) == 1
-        failed = [line.split(": ", 1)[0]
-                  for line in (out / "errors.txt").read_text().splitlines()]
-        assert country in failed
-    for path in out.iterdir():
-        text = path.read_text(encoding="utf-8")
-        assert not any(token in text for token in ("nan", "NaN", "Infinity")), path.name
+        assert failed_countries(out) == expected
+    assert_no_non_finite_text(out)
     json.loads((out / "global.json").read_text())
+
+
+def test_overflowing_ranking_score_fails_country(data_dir, tmp_path):
+    """A carbon tax of 1e305 overflows only the ranking scores, which are not
+    columns: every country with a plan fails, and nothing else does."""
+    planned = planned_countries(data_dir, tmp_path)
+    assert len(planned) == 120
+    out = tmp_path / "out"
+    assert run_cli("recop", "--scenario", "C", "--carbon-tax", "1e305",
+                   "--data", data_dir, "--out", out) == 1
+    assert failed_countries(out) == planned
+    assert all(": non-finite score_" in line
+               for line in (out / "errors.txt").read_text().splitlines())
+    assert_no_non_finite_text(out)
 
 
 def write_config(data_dir, path, **changes):

@@ -16,6 +16,7 @@ from agripellet.dataio import (
     load_crops,
     load_dataset,
     load_fuels,
+    load_series,
     parse_cell,
     resolve,
     save_dataset,
@@ -211,6 +212,28 @@ def test_short_row_rejected(tmp_path):
         load_countries(path)
 
 
+def test_every_row_of_the_wrong_width_is_named(tmp_path):
+    path = tmp_path / "countries.csv"
+    path.write_text(COUNTRY_HEADER + "\nX,Y,1\n\nZ,Y," + "1," * 26 + "1\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_countries(path)
+    assert exc.value.problems == ["countries.csv line 2: expected 28 columns, got 3",
+                                  "countries.csv line 4: expected 28 columns, got 29"]
+
+
+def test_byte_order_mark_is_skipped(data_dir, tmp_path):
+    text = (data_dir / "countries.csv").read_text(encoding="utf-8")
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert load_countries(marked) == load_countries(plain)
+    series = "country,year,value\nA,2000,1\nA,2001,2\n"
+    plain.write_text(series, encoding="utf-8")
+    marked.write_text(series, encoding="utf-8-sig")
+    assert load_series(marked) == load_series(plain) == {"A": [(2000, 1.0), (2001, 2.0)]}
+
+
 def test_missing_countries_file(tmp_path):
     with pytest.raises(DataError, match="missing file"):
         load_dataset(tmp_path)
@@ -328,7 +351,7 @@ def test_resolve_is_deterministic(dataset):
     second = {name: resolve(dataset, country, name) for name in RESOLVABLE_FIELDS}
     assert first == second
     report = evaluate_country(dataset, country)
-    assert first == {name: (report.resolved[name], report.provenance[name])
+    assert first == {name: (report.values[name], report.values[f"src_{name}"])
                      for name in RESOLVABLE_FIELDS}
 
 
@@ -364,12 +387,13 @@ def test_dataset_round_trip_keeps_every_config_field(dataset, tmp_path):
 def test_resolved_inputs_cover_all_fields(dataset):
     country = {c.name: c for c in dataset.countries}["Afghanistan"]
     report = evaluate_country(dataset, country)
-    assert set(report.provenance) == set(RESOLVABLE_FIELDS)
-    assert report.provenance["dmr_maize"] == "world-average"
-    assert report.provenance["pli_labor"] == "country"
-    assert report.provenance["discount_rate"] == "continent"
+    assert {k for k in report.values if k.startswith("src_")} \
+        == {f"src_{name}" for name in RESOLVABLE_FIELDS}
+    assert report.values["src_dmr_maize"] == "world-average"
+    assert report.values["src_pli_labor"] == "country"
+    assert report.values["src_discount_rate"] == "continent"
     assert resolve(dataset, country, "discount_rate") == (
-        report.resolved["discount_rate"], "continent")
+        report.values["discount_rate"], "continent")
 
 
 # ---------------------------------------------------------------------------

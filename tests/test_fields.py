@@ -131,13 +131,13 @@ def test_generated_rows_load_and_evaluate_or_name_the_cell(case):
         == [f"C{i}" for i in range(len(rows))]
     g = result.global_report
     assert all(math.isfinite(x) for x in (
-        g.total_cr_final, g.total_pellet_energy, g.total_s_ec, g.total_s_em,
-        g.total_fossil_consumption, g.replaced_fraction_overall))
+        g.cr_final_t, g.pellet_energy_tj, g.s_ec_usd_per_y, g.s_em_kgco2e_per_y,
+        g.fossil_consumption_tj, g.replaced_fraction_overall))
     profiles = {c.name: c for c in dataset.countries}
     for r in result.reports:
-        if r.plan is None:
+        if "rank_1" not in r.values:
             continue
-        alloc = r.plan.allocation
-        assert sum(alloc.values()) <= r.energy.pellet_energy * (1 + 1e-12)
+        alloc = {f: r.values[f"alloc_{f}_tj"] for f in FUELS}
+        assert sum(alloc.values()) <= r.values["pellet_energy_tj"] * (1 + 1e-12)
         for f in FUELS:
             assert alloc[f] <= profiles[r.country].amount(f"cons_{f}") * (1 + 1e-12)

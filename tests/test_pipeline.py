@@ -3,7 +3,7 @@ import random
 import pytest
 
 import agripellet.pipeline as pipeline_mod
-from agripellet.dataio import CROPS, DataError, FUELS
+from agripellet.dataio import CROPS, DataError, FUELS, RESOLVABLE_FIELDS
 from agripellet.pipeline import (
     GrowthResult,
     evaluate_country,
@@ -11,8 +11,12 @@ from agripellet.pipeline import (
     yoy_growth,
 )
 from agripellet.reporting import (
+    _SAME_AS,
+    ASSESS_COLUMNS,
+    MSP_COLUMNS,
+    PLOT_COLUMNS,
+    RECOP_COLUMNS,
     REPORT_COLUMNS,
-    global_totals,
     table_records,
     table_rows,
 )
@@ -30,10 +34,9 @@ def test_full_pipeline_clean_on_bundled_data(dataset):
 def test_global_totals_are_exact_sums(dataset):
     result = run_pipeline(dataset)
     g = result.global_report
-    assert g.total_cr_final == sum(r.assessment.cr_final for r in result.reports)
-    assert g.total_pellet_energy == sum(r.energy.pellet_energy for r in result.reports)
-    assert g.total_s_ec == sum(r.plan.s_ec for r in result.reports if r.plan)
-    assert g.total_s_em == sum(r.plan.s_em for r in result.reports if r.plan)
+    for key in ("cr_final_t", "pellet_energy_tj", "s_ec_usd_per_y", "s_em_kgco2e_per_y"):
+        assert getattr(g, key) == sum(r.values[key] for r in result.reports
+                                      if r.values.get(key) is not None)
 
 
 def test_single_country_dataset_matches_its_report():
@@ -42,12 +45,10 @@ def test_single_country_dataset_matches_its_report():
     result = run_pipeline(ds)
     (report,) = result.reports
     g = result.global_report
-    assert g.total_cr_final == report.assessment.cr_final
-    assert g.total_pellet_energy == report.energy.pellet_energy
-    assert g.total_s_ec == report.plan.s_ec
-    assert g.replaced_fraction_overall == pytest.approx(
-        report.plan.replaced_fraction_overall
-    )
+    assert g.cr_final_t == report.values["cr_final_t"]
+    assert g.pellet_energy_tj == report.values["pellet_energy_tj"]
+    assert g.s_ec_usd_per_y == report.values["s_ec_usd_per_y"]
+    assert g.replaced_fraction_overall == pytest.approx(report.values["replaced_overall_frac"])
 
 
 def test_country_filter(dataset):
@@ -93,13 +94,13 @@ def test_evaluation_is_deterministic(dataset):
     second = run_pipeline(dataset)
     assert table_rows(REPORT_COLUMNS, first) == table_rows(REPORT_COLUMNS, second)
     assert table_records(REPORT_COLUMNS, first) == table_records(REPORT_COLUMNS, second)
-    assert global_totals(first) == global_totals(second)
+    assert first.global_report == second.global_report
 
 
 def test_non_finite_global_total_raises():
     # each country's consumption is finite, their sum is not
     ds = make_dataset([make_profile(name=n, consumption={"coal": 1e308}) for n in "AB"])
-    with pytest.raises(DataError, match="non-finite global total total_fossil_consumption"):
+    with pytest.raises(DataError, match="non-finite global total fossil_consumption_tj$"):
         run_pipeline(ds, through="assess")
 
 
@@ -110,9 +111,9 @@ def test_zero_residue_country_gets_no_plan():
     ds = make_dataset([p])
     result = run_pipeline(ds)
     (report,) = result.reports
-    assert report.energy.pellet_energy == 0.0
-    assert report.plan is None
-    assert report.msp is not None  # plant economics do not need residues
+    assert report.values["pellet_energy_tj"] == 0.0
+    assert "rank_1" not in report.values  # no plan columns
+    assert report.values["msp_usd_per_t"] > 0  # plant economics do not need residues
     assert result.global_report.rank_first_counts == {f: 0 for f in FUELS}
 
 
@@ -120,11 +121,24 @@ def test_provenance_tags_cover_resolved_fields(dataset):
     countries = {c.name: c for c in dataset.countries}
     report = evaluate_country(dataset, countries["Afghanistan"])
     for c in CROPS:
-        assert report.provenance[f"dmr_{c}"] == "world-average"
-    assert report.provenance["pli_labor"] == "country"
-    assert report.provenance["discount_rate"] == "continent"
-    assert report.provenance["price_coal"] == "continent"
-    assert set(report.resolved) == set(report.provenance)
+        assert report.values[f"src_dmr_{c}"] == "world-average"
+    assert report.values["src_pli_labor"] == "country"
+    assert report.values["src_discount_rate"] == "continent"
+    assert report.values["src_price_coal"] == "continent"
+    assert all(f"src_{name}" in report.values for name in RESOLVABLE_FIELDS)
+
+
+def test_every_output_column_is_a_record_key(dataset):
+    """A full plan-stage record has a key for every column of every output, and
+    no other key: ``values.get`` would turn a misspelt column into an empty one."""
+    columns = {name for cols in (ASSESS_COLUMNS, MSP_COLUMNS, RECOP_COLUMNS, REPORT_COLUMNS,
+                                 *PLOT_COLUMNS.values())
+               for name in cols}
+    columns = {_SAME_AS.get(name, name) for name in columns}
+    planned = [r for r in run_pipeline(dataset).reports if "rank_1" in r.values]
+    assert len(planned) == 120
+    for report in planned:
+        assert set(report.values) == columns
 
 
 def test_report_schema_is_stable(dataset):

@@ -257,11 +257,14 @@ def test_tax_rate_near_one_solves(dataset, tax_rate):
     # the MSP grows like 1/(1 - tax_rate) but stays the exact inversion's
     profile = next(c for c in dataset.countries if c.name == "Afghanistan")
     profile = replace(profile, values={**profile.values, "tax_rate": tax_rate})
-    report = evaluate_country(dataset, profile, "msp")
-    inputs = report.msp.inputs
-    assert inputs.tr == tax_rate
-    assert math.isfinite(report.msp.msp) and math.isfinite(report.msp.npv_at_msp)
-    assert report.msp.msp == pytest.approx(float(exact_msp(inputs)), rel=1e-9)
+    v = evaluate_country(dataset, profile, "msp").values
+    assert v["tax_rate"] == tax_rate
+    cfg = dataset.config
+    inputs = BreakEvenInputs(capex=v["capex_usd"], opex=v["opex_usd_per_y"],
+                             q=cfg.plant_capacity, n=cfg.horizon_years, r=v["discount_rate"],
+                             tr=tax_rate, salvage_rate=cfg.salvage_rate, tfc=v["tfc_usd"])
+    assert math.isfinite(v["msp_usd_per_t"]) and math.isfinite(v["npv_at_msp_usd"])
+    assert v["msp_usd_per_t"] == pytest.approx(float(exact_msp(inputs)), rel=1e-9)
 
 
 @settings(max_examples=60, deadline=None)

@@ -143,23 +143,23 @@ def test_brute_force_equivalence_ten_countries():
         removable_sum = 0.0
         for c in CROPS:
             gross = p.values[f"prod_{c}"] * rtp[c]
-            assert report.assessment.cr_total[c] == pytest.approx(gross, rel=1e-9)
+            assert report.values[f"cr_total_{c}_t"] == pytest.approx(gross, rel=1e-9)
             removable = gross * srr[c] * p.values[f"dmr_{c}"]
-            assert report.assessment.cr_removable_dry[c] == pytest.approx(removable, rel=1e-9)
+            assert report.values[f"cr_removable_dry_{c}_t"] == pytest.approx(removable, rel=1e-9)
             removable_sum += removable
         feed = sum(p.values[a] * rates[a] * 365.0 / 1000.0 for a in rates)
         uses = feed + p.values["bagasse_bioenergy"] + p.values["other_bioenergy"] * 0.313 * 0.91
         expected_final = max(0.0, removable_sum - uses)
-        assert report.assessment.cr_final == pytest.approx(expected_final, rel=1e-9)
+        assert report.values["cr_final_t"] == pytest.approx(expected_final, rel=1e-9)
 
 
 def test_world_feed_use_near_reported_total(dataset):
     result = run_pipeline(dataset, through="assess")
-    total_feed = sum(r.assessment.feed_bedding_use for r in result.reports)
+    total_feed = sum(r.values["feed_bedding_use_t"] for r in result.reports)
     assert total_feed == pytest.approx(311.4e6, rel=0.03)
 
 
 def test_world_removable_consistency(dataset):
     result = run_pipeline(dataset, through="assess")
-    removable = sum(r.assessment.total_removable_dry for r in result.reports)
+    removable = sum(r.values["cr_removable_dry_t"] for r in result.reports)
     assert removable == pytest.approx(2.09e9, rel=0.02)

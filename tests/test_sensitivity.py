@@ -22,10 +22,10 @@ def replanned_grid(dataset, multipliers, pellet_prices):
     consumption = {c.name: {f: c.amount(f"cons_{f}") for f in FUELS}
                    for c in dataset.countries}
     countries = [
-        (r.energy.weighted_lhv, r.energy.pellet_energy,
-         {f: r.resolved[f"price_{f}"] for f in FUELS}, consumption[r.country])
+        (r.values["weighted_lhv_mj_per_kg"], r.values["pellet_energy_tj"],
+         {f: r.values[f"price_{f}"] for f in FUELS}, consumption[r.country])
         for r in baseline.reports
-        if r.energy.weighted_lhv is not None
+        if r.values["weighted_lhv_mj_per_kg"] is not None
     ]
     grid = {}
     for m in multipliers:
@@ -134,8 +134,8 @@ def test_baseline_uses_break_even_prices(market_dataset):
     grid = sweep(market_dataset)
     # the baseline is a real evaluation, not a grid cell
     baseline = grid.baseline.global_report
-    assert baseline.total_s_ec not in {v for v in grid.s_ec.values()}
-    assert baseline.total_s_em != 0.0
+    assert baseline.s_ec_usd_per_y not in {v for v in grid.s_ec.values()}
+    assert baseline.s_em_kgco2e_per_y != 0.0
 
 
 def test_csv_row_builders(market_dataset):
@@ -260,7 +260,7 @@ def test_overflowing_cell_rejected():
             consumption={"oil": 1e9})])
     (report,) = run_pipeline(dataset(500.0)).reports
     # oil takes every pellet TJ; price it so the baseline is finite and 1.75x is not
-    oil_price = 1.2e308 / report.plan.allocation["oil"] * 42.0e-3
+    oil_price = 1.2e308 / report.values["alloc_oil_tj"] * 42.0e-3
     grid = sweep(with_axes(dataset(oil_price), (1.0,), (10.0,)))
     assert grid.s_ec[(1.0, 10.0)] > 1e308
     with pytest.raises(DataError, match=r"non-finite sweep cell s_ec\(m=1.75, p=10\)"):
