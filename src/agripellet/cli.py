@@ -93,10 +93,7 @@ def _run_stage(args, stage: str, columns: tuple, stem: str) -> int:
     dataset = _load(args)
     result = run_pipeline(dataset, through=stage, countries=args.country)
     out_dir = Path(args.out)
-    if args.format == "json":
-        reporting.write_json(out_dir / f"{stem}.json", reporting.table_records(columns, result))
-    else:
-        reporting.write_csv(out_dir / f"{stem}.csv", reporting.table_rows(columns, result))
+    reporting.write_table(out_dir / f"{stem}.{args.format}", columns, result)
     print(f"wrote {out_dir / (stem + '.' + args.format)} "
           f"({len(result.reports)} countries)")
     return _finish(result, out_dir)

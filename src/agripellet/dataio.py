@@ -498,7 +498,7 @@ def load_config(path: str | Path) -> ModelConfig:
     if not path.exists():
         raise DataError(f"missing file: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path.name}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):

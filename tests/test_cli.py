@@ -7,7 +7,7 @@ import pytest
 from agripellet import reporting
 from agripellet.cli import main
 from agripellet.pipeline import STAGE_PLAN, run_pipeline
-from oracles import format_cell
+from oracles import format_cell, table_records, table_values
 
 
 def run_cli(*args):
@@ -63,7 +63,7 @@ def test_report_csvs_render_typed_values(dataset, data_dir, tmp_path):
             header, *rows = list(csv.reader(f))
         assert header == list(columns), name
         expected = [[format_cell(v) for v in row]
-                    for row in reporting._values(columns, result)]
+                    for row in table_values(columns, result)]
         assert len(rows) == len(expected) == 178
         for row, want in zip(rows, expected):
             assert row == want, (name, row[0])
@@ -82,7 +82,7 @@ def test_global_json_loads_to_in_process_payload(dataset, data_dir, tmp_path):
     assert run_cli("report", "--data", data_dir, "--out", tmp_path) == 0
     result = run_pipeline(dataset, through=STAGE_PLAN)
     expected = {"global": dataclasses.asdict(result.global_report),
-                **reporting.table_records(reporting.REPORT_COLUMNS, result)}
+                **table_records(reporting.REPORT_COLUMNS, result)}
     text = (tmp_path / "global.json").read_text(encoding="utf-8")
     assert typed(json.loads(text)) == typed(expected)
     # one country record per line

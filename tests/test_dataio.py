@@ -232,6 +232,10 @@ def test_byte_order_mark_is_skipped(data_dir, tmp_path):
     plain.write_text(series, encoding="utf-8")
     marked.write_text(series, encoding="utf-8-sig")
     assert load_series(marked) == load_series(plain) == {"A": [(2000, 1.0), (2001, 2.0)]}
+    config = (data_dir / "config.json").read_text(encoding="utf-8")
+    plain.write_text(config, encoding="utf-8")
+    marked.write_text(config, encoding="utf-8-sig")
+    assert load_config(marked) == load_config(plain)
 
 
 def test_missing_countries_file(tmp_path):

@@ -17,10 +17,9 @@ from agripellet.reporting import (
     PLOT_COLUMNS,
     RECOP_COLUMNS,
     REPORT_COLUMNS,
-    table_records,
-    table_rows,
 )
 from conftest import make_dataset, make_profile, synthetic_market_profiles
+from oracles import table_records, table_rows
 
 
 def test_full_pipeline_clean_on_bundled_data(dataset):
