@@ -13,10 +13,10 @@ from .dataio import (
     UnresolvableFieldError,
     load_dataset,
     resolve,
-    save_dataset,
 )
 from .pipeline import CountryReport, GlobalReport, PipelineResult, run_pipeline, yoy_growth
 from .pricing import BreakEvenInputs, MspResult, solve_msp
+from .reporting import save_dataset
 from .replacement import FuelEconomics, ReplacementPlan, build_plan
 from .residues import ResidueAssessment
 from .sensitivity import SensitivityGrid, sweep

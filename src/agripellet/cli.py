@@ -115,14 +115,8 @@ def cmd_sweep(args) -> int:
     dataset = _load(args)
     grid = sensitivity.sweep(dataset, countries=args.country)
     out_dir = Path(args.out)
-    if args.format == "json":
-        reporting.write_json(out_dir / "sensitivity.json",
-                             reporting.sensitivity_payload(grid))
-        print(f"wrote {out_dir / 'sensitivity.json'}")
-    else:
-        reporting.write_csv(out_dir / "sensitivity.csv", sensitivity.grid_rows_wide(grid))
-        reporting.write_csv(out_dir / "sensitivity_long.csv", sensitivity.grid_rows_long(grid))
-        print(f"wrote {out_dir / 'sensitivity.csv'} and {out_dir / 'sensitivity_long.csv'}")
+    paths = reporting.write_sweep_files(out_dir, grid, args.format)
+    print("wrote " + " and ".join(map(str, paths)))
     return _finish(grid.baseline, out_dir)
 
 
@@ -137,7 +131,6 @@ def cmd_report(args) -> int:
 
 def cmd_yoy(args) -> int:
     series = load_series(args.series)
-    out_dir = Path(args.out)
     results = {}
     failures = []
     for name in sorted(series):
@@ -145,21 +138,8 @@ def cmd_yoy(args) -> int:
             results[name] = yoy_growth(series[name])
         except DataError as exc:
             failures.append((name, str(exc)))
-    if args.format == "json":
-        payload = {
-            "series": {name: reporting.growth_payload(res) for name, res in results.items()},
-            "errors": [{"series": n, "message": m} for n, m in failures],
-        }
-        reporting.write_json(out_dir / "yoy.json", payload)
-        print(f"wrote {out_dir / 'yoy.json'}")
-    else:
-        rows = [["country", "year_from", "year_to", "growth"]]
-        for name, res in results.items():
-            for p in res.pairs:
-                rows.append([name, p.year_from, p.year_to, p.growth])
-            rows.append([name, "average", None, res.average])
-        reporting.write_csv(out_dir / "yoy.csv", rows)
-        print(f"wrote {out_dir / 'yoy.csv'}")
+    path = reporting.write_yoy_file(args.out, results, failures, args.format)
+    print(f"wrote {path}")
     for name, message in failures:
         print(f"{name}: {message}", file=sys.stderr)
     return 1 if failures else 0

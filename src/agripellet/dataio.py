@@ -5,7 +5,8 @@ skipped) with a header row ("-" or an empty cell means "no data") plus an
 optional JSON run configuration.  Loaded data is immutable; downstream modules
 treat a Dataset as read-only.  ``FIELDS`` describes each numeric
 ``countries.csv`` column once (header, model key, bound, fallback tier);
-loading, bounds checks, resolution and saving derive from it.
+loading, bounds checks, resolution and ``reporting.save_dataset`` derive
+from it.  This module only reads files; every output goes through ``reporting``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+import sys
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -170,7 +172,7 @@ class FuelProperties:
 
 def _is_finite_number(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)  # exact for an int beyond float range
 
 
 def _default_pellet_prices() -> tuple:
@@ -309,6 +311,8 @@ def parse_cell(raw: str) -> float | None:
     raw = raw.strip()
     if raw in ("", "-"):
         return None
+    if "_" in raw or not raw.isascii():  # float() also reads 1_000 and non-ASCII digits
+        raise DataError(f"not a number: {raw!r}")
     try:
         value = float(raw)  # period decimal separator, locale independent
     except ValueError:
@@ -546,31 +550,6 @@ def load_dataset(data_dir: str | Path, config: ModelConfig | str | Path | None =
         pellet_ef=pellet_ef,
         config=cfg,
     )
-
-
-def write_csv(path: str | Path, rows) -> None:
-    """Rows of typed cells: ``csv`` writes None as an empty cell and a float by ``repr``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerows(rows)
-
-
-def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
-    """Write a dataset back to CSV/JSON; reloading yields an equal Dataset."""
-    out_dir = Path(out_dir)
-    write_csv(out_dir / "crops.csv", [CROPS_COLUMNS] + [
-        [c, *(getattr(dataset.crops[c], f.key) for f in CROP_FIELDS)] for c in CROPS
-    ])
-    write_csv(out_dir / "fuels.csv", [FUELS_COLUMNS] + [
-        [name, *(getattr(dataset.fuel_properties[name], f.key) for f in FUEL_FIELDS)]
-        for name in FUELS
-    ] + [["pellet", None, dataset.pellet_ef]])
-    write_csv(out_dir / "countries.csv", [COUNTRIES_COLUMNS] + [
-        [c.name, c.continent, *(c.values[f.key] for f in FIELDS)] for c in dataset.countries
-    ])
-    (out_dir / "config.json").write_text(json.dumps(asdict(dataset.config), indent=2) + "\n",
-                                         encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,8 @@ def yoy_growth(series) -> GrowthResult:
     """Year-on-year growth fractions for a consecutive annual series.
 
     ``series`` is an iterable of (year, value).  Pairs with a zero base year
-    carry no growth figure and are excluded from the average.
+    carry no growth figure and are excluded from the average.  A growth or an
+    average beyond the float range raises a ``DataError``.
     """
     points = sorted((int(y), float(v)) for y, v in series)
     if len(points) < 2:
@@ -261,4 +262,7 @@ def yoy_growth(series) -> GrowthResult:
         pairs.append(GrowthPair(y0, y1, rate))
     if not rates:
         raise DataError("every base year is zero; growth is undefined")
-    return GrowthResult(pairs=tuple(pairs), average=sum(rates) / len(rates))
+    average = sum(rates) / len(rates)
+    if not math.isfinite(average):  # an infinite rate (each is >= -1) or an overflowing sum
+        raise DataError("growth is not a finite number")  # no value named: no output holds inf
+    return GrowthResult(pairs=tuple(pairs), average=average)

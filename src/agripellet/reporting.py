@@ -1,12 +1,14 @@
-"""Deterministic CSV/JSON serialization of pipeline results.
+"""Deterministic CSV/JSON serialization of every output file.
 
-Each per-country output is one tuple of column names, its only schema: a
-``CountryReport``'s values are keyed by those names, the CSV has one row of
-them per country, the JSON one record per country with the same keys in the
-same order.  Every per-country file is streamed in blocks of countries, each
-block rendered once, column by column, for all the files it goes to.  Adding
-countries never changes the schema, and two runs over identical inputs produce
-byte-identical files.
+Every file is written by one writer, ``_write_tables``, from a list of records
+(dicts keyed by column name) and one tuple of column names, its only schema: a
+CSV has one row of those columns per record, a JSON file its head members, the
+records as one list with the same keys in the same order, and its tail
+members.  The records are streamed in blocks, each block rendered once, column
+by column, for all the files it goes to.  The per-country outputs (a
+``CountryReport``'s values are keyed by their columns), the sweep grid, the
+``yoy`` statistics and a saved dataset all go through it, so two runs over
+identical inputs produce byte-identical files, and none holds NaN or infinity.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .dataio import CROPS, FUELS, PLI_COMPONENTS, RESOLVABLE_FIELDS
-from .dataio import write_csv  # the sweep's and yoy's CSVs are written through it
+from .dataio import (COUNTRIES_COLUMNS, CROP_FIELDS, CROPS, CROPS_COLUMNS, FIELDS, FUEL_FIELDS,
+                     FUELS, FUELS_COLUMNS, PLI_COMPONENTS, RESOLVABLE_FIELDS, Dataset)
 from .pipeline import PipelineResult
-from .sensitivity import SensitivityGrid
+from .sensitivity import SensitivityGrid, axis_label
 
 
 def _resolved(names) -> tuple:
@@ -84,12 +86,15 @@ PLOT_COLUMNS = {
 }
 _SAME_AS = {"top_fuel": "rank_1"}
 
+SWEEP_COLUMNS = ("fossil_multiplier", "pellet_price_usd_t", "s_ec_usd_per_y", "s_em_kgco2e_per_y")
+YOY_COLUMNS = ("country", "year_from", "year_to", "growth")
+
 
 # ---------------------------------------------------------------------------
 # File writers
 
 _encode = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
-_BLOCK = 512  # countries rendered and written at a time: bounds the text held in memory
+_BLOCK = 512  # records rendered and written at a time: bounds the text held in memory
 _needs_quotes = re.compile('[,"\r\n]').search  # the cells ``csv``'s default dialect quotes
 
 
@@ -152,15 +157,16 @@ def _json_member(key: str, value) -> str:
     return f"{_encode(key)}:{_encode(value)}"
 
 
-def _write_tables(result: PipelineResult, columns: tuple, csv_files: dict,
-                  json_file: Path | None = None, head: dict | None = None) -> None:
-    """Write every file of one per-country output in one pass over ``result.reports``.
+def _write_tables(records: list, columns: tuple, csv_files: dict,
+                  json_file: Path | None = None, head: dict | None = None,
+                  name: str = "", tail: dict | None = None) -> None:
+    """Write every file of one output in one pass over ``records``.
 
-    Each block of countries is rendered once, column by column, and appended to
+    Each block of records is rendered once, column by column, and appended to
     every file: ``csv_files`` maps a CSV path to its columns (names in ``columns``,
-    ``top_fuel`` read as ``rank_1``); ``json_file`` gets ``head``'s members, one
-    record of ``columns`` per country, and the failures.  On an error no file is
-    left behind.
+    ``top_fuel`` read as ``rank_1``); ``json_file`` gets ``head``'s members, the
+    list ``name`` holding one record of ``columns`` per record, then ``tail``'s
+    members.  On an error no file is left behind.
     """
     paths = [*csv_files, *([json_file] if json_file else [])]
     for path in paths:
@@ -175,47 +181,42 @@ def _write_tables(result: PipelineResult, columns: tuple, csv_files: dict,
             if json_file:
                 jf = stack.enter_context(json_file.open("w", encoding="utf-8"))
                 jf.write("{\n" + "".join(_json_member(k, v) + ",\n"
-                                         for k, v in (head or {}).items()) + '"countries":[')
+                                         for k, v in (head or {}).items()) + _encode(name) + ":[")
                 record = "{" + ",".join(_encode(c).replace("%", "%%") + ":%s"
                                         for c in columns) + "}"
-            reports = result.reports
-            for start in range(0, len(reports), _BLOCK):
-                block = [r.values for r in reports[start:start + _BLOCK]]
-                cells = [_render(name, list(map(dict.get, block, repeat(name))))
-                         for name in columns]
+            for start in range(0, len(records), _BLOCK):
+                block = records[start:start + _BLOCK]
+                cells = [_render(column, list(map(dict.get, block, repeat(column))))
+                         for column in columns]
                 for f, index in csvs:
                     f.write("\r\n".join(map(",".join, zip(*[cells[i][0] for i in index])))
                             + "\r\n")
                 if json_file:
-                    records = map(record.__mod__, zip(*[json for _, json in cells]))
-                    jf.write((",\n" if start else "\n") + ",\n".join(records))
+                    texts = map(record.__mod__, zip(*[json for _, json in cells]))
+                    jf.write((",\n" if start else "\n") + ",\n".join(texts))
             if json_file:
-                errors = [{"country": name, "message": msg} for name, msg in result.errors]
-                jf.write(("\n]" if reports else "]") + ",\n"
-                         + _json_member("errors", errors) + "\n}\n")
+                jf.write(("\n]" if records else "]")
+                         + "".join(",\n" + _json_member(k, v) for k, v in (tail or {}).items())
+                         + "\n}\n")
     except BaseException:
         for path in paths:
             path.unlink(missing_ok=True)
         raise
 
 
-def write_json(path: str | Path, payload: dict) -> None:
-    """Each top-level key on its own line and a list value one record per line, all
-    C-encoded (``json`` falls back to its pure-Python encoder whenever ``indent`` is set)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = ",\n".join(_json_member(key, value) for key, value in payload.items())
-    path.write_text("{\n" + text + "\n}\n", encoding="utf-8")
+def _errors(result: PipelineResult) -> dict:
+    return {"errors": [{"country": name, "message": msg} for name, msg in result.errors]}
 
 
 def write_table(path: str | Path, columns: tuple, result: PipelineResult) -> None:
     """One per-country output, as CSV or, for a ``.json`` path, as
     ``{"countries": [...], "errors": [...]}``."""
     path = Path(path)
+    records = [r.values for r in result.reports]
     if path.suffix == ".json":
-        _write_tables(result, columns, {}, path)
+        _write_tables(records, columns, {}, path, name="countries", tail=_errors(result))
     else:
-        _write_tables(result, columns, {path: columns})
+        _write_tables(records, columns, {path: columns})
 
 
 def write_errors_txt(path: str | Path, result: PipelineResult) -> None:
@@ -229,29 +230,69 @@ def write_report_files(out_dir: str | Path, result: PipelineResult) -> None:
     """The full fixed output set, written in one streamed pass: the wide CSV, its
     JSON records with the totals, and the plot CSVs (subsets of its columns)."""
     out_dir = Path(out_dir)
-    _write_tables(result, REPORT_COLUMNS,
+    _write_tables([r.values for r in result.reports], REPORT_COLUMNS,
                   {out_dir / "countries.csv": REPORT_COLUMNS,
                    **{out_dir / name: columns for name, columns in PLOT_COLUMNS.items()}},
-                  out_dir / "global.json", {"global": asdict(result.global_report)})
+                  out_dir / "global.json", {"global": asdict(result.global_report)},
+                  "countries", _errors(result))
 
 
-def sensitivity_payload(grid: SensitivityGrid) -> dict:
-    return {
-        "fossil_multipliers": list(grid.fossil_multipliers),
-        "pellet_prices_usd_per_t": list(grid.pellet_prices),
-        "baseline": {"s_ec_usd_per_y": grid.baseline.global_report.s_ec_usd_per_y,
-                     "s_em_kgco2e_per_y": grid.baseline.global_report.s_em_kgco2e_per_y},
-        "cells": [
-            {"fossil_multiplier": m, "pellet_price_usd_t": p,
-             "s_ec_usd_per_y": grid.s_ec[(m, p)], "s_em_kgco2e_per_y": grid.s_em[(m, p)]}
-            for m in grid.fossil_multipliers for p in grid.pellet_prices
-        ],
-    }
+def write_sweep_files(out_dir: str | Path, grid: SensitivityGrid, fmt: str) -> list:
+    """The sweep's files, returned as paths: ``sensitivity.json``, or the wide
+    ``sensitivity.csv`` (a row per multiplier, a column per pellet price, values
+    the global s_ec) and ``sensitivity_long.csv`` (a row per cell).  The CSVs
+    print each axis value as ``axis_label`` does, the JSON as a number."""
+    out_dir, ms, ps = Path(out_dir), grid.fossil_multipliers, grid.pellet_prices
+    label = axis_label if fmt == "csv" else (lambda value: value)
+    m_text, p_text = {m: label(m) for m in ms}, {p: label(p) for p in ps}  # one per axis value
+    cells = [{"fossil_multiplier": m_text[m], "pellet_price_usd_t": p_text[p],
+              "s_ec_usd_per_y": grid.s_ec[(m, p)], "s_em_kgco2e_per_y": grid.s_em[(m, p)]}
+             for m in ms for p in ps]
+    if fmt == "json":
+        baseline = grid.baseline.global_report
+        head = {"fossil_multipliers": list(ms), "pellet_prices_usd_per_t": list(ps),
+                "baseline": {"s_ec_usd_per_y": baseline.s_ec_usd_per_y,
+                             "s_em_kgco2e_per_y": baseline.s_em_kgco2e_per_y}}
+        _write_tables(cells, SWEEP_COLUMNS, {}, out_dir / "sensitivity.json", head, "cells")
+        return [out_dir / "sensitivity.json"]
+    wide, long = out_dir / "sensitivity.csv", out_dir / "sensitivity_long.csv"
+    columns = ("fossil_multiplier",) + tuple(f"pellet_{p_text[p]}_usd_t" for p in ps)
+    rows = [dict(zip(columns, (m_text[m], *(grid.s_ec[(m, p)] for p in ps)))) for m in ms]
+    _write_tables(rows, columns, {wide: columns})
+    _write_tables(cells, SWEEP_COLUMNS, {long: SWEEP_COLUMNS})
+    return [wide, long]
 
 
-def growth_payload(result) -> dict:
-    return {
-        "pairs": [{"year_from": p.year_from, "year_to": p.year_to, "growth": p.growth}
-                  for p in result.pairs],
-        "average": result.average,
-    }
+def write_yoy_file(out_dir: str | Path, results: dict, failures: list, fmt: str) -> Path:
+    """``yoy.csv``, a row per year pair and an ``average`` row per series, or ``yoy.json``,
+    each series' ``GrowthResult`` and the ``(name, message)`` failures; returns its path."""
+    path = Path(out_dir) / f"yoy.{fmt}"
+    if fmt == "json":
+        errors = [{"series": name, "message": message} for name, message in failures]
+        _write_tables(errors, ("series", "message"), {}, path,
+                      {"series": {name: asdict(res) for name, res in results.items()}}, "errors")
+    else:
+        rows = []
+        for name, res in results.items():
+            rows += ({"country": name, **asdict(pair)} for pair in res.pairs)
+            rows.append({"country": name, "year_from": "average", "growth": res.average})
+        _write_tables(rows, YOY_COLUMNS, {path: YOY_COLUMNS})
+    return path
+
+
+def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
+    """Write a dataset back to CSV/JSON; reloading yields an equal Dataset."""
+    out_dir = Path(out_dir)
+    crops = [{"crop": c, **{f.column: getattr(dataset.crops[c], f.key) for f in CROP_FIELDS}}
+             for c in CROPS]
+    fuels = [{"fuel": name, **{f.column: getattr(dataset.fuel_properties[name], f.key)
+                               for f in FUEL_FIELDS}} for name in FUELS]
+    fuels.append({"fuel": "pellet", "ef_kgco2e_per_t": dataset.pellet_ef})
+    countries = [{"country": c.name, "continent": c.continent,
+                  **{f.column: c.values[f.key] for f in FIELDS}} for c in dataset.countries]
+    for name, header, records in (("crops.csv", CROPS_COLUMNS, crops),
+                                  ("fuels.csv", FUELS_COLUMNS, fuels),
+                                  ("countries.csv", COUNTRIES_COLUMNS, countries)):
+        _write_tables(records, header, {out_dir / name: header})
+    (out_dir / "config.json").write_text(json.dumps(asdict(dataset.config), indent=2) + "\n",
+                                         encoding="utf-8")

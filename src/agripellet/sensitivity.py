@@ -10,7 +10,9 @@ allocates as the baseline plan does (each country at its own break-even price,
 
     s_ec(m, p) = m * sum(alloc_f * lcoe_f) - p * sum(alloc_f * pellet_lcoe(1))
 
-and ``s_em`` is the baseline's in every cell.
+and ``s_em`` is the baseline's in every cell.  ``reporting.write_sweep_files``
+writes the grid; its CSVs and this module's messages print an axis value by
+``axis_label``, exact for every value.
 """
 
 from __future__ import annotations
@@ -21,6 +23,13 @@ from dataclasses import dataclass, replace as dc_replace
 from .dataio import FUELS, DataError, Dataset
 from .pipeline import STAGE_PLAN, PipelineResult, run_pipeline
 from .replacement import fuel_lcoe
+
+
+def axis_label(value) -> str:
+    """An axis value as the sweep's CSVs and messages print it: its ``:g`` form
+    when that reads back as the same number, else its ``repr``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,8 @@ def sweep(dataset: Dataset, countries=None) -> SensitivityGrid:
     s_ec = {(m, p): m * a - p * b for m in cfg.fossil_multipliers for p in cfg.pellet_prices}
     for (m, p), value in s_ec.items():  # finite baseline plans can still overflow here
         if not math.isfinite(value):
-            raise DataError(f"non-finite sweep cell s_ec(m={m:g}, p={p:g}) = {value!r}")
+            raise DataError(f"non-finite sweep cell s_ec(m={axis_label(m)}, "
+                            f"p={axis_label(p)}) = {value!r}")
     return SensitivityGrid(
         fossil_multipliers=cfg.fossil_multipliers,
         pellet_prices=cfg.pellet_prices,
@@ -58,20 +68,3 @@ def sweep(dataset: Dataset, countries=None) -> SensitivityGrid:
         baseline=baseline,
     )
 
-
-def grid_rows_wide(grid: SensitivityGrid) -> list:
-    """Rows = multipliers, columns = pellet prices, values = global s_ec."""
-    header = ["fossil_multiplier"] + [f"pellet_{p:g}_usd_t" for p in grid.pellet_prices]
-    rows = [header]
-    for m in grid.fossil_multipliers:
-        rows.append([f"{m:g}"] + [grid.s_ec[(m, p)] for p in grid.pellet_prices])
-    return rows
-
-
-def grid_rows_long(grid: SensitivityGrid) -> list:
-    header = ["fossil_multiplier", "pellet_price_usd_t", "s_ec_usd_per_y", "s_em_kgco2e_per_y"]
-    rows = [header]
-    for m in grid.fossil_multipliers:
-        for p in grid.pellet_prices:
-            rows.append([f"{m:g}", f"{p:g}", grid.s_ec[(m, p)], grid.s_em[(m, p)]])
-    return rows

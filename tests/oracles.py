@@ -3,18 +3,22 @@
 The break-even solver as plain loops, linear in the horizon but plainly
 right, checks the closed forms in ``agripellet.pricing``; ``format_cell``
 spells out, one value at a time, the CSV cell each typed value is written as;
-and the reference writer builds each per-country file the plain way, typed
-rows through ``csv.writer`` and ``{column: value}`` records through
-``json``, against which ``agripellet.reporting``'s streamed writer is compared
-byte for byte.
+and the reference writer builds each output file the plain way, typed rows
+through ``csv.writer`` and whole dicts through ``json``, against which
+``agripellet.reporting``'s streamed writer is compared byte for byte: the
+per-country files, the sweep's, ``yoy``'s and a saved dataset's.
 """
 
+import csv
+import json
 from dataclasses import asdict
 from pathlib import Path
 
-from agripellet.dataio import DataError, write_csv
+from agripellet.dataio import (COUNTRIES_COLUMNS, CROP_FIELDS, CROPS, CROPS_COLUMNS, FIELDS,
+                               FUEL_FIELDS, FUELS, FUELS_COLUMNS, DataError)
 from agripellet.pricing import BreakEvenInputs, annual_cash_flow, salvage_value
-from agripellet.reporting import _SAME_AS, PLOT_COLUMNS, REPORT_COLUMNS, write_json
+from agripellet.reporting import _SAME_AS, PLOT_COLUMNS, REPORT_COLUMNS
+from agripellet.sensitivity import axis_label
 
 BISECTION_BRACKET = (0.0, 1e6)  # $/t
 
@@ -73,6 +77,31 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def write_csv(path, rows) -> None:
+    """Rows of typed cells: ``csv`` writes None as an empty cell and a float by ``repr``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(rows)
+
+
+_encode = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
+
+
+def write_json(path, payload: dict) -> None:
+    """Each top-level key on its own line and a non-empty list value one record
+    per line."""
+    members = []
+    for key, value in payload.items():
+        if isinstance(value, list) and value:
+            members.append(f"{_encode(key)}:[\n" + ",\n".join(map(_encode, value)) + "\n]")
+        else:
+            members.append(f"{_encode(key)}:{_encode(value)}")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("{\n" + ",\n".join(members) + "\n}\n", encoding="utf-8")
+
+
 def table_values(columns, result) -> list:
     """One list of typed values per evaluated country; a column its stage or a
     plan-less country leaves out reads None."""
@@ -109,3 +138,87 @@ def write_report_files(out_dir, result) -> None:
                                          **table_records(REPORT_COLUMNS, result)})
     for name, columns in PLOT_COLUMNS.items():
         write_csv(out_dir / name, table_rows(columns, result))
+
+
+def sensitivity_payload(grid) -> dict:
+    return {
+        "fossil_multipliers": list(grid.fossil_multipliers),
+        "pellet_prices_usd_per_t": list(grid.pellet_prices),
+        "baseline": {"s_ec_usd_per_y": grid.baseline.global_report.s_ec_usd_per_y,
+                     "s_em_kgco2e_per_y": grid.baseline.global_report.s_em_kgco2e_per_y},
+        "cells": [
+            {"fossil_multiplier": m, "pellet_price_usd_t": p,
+             "s_ec_usd_per_y": grid.s_ec[(m, p)], "s_em_kgco2e_per_y": grid.s_em[(m, p)]}
+            for m in grid.fossil_multipliers for p in grid.pellet_prices
+        ],
+    }
+
+
+def grid_rows_wide(grid) -> list:
+    """Rows = multipliers, columns = pellet prices, values = global s_ec."""
+    header = ["fossil_multiplier"] + [f"pellet_{axis_label(p)}_usd_t" for p in grid.pellet_prices]
+    rows = [header]
+    for m in grid.fossil_multipliers:
+        rows.append([axis_label(m)] + [grid.s_ec[(m, p)] for p in grid.pellet_prices])
+    return rows
+
+
+def grid_rows_long(grid) -> list:
+    header = ["fossil_multiplier", "pellet_price_usd_t", "s_ec_usd_per_y", "s_em_kgco2e_per_y"]
+    rows = [header]
+    for m in grid.fossil_multipliers:
+        for p in grid.pellet_prices:
+            rows.append([axis_label(m), axis_label(p), grid.s_ec[(m, p)], grid.s_em[(m, p)]])
+    return rows
+
+
+def write_sweep_files(out_dir, grid, fmt) -> list:
+    out_dir = Path(out_dir)
+    if fmt == "json":
+        write_json(out_dir / "sensitivity.json", sensitivity_payload(grid))
+        return [out_dir / "sensitivity.json"]
+    write_csv(out_dir / "sensitivity.csv", grid_rows_wide(grid))
+    write_csv(out_dir / "sensitivity_long.csv", grid_rows_long(grid))
+    return [out_dir / "sensitivity.csv", out_dir / "sensitivity_long.csv"]
+
+
+def growth_payload(result) -> dict:
+    return {
+        "pairs": [{"year_from": p.year_from, "year_to": p.year_to, "growth": p.growth}
+                  for p in result.pairs],
+        "average": result.average,
+    }
+
+
+def write_yoy_file(out_dir, results, failures, fmt):
+    out_dir = Path(out_dir)
+    if fmt == "json":
+        payload = {
+            "series": {name: growth_payload(res) for name, res in results.items()},
+            "errors": [{"series": n, "message": m} for n, m in failures],
+        }
+        write_json(out_dir / "yoy.json", payload)
+        return out_dir / "yoy.json"
+    rows = [["country", "year_from", "year_to", "growth"]]
+    for name, res in results.items():
+        for p in res.pairs:
+            rows.append([name, p.year_from, p.year_to, p.growth])
+        rows.append([name, "average", None, res.average])
+    write_csv(out_dir / "yoy.csv", rows)
+    return out_dir / "yoy.csv"
+
+
+def save_dataset(dataset, out_dir) -> None:
+    out_dir = Path(out_dir)
+    write_csv(out_dir / "crops.csv", [CROPS_COLUMNS] + [
+        [c, *(getattr(dataset.crops[c], f.key) for f in CROP_FIELDS)] for c in CROPS
+    ])
+    write_csv(out_dir / "fuels.csv", [FUELS_COLUMNS] + [
+        [name, *(getattr(dataset.fuel_properties[name], f.key) for f in FUEL_FIELDS)]
+        for name in FUELS
+    ] + [["pellet", None, dataset.pellet_ef]])
+    write_csv(out_dir / "countries.csv", [COUNTRIES_COLUMNS] + [
+        [c.name, c.continent, *(c.values[f.key] for f in FIELDS)] for c in dataset.countries
+    ])
+    (out_dir / "config.json").write_text(json.dumps(asdict(dataset.config), indent=2) + "\n",
+                                         encoding="utf-8")

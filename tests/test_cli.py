@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -283,8 +284,10 @@ def test_bad_sweep_axis_exits_2(data_dir, tmp_path, capsys, key, value):
     ("A,+2001,1", "series.csv line 3: year: not an integer: '+2001'"),
     ("A,\u0662\u0660\u0660\u0661,1",
      "series.csv line 3: year: not an integer: '\u0662\u0660\u0660\u0661'"),
+    ("A,2001,1_000", "series.csv line 3: value: not a number: '1_000'"),
 ], ids=["extra-column", "short-row", "empty-name", "negative", "fractional-year",
-        "missing", "nan", "inf", "1e400", "underscore-year", "signed-year", "arabic-indic-year"])
+        "missing", "nan", "inf", "1e400", "underscore-year", "signed-year", "arabic-indic-year",
+        "underscore-value"])
 def test_yoy_bad_input_exits_2(tmp_path, capsys, line, message):
     series = tmp_path / "series.csv"
     series.write_text(f"country,year,value\nA,2000,1\n{line}\nA,2002,2\n", encoding="utf-8")
@@ -311,6 +314,24 @@ def test_yoy_reports_every_row_of_the_wrong_width(tmp_path, capsys):
         "error: series.csv line 2: expected 3 columns, got 2",
         "error: series.csv line 3: expected 3 columns, got 2",
     ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_yoy_overflowing_series_fails_on_its_own(tmp_path, capsys, fmt):
+    series = tmp_path / "series.csv"
+    series.write_text("country,year,value\nA,2000,1e-300\nA,2001,1e300\nB,2000,1\nB,2001,2\n",
+                      encoding="utf-8")
+    assert run_cli("yoy", series, "--out", tmp_path, "--format", fmt) == 1
+    assert capsys.readouterr().err == "A: growth is not a finite number\n"
+    text = (tmp_path / f"yoy.{fmt}").read_text(encoding="utf-8")
+    assert not re.search("nan|inf", text, re.IGNORECASE)
+    if fmt == "json":
+        payload = json.loads(text)
+        assert list(payload["series"]) == ["B"]
+        assert payload["errors"] == [{"series": "A", "message": "growth is not a finite number"}]
+    else:
+        assert text.splitlines() == ["country,year_from,year_to,growth",
+                                     "B,2000,2001,1.0", "B,average,,1.0"]
 
 
 def test_yoy_subcommand(data_dir, tmp_path):

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from agripellet import save_dataset
 from agripellet.dataio import (
     COUNTRIES_COLUMNS,
     FIELD_BOUNDS,
@@ -19,7 +20,6 @@ from agripellet.dataio import (
     load_series,
     parse_cell,
     resolve,
-    save_dataset,
 )
 from agripellet.pipeline import evaluate_country, run_pipeline
 from agripellet.pricing import BreakEvenInputs
@@ -65,6 +65,17 @@ def test_non_finite_cell_rejected(tmp_path, raw):
     with pytest.raises(DataError, match=re.escape(
             "fuels.csv line 2: ef_kgco2e_per_t: not a finite")):
         load_fuels(fuels)
+
+
+# float() reads both, as it does 2_001 and non-ASCII digits in a year
+@pytest.mark.parametrize("raw", ["1_000", "\u0661\u0660"], ids=["underscore", "arabic-indic"])
+def test_python_only_number_spelling_rejected(tmp_path, raw):
+    with pytest.raises(DataError, match=re.escape(f"not a number: {raw!r}")):
+        parse_cell(raw)
+    countries = write_countries(tmp_path, [f"X,Y,{raw},,,,,,,,,,,,0,0,,,,,,,,,,,,"])
+    with pytest.raises(DataError, match=re.escape(
+            f"countries.csv line 2: prod_maize_t: not a number: {raw!r}")):
+        load_countries(countries)
 
 
 FUELS_CSV = ("fuel,lhv_mj_per_kg,ef_kgco2e_per_t\n"
@@ -276,6 +287,10 @@ def test_config_validation(tmp_path):
     ("pellet_prices", [10.0, 20.0, 10.0]),
     # the annuity factor needs float(horizon_years)
     pytest.param("horizon_years", 10**400, id="horizon_years-10**400"),
+    # an integer beyond float range is not a finite number
+    pytest.param("plant_capacity", 10**400, id="plant_capacity-10**400"),
+    pytest.param("carbon_tax", 10**400, id="carbon_tax-10**400"),
+    pytest.param("fossil_multipliers", [1.0, 10**400], id="fossil_multipliers-10**400"),
 ])
 def test_config_value_types_rejected(tmp_path, key, value):
     path = tmp_path / "config.json"

@@ -1,7 +1,9 @@
-"""The streamed per-country writer against the reference writer in ``oracles``."""
+"""The streamed writer against the reference writer in ``oracles``."""
 
 import dataclasses
+import json
 import math
+import random
 import tempfile
 from pathlib import Path
 
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 
 import oracles
 from agripellet import reporting
-from agripellet.pipeline import PipelineResult, run_pipeline
+from agripellet.dataio import DataError
+from agripellet.pipeline import PipelineResult, run_pipeline, yoy_growth
+from agripellet.sensitivity import sweep
 
 STAGES = {"assess": reporting.ASSESS_COLUMNS, "msp": reporting.MSP_COLUMNS,
           "recop": reporting.RECOP_COLUMNS}
@@ -35,17 +39,23 @@ def files(out: Path) -> dict:
             if p.is_file()}
 
 
-def assert_matches_oracle(result) -> dict:
-    """The two writers give the same file set, byte for byte; the streamed files."""
+def assert_same_files(write) -> dict:
+    """``write(writer, out_dir)`` gives the same file set, byte for byte, with
+    either writer; returns the streamed writer's files."""
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp) / "new", Path(tmp) / "old"
-        write_outputs(reporting, new, result)
-        write_outputs(oracles, old, result)
+        write(reporting, new)
+        write(oracles, old)
         written, expected = files(new), files(old)
     assert list(written) == list(expected)
     for name in written:
         assert written[name] == expected[name], name
     return written
+
+
+def assert_matches_oracle(result) -> dict:
+    """Every per-country file of ``result`` is written as the oracle writes it."""
+    return assert_same_files(lambda writer, out: write_outputs(writer, out, result))
 
 
 def renamed(report, name: str):
@@ -125,3 +135,62 @@ def test_non_finite_value_raises_and_leaves_no_file(bundled, tmp_path, bad):
                 with pytest.raises(ValueError, match="non-finite value in column"):
                     reporting.write_table(path, stage_columns, result)
                 assert not path.exists()
+
+
+def write_sweep(writer, out: Path, grid) -> None:
+    for fmt in ("csv", "json"):
+        assert writer.write_sweep_files(out / fmt, grid, fmt) == sorted((out / fmt).iterdir())
+
+
+def stratified(rng, lo, hi, count) -> tuple:
+    """One unrounded value inside each equal-width bin, as the benchmark's
+    ``sweep_fine_x1`` grid before it rounds: ``:g`` prints almost none exactly."""
+    step = (hi - lo) / count
+    return tuple(lo + step * (i + rng.uniform(0.05, 0.95)) for i in range(count))
+
+
+@pytest.mark.parametrize("axes", [
+    None,  # the config's default grid
+    ((1.0, 1.0000001, 3), (10, 10.000001, 0.1 + 0.2)),  # ints beside floats
+    (stratified(random.Random(1), 0.1, 1.9, 25), stratified(random.Random(2), 5.0, 200.0, 40)),
+], ids=["default", "near-repeats", "fine-unrounded"])
+def test_sweep_files_match_the_oracle(dataset, axes):
+    if axes:
+        dataset = dataclasses.replace(dataset, config=dataclasses.replace(
+            dataset.config, fossil_multipliers=axes[0], pellet_prices=axes[1]))
+    grid = sweep(dataset)
+    written = assert_same_files(lambda writer, out: write_sweep(writer, out, grid))
+    rows = len(grid.fossil_multipliers) * len(grid.pellet_prices)
+    assert written["csv/sensitivity_long.csv"].count(b"\r\n") == 1 + rows
+    assert written["json/sensitivity.json"].count(b'\n{"fossil_multiplier":') == rows
+
+
+values = st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(names, st.lists(values, min_size=2, max_size=4), max_size=4), names)
+def test_yoy_files_match_the_oracle(series, failed):
+    results, failures = {}, []
+    for name, points in sorted(series.items()):
+        try:
+            results[name] = yoy_growth(enumerate(points, start=2000))
+        except DataError as exc:  # every base year zero
+            failures.append((name, str(exc)))
+    failures.append((failed, "series must contain at least two years"))
+
+    def write(writer, out):
+        for fmt in ("csv", "json"):
+            assert writer.write_yoy_file(out, results, failures, fmt) == out / f"yoy.{fmt}"
+
+    written = assert_same_files(write)
+    assert json.loads(written["yoy.json"])["errors"][-1]["series"] == failed
+
+
+def test_saved_dataset_matches_the_oracle(dataset):
+    first, second, *rest = dataset.countries
+    renamed_countries = (dataclasses.replace(first, name='A, "quoted"'),
+                         dataclasses.replace(second, name="line\nbreak \u00e9"), *rest)
+    for ds in (dataset, dataclasses.replace(dataset, countries=renamed_countries)):
+        written = assert_same_files(lambda writer, out: writer.save_dataset(ds, out))
+        assert list(written) == ["config.json", "countries.csv", "crops.csv", "fuels.csv"]

@@ -1,3 +1,4 @@
+import csv
 import random
 from dataclasses import replace as dc_replace
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from agripellet.dataio import CROPS, FUELS, DataError, ModelConfig
 from agripellet.pipeline import STAGE_PLAN, run_pipeline
 from agripellet.replacement import build_economics, build_plan
-from agripellet.sensitivity import grid_rows_long, grid_rows_wide, sweep
+from agripellet.reporting import write_sweep_files
+from agripellet.sensitivity import sweep
 from conftest import make_dataset, make_profile, synthetic_market_profiles
 
 
@@ -138,16 +140,44 @@ def test_baseline_uses_break_even_prices(market_dataset):
     assert baseline.s_em_kgco2e_per_y != 0.0
 
 
-def test_csv_row_builders(market_dataset):
+def read_csv(path) -> list:
+    with path.open(newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))
+
+
+def test_csv_row_builders(market_dataset, tmp_path):
     grid = sweep(market_dataset)
-    wide = grid_rows_wide(grid)
+    wide_path, long_path = write_sweep_files(tmp_path, grid, "csv")
+    wide = read_csv(wide_path)
     assert len(wide) == 1 + 7
     assert len(wide[0]) == 1 + 11
     assert wide[0][0] == "fossil_multiplier"
-    long = grid_rows_long(grid)
+    long = read_csv(long_path)
     assert len(long) == 1 + 77
     assert long[0] == ["fossil_multiplier", "pellet_price_usd_t",
                        "s_ec_usd_per_y", "s_em_kgco2e_per_y"]
+
+
+@pytest.mark.parametrize("multipliers, prices", [
+    ((1.0, 1.0000001), (10.0, 10.000001)),  # :g prints 6 significant digits
+    ((0.25, 1.75), (10.0, 200.0)),           # :g is exact: the label keeps it
+    ((1 + 2**-52, 3), (0.1 + 0.2, 1e-7)),
+])
+def test_sweep_labels_read_back_as_the_grid(market_dataset, tmp_path, multipliers, prices):
+    grid = sweep(with_axes(market_dataset, multipliers, prices))
+    wide_path, long_path = write_sweep_files(tmp_path, grid, "csv")
+    wide = read_csv(wide_path)
+    header = wide[0]
+    assert len(set(header)) == len(header)
+    assert [float(name.removeprefix("pellet_").removesuffix("_usd_t"))
+            for name in header[1:]] == list(prices)
+    assert [float(row[0]) for row in wide[1:]] == list(multipliers)
+    long = read_csv(long_path)
+    assert [(float(m), float(p)) for m, p, *_ in long[1:]] \
+        == [(m, p) for m in multipliers for p in prices]
+    if multipliers == (0.25, 1.75):
+        assert header[1:] == ["pellet_10_usd_t", "pellet_200_usd_t"]
+        assert [row[0] for row in wide[1:]] == ["0.25", "1.75"]
 
 
 def test_countries_without_residue_contribute_nothing():
