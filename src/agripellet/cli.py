@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from . import reporting, sensitivity
@@ -74,7 +73,7 @@ def _load(args):
     overrides = {key: value for key in ("scenario", "carbon_tax")
                  if (value := getattr(args, key, None)) is not None}
     if overrides:
-        dataset = dc_replace(dataset, config=dc_replace(dataset.config, **overrides))
+        dataset = dataset._replace(config=dataset.config._replace(**overrides))
     return dataset
 
 
@@ -162,6 +161,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path the system refuses, e.g. an --out that names a file
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,7 @@ operating side).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dataio import DataError
 
@@ -31,8 +31,7 @@ INSURANCE_TAX_REF = 101_600.0   # not index scaled
 ADDITIONAL_REF = 76_200.0       # not index scaled
 
 
-@dataclass(frozen=True)
-class CostEstimate:
+class CostEstimate(NamedTuple):
     epc: float              # equipment purchase cost, $
     capex: float            # $
     opex_total: float       # $/y

@@ -12,10 +12,10 @@ from it.  This module only reads files; every output goes through ``reporting``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -112,7 +112,7 @@ COUNTRIES_COLUMNS = ("country", "continent") + tuple(f.column for f in FIELDS)
 RESOLVABLE_FIELDS = tuple(f.key for f in FIELDS if f.fallback)
 FIELD_BOUNDS = {f.key: f.bound for f in FIELDS}
 
-# The numeric cells of crops.csv and fuels.csv; keys are the dataclass attributes.
+# The numeric cells of crops.csv and fuels.csv; keys are the record fields.
 CROP_FIELDS = (
     Field("rtp", "rtp", POSITIVE),
     Field("srr", "srr", UNIT_INTERVAL),
@@ -137,19 +137,41 @@ def _check_fields(obj, table: tuple) -> None:
         raise DataError(problems)
 
 
-@dataclass(frozen=True)
-class CropCoefficients:
+class CheckedRecord:
+    """Mixin for a record whose constructor checks its fields.
+
+    A ``NamedTuple`` can define no ``__new__`` and take no mixin, so a checked
+    record is a ``NamedTuple`` of its fields plus a subclass of this mixin and
+    that tuple which defines ``_check``.  ``_replace`` builds through the
+    constructor, so a changed copy is checked again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class _CropCoefficients(NamedTuple):
     rtp: float          # residue per ton produced, t/t
     srr: float          # removable fraction, 0..1
     dmr_default: float  # world-average dry matter fraction, 0..1
     lhv: float          # MJ/kg
 
-    def __post_init__(self):
+
+class CropCoefficients(CheckedRecord, _CropCoefficients):
+    __slots__ = ()
+
+    def _check(self):
         _check_fields(self, CROP_FIELDS)
 
 
-@dataclass(frozen=True)
-class LivestockRates:
+class LivestockRates(NamedTuple):
     """Residue consumed per animal for feed/bedding, kg/day."""
 
     cattle: float = 0.375
@@ -161,12 +183,15 @@ class LivestockRates:
         return getattr(self, animal)
 
 
-@dataclass(frozen=True)
-class FuelProperties:
+class _FuelProperties(NamedTuple):
     lhv: float  # MJ/kg
     ef: float   # kgCO2e/t
 
-    def __post_init__(self):
+
+class FuelProperties(CheckedRecord, _FuelProperties):
+    __slots__ = ()
+
+    def _check(self):
         _check_fields(self, FUEL_FIELDS)
 
 
@@ -175,12 +200,7 @@ def _is_finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)  # exact for an int beyond float range
 
 
-def _default_pellet_prices() -> tuple:
-    return tuple(10.0 + 19.0 * i for i in range(11))  # 10 .. 200 $/t inclusive
-
-
-@dataclass(frozen=True)
-class ModelConfig:
+class _ModelConfig(NamedTuple):
     plant_capacity: float = 40_080.0      # t pellets/y
     horizon_years: int = 20
     salvage_rate: float = 0.10            # fraction of total fixed capital
@@ -189,9 +209,20 @@ class ModelConfig:
     scenario: str = "A"
     carbon_tax: float = 0.0               # $/tCO2e, scenario C only
     fossil_multipliers: tuple = (0.25, 0.50, 0.75, 1.00, 1.25, 1.50, 1.75)
-    pellet_prices: tuple = field(default_factory=_default_pellet_prices)
+    pellet_prices: tuple = tuple(10.0 + 19.0 * i for i in range(11))  # 10 .. 200 $/t inclusive
 
-    def __post_init__(self):
+
+class ModelConfig(CheckedRecord, _ModelConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        # a config file gives the axes as lists; the record holds them as tuples
+        # (the base's _replace builds without a second check)
+        return _ModelConfig._replace(self, fossil_multipliers=tuple(self.fossil_multipliers),
+                                     pellet_prices=tuple(self.pellet_prices))
+
+    def _check(self):
         problems = [f"{name} must be a finite number, got {getattr(self, name)!r}"
                     for name in ("plant_capacity", "salvage_rate", "tfc_capex_ratio",
                                  "pellet_efficiency", "carbon_tax")
@@ -223,12 +254,9 @@ class ModelConfig:
                 problems.append(f"{name} must not repeat a value, got {list(axis)!r}")
         if problems:
             raise DataError(problems)
-        object.__setattr__(self, "fossil_multipliers", tuple(self.fossil_multipliers))
-        object.__setattr__(self, "pellet_prices", tuple(self.pellet_prices))
 
 
-@dataclass(frozen=True)
-class CountryProfile:
+class CountryProfile(NamedTuple):
     name: str
     continent: str
     values: dict  # FIELDS key -> float, None where the cell is empty
@@ -238,8 +266,7 @@ class CountryProfile:
         return self.values[key] or 0.0
 
 
-@dataclass(frozen=True)
-class Dataset:
+class _Dataset(NamedTuple):
     crops: dict               # CropCoefficients per crop
     livestock_rates: LivestockRates
     countries: tuple          # CountryProfile, input file order
@@ -247,7 +274,11 @@ class Dataset:
     pellet_ef: float
     config: ModelConfig
 
-    def __post_init__(self):
+
+class Dataset(CheckedRecord, _Dataset):
+    # no __slots__: the cached_property below keeps its table in the instance __dict__
+
+    def _check(self):
         problems = []
         seen = set()
         for c in self.countries:
@@ -346,16 +377,24 @@ def _read_rows(path: Path, *headers: tuple) -> tuple:
     """``(header, [(lineno, cells)])`` of a CSV whose header is one of ``headers``.
 
     Blank lines are skipped; every other row must have the header's width,
-    and every row that has not is named in one ``DataError``.
+    and every row that has not is named in one ``DataError``.  A file that is
+    not UTF-8 text, or that ``csv`` cannot split, is a ``DataError`` naming
+    the line.
     """
     if not path.exists():
         raise DataError(f"missing file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise DataError(f"{path.name}: empty file, header row required") from None
+    raw = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a byte-order mark
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path.name} line {line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path.name}: empty file, header row required")
+        header = tuple(h.strip() for h in first)
         if header not in headers:
             raise DataError(f"{path.name}: header mismatch, expected "
                             + " or ".join(",".join(h) for h in headers))
@@ -369,6 +408,8 @@ def _read_rows(path: Path, *headers: tuple) -> tuple:
                     f"{path.name} line {lineno}: expected {len(header)} columns, got {len(row)}"
                 )
             rows.append((lineno, row))
+    except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
+        raise DataError(f"{path.name} line {reader.line_num}: {exc}") from None
     if problems:
         raise DataError(problems)
     return header, rows
@@ -503,12 +544,11 @@ def load_config(path: str | Path) -> ModelConfig:
         raise DataError(f"missing file: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and ints over 4,300 digits
         raise DataError(f"{path.name}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path.name}: top-level object required")
-    known = {f.name for f in fields(ModelConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(ModelConfig._fields)
     if unknown:
         raise DataError(f"{path.name}: unknown config keys {sorted(unknown)}")
     try:

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dataio import CROPS
 from .residues import ResidueAssessment
 
 
-@dataclass(frozen=True)
-class EnergyPotential:
+class EnergyPotential(NamedTuple):
     weighted_lhv: float | None  # MJ/kg, None when there is no residue at all
     pellet_mass: float          # t/y surviving pelletization
     pellet_energy: float        # TJ/y

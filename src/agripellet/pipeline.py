@@ -9,8 +9,8 @@ byte-identical downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
 from .dataio import CROPS, FUELS, PLI_COMPONENTS, CountryProfile, DataError, Dataset, resolve
@@ -21,14 +21,12 @@ STAGE_PLAN = "plan"
 _STAGE_ORDER = (STAGE_ASSESS, STAGE_MSP, STAGE_PLAN)
 
 
-@dataclass(frozen=True)
-class CountryReport:
+class CountryReport(NamedTuple):
     country: str
     values: dict  # output column name -> typed value, for each column its stage computes
 
 
-@dataclass(frozen=True)
-class GlobalReport:
+class GlobalReport(NamedTuple):
     """The ``global`` object of ``global.json``, its fields named as its keys."""
 
     countries_evaluated: int
@@ -42,8 +40,7 @@ class GlobalReport:
     rank_first_counts: dict       # fuel -> number of countries ranking it first
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     reports: tuple       # CountryReport, sorted by country name
     global_report: GlobalReport
     errors: tuple        # (country, message), sorted by country name
@@ -213,7 +210,7 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
         replaced_fraction_overall=total_alloc / total_cons if total_cons > 0 else 0.0,
         rank_first_counts=rank_first,
     )
-    bad = _non_finite(vars(global_report).items())
+    bad = _non_finite(global_report._asdict().items())
     if bad:
         raise DataError(f"non-finite global total {bad}")
     return PipelineResult(reports=tuple(reports), global_report=global_report,
@@ -223,15 +220,13 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
 # ---------------------------------------------------------------------------
 # Year-on-year production growth (reporting statistic)
 
-@dataclass(frozen=True)
-class GrowthPair:
+class GrowthPair(NamedTuple):
     year_from: int
     year_to: int
     growth: float | None  # None when the base year is zero
 
 
-@dataclass(frozen=True)
-class GrowthResult:
+class GrowthResult(NamedTuple):
     pairs: tuple
     average: float  # mean growth over pairs with a nonzero base year
 

@@ -12,13 +12,13 @@ bisection on it are kept in the test suite as the reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .dataio import BELOW_ONE, FIELD_BOUNDS, HORIZON, NONNEGATIVE, POSITIVE, DataError
+from .dataio import (BELOW_ONE, FIELD_BOUNDS, HORIZON, NONNEGATIVE, POSITIVE, CheckedRecord,
+                     DataError)
 
 
-@dataclass(frozen=True)
-class BreakEvenInputs:
+class _BreakEvenInputs(NamedTuple):
     capex: float          # $
     opex: float           # $/y
     q: float              # pellet output, t/y
@@ -28,7 +28,11 @@ class BreakEvenInputs:
     salvage_rate: float   # fraction of tfc recovered at end of horizon
     tfc: float            # depreciable fixed capital, $
 
-    def __post_init__(self):
+
+class BreakEvenInputs(CheckedRecord, _BreakEvenInputs):
+    __slots__ = ()
+
+    def _check(self):
         # the bounds the loader and ModelConfig check the same quantities against
         problems = []
         POSITIVE.check("q", self.q, problems)
@@ -42,8 +46,7 @@ class BreakEvenInputs:
             raise DataError(problems)
 
 
-@dataclass(frozen=True)
-class AnnualCashFlow:
+class AnnualCashFlow(NamedTuple):
     """One plant year at the MSP; every year of the horizon is the same.
 
     Year t's discounted flow is ``cash_flow * (1 + r) ** -t``, and their sum
@@ -56,8 +59,7 @@ class AnnualCashFlow:
     annuity_factor: float  # sum of (1 + r)^-t over t = 1..n
 
 
-@dataclass(frozen=True)
-class MspResult:
+class MspResult(NamedTuple):
     msp: float                 # $/t
     npv_at_msp: float          # $
     annual_trace: AnnualCashFlow  # one plant year at the MSP

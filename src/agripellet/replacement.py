@@ -10,7 +10,7 @@ negative under crashed fossil prices; they are deliberately not clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dataio import FUELS
 
@@ -30,8 +30,7 @@ def emission_intensity(ef: float, lhv: float) -> float:
     return ef / (lhv * 1e-3)
 
 
-@dataclass(frozen=True)
-class FuelEconomics:
+class FuelEconomics(NamedTuple):
     fuel_lcoe: dict         # $/TJ
     fuel_intensity: dict    # kgCO2e/TJ
     pellet_lcoe: float      # $/TJ
@@ -50,8 +49,7 @@ def build_economics(fuel_prices: dict, fuel_properties: dict,
     )
 
 
-@dataclass(frozen=True)
-class ReplacementPlan:
+class ReplacementPlan(NamedTuple):
     scenario: str
     carbon_tax: float
     ranking: tuple            # (fuel, score $/TJ or kgCO2e/TJ) best first

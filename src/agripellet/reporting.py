@@ -17,7 +17,6 @@ import json
 import math
 import re
 from contextlib import ExitStack
-from dataclasses import asdict
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -233,7 +232,7 @@ def write_report_files(out_dir: str | Path, result: PipelineResult) -> None:
     _write_tables([r.values for r in result.reports], REPORT_COLUMNS,
                   {out_dir / "countries.csv": REPORT_COLUMNS,
                    **{out_dir / name: columns for name, columns in PLOT_COLUMNS.items()}},
-                  out_dir / "global.json", {"global": asdict(result.global_report)},
+                  out_dir / "global.json", {"global": result.global_report._asdict()},
                   "countries", _errors(result))
 
 
@@ -270,11 +269,12 @@ def write_yoy_file(out_dir: str | Path, results: dict, failures: list, fmt: str)
     if fmt == "json":
         errors = [{"series": name, "message": message} for name, message in failures]
         _write_tables(errors, ("series", "message"), {}, path,
-                      {"series": {name: asdict(res) for name, res in results.items()}}, "errors")
+                      {"series": {name: {**res._asdict(), "pairs": [p._asdict() for p in res.pairs]}
+                                  for name, res in results.items()}}, "errors")
     else:
         rows = []
         for name, res in results.items():
-            rows += ({"country": name, **asdict(pair)} for pair in res.pairs)
+            rows += ({"country": name, **pair._asdict()} for pair in res.pairs)
             rows.append({"country": name, "year_from": "average", "growth": res.average})
         _write_tables(rows, YOY_COLUMNS, {path: YOY_COLUMNS})
     return path
@@ -294,5 +294,5 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
                                   ("fuels.csv", FUELS_COLUMNS, fuels),
                                   ("countries.csv", COUNTRIES_COLUMNS, countries)):
         _write_tables(records, header, {out_dir / name: header})
-    (out_dir / "config.json").write_text(json.dumps(asdict(dataset.config), indent=2) + "\n",
+    (out_dir / "config.json").write_text(json.dumps(dataset.config._asdict(), indent=2) + "\n",
                                          encoding="utf-8")

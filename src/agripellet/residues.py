@@ -3,7 +3,7 @@ competing uses, and the tonnage left over for pelletization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dataio import ANIMALS, CROPS, CountryProfile, Dataset, LivestockRates
 
@@ -16,8 +16,7 @@ OTHER_BIOENERGY_ATTRIBUTION = CEREAL_SHARE * BIG_THREE_CEREAL_SHARE
 DAYS_PER_YEAR = 365.0
 
 
-@dataclass(frozen=True)
-class ResidueAssessment:
+class ResidueAssessment(NamedTuple):
     country: str
     cr_total: dict            # t/y fresh residue per crop
     cr_removable_dry: dict    # t/y dry removable per crop

@@ -18,7 +18,7 @@ writes the grid; its CSVs and this module's messages print an axis value by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from typing import NamedTuple
 
 from .dataio import FUELS, DataError, Dataset
 from .pipeline import STAGE_PLAN, PipelineResult, run_pipeline
@@ -32,8 +32,7 @@ def axis_label(value) -> str:
     return text if float(text) == value else repr(value)
 
 
-@dataclass(frozen=True)
-class SensitivityGrid:
+class SensitivityGrid(NamedTuple):
     fossil_multipliers: tuple
     pellet_prices: tuple
     s_ec: dict    # (multiplier, price) -> $/y
@@ -44,8 +43,8 @@ class SensitivityGrid:
 def sweep(dataset: Dataset, countries=None) -> SensitivityGrid:
     """The grid on the config's axes over the countries (all, or the named
     subset) that evaluate."""
-    cfg = dc_replace(dataset.config, scenario="A")
-    baseline = run_pipeline(dc_replace(dataset, config=cfg), through=STAGE_PLAN,
+    cfg = dataset.config._replace(scenario="A")
+    baseline = run_pipeline(dataset._replace(config=cfg), through=STAGE_PLAN,
                             countries=countries)
     a = b = 0.0
     for r in baseline.reports:
@@ -59,7 +58,7 @@ def sweep(dataset: Dataset, countries=None) -> SensitivityGrid:
     for (m, p), value in s_ec.items():  # finite baseline plans can still overflow here
         if not math.isfinite(value):
             raise DataError(f"non-finite sweep cell s_ec(m={axis_label(m)}, "
-                            f"p={axis_label(p)}) = {value!r}")
+                            f"p={axis_label(p)})")  # no value named: no output holds inf
     return SensitivityGrid(
         fossil_multipliers=cfg.fossil_multipliers,
         pellet_prices=cfg.pellet_prices,

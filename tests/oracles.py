@@ -11,7 +11,6 @@ per-country files, the sweep's, ``yoy``'s and a saved dataset's.
 
 import csv
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 from agripellet.dataio import (COUNTRIES_COLUMNS, CROP_FIELDS, CROPS, CROPS_COLUMNS, FIELDS,
@@ -134,7 +133,7 @@ def write_report_files(out_dir, result) -> None:
     """``countries.csv``, ``global.json`` and the plot CSVs, each built on its own."""
     out_dir = Path(out_dir)
     write_csv(out_dir / "countries.csv", table_rows(REPORT_COLUMNS, result))
-    write_json(out_dir / "global.json", {"global": asdict(result.global_report),
+    write_json(out_dir / "global.json", {"global": result.global_report._asdict(),
                                          **table_records(REPORT_COLUMNS, result)})
     for name, columns in PLOT_COLUMNS.items():
         write_csv(out_dir / name, table_rows(columns, result))
@@ -220,5 +219,5 @@ def save_dataset(dataset, out_dir) -> None:
     write_csv(out_dir / "countries.csv", [COUNTRIES_COLUMNS] + [
         [c.name, c.continent, *(c.values[f.key] for f in FIELDS)] for c in dataset.countries
     ])
-    (out_dir / "config.json").write_text(json.dumps(asdict(dataset.config), indent=2) + "\n",
+    (out_dir / "config.json").write_text(json.dumps(dataset.config._asdict(), indent=2) + "\n",
                                          encoding="utf-8")

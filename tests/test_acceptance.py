@@ -4,7 +4,6 @@ pass/fail line into the terminal summary (see conftest)."""
 import csv
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -131,11 +130,11 @@ def test_criterion_06_hand_anchor_and_tax_neutrality():
         # tax neutrality at r = 0 holds in the regime its premise describes:
         # total taxable income over the horizon is zero, i.e. the depreciable
         # base covers the whole capital outlay (tfc = capex)
-        neutral = replace(anchor, tfc=anchor.capex)
+        neutral = anchor._replace(tfc=anchor.capex)
         msp0 = solve_msp(neutral).msp
         spread = 0.0
         for tr in (0.1, 0.25, 0.4, 0.6, 0.9):
-            msp_tr = solve_msp(replace(neutral, tr=tr)).msp
+            msp_tr = solve_msp(neutral._replace(tr=tr)).msp
             spread = max(spread, abs(msp_tr - msp0) / msp0)
         assert spread <= 1e-6, spread
         return f"msp {msp:.4f} $/t, max tax spread {spread:.1e} (fully depreciated base)"
@@ -229,7 +228,7 @@ def test_criterion_10_global_totals_and_scenario_inequality(dataset):
             assert g.s_ec_usd_per_y == sum(v["s_ec_usd_per_y"] for v in planned)
             assert g.s_em_kgco2e_per_y == sum(v["s_em_kgco2e_per_y"] for v in planned)
             assert g.cr_final_t == sum(r.values["cr_final_t"] for r in result_a.reports)
-            result_b = run_pipeline(replace(ds, config=replace(ds.config, scenario="B")))
+            result_b = run_pipeline(ds._replace(config=ds.config._replace(scenario="B")))
             assert not result_b.errors
             assert result_b.global_report.s_em_kgco2e_per_y > g.s_em_kgco2e_per_y
             details.append(

@@ -1,7 +1,10 @@
 import csv
-import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +85,7 @@ def typed(value):
 def test_global_json_loads_to_in_process_payload(dataset, data_dir, tmp_path):
     assert run_cli("report", "--data", data_dir, "--out", tmp_path) == 0
     result = run_pipeline(dataset, through=STAGE_PLAN)
-    expected = {"global": dataclasses.asdict(result.global_report),
+    expected = {"global": result.global_report._asdict(),
                 **table_records(reporting.REPORT_COLUMNS, result)}
     text = (tmp_path / "global.json").read_text(encoding="utf-8")
     assert typed(json.loads(text)) == typed(expected)
@@ -268,6 +271,14 @@ def test_bad_sweep_axis_exits_2(data_dir, tmp_path, capsys, key, value):
     code = run_cli("sweep", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+def test_non_finite_carbon_tax_flag_exits_2(data_dir, tmp_path, capsys):
+    """A --carbon-tax override is checked as config.json's carbon_tax is."""
+    out = tmp_path / "out"
+    assert run_cli("recop", "--data", data_dir, "--carbon-tax", "nan", "--out", out) == 2
+    assert capsys.readouterr().err == "error: carbon_tax must be a finite number, got nan\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line, message", [
@@ -508,3 +519,40 @@ def test_fractional_horizon_exits_2(data_dir, tmp_path, capsys):
     code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
     assert code == 2
     assert "horizon_years" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    b'{"plant_capacity": 1' + b"0" * 5000 + b"}",  # beyond int()'s 4,300-digit limit
+    b"[" * 100_000,                                  # deeper than the decoder recurses
+    json.dumps({"plant_capacity": 1000.0}).encode("utf-16"),
+], ids=["5001-digit-int", "deep-nesting", "utf-16"])
+def test_unparsable_config_exits_2(data_dir, tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.json: invalid JSON (") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "yoy"])
+def test_out_naming_a_file_exits_2(data_dir, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    inputs = (data_dir / "production_series.csv",) if command == "yoy" else ("--data", data_dir)
+    assert run_cli(command, *inputs, "--out", taken) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err and err.count("\n") == 1
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """The records are NamedTuples: starting the CLI imports neither module,
+    which together cost tens of milliseconds of start-up."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import agripellet.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

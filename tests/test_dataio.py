@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import fields, replace
 
 import pytest
 
@@ -249,6 +248,37 @@ def test_byte_order_mark_is_skipped(data_dir, tmp_path):
     assert load_config(marked) == load_config(plain)
 
 
+CSV_READERS = {
+    "countries.csv": (load_countries, COUNTRY_HEADER + "\nA,K" + "," * 26 + "\n"),
+    "crops.csv": (load_crops, "crop,rtp,srr,dmr_world,lhv_mj_per_kg\nmaize,1,0.5,0.7,17\n"),
+    "fuels.csv": (load_fuels, "fuel,lhv_mj_per_kg,ef_kgco2e_per_t\ncoal,23.9,2592\n"),
+    "series.csv": (load_series, "country,year,value\nA,2000,1\nA,2001,2\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_READERS))
+@pytest.mark.parametrize("kind, message", [
+    ("latin-1", "line 2: not UTF-8 text (invalid continuation byte)"),
+    ("utf-16", "line 1: not UTF-8 text (invalid start byte)"),
+    ("huge-cell", "line 2: field larger than field limit (131072)"),
+], ids=["latin-1", "utf-16", "huge-cell"])
+def test_undecodable_or_unsplittable_csv_names_the_file(tmp_path, name, kind, message):
+    """Every input CSV reader turns bad bytes and cells ``csv`` refuses into a DataError."""
+    reader, text = CSV_READERS[name]
+    header, first, rest = text.split("\n", 2)
+    if kind == "latin-1":
+        data = (header + "\n\u00e1" + first + "\n" + rest).encode("latin-1")  # an 'á'
+    elif kind == "utf-16":
+        data = text.encode("utf-16")
+    else:
+        data = (header + "\n" + "x" * 131_073 + first + "\n" + rest).encode("utf-8")
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(DataError) as exc:
+        reader(path)
+    assert exc.value.problems == [f"{name} {message}"]
+
+
 def test_missing_countries_file(tmp_path):
     with pytest.raises(DataError, match="missing file"):
         load_dataset(tmp_path)
@@ -397,8 +427,8 @@ def test_dataset_round_trip_keeps_every_config_field(dataset, tmp_path):
                       carbon_tax=35.0, fossil_multipliers=(0.5, 2.0),
                       pellet_prices=(15.0, 30.0, 45.0))
     default = ModelConfig()
-    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(ModelConfig))
-    changed = replace(dataset, config=cfg)
+    assert all(getattr(cfg, name) != getattr(default, name) for name in ModelConfig._fields)
+    changed = dataset._replace(config=cfg)
     save_dataset(changed, tmp_path)
     assert load_dataset(tmp_path) == changed
 

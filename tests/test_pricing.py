@@ -1,7 +1,6 @@
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,12 +45,12 @@ def test_depreciation_reference(reference_inputs):
 def test_depreciation_full_salvage(reference_inputs):
     # salvage_rate must stay below 1; at the largest value below it almost
     # nothing is left to depreciate
-    inputs = replace(reference_inputs, salvage_rate=math.nextafter(1.0, 0.0))
+    inputs = reference_inputs._replace(salvage_rate=math.nextafter(1.0, 0.0))
     assert depreciation(inputs) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_depreciation_one_year_no_salvage(reference_inputs):
-    inputs = replace(reference_inputs, n=1, salvage_rate=0.0)
+    inputs = reference_inputs._replace(n=1, salvage_rate=0.0)
     assert depreciation(inputs) == inputs.tfc
 
 
@@ -77,8 +76,8 @@ def test_reference_msp_anchor(reference_inputs):
 
 def test_msp_zero_when_base_npv_is_zero(reference_inputs):
     # no OPEX and a CAPEX equal to the tax shield plus salvage: NPV(0) = 0
-    free = replace(reference_inputs, opex=0.0, tr=0.3, capex=0.0)
-    inputs = replace(free, capex=npv(0.0, free))
+    free = reference_inputs._replace(opex=0.0, tr=0.3, capex=0.0)
+    inputs = free._replace(capex=npv(0.0, free))
     assert npv(0.0, inputs) == pytest.approx(0.0, abs=1e-6)
     assert solve_msp(inputs).msp == pytest.approx(0.0, abs=1e-9)
 
@@ -135,10 +134,10 @@ def test_msp_monotone_responses():
     for _ in range(100):
         inputs = random_break_even_inputs(rng)
         base = solve_msp_closed_form(inputs)
-        assert solve_msp_closed_form(replace(inputs, opex=inputs.opex * 1.2)) >= base
-        assert solve_msp_closed_form(replace(inputs, capex=inputs.capex * 1.2)) >= base
-        assert solve_msp_closed_form(replace(inputs, r=inputs.r + 0.05)) >= base
-        assert solve_msp_closed_form(replace(inputs, q=inputs.q * 1.5)) <= base
+        assert solve_msp_closed_form(inputs._replace(opex=inputs.opex * 1.2)) >= base
+        assert solve_msp_closed_form(inputs._replace(capex=inputs.capex * 1.2)) >= base
+        assert solve_msp_closed_form(inputs._replace(r=inputs.r + 0.05)) >= base
+        assert solve_msp_closed_form(inputs._replace(q=inputs.q * 1.5)) <= base
 
 
 def test_msp_scales_with_costs():
@@ -146,7 +145,7 @@ def test_msp_scales_with_costs():
     for _ in range(50):
         inputs = random_break_even_inputs(rng)
         k = rng.uniform(0.1, 8.0)
-        scaled = replace(inputs, capex=k * inputs.capex, opex=k * inputs.opex,
+        scaled = inputs._replace(capex=k * inputs.capex, opex=k * inputs.opex,
                          tfc=k * inputs.tfc)
         assert solve_msp_closed_form(scaled) == pytest.approx(
             k * solve_msp_closed_form(inputs), rel=1e-9
@@ -161,7 +160,7 @@ def test_tax_neutral_at_zero_discount_when_fully_depreciated():
                        r=0.0, tr=0.0, salvage_rate=0.10, tfc=6_540_000.0)
     msp0 = solve_msp(base).msp
     for tr in (0.1, 0.25, 0.4, 0.6, 0.9):
-        msp_tr = solve_msp(replace(base, tr=tr)).msp
+        msp_tr = solve_msp(base._replace(tr=tr)).msp
         assert msp_tr == pytest.approx(msp0, rel=1e-6)
         # and total taxable income over the horizon really is zero
         revenue, _, _ = annual_cash_flow(msp_tr, base)
@@ -174,7 +173,7 @@ def test_tax_raises_msp_when_capital_exceeds_depreciable_base(reference_inputs):
     depreciated, so taxable income at break-even stays positive and a higher
     tax rate pushes the break-even price up, even at r = 0."""
     msp0 = solve_msp(reference_inputs).msp
-    msp_taxed = solve_msp(replace(reference_inputs, tr=0.3)).msp
+    msp_taxed = solve_msp(reference_inputs._replace(tr=0.3)).msp
     assert msp_taxed > msp0 * (1.0 + 1e-4)
 
 
@@ -187,23 +186,23 @@ def test_tax_rate_one_rejected():
 @pytest.mark.parametrize("r", [5e-324, 1e-17, 1e-12, 1e-7])
 def test_tiny_discount_rate_solves(reference_inputs, r):
     # 1 + r rounds to 1.0 below r = 1.1e-16; the annuity must not collapse to 0
-    inputs = replace(reference_inputs, r=r)
+    inputs = reference_inputs._replace(r=r)
     result = solve_msp(inputs)
     discounted = sum((1.0 + r) ** -t for t in range(1, inputs.n + 1))
     assert result.annual_trace.annuity_factor == pytest.approx(discounted, rel=1e-9)
     assert abs(npv(result.msp, inputs)) <= 0.01
-    assert result.msp == pytest.approx(solve_msp(replace(inputs, r=0.0)).msp, rel=1e-5)
+    assert result.msp == pytest.approx(solve_msp(inputs._replace(r=0.0)).msp, rel=1e-5)
 
 
 def test_salvage_rate_one_rejected(reference_inputs):
     # the same [0, 1) range as ModelConfig.salvage_rate
     with pytest.raises(DataError, match="salvage_rate"):
-        replace(reference_inputs, salvage_rate=1.0)
+        reference_inputs._replace(salvage_rate=1.0)
 
 
 def test_bisection_bracket_guard(reference_inputs):
     # an OPEX of 1e12 $/y puts the root near 2.5e7 $/t, above the oracle's bracket
-    inputs = replace(reference_inputs, opex=1e12)
+    inputs = reference_inputs._replace(opex=1e12)
     assert solve_msp(inputs).msp > 1e6
     with pytest.raises(DataError, match="bracket"):
         solve_msp_bisection(inputs)
@@ -213,7 +212,7 @@ def test_long_horizon_solves_in_constant_time(reference_inputs):
     # the horizon enters through the annuity factor alone, so 1e9 years cost
     # what 20 do; the MSP tends to the perpetuity's (no depreciation, salvage
     # or annuity tail left at 1e9 years and r = 8%)
-    inputs = replace(reference_inputs, n=10**9, r=0.08, tr=0.25)
+    inputs = reference_inputs._replace(n=10**9, r=0.08, tr=0.25)
     start = time.perf_counter()
     result = solve_msp(inputs)
     elapsed = time.perf_counter() - start
@@ -227,16 +226,16 @@ def test_long_horizon_solves_in_constant_time(reference_inputs):
 def test_horizon_beyond_float_rejected(reference_inputs):
     # the annuity factor needs float(n) exact; 10**400 cannot even be a float
     with pytest.raises(DataError, match=r"n: must be in \[1, 9007199254740992\]"):
-        replace(reference_inputs, n=10**400)
+        reference_inputs._replace(n=10**400)
 
 
 def test_zero_rate_solves_up_to_largest_exact_horizon(reference_inputs):
     # float(n) is exact up to 2**53, so the zero-rate annuity factor n is too
-    result = solve_msp(replace(reference_inputs, n=2**53))
+    result = solve_msp(reference_inputs._replace(n=2**53))
     assert math.isfinite(result.msp) and result.annual_trace.annuity_factor == 2**53
     with pytest.raises(DataError, match=r"n: must be in \[1, 9007199254740992\], "
                                         r"got 9007199254740993"):
-        replace(reference_inputs, n=2**53 + 1)
+        reference_inputs._replace(n=2**53 + 1)
 
 
 def exact_msp(inputs: BreakEvenInputs) -> Fraction:
@@ -256,7 +255,7 @@ def exact_msp(inputs: BreakEvenInputs) -> Fraction:
 def test_tax_rate_near_one_solves(dataset, tax_rate):
     # the MSP grows like 1/(1 - tax_rate) but stays the exact inversion's
     profile = next(c for c in dataset.countries if c.name == "Afghanistan")
-    profile = replace(profile, values={**profile.values, "tax_rate": tax_rate})
+    profile = profile._replace(values={**profile.values, "tax_rate": tax_rate})
     v = evaluate_country(dataset, profile, "msp").values
     assert v["tax_rate"] == tax_rate
     cfg = dataset.config

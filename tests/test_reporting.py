@@ -1,6 +1,5 @@
 """The streamed writer against the reference writer in ``oracles``."""
 
-import dataclasses
 import json
 import math
 import random
@@ -59,7 +58,7 @@ def assert_matches_oracle(result) -> dict:
 
 
 def renamed(report, name: str):
-    return dataclasses.replace(report, country=name, values={**report.values, "country": name})
+    return report._replace(country=name, values={**report.values, "country": name})
 
 
 def copies(result, count: int, errors=()):
@@ -104,9 +103,9 @@ def test_all_failed_run_writes_headers_and_an_empty_list(bundled):
 ])
 def test_edited_values_match_the_oracle(bundled, column, value, name, cell):
     result = copies(bundled, 3)
-    reports = tuple(dataclasses.replace(r, values={**r.values, column: value})
+    reports = tuple(r._replace(values={**r.values, column: value})
                     for r in result.reports)
-    written = assert_matches_oracle(dataclasses.replace(result, reports=reports))
+    written = assert_matches_oracle(result._replace(reports=reports))
     assert written[name].count(cell) == 3
 
 
@@ -118,9 +117,9 @@ def test_edited_values_match_the_oracle(bundled, column, value, name, cell):
 ], ids=["nan-and-inf", "beside-empty-cell"])
 def test_non_finite_value_raises_and_leaves_no_file(bundled, tmp_path, bad):
     result = copies(bundled, 2)
-    reports = tuple(dataclasses.replace(r, values={**r.values, **change})
+    reports = tuple(r._replace(values={**r.values, **change})
                     for r, change in zip(result.reports, bad))
-    result = dataclasses.replace(result, reports=reports)
+    result = result._replace(reports=reports)
     columns = {name for change in bad for name in change}
     with pytest.raises(ValueError, match="non-finite value in column"):
         reporting.write_report_files(tmp_path / "report", result)
@@ -156,8 +155,8 @@ def stratified(rng, lo, hi, count) -> tuple:
 ], ids=["default", "near-repeats", "fine-unrounded"])
 def test_sweep_files_match_the_oracle(dataset, axes):
     if axes:
-        dataset = dataclasses.replace(dataset, config=dataclasses.replace(
-            dataset.config, fossil_multipliers=axes[0], pellet_prices=axes[1]))
+        dataset = dataset._replace(config=dataset.config._replace(
+            fossil_multipliers=axes[0], pellet_prices=axes[1]))
     grid = sweep(dataset)
     written = assert_same_files(lambda writer, out: write_sweep(writer, out, grid))
     rows = len(grid.fossil_multipliers) * len(grid.pellet_prices)
@@ -189,8 +188,8 @@ def test_yoy_files_match_the_oracle(series, failed):
 
 def test_saved_dataset_matches_the_oracle(dataset):
     first, second, *rest = dataset.countries
-    renamed_countries = (dataclasses.replace(first, name='A, "quoted"'),
-                         dataclasses.replace(second, name="line\nbreak \u00e9"), *rest)
-    for ds in (dataset, dataclasses.replace(dataset, countries=renamed_countries)):
+    renamed_countries = (first._replace(name='A, "quoted"'),
+                         second._replace(name="line\nbreak \u00e9"), *rest)
+    for ds in (dataset, dataset._replace(countries=renamed_countries)):
         written = assert_same_files(lambda writer, out: writer.save_dataset(ds, out))
         assert list(written) == ["config.json", "countries.csv", "crops.csv", "fuels.csv"]
