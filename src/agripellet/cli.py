@@ -82,7 +82,7 @@ def _finish(result, out_dir: Path) -> int:
     reporting.write_errors_txt(out_dir / "errors.txt", result)
     if result.errors:
         print(f"{len(result.errors)} of "
-              f"{len(result.errors) + len(result.reports)} countries failed "
+              f"{len(result.errors) + result.global_report.countries_evaluated} countries failed "
               f"(see {out_dir / 'errors.txt'})", file=sys.stderr)
         return 1
     return 0
@@ -94,7 +94,7 @@ def _run_stage(args, stage: str, columns: tuple, stem: str) -> int:
     out_dir = Path(args.out)
     reporting.write_table(out_dir / f"{stem}.{args.format}", columns, result)
     print(f"wrote {out_dir / (stem + '.' + args.format)} "
-          f"({len(result.reports)} countries)")
+          f"({result.global_report.countries_evaluated} countries)")
     return _finish(result, out_dir)
 
 
@@ -124,7 +124,7 @@ def cmd_report(args) -> int:
     result = run_pipeline(dataset, through=STAGE_PLAN, countries=args.country)
     out_dir = Path(args.out)
     reporting.write_report_files(out_dir, result)
-    print(f"wrote report for {len(result.reports)} countries to {out_dir}")
+    print(f"wrote report for {result.global_report.countries_evaluated} countries to {out_dir}")
     return _finish(result, out_dir)
 
 
@@ -140,7 +140,7 @@ def cmd_yoy(args) -> int:
     path = reporting.write_yoy_file(args.out, results, failures, args.format)
     print(f"wrote {path}")
     for name, message in failures:
-        print(f"{name}: {message}", file=sys.stderr)
+        print(f"{reporting.one_line(name)}: {message}", file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dataio import DataError
+from .dataio import PLI_COMPONENTS, DataError
 
 # Capital cascade (US$)
 EPC_REF = 1_249_570.0    # equipment purchase cost
@@ -37,41 +37,54 @@ class CostEstimate(NamedTuple):
     opex_total: float       # $/y
 
 
-def capital_costs(construction_index: float) -> tuple:
-    """(equipment purchase cost, CAPEX) for one country; every line scales with the index.
+def _check_index(label: str, index: float) -> None:
+    if index <= 0:
+        raise DataError(f"{label} index must be > 0, got {index}")
+
+
+def _capital_columns(construction: list) -> tuple:
+    """(equipment purchase cost, CAPEX) columns; every line scales with the index.
 
     CAPEX is the total fixed capital (direct, indirect and miscellaneous
     cost) plus working capital and start-up on top of it.
     """
-    if construction_index <= 0:
-        raise DataError(f"construction index must be > 0, got {construction_index}")
-    epc = EPC_REF * construction_index
-    direct = DIRECT_FACTOR * epc
-    indirect = INDIRECT_FACTOR * direct
-    tfc = direct + indirect + MISC_FACTOR * (direct + indirect)
-    return epc, tfc + WORKING_CAPITAL_FACTOR * tfc + STARTUP_FACTOR * tfc
+    epc = [EPC_REF * index for index in construction]
+    direct = [DIRECT_FACTOR * e for e in epc]
+    indirect = [INDIRECT_FACTOR * d for d in direct]
+    tfc = [d + i + MISC_FACTOR * (d + i) for d, i in zip(direct, indirect)]
+    return epc, [t + WORKING_CAPITAL_FACTOR * t + STARTUP_FACTOR * t for t in tfc]
 
 
-def operating_costs(labor_index: float, raw_material_index: float,
-                    electricity_index: float, construction_index: float) -> float:
+def _operating_column(labor: list, raw_material: list, electricity: list,
+                      construction: list) -> list:
     """Annual OPEX, $/y.
 
     All three labor lines (base, overhead, supervision) scale with the labor
     index; maintenance follows construction; insurance/tax and additional
     expenses are not scaled.
     """
-    for label, idx in (("labor", labor_index), ("raw material", raw_material_index),
-                       ("electricity", electricity_index), ("construction", construction_index)):
-        if idx <= 0:
-            raise DataError(f"{label} index must be > 0, got {idx}")
-    return sum((
-        RAW_MATERIAL_REF * raw_material_index,
-        (LABOR_REF + LABOR_OVERHEAD_REF + LABOR_SUPERVISION_REF) * labor_index,
-        UTILITIES_REF * electricity_index,
-        MAINTENANCE_REF * construction_index,
-        INSURANCE_TAX_REF,
-        ADDITIONAL_REF,
-    ))
+    labor_ref = LABOR_REF + LABOR_OVERHEAD_REF + LABOR_SUPERVISION_REF
+    return [sum((RAW_MATERIAL_REF * m, labor_ref * lab, UTILITIES_REF * e, MAINTENANCE_REF * c,
+                 INSURANCE_TAX_REF, ADDITIONAL_REF))
+            for lab, m, e, c in zip(labor, raw_material, electricity, construction)]
+
+
+def capital_costs(construction_index: float) -> tuple:
+    """(equipment purchase cost, CAPEX) for one country."""
+    _check_index("construction", construction_index)
+    (epc,), (capex,) = _capital_columns([construction_index])
+    return epc, capex
+
+
+def operating_costs(labor_index: float, raw_material_index: float,
+                    electricity_index: float, construction_index: float) -> float:
+    """Annual OPEX of one country, $/y."""
+    for label, index in (("labor", labor_index), ("raw material", raw_material_index),
+                         ("electricity", electricity_index),
+                         ("construction", construction_index)):
+        _check_index(label, index)
+    return _operating_column([labor_index], [raw_material_index], [electricity_index],
+                             [construction_index])[0]
 
 
 def estimate_costs(pli: dict) -> CostEstimate:
@@ -83,3 +96,30 @@ def estimate_costs(pli: dict) -> CostEstimate:
     opex = operating_costs(pli["labor"], pli["raw_material"], pli["electricity"],
                            pli["construction"])
     return CostEstimate(epc=epc, capex=capex, opex_total=opex)
+
+
+def cost_failures(columns: dict) -> dict:
+    """Row -> message for each row whose price level indexes (``pli_<component>``
+    lists) ``estimate_costs`` rejects, with its message; a row is scanned only
+    when a column holds a value that is not > 0."""
+    pli = [columns[f"pli_{p}"] for p in PLI_COMPONENTS]
+    if all(min(col, default=1.0) > 0 for col in pli):
+        return {}
+    failures = {}
+    for row, indexes in enumerate(zip(*pli)):
+        try:
+            estimate_costs(dict(zip(PLI_COMPONENTS, indexes)))
+        except DataError as exc:
+            failures[row] = str(exc)
+    return failures
+
+
+def cost_columns(columns: dict) -> dict:
+    """The columns ``epc_usd``, ``capex_usd`` and ``opex_usd_per_y`` from the
+    price level index columns ``pli_<component>``, each index > 0 (see
+    ``cost_failures``)."""
+    construction = columns["pli_construction"]
+    epc, capex = _capital_columns(construction)
+    opex = _operating_column(columns["pli_labor"], columns["pli_raw_material"],
+                             columns["pli_electricity"], construction)
+    return {"epc_usd": epc, "capex_usd": capex, "opex_usd_per_y": opex}

@@ -400,7 +400,9 @@ def _read_rows(path: Path, *headers: tuple) -> tuple:
                             + " or ".join(",".join(h) for h in headers))
         rows = []
         problems = []
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1  # a row is named by the line it starts on
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(header):

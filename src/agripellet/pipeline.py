@@ -1,19 +1,23 @@
-"""End-to-end per-country evaluation and global aggregation.
+"""End-to-end evaluation of every country, column by column, and global aggregation.
 
-Countries are evaluated independently and failures are isolated: one country
-with unresolvable data lands in the error list without aborting the rest.
-Output ordering is by country name, so repeated runs over the same inputs are
-byte-identical downstream.
+Each stage runs once over all the countries: their inputs are gathered into
+one list per field (each resolvable field through ``resolve``, once per
+country), and each stage module's column function turns lists keyed by column
+into more of them.  The result is those columns, one row per evaluated
+country.  Failures are isolated: a country that fails a stage's check leaves
+every column at once and lands in the error list without aborting the rest,
+with the message its first failure gives.  Output ordering is by country name,
+so repeated runs over the same inputs are byte-identical downstream.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
-from .dataio import CROPS, FUELS, PLI_COMPONENTS, CountryProfile, DataError, Dataset, resolve
+from .dataio import CROPS, FUELS, PLI_COMPONENTS, DataError, Dataset, resolve
+from .replacement import PLAN_COLUMNS
 
 STAGE_ASSESS = "assess"
 STAGE_MSP = "msp"
@@ -41,136 +45,108 @@ class GlobalReport(NamedTuple):
 
 
 class PipelineResult(NamedTuple):
-    reports: tuple       # CountryReport, sorted by country name
+    columns: dict        # output column -> list, a row per evaluated country by name
     global_report: GlobalReport
     errors: tuple        # (country, message), sorted by country name
 
-
-def evaluate_country(dataset: Dataset, profile: CountryProfile,
-                     through: str = STAGE_PLAN) -> CountryReport:
-    """Evaluate one country up to the requested stage.
-
-    ``assess`` stops after residues and energy, ``msp`` adds plant costs and
-    the break-even price, ``plan`` adds the fuel replacement plan.  Later
-    stages resolve more input fields and so can fail on sparser datasets.
-    Each resolved input is recorded as its value ``X`` and fallback tier
-    ``src_X``; a country without residue gets no plan columns.  A NaN or
-    infinite number among the values or the plan's ranking scores raises a
-    ``DataError``.
-    """
-    if through not in _STAGE_ORDER:
-        raise ValueError(f"unknown stage {through!r}")
-    depth = _STAGE_ORDER.index(through)
-    cfg = dataset.config
-    resolved = {}
-
-    def field(name):
-        resolved[name], resolved[f"src_{name}"] = resolve(dataset, profile, name)
-        return resolved[name]
-
-    assessment = residues.assess_country(dataset, profile,
-                                         {c: field(f"dmr_{c}") for c in CROPS})
-    potential = energy.energy_for(assessment, dataset.crops, cfg.pellet_efficiency)
-    values = {
-        "country": profile.name,
-        "continent": profile.continent,
-        **{f"cr_total_{c}_t": assessment.cr_total[c] for c in CROPS},
-        **{f"cr_removable_dry_{c}_t": assessment.cr_removable_dry[c] for c in CROPS},
-        "cr_removable_dry_t": assessment.total_removable_dry,
-        "feed_bedding_use_t": assessment.feed_bedding_use,
-        "bagasse_bioenergy_use_t": assessment.bioenergy_use_bagasse,
-        "other_bioenergy_attributed_t": assessment.bioenergy_use_other_attributed,
-        "cr_final_t": assessment.cr_final,
-        "use_saturated": assessment.use_saturated,
-        "weighted_lhv_mj_per_kg": potential.weighted_lhv,
-        "pellet_mass_t": potential.pellet_mass,
-        "pellet_energy_tj": potential.pellet_energy,
-    }
-    scores = ()
-    if depth >= 1:
-        cost = costs.estimate_costs({p: field(f"pli_{p}") for p in PLI_COMPONENTS})
-        inputs = pricing.BreakEvenInputs(
-            capex=cost.capex,
-            opex=cost.opex_total,
-            q=cfg.plant_capacity,
-            n=cfg.horizon_years,
-            r=field("discount_rate"),
-            tr=field("tax_rate"),
-            salvage_rate=cfg.salvage_rate,
-            tfc=cost.capex * cfg.tfc_capex_ratio,
-        )
-        msp = pricing.solve_msp(inputs, weighted_lhv=potential.weighted_lhv)
-        trace = msp.annual_trace
-        values.update({
-            "epc_usd": cost.epc,
-            "tfc_usd": inputs.tfc,
-            "capex_usd": cost.capex,
-            "opex_usd_per_y": cost.opex_total,
-            "msp_usd_per_t": msp.msp,
-            "msp_usd_per_tj": msp.msp_per_tj,
-            "npv_at_msp_usd": msp.npv_at_msp,
-            "revenue_usd_per_y": trace.revenue,
-            "tax_usd_per_y": trace.tax,
-            "cash_flow_usd_per_y": trace.cash_flow,
-            "annuity_factor": trace.annuity_factor,
-        })
-    if depth >= 2:
-        prices = {f: field(f"price_{f}") for f in FUELS}
-        if potential.weighted_lhv is not None:  # no residue, no pellet heating value: no plan
-            econ = replacement.build_economics(
-                prices,
-                dataset.fuel_properties,
-                msp.msp,
-                potential.weighted_lhv,
-                dataset.pellet_ef,
-            )
-            plan = replacement.build_plan(
-                potential.pellet_energy,
-                {f: profile.amount(f"cons_{f}") for f in FUELS},
-                econ,
-                cfg.scenario,
-                cfg.carbon_tax,
-            )
-            values.update({
-                "scenario": plan.scenario,
-                "carbon_tax_usd_per_tco2e": plan.carbon_tax,
-                **{f"rank_{i}": f for i, (f, _) in enumerate(plan.ranking, start=1)},
-                **{f"alloc_{f}_tj": plan.allocation[f] for f in FUELS},
-                **{f"replaced_{f}_frac": plan.replaced_fraction[f] for f in FUELS},
-                "replaced_overall_frac": plan.replaced_fraction_overall,
-                "unused_pellet_tj": plan.unused_pellet_energy,
-                "s_ec_usd_per_y": plan.s_ec,
-                "s_em_kgco2e_per_y": plan.s_em,
-            })
-            # the scores order rank_1..3 without being columns, and can overflow alone
-            scores = [(f"score_{f}", score) for f, score in plan.ranking]
-    values.update(resolved)
-    bad = _non_finite(chain(values.items(), scores))
-    if bad:
-        raise DataError(f"non-finite {bad} for {profile.name!r}")
-    return CountryReport(profile.name, values)
+    @property
+    def reports(self) -> tuple:
+        """One ``CountryReport`` per evaluated country, built from the columns
+        when read; a country without a plan has no plan columns."""
+        columns = self.columns
+        plan = columns.get("rank_1")
+        unplanned = {name: columns[name] for name in columns if name not in PLAN_COLUMNS}
+        return tuple(
+            CountryReport(country, {name: col[row] for name, col in
+                                    (columns if plan and plan[row] is not None
+                                     else unplanned).items()})
+            for row, country in enumerate(columns["country"]))
 
 
-def _non_finite(items) -> str | None:
-    """The name of the first NaN or infinite float among ``(name, value)`` pairs, or None.
+_CROP_INPUTS = tuple(f"dmr_{c}" for c in CROPS)
+_COST_INPUTS = tuple(f"pli_{p}" for p in PLI_COMPONENTS)
+_PRICE_INPUTS = tuple(f"price_{f}" for f in FUELS)
 
-    Finite inputs can still overflow (a production of 1e308 t), so every
-    number a report carries is checked before it can reach an output file;
-    the message names the number but not its value, so that ``errors.txt``
-    never holds ``nan`` or ``inf`` either.
-    """
-    for name, value in items:
-        if type(value) is float and not math.isfinite(value):
-            return name
-    return None
+
+class _Rows:
+    """The countries still evaluating, in name order, with their columns so far:
+    ``columns`` the computed ones and ``resolved`` each resolved input ``X`` with
+    its fallback tier ``src_X``.  A failing country leaves every column at once."""
+
+    def __init__(self, dataset: Dataset, profiles: list):
+        self.dataset = dataset
+        self.profiles = profiles
+        self.columns = {}
+        self.resolved = {}
+        self.errors = {}  # country -> message
+
+    def drop(self, failures: dict) -> None:
+        """Remove the failed rows (row -> message) and record their messages."""
+        if not failures:
+            return
+        for row, message in failures.items():
+            self.errors[self.profiles[row].name] = message
+        keep = [row for row in range(len(self.profiles)) if row not in failures]
+        self.profiles = [self.profiles[row] for row in keep]
+        for table in (self.columns, self.resolved):
+            for name, col in table.items():
+                table[name] = [col[row] for row in keep]
+
+    def resolve(self, names: tuple) -> None:
+        """Resolve the fields once per country and field, in order; a country
+        stops at its first failure."""
+        dataset, found, failures = self.dataset, [], {}
+        for row, profile in enumerate(self.profiles):
+            try:  # value and tier of each field in turn
+                found.append([x for name in names for x in resolve(dataset, profile, name)])
+            except (DataError, ValueError) as exc:
+                failures[row] = str(exc)
+        self.drop(failures)
+        columns = list(map(list, zip(*found))) or [[] for _ in range(2 * len(names))]
+        for i, name in enumerate(names):
+            self.resolved[name], self.resolved[f"src_{name}"] = columns[2 * i:2 * i + 2]
+
+    def amounts(self, key: str) -> list:
+        """One field's column where a missing value is a real zero, as
+        ``CountryProfile.amount`` reads it."""
+        return [p.values[key] or 0.0 for p in self.profiles]
+
+
+# Columns that never hold a float, so the non-finite check skips them (as src_X).
+_NO_FLOATS = ("use_saturated", "scenario", "rank_1", "rank_2", "rank_3")
+
+
+def _non_finite_rows(values: list) -> list:
+    """The rows of a column holding a NaN or an infinite float; the column is
+    scanned only when its sum is not finite."""
+    try:
+        if math.isfinite(sum(values)):
+            return []
+    except (TypeError, OverflowError):  # a None beside the numbers, or ints past float range
+        pass
+    return [row for row, value in enumerate(values)
+            if type(value) is float and not math.isfinite(value)]
 
 
 def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
                  countries=None) -> PipelineResult:
     """Evaluate every country (or the named subset), collecting failures.
 
-    Evaluation order and output order are by country name.
+    Each stage runs once over all the countries still evaluating, column by
+    column.  ``assess`` stops after residues and energy, ``msp`` adds plant
+    costs and the break-even price, ``plan`` adds the fuel replacement plan.
+    Later stages resolve more input fields and so can fail on sparser
+    datasets.  Each resolved input is recorded as its value ``X`` and fallback
+    tier ``src_X``; a country without residue gets no plan columns.  A country
+    fails on the first of: an input that does not resolve, a price level index
+    or break-even input out of range, a NaN or infinite number among its values
+    (in column order), or among its plan's ranking scores.  Evaluation order
+    and output order are by country name.
     """
+    if through not in _STAGE_ORDER:
+        raise ValueError(f"unknown stage {through!r}")
+    depth = _STAGE_ORDER.index(through)
+    cfg = dataset.config
     selected = sorted(dataset.countries, key=lambda c: c.name)
     if countries is not None:
         wanted = set(countries)
@@ -179,42 +155,97 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
             raise DataError(f"unknown countries requested: {sorted(unknown)}")
         selected = [c for c in selected if c.name in wanted]
 
-    reports = []
-    errors = []
-    for profile in selected:
-        try:
-            reports.append(evaluate_country(dataset, profile, through))
-        except (DataError, ValueError) as exc:
-            errors.append((profile.name, str(exc)))
+    rows = _Rows(dataset, selected)
+    columns, resolved = rows.columns, rows.resolved
+    rows.resolve(_CROP_INPUTS)
+    assessed, by_crop = residues.assess_columns(
+        dataset.crops, dataset.livestock_rates,
+        {**{key: rows.amounts(key) for key in residues.INPUT_KEYS}, **resolved})
+    columns.update(assessed)
+    columns.update(energy.energy_columns(by_crop, assessed["cr_final_t"], dataset.crops,
+                                         cfg.pellet_efficiency))
+    order = list(columns)  # the record's column order, for the non-finite check
+    if depth >= 1:
+        rows.resolve(_COST_INPUTS)
+        rows.drop(costs.cost_failures(resolved))
+        columns.update(costs.cost_columns(resolved))
+        rows.resolve(("discount_rate", "tax_rate"))
+        columns["tfc_usd"] = [capex * cfg.tfc_capex_ratio for capex in columns["capex_usd"]]
+        rows.drop(pricing.input_failures({**columns, **resolved}, cfg.plant_capacity,
+                                         cfg.horizon_years, cfg.salvage_rate))
+        solved = pricing.msp_columns({**columns, **resolved}, cfg.plant_capacity,
+                                     cfg.horizon_years, cfg.salvage_rate)
+        columns.update(solved)
+        order += ["epc_usd", "tfc_usd", "capex_usd", "opex_usd_per_y", *solved]
+    ranked_scores = []
+    if depth >= 2:
+        rows.resolve(_PRICE_INPUTS)
+        planned = [row for row, lhv in enumerate(columns["weighted_lhv_mj_per_kg"])
+                   if lhv is not None]  # no residue, no pellet heating value: no plan
 
-    evaluated_names = {r.country for r in reports}
-    total_cons = sum(
-        c.amount(f"cons_{f}")
-        for c in selected if c.name in evaluated_names
-        for f in FUELS
-    )
-    planned = [r.values for r in reports if "rank_1" in r.values]
-    total_alloc = sum(v[f"alloc_{f}_tj"] for v in planned for f in FUELS)
+        def pick(col):
+            return [col[row] for row in planned]
+
+        def spread(col):  # the plan-less rows read None
+            if len(col) == len(rows.profiles):
+                return col
+            full = [None] * len(rows.profiles)
+            for row, value in zip(planned, col):
+                full[row] = value
+            return full
+
+        plan, ranked_scores = replacement.plan_columns(
+            {name: pick(table[name]) for table, names in (
+                (resolved, _PRICE_INPUTS),
+                (columns, ("msp_usd_per_t", "weighted_lhv_mj_per_kg", "pellet_energy_tj")))
+             for name in names},
+            {f: pick(rows.amounts(f"cons_{f}")) for f in FUELS},
+            dataset.fuel_properties, dataset.pellet_ef, cfg.scenario, cfg.carbon_tax)
+        columns.update((name, spread(col)) for name, col in plan.items())
+        ranked_scores = list(map(spread, ranked_scores))
+        order += plan
+
+    # each country's first NaN or infinite number in its record's order, then
+    # among its ranking scores (best first); the message names the number but
+    # not its value, so that no output, errors.txt included, holds nan or inf
+    first, record = {}, {**columns, **resolved}
+    for name in (*order, *resolved):
+        if name not in _NO_FLOATS and not name.startswith("src_"):
+            for row in _non_finite_rows(record[name]):
+                first.setdefault(row, name)
+    for rank, scores in enumerate(ranked_scores, start=1):
+        for row in _non_finite_rows(scores):
+            first.setdefault(row, f"score_{columns[f'rank_{rank}'][row]}")
+    rows.drop({row: f"non-finite {name} for {rows.profiles[row].name!r}"
+               for row, name in first.items()})
+
+    evaluated = rows.profiles
+    result = {"country": [p.name for p in evaluated],
+              "continent": [p.continent for p in evaluated],
+              **{name: columns[name] for name in order}, **resolved}
+    planned = [row for row, rank in enumerate(result.get("rank_1", ())) if rank is not None]
+    total_cons = sum(p.values[f"cons_{f}"] or 0.0 for p in evaluated for f in FUELS)
+    total_alloc = sum(result[f"alloc_{f}_tj"][row] for row in planned for f in FUELS)
     rank_first = {f: 0 for f in FUELS}
-    for v in planned:
-        rank_first[v["rank_1"]] += 1
+    for row in planned:
+        rank_first[result["rank_1"][row]] += 1
 
     global_report = GlobalReport(
-        countries_evaluated=len(reports),
-        countries_failed=len(errors),
-        cr_final_t=sum(r.values["cr_final_t"] for r in reports),
-        pellet_energy_tj=sum(r.values["pellet_energy_tj"] for r in reports),
-        s_ec_usd_per_y=sum(v["s_ec_usd_per_y"] for v in planned),
-        s_em_kgco2e_per_y=sum(v["s_em_kgco2e_per_y"] for v in planned),
+        countries_evaluated=len(evaluated),
+        countries_failed=len(rows.errors),
+        cr_final_t=sum(result["cr_final_t"]),
+        pellet_energy_tj=sum(result["pellet_energy_tj"]),
+        s_ec_usd_per_y=sum(result["s_ec_usd_per_y"][row] for row in planned),
+        s_em_kgco2e_per_y=sum(result["s_em_kgco2e_per_y"][row] for row in planned),
         fossil_consumption_tj=total_cons,
         replaced_fraction_overall=total_alloc / total_cons if total_cons > 0 else 0.0,
         rank_first_counts=rank_first,
     )
-    bad = _non_finite(global_report._asdict().items())
-    if bad:
-        raise DataError(f"non-finite global total {bad}")
-    return PipelineResult(reports=tuple(reports), global_report=global_report,
-                          errors=tuple(errors))
+    for name, value in global_report._asdict().items():
+        if type(value) is float and not math.isfinite(value):
+            raise DataError(f"non-finite global total {name}")
+    return PipelineResult(columns=result, global_report=global_report,
+                          errors=tuple(sorted(rows.errors.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ bisection on it are kept in the test suite as the reference.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 from .dataio import (BELOW_ONE, FIELD_BOUNDS, HORIZON, NONNEGATIVE, POSITIVE, CheckedRecord,
                      DataError)
+from .energy import per_tj
 
 
 class _BreakEvenInputs(NamedTuple):
@@ -29,19 +31,20 @@ class _BreakEvenInputs(NamedTuple):
     tfc: float            # depreciable fixed capital, $
 
 
+# Each input's bound, checked in this order: the bounds the loader and
+# ModelConfig check the same quantities against.
+_INPUT_BOUNDS = (("q", POSITIVE), ("n", HORIZON), ("r", FIELD_BOUNDS["discount_rate"]),
+                 ("tr", FIELD_BOUNDS["tax_rate"]), ("salvage_rate", BELOW_ONE),
+                 ("capex", NONNEGATIVE), ("opex", NONNEGATIVE), ("tfc", NONNEGATIVE))
+
+
 class BreakEvenInputs(CheckedRecord, _BreakEvenInputs):
     __slots__ = ()
 
     def _check(self):
-        # the bounds the loader and ModelConfig check the same quantities against
         problems = []
-        POSITIVE.check("q", self.q, problems)
-        HORIZON.check("n", self.n, problems)
-        FIELD_BOUNDS["discount_rate"].check("r", self.r, problems)
-        FIELD_BOUNDS["tax_rate"].check("tr", self.tr, problems)
-        BELOW_ONE.check("salvage_rate", self.salvage_rate, problems)
-        for name in ("capex", "opex", "tfc"):
-            NONNEGATIVE.check(name, getattr(self, name), problems)
+        for name, bound in _INPUT_BOUNDS:
+            bound.check(name, getattr(self, name), problems)
         if problems:
             raise DataError(problems)
 
@@ -75,11 +78,15 @@ def depreciation(inputs: BreakEvenInputs) -> float:
     return (inputs.tfc - salvage_value(inputs)) / inputs.n
 
 
+def _cash_flow(price: float, inputs: BreakEvenInputs, dep: float) -> tuple:
+    revenue = price * inputs.q
+    tax = inputs.tr * (revenue - inputs.opex - dep)
+    return revenue, tax, revenue - inputs.opex - tax
+
+
 def annual_cash_flow(price: float, inputs: BreakEvenInputs) -> tuple:
     """(revenue, tax, cash flow) of one plant year at the given pellet price."""
-    revenue = price * inputs.q
-    tax = inputs.tr * (revenue - inputs.opex - depreciation(inputs))
-    return revenue, tax, revenue - inputs.opex - tax
+    return _cash_flow(price, inputs, depreciation(inputs))
 
 
 def _annuity(r: float, n: int) -> float:
@@ -96,30 +103,88 @@ def _terminal(inputs: BreakEvenInputs) -> float:
     return salvage_value(inputs) * (1.0 + inputs.r) ** -inputs.n
 
 
-def solve_msp_closed_form(inputs: BreakEvenInputs) -> float:
-    """Invert the affine NPV(price) relation directly."""
-    a = _annuity(inputs.r, inputs.n)
+def _invert(inputs: BreakEvenInputs, a: float, dep: float, terminal: float) -> float:
     # NPV(p) = a*[(1-tr)*(p*q - opex) + tr*D] + terminal - capex
     slope = a * (1.0 - inputs.tr) * inputs.q
-    intercept = a * (-(1.0 - inputs.tr) * inputs.opex + inputs.tr * depreciation(inputs)) \
-        + _terminal(inputs) - inputs.capex
+    intercept = a * (-(1.0 - inputs.tr) * inputs.opex + inputs.tr * dep) + terminal - inputs.capex
     return -intercept / slope
 
 
-def solve_msp(inputs: BreakEvenInputs, weighted_lhv: float | None = None) -> MspResult:
-    """Solve the break-even price and the plant year's cash flow at that price.
+def solve_msp_closed_form(inputs: BreakEvenInputs) -> float:
+    """Invert the affine NPV(price) relation directly."""
+    return _invert(inputs, _annuity(inputs.r, inputs.n), depreciation(inputs), _terminal(inputs))
 
-    Cash flows are constant, so one year and the annuity factor stand for the
-    horizon: ``npv_at_msp`` is ``annuity * cash_flow + terminal - capex``, zero
-    up to rounding.
-    """
-    price = solve_msp_closed_form(inputs)
-    revenue, tax, cash_flow = annual_cash_flow(price, inputs)
+
+def _solve(inputs: _BreakEvenInputs) -> tuple:
+    """(price, npv at it, revenue, tax, cash flow, annuity factor) of one plant:
+    cash flows are constant, so one year and the annuity factor stand for the
+    horizon, and the NPV is ``annuity * cash_flow + terminal - capex``, zero up
+    to rounding."""
     a = _annuity(inputs.r, inputs.n)
-    per_tj = price / (weighted_lhv * 1e-3) if weighted_lhv else None
-    return MspResult(
-        msp=price,
-        npv_at_msp=a * cash_flow + _terminal(inputs) - inputs.capex,
-        annual_trace=AnnualCashFlow(revenue, tax, cash_flow, a),
-        msp_per_tj=per_tj,
-    )
+    dep = depreciation(inputs)
+    terminal = _terminal(inputs)
+    price = _invert(inputs, a, dep, terminal)
+    revenue, tax, cash_flow = _cash_flow(price, inputs, dep)
+    return price, a * cash_flow + terminal - inputs.capex, revenue, tax, cash_flow, a
+
+
+def _per_tj(price: float, weighted_lhv: float | None) -> float | None:
+    """The price in $/TJ, None without a heating value."""
+    return per_tj(price, weighted_lhv) if weighted_lhv else None
+
+
+def _rows(columns: dict, q: float, n: int, salvage_rate: float):
+    """Each row's inputs from the columns ``capex_usd``, ``opex_usd_per_y``,
+    ``discount_rate``, ``tax_rate`` and ``tfc_usd``, and ``q``, ``n`` and
+    ``salvage_rate``, the same in every row."""
+    return map(_BreakEvenInputs, columns["capex_usd"], columns["opex_usd_per_y"], repeat(q),
+               repeat(n), columns["discount_rate"], columns["tax_rate"], repeat(salvage_rate),
+               columns["tfc_usd"])
+
+
+def input_failures(columns: dict, q: float, n: int, salvage_rate: float) -> dict:
+    """Row -> message for each row that ``BreakEvenInputs`` rejects, with its
+    message (see ``_rows`` for the arguments).  Each input is checked against
+    its bound as a column, and the rows are scanned only when one check trips."""
+    values = {"q": [q], "n": [n], "salvage_rate": [salvage_rate],
+              "r": columns["discount_rate"], "tr": columns["tax_rate"],
+              "capex": columns["capex_usd"], "opex": columns["opex_usd_per_y"],
+              "tfc": columns["tfc_usd"]}
+    if not columns["capex_usd"] or all(
+            bound.lo <= min(values[name]) and max(values[name]) <= bound.hi
+            and math.isfinite(sum(values[name])) for name, bound in _INPUT_BOUNDS):
+        return {}
+    failures = {}
+    for row, inputs in enumerate(_rows(columns, q, n, salvage_rate)):
+        try:
+            BreakEvenInputs(*inputs)
+        except DataError as exc:
+            failures[row] = str(exc)
+    return failures
+
+
+def msp_columns(columns: dict, q: float, n: int, salvage_rate: float) -> dict:
+    """The msp stage's break-even columns, ``msp_usd_per_t`` through
+    ``annuity_factor``, for rows that ``input_failures`` passes (see ``_rows``
+    for the arguments); ``msp_usd_per_tj`` reads the column
+    ``weighted_lhv_mj_per_kg`` and is None where there is no heating value."""
+    solved = list(map(list, zip(*map(_solve, _rows(columns, q, n, salvage_rate))))) \
+        or [[] for _ in range(6)]
+    price, npv, revenue, tax, cash_flow, annuity = solved
+    return {
+        "msp_usd_per_t": price,
+        "msp_usd_per_tj": list(map(_per_tj, price, columns["weighted_lhv_mj_per_kg"])),
+        "npv_at_msp_usd": npv,
+        "revenue_usd_per_y": revenue,
+        "tax_usd_per_y": tax,
+        "cash_flow_usd_per_y": cash_flow,
+        "annuity_factor": annuity,
+    }
+
+
+def solve_msp(inputs: BreakEvenInputs, weighted_lhv: float | None = None) -> MspResult:
+    """Solve the break-even price and the plant year's cash flow at that price."""
+    price, npv, revenue, tax, cash_flow, a = _solve(inputs)
+    return MspResult(msp=price, npv_at_msp=npv,
+                     annual_trace=AnnualCashFlow(revenue, tax, cash_flow, a),
+                     msp_per_tj=_per_tj(price, weighted_lhv))

@@ -10,9 +10,12 @@ negative under crashed fossil prices; they are deliberately not clamped.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import neg
 from typing import NamedTuple
 
 from .dataio import FUELS
+from .energy import per_tj
 
 # Fixed order for breaking score ties, so output is reproducible.
 CANONICAL_FUEL_ORDER = ("coal", "natural_gas", "oil")
@@ -20,14 +23,9 @@ CANONICAL_FUEL_ORDER = ("coal", "natural_gas", "oil")
 SCENARIOS = ("A", "B", "C")  # cost optimized / emissions optimized / cost with carbon tax
 
 
-def fuel_lcoe(price: float, lhv: float) -> float:
-    """Levelized cost of energy, $/TJ, from $/t price and MJ/kg heating value."""
-    return price / (lhv * 1e-3)
-
-
-def emission_intensity(ef: float, lhv: float) -> float:
-    """kgCO2e per TJ from a per-ton emission factor and MJ/kg heating value."""
-    return ef / (lhv * 1e-3)
+# $/TJ from a $/t price, and kgCO2e/TJ from a kgCO2e/t emission factor, at a
+# heating value in MJ/kg
+fuel_lcoe = emission_intensity = per_tj
 
 
 class FuelEconomics(NamedTuple):
@@ -35,18 +33,6 @@ class FuelEconomics(NamedTuple):
     fuel_intensity: dict    # kgCO2e/TJ
     pellet_lcoe: float      # $/TJ
     pellet_intensity: float  # kgCO2e/TJ
-
-
-def build_economics(fuel_prices: dict, fuel_properties: dict,
-                    pellet_price: float, weighted_lhv: float, pellet_ef: float,
-                    ) -> FuelEconomics:
-    return FuelEconomics(
-        fuel_lcoe={f: fuel_lcoe(fuel_prices[f], fuel_properties[f].lhv) for f in FUELS},
-        fuel_intensity={f: emission_intensity(fuel_properties[f].ef, fuel_properties[f].lhv)
-                        for f in FUELS},
-        pellet_lcoe=fuel_lcoe(pellet_price, weighted_lhv),
-        pellet_intensity=emission_intensity(pellet_ef, weighted_lhv),
-    )
 
 
 class ReplacementPlan(NamedTuple):
@@ -61,65 +47,149 @@ class ReplacementPlan(NamedTuple):
     s_em: float               # kgCO2e/y
 
 
-def rank_fuels(econ: FuelEconomics, scenario: str, carbon_tax: float = 0.0) -> list:
-    """Fuels with their per-TJ replacement score, best first.
+# Every column a plan adds to a country's record; a country without one has none.
+PLAN_COLUMNS = (
+    "scenario", "carbon_tax_usd_per_tco2e", "rank_1", "rank_2", "rank_3",
+    *(f"alloc_{f}_tj" for f in FUELS), *(f"replaced_{f}_frac" for f in FUELS),
+    "replaced_overall_frac", "unused_pellet_tj", "s_ec_usd_per_y", "s_em_kgco2e_per_y",
+)
+_TIE_ORDER = tuple(CANONICAL_FUEL_ORDER.index(f) for f in FUELS)
+_INDEXES = tuple(range(len(FUELS)))
 
-    Scenario A scores cost savings, B emissions savings, C cost savings with
-    the carbon tax priced into both sides (intensity converted kg -> t).
+# One country's per-fuel numbers below are sequences in FUELS order:
+# consumption (TJ), fuel LCOE ($/TJ) and emission intensity (kgCO2e/TJ).
+
+
+def _scores(lcoe, intensity, pellet_lcoe: float, pellet_intensity: float,
+            scenario: str, carbon_tax: float) -> list:
+    """Each fuel's per-TJ replacement score: scenario A scores cost savings, B
+    emissions savings, C cost savings with the carbon tax priced into both
+    sides (intensity converted kg -> t)."""
+    if scenario == "A":
+        return [c - pellet_lcoe for c in lcoe]
+    if scenario == "B":
+        return [i - pellet_intensity for i in intensity]
+    if scenario == "C":
+        pellet = pellet_lcoe + carbon_tax * pellet_intensity / 1000.0
+        return [c + carbon_tax * i / 1000.0 - pellet for c, i in zip(lcoe, intensity)]
+    raise ValueError(f"unknown scenario {scenario!r}")
+
+
+def _order(scores: list) -> list:
+    """The fuels' indexes best score first, a tie broken by ``CANONICAL_FUEL_ORDER``."""
+    return [i for _, _, i in sorted(zip(map(neg, scores), _TIE_ORDER, _INDEXES))]
+
+
+def _allocate(pellet_energy: float, consumption, order: list) -> tuple:
+    """Greedy allocation down the ranking: (TJ per fuel, unused TJ)."""
+    allocation = [0.0] * len(FUELS)
+    remaining = pellet_energy
+    for i in order:
+        take = consumption[i] if consumption[i] < remaining else remaining  # min(remaining, c)
+        allocation[i] = take
+        remaining -= take
+    return allocation, max(0.0, pellet_energy - sum(allocation))
+
+
+def _savings(allocation: list, lcoe, intensity, pellet_lcoe: float,
+             pellet_intensity: float) -> tuple:
+    """(economic savings $/y, emissions savings kgCO2e/y) of an allocation."""
+    return (sum([a * (c - pellet_lcoe) for a, c in zip(allocation, lcoe)]),
+            sum([a * (i - pellet_intensity) for a, i in zip(allocation, intensity)]))
+
+
+def _plan(pellet_energy: float, consumption, lcoe, intensity, pellet_lcoe: float,
+          pellet_intensity: float, scenario: str, carbon_tax: float) -> list:
+    """One country's plan as the values of ``PLAN_COLUMNS`` from ``rank_1`` on,
+    followed by its scores best first."""
+    scores = _scores(lcoe, intensity, pellet_lcoe, pellet_intensity, scenario, carbon_tax)
+    order = _order(scores)
+    allocation, unused = _allocate(pellet_energy, consumption, order)
+    total_cons = sum(consumption)
+    return ([FUELS[i] for i in order] + allocation
+            + [a / c if c > 0 else 0.0 for a, c in zip(allocation, consumption)]
+            + [sum(allocation) / total_cons if total_cons > 0 else 0.0, unused,
+               *_savings(allocation, lcoe, intensity, pellet_lcoe, pellet_intensity)]
+            + [scores[i] for i in order])
+
+
+def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet_ef: float,
+                 scenario: str, carbon_tax: float) -> tuple:
+    """The plan stage's columns for rows that have a heating value.
+
+    ``columns`` holds ``price_<fuel>``, ``msp_usd_per_t`` (the pellet price),
+    ``weighted_lhv_mj_per_kg`` and ``pellet_energy_tj``; ``consumption`` each
+    fuel's consumption column (TJ, a missing value read as 0.0).  Returns the
+    ``PLAN_COLUMNS`` and the columns of each row's scores best first, which
+    order ``rank_1..3`` without being columns and can overflow alone.
     """
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    scores = {}
-    for f in FUELS:
-        if scenario == "A":
-            scores[f] = econ.fuel_lcoe[f] - econ.pellet_lcoe
-        elif scenario == "B":
-            scores[f] = econ.fuel_intensity[f] - econ.pellet_intensity
-        else:
-            effective_fuel = econ.fuel_lcoe[f] + carbon_tax * econ.fuel_intensity[f] / 1000.0
-            effective_pellet = econ.pellet_lcoe + carbon_tax * econ.pellet_intensity / 1000.0
-            scores[f] = effective_fuel - effective_pellet
-    order = sorted(FUELS, key=lambda f: (-scores[f], CANONICAL_FUEL_ORDER.index(f)))
-    return [(f, scores[f]) for f in order]
+    lhv = columns["weighted_lhv_mj_per_kg"]
+    lcoe = zip(*(map(fuel_lcoe, columns[f"price_{f}"], repeat(fuel_properties[f].lhv))
+                 for f in FUELS))
+    intensity = [emission_intensity(fuel_properties[f].ef, fuel_properties[f].lhv)
+                 for f in FUELS]
+    rows = list(map(_plan, columns["pellet_energy_tj"], zip(*(consumption[f] for f in FUELS)),
+                    lcoe, repeat(intensity), map(fuel_lcoe, columns["msp_usd_per_t"], lhv),
+                    map(emission_intensity, repeat(pellet_ef), lhv), repeat(scenario),
+                    repeat(carbon_tax)))
+    values = list(map(list, zip(*rows))) or [[] for _ in range(len(PLAN_COLUMNS) + 1)]
+    plan = {"scenario": [scenario] * len(rows),
+            "carbon_tax_usd_per_tco2e": [carbon_tax] * len(rows),
+            **dict(zip(PLAN_COLUMNS[2:], values))}
+    return plan, values[len(PLAN_COLUMNS) - 2:]
+
+
+def build_economics(fuel_prices: dict, fuel_properties: dict,
+                    pellet_price: float, weighted_lhv: float, pellet_ef: float,
+                    ) -> FuelEconomics:
+    return FuelEconomics(
+        fuel_lcoe={f: fuel_lcoe(fuel_prices[f], fuel_properties[f].lhv) for f in FUELS},
+        fuel_intensity={f: emission_intensity(fuel_properties[f].ef, fuel_properties[f].lhv)
+                        for f in FUELS},
+        pellet_lcoe=fuel_lcoe(pellet_price, weighted_lhv),
+        pellet_intensity=emission_intensity(pellet_ef, weighted_lhv),
+    )
+
+
+def _per_fuel(econ: FuelEconomics) -> tuple:
+    """(lcoe, intensity, pellet lcoe, pellet intensity), the fuels' in FUELS order."""
+    return ([econ.fuel_lcoe[f] for f in FUELS], [econ.fuel_intensity[f] for f in FUELS],
+            econ.pellet_lcoe, econ.pellet_intensity)
+
+
+def rank_fuels(econ: FuelEconomics, scenario: str, carbon_tax: float = 0.0) -> list:
+    """Fuels with their per-TJ replacement score, best first."""
+    scores = _scores(*_per_fuel(econ), scenario, carbon_tax)
+    return [(FUELS[i], scores[i]) for i in _order(scores)]
 
 
 def allocate(pellet_energy: float, consumption: dict, ranking: list) -> tuple:
     """Greedy allocation down the ranking; returns (allocation TJ per fuel, unused TJ)."""
-    allocation = {f: 0.0 for f in FUELS}
-    remaining = pellet_energy
-    for f, _score in ranking:
-        take = min(remaining, consumption.get(f) or 0.0)
-        allocation[f] = take
-        remaining -= take
-    return allocation, max(0.0, pellet_energy - sum(allocation.values()))
+    allocation, unused = _allocate(pellet_energy,
+                                   tuple(consumption.get(f) or 0.0 for f in FUELS),
+                                   [FUELS.index(f) for f, _ in ranking])
+    return dict(zip(FUELS, allocation)), unused
 
 
 def savings(allocation: dict, econ: FuelEconomics) -> tuple:
     """(economic savings $/y, emissions savings kgCO2e/y) of an allocation."""
-    s_ec = sum(allocation[f] * (econ.fuel_lcoe[f] - econ.pellet_lcoe) for f in FUELS)
-    s_em = sum(allocation[f] * (econ.fuel_intensity[f] - econ.pellet_intensity)
-               for f in FUELS)
-    return s_ec, s_em
+    return _savings([allocation[f] for f in FUELS], *_per_fuel(econ))
 
 
 def build_plan(pellet_energy: float, consumption: dict, econ: FuelEconomics,
                scenario: str, carbon_tax: float = 0.0) -> ReplacementPlan:
-    ranking = rank_fuels(econ, scenario, carbon_tax)
-    allocation, unused = allocate(pellet_energy, consumption, ranking)
-    s_ec, s_em = savings(allocation, econ)
-    fractions = {}
-    for f in FUELS:
-        cons = consumption.get(f) or 0.0
-        fractions[f] = allocation[f] / cons if cons > 0 else 0.0
-    total_cons = sum(consumption.get(f) or 0.0 for f in FUELS)
-    total_alloc = sum(allocation.values())
+    n = len(FUELS)
+    values = _plan(pellet_energy, tuple(consumption.get(f) or 0.0 for f in FUELS),
+                   *_per_fuel(econ), scenario, carbon_tax)
+    ranked, allocation, fractions = values[:n], values[n:2 * n], values[2 * n:3 * n]
+    overall, unused, s_ec, s_em = values[3 * n:3 * n + 4]
     return ReplacementPlan(
         scenario=scenario,
         carbon_tax=carbon_tax,
-        ranking=tuple(ranking),
-        allocation=allocation,
-        replaced_fraction=fractions,
-        replaced_fraction_overall=total_alloc / total_cons if total_cons > 0 else 0.0,
+        ranking=tuple(zip(ranked, values[3 * n + 4:])),
+        allocation=dict(zip(FUELS, allocation)),
+        replaced_fraction=dict(zip(FUELS, fractions)),
+        replaced_fraction_overall=overall,
         unused_pellet_energy=unused,
         s_ec=s_ec,
         s_em=s_em,

@@ -1,14 +1,15 @@
 """Deterministic CSV/JSON serialization of every output file.
 
-Every file is written by one writer, ``_write_tables``, from a list of records
-(dicts keyed by column name) and one tuple of column names, its only schema: a
-CSV has one row of those columns per record, a JSON file its head members, the
-records as one list with the same keys in the same order, and its tail
-members.  The records are streamed in blocks, each block rendered once, column
-by column, for all the files it goes to.  The per-country outputs (a
-``CountryReport``'s values are keyed by their columns), the sweep grid, the
-``yoy`` statistics and a saved dataset all go through it, so two runs over
-identical inputs produce byte-identical files, and none holds NaN or infinity.
+Every file is written by one writer, ``_write_tables``, from columns (a
+mapping from column name to its list of values, one per row) and one tuple of
+column names, its only schema: a CSV has one row of those columns per row, a
+JSON file its head members, the rows as one list of records with the same keys
+in the same order, and its tail members.  The rows are streamed in blocks,
+each block sliced from the columns and rendered once, column by column, for
+all the files it goes to.  The per-country outputs (``PipelineResult.columns``),
+the sweep grid, the ``yoy`` statistics and a saved dataset all go through it,
+so two runs over identical inputs produce byte-identical files, and none holds
+NaN or infinity.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import math
 import re
 from contextlib import ExitStack
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -156,20 +156,24 @@ def _json_member(key: str, value) -> str:
     return f"{_encode(key)}:{_encode(value)}"
 
 
-def _write_tables(records: list, columns: tuple, csv_files: dict,
+def _write_tables(data: dict, columns: tuple, csv_files: dict,
                   json_file: Path | None = None, head: dict | None = None,
                   name: str = "", tail: dict | None = None) -> None:
-    """Write every file of one output in one pass over ``records``.
+    """Write every file of one output in one pass over ``data``'s rows.
 
-    Each block of records is rendered once, column by column, and appended to
-    every file: ``csv_files`` maps a CSV path to its columns (names in ``columns``,
-    ``top_fuel`` read as ``rank_1``); ``json_file`` gets ``head``'s members, the
-    list ``name`` holding one record of ``columns`` per record, then ``tail``'s
-    members.  On an error no file is left behind.
+    ``data`` maps each column name to its list of values, a row per record.
+    Each block of rows is sliced from those lists and rendered once, column by
+    column, and appended to every file: ``csv_files`` maps a CSV path to its
+    columns (names in ``columns``, ``top_fuel`` read as ``rank_1``);
+    ``json_file`` gets ``head``'s members, the list ``name`` holding one record
+    of ``columns`` per row, then ``tail``'s members.  On an error no file is
+    left behind.
     """
     paths = [*csv_files, *([json_file] if json_file else [])]
     for path in paths:
         path.parent.mkdir(parents=True, exist_ok=True)
+    values = [data[column] for column in columns]
+    count = len(values[0])
     try:
         with ExitStack() as stack:
             csvs = []
@@ -183,10 +187,9 @@ def _write_tables(records: list, columns: tuple, csv_files: dict,
                                          for k, v in (head or {}).items()) + _encode(name) + ":[")
                 record = "{" + ",".join(_encode(c).replace("%", "%%") + ":%s"
                                         for c in columns) + "}"
-            for start in range(0, len(records), _BLOCK):
-                block = records[start:start + _BLOCK]
-                cells = [_render(column, list(map(dict.get, block, repeat(column))))
-                         for column in columns]
+            for start in range(0, count, _BLOCK):
+                cells = [_render(column, col[start:start + _BLOCK])
+                         for column, col in zip(columns, values)]
                 for f, index in csvs:
                     f.write("\r\n".join(map(",".join, zip(*[cells[i][0] for i in index])))
                             + "\r\n")
@@ -194,7 +197,7 @@ def _write_tables(records: list, columns: tuple, csv_files: dict,
                     texts = map(record.__mod__, zip(*[json for _, json in cells]))
                     jf.write((",\n" if start else "\n") + ",\n".join(texts))
             if json_file:
-                jf.write(("\n]" if records else "]")
+                jf.write(("\n]" if count else "]")
                          + "".join(",\n" + _json_member(k, v) for k, v in (tail or {}).items())
                          + "\n}\n")
     except BaseException:
@@ -211,17 +214,26 @@ def write_table(path: str | Path, columns: tuple, result: PipelineResult) -> Non
     """One per-country output, as CSV or, for a ``.json`` path, as
     ``{"countries": [...], "errors": [...]}``."""
     path = Path(path)
-    records = [r.values for r in result.reports]
     if path.suffix == ".json":
-        _write_tables(records, columns, {}, path, name="countries", tail=_errors(result))
+        _write_tables(result.columns, columns, {}, path, name="countries", tail=_errors(result))
     else:
-        _write_tables(records, columns, {path: columns})
+        _write_tables(result.columns, columns, {path: columns})
+
+
+_line_break = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]").search  # str.splitlines'
+
+
+def one_line(name: str) -> str:
+    """A name as a line of text prints it: itself, or its ``repr`` when it holds
+    a line break."""
+    return repr(name) if _line_break(name) else name
 
 
 def write_errors_txt(path: str | Path, result: PipelineResult) -> None:
+    """One line per failed country: its name (see ``one_line``) and message."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"{name}: {message}" for name, message in result.errors]
+    lines = [f"{one_line(name)}: {message}" for name, message in result.errors]
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
@@ -229,7 +241,7 @@ def write_report_files(out_dir: str | Path, result: PipelineResult) -> None:
     """The full fixed output set, written in one streamed pass: the wide CSV, its
     JSON records with the totals, and the plot CSVs (subsets of its columns)."""
     out_dir = Path(out_dir)
-    _write_tables([r.values for r in result.reports], REPORT_COLUMNS,
+    _write_tables(result.columns, REPORT_COLUMNS,
                   {out_dir / "countries.csv": REPORT_COLUMNS,
                    **{out_dir / name: columns for name, columns in PLOT_COLUMNS.items()}},
                   out_dir / "global.json", {"global": result.global_report._asdict()},
@@ -243,10 +255,11 @@ def write_sweep_files(out_dir: str | Path, grid: SensitivityGrid, fmt: str) -> l
     print each axis value as ``axis_label`` does, the JSON as a number."""
     out_dir, ms, ps = Path(out_dir), grid.fossil_multipliers, grid.pellet_prices
     label = axis_label if fmt == "csv" else (lambda value: value)
-    m_text, p_text = {m: label(m) for m in ms}, {p: label(p) for p in ps}  # one per axis value
-    cells = [{"fossil_multiplier": m_text[m], "pellet_price_usd_t": p_text[p],
-              "s_ec_usd_per_y": grid.s_ec[(m, p)], "s_em_kgco2e_per_y": grid.s_em[(m, p)]}
-             for m in ms for p in ps]
+    m_text, p_text = [label(m) for m in ms], [label(p) for p in ps]  # one per axis value
+    cells = {"fossil_multiplier": [m for m in m_text for _ in ps],
+             "pellet_price_usd_t": p_text * len(ms),
+             "s_ec_usd_per_y": [grid.s_ec[(m, p)] for m in ms for p in ps],
+             "s_em_kgco2e_per_y": [grid.s_em[(m, p)] for m in ms for p in ps]}
     if fmt == "json":
         baseline = grid.baseline.global_report
         head = {"fossil_multipliers": list(ms), "pellet_prices_usd_per_t": list(ps),
@@ -255,9 +268,10 @@ def write_sweep_files(out_dir: str | Path, grid: SensitivityGrid, fmt: str) -> l
         _write_tables(cells, SWEEP_COLUMNS, {}, out_dir / "sensitivity.json", head, "cells")
         return [out_dir / "sensitivity.json"]
     wide, long = out_dir / "sensitivity.csv", out_dir / "sensitivity_long.csv"
-    columns = ("fossil_multiplier",) + tuple(f"pellet_{p_text[p]}_usd_t" for p in ps)
-    rows = [dict(zip(columns, (m_text[m], *(grid.s_ec[(m, p)] for p in ps)))) for m in ms]
-    _write_tables(rows, columns, {wide: columns})
+    table = {"fossil_multiplier": m_text,
+             **{f"pellet_{text}_usd_t": [grid.s_ec[(m, p)] for m in ms]
+                for p, text in zip(ps, p_text)}}
+    _write_tables(table, tuple(table), {wide: tuple(table)})
     _write_tables(cells, SWEEP_COLUMNS, {long: SWEEP_COLUMNS})
     return [wide, long]
 
@@ -267,32 +281,37 @@ def write_yoy_file(out_dir: str | Path, results: dict, failures: list, fmt: str)
     each series' ``GrowthResult`` and the ``(name, message)`` failures; returns its path."""
     path = Path(out_dir) / f"yoy.{fmt}"
     if fmt == "json":
-        errors = [{"series": name, "message": message} for name, message in failures]
+        errors = {"series": [name for name, _ in failures],
+                  "message": [message for _, message in failures]}
         _write_tables(errors, ("series", "message"), {}, path,
                       {"series": {name: {**res._asdict(), "pairs": [p._asdict() for p in res.pairs]}
                                   for name, res in results.items()}}, "errors")
     else:
-        rows = []
+        table = {column: [] for column in YOY_COLUMNS}
         for name, res in results.items():
-            rows += ({"country": name, **pair._asdict()} for pair in res.pairs)
-            rows.append({"country": name, "year_from": "average", "growth": res.average})
-        _write_tables(rows, YOY_COLUMNS, {path: YOY_COLUMNS})
+            for row in (*res.pairs, ("average", None, res.average)):
+                for column, value in zip(YOY_COLUMNS, (name, *row)):
+                    table[column].append(value)
+        _write_tables(table, YOY_COLUMNS, {path: YOY_COLUMNS})
     return path
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     """Write a dataset back to CSV/JSON; reloading yields an equal Dataset."""
     out_dir = Path(out_dir)
-    crops = [{"crop": c, **{f.column: getattr(dataset.crops[c], f.key) for f in CROP_FIELDS}}
-             for c in CROPS]
-    fuels = [{"fuel": name, **{f.column: getattr(dataset.fuel_properties[name], f.key)
-                               for f in FUEL_FIELDS}} for name in FUELS]
-    fuels.append({"fuel": "pellet", "ef_kgco2e_per_t": dataset.pellet_ef})
-    countries = [{"country": c.name, "continent": c.continent,
-                  **{f.column: c.values[f.key] for f in FIELDS}} for c in dataset.countries]
-    for name, header, records in (("crops.csv", CROPS_COLUMNS, crops),
-                                  ("fuels.csv", FUELS_COLUMNS, fuels),
-                                  ("countries.csv", COUNTRIES_COLUMNS, countries)):
-        _write_tables(records, header, {out_dir / name: header})
+    crops = {"crop": list(CROPS), **{f.column: [getattr(dataset.crops[c], f.key) for c in CROPS]
+                                     for f in CROP_FIELDS}}
+    fuels = {"fuel": [*FUELS, "pellet"],
+             **{f.column: [getattr(dataset.fuel_properties[name], f.key) for name in FUELS]
+                for f in FUEL_FIELDS}}
+    fuels["lhv_mj_per_kg"].append(None)  # the pellet row carries only its emission factor
+    fuels["ef_kgco2e_per_t"].append(dataset.pellet_ef)
+    countries = {"country": [c.name for c in dataset.countries],
+                 "continent": [c.continent for c in dataset.countries],
+                 **{f.column: [c.values[f.key] for c in dataset.countries] for f in FIELDS}}
+    for name, header, table in (("crops.csv", CROPS_COLUMNS, crops),
+                                ("fuels.csv", FUELS_COLUMNS, fuels),
+                                ("countries.csv", COUNTRIES_COLUMNS, countries)):
+        _write_tables(table, header, {out_dir / name: header})
     (out_dir / "config.json").write_text(json.dumps(dataset.config._asdict(), indent=2) + "\n",
                                          encoding="utf-8")

@@ -3,6 +3,7 @@ competing uses, and the tonnage left over for pelletization."""
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .dataio import ANIMALS, CROPS, CountryProfile, Dataset, LivestockRates
@@ -14,6 +15,9 @@ BIG_THREE_CEREAL_SHARE = 0.91
 OTHER_BIOENERGY_ATTRIBUTION = CEREAL_SHARE * BIG_THREE_CEREAL_SHARE
 
 DAYS_PER_YEAR = 365.0
+
+# The countries.csv amounts the residue accounting reads (a missing value is 0.0).
+INPUT_KEYS = (*(f"prod_{c}" for c in CROPS), *ANIMALS, "bagasse_bioenergy", "other_bioenergy")
 
 
 class ResidueAssessment(NamedTuple):
@@ -42,40 +46,57 @@ def removable_dry_residue(cr_total: float, srr: float, dmr: float) -> float:
     return cr_total * srr * dmr
 
 
+def _feed_column(heads: dict, rates: LivestockRates) -> list:
+    """Each row's annual residue demand (t/y) of its herd (``heads``: animal -> list)."""
+    demand = []
+    for a in ANIMALS:
+        rate = rates.rate(a)
+        demand.append([n * rate * DAYS_PER_YEAR / 1000.0 for n in heads[a]])
+    return list(map(sum, zip(*demand)))
+
+
 def feed_bedding_use(livestock: dict, rates: LivestockRates) -> float:
     """Annual residue demand (t/y) of the reported livestock herd.
 
     ``livestock`` maps each animal to its head count or None, as a
     ``CountryProfile.values`` does.
     """
-    return sum(
-        (livestock[a] or 0.0) * rates.rate(a) * DAYS_PER_YEAR / 1000.0
-        for a in ANIMALS
-    )
+    return _feed_column({a: [livestock[a] or 0.0] for a in ANIMALS}, rates)[0]
+
+
+def _attributed_column(other: list) -> list:
+    """The share of each row's other vegetal bioenergy attributed to these crops."""
+    return [o * OTHER_BIOENERGY_ATTRIBUTION for o in other]
 
 
 def bioenergy_use(bagasse: float, other: float) -> tuple:
     """(bagasse passthrough, share of other vegetal bioenergy attributed here)."""
-    return bagasse, other * OTHER_BIOENERGY_ATTRIBUTION
+    return bagasse, _attributed_column([other])[0]
+
+
+def _final_columns(removable: dict, feed: list, bagasse: list, attributed: list) -> tuple:
+    """(removable total, final tonnage, saturated flag, final tonnage per crop) columns.
+
+    Competing uses are subtracted from each row's removable pool (``removable``:
+    crop -> list) at the country aggregate, clamping at zero; the per-crop final
+    split is pro rata to each crop's removable share (needed downstream only
+    for the heating-value weighting).
+    """
+    total = list(map(sum, zip(*(removable[c] for c in CROPS))))
+    final = [max(0.0, t - (f + b + a)) for t, f, b, a in zip(total, feed, bagasse, attributed)]
+    saturated = [t > 0 and c == 0.0 for t, c in zip(total, final)]
+    by_crop = {c: [f * r / t if f > 0 and t > 0 else 0.0
+                   for f, r, t in zip(final, removable[c], total)] for c in CROPS}
+    return total, final, saturated, by_crop
 
 
 def final_residue(country: str, cr_total: dict, cr_removable_dry: dict,
                   feed_bedding: float, bagasse_use: float, attributed_other: float,
                   ) -> ResidueAssessment:
-    """Subtract competing uses from the removable pool, clamping at zero.
-
-    Uses are subtracted at the country aggregate; the per-crop final split is
-    pro rata to each crop's removable share (needed downstream only for the
-    heating-value weighting).
-    """
-    removable = sum(cr_removable_dry.values())
-    uses = feed_bedding + bagasse_use + attributed_other
-    cr_final = max(0.0, removable - uses)
-    saturated = removable > 0 and cr_final == 0.0
-    if cr_final > 0 and removable > 0:
-        by_crop = {c: cr_final * cr_removable_dry[c] / removable for c in CROPS}
-    else:
-        by_crop = {c: 0.0 for c in CROPS}
+    """Subtract competing uses from the removable pool, clamping at zero."""
+    _, (final,), (saturated,), by_crop = _final_columns(
+        {c: [cr_removable_dry[c]] for c in CROPS}, [feed_bedding], [bagasse_use],
+        [attributed_other])
     return ResidueAssessment(
         country=country,
         cr_total=cr_total,
@@ -83,10 +104,38 @@ def final_residue(country: str, cr_total: dict, cr_removable_dry: dict,
         feed_bedding_use=feed_bedding,
         bioenergy_use_bagasse=bagasse_use,
         bioenergy_use_other_attributed=attributed_other,
-        cr_final=cr_final,
-        cr_final_by_crop=by_crop,
+        cr_final=final,
+        cr_final_by_crop={c: by_crop[c][0] for c in CROPS},
         use_saturated=saturated,
     )
+
+
+def assess_columns(crops: dict, rates: LivestockRates, inputs: dict) -> tuple:
+    """The assess stage's residue columns, and each row's final tonnage per crop.
+
+    ``inputs`` holds one list per key, a row per country: the amounts
+    ``prod_<crop>``, the head count of each animal, ``bagasse_bioenergy`` and
+    ``other_bioenergy`` (a missing value read as 0.0) and the resolved
+    ``dmr_<crop>``.  Returns the columns ``cr_total_<crop>_t`` through
+    ``use_saturated`` and ``{crop: list}`` of the final tonnage split.
+    """
+    cr_total = {c: list(map(total_residue, inputs[f"prod_{c}"], repeat(crops[c].rtp)))
+                for c in CROPS}
+    removable = {c: list(map(removable_dry_residue, cr_total[c], repeat(crops[c].srr),
+                             inputs[f"dmr_{c}"])) for c in CROPS}
+    feed = _feed_column(inputs, rates)
+    bagasse, attributed = inputs["bagasse_bioenergy"], _attributed_column(inputs["other_bioenergy"])
+    total, final, saturated, by_crop = _final_columns(removable, feed, bagasse, attributed)
+    return {
+        **{f"cr_total_{c}_t": cr_total[c] for c in CROPS},
+        **{f"cr_removable_dry_{c}_t": removable[c] for c in CROPS},
+        "cr_removable_dry_t": total,
+        "feed_bedding_use_t": feed,
+        "bagasse_bioenergy_use_t": bagasse,
+        "other_bioenergy_attributed_t": attributed,
+        "cr_final_t": final,
+        "use_saturated": saturated,
+    }, by_crop
 
 
 def assess_country(dataset: Dataset, profile: CountryProfile, dmr: dict) -> ResidueAssessment:
@@ -95,14 +144,17 @@ def assess_country(dataset: Dataset, profile: CountryProfile, dmr: dict) -> Resi
     ``dmr`` carries the resolved dry matter fraction per crop (see
     ``dataio.resolve``); everything else comes from the profile.
     """
-    cr_total = {c: total_residue(profile.amount(f"prod_{c}"), dataset.crops[c].rtp)
-                for c in CROPS}
-    cr_removable = {
-        c: removable_dry_residue(cr_total[c], dataset.crops[c].srr, dmr[c])
-        for c in CROPS
-    }
-    feed = feed_bedding_use(profile.values, dataset.livestock_rates)
-    bagasse_use, attributed = bioenergy_use(
-        profile.amount("bagasse_bioenergy"), profile.amount("other_bioenergy")
+    inputs = {key: [profile.values[key] or 0.0] for key in INPUT_KEYS}
+    inputs.update({f"dmr_{c}": [dmr[c]] for c in CROPS})
+    columns, by_crop = assess_columns(dataset.crops, dataset.livestock_rates, inputs)
+    return ResidueAssessment(
+        country=profile.name,
+        cr_total={c: columns[f"cr_total_{c}_t"][0] for c in CROPS},
+        cr_removable_dry={c: columns[f"cr_removable_dry_{c}_t"][0] for c in CROPS},
+        feed_bedding_use=columns["feed_bedding_use_t"][0],
+        bioenergy_use_bagasse=columns["bagasse_bioenergy_use_t"][0],
+        bioenergy_use_other_attributed=columns["other_bioenergy_attributed_t"][0],
+        cr_final=columns["cr_final_t"][0],
+        cr_final_by_crop={c: by_crop[c][0] for c in CROPS},
+        use_saturated=columns["use_saturated"][0],
     )
-    return final_residue(profile.name, cr_total, cr_removable, feed, bagasse_use, attributed)

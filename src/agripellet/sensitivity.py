@@ -46,14 +46,16 @@ def sweep(dataset: Dataset, countries=None) -> SensitivityGrid:
     cfg = dataset.config._replace(scenario="A")
     baseline = run_pipeline(dataset._replace(config=cfg), through=STAGE_PLAN,
                             countries=countries)
+    columns = baseline.columns
+    alloc = [columns[f"alloc_{f}_tj"] for f in FUELS]
+    prices = [columns[f"price_{f}"] for f in FUELS]
+    lhv = [dataset.fuel_properties[f].lhv for f in FUELS]
     a = b = 0.0
-    for r in baseline.reports:
-        v = r.values
-        if "rank_1" not in v:  # no residue, no plan, nothing to allocate
+    for row, lhv_pellet in enumerate(columns["weighted_lhv_mj_per_kg"]):
+        if columns["rank_1"][row] is None:  # no residue, no plan, nothing to allocate
             continue
-        a += sum(v[f"alloc_{f}_tj"] * fuel_lcoe(v[f"price_{f}"], dataset.fuel_properties[f].lhv)
-                 for f in FUELS)
-        b += sum(v[f"alloc_{f}_tj"] for f in FUELS) * fuel_lcoe(1.0, v["weighted_lhv_mj_per_kg"])
+        a += sum(x[row] * fuel_lcoe(p[row], h) for x, p, h in zip(alloc, prices, lhv))
+        b += sum(x[row] for x in alloc) * fuel_lcoe(1.0, lhv_pellet)
     s_ec = {(m, p): m * a - p * b for m in cfg.fossil_multipliers for p in cfg.pellet_prices}
     for (m, p), value in s_ec.items():  # finite baseline plans can still overflow here
         if not math.isfinite(value):

@@ -1,6 +1,9 @@
 """Reference implementations that tests compare the package with.
 
-The break-even solver as plain loops, linear in the horizon but plainly
+``evaluate_country`` and ``run_pipeline`` evaluate one country at a time,
+each through every stage into one record, against which the column-by-column
+``agripellet.pipeline.run_pipeline`` is compared value by value.  The
+break-even solver as plain loops, linear in the horizon but plainly
 right, checks the closed forms in ``agripellet.pricing``; ``format_cell``
 spells out, one value at a time, the CSV cell each typed value is written as;
 and the reference writer builds each output file the plain way, typed rows
@@ -11,15 +14,198 @@ per-country files, the sweep's, ``yoy``'s and a saved dataset's.
 
 import csv
 import json
+import math
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
+from agripellet import costs, energy, pricing, replacement, residues
 from agripellet.dataio import (COUNTRIES_COLUMNS, CROP_FIELDS, CROPS, CROPS_COLUMNS, FIELDS,
-                               FUEL_FIELDS, FUELS, FUELS_COLUMNS, DataError)
+                               FUEL_FIELDS, FUELS, FUELS_COLUMNS, PLI_COMPONENTS, CountryProfile,
+                               DataError, Dataset, resolve)
+from agripellet.pipeline import (_STAGE_ORDER, STAGE_PLAN, CountryReport, GlobalReport)
 from agripellet.pricing import BreakEvenInputs, annual_cash_flow, salvage_value
 from agripellet.reporting import _SAME_AS, PLOT_COLUMNS, REPORT_COLUMNS
 from agripellet.sensitivity import axis_label
 
 BISECTION_BRACKET = (0.0, 1e6)  # $/t
+
+
+class OracleResult(NamedTuple):
+    reports: tuple       # CountryReport, sorted by country name
+    global_report: GlobalReport
+    errors: tuple        # (country, message), sorted by country name
+
+
+def evaluate_country(dataset: Dataset, profile: CountryProfile,
+                     through: str = STAGE_PLAN) -> CountryReport:
+    """Evaluate one country up to the requested stage.
+
+    ``assess`` stops after residues and energy, ``msp`` adds plant costs and
+    the break-even price, ``plan`` adds the fuel replacement plan.  Later
+    stages resolve more input fields and so can fail on sparser datasets.
+    Each resolved input is recorded as its value ``X`` and fallback tier
+    ``src_X``; a country without residue gets no plan columns.  A NaN or
+    infinite number among the values or the plan's ranking scores raises a
+    ``DataError``.
+    """
+    if through not in _STAGE_ORDER:
+        raise ValueError(f"unknown stage {through!r}")
+    depth = _STAGE_ORDER.index(through)
+    cfg = dataset.config
+    resolved = {}
+
+    def field(name):
+        resolved[name], resolved[f"src_{name}"] = resolve(dataset, profile, name)
+        return resolved[name]
+
+    assessment = residues.assess_country(dataset, profile,
+                                         {c: field(f"dmr_{c}") for c in CROPS})
+    potential = energy.energy_for(assessment, dataset.crops, cfg.pellet_efficiency)
+    values = {
+        "country": profile.name,
+        "continent": profile.continent,
+        **{f"cr_total_{c}_t": assessment.cr_total[c] for c in CROPS},
+        **{f"cr_removable_dry_{c}_t": assessment.cr_removable_dry[c] for c in CROPS},
+        "cr_removable_dry_t": assessment.total_removable_dry,
+        "feed_bedding_use_t": assessment.feed_bedding_use,
+        "bagasse_bioenergy_use_t": assessment.bioenergy_use_bagasse,
+        "other_bioenergy_attributed_t": assessment.bioenergy_use_other_attributed,
+        "cr_final_t": assessment.cr_final,
+        "use_saturated": assessment.use_saturated,
+        "weighted_lhv_mj_per_kg": potential.weighted_lhv,
+        "pellet_mass_t": potential.pellet_mass,
+        "pellet_energy_tj": potential.pellet_energy,
+    }
+    scores = ()
+    if depth >= 1:
+        cost = costs.estimate_costs({p: field(f"pli_{p}") for p in PLI_COMPONENTS})
+        inputs = pricing.BreakEvenInputs(
+            capex=cost.capex,
+            opex=cost.opex_total,
+            q=cfg.plant_capacity,
+            n=cfg.horizon_years,
+            r=field("discount_rate"),
+            tr=field("tax_rate"),
+            salvage_rate=cfg.salvage_rate,
+            tfc=cost.capex * cfg.tfc_capex_ratio,
+        )
+        msp = pricing.solve_msp(inputs, weighted_lhv=potential.weighted_lhv)
+        trace = msp.annual_trace
+        values.update({
+            "epc_usd": cost.epc,
+            "tfc_usd": inputs.tfc,
+            "capex_usd": cost.capex,
+            "opex_usd_per_y": cost.opex_total,
+            "msp_usd_per_t": msp.msp,
+            "msp_usd_per_tj": msp.msp_per_tj,
+            "npv_at_msp_usd": msp.npv_at_msp,
+            "revenue_usd_per_y": trace.revenue,
+            "tax_usd_per_y": trace.tax,
+            "cash_flow_usd_per_y": trace.cash_flow,
+            "annuity_factor": trace.annuity_factor,
+        })
+    if depth >= 2:
+        prices = {f: field(f"price_{f}") for f in FUELS}
+        if potential.weighted_lhv is not None:  # no residue, no pellet heating value: no plan
+            econ = replacement.build_economics(
+                prices,
+                dataset.fuel_properties,
+                msp.msp,
+                potential.weighted_lhv,
+                dataset.pellet_ef,
+            )
+            plan = replacement.build_plan(
+                potential.pellet_energy,
+                {f: profile.amount(f"cons_{f}") for f in FUELS},
+                econ,
+                cfg.scenario,
+                cfg.carbon_tax,
+            )
+            values.update({
+                "scenario": plan.scenario,
+                "carbon_tax_usd_per_tco2e": plan.carbon_tax,
+                **{f"rank_{i}": f for i, (f, _) in enumerate(plan.ranking, start=1)},
+                **{f"alloc_{f}_tj": plan.allocation[f] for f in FUELS},
+                **{f"replaced_{f}_frac": plan.replaced_fraction[f] for f in FUELS},
+                "replaced_overall_frac": plan.replaced_fraction_overall,
+                "unused_pellet_tj": plan.unused_pellet_energy,
+                "s_ec_usd_per_y": plan.s_ec,
+                "s_em_kgco2e_per_y": plan.s_em,
+            })
+            # the scores order rank_1..3 without being columns, and can overflow alone
+            scores = [(f"score_{f}", score) for f, score in plan.ranking]
+    values.update(resolved)
+    bad = _non_finite(chain(values.items(), scores))
+    if bad:
+        raise DataError(f"non-finite {bad} for {profile.name!r}")
+    return CountryReport(profile.name, values)
+
+
+def _non_finite(items) -> str | None:
+    """The name of the first NaN or infinite float among ``(name, value)`` pairs, or None.
+
+    Finite inputs can still overflow (a production of 1e308 t), so every
+    number a report carries is checked before it can reach an output file;
+    the message names the number but not its value, so that ``errors.txt``
+    never holds ``nan`` or ``inf`` either.
+    """
+    for name, value in items:
+        if type(value) is float and not math.isfinite(value):
+            return name
+    return None
+
+
+def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
+                 countries=None) -> OracleResult:
+    """Evaluate every country (or the named subset), collecting failures.
+
+    Evaluation order and output order are by country name.
+    """
+    selected = sorted(dataset.countries, key=lambda c: c.name)
+    if countries is not None:
+        wanted = set(countries)
+        unknown = wanted - {c.name for c in selected}
+        if unknown:
+            raise DataError(f"unknown countries requested: {sorted(unknown)}")
+        selected = [c for c in selected if c.name in wanted]
+
+    reports = []
+    errors = []
+    for profile in selected:
+        try:
+            reports.append(evaluate_country(dataset, profile, through))
+        except (DataError, ValueError) as exc:
+            errors.append((profile.name, str(exc)))
+
+    evaluated_names = {r.country for r in reports}
+    total_cons = sum(
+        c.amount(f"cons_{f}")
+        for c in selected if c.name in evaluated_names
+        for f in FUELS
+    )
+    planned = [r.values for r in reports if "rank_1" in r.values]
+    total_alloc = sum(v[f"alloc_{f}_tj"] for v in planned for f in FUELS)
+    rank_first = {f: 0 for f in FUELS}
+    for v in planned:
+        rank_first[v["rank_1"]] += 1
+
+    global_report = GlobalReport(
+        countries_evaluated=len(reports),
+        countries_failed=len(errors),
+        cr_final_t=sum(r.values["cr_final_t"] for r in reports),
+        pellet_energy_tj=sum(r.values["pellet_energy_tj"] for r in reports),
+        s_ec_usd_per_y=sum(v["s_ec_usd_per_y"] for v in planned),
+        s_em_kgco2e_per_y=sum(v["s_em_kgco2e_per_y"] for v in planned),
+        fossil_consumption_tj=total_cons,
+        replaced_fraction_overall=total_alloc / total_cons if total_cons > 0 else 0.0,
+        rank_first_counts=rank_first,
+    )
+    bad = _non_finite(global_report._asdict().items())
+    if bad:
+        raise DataError(f"non-finite global total {bad}")
+    return OracleResult(reports=tuple(reports), global_report=global_report,
+                        errors=tuple(errors))
 
 
 def npv(price: float, inputs: BreakEvenInputs) -> float:

@@ -10,6 +10,7 @@ import pytest
 
 from agripellet import reporting
 from agripellet.cli import main
+from agripellet.dataio import COUNTRIES_COLUMNS
 from agripellet.pipeline import STAGE_PLAN, run_pipeline
 from oracles import format_cell, table_records, table_values
 
@@ -296,9 +297,11 @@ def test_non_finite_carbon_tax_flag_exits_2(data_dir, tmp_path, capsys):
     ("A,\u0662\u0660\u0660\u0661,1",
      "series.csv line 3: year: not an integer: '\u0662\u0660\u0660\u0661'"),
     ("A,2001,1_000", "series.csv line 3: value: not a number: '1_000'"),
+    # a row is named by the line it starts on, after a cell holding a line break too
+    ('"A\nB",2000,1\nA,2001,-4', "series.csv line 5: value: must be >= 0, got -4.0"),
 ], ids=["extra-column", "short-row", "empty-name", "negative", "fractional-year",
         "missing", "nan", "inf", "1e400", "underscore-year", "signed-year", "arabic-indic-year",
-        "underscore-value"])
+        "underscore-value", "after-multi-line-cell"])
 def test_yoy_bad_input_exits_2(tmp_path, capsys, line, message):
     series = tmp_path / "series.csv"
     series.write_text(f"country,year,value\nA,2000,1\n{line}\nA,2002,2\n", encoding="utf-8")
@@ -556,3 +559,66 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def copy_data(data_dir, tmp_path, edits=()):
+    """A copy of the bundled data with each ``(file, old, new)`` text replaced."""
+    copy = tmp_path / "data"
+    copy.mkdir()
+    for path in data_dir.iterdir():
+        (copy / path.name).write_bytes(path.read_bytes())
+    for name, old, new in edits:
+        text = (copy / name).read_text(encoding="utf-8")
+        assert old in text
+        (copy / name).write_text(text.replace(old, new), encoding="utf-8")
+    return copy
+
+
+TINY_CROP_LHV = [("crops.csv", f",{v}\n", ",5e-324\n") for v in ("17.3", "14.6", "17.2")]
+
+
+@pytest.mark.parametrize("command, edits, column", [
+    # every crop's heating value is 5e-324 MJ/kg: a ton holds 0.0 TJ at float precision
+    ("msp", TINY_CROP_LHV, "msp_usd_per_tj"),
+    ("recop", TINY_CROP_LHV, "msp_usd_per_tj"),
+    ("recop", [("fuels.csv", "coal,23.9,", "coal,5e-324,")], "s_ec_usd_per_y"),
+], ids=["msp-crops", "recop-crops", "recop-coal"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tiny_heating_value_fails_countries_not_the_run(data_dir, tmp_path, capsys, command,
+                                                        edits, column, fmt):
+    data = copy_data(data_dir, tmp_path, edits)
+    out = tmp_path / "out"
+    assert run_cli(command, "--data", data, "--out", out, "--format", fmt) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    lines = (out / "errors.txt").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 120  # every country with residue; the other 58 are written
+    for line in lines:
+        name = line.split(":")[0]
+        assert line == f"{name}: non-finite {column} for {name!r}"
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8").lower()
+        assert "inf" not in text and "nan" not in text, path.name
+
+
+def test_errors_txt_holds_one_line_per_failure(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    fields = len(COUNTRIES_COLUMNS) - 2
+    rows = [("Good", "1e6"), ('"Bad\nLand"', "1e308"), ("Zed\u2028Land", "1e308")]
+    (data / "countries.csv").write_text(
+        ",".join(COUNTRIES_COLUMNS) + "\n"
+        + "".join(f"{name},K,{prod}," + ",".join(["0.5"] * (fields - 1)) + "\n"
+                  for name, prod in rows), encoding="utf-8")
+    assert run_cli("assess", "--data", data, "--out", tmp_path / "out") == 1
+    assert (tmp_path / "out" / "errors.txt").read_text(encoding="utf-8") == (
+        "'Bad\\nLand': non-finite weighted_lhv_mj_per_kg for 'Bad\\nLand'\n"
+        "'Zed\\u2028Land': non-finite weighted_lhv_mj_per_kg for 'Zed\\u2028Land'\n")
+
+
+def test_yoy_names_a_multi_line_series_on_one_line(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text('country,year,value\n"A\nB",2000,0\n"A\nB",2001,0\nC,2000,0\nC,2001,0\n',
+                      encoding="utf-8")
+    assert run_cli("yoy", series, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == ("'A\\nB': every base year is zero; growth is undefined\n"
+                                       "C: every base year is zero; growth is undefined\n")

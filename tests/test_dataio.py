@@ -20,9 +20,10 @@ from agripellet.dataio import (
     parse_cell,
     resolve,
 )
-from agripellet.pipeline import evaluate_country, run_pipeline
+from agripellet.pipeline import run_pipeline
 from agripellet.pricing import BreakEvenInputs
 from conftest import make_dataset, make_profile
+from oracles import evaluate_country
 
 COUNTRY_HEADER = (
     "country,continent,prod_maize_t,prod_rice_t,prod_sugarcane_t,prod_wheat_t,"
@@ -229,6 +230,15 @@ def test_every_row_of_the_wrong_width_is_named(tmp_path):
         load_countries(path)
     assert exc.value.problems == ["countries.csv line 2: expected 28 columns, got 3",
                                   "countries.csv line 4: expected 28 columns, got 29"]
+
+
+def test_rows_are_named_by_the_line_they_start_on(tmp_path):
+    path = tmp_path / "countries.csv"
+    path.write_text(COUNTRY_HEADER + '\n"Two\nLines",Y' + "," * 26
+                    + "\nZ,Y,-5" + "," * 25 + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_countries(path)
+    assert exc.value.problems == ["countries.csv line 4: prod_maize_t: must be >= 0, got -5.0"]
 
 
 def test_byte_order_mark_is_skipped(data_dir, tmp_path):

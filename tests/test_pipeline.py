@@ -3,13 +3,10 @@ import random
 import pytest
 
 import agripellet.pipeline as pipeline_mod
-from agripellet.dataio import CROPS, DataError, FUELS, RESOLVABLE_FIELDS
-from agripellet.pipeline import (
-    GrowthResult,
-    evaluate_country,
-    run_pipeline,
-    yoy_growth,
-)
+import oracles
+from agripellet.dataio import (CROPS, FIELDS, FUELS, RESOLVABLE_FIELDS, DataError, FuelProperties,
+                               default_fuel_properties)
+from agripellet.pipeline import GrowthResult, run_pipeline, yoy_growth
 from agripellet.reporting import (
     _SAME_AS,
     ASSESS_COLUMNS,
@@ -19,7 +16,7 @@ from agripellet.reporting import (
     REPORT_COLUMNS,
 )
 from conftest import make_dataset, make_profile, synthetic_market_profiles
-from oracles import table_records, table_rows
+from oracles import evaluate_country, table_records, table_rows
 
 
 def test_full_pipeline_clean_on_bundled_data(dataset):
@@ -188,3 +185,130 @@ def test_growth_errors():
         yoy_growth([(2020, 1.0), (2020, 2.0)])
     with pytest.raises(DataError, match="zero"):
         yoy_growth([(2020, 0.0), (2021, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# column-by-column evaluation against the per-country reference in ``oracles``
+
+def result_reprs(result) -> tuple:
+    """Names, errors and every value by ``repr``, keys in record order."""
+    return ([(r.country, [(k, repr(v)) for k, v in r.values.items()]) for r in result.reports],
+            result.errors, repr(result.global_report))
+
+
+def assert_matches_oracle(dataset, through):
+    try:
+        expected = result_reprs(oracles.run_pipeline(dataset, through))
+    except DataError as exc:  # a global total that overflows
+        with pytest.raises(DataError) as raised:
+            run_pipeline(dataset, through)
+        assert str(raised.value) == str(exc)
+        return None
+    assert result_reprs(run_pipeline(dataset, through)) == expected
+    return expected
+
+
+def sparse_copy(profiles, seed):
+    """The profiles with a seeded third of their cells emptied."""
+    rng = random.Random(seed)
+    return [p._replace(values={k: None if rng.random() < 0.33 else v
+                               for k, v in p.values.items()}) for p in profiles]
+
+
+def overflowing(profiles, keys=tuple(f.key for f in FIELDS)):
+    """Country i gets 1e308 or 1.7e308 in one of the fields ``keys``, a different one each."""
+    return [p._replace(values={**p.values, keys[i % len(keys)]: (1e308, 1.7e308)[i % 2]})
+            for i, p in enumerate(profiles)]
+
+
+def out_of_range(profiles):
+    """Library-built countries that the loader would reject: a PLI <= 0, a
+    discount rate > 1, and both at once."""
+    changes = ({"pli_labor": 0.0}, {"pli_construction": -1.0, "pli_electricity": 0.0},
+               {"discount_rate": 1.5}, {"discount_rate": 2.0, "tax_rate": 1.0},
+               {"pli_raw_material": -0.5, "discount_rate": 3.0})
+    return [p._replace(values={**p.values, **changes[i % len(changes)]}) if i % 2 else p
+            for i, p in enumerate(profiles)]
+
+
+def oracle_datasets(bundled):
+    rng = random.Random(97)
+    markets = synthetic_market_profiles(rng, 24)
+    no_prices = [make_profile(name=n, production={"maize": 1e6}, prices={}) for n in "AB"]
+    return {
+        "bundled": bundled,
+        "markets": make_dataset(markets),
+        "sparse": bundled._replace(countries=tuple(sparse_copy(bundled.countries, 5))),
+        "no-prices": make_dataset(no_prices),
+        "overflowing": bundled._replace(countries=tuple(overflowing(bundled.countries))),
+        "overflowing-amounts": make_dataset(overflowing(
+            markets, [f.key for f in FIELDS if not (f.fallback or f.key.startswith("cons_"))]
+            + ["pli_construction"])),  # two overflowing consumptions overflow the global total
+        "out-of-range": make_dataset(out_of_range(markets)),
+        # a country with a PLI <= 0 fails on it before the rates no country has
+        "out-of-range-no-rates": make_dataset(
+            [p._replace(values={**p.values, "discount_rate": None, "tax_rate": None})
+             for p in out_of_range(markets)]),
+        # oil has the highest emission intensity: its score alone overflows at C@1.2e303
+        "oil-intensive": make_dataset(markets)._replace(fuel_properties={
+            **default_fuel_properties(), "oil": FuelProperties(42.0, 9000.0)}),
+    }
+
+
+SCENARIOS = {"A": ("A", 0.0), "B": ("B", 0.0), "C@50": ("C", 50), "C@1.2e303": ("C", 1.2e303),
+             "C@1e305": ("C", 1e305)}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("through", ["assess", "msp", "plan"])
+def test_columns_match_the_per_country_oracle(dataset, through, scenario):
+    name, tax = SCENARIOS[scenario]
+    failed = set()
+    for ds in oracle_datasets(dataset).values():
+        ds = ds._replace(config=ds.config._replace(scenario=name, carbon_tax=tax))
+        expected = assert_matches_oracle(ds, through)
+        if expected:
+            failed.update(message.split(" for ")[0] for _, message in expected[1])
+    if through == "plan" and scenario == "C@1e305":
+        assert "non-finite score_coal" in failed  # the scores are checked, best first
+    if through == "plan" and scenario == "C@1.2e303":
+        assert "non-finite score_oil" in failed
+
+
+def test_injected_resolve_failure_matches_the_oracle(monkeypatch):
+    ds = make_dataset(synthetic_market_profiles(random.Random(73), 6))
+    real_resolve = pipeline_mod.resolve
+
+    def failing_resolve(dataset, country, name):
+        if (country.name, name) in {("Mkt02", "dmr_rice"), ("Mkt04", "tax_rate"),
+                                    ("Mkt05", "price_oil")}:
+            raise DataError(f"injected failure resolving {name}")
+        return real_resolve(dataset, country, name)
+
+    monkeypatch.setattr(pipeline_mod, "resolve", failing_resolve)
+    monkeypatch.setattr(oracles, "resolve", failing_resolve)
+    for through, failed in (("assess", ["Mkt02"]), ("msp", ["Mkt02", "Mkt04"]),
+                            ("plan", ["Mkt02", "Mkt04", "Mkt05"])):
+        expected = assert_matches_oracle(ds, through)
+        assert [name for name, _ in expected[1]] == failed
+
+
+@pytest.mark.parametrize("through, per_country", [("assess", 4), ("msp", 10), ("plan", 13)])
+def test_resolve_runs_once_per_country_and_field(dataset, monkeypatch, through, per_country):
+    real_resolve = pipeline_mod.resolve
+    calls = []
+
+    def counting_resolve(dataset, country, name):
+        calls.append((country.name, name))
+        return real_resolve(dataset, country, name)
+
+    monkeypatch.setattr(pipeline_mod, "resolve", counting_resolve)
+    for copies in (1, 2, 3, 4):  # the bundled countries and renamed copies of them
+        renamed = [c._replace(name=f"{c.name} #{i}") for i in range(1, copies)
+                   for c in dataset.countries]
+        ds = dataset._replace(countries=dataset.countries + tuple(renamed))
+        calls.clear()
+        result = run_pipeline(ds, through)
+        assert not result.errors
+        assert len(calls) == per_country * 178 * copies
+        assert len(set(calls)) == len(calls)  # no country resolves a field twice

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from agripellet.costs import capital_costs
 from agripellet.dataio import DataError, ModelConfig
-from agripellet.pipeline import evaluate_country
 from agripellet.pricing import (
     BreakEvenInputs,
     annual_cash_flow,
@@ -18,7 +17,7 @@ from agripellet.pricing import (
     solve_msp_closed_form,
 )
 from conftest import random_break_even_inputs
-from oracles import npv, solve_msp_bisection
+from oracles import evaluate_country, npv, solve_msp_bisection
 
 
 @pytest.fixture

@@ -57,16 +57,29 @@ def assert_matches_oracle(result) -> dict:
     return assert_same_files(lambda writer, out: write_outputs(writer, out, result))
 
 
-def renamed(report, name: str):
-    return report._replace(country=name, values={**report.values, "country": name})
+def with_rows(result, rows, names, errors=()):
+    """A result holding ``result``'s rows ``rows``, in that order, named ``names``."""
+    columns = {name: [col[row] for row in rows] for name, col in result.columns.items()}
+    columns["country"] = list(names)
+    return PipelineResult(columns, result.global_report, tuple(errors))
 
 
 def copies(result, count: int, errors=()):
-    """``count`` renamed copies of the result's reports, planned and plan-less in turn."""
-    planned = next(r for r in result.reports if "rank_1" in r.values)
-    planless = next(r for r in result.reports if "rank_1" not in r.values)
-    reports = tuple(renamed((planned, planless)[i % 2], f"C{i:05d}") for i in range(count))
-    return PipelineResult(reports, result.global_report, tuple(errors))
+    """``count`` renamed copies of the result's rows, planned and plan-less in turn."""
+    ranks = result.columns["rank_1"]
+    planned = next(row for row, rank in enumerate(ranks) if rank is not None)
+    planless = next(row for row, rank in enumerate(ranks) if rank is None)
+    return with_rows(result, [(planned, planless)[i % 2] for i in range(count)],
+                     [f"C{i:05d}" for i in range(count)], errors)
+
+
+def edited(result, changes):
+    """``result`` with row i's values replaced by ``changes[i]`` (column -> value)."""
+    columns = dict(result.columns)
+    for row, change in enumerate(changes):
+        for name, value in change.items():
+            columns[name] = [*columns[name][:row], value, *columns[name][row + 1:]]
+    return result._replace(columns=columns)
 
 
 names = st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", " ", "\u2028", "é", "€", "😀"]),
@@ -77,10 +90,9 @@ names = st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", " ", "\u2028", 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(names, min_size=1, max_size=4), st.lists(names, max_size=2))
 def test_any_country_name_is_written_as_the_oracle_writes_it(bundled, countries, failed):
-    base = copies(bundled, len(countries))
-    reports = tuple(renamed(r, name) for r, name in zip(base.reports, countries))
     errors = tuple((name, f"no data for {name!r}") for name in failed)
-    assert_matches_oracle(PipelineResult(reports, bundled.global_report, errors))
+    base = copies(bundled, len(countries), errors)
+    assert_matches_oracle(base._replace(columns={**base.columns, "country": countries}))
 
 
 @pytest.mark.parametrize("count", [0, 1, reporting._BLOCK, reporting._BLOCK + 1])
@@ -103,10 +115,10 @@ def test_all_failed_run_writes_headers_and_an_empty_list(bundled):
 ])
 def test_edited_values_match_the_oracle(bundled, column, value, name, cell):
     result = copies(bundled, 3)
-    reports = tuple(r._replace(values={**r.values, column: value})
-                    for r in result.reports)
-    written = assert_matches_oracle(result._replace(reports=reports))
-    assert written[name].count(cell) == 3
+    present = [row for row, old in enumerate(result.columns[column]) if old is not None]
+    written = assert_matches_oracle(edited(result, [{column: value} if row in present else {}
+                                                    for row in range(3)]))
+    assert written[name].count(cell) == len(present)  # a plan-less row has no plan columns
 
 
 @pytest.mark.parametrize("bad", [
@@ -116,10 +128,7 @@ def test_edited_values_match_the_oracle(bundled, column, value, name, cell):
     ({"s_ec_usd_per_y": -math.inf}, {}),
 ], ids=["nan-and-inf", "beside-empty-cell"])
 def test_non_finite_value_raises_and_leaves_no_file(bundled, tmp_path, bad):
-    result = copies(bundled, 2)
-    reports = tuple(r._replace(values={**r.values, **change})
-                    for r, change in zip(result.reports, bad))
-    result = result._replace(reports=reports)
+    result = edited(copies(bundled, 2), bad)
     columns = {name for change in bad for name in change}
     with pytest.raises(ValueError, match="non-finite value in column"):
         reporting.write_report_files(tmp_path / "report", result)
