@@ -15,10 +15,8 @@ from .dataio import (
     resolve,
 )
 from .pipeline import CountryReport, GlobalReport, PipelineResult, run_pipeline, yoy_growth
-from .pricing import BreakEvenInputs, MspResult, solve_msp
+from .pricing import BreakEvenInputs
 from .reporting import save_dataset
-from .replacement import FuelEconomics, ReplacementPlan, build_plan
-from .residues import ResidueAssessment
 from .sensitivity import SensitivityGrid, sweep
 
 __version__ = "0.1.0"
@@ -32,23 +30,17 @@ __all__ = [
     "CropCoefficients",
     "DataError",
     "Dataset",
-    "FuelEconomics",
     "FuelProperties",
     "GlobalReport",
     "LivestockRates",
     "ModelConfig",
-    "MspResult",
     "PipelineResult",
-    "ReplacementPlan",
-    "ResidueAssessment",
     "SensitivityGrid",
     "UnresolvableFieldError",
-    "build_plan",
     "load_dataset",
     "resolve",
     "run_pipeline",
     "save_dataset",
-    "solve_msp",
     "sweep",
     "yoy_growth",
 ]

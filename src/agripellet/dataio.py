@@ -261,10 +261,6 @@ class CountryProfile(NamedTuple):
     continent: str
     values: dict  # FIELDS key -> float, None where the cell is empty
 
-    def amount(self, key: str) -> float:
-        """A field whose missing value is a real zero (no fallback tier)."""
-        return self.values[key] or 0.0
-
 
 class _Dataset(NamedTuple):
     crops: dict               # CropCoefficients per crop

@@ -107,8 +107,8 @@ class _Rows:
             self.resolved[name], self.resolved[f"src_{name}"] = columns[2 * i:2 * i + 2]
 
     def amounts(self, key: str) -> list:
-        """One field's column where a missing value is a real zero, as
-        ``CountryProfile.amount`` reads it."""
+        """One field's column where a missing value is a real zero (an amount
+        has no fallback tier)."""
         return [p.values[key] or 0.0 for p in self.profiles]
 
 

@@ -49,26 +49,6 @@ class BreakEvenInputs(CheckedRecord, _BreakEvenInputs):
             raise DataError(problems)
 
 
-class AnnualCashFlow(NamedTuple):
-    """One plant year at the MSP; every year of the horizon is the same.
-
-    Year t's discounted flow is ``cash_flow * (1 + r) ** -t``, and their sum
-    over the horizon is ``annuity_factor * cash_flow``.
-    """
-
-    revenue: float         # $/y
-    tax: float             # $/y
-    cash_flow: float       # $/y
-    annuity_factor: float  # sum of (1 + r)^-t over t = 1..n
-
-
-class MspResult(NamedTuple):
-    msp: float                 # $/t
-    npv_at_msp: float          # $
-    annual_trace: AnnualCashFlow  # one plant year at the MSP
-    msp_per_tj: float | None   # $/TJ when a heating-value context is attached
-
-
 def salvage_value(inputs: BreakEvenInputs) -> float:
     return inputs.salvage_rate * inputs.tfc
 
@@ -82,11 +62,6 @@ def _cash_flow(price: float, inputs: BreakEvenInputs, dep: float) -> tuple:
     revenue = price * inputs.q
     tax = inputs.tr * (revenue - inputs.opex - dep)
     return revenue, tax, revenue - inputs.opex - tax
-
-
-def annual_cash_flow(price: float, inputs: BreakEvenInputs) -> tuple:
-    """(revenue, tax, cash flow) of one plant year at the given pellet price."""
-    return _cash_flow(price, inputs, depreciation(inputs))
 
 
 def _annuity(r: float, n: int) -> float:
@@ -107,12 +82,8 @@ def _invert(inputs: BreakEvenInputs, a: float, dep: float, terminal: float) -> f
     # NPV(p) = a*[(1-tr)*(p*q - opex) + tr*D] + terminal - capex
     slope = a * (1.0 - inputs.tr) * inputs.q
     intercept = a * (-(1.0 - inputs.tr) * inputs.opex + inputs.tr * dep) + terminal - inputs.capex
-    return -intercept / slope
-
-
-def solve_msp_closed_form(inputs: BreakEvenInputs) -> float:
-    """Invert the affine NPV(price) relation directly."""
-    return _invert(inputs, _annuity(inputs.r, inputs.n), depreciation(inputs), _terminal(inputs))
+    # a slope that rounds to 0.0 gives infinity, a non-finite price the pipeline rejects
+    return -intercept / slope if slope else math.inf
 
 
 def _solve(inputs: _BreakEvenInputs) -> tuple:
@@ -180,11 +151,3 @@ def msp_columns(columns: dict, q: float, n: int, salvage_rate: float) -> dict:
         "cash_flow_usd_per_y": cash_flow,
         "annuity_factor": annuity,
     }
-
-
-def solve_msp(inputs: BreakEvenInputs, weighted_lhv: float | None = None) -> MspResult:
-    """Solve the break-even price and the plant year's cash flow at that price."""
-    price, npv, revenue, tax, cash_flow, a = _solve(inputs)
-    return MspResult(msp=price, npv_at_msp=npv,
-                     annual_trace=AnnualCashFlow(revenue, tax, cash_flow, a),
-                     msp_per_tj=_per_tj(price, weighted_lhv))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import neg
-from typing import NamedTuple
 
 from .dataio import FUELS
 from .energy import per_tj
@@ -26,26 +25,6 @@ SCENARIOS = ("A", "B", "C")  # cost optimized / emissions optimized / cost with 
 # $/TJ from a $/t price, and kgCO2e/TJ from a kgCO2e/t emission factor, at a
 # heating value in MJ/kg
 fuel_lcoe = emission_intensity = per_tj
-
-
-class FuelEconomics(NamedTuple):
-    fuel_lcoe: dict         # $/TJ
-    fuel_intensity: dict    # kgCO2e/TJ
-    pellet_lcoe: float      # $/TJ
-    pellet_intensity: float  # kgCO2e/TJ
-
-
-class ReplacementPlan(NamedTuple):
-    scenario: str
-    carbon_tax: float
-    ranking: tuple            # (fuel, score $/TJ or kgCO2e/TJ) best first
-    allocation: dict          # TJ replaced per fuel
-    replaced_fraction: dict   # per fuel, allocation / consumption
-    replaced_fraction_overall: float
-    unused_pellet_energy: float  # TJ
-    s_ec: float               # $/y
-    s_em: float               # kgCO2e/y
-
 
 # Every column a plan adds to a country's record; a country without one has none.
 PLAN_COLUMNS = (
@@ -137,60 +116,3 @@ def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet
             "carbon_tax_usd_per_tco2e": [carbon_tax] * len(rows),
             **dict(zip(PLAN_COLUMNS[2:], values))}
     return plan, values[len(PLAN_COLUMNS) - 2:]
-
-
-def build_economics(fuel_prices: dict, fuel_properties: dict,
-                    pellet_price: float, weighted_lhv: float, pellet_ef: float,
-                    ) -> FuelEconomics:
-    return FuelEconomics(
-        fuel_lcoe={f: fuel_lcoe(fuel_prices[f], fuel_properties[f].lhv) for f in FUELS},
-        fuel_intensity={f: emission_intensity(fuel_properties[f].ef, fuel_properties[f].lhv)
-                        for f in FUELS},
-        pellet_lcoe=fuel_lcoe(pellet_price, weighted_lhv),
-        pellet_intensity=emission_intensity(pellet_ef, weighted_lhv),
-    )
-
-
-def _per_fuel(econ: FuelEconomics) -> tuple:
-    """(lcoe, intensity, pellet lcoe, pellet intensity), the fuels' in FUELS order."""
-    return ([econ.fuel_lcoe[f] for f in FUELS], [econ.fuel_intensity[f] for f in FUELS],
-            econ.pellet_lcoe, econ.pellet_intensity)
-
-
-def rank_fuels(econ: FuelEconomics, scenario: str, carbon_tax: float = 0.0) -> list:
-    """Fuels with their per-TJ replacement score, best first."""
-    scores = _scores(*_per_fuel(econ), scenario, carbon_tax)
-    return [(FUELS[i], scores[i]) for i in _order(scores)]
-
-
-def allocate(pellet_energy: float, consumption: dict, ranking: list) -> tuple:
-    """Greedy allocation down the ranking; returns (allocation TJ per fuel, unused TJ)."""
-    allocation, unused = _allocate(pellet_energy,
-                                   tuple(consumption.get(f) or 0.0 for f in FUELS),
-                                   [FUELS.index(f) for f, _ in ranking])
-    return dict(zip(FUELS, allocation)), unused
-
-
-def savings(allocation: dict, econ: FuelEconomics) -> tuple:
-    """(economic savings $/y, emissions savings kgCO2e/y) of an allocation."""
-    return _savings([allocation[f] for f in FUELS], *_per_fuel(econ))
-
-
-def build_plan(pellet_energy: float, consumption: dict, econ: FuelEconomics,
-               scenario: str, carbon_tax: float = 0.0) -> ReplacementPlan:
-    n = len(FUELS)
-    values = _plan(pellet_energy, tuple(consumption.get(f) or 0.0 for f in FUELS),
-                   *_per_fuel(econ), scenario, carbon_tax)
-    ranked, allocation, fractions = values[:n], values[n:2 * n], values[2 * n:3 * n]
-    overall, unused, s_ec, s_em = values[3 * n:3 * n + 4]
-    return ReplacementPlan(
-        scenario=scenario,
-        carbon_tax=carbon_tax,
-        ranking=tuple(zip(ranked, values[3 * n + 4:])),
-        allocation=dict(zip(FUELS, allocation)),
-        replaced_fraction=dict(zip(FUELS, fractions)),
-        replaced_fraction_overall=overall,
-        unused_pellet_energy=unused,
-        s_ec=s_ec,
-        s_em=s_em,
-    )

@@ -2,9 +2,11 @@ from pathlib import Path
 
 import pytest
 
+from agripellet.costs import cost_columns
 from agripellet.dataio import (
     ANIMALS,
     CROPS,
+    CropCoefficients,
     FUELS,
     PLI_COMPONENTS,
     FIELDS,
@@ -16,6 +18,9 @@ from agripellet.dataio import (
     default_fuel_properties,
     load_dataset,
 )
+from agripellet.pricing import msp_columns
+from agripellet.replacement import plan_columns
+from agripellet.residues import INPUT_KEYS, assess_columns
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -111,3 +116,56 @@ def random_break_even_inputs(rng):
         salvage_rate=rng.uniform(0.0, 0.95),
         tfc=capex * rng.uniform(0.5, 1.0),
     )
+
+
+def one_row(columns: dict) -> dict:
+    """The values of columns that hold one row each."""
+    return {name: col[0] for name, col in columns.items()}
+
+
+# rtp, srr and dmr of 1: each crop's production is its removable dry tonnage, exactly
+UNIT_CROPS = {c: CropCoefficients(1.0, 1.0, 1.0, crop.lhv) for c, crop in default_crops().items()}
+
+
+def assess_row(crops=UNIT_CROPS, production=None, livestock=None, bagasse=0.0,
+               other=0.0) -> tuple:
+    """``assess_columns`` on one country, each dry matter fraction the crop's
+    default: its residue columns and its final tonnage per crop.  A missing
+    amount reads as 0.0, as the pipeline reads it."""
+    inputs = {key: [0.0] for key in INPUT_KEYS}
+    inputs.update({f"prod_{c}": [v] for c, v in (production or {}).items()})
+    inputs.update({a: [v or 0.0] for a, v in (livestock or {}).items()})
+    inputs.update(bagasse_bioenergy=[bagasse], other_bioenergy=[other])
+    inputs.update({f"dmr_{c}": [crops[c].dmr_default] for c in CROPS})
+    columns, by_crop = assess_columns(crops, LivestockRates(), inputs)
+    return one_row(columns), one_row(by_crop)
+
+
+def cost_row(labor=1.0, raw_material=1.0, electricity=1.0, construction=1.0) -> dict:
+    """``cost_columns`` on one country's price level indexes."""
+    pli = {"labor": labor, "raw_material": raw_material, "electricity": electricity,
+           "construction": construction}
+    return one_row(cost_columns({f"pli_{p}": [index] for p, index in pli.items()}))
+
+
+def msp_row(inputs, weighted_lhv=None) -> dict:
+    """``msp_columns`` on one plant's ``BreakEvenInputs``, with the pellets'
+    heating value (MJ/kg) for the price per TJ."""
+    columns = {"capex_usd": [inputs.capex], "opex_usd_per_y": [inputs.opex],
+               "discount_rate": [inputs.r], "tax_rate": [inputs.tr], "tfc_usd": [inputs.tfc],
+               "weighted_lhv_mj_per_kg": [weighted_lhv]}
+    return one_row(msp_columns(columns, inputs.q, inputs.n, inputs.salvage_rate))
+
+
+def plan_row(pellet_energy, consumption, prices, props, pellet_price, weighted_lhv, pellet_ef,
+             scenario, carbon_tax=0.0) -> tuple:
+    """``plan_columns`` on one country: its plan's values, and its ranking as
+    ``[(fuel, score)]`` best first.  ``consumption`` and ``prices`` ($/t) map
+    each fuel to its value, ``props`` to its ``FuelProperties``; the pellet
+    price is in $/t at ``weighted_lhv`` MJ/kg."""
+    columns = {**{f"price_{f}": [prices[f]] for f in FUELS}, "msp_usd_per_t": [pellet_price],
+               "weighted_lhv_mj_per_kg": [weighted_lhv], "pellet_energy_tj": [pellet_energy]}
+    plan, scores = plan_columns(columns, {f: [consumption[f]] for f in FUELS}, props,
+                                pellet_ef, scenario, carbon_tax)
+    plan = one_row(plan)
+    return plan, [(plan[f"rank_{i}"], score) for i, (score,) in enumerate(scores, start=1)]

@@ -2,10 +2,14 @@
 
 ``evaluate_country`` and ``run_pipeline`` evaluate one country at a time,
 each through every stage into one record, against which the column-by-column
-``agripellet.pipeline.run_pipeline`` is compared value by value.  The
-break-even solver as plain loops, linear in the horizon but plainly
-right, checks the closed forms in ``agripellet.pricing``; ``format_cell``
-spells out, one value at a time, the CSV cell each typed value is written as;
+``agripellet.pipeline.run_pipeline`` is compared value by value: each stage's
+column function runs on the country's one row, so what they check is the
+pipeline's own work, the order in which a country resolves its fields and
+meets its first failure, its non-finite check and the global totals.  The
+break-even solver as plain loops, linear in the horizon but plainly right
+and sharing no code with the package, checks the closed forms in
+``agripellet.pricing``; ``format_cell`` spells out, one value at a time,
+the CSV cell each typed value is written as;
 and the reference writer builds each output file the plain way, typed rows
 through ``csv.writer`` and whole dicts through ``json``, against which
 ``agripellet.reporting``'s streamed writer is compared byte for byte: the
@@ -24,7 +28,7 @@ from agripellet.dataio import (COUNTRIES_COLUMNS, CROP_FIELDS, CROPS, CROPS_COLU
                                FUEL_FIELDS, FUELS, FUELS_COLUMNS, PLI_COMPONENTS, CountryProfile,
                                DataError, Dataset, resolve)
 from agripellet.pipeline import (_STAGE_ORDER, STAGE_PLAN, CountryReport, GlobalReport)
-from agripellet.pricing import BreakEvenInputs, annual_cash_flow, salvage_value
+from agripellet.pricing import BreakEvenInputs
 from agripellet.reporting import _SAME_AS, PLOT_COLUMNS, REPORT_COLUMNS
 from agripellet.sensitivity import axis_label
 
@@ -59,82 +63,60 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
         resolved[name], resolved[f"src_{name}"] = resolve(dataset, profile, name)
         return resolved[name]
 
-    assessment = residues.assess_country(dataset, profile,
-                                         {c: field(f"dmr_{c}") for c in CROPS})
-    potential = energy.energy_for(assessment, dataset.crops, cfg.pellet_efficiency)
-    values = {
-        "country": profile.name,
-        "continent": profile.continent,
-        **{f"cr_total_{c}_t": assessment.cr_total[c] for c in CROPS},
-        **{f"cr_removable_dry_{c}_t": assessment.cr_removable_dry[c] for c in CROPS},
-        "cr_removable_dry_t": assessment.total_removable_dry,
-        "feed_bedding_use_t": assessment.feed_bedding_use,
-        "bagasse_bioenergy_use_t": assessment.bioenergy_use_bagasse,
-        "other_bioenergy_attributed_t": assessment.bioenergy_use_other_attributed,
-        "cr_final_t": assessment.cr_final,
-        "use_saturated": assessment.use_saturated,
-        "weighted_lhv_mj_per_kg": potential.weighted_lhv,
-        "pellet_mass_t": potential.pellet_mass,
-        "pellet_energy_tj": potential.pellet_energy,
-    }
+    def one_row(columns):
+        return {name: col[0] for name, col in columns.items()}
+
+    def amount(key):
+        return profile.values[key] or 0.0
+
+    assessed, by_crop = residues.assess_columns(
+        dataset.crops, dataset.livestock_rates,
+        {**{key: [amount(key)] for key in residues.INPUT_KEYS},
+         **{f"dmr_{c}": [field(f"dmr_{c}")] for c in CROPS}})
+    potential = energy.energy_columns(by_crop, assessed["cr_final_t"], dataset.crops,
+                                      cfg.pellet_efficiency)
+    values = {"country": profile.name, "continent": profile.continent,
+              **one_row(assessed), **one_row(potential)}
+    lhv = values["weighted_lhv_mj_per_kg"]
     scores = ()
     if depth >= 1:
-        cost = costs.estimate_costs({p: field(f"pli_{p}") for p in PLI_COMPONENTS})
+        pli = {f"pli_{p}": [field(f"pli_{p}")] for p in PLI_COMPONENTS}
+        failures = costs.cost_failures(pli)
+        if failures:
+            raise DataError(failures[0])
+        cost = one_row(costs.cost_columns(pli))
         inputs = pricing.BreakEvenInputs(
-            capex=cost.capex,
-            opex=cost.opex_total,
+            capex=cost["capex_usd"],
+            opex=cost["opex_usd_per_y"],
             q=cfg.plant_capacity,
             n=cfg.horizon_years,
             r=field("discount_rate"),
             tr=field("tax_rate"),
             salvage_rate=cfg.salvage_rate,
-            tfc=cost.capex * cfg.tfc_capex_ratio,
+            tfc=cost["capex_usd"] * cfg.tfc_capex_ratio,
         )
-        msp = pricing.solve_msp(inputs, weighted_lhv=potential.weighted_lhv)
-        trace = msp.annual_trace
-        values.update({
-            "epc_usd": cost.epc,
-            "tfc_usd": inputs.tfc,
-            "capex_usd": cost.capex,
-            "opex_usd_per_y": cost.opex_total,
-            "msp_usd_per_t": msp.msp,
-            "msp_usd_per_tj": msp.msp_per_tj,
-            "npv_at_msp_usd": msp.npv_at_msp,
-            "revenue_usd_per_y": trace.revenue,
-            "tax_usd_per_y": trace.tax,
-            "cash_flow_usd_per_y": trace.cash_flow,
-            "annuity_factor": trace.annuity_factor,
-        })
+        msp = one_row(pricing.msp_columns(
+            {"capex_usd": [inputs.capex], "opex_usd_per_y": [inputs.opex],
+             "discount_rate": [inputs.r], "tax_rate": [inputs.tr], "tfc_usd": [inputs.tfc],
+             "weighted_lhv_mj_per_kg": [lhv]},
+            inputs.q, inputs.n, inputs.salvage_rate))
+        values.update({"epc_usd": cost["epc_usd"], "tfc_usd": inputs.tfc,
+                       "capex_usd": cost["capex_usd"], "opex_usd_per_y": cost["opex_usd_per_y"],
+                       **msp})
     if depth >= 2:
-        prices = {f: field(f"price_{f}") for f in FUELS}
-        if potential.weighted_lhv is not None:  # no residue, no pellet heating value: no plan
-            econ = replacement.build_economics(
-                prices,
-                dataset.fuel_properties,
-                msp.msp,
-                potential.weighted_lhv,
-                dataset.pellet_ef,
-            )
-            plan = replacement.build_plan(
-                potential.pellet_energy,
-                {f: profile.amount(f"cons_{f}") for f in FUELS},
-                econ,
-                cfg.scenario,
-                cfg.carbon_tax,
-            )
-            values.update({
-                "scenario": plan.scenario,
-                "carbon_tax_usd_per_tco2e": plan.carbon_tax,
-                **{f"rank_{i}": f for i, (f, _) in enumerate(plan.ranking, start=1)},
-                **{f"alloc_{f}_tj": plan.allocation[f] for f in FUELS},
-                **{f"replaced_{f}_frac": plan.replaced_fraction[f] for f in FUELS},
-                "replaced_overall_frac": plan.replaced_fraction_overall,
-                "unused_pellet_tj": plan.unused_pellet_energy,
-                "s_ec_usd_per_y": plan.s_ec,
-                "s_em_kgco2e_per_y": plan.s_em,
-            })
+        prices = {f"price_{f}": [field(f"price_{f}")] for f in FUELS}
+        if lhv is not None:  # no residue, no pellet heating value: no plan
+            plan, ranked = replacement.plan_columns(
+                {**prices, "msp_usd_per_t": [msp["msp_usd_per_t"]],
+                 "weighted_lhv_mj_per_kg": [lhv],
+                 "pellet_energy_tj": [values["pellet_energy_tj"]]},
+                {f: [amount(f"cons_{f}")] for f in FUELS},
+                dataset.fuel_properties, dataset.pellet_ef, cfg.scenario, cfg.carbon_tax)
+            plan = one_row(plan)
+            values.update(plan)
             # the scores order rank_1..3 without being columns, and can overflow alone
-            scores = [(f"score_{f}", score) for f, score in plan.ranking]
+            scores = [(f"score_{plan[f'rank_{i}']}", score)
+                      for i, (score,) in enumerate(ranked, start=1)]
     values.update(resolved)
     bad = _non_finite(chain(values.items(), scores))
     if bad:
@@ -180,7 +162,7 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
 
     evaluated_names = {r.country for r in reports}
     total_cons = sum(
-        c.amount(f"cons_{f}")
+        c.values[f"cons_{f}"] or 0.0
         for c in selected if c.name in evaluated_names
         for f in FUELS
     )
@@ -209,14 +191,23 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
 
 
 def npv(price: float, inputs: BreakEvenInputs) -> float:
-    """Net present value over the horizon, summed year by year."""
-    _, _, cf = annual_cash_flow(price, inputs)
+    """Net present value over the horizon, summed year by year.
+
+    Each year earns the price times the output, less OPEX and a tax on the
+    profit after straight-line depreciation of the fixed capital less salvage
+    (a refund in a loss year); the salvage comes back at the end.
+    """
+    salvage = inputs.salvage_rate * inputs.tfc
+    depreciation = (inputs.tfc - salvage) / inputs.n
+    revenue = price * inputs.q
+    tax = inputs.tr * (revenue - inputs.opex - depreciation)
+    cf = revenue - inputs.opex - tax
     total = 0.0
     factor = 1.0
     for _ in range(inputs.n):
         factor /= 1.0 + inputs.r
         total += cf * factor
-    return total + salvage_value(inputs) * factor - inputs.capex
+    return total + salvage * factor - inputs.capex
 
 
 def solve_msp_bisection(inputs: BreakEvenInputs, npv_tol: float = 1e-5,

@@ -7,15 +7,16 @@ import time
 
 import pytest
 
-from agripellet.costs import estimate_costs
 from agripellet.dataio import CROPS, FUELS, FuelProperties, ModelConfig
 from agripellet.pipeline import run_pipeline
-from agripellet.pricing import BreakEvenInputs, solve_msp, solve_msp_closed_form
-from agripellet.replacement import build_economics, build_plan, rank_fuels
+from agripellet.pricing import BreakEvenInputs
 from agripellet.sensitivity import sweep
 from conftest import (
     ACCEPTANCE_LINES,
+    cost_row,
     make_dataset,
+    msp_row,
+    plan_row,
     random_break_even_inputs,
     synthetic_market_profiles,
 )
@@ -83,13 +84,13 @@ def test_criterion_03_global_energy_potential(dataset):
 
 def test_criterion_04_cost_reference_identity():
     def run():
-        est = estimate_costs({"labor": 1.0, "raw_material": 1.0,
-                              "construction": 1.0, "electricity": 1.0})
-        assert abs(est.capex - 6_540_000.0) <= 1.0, est.capex
-        assert abs(est.opex_total - 2_540_000.0) <= 1.0, est.opex_total
-        tfc = est.capex * ModelConfig().tfc_capex_ratio  # the solver's depreciable base
+        est = cost_row(labor=1.0, raw_material=1.0, electricity=1.0, construction=1.0)
+        capex, opex = est["capex_usd"], est["opex_usd_per_y"]
+        assert abs(capex - 6_540_000.0) <= 1.0, capex
+        assert abs(opex - 2_540_000.0) <= 1.0, opex
+        tfc = capex * ModelConfig().tfc_capex_ratio  # the solver's depreciable base
         assert abs(tfc - 5_450_000.0) <= 1.0, tfc
-        return f"capex {est.capex:.2f}, opex {est.opex_total:.2f}"
+        return f"capex {capex:.2f}, opex {opex:.2f}"
 
     record(4, "unit indexes give CAPEX 6,540,000 and OPEX 2,540,000 (+/-1)", run)
 
@@ -102,7 +103,7 @@ def test_criterion_05_solver_oracle_equivalence():
         worst_gap = 0.0
         worst_npv = 0.0
         for inputs in cases:
-            closed = solve_msp_closed_form(inputs)
+            closed = msp_row(inputs)["msp_usd_per_t"]
             iterative = solve_msp_bisection(inputs)
             gap = abs(closed - iterative)
             worst_gap = max(worst_gap, gap)
@@ -121,20 +122,20 @@ def test_criterion_05_solver_oracle_equivalence():
 
 def test_criterion_06_hand_anchor_and_tax_neutrality():
     def run():
-        est = estimate_costs({"labor": 1.0, "raw_material": 1.0,
-                              "construction": 1.0, "electricity": 1.0})
-        anchor = BreakEvenInputs(capex=est.capex, opex=est.opex_total, q=40_080.0, n=20,
-                             r=0.0, tr=0.0, salvage_rate=0.10, tfc=est.capex / 1.2)
-        msp = solve_msp(anchor).msp
+        est = cost_row(labor=1.0, raw_material=1.0, electricity=1.0, construction=1.0)
+        anchor = BreakEvenInputs(capex=est["capex_usd"], opex=est["opex_usd_per_y"], q=40_080.0,
+                                 n=20, r=0.0, tr=0.0, salvage_rate=0.10,
+                                 tfc=est["capex_usd"] / 1.2)
+        msp = msp_row(anchor)["msp_usd_per_t"]
         assert msp == pytest.approx(70.85, abs=0.01), msp
         # tax neutrality at r = 0 holds in the regime its premise describes:
         # total taxable income over the horizon is zero, i.e. the depreciable
         # base covers the whole capital outlay (tfc = capex)
         neutral = anchor._replace(tfc=anchor.capex)
-        msp0 = solve_msp(neutral).msp
+        msp0 = msp_row(neutral)["msp_usd_per_t"]
         spread = 0.0
         for tr in (0.1, 0.25, 0.4, 0.6, 0.9):
-            msp_tr = solve_msp(neutral._replace(tr=tr)).msp
+            msp_tr = msp_row(neutral._replace(tr=tr))["msp_usd_per_t"]
             spread = max(spread, abs(msp_tr - msp0) / msp0)
         assert spread <= 1e-6, spread
         return f"msp {msp:.4f} $/t, max tax spread {spread:.1e} (fully depreciated base)"
@@ -154,10 +155,15 @@ def test_criterion_07_ranking_anchor():
             "oil": 14_036.0 * 42.0e-3,
             "natural_gas": 13_563.0 * 42.0e-3,
         }
-        econ = build_economics(prices, props, 6_600.0 * 16.0e-3, 16.0, 151.0)
-        ranking_a = rank_fuels(econ, "A")
+        consumption = dict.fromkeys(FUELS, 0.0)
+
+        def ranking(scenario, carbon_tax=0.0):
+            return plan_row(0.0, consumption, prices, props, 6_600.0 * 16.0e-3, 16.0, 151.0,
+                            scenario, carbon_tax)[1]
+
+        ranking_a = ranking("A")
         assert [f for f, _ in ranking_a] == ["oil", "natural_gas", "coal"], ranking_a
-        assert rank_fuels(econ, "C", carbon_tax=0.0) == ranking_a
+        assert ranking("C", carbon_tax=0.0) == ranking_a
         return "A ranks [oil, natural_gas, coal]; C at zero tax equals A exactly"
 
     record(7, "cost-optimized ranking at the global-average energy costs", run)
@@ -171,22 +177,24 @@ def test_criterion_08_allocation_property_suite():
             prices = {f: rng.uniform(5.0, 1000.0) for f in FUELS}
             props = {f: FuelProperties(rng.uniform(8.0, 50.0), rng.uniform(100.0, 4000.0))
                      for f in FUELS}
-            econ = build_economics(prices, props, rng.uniform(10.0, 500.0),
-                                   rng.uniform(12.0, 18.0), rng.uniform(30.0, 600.0))
+            pellet = (rng.uniform(10.0, 500.0), rng.uniform(12.0, 18.0),
+                      rng.uniform(30.0, 600.0))  # price $/t, heating value, emission factor
             consumption = {f: rng.uniform(0.0, 1e5) for f in FUELS}
             energy = rng.uniform(0.0, 2.5e5)
-            plan_a = build_plan(energy, consumption, econ, "A")
-            plan_b = build_plan(energy, consumption, econ, "B")
+            plan_a, _ = plan_row(energy, consumption, prices, props, *pellet, "A")
+            plan_b, _ = plan_row(energy, consumption, prices, props, *pellet, "B")
             for plan in (plan_a, plan_b):
-                conserved = sum(plan.allocation.values()) + plan.unused_pellet_energy
+                allocation = {f: plan[f"alloc_{f}_tj"] for f in FUELS}
+                conserved = sum(allocation.values()) + plan["unused_pellet_tj"]
                 tol = 1e-9 * max(energy, 1.0)
                 assert abs(conserved - energy) <= tol, (conserved, energy)
                 for f in FUELS:
-                    assert plan.allocation[f] <= consumption[f] + 1e-9
-                    assert plan.allocation[f] >= 0.0
-            slack = 1e-9 * max(1.0, abs(plan_a.s_em))
-            assert plan_b.s_em >= plan_a.s_em - slack
-            violations = max(violations, plan_a.s_em - plan_b.s_em)
+                    assert allocation[f] <= consumption[f] + 1e-9
+                    assert allocation[f] >= 0.0
+            s_em_a, s_em_b = plan_a["s_em_kgco2e_per_y"], plan_b["s_em_kgco2e_per_y"]
+            slack = 1e-9 * max(1.0, abs(s_em_a))
+            assert s_em_b >= s_em_a - slack
+            violations = max(violations, s_em_a - s_em_b)
         return f"10,000 countries, emissions dominance margin >= {-violations:.2e}"
 
     record(8, "allocation conservation, caps, and emissions-scenario dominance", run)

@@ -600,6 +600,28 @@ def test_tiny_heating_value_fails_countries_not_the_run(data_dir, tmp_path, caps
         assert "inf" not in text and "nan" not in text, path.name
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zero_price_slope_fails_countries_not_the_run(data_dir, tmp_path, capsys, fmt):
+    # a 5e-324 t/y plant over one year: at Argentina's tax rate raised to 0.6
+    # the break-even NPV's slope in price rounds to 0.0, at the others' the
+    # price overflows; every country fails with an infinite price
+    data = copy_data(data_dir, tmp_path, [("countries.csv", ",0.14,0.3,", ",0.14,0.6,")])
+    config = write_config(data_dir, tmp_path / "config.json", plant_capacity=5e-324,
+                          horizon_years=1)
+    out = tmp_path / "out"
+    code = run_cli("msp", "--data", data, "--config", config, "--out", out, "--format", fmt)
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    lines = (out / "errors.txt").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 178
+    assert "Argentina: non-finite msp_usd_per_t for 'Argentina'" in lines
+    for line in lines:
+        assert ": non-finite msp_usd_per_t for " in line
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8").lower()
+        assert "inf" not in text and "nan" not in text, path.name
+
+
 def test_errors_txt_holds_one_line_per_failure(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

@@ -9,15 +9,22 @@ from agripellet.costs import (
     INDIRECT_FACTOR,
     INSURANCE_TAX_REF,
     MISC_FACTOR,
-    capital_costs,
-    estimate_costs,
-    operating_costs,
+    cost_columns,
+    cost_failures,
 )
-from agripellet.dataio import PLI_COMPONENTS, DataError, ModelConfig
+from agripellet.dataio import PLI_COMPONENTS, ModelConfig
+from conftest import cost_row
 
 
-def unit_pli():
-    return {"labor": 1.0, "raw_material": 1.0, "construction": 1.0, "electricity": 1.0}
+def capital_costs(construction_index):
+    """(equipment purchase cost, CAPEX) of one country."""
+    row = cost_row(construction=construction_index)
+    return row["epc_usd"], row["capex_usd"]
+
+
+def operating_costs(labor, raw_material, electricity, construction):
+    """Annual OPEX of one country, $/y."""
+    return cost_row(labor, raw_material, electricity, construction)["opex_usd_per_y"]
 
 
 def test_reference_identity_capex():
@@ -76,18 +83,29 @@ def test_opex_affine_in_each_index():
 
 
 def test_nonpositive_index_rejected():
-    with pytest.raises(DataError):
-        capital_costs(0.0)
-    with pytest.raises(DataError):
-        operating_costs(1.0, -1.0, 1.0, 1.0)
+    def failures(labor, raw_material, electricity, construction):
+        pli = {"labor": labor, "raw_material": raw_material, "electricity": electricity,
+               "construction": construction}
+        return cost_failures({f"pli_{p}": [index] for p, index in pli.items()})
+
+    assert failures(1.0, 1.0, 1.0, 0.0) == {0: "construction index must be > 0, got 0.0"}
+    assert failures(1.0, -1.0, 1.0, 1.0) == {0: "raw material index must be > 0, got -1.0"}
+    # the indexes are checked in the order construction, labor, raw material, electricity
+    assert failures(-1.0, 0.0, -2.0, -3.0) == {0: "construction index must be > 0, got -3.0"}
+    assert failures(-1.0, 0.0, -2.0, 1.0) == {0: "labor index must be > 0, got -1.0"}
+    assert failures(1.0, 1.0, -2.0, 1.0) == {0: "electricity index must be > 0, got -2.0"}
+    # each failing row by its index in the columns
+    columns = {"pli_labor": [1.0, 0.0, 2.0, -1.0], "pli_raw_material": [1.0] * 4,
+               "pli_electricity": [1.0] * 4, "pli_construction": [1.0, 1.0, 1.0, 0.0]}
+    assert cost_failures(columns) == {1: "labor index must be > 0, got 0.0",
+                                      3: "construction index must be > 0, got 0.0"}
+    assert cost_failures({f"pli_{p}": [0.5, 2.0] for p in PLI_COMPONENTS}) == {}
 
 
 def test_estimate_costs_combines_sides():
-    est = estimate_costs(unit_pli())
-    assert est.capex == pytest.approx(6_540_000.0, abs=1.0)
-    assert est.opex_total == pytest.approx(2_540_000.0, abs=1e-6)
-    assert (est.epc, est.capex) == capital_costs(1.0)
-    assert est.opex_total == operating_costs(1.0, 1.0, 1.0, 1.0)
+    est = cost_row()
+    assert est["capex_usd"] == pytest.approx(6_540_000.0, abs=1.0)
+    assert est["opex_usd_per_y"] == pytest.approx(2_540_000.0, abs=1e-6)
 
 
 def test_cost_table_reproduction(dataset, data_dir):
@@ -96,8 +114,9 @@ def test_cost_table_reproduction(dataset, data_dir):
         expected = {row["country"]: (float(row["capex_usd"]), float(row["opex_usd_per_y"]))
                     for row in csv.DictReader(f)}
     assert len(expected) == len(dataset.countries)
-    for profile in dataset.countries:
-        est = estimate_costs({p: profile.values[f"pli_{p}"] for p in PLI_COMPONENTS})
+    est = cost_columns({f"pli_{p}": [c.values[f"pli_{p}"] for c in dataset.countries]
+                        for p in PLI_COMPONENTS})
+    for profile, capex, opex in zip(dataset.countries, est["capex_usd"], est["opex_usd_per_y"]):
         exp_capex, exp_opex = expected[profile.name]
-        assert est.capex == pytest.approx(exp_capex, rel=1e-3), profile.name
-        assert est.opex_total == pytest.approx(exp_opex, rel=1e-3), profile.name
+        assert capex == pytest.approx(exp_capex, rel=1e-3), profile.name
+        assert opex == pytest.approx(exp_opex, rel=1e-3), profile.name

@@ -139,7 +139,10 @@ def test_load_bundled_dataset(dataset):
     assert afg.continent == "Asia"
     assert afg.values["prod_wheat"] == pytest.approx(3.90e6)
     assert afg.values["swine"] is None
-    assert afg.amount("swine") == 0.0
+    # a missing amount is a real zero: the herd's feed use counts no swine
+    # (cattle 5.12M, horses 0.02M, sheep 13.53M: 700,800 + 10,950 + 493,845 t/y)
+    assessed = run_pipeline(dataset, through="assess", countries=["Afghanistan"])
+    assert assessed.columns["feed_bedding_use_t"] == [pytest.approx(1_205_595.0)]
     assert dataset.crops["rice"].rtp == 1.40
     assert dataset.fuel_properties["coal"].ef == 2592.0
     assert dataset.pellet_ef == 151.0

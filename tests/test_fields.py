@@ -140,4 +140,4 @@ def test_generated_rows_load_and_evaluate_or_name_the_cell(case):
         alloc = {f: r.values[f"alloc_{f}_tj"] for f in FUELS}
         assert sum(alloc.values()) <= r.values["pellet_energy_tj"] * (1 + 1e-12)
         for f in FUELS:
-            assert alloc[f] <= profiles[r.country].amount(f"cons_{f}") * (1 + 1e-12)
+            assert alloc[f] <= (profiles[r.country].values[f"cons_{f}"] or 0.0) * (1 + 1e-12)

@@ -6,24 +6,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agripellet.costs import capital_costs
 from agripellet.dataio import DataError, ModelConfig
-from agripellet.pricing import (
-    BreakEvenInputs,
-    annual_cash_flow,
-    depreciation,
-    salvage_value,
-    solve_msp,
-    solve_msp_closed_form,
-)
-from conftest import random_break_even_inputs
+from agripellet.pricing import BreakEvenInputs, depreciation, salvage_value
+from conftest import cost_row, msp_row, random_break_even_inputs
 from oracles import evaluate_country, npv, solve_msp_bisection
+
+
+def break_even_price(inputs):
+    """The break-even price of one plant, $/t."""
+    return msp_row(inputs)["msp_usd_per_t"]
 
 
 @pytest.fixture
 def reference_inputs():
     """Unit-index plant, zero discounting and tax: the hand-solvable anchor."""
-    _, capex = capital_costs(1.0)
+    capex = cost_row()["capex_usd"]
     return BreakEvenInputs(
         capex=capex,
         opex=2_540_000.0,
@@ -68,9 +65,9 @@ def test_npv_strictly_increasing_in_price():
 
 
 def test_reference_msp_anchor(reference_inputs):
-    result = solve_msp(reference_inputs)
-    assert result.msp == pytest.approx(70.85, abs=0.01)
-    assert abs(result.npv_at_msp) <= 0.01
+    result = msp_row(reference_inputs)
+    assert result["msp_usd_per_t"] == pytest.approx(70.85, abs=0.01)
+    assert abs(result["npv_at_msp_usd"]) <= 0.01
 
 
 def test_msp_zero_when_base_npv_is_zero(reference_inputs):
@@ -78,7 +75,7 @@ def test_msp_zero_when_base_npv_is_zero(reference_inputs):
     free = reference_inputs._replace(opex=0.0, tr=0.3, capex=0.0)
     inputs = free._replace(capex=npv(0.0, free))
     assert npv(0.0, inputs) == pytest.approx(0.0, abs=1e-6)
-    assert solve_msp(inputs).msp == pytest.approx(0.0, abs=1e-9)
+    assert break_even_price(inputs) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_world_average_plant_anchor():
@@ -93,35 +90,36 @@ def test_world_average_plant_anchor():
         salvage_rate=0.10,
         tfc=5_327_862.0 / 1.2,
     )
-    result = solve_msp(inputs, weighted_lhv=16.0)
-    assert result.msp == pytest.approx(106.0, abs=5.0)
-    assert result.msp_per_tj == pytest.approx(6_600.0, abs=350.0)
+    result = msp_row(inputs, weighted_lhv=16.0)
+    assert result["msp_usd_per_t"] == pytest.approx(106.0, abs=5.0)
+    assert result["msp_usd_per_tj"] == pytest.approx(6_600.0, abs=350.0)
 
 
 def test_annual_trace_shape_and_discounting():
     rng = random.Random(19)
     inputs = random_break_even_inputs(rng)
-    result = solve_msp(inputs)
-    year = result.annual_trace
-    assert year.cash_flow == year.revenue - inputs.opex - year.tax
+    year = msp_row(inputs)
+    cash_flow = year["cash_flow_usd_per_y"]
+    assert cash_flow == year["revenue_usd_per_y"] - inputs.opex - year["tax_usd_per_y"]
     terminal = salvage_value(inputs) * (1.0 + inputs.r) ** -inputs.n
-    closed = year.annuity_factor * year.cash_flow + terminal - inputs.capex
-    assert closed == pytest.approx(result.npv_at_msp, abs=1e-6)
-    assert npv(result.msp, inputs) == pytest.approx(closed, abs=1e-6)
+    closed = year["annuity_factor"] * cash_flow + terminal - inputs.capex
+    assert closed == pytest.approx(year["npv_at_msp_usd"], abs=1e-6)
+    assert npv(year["msp_usd_per_t"], inputs) == pytest.approx(closed, abs=1e-6)
 
 
 def test_negative_tax_in_loss_years():
-    inputs = BreakEvenInputs(capex=6e6, opex=2e6, q=40_080.0, n=20, r=0.05, tr=0.3,
-                         salvage_rate=0.1, tfc=5e6)
-    _, tax, _ = annual_cash_flow(0.0, inputs)
-    assert tax < 0.0  # symmetric tax shield, no clamping
+    # at r = 0 and a depreciable base above the capital outlay, the break-even
+    # year's cash flow (capex - salvage) / n is below its depreciation, a loss
+    inputs = BreakEvenInputs(capex=4e6, opex=2e6, q=40_080.0, n=20, r=0.0, tr=0.3,
+                             salvage_rate=0.1, tfc=5e6)
+    assert msp_row(inputs)["tax_usd_per_y"] < 0.0  # symmetric tax shield, no clamping
 
 
 def test_closed_form_and_bisection_agree_sample():
     rng = random.Random(101)
     for _ in range(100):
         inputs = random_break_even_inputs(rng)
-        closed = solve_msp_closed_form(inputs)
+        closed = break_even_price(inputs)
         iterative = solve_msp_bisection(inputs)
         assert abs(closed - iterative) <= 0.01
         assert abs(npv(closed, inputs)) <= 0.01
@@ -132,11 +130,11 @@ def test_msp_monotone_responses():
     rng = random.Random(29)
     for _ in range(100):
         inputs = random_break_even_inputs(rng)
-        base = solve_msp_closed_form(inputs)
-        assert solve_msp_closed_form(inputs._replace(opex=inputs.opex * 1.2)) >= base
-        assert solve_msp_closed_form(inputs._replace(capex=inputs.capex * 1.2)) >= base
-        assert solve_msp_closed_form(inputs._replace(r=inputs.r + 0.05)) >= base
-        assert solve_msp_closed_form(inputs._replace(q=inputs.q * 1.5)) <= base
+        base = break_even_price(inputs)
+        assert break_even_price(inputs._replace(opex=inputs.opex * 1.2)) >= base
+        assert break_even_price(inputs._replace(capex=inputs.capex * 1.2)) >= base
+        assert break_even_price(inputs._replace(r=inputs.r + 0.05)) >= base
+        assert break_even_price(inputs._replace(q=inputs.q * 1.5)) <= base
 
 
 def test_msp_scales_with_costs():
@@ -146,8 +144,8 @@ def test_msp_scales_with_costs():
         k = rng.uniform(0.1, 8.0)
         scaled = inputs._replace(capex=k * inputs.capex, opex=k * inputs.opex,
                          tfc=k * inputs.tfc)
-        assert solve_msp_closed_form(scaled) == pytest.approx(
-            k * solve_msp_closed_form(inputs), rel=1e-9
+        assert break_even_price(scaled) == pytest.approx(
+            k * break_even_price(inputs), rel=1e-9
         )
 
 
@@ -157,12 +155,12 @@ def test_tax_neutral_at_zero_discount_when_fully_depreciated():
     the tax rate."""
     base = BreakEvenInputs(capex=6_540_000.0, opex=2_540_000.0, q=40_080.0, n=20,
                        r=0.0, tr=0.0, salvage_rate=0.10, tfc=6_540_000.0)
-    msp0 = solve_msp(base).msp
+    msp0 = break_even_price(base)
     for tr in (0.1, 0.25, 0.4, 0.6, 0.9):
-        msp_tr = solve_msp(base._replace(tr=tr)).msp
-        assert msp_tr == pytest.approx(msp0, rel=1e-6)
+        year = msp_row(base._replace(tr=tr))
+        assert year["msp_usd_per_t"] == pytest.approx(msp0, rel=1e-6)
         # and total taxable income over the horizon really is zero
-        revenue, _, _ = annual_cash_flow(msp_tr, base)
+        revenue = year["revenue_usd_per_y"]
         taxable = base.n * (revenue - base.opex - depreciation(base))
         assert taxable == pytest.approx(0.0, abs=1.0)
 
@@ -171,8 +169,8 @@ def test_tax_raises_msp_when_capital_exceeds_depreciable_base(reference_inputs):
     """The working-capital and start-up slice of CAPEX (capex - tfc) is never
     depreciated, so taxable income at break-even stays positive and a higher
     tax rate pushes the break-even price up, even at r = 0."""
-    msp0 = solve_msp(reference_inputs).msp
-    msp_taxed = solve_msp(reference_inputs._replace(tr=0.3)).msp
+    msp0 = break_even_price(reference_inputs)
+    msp_taxed = break_even_price(reference_inputs._replace(tr=0.3))
     assert msp_taxed > msp0 * (1.0 + 1e-4)
 
 
@@ -186,11 +184,11 @@ def test_tax_rate_one_rejected():
 def test_tiny_discount_rate_solves(reference_inputs, r):
     # 1 + r rounds to 1.0 below r = 1.1e-16; the annuity must not collapse to 0
     inputs = reference_inputs._replace(r=r)
-    result = solve_msp(inputs)
+    result = msp_row(inputs)
     discounted = sum((1.0 + r) ** -t for t in range(1, inputs.n + 1))
-    assert result.annual_trace.annuity_factor == pytest.approx(discounted, rel=1e-9)
-    assert abs(npv(result.msp, inputs)) <= 0.01
-    assert result.msp == pytest.approx(solve_msp(inputs._replace(r=0.0)).msp, rel=1e-5)
+    assert result["annuity_factor"] == pytest.approx(discounted, rel=1e-9)
+    assert abs(npv(result["msp_usd_per_t"], inputs)) <= 0.01
+    assert result["msp_usd_per_t"] == pytest.approx(break_even_price(inputs._replace(r=0.0)), rel=1e-5)
 
 
 def test_salvage_rate_one_rejected(reference_inputs):
@@ -202,7 +200,7 @@ def test_salvage_rate_one_rejected(reference_inputs):
 def test_bisection_bracket_guard(reference_inputs):
     # an OPEX of 1e12 $/y puts the root near 2.5e7 $/t, above the oracle's bracket
     inputs = reference_inputs._replace(opex=1e12)
-    assert solve_msp(inputs).msp > 1e6
+    assert break_even_price(inputs) > 1e6
     with pytest.raises(DataError, match="bracket"):
         solve_msp_bisection(inputs)
 
@@ -213,13 +211,21 @@ def test_long_horizon_solves_in_constant_time(reference_inputs):
     # or annuity tail left at 1e9 years and r = 8%)
     inputs = reference_inputs._replace(n=10**9, r=0.08, tr=0.25)
     start = time.perf_counter()
-    result = solve_msp(inputs)
+    result = msp_row(inputs)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1, f"solve took {elapsed:.3f}s"
     perpetuity = (inputs.opex + inputs.r * inputs.capex / (1.0 - inputs.tr)) / inputs.q
-    assert result.msp == pytest.approx(perpetuity, rel=1e-9)
-    assert result.annual_trace.annuity_factor == pytest.approx(1.0 / inputs.r, rel=1e-12)
-    assert abs(result.npv_at_msp) <= 0.01
+    assert result["msp_usd_per_t"] == pytest.approx(perpetuity, rel=1e-9)
+    assert result["annuity_factor"] == pytest.approx(1.0 / inputs.r, rel=1e-12)
+    assert abs(result["npv_at_msp_usd"]) <= 0.01
+
+
+def test_slope_below_float_range_gives_infinity(reference_inputs):
+    # NPV's slope in price, annuity * (1 - tax_rate) * q, rounds to 0.0 at a
+    # 5e-324 t/y plant when the other two factors multiply to less than 0.5:
+    # the price is infinite, a non-finite value the pipeline rejects
+    inputs = reference_inputs._replace(q=5e-324, n=1, r=0.14, tr=0.6)
+    assert msp_row(inputs)["msp_usd_per_t"] == math.inf
 
 
 def test_horizon_beyond_float_rejected(reference_inputs):
@@ -230,8 +236,8 @@ def test_horizon_beyond_float_rejected(reference_inputs):
 
 def test_zero_rate_solves_up_to_largest_exact_horizon(reference_inputs):
     # float(n) is exact up to 2**53, so the zero-rate annuity factor n is too
-    result = solve_msp(reference_inputs._replace(n=2**53))
-    assert math.isfinite(result.msp) and result.annual_trace.annuity_factor == 2**53
+    result = msp_row(reference_inputs._replace(n=2**53))
+    assert math.isfinite(result["msp_usd_per_t"]) and result["annuity_factor"] == 2**53
     with pytest.raises(DataError, match=r"n: must be in \[1, 9007199254740992\], "
                                         r"got 9007199254740993"):
         reference_inputs._replace(n=2**53 + 1)
@@ -276,12 +282,12 @@ def test_generated_configs_solve(plant_capacity, horizon_years, salvage_rate,
                                  tfc_capex_ratio, r, tr):
     cfg = ModelConfig(plant_capacity=plant_capacity, horizon_years=horizon_years,
                       salvage_rate=salvage_rate, tfc_capex_ratio=tfc_capex_ratio)
-    _, capex = capital_costs(1.0)
+    capex = cost_row()["capex_usd"]
     inputs = BreakEvenInputs(capex=capex, opex=2_540_000.0, q=cfg.plant_capacity,
                              n=cfg.horizon_years, r=r, tr=tr,
                              salvage_rate=cfg.salvage_rate,
                              tfc=capex * cfg.tfc_capex_ratio)
-    result = solve_msp(inputs)
-    assert math.isfinite(result.msp) and math.isfinite(result.npv_at_msp)
+    result = msp_row(inputs)
+    assert math.isfinite(result["msp_usd_per_t"]) and math.isfinite(result["npv_at_msp_usd"])
     if inputs.n <= 200:
-        assert abs(result.msp - solve_msp_bisection(inputs)) <= 0.01
+        assert abs(result["msp_usd_per_t"] - solve_msp_bisection(inputs)) <= 0.01

@@ -3,28 +3,31 @@ import random
 import pytest
 
 from agripellet.dataio import FUELS, FuelProperties, default_fuel_properties
-from agripellet.replacement import (
-    allocate,
-    build_economics,
-    build_plan,
-    emission_intensity,
-    fuel_lcoe,
-    rank_fuels,
-    savings,
-)
+from agripellet.replacement import emission_intensity, fuel_lcoe
+from conftest import plan_row
 
 PROPS = default_fuel_properties()
 
+# the reported global-average energy costs in $/t
+AVERAGE_PRICES = {
+    "coal": 4_403.0 * 23.9e-3,       # -> 4,403 $/TJ
+    "oil": 14_036.0 * 42.0e-3,       # -> 14,036 $/TJ
+    "natural_gas": 13_563.0 * 42.0e-3,
+}
+# TJ per fuel
+CONSUMPTION = {"oil": 60.0, "natural_gas": 50.0, "coal": 10.0}
 
-def average_econ(pellet_lcoe=6_600.0, weighted_lhv=16.0):
-    """FuelEconomics hitting the reported global-average energy costs."""
-    prices = {
-        "coal": 4_403.0 * 23.9e-3,       # -> 4,403 $/TJ
-        "oil": 14_036.0 * 42.0e-3,       # -> 14,036 $/TJ
-        "natural_gas": 13_563.0 * 42.0e-3,
-    }
-    return build_economics(prices, PROPS, pellet_lcoe * weighted_lhv * 1e-3,
-                           weighted_lhv, 151.0)
+
+def average_plan(scenario="A", pellet_energy=100.0, consumption=CONSUMPTION,
+                 pellet_lcoe=6_600.0, weighted_lhv=16.0, carbon_tax=0.0):
+    """One country's plan at the global-average energy costs, and its ranking;
+    scenario A ranks oil, natural gas, coal there."""
+    return plan_row(pellet_energy, consumption, AVERAGE_PRICES, PROPS,
+                    pellet_lcoe * weighted_lhv * 1e-3, weighted_lhv, 151.0, scenario, carbon_tax)
+
+
+def allocation(plan):
+    return {f: plan[f"alloc_{f}_tj"] for f in FUELS}
 
 
 def test_fuel_lcoe_coal_average():
@@ -47,8 +50,7 @@ def test_emission_intensities_from_reference_tables():
 
 
 def test_scenario_a_ranking_at_global_averages():
-    econ = average_econ()
-    ranking = rank_fuels(econ, "A")
+    _, ranking = average_plan("A")
     assert [f for f, _ in ranking] == ["oil", "natural_gas", "coal"]
     scores = dict(ranking)
     assert scores["oil"] == pytest.approx(14_036.0 - 6_600.0, abs=0.5)
@@ -56,20 +58,17 @@ def test_scenario_a_ranking_at_global_averages():
 
 
 def test_scenario_c_zero_tax_equals_a():
-    econ = average_econ()
-    assert rank_fuels(econ, "C", carbon_tax=0.0) == rank_fuels(econ, "A")
+    assert average_plan("C", carbon_tax=0.0)[1] == average_plan("A")[1]
 
 
 def test_scenario_c_tax_can_flip_ranking():
-    econ = average_econ()
     # a steep carbon price favors displacing coal despite its low market cost
-    ranking = rank_fuels(econ, "C", carbon_tax=500.0)
+    _, ranking = average_plan("C", carbon_tax=500.0)
     assert ranking[0][0] == "coal"
 
 
 def test_scenario_b_ranking_with_default_factors():
-    econ = average_econ()
-    ranking = rank_fuels(econ, "B")
+    _, ranking = average_plan("B")
     assert [f for f, _ in ranking] == ["coal", "oil", "natural_gas"]
     scores = dict(ranking)
     assert scores["coal"] == pytest.approx(108_451.88284518828 - 9_437.5)
@@ -80,62 +79,56 @@ def test_scenario_b_ranking_with_default_factors():
 def test_tie_break_is_canonical():
     props = {f: FuelProperties(20.0, 2000.0) for f in FUELS}
     prices = {f: 100.0 for f in FUELS}
-    econ = build_economics(prices, props, 80.0, 16.0, 151.0)
-    ranking = rank_fuels(econ, "A")
+    _, ranking = plan_row(100.0, CONSUMPTION, prices, props, 80.0, 16.0, 151.0, "A")
     assert [f for f, _ in ranking] == ["coal", "natural_gas", "oil"]
 
 
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
-        rank_fuels(average_econ(), "Z")
+        average_plan("Z")
 
 
 def test_greedy_allocation_hand_example():
-    ranking = [("oil", 3.0), ("natural_gas", 2.0), ("coal", 1.0)]
-    consumption = {"oil": 60.0, "natural_gas": 50.0, "coal": 10.0}
-    allocation, unused = allocate(100.0, consumption, ranking)
-    assert allocation == {"oil": 60.0, "natural_gas": 40.0, "coal": 0.0}
-    assert unused == 0.0
+    plan, _ = average_plan(pellet_energy=100.0)
+    assert allocation(plan) == {"oil": 60.0, "natural_gas": 40.0, "coal": 0.0}
+    assert plan["unused_pellet_tj"] == 0.0
 
 
 def test_allocation_zero_supply():
-    ranking = [("oil", 3.0), ("natural_gas", 2.0), ("coal", 1.0)]
-    allocation, unused = allocate(0.0, {f: 10.0 for f in FUELS}, ranking)
-    assert all(v == 0.0 for v in allocation.values())
-    assert unused == 0.0
+    plan, _ = average_plan(pellet_energy=0.0, consumption={f: 10.0 for f in FUELS})
+    assert all(v == 0.0 for v in allocation(plan).values())
+    assert plan["unused_pellet_tj"] == 0.0
 
 
 def test_allocation_saturation():
-    ranking = [("oil", 3.0), ("natural_gas", 2.0), ("coal", 1.0)]
-    consumption = {"oil": 60.0, "natural_gas": 50.0, "coal": 10.0}
-    allocation, unused = allocate(1000.0, consumption, ranking)
-    assert allocation == consumption
-    assert unused == 880.0
+    plan, _ = average_plan(pellet_energy=1000.0)
+    assert allocation(plan) == CONSUMPTION
+    assert plan["unused_pellet_tj"] == 880.0
 
 
 def test_allocation_proceeds_at_negative_margin():
-    econ = average_econ(pellet_lcoe=20_000.0)  # pellets dearer than every fuel
-    plan = build_plan(100.0, {"oil": 60.0, "natural_gas": 50.0, "coal": 10.0}, econ, "A")
-    assert sum(plan.allocation.values()) == pytest.approx(100.0)
-    assert plan.s_ec < 0.0  # negative savings are reported, not clamped
+    plan, _ = average_plan(pellet_lcoe=20_000.0)  # pellets dearer than every fuel
+    assert sum(allocation(plan).values()) == pytest.approx(100.0)
+    assert plan["s_ec_usd_per_y"] < 0.0  # negative savings are reported, not clamped
 
 
 def test_savings_oil_anchor():
-    econ = average_econ()
-    allocation = {"oil": 100.0, "natural_gas": 0.0, "coal": 0.0}
-    s_ec, _ = savings(allocation, econ)
-    assert s_ec == pytest.approx(100.0 * (14_036.0 - 6_600.0), abs=50.0)
+    # 100 TJ all go to oil, the first-ranked fuel
+    plan, _ = average_plan(consumption={"oil": 100.0, "natural_gas": 0.0, "coal": 0.0})
+    assert allocation(plan) == {"oil": 100.0, "natural_gas": 0.0, "coal": 0.0}
+    assert plan["s_ec_usd_per_y"] == pytest.approx(100.0 * (14_036.0 - 6_600.0), abs=50.0)
 
 
 def test_savings_zero_allocation():
-    econ = average_econ()
-    assert savings({f: 0.0 for f in FUELS}, econ) == (0.0, 0.0)
+    plan, _ = average_plan(pellet_energy=0.0)
+    assert (plan["s_ec_usd_per_y"], plan["s_em_kgco2e_per_y"]) == (0.0, 0.0)
 
 
 def test_savings_coal_emissions_anchor():
-    econ = average_econ()
-    _, s_em = savings({"coal": 1.0, "oil": 0.0, "natural_gas": 0.0}, econ)
-    assert s_em == pytest.approx(108_451.88284518828 - 9_437.5)
+    # scenario B ranks coal first, so 1 TJ all goes to coal
+    plan, _ = average_plan("B", pellet_energy=1.0)
+    assert allocation(plan) == {"coal": 1.0, "oil": 0.0, "natural_gas": 0.0}
+    assert plan["s_em_kgco2e_per_y"] == pytest.approx(108_451.88284518828 - 9_437.5)
 
 
 def random_raw_case(rng):
@@ -150,30 +143,30 @@ def random_raw_case(rng):
     return prices, props, pellet_price, wlhv, pellet_ef, consumption, energy
 
 
-def random_case(rng):
+def random_plan(rng, scenarios):
+    """A random country's plan in each scenario."""
     prices, props, pellet_price, wlhv, pellet_ef, consumption, energy = random_raw_case(rng)
-    econ = build_economics(prices, props, pellet_price, wlhv, pellet_ef)
-    return econ, consumption, energy
+    plans = [plan_row(energy, consumption, prices, props, pellet_price, wlhv, pellet_ef,
+                      scenario)[0] for scenario in scenarios]
+    return plans, consumption, energy
 
 
 def test_conservation_and_bounds_random():
     rng = random.Random(57)
     for _ in range(500):
-        econ, consumption, energy = random_case(rng)
-        plan = build_plan(energy, consumption, econ, "A")
-        total = sum(plan.allocation.values()) + plan.unused_pellet_energy
+        (plan,), consumption, energy = random_plan(rng, "A")
+        total = sum(allocation(plan).values()) + plan["unused_pellet_tj"]
         assert total == pytest.approx(energy, rel=1e-9, abs=1e-9)
         for f in FUELS:
-            assert 0.0 <= plan.allocation[f] <= consumption[f] + 1e-12
+            assert 0.0 <= plan[f"alloc_{f}_tj"] <= consumption[f] + 1e-12
 
 
 def test_emissions_scenario_dominates_random():
     rng = random.Random(59)
     for _ in range(500):
-        econ, consumption, energy = random_case(rng)
-        plan_a = build_plan(energy, consumption, econ, "A")
-        plan_b = build_plan(energy, consumption, econ, "B")
-        assert plan_b.s_em >= plan_a.s_em - 1e-6 * max(1.0, abs(plan_a.s_em))
+        (plan_a, plan_b), _, _ = random_plan(rng, "AB")
+        s_em_a = plan_a["s_em_kgco2e_per_y"]
+        assert plan_b["s_em_kgco2e_per_y"] >= s_em_a - 1e-6 * max(1.0, abs(s_em_a))
 
 
 def test_label_permutation_symmetry():
@@ -181,26 +174,24 @@ def test_label_permutation_symmetry():
     perm = {"coal": "oil", "oil": "natural_gas", "natural_gas": "coal"}
     for _ in range(100):
         prices, props, pellet_price, wlhv, pellet_ef, consumption, energy = random_raw_case(rng)
-        econ = build_economics(prices, props, pellet_price, wlhv, pellet_ef)
-        econ_p = build_economics(
-            {perm[f]: prices[f] for f in FUELS},
-            {perm[f]: props[f] for f in FUELS},
-            pellet_price, wlhv, pellet_ef,
-        )
-        plan = build_plan(energy, consumption, econ, "A")
-        plan_p = build_plan(energy, {perm[f]: consumption[f] for f in FUELS}, econ_p, "A")
+        plan, _ = plan_row(energy, consumption, prices, props, pellet_price, wlhv, pellet_ef,
+                           "A")
+        plan_p, _ = plan_row(energy, {perm[f]: consumption[f] for f in FUELS},
+                             {perm[f]: prices[f] for f in FUELS},
+                             {perm[f]: props[f] for f in FUELS},
+                             pellet_price, wlhv, pellet_ef, "A")
         for f in FUELS:
-            assert plan_p.allocation[perm[f]] == pytest.approx(
-                plan.allocation[f], rel=1e-9, abs=1e-9
+            assert plan_p[f"alloc_{perm[f]}_tj"] == pytest.approx(
+                plan[f"alloc_{f}_tj"], rel=1e-9, abs=1e-9
             )
-        assert plan_p.s_ec == pytest.approx(plan.s_ec, rel=1e-9, abs=1e-6)
-        assert plan_p.s_em == pytest.approx(plan.s_em, rel=1e-9, abs=1e-6)
+        for key in ("s_ec_usd_per_y", "s_em_kgco2e_per_y"):
+            assert plan_p[key] == pytest.approx(plan[key], rel=1e-9, abs=1e-6)
 
 
 def test_replaced_fractions():
-    econ = average_econ()
-    plan = build_plan(70.0, {"oil": 60.0, "natural_gas": 40.0, "coal": 0.0}, econ, "A")
-    assert plan.replaced_fraction["oil"] == pytest.approx(1.0)
-    assert plan.replaced_fraction["natural_gas"] == pytest.approx(10.0 / 40.0)
-    assert plan.replaced_fraction["coal"] == 0.0
-    assert plan.replaced_fraction_overall == pytest.approx(70.0 / 100.0)
+    plan, _ = average_plan(pellet_energy=70.0,
+                           consumption={"oil": 60.0, "natural_gas": 40.0, "coal": 0.0})
+    assert plan["replaced_oil_frac"] == pytest.approx(1.0)
+    assert plan["replaced_natural_gas_frac"] == pytest.approx(10.0 / 40.0)
+    assert plan["replaced_coal_frac"] == 0.0
+    assert plan["replaced_overall_frac"] == pytest.approx(70.0 / 100.0)

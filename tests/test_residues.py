@@ -2,18 +2,10 @@ import random
 
 import pytest
 
-from agripellet.dataio import CROPS, LivestockRates
+from agripellet.dataio import CROPS, default_crops
 from agripellet.pipeline import run_pipeline
-from agripellet.residues import (
-    OTHER_BIOENERGY_ATTRIBUTION,
-    assess_country,
-    bioenergy_use,
-    feed_bedding_use,
-    final_residue,
-    removable_dry_residue,
-    total_residue,
-)
-from conftest import make_dataset, make_profile
+from agripellet.residues import OTHER_BIOENERGY_ATTRIBUTION, removable_dry_residue, total_residue
+from conftest import assess_row, make_dataset, make_profile
 
 
 def test_total_residue_wheat_anchor():
@@ -49,48 +41,64 @@ def test_removable_dry_identity():
 def test_feed_bedding_afghanistan_anchor():
     # cattle 5.12M, horses 0.02M, sheep 13.53M: 700,800 + 10,950 + 493,845
     livestock = {"cattle": 5.12e6, "horses": 0.02e6, "sheep": 13.53e6, "swine": None}
-    assert feed_bedding_use(livestock, LivestockRates()) == pytest.approx(1_205_595.0)
+    row, _ = assess_row(livestock=livestock)
+    assert row["feed_bedding_use_t"] == pytest.approx(1_205_595.0)
 
 
 def test_feed_bedding_zero():
     livestock = {a: 0.0 for a in ("cattle", "horses", "sheep", "swine")}
-    assert feed_bedding_use(livestock, LivestockRates()) == 0.0
+    row, _ = assess_row(livestock=livestock)
+    assert row["feed_bedding_use_t"] == 0.0
+
+
+def bioenergy_row(bagasse, other):
+    """(bagasse passthrough, share of other vegetal bioenergy attributed here)."""
+    row, _ = assess_row(bagasse=bagasse, other=other)
+    return row["bagasse_bioenergy_use_t"], row["other_bioenergy_attributed_t"]
 
 
 def test_bioenergy_attribution():
-    bagasse, attributed = bioenergy_use(0.0, 1_000_000.0)
+    bagasse, attributed = bioenergy_row(0.0, 1_000_000.0)
     assert bagasse == 0.0
     assert attributed == pytest.approx(284_830.0, rel=1e-12)
     assert OTHER_BIOENERGY_ATTRIBUTION == pytest.approx(0.28483, rel=1e-12)
 
 
 def test_bioenergy_bagasse_passthrough():
-    assert bioenergy_use(500.0, 0.0) == (500.0, 0.0)
-    assert bioenergy_use(0.0, 0.0) == (0.0, 0.0)
+    assert bioenergy_row(500.0, 0.0) == (500.0, 0.0)
+    assert bioenergy_row(0.0, 0.0) == (0.0, 0.0)
+
+
+def final_row(removable, uses):
+    """One country with ``removable`` dry tonnage per crop and ``uses`` t/y
+    of competing uses, entered as bagasse bioenergy (which passes through
+    unchanged): its residue columns and final tonnage per crop."""
+    return assess_row(production=removable, bagasse=uses)
 
 
 def test_final_residue_simple_subtraction():
     removable = {"maize": 4e6, "rice": 3e6, "sugarcane": 2e6, "wheat": 1e6}
-    a = final_residue("X", dict.fromkeys(CROPS, 0.0), removable, 2e6, 0.5e6, 0.5e6)
-    assert a.cr_final == 7e6
-    assert not a.use_saturated
-    assert sum(a.cr_final_by_crop.values()) == pytest.approx(7e6)
+    # feed 2 Mt, bagasse 0.5 Mt and attributed other bioenergy 0.5 Mt
+    a, by_crop = final_row(removable, 2e6 + 0.5e6 + 0.5e6)
+    assert a["cr_final_t"] == 7e6
+    assert not a["use_saturated"]
+    assert sum(by_crop.values()) == pytest.approx(7e6)
     # pro rata split follows removable shares
-    assert a.cr_final_by_crop["maize"] == pytest.approx(7e6 * 0.4)
+    assert by_crop["maize"] == pytest.approx(7e6 * 0.4)
 
 
 def test_final_residue_clamped_and_flagged():
     removable = {"maize": 1e6, "rice": 0.0, "sugarcane": 0.0, "wheat": 0.0}
-    a = final_residue("X", dict.fromkeys(CROPS, 0.0), removable, 2e6, 0.0, 0.0)
-    assert a.cr_final == 0.0
-    assert a.use_saturated
-    assert all(v == 0.0 for v in a.cr_final_by_crop.values())
+    a, by_crop = final_row(removable, 2e6)
+    assert a["cr_final_t"] == 0.0
+    assert a["use_saturated"]
+    assert all(v == 0.0 for v in by_crop.values())
 
 
 def test_final_residue_no_residue_not_flagged():
-    a = final_residue("X", dict.fromkeys(CROPS, 0.0), dict.fromkeys(CROPS, 0.0), 0.0, 0.0, 0.0)
-    assert a.cr_final == 0.0
-    assert not a.use_saturated
+    a, _ = final_row(dict.fromkeys(CROPS, 0.0), 0.0)
+    assert a["cr_final_t"] == 0.0
+    assert not a["use_saturated"]
 
 
 def test_more_use_never_raises_final():
@@ -98,26 +106,24 @@ def test_more_use_never_raises_final():
     removable = {c: rng.uniform(0, 5e6) for c in CROPS}
     last = None
     for feed in [0.0, 1e6, 3e6, 8e6, 2e7]:
-        a = final_residue("X", dict.fromkeys(CROPS, 0.0), removable, feed, 0.0, 0.0)
-        assert a.cr_final >= 0.0
+        a, _ = final_row(removable, feed)
+        assert a["cr_final_t"] >= 0.0
         if last is not None:
-            assert a.cr_final <= last
-        last = a.cr_final
+            assert a["cr_final_t"] <= last
+        last = a["cr_final_t"]
 
 
 def test_assessment_invariants_random():
     rng = random.Random(23)
-    for i in range(200):
+    for _ in range(200):
         prod = {c: rng.uniform(0, 5e7) for c in CROPS}
         livestock = {a: rng.uniform(0, 2e7) for a in ("cattle", "horses", "sheep", "swine")}
-        p = make_profile(name=f"R{i}", production=prod, livestock=livestock,
-                         bagasse=rng.uniform(0, 5e6), other=rng.uniform(0, 5e6))
-        ds = make_dataset([p])
-        a = assess_country(ds, p, {c: ds.crops[c].dmr_default for c in CROPS})
+        a, _ = assess_row(default_crops(), production=prod, livestock=livestock,
+                          bagasse=rng.uniform(0, 5e6), other=rng.uniform(0, 5e6))
         for c in CROPS:
-            assert 0.0 <= a.cr_removable_dry[c] <= a.cr_total[c] + 1e-9
-        assert a.cr_final >= 0.0
-        assert a.cr_final <= sum(a.cr_removable_dry.values()) + 1e-6
+            assert 0.0 <= a[f"cr_removable_dry_{c}_t"] <= a[f"cr_total_{c}_t"] + 1e-9
+        assert a["cr_final_t"] >= 0.0
+        assert a["cr_final_t"] <= a["cr_removable_dry_t"] + 1e-6
 
 
 def test_brute_force_equivalence_ten_countries():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from agripellet.dataio import CROPS, FUELS, DataError, ModelConfig
 from agripellet.pipeline import STAGE_PLAN, run_pipeline
-from agripellet.replacement import build_economics, build_plan
+from agripellet.replacement import plan_columns
 from agripellet.reporting import write_sweep_files
 from agripellet.sensitivity import sweep
 from conftest import make_dataset, make_profile, synthetic_market_profiles
@@ -20,25 +20,25 @@ def replanned_grid(dataset, multipliers, pellet_prices):
     """
     scenario_a = dataset._replace(config=dataset.config._replace(scenario="A"))
     baseline = run_pipeline(scenario_a, through=STAGE_PLAN)
-    consumption = {c.name: {f: c.amount(f"cons_{f}") for f in FUELS}
+    consumption = {c.name: {f: c.values[f"cons_{f}"] or 0.0 for f in FUELS}
                    for c in dataset.countries}
-    countries = [
-        (r.values["weighted_lhv_mj_per_kg"], r.values["pellet_energy_tj"],
-         {f: r.values[f"price_{f}"] for f in FUELS}, consumption[r.country])
-        for r in baseline.reports
-        if r.values["weighted_lhv_mj_per_kg"] is not None
-    ]
+    planned = [r.values for r in baseline.reports
+               if r.values["weighted_lhv_mj_per_kg"] is not None]
+    columns = {name: [v[name] for v in planned]
+               for name in ("weighted_lhv_mj_per_kg", "pellet_energy_tj")}
+    cons = {f: [consumption[v["country"]][f] for v in planned] for f in FUELS}
     grid = {}
     for m in multipliers:
         for p in pellet_prices:
+            plans, _ = plan_columns(
+                {**columns, **{f"price_{f}": [v[f"price_{f}"] * m for v in planned]
+                               for f in FUELS},
+                 "msp_usd_per_t": [p] * len(planned)},
+                cons, dataset.fuel_properties, dataset.pellet_ef, "A", 0.0)
             total_ec = total_em = 0.0
-            for weighted_lhv, pellet_energy, fuel_price, cons in countries:
-                econ = build_economics({f: fuel_price[f] * m for f in FUELS},
-                                       dataset.fuel_properties, p, weighted_lhv,
-                                       dataset.pellet_ef)
-                plan = build_plan(pellet_energy, cons, econ, "A")
-                total_ec += plan.s_ec
-                total_em += plan.s_em
+            for s_ec, s_em in zip(plans["s_ec_usd_per_y"], plans["s_em_kgco2e_per_y"]):
+                total_ec += s_ec
+                total_em += s_em
             grid[(m, p)] = (total_ec, total_em)
     return grid
 
