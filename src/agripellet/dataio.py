@@ -6,7 +6,11 @@ optional JSON run configuration.  Loaded data is immutable; downstream modules
 treat a Dataset as read-only.  ``FIELDS`` describes each numeric
 ``countries.csv`` column once (header, model key, bound, fallback tier);
 loading, bounds checks, resolution and ``reporting.save_dataset`` derive
-from it.  This module only reads files; every output goes through ``reporting``.
+from it.  A table is parsed a whole column at a time, and its rows are scanned
+only when a column check trips, so that each problem is named by line and
+column.  ``resolve`` is the one fallback rule for an empty cell; the pipeline
+sends only empty cells through it.  This module only reads files; every
+output goes through ``reporting``.
 """
 
 from __future__ import annotations
@@ -333,10 +337,13 @@ def default_fuel_properties() -> dict:
     return {f: FuelProperties(DEFAULT_FUEL_LHV[f], DEFAULT_FUEL_EF[f]) for f in FUELS}
 
 
+_NO_DATA = ("", "-")  # a cell that holds no data, once stripped
+
+
 def parse_cell(raw: str) -> float | None:
     """One CSV cell to a finite float; '-' or empty means no data."""
     raw = raw.strip()
-    if raw in ("", "-"):
+    if raw in _NO_DATA:
         return None
     if "_" in raw or not raw.isascii():  # float() also reads 1_000 and non-ASCII digits
         raise DataError(f"not a number: {raw!r}")
@@ -413,16 +420,65 @@ def _read_rows(path: Path, *headers: tuple) -> tuple:
     return header, rows
 
 
+def _parse_columns(file: str, rows: list, columns: tuple, names, table: tuple) -> list | None:
+    """The rows ``_read_table`` yields, each column checked and parsed whole,
+    or None when a check trips; the row scan then names every problem.
+
+    A numeric column is taken whole only when its text is ASCII without ``_``
+    (``float`` reads both, ``parse_cell`` neither), ``float`` reads each cell
+    that holds data, and the values are finite and inside the field's bound:
+    ``parse_cell`` and the bound check accept each of its cells alike.
+    """
+    if not rows:
+        return []
+    first = len(columns) - len(table)  # the first numeric cell
+    cells = list(zip(*[row for _, row in rows]))
+    keys = [cell.strip() for cell in cells[0]]
+    if ("" in keys or len(set(keys)) != len(keys)
+            or (names is not None and not set(keys) <= set(names))):
+        return None
+    texts = [[cell.strip() for cell in col] for col in cells[1:first]]
+    if any("" in col for col in texts):
+        return None
+    values = []
+    for (_, _, bound, _), col in zip(table, cells[first:]):
+        text = "".join(col)
+        if not text.isascii() or "_" in text:
+            return None
+        try:
+            parsed = present = list(map(float, col))
+        except ValueError:  # an empty cell, or a cell float cannot read
+            try:
+                parsed = [None if cell.strip() in _NO_DATA else float(cell) for cell in col]
+            except ValueError:
+                return None
+            present = [value for value in parsed if value is not None]
+        if present and not (math.isfinite(sum(present))  # a NaN, an inf, or an overflow
+                            and bound.lo <= min(present) and max(present) <= bound.hi):
+            return None
+        values.append(parsed)
+    fields = [f.key for f in table]
+    return [(f"{file} line {lineno}", name, labels, dict(zip(fields, row_values)))
+            for (lineno, _), (name, *labels), row_values
+            in zip(rows, zip(keys, *texts), zip(*values))]
+
+
 def _read_table(path: Path, columns: tuple, names, table: tuple, problems: list):
     """Yield ``(where, name, text cells, values)`` for each good row of a table
     keyed by its first column; every bad row adds its problems to ``problems``.
 
     ``names`` holds the accepted names (None: any non-empty name), and a name
     may not repeat.  The cells between the name and the ``table`` numeric
-    cells are text labels that may not be empty.  Rows are checked as they are
-    yielded, so a caller's own problems stay in line order.
+    cells are text labels that may not be empty.  The table is checked column
+    by column first; only when a check trips are its rows scanned, and then
+    each row is checked as it is yielded, so a caller's own problems stay in
+    line order.
     """
     _, rows = _read_rows(path, columns)
+    parsed = _parse_columns(path.name, rows, columns, names, table)
+    if parsed is not None:
+        yield from parsed
+        return
     kind = columns[0]
     first = len(columns) - len(table)  # the first numeric cell
     seen = {}

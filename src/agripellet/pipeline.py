@@ -1,13 +1,13 @@
 """End-to-end evaluation of every country, column by column, and global aggregation.
 
 Each stage runs once over all the countries: their inputs are gathered into
-one list per field (each resolvable field through ``resolve``, once per
-country), and each stage module's column function turns lists keyed by column
-into more of them.  The result is those columns, one row per evaluated
-country.  Failures are isolated: a country that fails a stage's check leaves
-every column at once and lands in the error list without aborting the rest,
-with the message its first failure gives.  Output ordering is by country name,
-so repeated runs over the same inputs are byte-identical downstream.
+one list per field (only empty cells go through ``resolve``), and each stage
+module's column function turns lists keyed by column into more of them.  The
+result is those columns, one row per evaluated country.  Failures are
+isolated: a country that fails a stage's check leaves every column at once
+and lands in the error list without aborting the rest, with the message its
+first failure gives.  Output ordering is by country name, so repeated runs
+over the same inputs are byte-identical downstream.
 """
 
 from __future__ import annotations
@@ -93,18 +93,22 @@ class _Rows:
                 table[name] = [col[row] for row in keep]
 
     def resolve(self, names: tuple) -> None:
-        """Resolve the fields once per country and field, in order; a country
-        stops at its first failure."""
-        dataset, found, failures = self.dataset, [], {}
-        for row, profile in enumerate(self.profiles):
-            try:  # value and tier of each field in turn
-                found.append([x for name in names for x in resolve(dataset, profile, name)])
-            except (DataError, ValueError) as exc:
-                failures[row] = str(exc)
+        """Resolve the fields in order, a column at a time: a country's own
+        value has tier ``country``, and only empty cells go through
+        ``resolve``.  A country stops at its first failure."""
+        dataset, profiles, failures = self.dataset, self.profiles, {}
+        for name in names:
+            values = [p.values[name] for p in profiles]
+            tiers = ["country"] * len(values)
+            if None in values:
+                for row, value in enumerate(values):
+                    if value is None and row not in failures:
+                        try:
+                            values[row], tiers[row] = resolve(dataset, profiles[row], name)
+                        except (DataError, ValueError) as exc:
+                            failures[row] = str(exc)
+            self.resolved[name], self.resolved[f"src_{name}"] = values, tiers
         self.drop(failures)
-        columns = list(map(list, zip(*found))) or [[] for _ in range(2 * len(names))]
-        for i, name in enumerate(names):
-            self.resolved[name], self.resolved[f"src_{name}"] = columns[2 * i:2 * i + 2]
 
     def amounts(self, key: str) -> list:
         """One field's column where a missing value is a real zero (an amount
@@ -224,8 +228,9 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
               "continent": [p.continent for p in evaluated],
               **{name: columns[name] for name in order}, **resolved}
     planned = [row for row, rank in enumerate(result.get("rank_1", ())) if rank is not None]
-    total_cons = sum(p.values[f"cons_{f}"] or 0.0 for p in evaluated for f in FUELS)
-    total_alloc = sum(result[f"alloc_{f}_tj"][row] for row in planned for f in FUELS)
+    # every total starts at 0.0, so a total over no rows is a float too
+    total_cons = sum((p.values[f"cons_{f}"] or 0.0 for p in evaluated for f in FUELS), 0.0)
+    total_alloc = sum((result[f"alloc_{f}_tj"][row] for row in planned for f in FUELS), 0.0)
     rank_first = {f: 0 for f in FUELS}
     for row in planned:
         rank_first[result["rank_1"][row]] += 1
@@ -233,10 +238,10 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
     global_report = GlobalReport(
         countries_evaluated=len(evaluated),
         countries_failed=len(rows.errors),
-        cr_final_t=sum(result["cr_final_t"]),
-        pellet_energy_tj=sum(result["pellet_energy_tj"]),
-        s_ec_usd_per_y=sum(result["s_ec_usd_per_y"][row] for row in planned),
-        s_em_kgco2e_per_y=sum(result["s_em_kgco2e_per_y"][row] for row in planned),
+        cr_final_t=sum(result["cr_final_t"], 0.0),
+        pellet_energy_tj=sum(result["pellet_energy_tj"], 0.0),
+        s_ec_usd_per_y=sum((result["s_ec_usd_per_y"][row] for row in planned), 0.0),
+        s_em_kgco2e_per_y=sum((result["s_em_kgco2e_per_y"][row] for row in planned), 0.0),
         fossil_consumption_tj=total_cons,
         replaced_fraction_overall=total_alloc / total_cons if total_cons > 0 else 0.0,
         rank_first_counts=rank_first,

@@ -161,13 +161,13 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
             errors.append((profile.name, str(exc)))
 
     evaluated_names = {r.country for r in reports}
-    total_cons = sum(
+    total_cons = sum((
         c.values[f"cons_{f}"] or 0.0
         for c in selected if c.name in evaluated_names
         for f in FUELS
-    )
+    ), 0.0)  # a float total over no rows too
     planned = [r.values for r in reports if "rank_1" in r.values]
-    total_alloc = sum(v[f"alloc_{f}_tj"] for v in planned for f in FUELS)
+    total_alloc = sum((v[f"alloc_{f}_tj"] for v in planned for f in FUELS), 0.0)
     rank_first = {f: 0 for f in FUELS}
     for v in planned:
         rank_first[v["rank_1"]] += 1
@@ -175,10 +175,10 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
     global_report = GlobalReport(
         countries_evaluated=len(reports),
         countries_failed=len(errors),
-        cr_final_t=sum(r.values["cr_final_t"] for r in reports),
-        pellet_energy_tj=sum(r.values["pellet_energy_tj"] for r in reports),
-        s_ec_usd_per_y=sum(v["s_ec_usd_per_y"] for v in planned),
-        s_em_kgco2e_per_y=sum(v["s_em_kgco2e_per_y"] for v in planned),
+        cr_final_t=sum((r.values["cr_final_t"] for r in reports), 0.0),
+        pellet_energy_tj=sum((r.values["pellet_energy_tj"] for r in reports), 0.0),
+        s_ec_usd_per_y=sum((v["s_ec_usd_per_y"] for v in planned), 0.0),
+        s_em_kgco2e_per_y=sum((v["s_em_kgco2e_per_y"] for v in planned), 0.0),
         fossil_consumption_tj=total_cons,
         replaced_fraction_overall=total_alloc / total_cons if total_cons > 0 else 0.0,
         rank_first_counts=rank_first,

@@ -5,13 +5,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 from agripellet import reporting
 from agripellet.cli import main
-from agripellet.dataio import COUNTRIES_COLUMNS
-from agripellet.pipeline import STAGE_PLAN, run_pipeline
+from agripellet.dataio import COUNTRIES_COLUMNS, load_dataset
+from agripellet.pipeline import STAGE_PLAN, GlobalReport, run_pipeline
 from oracles import format_cell, table_records, table_values
 
 
@@ -644,3 +645,42 @@ def test_yoy_names_a_multi_line_series_on_one_line(tmp_path, capsys):
     assert run_cli("yoy", series, "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err == ("'A\\nB': every base year is zero; growth is undefined\n"
                                        "C: every base year is zero; growth is undefined\n")
+
+
+FLOAT_TOTALS = [name for name, kind in get_type_hints(GlobalReport).items() if kind is float]
+
+
+@pytest.mark.parametrize("case", ["header-only", "every-country-fails"])
+def test_totals_over_no_rows_are_floats(data_dir, tmp_path, case):
+    """``sum`` of no values is the int 0; every total is a float all the same,
+    and no output cell reads a bare 0."""
+    data = copy_data(data_dir, tmp_path)
+    with (data / "countries.csv").open(newline="", encoding="utf-8") as f:
+        header, *rows = list(csv.reader(f))
+    if case == "header-only":
+        rows = []
+    else:  # no country has a coal price to resolve a plan's from
+        for row in rows:
+            row[header.index("price_coal_usd_t")] = ""
+    with (data / "countries.csv").open("w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([header, *rows])
+    code = 0 if case == "header-only" else 1
+
+    totals = run_pipeline(load_dataset(data)).global_report
+    assert totals.countries_evaluated == 0
+    assert len(FLOAT_TOTALS) == 6
+    assert all(type(getattr(totals, name)) is float for name in FLOAT_TOTALS)
+    out = tmp_path / "out"
+    assert run_cli("report", "--data", data, "--out", out / "report") == code
+    written = json.loads((out / "report" / "global.json").read_text())["global"]
+    assert all(type(written[name]) is float for name in FLOAT_TOTALS)
+    for fmt in ("csv", "json"):
+        assert run_cli("sweep", "--data", data, "--out", out / fmt, "--format", fmt) == code
+    for path in [*(out / "report").glob("*.csv"), *(out / "csv").glob("*.csv")]:
+        with path.open(newline="", encoding="utf-8") as f:
+            assert "0" not in {cell for row in csv.reader(f) for cell in row}, path.name
+
+    def no_int(text):
+        raise AssertionError(f"sensitivity.json holds the int {text}")
+
+    json.loads((out / "json" / "sensitivity.json").read_text(), parse_int=no_int)

@@ -1,9 +1,10 @@
+import csv
 import json
 import re
 
 import pytest
 
-from agripellet import save_dataset
+from agripellet import dataio, save_dataset
 from agripellet.dataio import (
     COUNTRIES_COLUMNS,
     FIELD_BOUNDS,
@@ -163,6 +164,61 @@ def test_empty_countries_file_is_valid(tmp_path):
     assert load_countries(path) == ()
     ds = load_dataset(tmp_path)
     assert ds.countries == ()
+
+
+def edited_copy(data_dir, tmp_path, edits):
+    """A copy of the bundled data whose countries.csv has each ``(row, column)``
+    cell set to its text; row 0 is the first country, on line 2."""
+    tmp_path.mkdir()
+    for path in data_dir.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    with (data_dir / "countries.csv").open(newline="", encoding="utf-8") as f:
+        header, *rows = list(csv.reader(f))
+    for (row, column), text in edits.items():
+        rows[row][header.index(column)] = text
+    with (tmp_path / "countries.csv").open("w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([header, *rows])
+    return tmp_path
+
+
+def test_clean_columns_are_parsed_whole(data_dir, tmp_path, monkeypatch):
+    """The row scan runs only when a whole-column check trips, and then names
+    each bad cell as it always has."""
+    scanned = []
+    parse_row = dataio._parse_row
+
+    def counting_parse_row(table, cells, where, problems):
+        scanned.append(where)
+        return parse_row(table, cells, where, problems)
+
+    monkeypatch.setattr(dataio, "_parse_row", counting_parse_row)
+    load_dataset(data_dir)
+    assert scanned == []
+
+    bad = edited_copy(data_dir, tmp_path / "bad", {
+        (2, "prod_maize_t"): "1_0", (4, "cattle"): "\u0661", (6, "pli_raw"): "nan",
+        (8, "dmr_maize"): "1.5", (10, "continent"): " ", (11, "country"): "Afghanistan"})
+    with pytest.raises(DataError) as exc:
+        load_dataset(bad)
+    assert exc.value.problems == [
+        "countries.csv line 4: prod_maize_t: not a number: '1_0'",
+        "countries.csv line 6: cattle: not a number: '\u0661'",
+        "countries.csv line 8: pli_raw: not a finite number: 'nan'",
+        "countries.csv line 10: dmr_maize: must be in (0, 1], got 1.5",
+        "countries.csv line 12: continent label is required",
+        "countries.csv line 13: duplicate country 'Afghanistan' (first at line 2)",
+    ]
+    assert len(scanned) == 177  # every row but the duplicate, which has no cell parsed
+
+    # finite cells whose sum overflows trip the finiteness check: the rows are
+    # scanned, find nothing wrong, and give the values the cells hold
+    scanned.clear()
+    overflow = edited_copy(data_dir, tmp_path / "overflow",
+                           {(0, "cons_coal_tj"): "1.7e308", (1, "cons_coal_tj"): "1.7e308"})
+    countries = load_dataset(overflow).countries
+    assert len(scanned) == 178
+    assert [c.values["cons_coal"] for c in countries[:2]] == [1.7e308, 1.7e308]
+    assert countries[2:] == load_dataset(data_dir).countries[2:]
 
 
 def test_srr_out_of_range_rejected(tmp_path):

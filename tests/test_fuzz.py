@@ -1,0 +1,88 @@
+"""Regression fuzz: edge values in the numeric cells of the bundled CSVs.
+
+Each example writes a copy of the bundled data with a few numeric cells set to
+values at the edges of what the loader and the model take, then runs
+``report``, ``msp`` and ``sweep`` in-process.  Every run must end in an exit
+code, never a traceback, and write no NaN or infinity; the whole-column loader
+must agree with the row scan, value for value or message for message.
+"""
+
+import contextlib
+import csv
+import io
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from agripellet import dataio
+from agripellet.cli import main
+
+DATA_DIR = Path(__file__).parent / "data"
+# (file, its first numeric column)
+TABLES = (("countries.csv", 2), ("crops.csv", 1), ("fuels.csv", 1))
+EDGE_VALUES = ("0", "-0", "5e-324", "1e308", "1.7e308", repr(1 - 2**-53), "-", "", "1_0",
+               "nan", "inf", "\u0661")  # the last an Arabic-Indic one, which float reads
+MUTATION = st.tuples(st.sampled_from(TABLES), st.integers(0, 10**4), st.integers(0, 10**4),
+                     st.sampled_from(EDGE_VALUES))
+
+
+def write_mutated_copy(data: Path, mutations) -> None:
+    """The bundled data in ``data``, each mutation setting one numeric cell;
+    the row and column numbers wrap around the file's."""
+    data.mkdir()
+    (data / "config.json").write_bytes((DATA_DIR / "config.json").read_bytes())
+    tables = {}
+    for (name, first), row, column, text in mutations:
+        if name not in tables:
+            with (DATA_DIR / name).open(newline="", encoding="utf-8") as f:
+                tables[name] = list(csv.reader(f))
+        rows = tables[name]
+        width = len(rows[0]) - first
+        rows[1 + row % (len(rows) - 1)][first + column % width] = text
+    for name, _ in TABLES:
+        if name in tables:
+            with (data / name).open("w", newline="", encoding="utf-8") as f:
+                csv.writer(f).writerows(tables[name])
+        else:
+            (data / name).write_bytes((DATA_DIR / name).read_bytes())
+
+
+def loaded(data: Path):
+    """The dataset as text, or the problems of the DataError loading it raises."""
+    try:
+        return repr(dataio.load_dataset(data))
+    except dataio.DataError as exc:
+        return exc.problems
+
+
+@settings(max_examples=25, deadline=None)  # a few seconds of tier-1
+@given(st.lists(MUTATION, min_size=1, max_size=4))
+def test_edge_cells_end_in_an_exit_code(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        write_mutated_copy(data, mutations)
+        whole = loaded(data)
+        with mock.patch.object(dataio, "_parse_columns", return_value=None):
+            assert loaded(data) == whole  # the row scan alone gives the same
+
+        for command in ("report", "msp", "sweep"):
+            out = Path(tmp) / command
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main([command, "--data", str(data), "--out", str(out)])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in stderr.getvalue()
+            for path in out.glob("*"):
+                text = path.read_text(encoding="utf-8").lower()
+                assert "nan" not in text and "inf" not in text, (command, path.name)
+            if code == 2:  # a DataError: its message, and no errors.txt
+                assert stderr.getvalue().startswith("error: ")
+                continue
+            failed = re.match(r"(\d+) of \d+ countries failed", stderr.getvalue())
+            lines = (out / "errors.txt").read_text(encoding="utf-8").splitlines()
+            assert (code == 1) == bool(failed)
+            assert len(lines) == (int(failed[1]) if failed else 0)
+            assert len({line.split(": ", 1)[0] for line in lines}) == len(lines)
