@@ -14,9 +14,8 @@ from .dataio import (
     load_dataset,
     resolve,
 )
-from .pipeline import CountryReport, GlobalReport, PipelineResult, run_pipeline, yoy_growth
+from .pipeline import GlobalReport, PipelineResult, run_pipeline, yoy_growth
 from .pricing import BreakEvenInputs
-from .reporting import save_dataset
 from .sensitivity import SensitivityGrid, sweep
 
 __version__ = "0.1.0"
@@ -26,7 +25,6 @@ __all__ = [
     "FUELS",
     "BreakEvenInputs",
     "CountryProfile",
-    "CountryReport",
     "CropCoefficients",
     "DataError",
     "Dataset",
@@ -40,7 +38,6 @@ __all__ = [
     "load_dataset",
     "resolve",
     "run_pipeline",
-    "save_dataset",
     "sweep",
     "yoy_growth",
 ]

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import reporting, sensitivity
-from .dataio import DataError, load_dataset, load_series
+from .dataio import SCENARIOS, DataError, load_dataset, load_series
 from .pipeline import STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, run_pipeline, yoy_growth
 
 DATA_DIR_ENV = "AGRIPELLET_DATA"
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--country", action="append", default=None, metavar="NAME",
                         help="restrict to the named country (repeatable)")
     scenario = argparse.ArgumentParser(add_help=False)  # only where a plan is ranked
-    scenario.add_argument("--scenario", choices=["A", "B", "C"], default=None,
+    scenario.add_argument("--scenario", choices=SCENARIOS, default=None,
                           help="replacement ranking objective (overrides config)")
     scenario.add_argument("--carbon-tax", type=float, default=None, metavar="USD_PER_TCO2E",
                           help="carbon tax for scenario C (overrides config)")

@@ -5,12 +5,12 @@ skipped) with a header row ("-" or an empty cell means "no data") plus an
 optional JSON run configuration.  Loaded data is immutable; downstream modules
 treat a Dataset as read-only.  ``FIELDS`` describes each numeric
 ``countries.csv`` column once (header, model key, bound, fallback tier);
-loading, bounds checks, resolution and ``reporting.save_dataset`` derive
-from it.  A table is parsed a whole column at a time, and its rows are scanned
-only when a column check trips, so that each problem is named by line and
-column.  ``resolve`` is the one fallback rule for an empty cell; the pipeline
-sends only empty cells through it.  This module only reads files; every
-output goes through ``reporting``.
+loading, bounds checks and resolution derive from it.  A table is parsed a
+whole column at a time, and its rows are scanned only when a column check
+trips, so that each problem is named by line and column.  ``resolve`` is the
+one fallback rule for an empty cell; the pipeline sends only empty cells
+through it.  This module only reads files; every output goes through
+``reporting``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ CROPS = ("maize", "rice", "sugarcane", "wheat")
 FUELS = ("coal", "oil", "natural_gas")
 ANIMALS = ("cattle", "horses", "sheep", "swine")
 PLI_COMPONENTS = ("labor", "raw_material", "construction", "electricity")
+# Replacement ranking objectives: cost, emissions, cost with a carbon tax.
+SCENARIOS = ("A", "B", "C")
 
 # Residue generated per ton of crop harvested, t/t.
 DEFAULT_RTP = {"maize": 1.00, "rice": 1.40, "sugarcane": 1.00, "wheat": 1.30}
@@ -244,7 +246,7 @@ class ModelConfig(CheckedRecord, _ModelConfig):
         BELOW_ONE.check("salvage_rate", self.salvage_rate, problems)  # as BreakEvenInputs
         FRACTION.check("tfc_capex_ratio", self.tfc_capex_ratio, problems)
         FRACTION.check("pellet_efficiency", self.pellet_efficiency, problems)
-        if self.scenario not in ("A", "B", "C"):
+        if self.scenario not in SCENARIOS:
             problems.append(f"scenario must be A, B, or C, got {self.scenario!r}")
         NONNEGATIVE.check("carbon_tax", self.carbon_tax, problems)
         # the sweep's closed form holds only for multipliers > 0
@@ -578,10 +580,13 @@ def load_series(path: str | Path) -> dict:
         if not name:
             problems.append(f"{where}: empty country name")
         raw_year = row[-2].strip()
-        if raw_year.isascii() and raw_year.isdigit():  # int() also takes 2_000, +2001, ٢٠٠١
-            year = int(raw_year)
-        else:
+        if not (raw_year.isascii() and raw_year.isdigit()):  # int() takes 2_000, +2001, ٢٠٠١
             problems.append(f"{where}: year: not an integer: {raw_year!r}")
+        else:
+            try:
+                year = int(raw_year)
+            except ValueError:  # past int()'s limit on digits (4,300 by default)
+                problems.append(f"{where}: year: too many digits ({len(raw_year)})")
         values = _parse_row((SERIES_VALUE,), row[-1:], where, problems)
         if values is not None and values["value"] is None:
             problems.append(f"{where}: value: missing value")
@@ -611,13 +616,14 @@ def load_config(path: str | Path) -> ModelConfig:
         raise DataError(f"{path.name}: {exc}") from None
 
 
-def load_dataset(data_dir: str | Path, config: ModelConfig | str | Path | None = None) -> Dataset:
+def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Dataset:
     """Load and validate all inputs under ``data_dir``.
 
     ``countries.csv`` is required.  ``crops.csv`` and ``fuels.csv`` are
     optional; absent files fall back to the built-in reference coefficients.
-    ``config`` may be a ModelConfig, a path to a JSON file, or None (uses
-    ``data_dir/config.json`` when present, else defaults).
+    ``config`` is a path to a JSON file, or None (uses ``data_dir/config.json``
+    when present, else defaults).  To run on a ``ModelConfig`` record, replace
+    the loaded one: ``dataset._replace(config=cfg)``.
     """
     data_dir = Path(data_dir)
     countries = load_countries(data_dir / "countries.csv")
@@ -628,14 +634,9 @@ def load_dataset(data_dir: str | Path, config: ModelConfig | str | Path | None =
         fuel_properties, pellet_ef = load_fuels(fuels_path)
     else:
         fuel_properties, pellet_ef = default_fuel_properties(), DEFAULT_PELLET_EF
-    if isinstance(config, ModelConfig):
-        cfg = config
-    elif config is not None:
-        cfg = load_config(config)
-    elif (data_dir / "config.json").exists():
-        cfg = load_config(data_dir / "config.json")
-    else:
-        cfg = ModelConfig()
+    if config is None and (data_dir / "config.json").exists():
+        config = data_dir / "config.json"
+    cfg = load_config(config) if config is not None else ModelConfig()
     return Dataset(
         crops=crops,
         livestock_rates=LivestockRates(),

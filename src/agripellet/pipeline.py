@@ -17,17 +17,11 @@ from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
 from .dataio import CROPS, FUELS, PLI_COMPONENTS, DataError, Dataset, resolve
-from .replacement import PLAN_COLUMNS
 
 STAGE_ASSESS = "assess"
 STAGE_MSP = "msp"
 STAGE_PLAN = "plan"
 _STAGE_ORDER = (STAGE_ASSESS, STAGE_MSP, STAGE_PLAN)
-
-
-class CountryReport(NamedTuple):
-    country: str
-    values: dict  # output column name -> typed value, for each column its stage computes
 
 
 class GlobalReport(NamedTuple):
@@ -48,19 +42,6 @@ class PipelineResult(NamedTuple):
     columns: dict        # output column -> list, a row per evaluated country by name
     global_report: GlobalReport
     errors: tuple        # (country, message), sorted by country name
-
-    @property
-    def reports(self) -> tuple:
-        """One ``CountryReport`` per evaluated country, built from the columns
-        when read; a country without a plan has no plan columns."""
-        columns = self.columns
-        plan = columns.get("rank_1")
-        unplanned = {name: columns[name] for name in columns if name not in PLAN_COLUMNS}
-        return tuple(
-            CountryReport(country, {name: col[row] for name, col in
-                                    (columns if plan and plan[row] is not None
-                                     else unplanned).items()})
-            for row, country in enumerate(columns["country"]))
 
 
 _CROP_INPUTS = tuple(f"dmr_{c}" for c in CROPS)

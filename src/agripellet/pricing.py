@@ -80,8 +80,11 @@ def _terminal(inputs: BreakEvenInputs) -> float:
 
 def _invert(inputs: BreakEvenInputs, a: float, dep: float, terminal: float) -> float:
     # NPV(p) = a*[(1-tr)*(p*q - opex) + tr*D] + terminal - capex
-    slope = a * (1.0 - inputs.tr) * inputs.q
+    per_t = a * (1.0 - inputs.tr)
+    slope = per_t * inputs.q
     intercept = a * (-(1.0 - inputs.tr) * inputs.opex + inputs.tr * dep) + terminal - inputs.capex
+    if math.isinf(slope):  # a huge plant overflows the slope but not the price
+        return -intercept / per_t / inputs.q
     # a slope that rounds to 0.0 gives infinity, a non-finite price the pipeline rejects
     return -intercept / slope if slope else math.inf
 

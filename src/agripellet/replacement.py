@@ -19,8 +19,6 @@ from .energy import per_tj
 # Fixed order for breaking score ties, so output is reproducible.
 CANONICAL_FUEL_ORDER = ("coal", "natural_gas", "oil")
 
-SCENARIOS = ("A", "B", "C")  # cost optimized / emissions optimized / cost with carbon tax
-
 
 # $/TJ from a $/t price, and kgCO2e/TJ from a kgCO2e/t emission factor, at a
 # heating value in MJ/kg

@@ -7,9 +7,8 @@ JSON file its head members, the rows as one list of records with the same keys
 in the same order, and its tail members.  The rows are streamed in blocks,
 each block sliced from the columns and rendered once, column by column, for
 all the files it goes to.  The per-country outputs (``PipelineResult.columns``),
-the sweep grid, the ``yoy`` statistics and a saved dataset all go through it,
-so two runs over identical inputs produce byte-identical files, and none holds
-NaN or infinity.
+the sweep grid and the ``yoy`` statistics all go through it, so two runs over
+identical inputs produce byte-identical files, and none holds NaN or infinity.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from contextlib import ExitStack
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .dataio import (COUNTRIES_COLUMNS, CROP_FIELDS, CROPS, CROPS_COLUMNS, FIELDS, FUEL_FIELDS,
-                     FUELS, FUELS_COLUMNS, PLI_COMPONENTS, RESOLVABLE_FIELDS, Dataset)
+from .dataio import CROPS, FUELS, PLI_COMPONENTS, RESOLVABLE_FIELDS
 from .pipeline import PipelineResult
 from .sensitivity import SensitivityGrid, axis_label
 
@@ -295,23 +293,3 @@ def write_yoy_file(out_dir: str | Path, results: dict, failures: list, fmt: str)
         _write_tables(table, YOY_COLUMNS, {path: YOY_COLUMNS})
     return path
 
-
-def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
-    """Write a dataset back to CSV/JSON; reloading yields an equal Dataset."""
-    out_dir = Path(out_dir)
-    crops = {"crop": list(CROPS), **{f.column: [getattr(dataset.crops[c], f.key) for c in CROPS]
-                                     for f in CROP_FIELDS}}
-    fuels = {"fuel": [*FUELS, "pellet"],
-             **{f.column: [getattr(dataset.fuel_properties[name], f.key) for name in FUELS]
-                for f in FUEL_FIELDS}}
-    fuels["lhv_mj_per_kg"].append(None)  # the pellet row carries only its emission factor
-    fuels["ef_kgco2e_per_t"].append(dataset.pellet_ef)
-    countries = {"country": [c.name for c in dataset.countries],
-                 "continent": [c.continent for c in dataset.countries],
-                 **{f.column: [c.values[f.key] for c in dataset.countries] for f in FIELDS}}
-    for name, header, table in (("crops.csv", CROPS_COLUMNS, crops),
-                                ("fuels.csv", FUELS_COLUMNS, fuels),
-                                ("countries.csv", COUNTRIES_COLUMNS, countries)):
-        _write_tables(table, header, {out_dir / name: header})
-    (out_dir / "config.json").write_text(json.dumps(dataset.config._asdict(), indent=2) + "\n",
-                                         encoding="utf-8")

@@ -5,7 +5,9 @@ each through every stage into one record, against which the column-by-column
 ``agripellet.pipeline.run_pipeline`` is compared value by value: each stage's
 column function runs on the country's one row, so what they check is the
 pipeline's own work, the order in which a country resolves its fields and
-meets its first failure, its non-finite check and the global totals.  The
+meets its first failure, its non-finite check and the global totals.
+``reports`` cuts a pipeline result's columns into the same per-country
+records, for the tests that read one country at a time.  The
 break-even solver as plain loops, linear in the horizon but plainly right
 and sharing no code with the package, checks the closed forms in
 ``agripellet.pricing``; ``format_cell`` spells out, one value at a time,
@@ -13,7 +15,8 @@ the CSV cell each typed value is written as;
 and the reference writer builds each output file the plain way, typed rows
 through ``csv.writer`` and whole dicts through ``json``, against which
 ``agripellet.reporting``'s streamed writer is compared byte for byte: the
-per-country files, the sweep's, ``yoy``'s and a saved dataset's.
+per-country files, the sweep's and ``yoy``'s.  ``save_dataset`` writes a
+dataset back to its input files for the loader's round-trip tests.
 """
 
 import csv
@@ -27,12 +30,31 @@ from agripellet import costs, energy, pricing, replacement, residues
 from agripellet.dataio import (COUNTRIES_COLUMNS, CROP_FIELDS, CROPS, CROPS_COLUMNS, FIELDS,
                                FUEL_FIELDS, FUELS, FUELS_COLUMNS, PLI_COMPONENTS, CountryProfile,
                                DataError, Dataset, resolve)
-from agripellet.pipeline import (_STAGE_ORDER, STAGE_PLAN, CountryReport, GlobalReport)
+from agripellet.pipeline import _STAGE_ORDER, STAGE_PLAN, GlobalReport
 from agripellet.pricing import BreakEvenInputs
+from agripellet.replacement import PLAN_COLUMNS
 from agripellet.reporting import _SAME_AS, PLOT_COLUMNS, REPORT_COLUMNS
 from agripellet.sensitivity import axis_label
 
 BISECTION_BRACKET = (0.0, 1e6)  # $/t
+
+
+class CountryReport(NamedTuple):
+    country: str
+    values: dict  # output column name -> typed value, for each column its stage computes
+
+
+def reports(result) -> tuple:
+    """One ``CountryReport`` per evaluated country of a ``PipelineResult``,
+    built from its columns; a country without a plan has no plan columns."""
+    columns = result.columns
+    plan = columns.get("rank_1")
+    unplanned = {name: col for name, col in columns.items() if name not in PLAN_COLUMNS}
+    return tuple(
+        CountryReport(country, {name: col[row] for name, col in
+                                (columns if plan and plan[row] is not None
+                                 else unplanned).items()})
+        for row, country in enumerate(columns["country"]))
 
 
 class OracleResult(NamedTuple):
@@ -282,7 +304,7 @@ def table_values(columns, result) -> list:
     """One list of typed values per evaluated country; a column its stage or a
     plan-less country leaves out reads None."""
     names = [_SAME_AS.get(name, name) for name in columns]
-    return [[r.values.get(name) for name in names] for r in result.reports]
+    return [[r.values.get(name) for name in names] for r in reports(result)]
 
 
 def table_rows(columns, result) -> list:

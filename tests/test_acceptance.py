@@ -20,7 +20,7 @@ from conftest import (
     random_break_even_inputs,
     synthetic_market_profiles,
 )
-from oracles import npv, solve_msp_bisection
+from oracles import npv, reports, solve_msp_bisection
 
 
 def record(number, description, fn):
@@ -40,7 +40,7 @@ def test_criterion_01_gross_residue_table(dataset, data_dir):
         result = run_pipeline(dataset, through="assess")
         elapsed = time.perf_counter() - start
         assert not result.errors
-        totals = {r.country: r.values for r in result.reports}
+        totals = {r.country: r.values for r in reports(result)}
         checked = 0
         worst = 0.0
         with (data_dir / "expected_residues_mt.csv").open(newline="", encoding="utf-8") as f:
@@ -64,7 +64,7 @@ def test_criterion_01_gross_residue_table(dataset, data_dir):
 def test_criterion_02_global_final_residue(dataset):
     def run():
         result = run_pipeline(dataset, through="assess")
-        total = sum(r.values["cr_final_t"] for r in result.reports)
+        total = sum(r.values["cr_final_t"] for r in reports(result))
         assert total == pytest.approx(1.44e9, rel=0.03), f"{total / 1e9:.4f} Gt"
         return f"{total / 1e9:.3f} Gt vs 1.44 Gt +/-3%"
 
@@ -75,7 +75,7 @@ def test_criterion_03_global_energy_potential(dataset):
     def run():
         assert dataset.config.pellet_efficiency == 0.95
         result = run_pipeline(dataset, through="assess")
-        total = sum(r.values["pellet_energy_tj"] for r in result.reports)
+        total = sum(r.values["pellet_energy_tj"] for r in reports(result))
         assert total == pytest.approx(21.9e6, rel=0.05), f"{total / 1e6:.3f} M TJ"
         return f"{total / 1e6:.2f} M TJ vs 21.9 M TJ +/-5% (efficiency 0.95 is calibrated)"
 
@@ -232,10 +232,10 @@ def test_criterion_10_global_totals_and_scenario_inequality(dataset):
             result_a = run_pipeline(ds)
             assert not result_a.errors
             g = result_a.global_report
-            planned = [r.values for r in result_a.reports if "rank_1" in r.values]
+            planned = [r.values for r in reports(result_a) if "rank_1" in r.values]
             assert g.s_ec_usd_per_y == sum(v["s_ec_usd_per_y"] for v in planned)
             assert g.s_em_kgco2e_per_y == sum(v["s_em_kgco2e_per_y"] for v in planned)
-            assert g.cr_final_t == sum(r.values["cr_final_t"] for r in result_a.reports)
+            assert g.cr_final_t == sum(r.values["cr_final_t"] for r in reports(result_a))
             result_b = run_pipeline(ds._replace(config=ds.config._replace(scenario="B")))
             assert not result_b.errors
             assert result_b.global_report.s_em_kgco2e_per_y > g.s_em_kgco2e_per_y

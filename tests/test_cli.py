@@ -300,9 +300,11 @@ def test_non_finite_carbon_tax_flag_exits_2(data_dir, tmp_path, capsys):
     ("A,2001,1_000", "series.csv line 3: value: not a number: '1_000'"),
     # a row is named by the line it starts on, after a cell holding a line break too
     ('"A\nB",2000,1\nA,2001,-4', "series.csv line 5: value: must be >= 0, got -4.0"),
+    # past int()'s default limit of 4,300 digits
+    (f"A,{'1' * 5000},1", "series.csv line 3: year: too many digits (5000)"),
 ], ids=["extra-column", "short-row", "empty-name", "negative", "fractional-year",
         "missing", "nan", "inf", "1e400", "underscore-year", "signed-year", "arabic-indic-year",
-        "underscore-value", "after-multi-line-cell"])
+        "underscore-value", "after-multi-line-cell", "5000-digit-year"])
 def test_yoy_bad_input_exits_2(tmp_path, capsys, line, message):
     series = tmp_path / "series.csv"
     series.write_text(f"country,year,value\nA,2000,1\n{line}\nA,2002,2\n", encoding="utf-8")

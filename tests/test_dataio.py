@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from agripellet import dataio, save_dataset
+from agripellet import dataio
 from agripellet.dataio import (
     COUNTRIES_COLUMNS,
     FIELD_BOUNDS,
@@ -24,7 +24,7 @@ from agripellet.dataio import (
 from agripellet.pipeline import run_pipeline
 from agripellet.pricing import BreakEvenInputs
 from conftest import make_dataset, make_profile
-from oracles import evaluate_country
+from oracles import evaluate_country, save_dataset
 
 COUNTRY_HEADER = (
     "country,continent,prod_maize_t,prod_rice_t,prod_sugarcane_t,prod_wheat_t,"

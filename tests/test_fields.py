@@ -18,6 +18,7 @@ from agripellet.dataio import (
     load_dataset,
 )
 from agripellet.pipeline import run_pipeline
+from oracles import reports
 
 README = Path(__file__).parent.parent / "README.md"
 TIER_TEXT = {None: "none (zero)", WORLD_AVERAGE: "world-average", CONTINENT: "continent"}
@@ -127,14 +128,14 @@ def test_generated_rows_load_and_evaluate_or_name_the_cell(case):
             return
         dataset = load_dataset(tmp)
     result = run_pipeline(dataset)
-    assert sorted([r.country for r in result.reports] + [name for name, _ in result.errors]) \
+    assert sorted([r.country for r in reports(result)] + [name for name, _ in result.errors]) \
         == [f"C{i}" for i in range(len(rows))]
     g = result.global_report
     assert all(math.isfinite(x) for x in (
         g.cr_final_t, g.pellet_energy_tj, g.s_ec_usd_per_y, g.s_em_kgco2e_per_y,
         g.fossil_consumption_tj, g.replaced_fraction_overall))
     profiles = {c.name: c for c in dataset.countries}
-    for r in result.reports:
+    for r in reports(result):
         if "rank_1" not in r.values:
             continue
         alloc = {f: r.values[f"alloc_{f}_tj"] for f in FUELS}

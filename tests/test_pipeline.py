@@ -16,14 +16,14 @@ from agripellet.reporting import (
     REPORT_COLUMNS,
 )
 from conftest import make_dataset, make_profile, synthetic_market_profiles
-from oracles import evaluate_country, table_records, table_rows
+from oracles import evaluate_country, reports, table_records, table_rows
 
 
 def test_full_pipeline_clean_on_bundled_data(dataset):
     result = run_pipeline(dataset)
     assert result.errors == ()
-    assert len(result.reports) == 178
-    names = [r.country for r in result.reports]
+    names = [r.country for r in reports(result)]
+    assert len(names) == 178
     assert names == sorted(names)
 
 
@@ -31,7 +31,7 @@ def test_global_totals_are_exact_sums(dataset):
     result = run_pipeline(dataset)
     g = result.global_report
     for key in ("cr_final_t", "pellet_energy_tj", "s_ec_usd_per_y", "s_em_kgco2e_per_y"):
-        assert getattr(g, key) == sum(r.values[key] for r in result.reports
+        assert getattr(g, key) == sum(r.values[key] for r in reports(result)
                                       if r.values.get(key) is not None)
 
 
@@ -39,7 +39,7 @@ def test_single_country_dataset_matches_its_report():
     rng = random.Random(71)
     ds = make_dataset(synthetic_market_profiles(rng, 1))
     result = run_pipeline(ds)
-    (report,) = result.reports
+    (report,) = reports(result)
     g = result.global_report
     assert g.cr_final_t == report.values["cr_final_t"]
     assert g.pellet_energy_tj == report.values["pellet_energy_tj"]
@@ -49,7 +49,7 @@ def test_single_country_dataset_matches_its_report():
 
 def test_country_filter(dataset):
     result = run_pipeline(dataset, countries=["Brazil", "Canada"])
-    assert [r.country for r in result.reports] == ["Brazil", "Canada"]
+    assert [r.country for r in reports(result)] == ["Brazil", "Canada"]
     with pytest.raises(DataError, match="unknown countries"):
         run_pipeline(dataset, countries=["Atlantis"])
 
@@ -69,7 +69,7 @@ def test_one_bad_country_does_not_abort(monkeypatch):
     result = run_pipeline(ds)
     assert [name for name, _ in result.errors] == ["Mkt02"]
     assert "injected failure" in result.errors[0][1]
-    assert len(result.reports) == 4
+    assert len(reports(result)) == 4
     assert result.global_report.countries_failed == 1
 
 
@@ -106,7 +106,7 @@ def test_zero_residue_country_gets_no_plan():
                      consumption={"coal": 1e4, "oil": 1e4, "natural_gas": 1e4})
     ds = make_dataset([p])
     result = run_pipeline(ds)
-    (report,) = result.reports
+    (report,) = reports(result)
     assert report.values["pellet_energy_tj"] == 0.0
     assert "rank_1" not in report.values  # no plan columns
     assert report.values["msp_usd_per_t"] > 0  # plant economics do not need residues
@@ -131,7 +131,7 @@ def test_every_output_column_is_a_record_key(dataset):
                                  *PLOT_COLUMNS.values())
                for name in cols}
     columns = {_SAME_AS.get(name, name) for name in columns}
-    planned = [r for r in run_pipeline(dataset).reports if "rank_1" in r.values]
+    planned = [r for r in reports(run_pipeline(dataset)) if "rank_1" in r.values]
     assert len(planned) == 120
     for report in planned:
         assert set(report.values) == columns
@@ -190,21 +190,23 @@ def test_growth_errors():
 # ---------------------------------------------------------------------------
 # column-by-column evaluation against the per-country reference in ``oracles``
 
-def result_reprs(result) -> tuple:
+def result_reprs(records, result) -> tuple:
     """Names, errors and every value by ``repr``, keys in record order."""
-    return ([(r.country, [(k, repr(v)) for k, v in r.values.items()]) for r in result.reports],
+    return ([(r.country, [(k, repr(v)) for k, v in r.values.items()]) for r in records],
             result.errors, repr(result.global_report))
 
 
 def assert_matches_oracle(dataset, through):
     try:
-        expected = result_reprs(oracles.run_pipeline(dataset, through))
+        oracle = oracles.run_pipeline(dataset, through)
     except DataError as exc:  # a global total that overflows
         with pytest.raises(DataError) as raised:
             run_pipeline(dataset, through)
         assert str(raised.value) == str(exc)
         return None
-    assert result_reprs(run_pipeline(dataset, through)) == expected
+    expected = result_reprs(oracle.reports, oracle)
+    result = run_pipeline(dataset, through)
+    assert result_reprs(reports(result), result) == expected
     return expected
 
 

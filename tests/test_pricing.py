@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agripellet.dataio import DataError, ModelConfig
+from agripellet.pipeline import run_pipeline
 from agripellet.pricing import BreakEvenInputs, depreciation, salvage_value
 from conftest import cost_row, msp_row, random_break_even_inputs
 from oracles import evaluate_country, npv, solve_msp_bisection
@@ -226,6 +227,19 @@ def test_slope_below_float_range_gives_infinity(reference_inputs):
     # the price is infinite, a non-finite value the pipeline rejects
     inputs = reference_inputs._replace(q=5e-324, n=1, r=0.14, tr=0.6)
     assert msp_row(inputs)["msp_usd_per_t"] == math.inf
+
+
+def test_slope_beyond_float_range_solves(dataset):
+    # at a 1e308 t/y plant the slope overflows to infinity, but the price,
+    # about 1e-301 $/t, is a float: it is the exact inversion's, not 0.0
+    cfg = dataset.config._replace(plant_capacity=1e308)
+    result = run_pipeline(dataset._replace(config=cfg), "msp", ["Albania"])
+    v = {name: col[0] for name, col in result.columns.items()}
+    inputs = BreakEvenInputs(capex=v["capex_usd"], opex=v["opex_usd_per_y"],
+                             q=cfg.plant_capacity, n=cfg.horizon_years, r=v["discount_rate"],
+                             tr=v["tax_rate"], salvage_rate=cfg.salvage_rate, tfc=v["tfc_usd"])
+    assert 0.0 < v["msp_usd_per_t"] == pytest.approx(float(exact_msp(inputs)), rel=1e-9)
+    assert abs(v["npv_at_msp_usd"]) <= 1e-9 * v["capex_usd"]
 
 
 def test_horizon_beyond_float_rejected(reference_inputs):

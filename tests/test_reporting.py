@@ -193,12 +193,3 @@ def test_yoy_files_match_the_oracle(series, failed):
 
     written = assert_same_files(write)
     assert json.loads(written["yoy.json"])["errors"][-1]["series"] == failed
-
-
-def test_saved_dataset_matches_the_oracle(dataset):
-    first, second, *rest = dataset.countries
-    renamed_countries = (first._replace(name='A, "quoted"'),
-                         second._replace(name="line\nbreak \u00e9"), *rest)
-    for ds in (dataset, dataset._replace(countries=renamed_countries)):
-        written = assert_same_files(lambda writer, out: writer.save_dataset(ds, out))
-        assert list(written) == ["config.json", "countries.csv", "crops.csv", "fuels.csv"]

@@ -10,6 +10,7 @@ from agripellet.replacement import plan_columns
 from agripellet.reporting import write_sweep_files
 from agripellet.sensitivity import sweep
 from conftest import make_dataset, make_profile, synthetic_market_profiles
+from oracles import reports
 
 
 def replanned_grid(dataset, multipliers, pellet_prices):
@@ -22,7 +23,7 @@ def replanned_grid(dataset, multipliers, pellet_prices):
     baseline = run_pipeline(scenario_a, through=STAGE_PLAN)
     consumption = {c.name: {f: c.values[f"cons_{f}"] or 0.0 for f in FUELS}
                    for c in dataset.countries}
-    planned = [r.values for r in baseline.reports
+    planned = [r.values for r in reports(baseline)
                if r.values["weighted_lhv_mj_per_kg"] is not None]
     columns = {name: [v[name] for v in planned]
                for name in ("weighted_lhv_mj_per_kg", "pellet_energy_tj")}
@@ -275,7 +276,7 @@ def test_country_subset(market_dataset):
     # every synthetic field is the country's own, so the subset's inputs do
     # not depend on the other countries
     grid = sweep(market_dataset, countries=["Mkt00", "Mkt03"])
-    assert [r.country for r in grid.baseline.reports] == ["Mkt00", "Mkt03"]
+    assert [r.country for r in reports(grid.baseline)] == ["Mkt00", "Mkt03"]
     pair = make_dataset([market_dataset.countries[0], market_dataset.countries[3]])
     assert grid.s_ec == sweep(pair).s_ec != sweep(market_dataset).s_ec
 
@@ -286,7 +287,7 @@ def test_overflowing_cell_rejected():
             production={"wheat": 1e6}, prices={"coal": 100.0, "oil": oil_price,
                                                "natural_gas": 400.0},
             consumption={"oil": 1e9})])
-    (report,) = run_pipeline(dataset(500.0)).reports
+    (report,) = reports(run_pipeline(dataset(500.0)))
     # oil takes every pellet TJ; price it so the baseline is finite and 1.75x is not
     oil_price = 1.2e308 / report.values["alloc_oil_tj"] * 42.0e-3
     grid = sweep(with_axes(dataset(oil_price), (1.0,), (10.0,)))
