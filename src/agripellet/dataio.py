@@ -5,12 +5,12 @@ skipped) with a header row ("-" or an empty cell means "no data") plus an
 optional JSON run configuration.  Loaded data is immutable; downstream modules
 treat a Dataset as read-only.  ``FIELDS`` describes each numeric
 ``countries.csv`` column once (header, model key, bound, fallback tier);
-loading, bounds checks and resolution derive from it.  A table is parsed a
-whole column at a time, and its rows are scanned only when a column check
-trips, so that each problem is named by line and column.  ``resolve`` is the
-one fallback rule for an empty cell; the pipeline sends only empty cells
-through it.  This module only reads files; every output goes through
-``reporting``.
+loading, bounds checks and resolution derive from it.  Every table, and the
+``yoy`` series, is read column by column: each column is checked whole, and
+only a column holding a bad cell is scanned cell by cell, so that each problem
+is named by line and column and listed in line order.  ``resolve`` is the one
+fallback rule for an empty cell; the pipeline sends only empty cells through
+it.  This module only reads files; every output goes through ``reporting``.
 """
 
 from __future__ import annotations
@@ -129,7 +129,6 @@ FUEL_FIELDS = (
     Field("lhv_mj_per_kg", "lhv", POSITIVE),
     Field("ef_kgco2e_per_t", "ef", NONNEGATIVE),
 )
-SERIES_VALUE = Field("value", "value", NONNEGATIVE)  # the yoy series' value column
 CROPS_COLUMNS = ("crop",) + tuple(f.column for f in CROP_FIELDS)
 FUELS_COLUMNS = ("fuel",) + tuple(f.column for f in FUEL_FIELDS)
 
@@ -358,26 +357,6 @@ def parse_cell(raw: str) -> float | None:
     return value
 
 
-def _parse_row(table: tuple, cells: list, where: str, problems: list) -> dict | None:
-    """``{key: value}`` for one row's numeric cells, or None when a cell is bad.
-
-    Each cell is parsed and checked against its field's bound; a bad cell adds
-    one problem naming ``where`` and the field's column.
-    """
-    found = len(problems)
-    values = {}
-    for (column, key, bound, _), raw in zip(table, cells):
-        try:
-            value = parse_cell(raw)
-        except DataError as exc:
-            problems.append(f"{where}: {column}: {exc}")
-            continue
-        if value is not None and not bound.lo <= value <= bound.hi:
-            bound.check(f"{where}: {column}", value, problems)
-        values[key] = value
-    return values if len(problems) == found else None
-
-
 def _read_rows(path: Path, *headers: tuple) -> tuple:
     """``(header, [(lineno, cells)])`` of a CSV whose header is one of ``headers``.
 
@@ -422,104 +401,113 @@ def _read_rows(path: Path, *headers: tuple) -> tuple:
     return header, rows
 
 
-def _parse_columns(file: str, rows: list, columns: tuple, names, table: tuple) -> list | None:
-    """The rows ``_read_table`` yields, each column checked and parsed whole,
-    or None when a check trips; the row scan then names every problem.
+def _report(problems: dict, file: str, lineno: int, problem: str) -> None:
+    """Add ``problem`` to those of line ``lineno`` of ``file``."""
+    problems.setdefault(lineno, []).append(f"{file} line {lineno}: {problem}")
 
-    A numeric column is taken whole only when its text is ASCII without ``_``
-    (``float`` reads both, ``parse_cell`` neither), ``float`` reads each cell
-    that holds data, and the values are finite and inside the field's bound:
-    ``parse_cell`` and the bound check accept each of its cells alike.
+
+def _raise(problems: dict) -> None:
+    """A DataError of every problem, line by line in file order, if there is one."""
+    if problems:
+        raise DataError([problem for line in sorted(problems) for problem in problems[line]])
+
+
+def _parse_column(file: str, column: str, bound: Bound, lines, cells, problems: dict) -> list:
+    """The values of one numeric column, None for an empty cell.
+
+    The column is parsed whole when its text is ASCII without ``_`` (``float``
+    reads both, ``parse_cell`` neither), ``float`` reads each cell that holds
+    data, and the values are finite and inside ``bound``: ``parse_cell`` and
+    the bound check accept each of its cells alike.  Otherwise every cell goes
+    through them, and each bad one adds its problem to its line's.
     """
-    if not rows:
-        return []
-    first = len(columns) - len(table)  # the first numeric cell
-    cells = list(zip(*[row for _, row in rows]))
-    keys = [cell.strip() for cell in cells[0]]
-    if ("" in keys or len(set(keys)) != len(keys)
-            or (names is not None and not set(keys) <= set(names))):
-        return None
-    texts = [[cell.strip() for cell in col] for col in cells[1:first]]
-    if any("" in col for col in texts):
-        return None
-    values = []
-    for (_, _, bound, _), col in zip(table, cells[first:]):
-        text = "".join(col)
-        if not text.isascii() or "_" in text:
-            return None
+    text = "".join(cells)
+    values = None
+    if text.isascii() and "_" not in text:
         try:
-            parsed = present = list(map(float, col))
+            values = present = list(map(float, cells))
         except ValueError:  # an empty cell, or a cell float cannot read
             try:
-                parsed = [None if cell.strip() in _NO_DATA else float(cell) for cell in col]
+                values = [None if cell.strip() in _NO_DATA else float(cell) for cell in cells]
+                present = [value for value in values if value is not None]
             except ValueError:
-                return None
-            present = [value for value in parsed if value is not None]
-        if present and not (math.isfinite(sum(present))  # a NaN, an inf, or an overflow
-                            and bound.lo <= min(present) and max(present) <= bound.hi):
-            return None
-        values.append(parsed)
-    fields = [f.key for f in table]
-    return [(f"{file} line {lineno}", name, labels, dict(zip(fields, row_values)))
-            for (lineno, _), (name, *labels), row_values
-            in zip(rows, zip(keys, *texts), zip(*values))]
+                pass
+    if values is not None and (not present or math.isfinite(sum(present))  # NaN, inf, overflow
+                               and bound.lo <= min(present) and max(present) <= bound.hi):
+        return values
+    values = []
+    for lineno, raw in zip(lines, cells):
+        try:
+            value = parse_cell(raw)
+        except DataError as exc:
+            _report(problems, file, lineno, f"{column}: {exc}")
+            value = None
+        if value is not None and not bound.lo <= value <= bound.hi:
+            bound.check(f"{file} line {lineno}: {column}", value, problems.setdefault(lineno, []))
+        values.append(value)
+    return values
 
 
-def _read_table(path: Path, columns: tuple, names, table: tuple, problems: list):
-    """Yield ``(where, name, text cells, values)`` for each good row of a table
-    keyed by its first column; every bad row adds its problems to ``problems``.
+def _read_table(path: Path, columns: tuple, names, table: tuple) -> tuple:
+    """``(rows, problems)`` of a table keyed by its first column: ``rows`` holds
+    ``(line, name, text cells, values)`` for each good row, and ``problems``
+    maps the line of each bad row to its problems, in column order.
 
     ``names`` holds the accepted names (None: any non-empty name), and a name
-    may not repeat.  The cells between the name and the ``table`` numeric
-    cells are text labels that may not be empty.  The table is checked column
-    by column first; only when a check trips are its rows scanned, and then
-    each row is checked as it is yielded, so a caller's own problems stay in
-    line order.
+    may not repeat; a row with a bad name is skipped.  The cells between the
+    name and the ``table`` numeric cells are text labels that may not be
+    empty.  Each column is checked whole, and only a column that trips is
+    scanned cell by cell.
     """
+    file, kind = path.name, columns[0]
     _, rows = _read_rows(path, columns)
-    parsed = _parse_columns(path.name, rows, columns, names, table)
-    if parsed is not None:
-        yield from parsed
-        return
-    kind = columns[0]
+    problems = {}
+    keys = [row[0].strip() for _, row in rows]
+    if ("" in keys or len(set(keys)) != len(keys)
+            or (names is not None and not set(keys) <= set(names))):
+        seen = {}
+        for (lineno, _), name in zip(rows, keys):
+            if names is None and not name:
+                _report(problems, file, lineno, f"empty {kind} name")
+            elif names is not None and name not in names:
+                _report(problems, file, lineno, f"unknown {kind} {name!r}")
+            elif name in seen:
+                _report(problems, file, lineno,
+                        f"duplicate {kind} {name!r} (first at line {seen[name]})")
+            else:
+                seen[name] = lineno
+        keys = [key for (lineno, _), key in zip(rows, keys) if lineno not in problems]
+        rows = [(lineno, row) for lineno, row in rows if lineno not in problems]
+    lines = [lineno for lineno, _ in rows]
     first = len(columns) - len(table)  # the first numeric cell
-    seen = {}
-    for lineno, row in rows:
-        where = f"{path.name} line {lineno}"
-        name = row[0].strip()
-        if names is None and not name:
-            problems.append(f"{where}: empty {kind} name")
-            continue
-        if names is not None and name not in names:
-            problems.append(f"{where}: unknown {kind} {name!r}")
-            continue
-        if name in seen:
-            problems.append(f"{where}: duplicate {kind} {name!r} (first at line {seen[name]})")
-            continue
-        seen[name] = lineno
-        texts = [cell.strip() for cell in row[1:first]]
-        problems.extend(f"{where}: {label} label is required"
-                        for label, text in zip(columns[1:first], texts) if not text)
-        values = _parse_row(table, row[first:], where, problems)
-        if values is not None:
-            yield where, name, texts, values
+    cells = list(zip(*[row for _, row in rows]))
+    texts = [[cell.strip() for cell in col] for col in cells[1:first]]
+    for label, col in zip(columns[1:first], texts):
+        if "" in col:
+            for lineno, text in zip(lines, col):
+                if not text:
+                    _report(problems, file, lineno, f"{label} label is required")
+    values = [_parse_column(file, column, bound, lines, col, problems)
+              for (column, _, bound, _), col in zip(table, cells[first:])]
+    fields = [f.key for f in table]
+    return [(lineno, name, labels, dict(zip(fields, row_values)))
+            for lineno, (name, *labels), row_values in zip(lines, zip(keys, *texts), zip(*values))
+            if lineno not in problems], problems
 
 
 def load_crops(path: str | Path) -> dict:
     path = Path(path)
+    rows, problems = _read_table(path, CROPS_COLUMNS, CROPS, CROP_FIELDS)
     crops = {}
-    problems = []
-    for where, name, _, values in _read_table(path, CROPS_COLUMNS, CROPS, CROP_FIELDS,
-                                              problems):
+    for lineno, name, _, values in rows:
         if None in values.values():
-            problems.append(f"{where}: all four coefficients are required")
+            _report(problems, path.name, lineno, "all four coefficients are required")
         else:
             crops[name] = CropCoefficients(**values)
     missing = set(CROPS) - set(crops)
     if missing:
-        problems.append(f"{path.name}: missing crops {sorted(missing)}")
-    if problems:
-        raise DataError(problems)
+        problems[math.inf] = [f"{path.name}: missing crops {sorted(missing)}"]  # after every line
+    _raise(problems)
     return crops
 
 
@@ -530,36 +518,30 @@ def load_fuels(path: str | Path) -> tuple:
     checked against the same bound as a fuel's.
     """
     path = Path(path)
+    rows, problems = _read_table(path, FUELS_COLUMNS, FUELS + ("pellet",), FUEL_FIELDS)
     props = {}
     pellet_ef = DEFAULT_PELLET_EF
-    problems = []
-    for where, name, _, values in _read_table(path, FUELS_COLUMNS, FUELS + ("pellet",),
-                                              FUEL_FIELDS, problems):
+    for lineno, name, _, values in rows:
         if name == "pellet":
             if values["ef"] is None:
-                problems.append(f"{where}: pellet row requires ef_kgco2e_per_t")
+                _report(problems, path.name, lineno, "pellet row requires ef_kgco2e_per_t")
             else:
                 pellet_ef = values["ef"]
         elif None in values.values():
-            problems.append(f"{where}: lhv and ef are required")
+            _report(problems, path.name, lineno, "lhv and ef are required")
         else:
             props[name] = FuelProperties(**values)
     missing = set(FUELS) - set(props)
     if missing:
-        problems.append(f"{path.name}: missing fuels {sorted(missing)}")
-    if problems:
-        raise DataError(problems)
+        problems[math.inf] = [f"{path.name}: missing fuels {sorted(missing)}"]  # after every line
+    _raise(problems)
     return props, pellet_ef
 
 
 def load_countries(path: str | Path) -> tuple:
-    path = Path(path)
-    problems = []
-    profiles = tuple(CountryProfile(name, continent, values) for _, name, (continent,), values
-                     in _read_table(path, COUNTRIES_COLUMNS, None, FIELDS, problems))
-    if problems:
-        raise DataError(problems)
-    return profiles
+    rows, problems = _read_table(Path(path), COUNTRIES_COLUMNS, None, FIELDS)
+    _raise(problems)
+    return tuple(CountryProfile(name, continent, values) for _, name, (continent,), values in rows)
 
 
 def load_series(path: str | Path) -> dict:
@@ -567,33 +549,37 @@ def load_series(path: str | Path) -> dict:
 
     The header is ``country,year,value``, or ``year,value`` for one series
     named ``all``.  A year is written in ASCII digits alone, and a value is
-    required and >= 0.
+    required and >= 0.  Each row's problems are listed in that order.
     """
     path = Path(path)
+    file = path.name
     header, rows = _read_rows(path, ("country", "year", "value"), ("year", "value"))
-    series = {}
-    problems = []
+    problems = {}
+    keys = []  # (name, year) of each row
     for lineno, row in rows:
-        where = f"{path.name} line {lineno}"
-        found = len(problems)
         name = row[0].strip() if header[0] == "country" else "all"
         if not name:
-            problems.append(f"{where}: empty country name")
+            _report(problems, file, lineno, "empty country name")
         raw_year = row[-2].strip()
+        year = None
         if not (raw_year.isascii() and raw_year.isdigit()):  # int() takes 2_000, +2001, ٢٠٠١
-            problems.append(f"{where}: year: not an integer: {raw_year!r}")
+            _report(problems, file, lineno, f"year: not an integer: {raw_year!r}")
         else:
             try:
                 year = int(raw_year)
             except ValueError:  # past int()'s limit on digits (4,300 by default)
-                problems.append(f"{where}: year: too many digits ({len(raw_year)})")
-        values = _parse_row((SERIES_VALUE,), row[-1:], where, problems)
-        if values is not None and values["value"] is None:
-            problems.append(f"{where}: value: missing value")
-        if len(problems) == found:
-            series.setdefault(name, []).append((year, values["value"]))
-    if problems:
-        raise DataError(problems)
+                _report(problems, file, lineno, f"year: too many digits ({len(raw_year)})")
+        keys.append((name, year))
+    lines = [lineno for lineno, _ in rows]
+    cells = [row[-1] for _, row in rows]
+    values = _parse_column(file, "value", NONNEGATIVE, lines, cells, problems)
+    for lineno, value, cell in zip(lines, values, cells):
+        if value is None and cell.strip() in _NO_DATA:
+            _report(problems, file, lineno, "value: missing value")
+    _raise(problems)
+    series = {}
+    for (name, year), value in zip(keys, values):
+        series.setdefault(name, []).append((year, value))
     return series
 
 

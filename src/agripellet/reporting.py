@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .dataio import CROPS, FUELS, PLI_COMPONENTS, RESOLVABLE_FIELDS
 from .pipeline import PipelineResult
+from .replacement import PLAN_COLUMNS
 from .sensitivity import SensitivityGrid, axis_label
 
 
@@ -47,11 +48,7 @@ MSP_COLUMNS = (
     + _resolved([f"pli_{p}" for p in PLI_COMPONENTS] + ["discount_rate", "tax_rate"])
 )
 
-_PLAN_COLUMNS = (
-    tuple(f"alloc_{f}_tj" for f in FUELS)
-    + tuple(f"replaced_{f}_frac" for f in FUELS)
-    + ("replaced_overall_frac", "unused_pellet_tj", "s_ec_usd_per_y", "s_em_kgco2e_per_y")
-)
+_PLAN_COLUMNS = PLAN_COLUMNS[PLAN_COLUMNS.index("rank_3") + 1:]  # allocations and savings
 
 RECOP_COLUMNS = (
     ("country", "continent", "scenario", "carbon_tax_usd_per_tco2e", "pellet_energy_tj",

@@ -16,7 +16,10 @@ and the reference writer builds each output file the plain way, typed rows
 through ``csv.writer`` and whole dicts through ``json``, against which
 ``agripellet.reporting``'s streamed writer is compared byte for byte: the
 per-country files, the sweep's and ``yoy``'s.  ``save_dataset`` writes a
-dataset back to its input files for the loader's round-trip tests.
+dataset back to its input files for the loader's round-trip tests.  The
+reference loader reads each table row by row, every cell of a row parsed and
+checked before the next; ``agripellet.dataio``'s column reader must give the
+same values, and the same problems in the same order.
 """
 
 import csv
@@ -27,9 +30,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 from agripellet import costs, energy, pricing, replacement, residues
-from agripellet.dataio import (COUNTRIES_COLUMNS, CROP_FIELDS, CROPS, CROPS_COLUMNS, FIELDS,
-                               FUEL_FIELDS, FUELS, FUELS_COLUMNS, PLI_COMPONENTS, CountryProfile,
-                               DataError, Dataset, resolve)
+from agripellet.dataio import (COUNTRIES_COLUMNS, CROP_FIELDS, CROPS, CROPS_COLUMNS,
+                               DEFAULT_PELLET_EF, FIELDS, FUEL_FIELDS, FUELS, FUELS_COLUMNS,
+                               NONNEGATIVE, PLI_COMPONENTS, CountryProfile, CropCoefficients,
+                               DataError, Dataset, Field, FuelProperties, LivestockRates,
+                               ModelConfig, _read_rows, default_crops, default_fuel_properties,
+                               load_config, parse_cell, resolve)
 from agripellet.pipeline import _STAGE_ORDER, STAGE_PLAN, GlobalReport
 from agripellet.pricing import BreakEvenInputs
 from agripellet.replacement import PLAN_COLUMNS
@@ -420,3 +426,180 @@ def save_dataset(dataset, out_dir) -> None:
     ])
     (out_dir / "config.json").write_text(json.dumps(dataset.config._asdict(), indent=2) + "\n",
                                          encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# The reference loader: each table read row by row, every cell of a row parsed
+# and checked before the next row, and every problem listed in line order.
+
+SERIES_VALUE = Field("value", "value", NONNEGATIVE)  # the yoy series' value column
+
+
+def parse_row(table: tuple, cells: list, where: str, problems: list) -> dict | None:
+    """``{key: value}`` for one row's numeric cells, or None when a cell is bad.
+
+    Each cell is parsed and checked against its field's bound; a bad cell adds
+    one problem naming ``where`` and the field's column.
+    """
+    found = len(problems)
+    values = {}
+    for (column, key, bound, _), raw in zip(table, cells):
+        try:
+            value = parse_cell(raw)
+        except DataError as exc:
+            problems.append(f"{where}: {column}: {exc}")
+            continue
+        if value is not None and not bound.lo <= value <= bound.hi:
+            bound.check(f"{where}: {column}", value, problems)
+        values[key] = value
+    return values if len(problems) == found else None
+
+
+def read_table(path: Path, columns: tuple, names, table: tuple, problems: list):
+    """Yield ``(where, name, text cells, values)`` for each good row of a table
+    keyed by its first column; every bad row adds its problems to ``problems``.
+
+    ``names`` holds the accepted names (None: any non-empty name), and a name
+    may not repeat.  The cells between the name and the ``table`` numeric
+    cells are text labels that may not be empty.  Each row is checked as it
+    is yielded, so a caller's own problems stay in line order.
+    """
+    _, rows = _read_rows(path, columns)
+    kind = columns[0]
+    first = len(columns) - len(table)  # the first numeric cell
+    seen = {}
+    for lineno, row in rows:
+        where = f"{path.name} line {lineno}"
+        name = row[0].strip()
+        if names is None and not name:
+            problems.append(f"{where}: empty {kind} name")
+            continue
+        if names is not None and name not in names:
+            problems.append(f"{where}: unknown {kind} {name!r}")
+            continue
+        if name in seen:
+            problems.append(f"{where}: duplicate {kind} {name!r} (first at line {seen[name]})")
+            continue
+        seen[name] = lineno
+        texts = [cell.strip() for cell in row[1:first]]
+        problems.extend(f"{where}: {label} label is required"
+                        for label, text in zip(columns[1:first], texts) if not text)
+        values = parse_row(table, row[first:], where, problems)
+        if values is not None:
+            yield where, name, texts, values
+
+
+def load_crops(path: str | Path) -> dict:
+    path = Path(path)
+    crops = {}
+    problems = []
+    for where, name, _, values in read_table(path, CROPS_COLUMNS, CROPS, CROP_FIELDS,
+                                             problems):
+        if None in values.values():
+            problems.append(f"{where}: all four coefficients are required")
+        else:
+            crops[name] = CropCoefficients(**values)
+    missing = set(CROPS) - set(crops)
+    if missing:
+        problems.append(f"{path.name}: missing crops {sorted(missing)}")
+    if problems:
+        raise DataError(problems)
+    return crops
+
+
+def load_fuels(path: str | Path) -> tuple:
+    """Returns (fuel properties by fuel, pellet emission factor).
+
+    The optional ``pellet`` row carries only the pellet emission factor,
+    checked against the same bound as a fuel's.
+    """
+    path = Path(path)
+    props = {}
+    pellet_ef = DEFAULT_PELLET_EF
+    problems = []
+    for where, name, _, values in read_table(path, FUELS_COLUMNS, FUELS + ("pellet",),
+                                             FUEL_FIELDS, problems):
+        if name == "pellet":
+            if values["ef"] is None:
+                problems.append(f"{where}: pellet row requires ef_kgco2e_per_t")
+            else:
+                pellet_ef = values["ef"]
+        elif None in values.values():
+            problems.append(f"{where}: lhv and ef are required")
+        else:
+            props[name] = FuelProperties(**values)
+    missing = set(FUELS) - set(props)
+    if missing:
+        problems.append(f"{path.name}: missing fuels {sorted(missing)}")
+    if problems:
+        raise DataError(problems)
+    return props, pellet_ef
+
+
+def load_countries(path: str | Path) -> tuple:
+    path = Path(path)
+    problems = []
+    profiles = tuple(CountryProfile(name, continent, values) for _, name, (continent,), values
+                     in read_table(path, COUNTRIES_COLUMNS, None, FIELDS, problems))
+    if problems:
+        raise DataError(problems)
+    return profiles
+
+
+def load_series(path: str | Path) -> dict:
+    """Annual series by name, each a list of ``(year, value)`` in file order.
+
+    The header is ``country,year,value``, or ``year,value`` for one series
+    named ``all``.  A year is written in ASCII digits alone, and a value is
+    required and >= 0.
+    """
+    path = Path(path)
+    header, rows = _read_rows(path, ("country", "year", "value"), ("year", "value"))
+    series = {}
+    problems = []
+    for lineno, row in rows:
+        where = f"{path.name} line {lineno}"
+        found = len(problems)
+        name = row[0].strip() if header[0] == "country" else "all"
+        if not name:
+            problems.append(f"{where}: empty country name")
+        raw_year = row[-2].strip()
+        if not (raw_year.isascii() and raw_year.isdigit()):  # int() takes 2_000, +2001, ٢٠٠١
+            problems.append(f"{where}: year: not an integer: {raw_year!r}")
+        else:
+            try:
+                year = int(raw_year)
+            except ValueError:  # past int()'s limit on digits (4,300 by default)
+                problems.append(f"{where}: year: too many digits ({len(raw_year)})")
+        values = parse_row((SERIES_VALUE,), row[-1:], where, problems)
+        if values is not None and values["value"] is None:
+            problems.append(f"{where}: value: missing value")
+        if len(problems) == found:
+            series.setdefault(name, []).append((year, values["value"]))
+    if problems:
+        raise DataError(problems)
+    return series
+
+
+def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Dataset:
+    """``agripellet.dataio.load_dataset`` through the reference loader."""
+    data_dir = Path(data_dir)
+    countries = load_countries(data_dir / "countries.csv")
+    crops_path = data_dir / "crops.csv"
+    crops = load_crops(crops_path) if crops_path.exists() else default_crops()
+    fuels_path = data_dir / "fuels.csv"
+    if fuels_path.exists():
+        fuel_properties, pellet_ef = load_fuels(fuels_path)
+    else:
+        fuel_properties, pellet_ef = default_fuel_properties(), DEFAULT_PELLET_EF
+    if config is None and (data_dir / "config.json").exists():
+        config = data_dir / "config.json"
+    cfg = load_config(config) if config is not None else ModelConfig()
+    return Dataset(
+        crops=crops,
+        livestock_rates=LivestockRates(),
+        countries=countries,
+        fuel_properties=fuel_properties,
+        pellet_ef=pellet_ef,
+        config=cfg,
+    )

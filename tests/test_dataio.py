@@ -182,16 +182,10 @@ def edited_copy(data_dir, tmp_path, edits):
 
 
 def test_clean_columns_are_parsed_whole(data_dir, tmp_path, monkeypatch):
-    """The row scan runs only when a whole-column check trips, and then names
-    each bad cell as it always has."""
+    """A column is scanned cell by cell only when its whole-column check trips,
+    and then each bad cell is named as it always has been."""
     scanned = []
-    parse_row = dataio._parse_row
-
-    def counting_parse_row(table, cells, where, problems):
-        scanned.append(where)
-        return parse_row(table, cells, where, problems)
-
-    monkeypatch.setattr(dataio, "_parse_row", counting_parse_row)
+    monkeypatch.setattr(dataio, "parse_cell", lambda raw: scanned.append(raw) or parse_cell(raw))
     load_dataset(data_dir)
     assert scanned == []
 
@@ -208,10 +202,11 @@ def test_clean_columns_are_parsed_whole(data_dir, tmp_path, monkeypatch):
         "countries.csv line 12: continent label is required",
         "countries.csv line 13: duplicate country 'Afghanistan' (first at line 2)",
     ]
-    assert len(scanned) == 177  # every row but the duplicate, which has no cell parsed
+    # the four tripped columns, each in every row but the duplicate, which is skipped
+    assert len(scanned) == 4 * 177
 
-    # finite cells whose sum overflows trip the finiteness check: the rows are
-    # scanned, find nothing wrong, and give the values the cells hold
+    # finite cells whose sum overflows trip the finiteness check: the column is
+    # scanned, finds nothing wrong, and gives the values the cells hold
     scanned.clear()
     overflow = edited_copy(data_dir, tmp_path / "overflow",
                            {(0, "cons_coal_tj"): "1.7e308", (1, "cons_coal_tj"): "1.7e308"})
@@ -219,6 +214,57 @@ def test_clean_columns_are_parsed_whole(data_dir, tmp_path, monkeypatch):
     assert len(scanned) == 178
     assert [c.values["cons_coal"] for c in countries[:2]] == [1.7e308, 1.7e308]
     assert countries[2:] == load_dataset(data_dir).countries[2:]
+
+
+def test_rows_with_several_problems_are_listed_in_line_order(tmp_path):
+    """Each row's problems in column order, the rows in line order, a loader's
+    own row problems among them, and the missing names last."""
+    crops = tmp_path / "crops.csv"
+    crops.write_text("crop,rtp,srr,dmr_world,lhv_mj_per_kg\n"
+                     "maize,1.0,0.5,0.7374,17.3\n"
+                     "sugarcane,1.0,0.875,,17.3\n"
+                     "barley,1,1,1,1\n"
+                     "rice,-1,1_0,0.8774,14.6\n"
+                     "maize,1.0,0.5,0.7374,17.3\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_crops(crops)
+    assert exc.value.problems == [
+        "crops.csv line 3: all four coefficients are required",
+        "crops.csv line 4: unknown crop 'barley'",
+        "crops.csv line 5: rtp: must be > 0, got -1.0",
+        "crops.csv line 5: srr: not a number: '1_0'",
+        "crops.csv line 6: duplicate crop 'maize' (first at line 2)",
+        "crops.csv: missing crops ['rice', 'sugarcane', 'wheat']",
+    ]
+
+    fuels = tmp_path / "fuels.csv"
+    fuels.write_text("fuel,lhv_mj_per_kg,ef_kgco2e_per_t\n"
+                     "pellet,,\n"
+                     "coal,23.9,x\n"
+                     "oil,42.0,\n"
+                     "gas,1,1\n"
+                     "coal,1,1\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_fuels(fuels)
+    assert exc.value.problems == [
+        "fuels.csv line 2: pellet row requires ef_kgco2e_per_t",
+        "fuels.csv line 3: ef_kgco2e_per_t: not a number: 'x'",
+        "fuels.csv line 4: lhv and ef are required",
+        "fuels.csv line 5: unknown fuel 'gas'",
+        "fuels.csv line 6: duplicate fuel 'coal' (first at line 3)",
+        "fuels.csv: missing fuels ['coal', 'natural_gas', 'oil']",
+    ]
+
+    series = tmp_path / "series.csv"
+    series.write_text("country,year,value\nA,2000,1\n ,20x1,-5\nB,2001,\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_series(series)
+    assert exc.value.problems == [
+        "series.csv line 3: empty country name",
+        "series.csv line 3: year: not an integer: '20x1'",
+        "series.csv line 3: value: must be >= 0, got -5.0",
+        "series.csv line 4: value: missing value",
+    ]
 
 
 def test_srr_out_of_range_rejected(tmp_path):

@@ -1,10 +1,13 @@
-"""Regression fuzz: edge values in the numeric cells of the bundled CSVs.
+"""Regression fuzz: edge values in the cells of the bundled CSVs.
 
-Each example writes a copy of the bundled data with a few numeric cells set to
-values at the edges of what the loader and the model take, then runs
-``report``, ``msp`` and ``sweep`` in-process.  Every run must end in an exit
-code, never a traceback, and write no NaN or infinity; the whole-column loader
-must agree with the row scan, value for value or message for message.
+Each example writes a copy of the bundled data with a few cells set to values
+at the edges of what the loader and the model take: numeric cells to edge
+numbers, name and label cells to empty, blank, repeated or unknown names.  It
+then runs ``report``, ``msp`` and ``sweep`` in-process.  Every run must end in
+an exit code, never a traceback, and write no NaN or infinity.  The column
+reader must agree with the reference row scan in ``oracles``, value for value
+or message for message, on these copies and on copies of the ``yoy`` series
+with a few name, year and value cells set the same way.
 """
 
 import contextlib
@@ -13,10 +16,10 @@ import io
 import re
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from agripellet import dataio
 from agripellet.cli import main
 
@@ -25,23 +28,32 @@ DATA_DIR = Path(__file__).parent / "data"
 TABLES = (("countries.csv", 2), ("crops.csv", 1), ("fuels.csv", 1))
 EDGE_VALUES = ("0", "-0", "5e-324", "1e308", "1.7e308", repr(1 - 2**-53), "-", "", "1_0",
                "nan", "inf", "\u0661")  # the last an Arabic-Indic one, which float reads
+DUPLICATE = object()  # the name of the next row
+KEY_VALUES = ("", " ", "barley", "pellet", DUPLICATE)  # barley: neither a crop nor a fuel
+SERIES_VALUES = ("", " ", "-", "x", "0", "-1", "1_0", "nan", "1e308", "2001", "+2001", "\u0662")
 MUTATION = st.tuples(st.sampled_from(TABLES), st.integers(0, 10**4), st.integers(0, 10**4),
-                     st.sampled_from(EDGE_VALUES))
+                     st.one_of(st.tuples(st.just(True), st.sampled_from(EDGE_VALUES)),
+                               st.tuples(st.just(False), st.sampled_from(KEY_VALUES))))
 
 
 def write_mutated_copy(data: Path, mutations) -> None:
-    """The bundled data in ``data``, each mutation setting one numeric cell;
-    the row and column numbers wrap around the file's."""
+    """The bundled data in ``data``, each mutation setting one numeric cell, or
+    one name or label cell; the row and column numbers wrap around the file's."""
     data.mkdir()
     (data / "config.json").write_bytes((DATA_DIR / "config.json").read_bytes())
     tables = {}
-    for (name, first), row, column, text in mutations:
+    for (name, first), row, column, (numeric, text) in mutations:
         if name not in tables:
             with (DATA_DIR / name).open(newline="", encoding="utf-8") as f:
                 tables[name] = list(csv.reader(f))
         rows = tables[name]
-        width = len(rows[0]) - first
-        rows[1 + row % (len(rows) - 1)][first + column % width] = text
+        if text is DUPLICATE:
+            text = rows[1 + (row + 1) % (len(rows) - 1)][0]
+        if numeric:
+            column = first + column % (len(rows[0]) - first)
+        else:
+            column %= first
+        rows[1 + row % (len(rows) - 1)][column] = text
     for name, _ in TABLES:
         if name in tables:
             with (data / name).open("w", newline="", encoding="utf-8") as f:
@@ -50,10 +62,10 @@ def write_mutated_copy(data: Path, mutations) -> None:
             (data / name).write_bytes((DATA_DIR / name).read_bytes())
 
 
-def loaded(data: Path):
-    """The dataset as text, or the problems of the DataError loading it raises."""
+def loaded(load, data: Path):
+    """The dataset ``load`` reads as text, or the problems of the DataError it raises."""
     try:
-        return repr(dataio.load_dataset(data))
+        return repr(load(data))
     except dataio.DataError as exc:
         return exc.problems
 
@@ -64,9 +76,7 @@ def test_edge_cells_end_in_an_exit_code(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data"
         write_mutated_copy(data, mutations)
-        whole = loaded(data)
-        with mock.patch.object(dataio, "_parse_columns", return_value=None):
-            assert loaded(data) == whole  # the row scan alone gives the same
+        assert loaded(dataio.load_dataset, data) == loaded(oracles.load_dataset, data)
 
         for command in ("report", "msp", "sweep"):
             out = Path(tmp) / command
@@ -86,3 +96,18 @@ def test_edge_cells_end_in_an_exit_code(mutations):
             assert (code == 1) == bool(failed)
             assert len(lines) == (int(failed[1]) if failed else 0)
             assert len({line.split(": ", 1)[0] for line in lines}) == len(lines)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 2),
+                          st.sampled_from(SERIES_VALUES)), min_size=1, max_size=4))
+def test_series_cells_load_as_the_row_scan_loads_them(mutations):
+    with (DATA_DIR / "production_series.csv").open(newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    for row, column, text in mutations:
+        rows[1 + row % (len(rows) - 1)][column] = text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        with path.open("w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows(rows)
+        assert loaded(dataio.load_series, path) == loaded(oracles.load_series, path)
