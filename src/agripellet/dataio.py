@@ -8,9 +8,11 @@ treat a Dataset as read-only.  ``FIELDS`` describes each numeric
 loading, bounds checks and resolution derive from it.  Every table, and the
 ``yoy`` series, is read column by column: each column is checked whole, and
 only a column holding a bad cell is scanned cell by cell, so that each problem
-is named by line and column and listed in line order.  ``resolve`` is the one
-fallback rule for an empty cell; the pipeline sends only empty cells through
-it.  This module only reads files; every output goes through ``reporting``.
+is named by line and column and listed in line order; ``load_dataset`` reads
+every file before it raises, so one error names the problems of them all.
+``resolve`` is the one fallback rule for an empty cell; the pipeline calls it
+once per field and continent among the empty cells.  This module only reads
+files; every output goes through ``reporting``.
 """
 
 from __future__ import annotations
@@ -609,20 +611,32 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
     optional; absent files fall back to the built-in reference coefficients.
     ``config`` is a path to a JSON file, or None (uses ``data_dir/config.json``
     when present, else defaults).  To run on a ``ModelConfig`` record, replace
-    the loaded one: ``dataset._replace(config=cfg)``.
+    the loaded one: ``dataset._replace(config=cfg)``.  Every file is read
+    before any fails: one ``DataError`` lists the problems of countries.csv,
+    crops.csv, fuels.csv and the config, in that order.
     """
     data_dir = Path(data_dir)
-    countries = load_countries(data_dir / "countries.csv")
+    problems = []
+
+    def attempt(loader, path):
+        try:
+            return loader(path)
+        except DataError as exc:
+            problems.extend(exc.problems)
+            return None
+
+    countries = attempt(load_countries, data_dir / "countries.csv")
     crops_path = data_dir / "crops.csv"
-    crops = load_crops(crops_path) if crops_path.exists() else default_crops()
+    crops = attempt(load_crops, crops_path) if crops_path.exists() else default_crops()
     fuels_path = data_dir / "fuels.csv"
-    if fuels_path.exists():
-        fuel_properties, pellet_ef = load_fuels(fuels_path)
-    else:
-        fuel_properties, pellet_ef = default_fuel_properties(), DEFAULT_PELLET_EF
+    fuels = (attempt(load_fuels, fuels_path) if fuels_path.exists()
+             else (default_fuel_properties(), DEFAULT_PELLET_EF))
     if config is None and (data_dir / "config.json").exists():
         config = data_dir / "config.json"
-    cfg = load_config(config) if config is not None else ModelConfig()
+    cfg = attempt(load_config, config) if config is not None else ModelConfig()
+    if problems:
+        raise DataError(problems)
+    fuel_properties, pellet_ef = fuels
     return Dataset(
         crops=crops,
         livestock_rates=LivestockRates(),

@@ -1,18 +1,21 @@
 """End-to-end evaluation of every country, column by column, and global aggregation.
 
 Each stage runs once over all the countries: their inputs are gathered into
-one list per field (only empty cells go through ``resolve``), and each stage
-module's column function turns lists keyed by column into more of them.  The
-result is those columns, one row per evaluated country.  Failures are
-isolated: a country that fails a stage's check leaves every column at once
-and lands in the error list without aborting the rest, with the message its
-first failure gives.  Output ordering is by country name, so repeated runs
-over the same inputs are byte-identical downstream.
+one list per field (``resolve`` fills the empty cells, once per field and
+continent), and each stage module's column function turns lists keyed by
+column into more of them.  The result is those columns, one row per
+evaluated country.  Failures are isolated: a country that fails a stage's
+check leaves every column at once and lands in the error list without
+aborting the rest, with the message its first failure gives.  Output
+ordering is by country name, so repeated runs over the same inputs are
+byte-identical downstream.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
@@ -57,6 +60,7 @@ class _Rows:
     def __init__(self, dataset: Dataset, profiles: list):
         self.dataset = dataset
         self.profiles = profiles
+        self.inputs = [p.values for p in profiles]  # each row's cells by field key
         self.columns = {}
         self.resolved = {}
         self.errors = {}  # country -> message
@@ -69,6 +73,7 @@ class _Rows:
             self.errors[self.profiles[row].name] = message
         keep = [row for row in range(len(self.profiles)) if row not in failures]
         self.profiles = [self.profiles[row] for row in keep]
+        self.inputs = [self.inputs[row] for row in keep]
         for table in (self.columns, self.resolved):
             for name, col in table.items():
                 table[name] = [col[row] for row in keep]
@@ -76,25 +81,36 @@ class _Rows:
     def resolve(self, names: tuple) -> None:
         """Resolve the fields in order, a column at a time: a country's own
         value has tier ``country``, and only empty cells go through
-        ``resolve``.  A country stops at its first failure."""
+        ``resolve``.  An empty cell's fallback depends on its field and
+        continent alone, so ``resolve`` runs once per (field, continent) and
+        its answer fills the continent's other empty cells; a call that fails
+        is not reused, so each failing country gets its own message.  A
+        country stops at its first failure."""
         dataset, profiles, failures = self.dataset, self.profiles, {}
         for name in names:
-            values = [p.values[name] for p in profiles]
+            values = list(map(itemgetter(name), self.inputs))
             tiers = ["country"] * len(values)
             if None in values:
+                answers = {}  # continent -> (value, tier)
                 for row, value in enumerate(values):
                     if value is None and row not in failures:
-                        try:
-                            values[row], tiers[row] = resolve(dataset, profiles[row], name)
-                        except (DataError, ValueError) as exc:
-                            failures[row] = str(exc)
+                        profile = profiles[row]
+                        answer = answers.get(profile.continent)
+                        if answer is None:
+                            try:
+                                answer = resolve(dataset, profile, name)
+                            except (DataError, ValueError) as exc:
+                                failures[row] = str(exc)
+                                continue
+                            answers[profile.continent] = answer
+                        values[row], tiers[row] = answer
             self.resolved[name], self.resolved[f"src_{name}"] = values, tiers
         self.drop(failures)
 
     def amounts(self, key: str) -> list:
         """One field's column where a missing value is a real zero (an amount
         has no fallback tier)."""
-        return [p.values[key] or 0.0 for p in self.profiles]
+        return [value or 0.0 for value in map(itemgetter(key), self.inputs)]
 
 
 # Columns that never hold a float, so the non-finite check skips them (as src_X).
@@ -103,14 +119,22 @@ _NO_FLOATS = ("use_saturated", "scenario", "rank_1", "rank_2", "rank_3")
 
 def _non_finite_rows(values: list) -> list:
     """The rows of a column holding a NaN or an infinite float; the column is
-    scanned only when its sum is not finite."""
+    scanned only when the sum of its numbers (its None cells left out) is not
+    finite."""
     try:
-        if math.isfinite(sum(values)):
+        if math.isfinite(sum(filter(None, values))):  # zeros left out add nothing
             return []
-    except (TypeError, OverflowError):  # a None beside the numbers, or ints past float range
+    except (TypeError, OverflowError):  # a string among the numbers, or ints past float range
         pass
     return [row for row, value in enumerate(values)
             if type(value) is float and not math.isfinite(value)]
+
+
+def _total(*columns) -> float:
+    """The columns' numbers summed row by row, a row's in the columns' order.
+    The sum starts at 0.0, so a total over no rows is a float too; None (a
+    plan-less row) and zeros add nothing to it and are left out."""
+    return sum(filter(None, chain.from_iterable(zip(*columns))), 0.0)
 
 
 def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
@@ -208,24 +232,20 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
     result = {"country": [p.name for p in evaluated],
               "continent": [p.continent for p in evaluated],
               **{name: columns[name] for name in order}, **resolved}
-    planned = [row for row, rank in enumerate(result.get("rank_1", ())) if rank is not None]
-    # every total starts at 0.0, so a total over no rows is a float too
-    total_cons = sum((p.values[f"cons_{f}"] or 0.0 for p in evaluated for f in FUELS), 0.0)
-    total_alloc = sum((result[f"alloc_{f}_tj"][row] for row in planned for f in FUELS), 0.0)
-    rank_first = {f: 0 for f in FUELS}
-    for row in planned:
-        rank_first[result["rank_1"][row]] += 1
+    plan = {name: result.get(name, []) for name in replacement.PLAN_COLUMNS}  # [] at assess, msp
+    total_cons = _total(*(rows.amounts(f"cons_{f}") for f in FUELS))
+    total_alloc = _total(*(plan[f"alloc_{f}_tj"] for f in FUELS))
 
     global_report = GlobalReport(
         countries_evaluated=len(evaluated),
         countries_failed=len(rows.errors),
-        cr_final_t=sum(result["cr_final_t"], 0.0),
-        pellet_energy_tj=sum(result["pellet_energy_tj"], 0.0),
-        s_ec_usd_per_y=sum((result["s_ec_usd_per_y"][row] for row in planned), 0.0),
-        s_em_kgco2e_per_y=sum((result["s_em_kgco2e_per_y"][row] for row in planned), 0.0),
+        cr_final_t=_total(result["cr_final_t"]),
+        pellet_energy_tj=_total(result["pellet_energy_tj"]),
+        s_ec_usd_per_y=_total(plan["s_ec_usd_per_y"]),
+        s_em_kgco2e_per_y=_total(plan["s_em_kgco2e_per_y"]),
         fossil_consumption_tj=total_cons,
         replaced_fraction_overall=total_alloc / total_cons if total_cons > 0 else 0.0,
-        rank_first_counts=rank_first,
+        rank_first_counts={f: plan["rank_1"].count(f) for f in FUELS},
     )
     for name, value in global_report._asdict().items():
         if type(value) is float and not math.isfinite(value):

@@ -11,9 +11,9 @@ negative under crashed fossil prices; they are deliberately not clamped.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import neg
+from operator import add, getitem, itemgetter, mul, neg, sub
 
-from .dataio import FUELS
+from .dataio import FUELS, SCENARIOS
 from .energy import per_tj
 
 # Fixed order for breaking score ties, so output is reproducible.
@@ -33,61 +33,16 @@ PLAN_COLUMNS = (
 _TIE_ORDER = tuple(CANONICAL_FUEL_ORDER.index(f) for f in FUELS)
 _INDEXES = tuple(range(len(FUELS)))
 
-# One country's per-fuel numbers below are sequences in FUELS order:
-# consumption (TJ), fuel LCOE ($/TJ) and emission intensity (kgCO2e/TJ).
 
-
-def _scores(lcoe, intensity, pellet_lcoe: float, pellet_intensity: float,
-            scenario: str, carbon_tax: float) -> list:
-    """Each fuel's per-TJ replacement score: scenario A scores cost savings, B
-    emissions savings, C cost savings with the carbon tax priced into both
-    sides (intensity converted kg -> t)."""
-    if scenario == "A":
-        return [c - pellet_lcoe for c in lcoe]
-    if scenario == "B":
-        return [i - pellet_intensity for i in intensity]
-    if scenario == "C":
-        pellet = pellet_lcoe + carbon_tax * pellet_intensity / 1000.0
-        return [c + carbon_tax * i / 1000.0 - pellet for c, i in zip(lcoe, intensity)]
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def _order(scores: list) -> list:
-    """The fuels' indexes best score first, a tie broken by ``CANONICAL_FUEL_ORDER``."""
+def _order(scores) -> list:
+    """One row's fuel indexes best score first, a tie broken by
+    ``CANONICAL_FUEL_ORDER`` (and a NaN score left where ``sorted`` leaves it)."""
     return [i for _, _, i in sorted(zip(map(neg, scores), _TIE_ORDER, _INDEXES))]
 
 
-def _allocate(pellet_energy: float, consumption, order: list) -> tuple:
-    """Greedy allocation down the ranking: (TJ per fuel, unused TJ)."""
-    allocation = [0.0] * len(FUELS)
-    remaining = pellet_energy
-    for i in order:
-        take = consumption[i] if consumption[i] < remaining else remaining  # min(remaining, c)
-        allocation[i] = take
-        remaining -= take
-    return allocation, max(0.0, pellet_energy - sum(allocation))
-
-
-def _savings(allocation: list, lcoe, intensity, pellet_lcoe: float,
-             pellet_intensity: float) -> tuple:
-    """(economic savings $/y, emissions savings kgCO2e/y) of an allocation."""
-    return (sum([a * (c - pellet_lcoe) for a, c in zip(allocation, lcoe)]),
-            sum([a * (i - pellet_intensity) for a, i in zip(allocation, intensity)]))
-
-
-def _plan(pellet_energy: float, consumption, lcoe, intensity, pellet_lcoe: float,
-          pellet_intensity: float, scenario: str, carbon_tax: float) -> list:
-    """One country's plan as the values of ``PLAN_COLUMNS`` from ``rank_1`` on,
-    followed by its scores best first."""
-    scores = _scores(lcoe, intensity, pellet_lcoe, pellet_intensity, scenario, carbon_tax)
-    order = _order(scores)
-    allocation, unused = _allocate(pellet_energy, consumption, order)
-    total_cons = sum(consumption)
-    return ([FUELS[i] for i in order] + allocation
-            + [a / c if c > 0 else 0.0 for a, c in zip(allocation, consumption)]
-            + [sum(allocation) / total_cons if total_cons > 0 else 0.0, unused,
-               *_savings(allocation, lcoe, intensity, pellet_lcoe, pellet_intensity)]
-            + [scores[i] for i in order])
+def _ratios(parts: list, wholes: list) -> list:
+    """Each part over its whole, 0.0 where the whole is not positive."""
+    return [a / c if c > 0 else 0.0 for a, c in zip(parts, wholes)]
 
 
 def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet_ef: float,
@@ -99,18 +54,61 @@ def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet
     fuel's consumption column (TJ, a missing value read as 0.0).  Returns the
     ``PLAN_COLUMNS`` and the columns of each row's scores best first, which
     order ``rank_1..3`` without being columns and can overflow alone.
+
+    Each fuel's per-TJ score is a column: scenario A scores cost savings, B
+    emissions savings, C cost savings with the carbon tax priced into both
+    sides (intensity converted kg -> t).  Only the ranking is made row by row.
+    The pellet energy is allocated greedily down it, a whole rank at a time,
+    each fuel taking the least of its consumption and what is left; every
+    per-row sum runs over the fuels in ``FUELS`` order.
     """
-    lhv = columns["weighted_lhv_mj_per_kg"]
-    lcoe = zip(*(map(fuel_lcoe, columns[f"price_{f}"], repeat(fuel_properties[f].lhv))
-                 for f in FUELS))
-    intensity = [emission_intensity(fuel_properties[f].ef, fuel_properties[f].lhv)
-                 for f in FUELS]
-    rows = list(map(_plan, columns["pellet_energy_tj"], zip(*(consumption[f] for f in FUELS)),
-                    lcoe, repeat(intensity), map(fuel_lcoe, columns["msp_usd_per_t"], lhv),
-                    map(emission_intensity, repeat(pellet_ef), lhv), repeat(scenario),
-                    repeat(carbon_tax)))
-    values = list(map(list, zip(*rows))) or [[] for _ in range(len(PLAN_COLUMNS) + 1)]
-    plan = {"scenario": [scenario] * len(rows),
-            "carbon_tax_usd_per_tco2e": [carbon_tax] * len(rows),
-            **dict(zip(PLAN_COLUMNS[2:], values))}
-    return plan, values[len(PLAN_COLUMNS) - 2:]
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    lhv, energy = columns["weighted_lhv_mj_per_kg"], columns["pellet_energy_tj"]
+    pellet_lcoe = list(map(fuel_lcoe, columns["msp_usd_per_t"], lhv))
+    pellet_intensity = list(map(emission_intensity, repeat(pellet_ef), lhv))
+    lcoe, intensity = [], []  # per fuel: a column of $/TJ, one kgCO2e/TJ
+    for f in FUELS:
+        props = fuel_properties[f]
+        lcoe.append(list(map(fuel_lcoe, columns[f"price_{f}"], repeat(props.lhv))))
+        intensity.append(emission_intensity(props.ef, props.lhv))
+    cost_gap = [list(map(sub, col, pellet_lcoe)) for col in lcoe]
+    emission_gap = [list(map(sub, repeat(i), pellet_intensity)) for i in intensity]
+    if scenario == "A":
+        scores = cost_gap
+    elif scenario == "B":
+        scores = emission_gap
+    else:
+        pellet = [c + carbon_tax * i / 1000.0 for c, i in zip(pellet_lcoe, pellet_intensity)]
+        scores = [list(map(sub, map(add, col, repeat(carbon_tax * i / 1000.0)), pellet))
+                  for col, i in zip(lcoe, intensity)]
+    score_rows = list(zip(*scores))
+    orders = list(map(_order, score_rows))
+    ranked = [list(map(itemgetter(k), orders)) for k in _INDEXES]  # fuel index at each rank
+    cons = [consumption[f] for f in FUELS]
+    cons_rows = list(zip(*cons))
+    takes, remaining = [], energy
+    for fuels in ranked:
+        take = list(map(min, remaining, map(getitem, cons_rows, fuels)))
+        remaining = list(map(sub, remaining, take))
+        takes.append(take)
+    take_rows = list(zip(*takes))
+    alloc = [list(map(getitem, take_rows, map(list.index, orders, repeat(i)))) for i in _INDEXES]
+    alloc_total = list(map(sum, zip(*alloc)))
+
+    def saved(gaps):  # each row's allocations times their gaps, summed
+        return list(map(sum, zip(*(map(mul, a, gap) for a, gap in zip(alloc, gaps)))))
+
+    plan = {
+        "scenario": [scenario] * len(energy),
+        "carbon_tax_usd_per_tco2e": [carbon_tax] * len(energy),
+        **{f"rank_{k}": list(map(FUELS.__getitem__, fuels)) for k, fuels in enumerate(ranked, 1)},
+        **{f"alloc_{f}_tj": col for f, col in zip(FUELS, alloc)},
+        **{f"replaced_{f}_frac": _ratios(a, c) for f, a, c in zip(FUELS, alloc, cons)},
+        "replaced_overall_frac": _ratios(alloc_total, list(map(sum, cons_rows))),
+        "unused_pellet_tj": list(map(max, repeat(0.0), map(sub, energy, alloc_total))),
+        "s_ec_usd_per_y": saved(cost_gap),
+        "s_em_kgco2e_per_y": saved(emission_gap),
+    }
+    return plan, [list(map(getitem, score_rows, fuels)) for fuels in ranked]
+

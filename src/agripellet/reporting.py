@@ -17,8 +17,12 @@ import json
 import math
 import re
 from contextlib import ExitStack
+from functools import partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import is_not
 from pathlib import Path
+from types import NoneType
 
 from .dataio import CROPS, FUELS, PLI_COMPONENTS, RESOLVABLE_FIELDS
 from .pipeline import PipelineResult
@@ -90,6 +94,7 @@ YOY_COLUMNS = ("country", "year_from", "year_to", "growth")
 _encode = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
 _BLOCK = 512  # records rendered and written at a time: bounds the text held in memory
 _needs_quotes = re.compile('[,"\r\n]').search  # the cells ``csv``'s default dialect quotes
+_is_not_none = partial(is_not, None)
 
 
 def _csv_cell(text: str) -> str:
@@ -102,13 +107,37 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def _cell(name: str, value) -> tuple:
+    """One value's ``(csv text, json text)``."""
+    if value is None:
+        return "", "null"
+    if value is True or value is False:
+        text = "true" if value else "false"
+    elif isinstance(value, str):
+        return _csv_cell(value), encode_basestring_ascii(value)
+    elif type(value) is int:
+        text = int.__repr__(value)
+    else:
+        text = float.__repr__(_finite(name, value))
+    return text, text
+
+
+def _fill(types: list, texts: list, empty: str) -> list:
+    """A column of floats beside None as texts: ``texts``, one per float, with
+    ``empty`` at each None; ``types`` holds each value's type."""
+    source = {float: iter(texts), NoneType: repeat(empty)}
+    return list(map(next, map(source.__getitem__, types)))
+
+
 def _render(name: str, values: list) -> tuple:
     """One column's cells as ``(csv texts, json texts)``, each text made once.
 
     A float is its ``repr`` in both (one shared list for a column of floats), None
     an empty cell or ``null``, a bool ``true``/``false``, an int its digits, and a
     string quoted as ``csv`` and ``json`` quote it.  A NaN or infinite float raises
-    ``ValueError``.
+    ``ValueError``.  A column of floats, of strings or of bools, None among them
+    or not, is rendered by whole-column C calls; only a column that mixes other
+    types goes value by value.
     """
     try:
         texts = list(map(float.__repr__, values))
@@ -119,29 +148,23 @@ def _render(name: str, values: list) -> tuple:
             for value in values:
                 _finite(name, value)
         return texts, texts
-    try:
+    types = list(map(type, values))
+    kinds = set(types)
+    if kinds == {str}:
         json_texts = list(map(encode_basestring_ascii, values))
-    except TypeError:  # not all strings either
-        pass
-    else:
-        if any(map(_needs_quotes, values)):
+        if _needs_quotes("".join(values)):
             return list(map(_csv_cell, values)), json_texts
         return values, json_texts
-    csv_texts, json_texts = [], []
-    for value in values:
-        if value is None:
-            csv_text, json_text = "", "null"
-        elif value is True or value is False:
-            csv_text = json_text = "true" if value else "false"
-        elif isinstance(value, str):
-            csv_text, json_text = _csv_cell(value), encode_basestring_ascii(value)
-        elif type(value) is int:
-            csv_text = json_text = int.__repr__(value)
-        else:
-            csv_text = json_text = float.__repr__(_finite(name, value))
-        csv_texts.append(csv_text)
-        json_texts.append(json_text)
-    return csv_texts, json_texts
+    if kinds == {float, NoneType}:  # the floats rendered as a column, then the gaps filled
+        texts, _ = _render(name, list(filter(_is_not_none, values)))
+        return _fill(types, texts, ""), _fill(types, texts, "null")
+    if kinds <= {str, bool, NoneType}:  # no two of these types compare equal
+        csv_of, json_of = {}, {}  # each distinct value rendered once, then looked up
+        for value in set(values):
+            csv_of[value], json_of[value] = _cell(name, value)
+        return list(map(csv_of.__getitem__, values)), list(map(json_of.__getitem__, values))
+    cells = [_cell(name, value) for value in values]
+    return [csv_text for csv_text, _ in cells], [json_text for _, json_text in cells]
 
 
 def _json_member(key: str, value) -> str:

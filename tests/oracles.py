@@ -5,7 +5,10 @@ each through every stage into one record, against which the column-by-column
 ``agripellet.pipeline.run_pipeline`` is compared value by value: each stage's
 column function runs on the country's one row, so what they check is the
 pipeline's own work, the order in which a country resolves its fields and
-meets its first failure, its non-finite check and the global totals.
+meets its first failure, its non-finite check and the global totals.  The
+plan stage is the exception: it runs through ``plan``, the replacement plan
+computed one country at a time, which ``agripellet.replacement.plan_columns``
+computes as whole columns.
 ``reports`` cuts a pipeline result's columns into the same per-country
 records, for the tests that read one country at a time.  The
 break-even solver as plain loops, linear in the horizon but plainly right
@@ -25,7 +28,7 @@ same values, and the same problems in the same order.
 import csv
 import json
 import math
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -134,7 +137,7 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
     if depth >= 2:
         prices = {f"price_{f}": [field(f"price_{f}")] for f in FUELS}
         if lhv is not None:  # no residue, no pellet heating value: no plan
-            plan, ranked = replacement.plan_columns(
+            plan, ranked = plan_columns(  # the reference, one row at a time
                 {**prices, "msp_usd_per_t": [msp["msp_usd_per_t"]],
                  "weighted_lhv_mj_per_kg": [lhv],
                  "pellet_energy_tj": [values["pellet_energy_tj"]]},
@@ -216,6 +219,80 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
         raise DataError(f"non-finite global total {bad}")
     return OracleResult(reports=tuple(reports), global_report=global_report,
                         errors=tuple(errors))
+
+
+# ---------------------------------------------------------------------------
+# The plan stage one country at a time: ``agripellet.replacement.plan_columns``
+# computes these as whole columns, and must give the same values.  A country's
+# per-fuel numbers are sequences in FUELS order: consumption (TJ), fuel LCOE
+# ($/TJ) and emission intensity (kgCO2e/TJ).
+
+def plan_scores(lcoe, intensity, pellet_lcoe: float, pellet_intensity: float,
+                scenario: str, carbon_tax: float) -> list:
+    """Each fuel's per-TJ replacement score: scenario A scores cost savings, B
+    emissions savings, C cost savings with the carbon tax priced into both
+    sides (intensity converted kg -> t)."""
+    if scenario == "A":
+        return [c - pellet_lcoe for c in lcoe]
+    if scenario == "B":
+        return [i - pellet_intensity for i in intensity]
+    if scenario == "C":
+        pellet = pellet_lcoe + carbon_tax * pellet_intensity / 1000.0
+        return [c + carbon_tax * i / 1000.0 - pellet for c, i in zip(lcoe, intensity)]
+    raise ValueError(f"unknown scenario {scenario!r}")
+
+
+def allocate(pellet_energy: float, consumption, order: list) -> tuple:
+    """Greedy allocation down the ranking: (TJ per fuel, unused TJ)."""
+    allocation = [0.0] * len(FUELS)
+    remaining = pellet_energy
+    for i in order:
+        take = consumption[i] if consumption[i] < remaining else remaining  # min(remaining, c)
+        allocation[i] = take
+        remaining -= take
+    return allocation, max(0.0, pellet_energy - sum(allocation))
+
+
+def savings(allocation: list, lcoe, intensity, pellet_lcoe: float,
+            pellet_intensity: float) -> tuple:
+    """(economic savings $/y, emissions savings kgCO2e/y) of an allocation."""
+    return (sum([a * (c - pellet_lcoe) for a, c in zip(allocation, lcoe)]),
+            sum([a * (i - pellet_intensity) for a, i in zip(allocation, intensity)]))
+
+
+def plan(pellet_energy: float, consumption, lcoe, intensity, pellet_lcoe: float,
+         pellet_intensity: float, scenario: str, carbon_tax: float) -> list:
+    """One country's plan as the values of ``PLAN_COLUMNS`` from ``rank_1`` on,
+    followed by its scores best first."""
+    scores = plan_scores(lcoe, intensity, pellet_lcoe, pellet_intensity, scenario, carbon_tax)
+    order = replacement._order(scores)
+    allocation, unused = allocate(pellet_energy, consumption, order)
+    total_cons = sum(consumption)
+    return ([FUELS[i] for i in order] + allocation
+            + [a / c if c > 0 else 0.0 for a, c in zip(allocation, consumption)]
+            + [sum(allocation) / total_cons if total_cons > 0 else 0.0, unused,
+               *savings(allocation, lcoe, intensity, pellet_lcoe, pellet_intensity)]
+            + [scores[i] for i in order])
+
+
+def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet_ef: float,
+                 scenario: str, carbon_tax: float) -> tuple:
+    """``agripellet.replacement.plan_columns``, one ``plan`` per row."""
+    lhv = columns["weighted_lhv_mj_per_kg"]
+    fuel_lcoe = replacement.fuel_lcoe
+    lcoe = zip(*(map(fuel_lcoe, columns[f"price_{f}"], repeat(fuel_properties[f].lhv))
+                 for f in FUELS))
+    intensity = [replacement.emission_intensity(fuel_properties[f].ef, fuel_properties[f].lhv)
+                 for f in FUELS]
+    rows = list(map(plan, columns["pellet_energy_tj"], zip(*(consumption[f] for f in FUELS)),
+                    lcoe, repeat(intensity), map(fuel_lcoe, columns["msp_usd_per_t"], lhv),
+                    map(replacement.emission_intensity, repeat(pellet_ef), lhv),
+                    repeat(scenario), repeat(carbon_tax)))
+    values = list(map(list, zip(*rows))) or [[] for _ in range(len(PLAN_COLUMNS) + 1)]
+    columns = {"scenario": [scenario] * len(rows),
+               "carbon_tax_usd_per_tco2e": [carbon_tax] * len(rows),
+               **dict(zip(PLAN_COLUMNS[2:], values))}
+    return columns, values[len(PLAN_COLUMNS) - 2:]
 
 
 def npv(price: float, inputs: BreakEvenInputs) -> float:
@@ -582,24 +659,38 @@ def load_series(path: str | Path) -> dict:
 
 
 def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Dataset:
-    """``agripellet.dataio.load_dataset`` through the reference loader."""
+    """``agripellet.dataio.load_dataset`` through the reference loader: every
+    file is read, and one ``DataError`` lists the problems of countries.csv,
+    crops.csv, fuels.csv and the config, in that order."""
     data_dir = Path(data_dir)
-    countries = load_countries(data_dir / "countries.csv")
-    crops_path = data_dir / "crops.csv"
-    crops = load_crops(crops_path) if crops_path.exists() else default_crops()
-    fuels_path = data_dir / "fuels.csv"
-    if fuels_path.exists():
-        fuel_properties, pellet_ef = load_fuels(fuels_path)
-    else:
-        fuel_properties, pellet_ef = default_fuel_properties(), DEFAULT_PELLET_EF
+    problems = []
+    loaded = {}
+    crops_path, fuels_path = data_dir / "crops.csv", data_dir / "fuels.csv"
     if config is None and (data_dir / "config.json").exists():
         config = data_dir / "config.json"
-    cfg = load_config(config) if config is not None else ModelConfig()
+    for key, load, path in (("countries", load_countries, data_dir / "countries.csv"),
+                            ("crops", load_crops, crops_path),
+                            ("fuels", load_fuels, fuels_path),
+                            ("config", load_config, config)):
+        if key == "crops" and not crops_path.exists():
+            loaded[key] = default_crops()
+        elif key == "fuels" and not fuels_path.exists():
+            loaded[key] = default_fuel_properties(), DEFAULT_PELLET_EF
+        elif key == "config" and config is None:
+            loaded[key] = ModelConfig()
+        else:
+            try:
+                loaded[key] = load(path)
+            except DataError as exc:
+                problems.extend(exc.problems)
+    if problems:
+        raise DataError(problems)
+    fuel_properties, pellet_ef = loaded["fuels"]
     return Dataset(
-        crops=crops,
+        crops=loaded["crops"],
         livestock_rates=LivestockRates(),
-        countries=countries,
+        countries=loaded["countries"],
         fuel_properties=fuel_properties,
         pellet_ef=pellet_ef,
-        config=cfg,
+        config=loaded["config"],
     )

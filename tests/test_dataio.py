@@ -267,6 +267,38 @@ def test_rows_with_several_problems_are_listed_in_line_order(tmp_path):
     ]
 
 
+def test_every_bad_file_is_reported_in_one_error(data_dir, tmp_path):
+    """One run names the problems of every input file: countries.csv, crops.csv,
+    fuels.csv, then the config."""
+    for name in ("countries.csv", "crops.csv", "fuels.csv", "config.json"):
+        (tmp_path / name).write_bytes((data_dir / name).read_bytes())
+    crops = (tmp_path / "crops.csv").read_text(encoding="utf-8")
+    (tmp_path / "crops.csv").write_text(crops + "maize,1.0,0.5,0.7374,17.3\n", encoding="utf-8")
+    fuels = (tmp_path / "fuels.csv").read_text(encoding="utf-8")
+    (tmp_path / "fuels.csv").write_text(fuels.replace("oil,42.0,2977", "oil,abc,2977"),
+                                        encoding="utf-8")
+    crops_and_fuels = ["crops.csv line 6: duplicate crop 'maize' (first at line 2)",
+                       "fuels.csv line 3: lhv_mj_per_kg: not a number: 'abc'",
+                       "fuels.csv: missing fuels ['oil']"]
+    with pytest.raises(DataError) as exc:
+        load_dataset(tmp_path)
+    assert exc.value.problems == crops_and_fuels
+
+    rows = (tmp_path / "countries.csv").read_text(encoding="utf-8").splitlines()
+    cells = rows[1].split(",")
+    cells[COUNTRIES_COLUMNS.index("tax_rate")] = "1.5"
+    (tmp_path / "countries.csv").write_text("\n".join([rows[0], ",".join(cells), *rows[2:]])
+                                            + "\n", encoding="utf-8")
+    (tmp_path / "config.json").write_text('{"scenario": "Z"}', encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_dataset(tmp_path)
+    assert exc.value.problems == [
+        "countries.csv line 2: tax_rate: must be in [0, 1), got 1.5",
+        *crops_and_fuels,
+        "scenario must be A, B, or C, got 'Z'",
+    ]
+
+
 def test_srr_out_of_range_rejected(tmp_path):
     path = tmp_path / "crops.csv"
     path.write_text(

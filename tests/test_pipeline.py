@@ -298,27 +298,56 @@ def test_injected_resolve_failure_matches_the_oracle(monkeypatch):
         assert [name for name, _ in expected[1]] == failed
 
 
-# the stages resolve the fields in RESOLVABLE_FIELDS order: 4 dry matters for
-# assess, then 6 cost and finance inputs for msp, then 3 fuel prices for plan
-@pytest.mark.parametrize("through, per_country", [("assess", 4), ("msp", 10), ("plan", 13)])
-def test_resolve_runs_once_per_country_and_field(dataset, monkeypatch, through, per_country):
+def counting(monkeypatch) -> list:
+    """The ``(field, continent, country)`` of each ``pipeline.resolve`` call, as made."""
     real_resolve = pipeline_mod.resolve
     calls = []
 
     def counting_resolve(dataset, country, name):
-        calls.append((country.name, name))
+        calls.append((name, country.continent, country.name))
         return real_resolve(dataset, country, name)
 
     monkeypatch.setattr(pipeline_mod, "resolve", counting_resolve)
+    return calls
+
+
+# the stages resolve the fields in RESOLVABLE_FIELDS order: 4 dry matters for
+# assess, then 6 cost and finance inputs for msp, then 3 fuel prices for plan
+@pytest.mark.parametrize("through, fields", [("assess", 4), ("msp", 10), ("plan", 13)])
+def test_resolve_runs_once_per_field_and_continent(dataset, monkeypatch, through, fields):
+    calls = counting(monkeypatch)
+    counts = []
     for copies in (1, 2, 3, 4):  # the bundled countries and renamed copies of them
         renamed = [c._replace(name=f"{c.name} #{i}") for i in range(1, copies)
                    for c in dataset.countries]
         ds = dataset._replace(countries=dataset.countries + tuple(renamed))
-        empty = sorted((c.name, name) for c in ds.countries
-                       for name in RESOLVABLE_FIELDS[:per_country] if c.values[name] is None)
+        empty = {(name, c.continent) for c in ds.countries
+                 for name in RESOLVABLE_FIELDS[:fields] if c.values[name] is None}
         calls.clear()
         result = run_pipeline(ds, through)
         assert not result.errors
         assert empty  # the bundled data has empty cells to resolve
-        # once for each empty cell the stage needs: never twice, never a present cell
-        assert sorted(calls) == empty
+        # once for each (field, continent) among the empty cells: never twice,
+        # never for a field and continent whose cells are all present
+        assert sorted((name, continent) for name, continent, _ in calls) == sorted(empty)
+        counts.append(len(calls))
+    assert counts == [len(empty)] * 4  # the copies add empty cells, not calls
+    if through == "plan":
+        assert counts[0] == 54
+
+
+def test_a_field_no_country_reports_fails_each_country_by_name(dataset, monkeypatch):
+    """A failing call is not reused: each country with the empty cell gets its
+    own message, and the other fields still resolve once per continent."""
+    ds = dataset._replace(countries=tuple(c._replace(values={**c.values, "tax_rate": None})
+                                          for c in dataset.countries))
+    calls = counting(monkeypatch)
+    result = run_pipeline(ds, "plan")
+    names = sorted(c.name for c in ds.countries)
+    assert result.errors == tuple(
+        (name, f"no country in the dataset has data for 'tax_rate' (needed by {name!r})")
+        for name in names)
+    assert sorted(country for name, _, country in calls if name == "tax_rate") == names
+    assert {name for name, _, _ in calls} <= set(RESOLVABLE_FIELDS[:10])  # no plan is made
+    others = [(name, continent) for name, continent, _ in calls if name != "tax_rate"]
+    assert len(others) == len(set(others))

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from agripellet.dataio import FUELS, FuelProperties, default_fuel_properties
-from agripellet.replacement import emission_intensity, fuel_lcoe
+from agripellet.replacement import PLAN_COLUMNS, emission_intensity, fuel_lcoe, plan_columns
 from conftest import plan_row
 
 PROPS = default_fuel_properties()
@@ -195,3 +197,48 @@ def test_replaced_fractions():
     assert plan["replaced_natural_gas_frac"] == pytest.approx(10.0 / 40.0)
     assert plan["replaced_coal_frac"] == 0.0
     assert plan["replaced_overall_frac"] == pytest.approx(70.0 / 100.0)
+
+
+# ---------------------------------------------------------------------------
+# the column form against the plan computed one row at a time in ``oracles``
+
+def edges(*values, lo=0.0, hi=1e6):
+    """A few exact values (ties, zeros, values whose scores overflow) or any in [lo, hi]."""
+    return st.one_of(st.sampled_from(values), st.floats(lo, hi))
+
+
+ROW = {  # one country's plan inputs, each key a column
+    "pellet_energy_tj": edges(0.0, -0.0, 1.0, 100.0, 1e308),
+    "msp_usd_per_t": edges(0.0, 100.0, 1e308, 1.7e308),
+    "weighted_lhv_mj_per_kg": edges(5e-324, 16.0, 42.0, lo=1e-3, hi=30.0),
+    **{f"price_{f}": edges(0.0, -0.0, 100.0, 1e308, 1.7e308) for f in FUELS},
+    **{f"cons_{f}": edges(0.0, -0.0, 10.0, 1e308) for f in FUELS},  # the loader reads -0
+}
+PROPERTIES = st.one_of(
+    st.just(default_fuel_properties()),
+    # one heating value and factor for every fuel: equal prices tie their scores
+    st.builds(lambda lhv, ef: {f: FuelProperties(lhv, ef) for f in FUELS},
+              edges(23.9, 42.0, lo=1.0, hi=50.0), edges(0.0, 2592.0, lo=0.0, hi=5000.0)),
+    st.builds(lambda lhv, ef: {f: FuelProperties(h, e) for f, h, e in zip(FUELS, lhv, ef)},
+              st.tuples(*[edges(5e-324, 23.9, 42.0, lo=1.0, hi=50.0)] * 3),
+              st.tuples(*[edges(0.0, 2592.0, lo=0.0, hi=5000.0)] * 3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.fixed_dictionaries(ROW), max_size=12), PROPERTIES,
+       edges(0.0, 151.0, lo=0.0, hi=1e4), st.sampled_from(["A", "B", "C"]),
+       edges(0.0, 50.0, 1.2e303, 1e305, lo=0.0, hi=1e3))
+def test_plan_columns_match_the_row_by_row_plan(rows, properties, pellet_ef, scenario, tax):
+    columns = {key: [row[key] for row in rows] for key in ROW}
+    consumption = {f: columns.pop(f"cons_{f}") for f in FUELS}
+    args = columns, consumption, properties, pellet_ef, scenario, tax
+    plan, ranked = plan_columns(*args)
+    expected_plan, expected_ranked = oracles.plan_columns(*args)
+    assert list(plan) == list(PLAN_COLUMNS)
+
+    def reprs(cols):
+        return [list(map(repr, col)) for col in cols]
+
+    assert reprs(plan.values()) == reprs(expected_plan[name] for name in plan)
+    assert reprs(ranked) == reprs(expected_ranked)

@@ -145,6 +145,74 @@ def test_non_finite_value_raises_and_leaves_no_file(bundled, tmp_path, bad):
                 assert not path.exists()
 
 
+# A column of one type with None among its values, as a plan-less country leaves
+# in the plan columns: each kind of value drawn from a small pool, so that the
+# rows repeat values, with the edge values in it.
+POOLS = {
+    # 0.0 and -0.0 in every pool: equal, but written differently
+    "float": st.lists(st.one_of(st.sampled_from([5e-324, 1e308, -1.5]),
+                                st.floats(allow_nan=False, allow_infinity=False)),
+                      max_size=4).map(lambda pool: [0.0, -0.0, *pool]),
+    "bool": st.lists(st.booleans(), min_size=1, max_size=2),
+    "str": st.lists(names, min_size=1, max_size=5),  # commas, quotes and line breaks
+}
+# the report's columns that are not plan columns, so that any row may hold None
+FREE_COLUMNS = [name for name in reporting.REPORT_COLUMNS
+                if name not in reporting.PLAN_COLUMNS and name != "country"]
+
+
+@st.composite
+def sparse_columns(draw, count: int, names: list) -> dict:
+    """A column per name, ``count`` rows each: one kind of value beside None."""
+    rng = random.Random(draw(st.integers(0, 2**32)))  # rows drawn from the pools, each seeded
+    columns = {}
+    for name in names:
+        pool = draw(POOLS[draw(st.sampled_from(sorted(POOLS)))])
+        empty = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+        columns[name] = [None if rng.random() < empty else rng.choice(pool)
+                         for _ in range(count)]
+    return columns
+
+
+ROW_COUNTS = st.sampled_from([0, 1, reporting._BLOCK, reporting._BLOCK + 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), ROW_COUNTS)
+def test_columns_beside_none_are_written_as_the_oracle_writes_them(bundled, data, count):
+    names = data.draw(st.lists(st.sampled_from(FREE_COLUMNS), min_size=1, max_size=4,
+                               unique=True))
+    base = copies(bundled, count)
+    result = base._replace(columns={**base.columns, **data.draw(sparse_columns(count, names))})
+    table = ("country", *names)
+
+    def write(writer, out):
+        writer.write_report_files(out / "report", result)
+        for fmt in ("csv", "json"):
+            writer.write_table(out / f"table.{fmt}", table, result)
+
+    assert_same_files(write)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.sampled_from([1, reporting._BLOCK, reporting._BLOCK + 1]),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_a_non_finite_float_beside_none_raises_and_leaves_no_file(bundled, data, count, bad):
+    name = data.draw(st.sampled_from(FREE_COLUMNS))
+    column = [None if row % 3 else 1.5 for row in range(count)]
+    column[data.draw(st.integers(0, count - 1))] = bad
+    base = copies(bundled, count)
+    result = base._replace(columns={**base.columns, name: column})
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with pytest.raises(ValueError, match=f"non-finite value in column {name}$"):
+            reporting.write_report_files(out / "report", result)
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError, match=f"non-finite value in column {name}$"):
+                reporting.write_table(out / f"table.{fmt}", ("country", name), result)
+        assert files(out) == {}
+
+
 def write_sweep(writer, out: Path, grid) -> None:
     for fmt in ("csv", "json"):
         assert writer.write_sweep_files(out / fmt, grid, fmt) == sorted((out / fmt).iterdir())
