@@ -4,7 +4,6 @@ from .dataio import (
     CROPS,
     FUELS,
     CropCoefficients,
-    CountryProfile,
     DataError,
     Dataset,
     FuelProperties,
@@ -24,7 +23,6 @@ __all__ = [
     "CROPS",
     "FUELS",
     "BreakEvenInputs",
-    "CountryProfile",
     "CropCoefficients",
     "DataError",
     "Dataset",

@@ -10,9 +10,9 @@ loading, bounds checks and resolution derive from it.  Every table, and the
 only a column holding a bad cell is scanned cell by cell, so that each problem
 is named by line and column and listed in line order; ``load_dataset`` reads
 every file before it raises, so one error names the problems of them all.
-``resolve`` is the one fallback rule for an empty cell; the pipeline calls it
-once per field and continent among the empty cells.  This module only reads
-files; every output goes through ``reporting``.
+``Dataset.countries`` keeps those columns; ``resolve``, the one fallback rule
+for an empty cell, runs once per field and continent in the pipeline.  This
+module only reads files; every output goes through ``reporting``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import json
 import math
 import sys
 from functools import cached_property
+from itertools import compress, repeat
+from operator import not_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -91,7 +93,7 @@ CONTINENT = "continent"          # the continent mean, else the world mean
 
 class Field(NamedTuple):
     column: str     # CSV header
-    key: str        # CountryProfile.values key; a resolved field's output column
+    key: str        # Dataset.countries column key; a resolved field's output column
     bound: Bound
     fallback: str | None = None
 
@@ -117,6 +119,7 @@ FIELDS = (
     Field("cons_gas_tj", "cons_natural_gas", NONNEGATIVE),
 )
 COUNTRIES_COLUMNS = ("country", "continent") + tuple(f.column for f in FIELDS)
+COUNTRIES_KEYS = ("country", "continent") + tuple(f.key for f in FIELDS)  # of Dataset.countries
 RESOLVABLE_FIELDS = tuple(f.key for f in FIELDS if f.fallback)
 FIELD_BOUNDS = {f.key: f.bound for f in FIELDS}
 
@@ -263,16 +266,10 @@ class ModelConfig(CheckedRecord, _ModelConfig):
             raise DataError(problems)
 
 
-class CountryProfile(NamedTuple):
-    name: str
-    continent: str
-    values: dict  # FIELDS key -> float, None where the cell is empty
-
-
 class _Dataset(NamedTuple):
     crops: dict               # CropCoefficients per crop
     livestock_rates: LivestockRates
-    countries: tuple          # CountryProfile, input file order
+    countries: dict           # COUNTRIES_KEYS -> tuple in file order, None at an empty cell
     fuel_properties: dict     # FuelProperties per fuel
     pellet_ef: float
     config: ModelConfig
@@ -282,14 +279,21 @@ class Dataset(CheckedRecord, _Dataset):
     # no __slots__: the cached_property below keeps its table in the instance __dict__
 
     def _check(self):
-        problems = []
+        countries = self.countries
+        wrong = set(countries).symmetric_difference(COUNTRIES_KEYS)
+        if wrong:
+            raise DataError([f"countries table: {'unknown' if key in countries else 'missing'} "
+                             f"column {key!r}" for key in sorted(wrong)])
+        rows = len(countries["country"])  # a shorter column would cut a zip() short
+        problems = [f"countries column {key!r} has {len(col)} rows, 'country' has {rows}"
+                    for key, col in countries.items() if len(col) != rows]
         seen = set()
-        for c in self.countries:
-            if c.name in seen:
-                problems.append(f"duplicate country {c.name!r}")
-            seen.add(c.name)
-            if not c.continent:
-                problems.append(f"country {c.name!r} has no continent label")
+        for name, continent in zip(countries["country"], countries["continent"]):
+            if name in seen:
+                problems.append(f"duplicate country {name!r}")
+            seen.add(name)
+            if not continent:
+                problems.append(f"country {name!r} has no continent label")
         if set(self.crops) != set(CROPS):
             problems.append(f"crops table must cover exactly {CROPS}")
         if set(self.fuel_properties) != set(FUELS):
@@ -301,30 +305,23 @@ class Dataset(CheckedRecord, _Dataset):
     def _fallbacks(self) -> dict:
         """Resolvable key -> (continent -> mean, world value or None, world tier tag).
 
-        Continent and world means are built in one pass over the countries in
-        file order, so each mean sums the same values in the same order as a
-        scan of the whole dataset.  A world-average field has no continent
-        tier: it falls back to the crop's default dry matter.
+        Each mean sums its field's values in file order, as a scan of the
+        whole dataset does.  A world-average field has no continent tier: it
+        falls back to the crop's default dry matter.
         """
-        keys = [f.key for f in FIELDS if f.fallback == CONTINENT]
-        by_continent = {key: {} for key in keys}
-        world = {key: [] for key in keys}
-        for c in self.countries:
-            values = c.values
-            for key in keys:
-                value = values[key]
-                if value is not None:
-                    by_continent[key].setdefault(c.continent, []).append(value)
-                    world[key].append(value)
-        table = {
-            key: ({k: sum(v) / len(v) for k, v in by_continent[key].items()},
-                  sum(world[key]) / len(world[key]) if world[key] else None, "world")
-            for key in keys
-        }
+        table = {}
         for f in FIELDS:
             if f.fallback == WORLD_AVERAGE:  # key dmr_<crop>
                 crop = f.key.removeprefix("dmr_")
                 table[f.key] = ({}, self.crops[crop].dmr_default, WORLD_AVERAGE)
+            elif f.fallback == CONTINENT:
+                by_continent, world = {}, []
+                for continent, value in zip(self.countries["continent"], self.countries[f.key]):
+                    if value is not None:
+                        by_continent.setdefault(continent, []).append(value)
+                        world.append(value)
+                table[f.key] = ({k: sum(v) / len(v) for k, v in by_continent.items()},
+                                sum(world) / len(world) if world else None, "world")
         return table
 
 
@@ -429,9 +426,11 @@ def _parse_column(file: str, column: str, bound: Bound, lines, cells, problems: 
         try:
             values = present = list(map(float, cells))
         except ValueError:  # an empty cell, or a cell float cannot read
+            gaps = list(map(_NO_DATA.__contains__, map(str.strip, cells)))
             try:
-                values = [None if cell.strip() in _NO_DATA else float(cell) for cell in cells]
-                present = [value for value in values if value is not None]
+                present = list(map(float, compress(cells, map(not_, gaps))))
+                source = {False: iter(present), True: repeat(None)}  # a gap reads None
+                values = list(map(next, map(source.__getitem__, gaps)))
             except ValueError:
                 pass
     if values is not None and (not present or math.isfinite(sum(present))  # NaN, inf, overflow
@@ -450,14 +449,14 @@ def _parse_column(file: str, column: str, bound: Bound, lines, cells, problems: 
     return values
 
 
-def _read_table(path: Path, columns: tuple, names, table: tuple) -> tuple:
-    """``(rows, problems)`` of a table keyed by its first column: ``rows`` holds
-    ``(line, name, text cells, values)`` for each good row, and ``problems``
-    maps the line of each bad row to its problems, in column order.
+def _read_table(path: Path, columns: tuple, names, fields: tuple) -> tuple:
+    """``(lines, table, problems)``: the line of each row with a good name, its
+    name, labels and ``fields`` values as ``table``'s columns, and the problems
+    of each bad row by line, in column order.
 
     ``names`` holds the accepted names (None: any non-empty name), and a name
     may not repeat; a row with a bad name is skipped.  The cells between the
-    name and the ``table`` numeric cells are text labels that may not be
+    name and the ``fields`` numeric cells are text labels that may not be
     empty.  Each column is checked whole, and only a column that trips is
     scanned cell by cell.
     """
@@ -478,34 +477,33 @@ def _read_table(path: Path, columns: tuple, names, table: tuple) -> tuple:
                         f"duplicate {kind} {name!r} (first at line {seen[name]})")
             else:
                 seen[name] = lineno
-        keys = [key for (lineno, _), key in zip(rows, keys) if lineno not in problems]
         rows = [(lineno, row) for lineno, row in rows if lineno not in problems]
     lines = [lineno for lineno, _ in rows]
-    first = len(columns) - len(table)  # the first numeric cell
-    cells = list(zip(*[row for _, row in rows]))
-    texts = [[cell.strip() for cell in col] for col in cells[1:first]]
-    for label, col in zip(columns[1:first], texts):
-        if "" in col:
-            for lineno, text in zip(lines, col):
+    first = len(columns) - len(fields)  # the first numeric cell
+    cells = list(zip(*[row for _, row in rows])) or [()] * len(columns)
+    table = {}
+    for label, col in zip(columns[:first], cells[:first]):  # the name, then the labels
+        table[label] = texts = tuple(map(str.strip, col))
+        if "" in texts:  # never in the name column, whose empty names are skipped
+            for lineno, text in zip(lines, texts):
                 if not text:
                     _report(problems, file, lineno, f"{label} label is required")
-    values = [_parse_column(file, column, bound, lines, col, problems)
-              for (column, _, bound, _), col in zip(table, cells[first:])]
-    fields = [f.key for f in table]
-    return [(lineno, name, labels, dict(zip(fields, row_values)))
-            for lineno, (name, *labels), row_values in zip(lines, zip(keys, *texts), zip(*values))
-            if lineno not in problems], problems
+    for f, col in zip(fields, cells[first:]):
+        table[f.key] = tuple(_parse_column(file, f.column, f.bound, lines, col, problems))
+    return lines, table, problems
 
 
 def load_crops(path: str | Path) -> dict:
     path = Path(path)
-    rows, problems = _read_table(path, CROPS_COLUMNS, CROPS, CROP_FIELDS)
+    lines, table, problems = _read_table(path, CROPS_COLUMNS, CROPS, CROP_FIELDS)
     crops = {}
-    for lineno, name, _, values in rows:
-        if None in values.values():
+    for lineno, name, *values in zip(lines, *table.values()):
+        if lineno in problems:  # a bad cell, named already
+            continue
+        if None in values:
             _report(problems, path.name, lineno, "all four coefficients are required")
         else:
-            crops[name] = CropCoefficients(**values)
+            crops[name] = CropCoefficients(*values)
     missing = set(CROPS) - set(crops)
     if missing:
         problems[math.inf] = [f"{path.name}: missing crops {sorted(missing)}"]  # after every line
@@ -520,19 +518,21 @@ def load_fuels(path: str | Path) -> tuple:
     checked against the same bound as a fuel's.
     """
     path = Path(path)
-    rows, problems = _read_table(path, FUELS_COLUMNS, FUELS + ("pellet",), FUEL_FIELDS)
+    lines, table, problems = _read_table(path, FUELS_COLUMNS, FUELS + ("pellet",), FUEL_FIELDS)
     props = {}
     pellet_ef = DEFAULT_PELLET_EF
-    for lineno, name, _, values in rows:
+    for lineno, name, lhv, ef in zip(lines, *table.values()):
+        if lineno in problems:  # a bad cell, named already
+            continue
         if name == "pellet":
-            if values["ef"] is None:
+            if ef is None:
                 _report(problems, path.name, lineno, "pellet row requires ef_kgco2e_per_t")
             else:
-                pellet_ef = values["ef"]
-        elif None in values.values():
+                pellet_ef = ef
+        elif lhv is None or ef is None:
             _report(problems, path.name, lineno, "lhv and ef are required")
         else:
-            props[name] = FuelProperties(**values)
+            props[name] = FuelProperties(lhv, ef)
     missing = set(FUELS) - set(props)
     if missing:
         problems[math.inf] = [f"{path.name}: missing fuels {sorted(missing)}"]  # after every line
@@ -540,10 +540,10 @@ def load_fuels(path: str | Path) -> tuple:
     return props, pellet_ef
 
 
-def load_countries(path: str | Path) -> tuple:
-    rows, problems = _read_table(Path(path), COUNTRIES_COLUMNS, None, FIELDS)
+def load_countries(path: str | Path) -> dict:
+    _, table, problems = _read_table(Path(path), COUNTRIES_COLUMNS, None, FIELDS)
     _raise(problems)
-    return tuple(CountryProfile(name, continent, values) for _, name, (continent,), values in rows)
+    return table
 
 
 def load_series(path: str | Path) -> dict:
@@ -650,8 +650,8 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
 # ---------------------------------------------------------------------------
 # Missing-value resolution
 
-def resolve(dataset: Dataset, country: CountryProfile, name: str) -> tuple:
-    """Resolve one nullable country field to ``(value, provenance_tag)``.
+def resolve(dataset: Dataset, row: int, name: str) -> tuple:
+    """Resolve one nullable field of the country at ``row`` to ``(value, provenance_tag)``.
 
     A ``CONTINENT`` field falls back country -> continent mean -> world mean
     over the countries that carry data.  A ``WORLD_AVERAGE`` (dry matter)
@@ -661,14 +661,14 @@ def resolve(dataset: Dataset, country: CountryProfile, name: str) -> tuple:
     fallback = dataset._fallbacks.get(name)
     if fallback is None:
         raise KeyError(f"not a resolvable field: {name!r}")
-    own = country.values[name]
+    own = dataset.countries[name][row]
     if own is not None:
         return own, "country"
     continent_means, world, world_tag = fallback
-    if country.continent in continent_means:
-        return continent_means[country.continent], "continent"
+    continent = dataset.countries["continent"][row]
+    if continent in continent_means:
+        return continent_means[continent], "continent"
     if world is not None:
         return world, world_tag
-    raise UnresolvableFieldError(
-        f"no country in the dataset has data for {name!r} (needed by {country.name!r})"
-    )
+    raise UnresolvableFieldError(f"no country in the dataset has data for {name!r} "
+                                 f"(needed by {dataset.countries['country'][row]!r})")

@@ -1,7 +1,7 @@
 """End-to-end evaluation of every country, column by column, and global aggregation.
 
-Each stage runs once over all the countries: their inputs are gathered into
-one list per field (``resolve`` fills the empty cells, once per field and
+Each stage runs once over all the countries: each input is a column of
+``Dataset.countries`` (``resolve`` fills the empty cells, once per field and
 continent), and each stage module's column function turns lists keyed by
 column into more of them.  The result is those columns, one row per
 evaluated country.  Failures are isolated: a country that fails a stage's
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
@@ -53,27 +52,30 @@ _PRICE_INPUTS = tuple(f"price_{f}" for f in FUELS)
 
 
 class _Rows:
-    """The countries still evaluating, in name order, with their columns so far:
-    ``columns`` the computed ones and ``resolved`` each resolved input ``X`` with
-    its fallback tier ``src_X``.  A failing country leaves every column at once."""
+    """The dataset rows still evaluating (``index``, in name order) and their
+    columns so far: ``columns`` the computed ones and ``resolved`` each resolved
+    input ``X`` with its fallback tier ``src_X``.  A failing row leaves all at once."""
 
-    def __init__(self, dataset: Dataset, profiles: list):
+    def __init__(self, dataset: Dataset, index: list):
         self.dataset = dataset
-        self.profiles = profiles
-        self.inputs = [p.values for p in profiles]  # each row's cells by field key
+        self.index = index
         self.columns = {}
         self.resolved = {}
         self.errors = {}  # country -> message
+
+    def column(self, key: str) -> list:
+        """One column of ``dataset.countries``, at the rows still evaluating."""
+        return list(map(self.dataset.countries[key].__getitem__, self.index))
 
     def drop(self, failures: dict) -> None:
         """Remove the failed rows (row -> message) and record their messages."""
         if not failures:
             return
+        names = self.dataset.countries["country"]
         for row, message in failures.items():
-            self.errors[self.profiles[row].name] = message
-        keep = [row for row in range(len(self.profiles)) if row not in failures]
-        self.profiles = [self.profiles[row] for row in keep]
-        self.inputs = [self.inputs[row] for row in keep]
+            self.errors[names[self.index[row]]] = message
+        keep = [row for row in range(len(self.index)) if row not in failures]
+        self.index = [self.index[row] for row in keep]
         for table in (self.columns, self.resolved):
             for name, col in table.items():
                 table[name] = [col[row] for row in keep]
@@ -86,23 +88,23 @@ class _Rows:
         its answer fills the continent's other empty cells; a call that fails
         is not reused, so each failing country gets its own message.  A
         country stops at its first failure."""
-        dataset, profiles, failures = self.dataset, self.profiles, {}
+        dataset, index, failures = self.dataset, self.index, {}
+        continents = self.column("continent")
         for name in names:
-            values = list(map(itemgetter(name), self.inputs))
+            values = self.column(name)
             tiers = ["country"] * len(values)
             if None in values:
                 answers = {}  # continent -> (value, tier)
                 for row, value in enumerate(values):
                     if value is None and row not in failures:
-                        profile = profiles[row]
-                        answer = answers.get(profile.continent)
+                        answer = answers.get(continents[row])
                         if answer is None:
                             try:
-                                answer = resolve(dataset, profile, name)
+                                answer = resolve(dataset, index[row], name)
                             except (DataError, ValueError) as exc:
                                 failures[row] = str(exc)
                                 continue
-                            answers[profile.continent] = answer
+                            answers[continents[row]] = answer
                         values[row], tiers[row] = answer
             self.resolved[name], self.resolved[f"src_{name}"] = values, tiers
         self.drop(failures)
@@ -110,7 +112,7 @@ class _Rows:
     def amounts(self, key: str) -> list:
         """One field's column where a missing value is a real zero (an amount
         has no fallback tier)."""
-        return [value or 0.0 for value in map(itemgetter(key), self.inputs)]
+        return [value or 0.0 for value in self.column(key)]
 
 
 # Columns that never hold a float, so the non-finite check skips them (as src_X).
@@ -156,13 +158,14 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
         raise ValueError(f"unknown stage {through!r}")
     depth = _STAGE_ORDER.index(through)
     cfg = dataset.config
-    selected = sorted(dataset.countries, key=lambda c: c.name)
+    names = dataset.countries["country"]
+    selected = sorted(range(len(names)), key=names.__getitem__)
     if countries is not None:
         wanted = set(countries)
-        unknown = wanted - {c.name for c in selected}
+        unknown = wanted.difference(names)
         if unknown:
             raise DataError(f"unknown countries requested: {sorted(unknown)}")
-        selected = [c for c in selected if c.name in wanted]
+        selected = [row for row in selected if names[row] in wanted]
 
     rows = _Rows(dataset, selected)
     columns, resolved = rows.columns, rows.resolved
@@ -196,9 +199,9 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
             return [col[row] for row in planned]
 
         def spread(col):  # the plan-less rows read None
-            if len(col) == len(rows.profiles):
+            if len(col) == len(rows.index):
                 return col
-            full = [None] * len(rows.profiles)
+            full = [None] * len(rows.index)
             for row, value in zip(planned, col):
                 full[row] = value
             return full
@@ -225,19 +228,17 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
     for rank, scores in enumerate(ranked_scores, start=1):
         for row in _non_finite_rows(scores):
             first.setdefault(row, f"score_{columns[f'rank_{rank}'][row]}")
-    rows.drop({row: f"non-finite {name} for {rows.profiles[row].name!r}"
+    rows.drop({row: f"non-finite {name} for {names[rows.index[row]]!r}"
                for row, name in first.items()})
 
-    evaluated = rows.profiles
-    result = {"country": [p.name for p in evaluated],
-              "continent": [p.continent for p in evaluated],
+    result = {"country": rows.column("country"), "continent": rows.column("continent"),
               **{name: columns[name] for name in order}, **resolved}
     plan = {name: result.get(name, []) for name in replacement.PLAN_COLUMNS}  # [] at assess, msp
     total_cons = _total(*(rows.amounts(f"cons_{f}") for f in FUELS))
     total_alloc = _total(*(plan[f"alloc_{f}_tj"] for f in FUELS))
 
     global_report = GlobalReport(
-        countries_evaluated=len(evaluated),
+        countries_evaluated=len(rows.index),
         countries_failed=len(rows.errors),
         cr_final_t=_total(result["cr_final_t"]),
         pellet_energy_tj=_total(result["pellet_energy_tj"]),

@@ -1,16 +1,17 @@
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from agripellet.costs import cost_columns
 from agripellet.dataio import (
     ANIMALS,
+    COUNTRIES_KEYS,
     CROPS,
     CropCoefficients,
     FUELS,
     PLI_COMPONENTS,
     FIELDS,
-    CountryProfile,
     Dataset,
     LivestockRates,
     ModelConfig,
@@ -46,10 +47,31 @@ def data_dir():
     return DATA_DIR
 
 
+class Row(NamedTuple):
+    """One country as the tests build it: a row of a ``Dataset.countries`` table."""
+
+    name: str
+    continent: str
+    values: dict  # FIELDS key -> float, None where the cell is empty
+
+
+def make_table(rows) -> dict:
+    """The ``Dataset.countries`` table of ``rows``, in their order."""
+    rows = list(rows)
+    return {"country": tuple(r.name for r in rows), "continent": tuple(r.continent for r in rows),
+            **{f.key: tuple(r.values[f.key] for r in rows) for f in FIELDS}}
+
+
+def country_rows(table: dict) -> list:
+    """The rows of a ``Dataset.countries`` table, in its order."""
+    return [Row(name, continent, dict(zip(COUNTRIES_KEYS[2:], values)))
+            for name, continent, *values in zip(*(table[key] for key in COUNTRIES_KEYS))]
+
+
 def make_profile(name="Testland", continent="Testia", production=None, dmr=None,
                  livestock=None, bagasse=0.0, other=0.0, pli=None,
                  discount_rate=0.08, tax_rate=0.25, prices=None, consumption=None):
-    """CountryProfile with sane defaults for synthetic datasets; unset fields are None."""
+    """A ``Row`` with sane defaults for synthetic datasets; unset fields are None."""
     if pli is None:
         pli = 1.0
     if isinstance(pli, (int, float)):
@@ -64,14 +86,14 @@ def make_profile(name="Testland", continent="Testia", production=None, dmr=None,
     values.update(bagasse_bioenergy=bagasse, other_bioenergy=other,
                   discount_rate=discount_rate, tax_rate=tax_rate)
     assert len(values) == len(FIELDS), "unknown field"
-    return CountryProfile(name, continent, values)
+    return Row(name, continent, values)
 
 
-def make_dataset(profiles, config=None, pellet_ef=151.0):
+def make_dataset(rows, config=None, pellet_ef=151.0):
     return Dataset(
         crops=default_crops(),
         livestock_rates=LivestockRates(),
-        countries=tuple(profiles),
+        countries=make_table(rows),
         fuel_properties=default_fuel_properties(),
         pellet_ef=pellet_ef,
         config=config or ModelConfig(),

@@ -21,8 +21,9 @@ through ``csv.writer`` and whole dicts through ``json``, against which
 per-country files, the sweep's and ``yoy``'s.  ``save_dataset`` writes a
 dataset back to its input files for the loader's round-trip tests.  The
 reference loader reads each table row by row, every cell of a row parsed and
-checked before the next; ``agripellet.dataio``'s column reader must give the
-same values, and the same problems in the same order.
+checked before the next, and turns the countries' rows into the columns of
+``Dataset.countries`` at the end; ``agripellet.dataio``'s column reader must
+give the same values, and the same problems in the same order.
 """
 
 import csv
@@ -33,9 +34,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from agripellet import costs, energy, pricing, replacement, residues
-from agripellet.dataio import (COUNTRIES_COLUMNS, CROP_FIELDS, CROPS, CROPS_COLUMNS,
-                               DEFAULT_PELLET_EF, FIELDS, FUEL_FIELDS, FUELS, FUELS_COLUMNS,
-                               NONNEGATIVE, PLI_COMPONENTS, CountryProfile, CropCoefficients,
+from agripellet.dataio import (COUNTRIES_COLUMNS, COUNTRIES_KEYS, CROP_FIELDS, CROPS,
+                               CROPS_COLUMNS, DEFAULT_PELLET_EF, FIELDS, FUEL_FIELDS, FUELS,
+                               FUELS_COLUMNS, NONNEGATIVE, PLI_COMPONENTS, CropCoefficients,
                                DataError, Dataset, Field, FuelProperties, LivestockRates,
                                ModelConfig, _read_rows, default_crops, default_fuel_properties,
                                load_config, parse_cell, resolve)
@@ -72,9 +73,8 @@ class OracleResult(NamedTuple):
     errors: tuple        # (country, message), sorted by country name
 
 
-def evaluate_country(dataset: Dataset, profile: CountryProfile,
-                     through: str = STAGE_PLAN) -> CountryReport:
-    """Evaluate one country up to the requested stage.
+def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> CountryReport:
+    """Evaluate the country at ``row`` of ``dataset.countries`` up to the requested stage.
 
     ``assess`` stops after residues and energy, ``msp`` adds plant costs and
     the break-even price, ``plan`` adds the fuel replacement plan.  Later
@@ -88,17 +88,19 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
         raise ValueError(f"unknown stage {through!r}")
     depth = _STAGE_ORDER.index(through)
     cfg = dataset.config
+    countries = dataset.countries
+    name = countries["country"][row]
     resolved = {}
 
-    def field(name):
-        resolved[name], resolved[f"src_{name}"] = resolve(dataset, profile, name)
-        return resolved[name]
+    def field(key):
+        resolved[key], resolved[f"src_{key}"] = resolve(dataset, row, key)
+        return resolved[key]
 
     def one_row(columns):
         return {name: col[0] for name, col in columns.items()}
 
     def amount(key):
-        return profile.values[key] or 0.0
+        return countries[key][row] or 0.0
 
     assessed, by_crop = residues.assess_columns(
         dataset.crops, dataset.livestock_rates,
@@ -106,7 +108,7 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
          **{f"dmr_{c}": [field(f"dmr_{c}")] for c in CROPS}})
     potential = energy.energy_columns(by_crop, assessed["cr_final_t"], dataset.crops,
                                       cfg.pellet_efficiency)
-    values = {"country": profile.name, "continent": profile.continent,
+    values = {"country": name, "continent": countries["continent"][row],
               **one_row(assessed), **one_row(potential)}
     lhv = values["weighted_lhv_mj_per_kg"]
     scores = ()
@@ -151,8 +153,8 @@ def evaluate_country(dataset: Dataset, profile: CountryProfile,
     values.update(resolved)
     bad = _non_finite(chain(values.items(), scores))
     if bad:
-        raise DataError(f"non-finite {bad} for {profile.name!r}")
-    return CountryReport(profile.name, values)
+        raise DataError(f"non-finite {bad} for {name!r}")
+    return CountryReport(name, values)
 
 
 def _non_finite(items) -> str | None:
@@ -175,26 +177,28 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
 
     Evaluation order and output order are by country name.
     """
-    selected = sorted(dataset.countries, key=lambda c: c.name)
+    names = dataset.countries["country"]
+    selected = sorted(range(len(names)), key=names.__getitem__)
     if countries is not None:
         wanted = set(countries)
-        unknown = wanted - {c.name for c in selected}
+        unknown = wanted - set(names)
         if unknown:
             raise DataError(f"unknown countries requested: {sorted(unknown)}")
-        selected = [c for c in selected if c.name in wanted]
+        selected = [row for row in selected if names[row] in wanted]
 
     reports = []
     errors = []
-    for profile in selected:
+    evaluated = []
+    for row in selected:
         try:
-            reports.append(evaluate_country(dataset, profile, through))
+            reports.append(evaluate_country(dataset, row, through))
+            evaluated.append(row)
         except (DataError, ValueError) as exc:
-            errors.append((profile.name, str(exc)))
+            errors.append((names[row], str(exc)))
 
-    evaluated_names = {r.country for r in reports}
     total_cons = sum((
-        c.values[f"cons_{f}"] or 0.0
-        for c in selected if c.name in evaluated_names
+        dataset.countries[f"cons_{f}"][row] or 0.0
+        for row in evaluated
         for f in FUELS
     ), 0.0)  # a float total over no rows too
     planned = [r.values for r in reports if "rank_1" in r.values]
@@ -498,9 +502,8 @@ def save_dataset(dataset, out_dir) -> None:
         [name, *(getattr(dataset.fuel_properties[name], f.key) for f in FUEL_FIELDS)]
         for name in FUELS
     ] + [["pellet", None, dataset.pellet_ef]])
-    write_csv(out_dir / "countries.csv", [COUNTRIES_COLUMNS] + [
-        [c.name, c.continent, *(c.values[f.key] for f in FIELDS)] for c in dataset.countries
-    ])
+    write_csv(out_dir / "countries.csv", [COUNTRIES_COLUMNS] + list(
+        zip(*(dataset.countries[key] for key in COUNTRIES_KEYS))))
     (out_dir / "config.json").write_text(json.dumps(dataset.config._asdict(), indent=2) + "\n",
                                          encoding="utf-8")
 
@@ -613,14 +616,14 @@ def load_fuels(path: str | Path) -> tuple:
     return props, pellet_ef
 
 
-def load_countries(path: str | Path) -> tuple:
+def load_countries(path: str | Path) -> dict:
     path = Path(path)
     problems = []
-    profiles = tuple(CountryProfile(name, continent, values) for _, name, (continent,), values
-                     in read_table(path, COUNTRIES_COLUMNS, None, FIELDS, problems))
+    rows = [(name, continent, *values.values()) for _, name, (continent,), values
+            in read_table(path, COUNTRIES_COLUMNS, None, FIELDS, problems)]
     if problems:
         raise DataError(problems)
-    return profiles
+    return {key: tuple(row[i] for row in rows) for i, key in enumerate(COUNTRIES_KEYS)}
 
 
 def load_series(path: str | Path) -> dict:

@@ -113,10 +113,10 @@ def test_cost_table_reproduction(dataset, data_dir):
     with (data_dir / "expected_costs.csv").open(newline="", encoding="utf-8") as f:
         expected = {row["country"]: (float(row["capex_usd"]), float(row["opex_usd_per_y"]))
                     for row in csv.DictReader(f)}
-    assert len(expected) == len(dataset.countries)
-    est = cost_columns({f"pli_{p}": [c.values[f"pli_{p}"] for c in dataset.countries]
-                        for p in PLI_COMPONENTS})
-    for profile, capex, opex in zip(dataset.countries, est["capex_usd"], est["opex_usd_per_y"]):
-        exp_capex, exp_opex = expected[profile.name]
-        assert capex == pytest.approx(exp_capex, rel=1e-3), profile.name
-        assert opex == pytest.approx(exp_opex, rel=1e-3), profile.name
+    countries = dataset.countries
+    assert len(expected) == len(countries["country"])
+    est = cost_columns({f"pli_{p}": list(countries[f"pli_{p}"]) for p in PLI_COMPONENTS})
+    for name, capex, opex in zip(countries["country"], est["capex_usd"], est["opex_usd_per_y"]):
+        exp_capex, exp_opex = expected[name]
+        assert capex == pytest.approx(exp_capex, rel=1e-3), name
+        assert opex == pytest.approx(exp_opex, rel=1e-3), name

@@ -7,6 +7,7 @@ import pytest
 from agripellet import dataio
 from agripellet.dataio import (
     COUNTRIES_COLUMNS,
+    COUNTRIES_KEYS,
     FIELD_BOUNDS,
     RESOLVABLE_FIELDS,
     DataError,
@@ -23,7 +24,7 @@ from agripellet.dataio import (
 )
 from agripellet.pipeline import run_pipeline
 from agripellet.pricing import BreakEvenInputs
-from conftest import make_dataset, make_profile
+from conftest import country_rows, make_dataset, make_profile, make_table
 from oracles import evaluate_country, save_dataset
 
 COUNTRY_HEADER = (
@@ -135,11 +136,13 @@ def test_discount_rate_bound_shared_by_loader_and_solver(tmp_path):
 
 
 def test_load_bundled_dataset(dataset):
-    assert len(dataset.countries) == 178
-    afg = {c.name: c for c in dataset.countries}["Afghanistan"]
-    assert afg.continent == "Asia"
-    assert afg.values["prod_wheat"] == pytest.approx(3.90e6)
-    assert afg.values["swine"] is None
+    countries = dataset.countries
+    assert list(countries) == list(COUNTRIES_KEYS)
+    assert set(map(len, countries.values())) == {178}
+    afg = countries["country"].index("Afghanistan")
+    assert countries["continent"][afg] == "Asia"
+    assert countries["prod_wheat"][afg] == pytest.approx(3.90e6)
+    assert countries["swine"][afg] is None
     # a missing amount is a real zero: the herd's feed use counts no swine
     # (cattle 5.12M, horses 0.02M, sheep 13.53M: 700,800 + 10,950 + 493,845 t/y)
     assessed = run_pipeline(dataset, through="assess", countries=["Afghanistan"])
@@ -152,18 +155,40 @@ def test_load_bundled_dataset(dataset):
 def test_unit_index_row_parses_to_unit_pli(tmp_path):
     row = "Canada,North America,1,,,,,,,,,,,,0,0,1.0,1.0,1.0,1.0,,,,,,,,"
     path = write_countries(tmp_path, [row])
-    (profile,) = load_countries(path)
-    assert {k: profile.values[k] for k in ("pli_labor", "pli_raw_material",
-                                           "pli_construction", "pli_electricity")} == {
-        "pli_labor": 1.0, "pli_raw_material": 1.0,
-        "pli_construction": 1.0, "pli_electricity": 1.0}
+    table = load_countries(path)
+    assert {k: table[k] for k in ("pli_labor", "pli_raw_material",
+                                  "pli_construction", "pli_electricity")} == {
+        "pli_labor": (1.0,), "pli_raw_material": (1.0,),
+        "pli_construction": (1.0,), "pli_electricity": (1.0,)}
 
 
 def test_empty_countries_file_is_valid(tmp_path):
     path = write_countries(tmp_path, [])
-    assert load_countries(path) == ()
+    assert load_countries(path) == dict.fromkeys(COUNTRIES_KEYS, ())
     ds = load_dataset(tmp_path)
-    assert ds.countries == ()
+    assert ds.countries == dict.fromkeys(COUNTRIES_KEYS, ())
+
+
+def test_countries_table_with_a_short_or_wrong_column_rejected(dataset):
+    """zip() over a short column would cut the table short, and a missing or
+    unknown key would leave a field unread: the dataset names each column."""
+    countries = dataset.countries
+    short = {**countries, "tax_rate": countries["tax_rate"][:-1], "swine": ()}
+    with pytest.raises(DataError) as exc:
+        dataset._replace(countries=short)
+    assert exc.value.problems == ["countries column 'swine' has 0 rows, 'country' has 178",
+                                  "countries column 'tax_rate' has 177 rows, 'country' has 178"]
+    wrong = {key: col for key, col in countries.items() if key != "price_oil"}
+    wrong["price_oil_usd_t"] = countries["price_oil"]  # a header, not a key
+    with pytest.raises(DataError) as exc:
+        dataset._replace(countries=wrong)
+    assert exc.value.problems == ["countries table: missing column 'price_oil'",
+                                  "countries table: unknown column 'price_oil_usd_t'"]
+    # the row checks keep their messages and row order
+    rows = [make_profile(name="A"), make_profile(name="B", continent=""), make_profile(name="A")]
+    with pytest.raises(DataError) as exc:
+        dataset._replace(countries=make_table(rows))
+    assert exc.value.problems == ["country 'B' has no continent label", "duplicate country 'A'"]
 
 
 def edited_copy(data_dir, tmp_path, edits):
@@ -212,8 +237,9 @@ def test_clean_columns_are_parsed_whole(data_dir, tmp_path, monkeypatch):
                            {(0, "cons_coal_tj"): "1.7e308", (1, "cons_coal_tj"): "1.7e308"})
     countries = load_dataset(overflow).countries
     assert len(scanned) == 178
-    assert [c.values["cons_coal"] for c in countries[:2]] == [1.7e308, 1.7e308]
-    assert countries[2:] == load_dataset(data_dir).countries[2:]
+    assert countries["cons_coal"][:2] == (1.7e308, 1.7e308)
+    assert ({key: col[2:] for key, col in countries.items()}
+            == {key: col[2:] for key, col in load_dataset(data_dir).countries.items()})
 
 
 def test_rows_with_several_problems_are_listed_in_line_order(tmp_path):
@@ -491,13 +517,13 @@ def test_default_pellet_price_axis():
 def test_resolve_own_value_wins():
     p = make_profile(name="A", discount_rate=0.07)
     ds = make_dataset([p])
-    assert resolve(ds, p, "discount_rate") == (0.07, "country")
+    assert resolve(ds, 0, "discount_rate") == (0.07, "country")
 
 
 def test_resolve_dmr_world_average():
     p = make_profile(name="A", production={"maize": 1.0})
     ds = make_dataset([p])
-    value, tag = resolve(ds, p, "dmr_maize")
+    value, tag = resolve(ds, 0, "dmr_maize")
     assert value == 0.7374
     assert tag == "world-average"
 
@@ -505,7 +531,7 @@ def test_resolve_dmr_world_average():
 def test_resolve_dmr_override_used():
     p = make_profile(name="A", dmr={"maize": 0.8513})
     ds = make_dataset([p])
-    assert resolve(ds, p, "dmr_maize") == (0.8513, "country")
+    assert resolve(ds, 0, "dmr_maize") == (0.8513, "country")
 
 
 def test_resolve_continent_mean():
@@ -513,7 +539,7 @@ def test_resolve_continent_mean():
     b = make_profile(name="B", continent="K", discount_rate=0.12)
     c = make_profile(name="C", continent="K", discount_rate=None)
     ds = make_dataset([a, b, c])
-    value, tag = resolve(ds, c, "discount_rate")
+    value, tag = resolve(ds, 2, "discount_rate")
     assert value == pytest.approx(0.10)
     assert tag == "continent"
 
@@ -522,7 +548,7 @@ def test_resolve_world_mean_when_continent_empty():
     a = make_profile(name="A", continent="K", tax_rate=0.30)
     b = make_profile(name="B", continent="L", tax_rate=None)
     ds = make_dataset([a, b])
-    value, tag = resolve(ds, b, "tax_rate")
+    value, tag = resolve(ds, 1, "tax_rate")
     assert value == 0.30
     assert tag == "world"
 
@@ -530,19 +556,21 @@ def test_resolve_world_mean_when_continent_empty():
 def test_resolve_unresolvable_names_field():
     a = make_profile(name="A", prices={"coal": None})
     ds = make_dataset([a])
-    with pytest.raises(UnresolvableFieldError, match="price_coal"):
-        resolve(ds, a, "price_coal")
+    with pytest.raises(UnresolvableFieldError,
+                       match=r"^no country in the dataset has data for 'price_coal' "
+                             r"\(needed by 'A'\)$"):
+        resolve(ds, 0, "price_coal")
 
 
 def test_resolve_unknown_field_rejected():
     a = make_profile(name="A")
     ds = make_dataset([a])
     with pytest.raises(KeyError):
-        resolve(ds, a, "bogus_field")
+        resolve(ds, 0, "bogus_field")
 
 
 def test_resolve_is_deterministic(dataset):
-    country = {c.name: c for c in dataset.countries}["Albania"]
+    country = dataset.countries["country"].index("Albania")
     first = {name: resolve(dataset, country, name) for name in RESOLVABLE_FIELDS}
     second = {name: resolve(dataset, country, name) for name in RESOLVABLE_FIELDS}
     assert first == second
@@ -557,7 +585,7 @@ def test_resolve_never_invents_data():
     b = make_profile(name="B", continent="K", discount_rate=0.10)
     c = make_profile(name="C", continent="L", discount_rate=None)
     ds = make_dataset([a, b, c])
-    value, tag = resolve(ds, c, "discount_rate")
+    value, tag = resolve(ds, 2, "discount_rate")
     assert tag == "world"
     assert value == pytest.approx((0.06 + 0.10) / 2)
 
@@ -581,7 +609,7 @@ def test_dataset_round_trip_keeps_every_config_field(dataset, tmp_path):
 
 
 def test_resolved_inputs_cover_all_fields(dataset):
-    country = {c.name: c for c in dataset.countries}["Afghanistan"]
+    country = dataset.countries["country"].index("Afghanistan")
     report = evaluate_country(dataset, country)
     assert {k for k in report.values if k.startswith("src_")} \
         == {f"src_{name}" for name in RESOLVABLE_FIELDS}
@@ -595,17 +623,19 @@ def test_resolved_inputs_cover_all_fields(dataset):
 # ---------------------------------------------------------------------------
 # resolution oracle: the per-call continent/world scan that resolve replaced
 
-def scan_resolve(dataset, country, name):
+def scan_resolve(dataset, row, name):
+    rows = country_rows(dataset.countries)
+    country = rows[row]
     own = country.values[name]
     if own is not None:
         return own, "country"
     if name.startswith("dmr_"):
         return dataset.crops[name[4:]].dmr_default, "world-average"
-    continent_vals = [c.values[name] for c in dataset.countries
+    continent_vals = [c.values[name] for c in rows
                       if c.continent == country.continent and c.values[name] is not None]
     if continent_vals:
         return sum(continent_vals) / len(continent_vals), "continent"
-    world_vals = [c.values[name] for c in dataset.countries if c.values[name] is not None]
+    world_vals = [c.values[name] for c in rows if c.values[name] is not None]
     if world_vals:
         return sum(world_vals) / len(world_vals), "world"
     raise UnresolvableFieldError(
@@ -614,16 +644,16 @@ def scan_resolve(dataset, country, name):
 
 
 def assert_resolve_matches_scan(dataset):
-    for country in dataset.countries:
+    for row, country in enumerate(dataset.countries["country"]):
         for name in RESOLVABLE_FIELDS:
             try:
-                expected = scan_resolve(dataset, country, name)
+                expected = scan_resolve(dataset, row, name)
             except UnresolvableFieldError as exc:
                 with pytest.raises(UnresolvableFieldError) as got:
-                    resolve(dataset, country, name)
+                    resolve(dataset, row, name)
                 assert str(got.value) == str(exc)
             else:
-                assert resolve(dataset, country, name) == expected, (country.name, name)
+                assert resolve(dataset, row, name) == expected, (country, name)
 
 
 def test_resolve_matches_scan_on_bundled_data(dataset):
@@ -648,8 +678,8 @@ def test_resolve_matches_scan_on_world_tier_and_unresolvable():
     ]
     ds = make_dataset(profiles)
     assert_resolve_matches_scan(ds)
-    assert resolve(ds, profiles[2], "tax_rate")[1] == "world"
-    assert resolve(ds, profiles[3], "price_natural_gas")[1] == "world"
+    assert resolve(ds, 2, "tax_rate")[1] == "world"
+    assert resolve(ds, 3, "price_natural_gas")[1] == "world"
     # only the plan stage needs fuel prices
     assert run_pipeline(ds, through="assess").errors == ()
     assert run_pipeline(ds, through="msp").errors == ()

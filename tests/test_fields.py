@@ -61,8 +61,7 @@ def test_every_field_checks_its_bound_at_each_edge(tmp_path):
             path.write_text(",".join(COUNTRIES_COLUMNS) + "\n" + ",".join(cells) + "\n",
                             encoding="utf-8")
             if INSIDE[f.bound.text](value):
-                (profile,) = load_countries(path)
-                assert profile.values[f.key] == value
+                assert load_countries(path)[f.key] == (value,)
             else:
                 with pytest.raises(DataError) as exc:
                     load_countries(path)
@@ -134,11 +133,12 @@ def test_generated_rows_load_and_evaluate_or_name_the_cell(case):
     assert all(math.isfinite(x) for x in (
         g.cr_final_t, g.pellet_energy_tj, g.s_ec_usd_per_y, g.s_em_kgco2e_per_y,
         g.fossil_consumption_tj, g.replaced_fraction_overall))
-    profiles = {c.name: c for c in dataset.countries}
+    row_of = {name: row for row, name in enumerate(dataset.countries["country"])}
     for r in reports(result):
         if "rank_1" not in r.values:
             continue
         alloc = {f: r.values[f"alloc_{f}_tj"] for f in FUELS}
         assert sum(alloc.values()) <= r.values["pellet_energy_tj"] * (1 + 1e-12)
         for f in FUELS:
-            assert alloc[f] <= (profiles[r.country].values[f"cons_{f}"] or 0.0) * (1 + 1e-12)
+            cons = dataset.countries[f"cons_{f}"][row_of[r.country]]
+            assert alloc[f] <= (cons or 0.0) * (1 + 1e-12)

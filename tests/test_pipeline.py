@@ -15,7 +15,8 @@ from agripellet.reporting import (
     RECOP_COLUMNS,
     REPORT_COLUMNS,
 )
-from conftest import make_dataset, make_profile, synthetic_market_profiles
+from conftest import (country_rows, make_dataset, make_profile, make_table,
+                      synthetic_market_profiles)
 from oracles import evaluate_country, reports, table_records, table_rows
 
 
@@ -60,10 +61,10 @@ def test_one_bad_country_does_not_abort(monkeypatch):
     ds = make_dataset(profiles)
     real_resolve = pipeline_mod.resolve
 
-    def failing_resolve(dataset, country, name):
-        if country.name == "Mkt02":
+    def failing_resolve(dataset, row, name):
+        if dataset.countries["country"][row] == "Mkt02":
             raise DataError(f"injected failure resolving {name}")
-        return real_resolve(dataset, country, name)
+        return real_resolve(dataset, row, name)
 
     monkeypatch.setattr(pipeline_mod, "resolve", failing_resolve)
     result = run_pipeline(ds)
@@ -114,8 +115,7 @@ def test_zero_residue_country_gets_no_plan():
 
 
 def test_provenance_tags_cover_resolved_fields(dataset):
-    countries = {c.name: c for c in dataset.countries}
-    report = evaluate_country(dataset, countries["Afghanistan"])
+    report = evaluate_country(dataset, dataset.countries["country"].index("Afghanistan"))
     for c in CROPS:
         assert report.values[f"src_dmr_{c}"] == "world-average"
     assert report.values["src_pli_labor"] == "country"
@@ -211,7 +211,7 @@ def assert_matches_oracle(dataset, through):
 
 
 def sparse_copy(profiles, seed):
-    """The profiles with a seeded third of their cells emptied."""
+    """The rows with a seeded third of their cells emptied."""
     rng = random.Random(seed)
     return [p._replace(values={k: None if rng.random() < 0.33 else v
                                for k, v in p.values.items()}) for p in profiles]
@@ -237,12 +237,13 @@ def oracle_datasets(bundled):
     rng = random.Random(97)
     markets = synthetic_market_profiles(rng, 24)
     no_prices = [make_profile(name=n, production={"maize": 1e6}, prices={}) for n in "AB"]
+    bundled_rows = country_rows(bundled.countries)
     return {
         "bundled": bundled,
         "markets": make_dataset(markets),
-        "sparse": bundled._replace(countries=tuple(sparse_copy(bundled.countries, 5))),
+        "sparse": bundled._replace(countries=make_table(sparse_copy(bundled_rows, 5))),
         "no-prices": make_dataset(no_prices),
-        "overflowing": bundled._replace(countries=tuple(overflowing(bundled.countries))),
+        "overflowing": bundled._replace(countries=make_table(overflowing(bundled_rows))),
         "overflowing-amounts": make_dataset(overflowing(
             markets, [f.key for f in FIELDS if not (f.fallback or f.key.startswith("cons_"))]
             + ["pli_construction"])),  # two overflowing consumptions overflow the global total
@@ -285,10 +286,10 @@ def test_injected_resolve_failure_matches_the_oracle(monkeypatch):
                        for p in synthetic_market_profiles(random.Random(73), 6)])
     real_resolve = pipeline_mod.resolve
 
-    def failing_resolve(dataset, country, name):
-        if (country.name, name) in injected:
+    def failing_resolve(dataset, row, name):
+        if (dataset.countries["country"][row], name) in injected:
             raise DataError(f"injected failure resolving {name}")
-        return real_resolve(dataset, country, name)
+        return real_resolve(dataset, row, name)
 
     monkeypatch.setattr(pipeline_mod, "resolve", failing_resolve)
     monkeypatch.setattr(oracles, "resolve", failing_resolve)
@@ -303,9 +304,10 @@ def counting(monkeypatch) -> list:
     real_resolve = pipeline_mod.resolve
     calls = []
 
-    def counting_resolve(dataset, country, name):
-        calls.append((name, country.continent, country.name))
-        return real_resolve(dataset, country, name)
+    def counting_resolve(dataset, row, name):
+        countries = dataset.countries
+        calls.append((name, countries["continent"][row], countries["country"][row]))
+        return real_resolve(dataset, row, name)
 
     monkeypatch.setattr(pipeline_mod, "resolve", counting_resolve)
     return calls
@@ -317,11 +319,11 @@ def counting(monkeypatch) -> list:
 def test_resolve_runs_once_per_field_and_continent(dataset, monkeypatch, through, fields):
     calls = counting(monkeypatch)
     counts = []
+    rows = country_rows(dataset.countries)
     for copies in (1, 2, 3, 4):  # the bundled countries and renamed copies of them
-        renamed = [c._replace(name=f"{c.name} #{i}") for i in range(1, copies)
-                   for c in dataset.countries]
-        ds = dataset._replace(countries=dataset.countries + tuple(renamed))
-        empty = {(name, c.continent) for c in ds.countries
+        renamed = [c._replace(name=f"{c.name} #{i}") for i in range(1, copies) for c in rows]
+        ds = dataset._replace(countries=make_table(rows + renamed))
+        empty = {(name, c.continent) for c in rows + renamed
                  for name in RESOLVABLE_FIELDS[:fields] if c.values[name] is None}
         calls.clear()
         result = run_pipeline(ds, through)
@@ -339,11 +341,11 @@ def test_resolve_runs_once_per_field_and_continent(dataset, monkeypatch, through
 def test_a_field_no_country_reports_fails_each_country_by_name(dataset, monkeypatch):
     """A failing call is not reused: each country with the empty cell gets its
     own message, and the other fields still resolve once per continent."""
-    ds = dataset._replace(countries=tuple(c._replace(values={**c.values, "tax_rate": None})
-                                          for c in dataset.countries))
+    ds = dataset._replace(countries={**dataset.countries,
+                                     "tax_rate": (None,) * len(dataset.countries["tax_rate"])})
     calls = counting(monkeypatch)
     result = run_pipeline(ds, "plan")
-    names = sorted(c.name for c in ds.countries)
+    names = sorted(ds.countries["country"])
     assert result.errors == tuple(
         (name, f"no country in the dataset has data for 'tax_rate' (needed by {name!r})")
         for name in names)

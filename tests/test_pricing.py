@@ -273,9 +273,11 @@ def exact_msp(inputs: BreakEvenInputs) -> Fraction:
 @pytest.mark.parametrize("tax_rate", [1 - 1e-9, 1 - 1e-12, math.nextafter(1.0, 0.0)])
 def test_tax_rate_near_one_solves(dataset, tax_rate):
     # the MSP grows like 1/(1 - tax_rate) but stays the exact inversion's
-    profile = next(c for c in dataset.countries if c.name == "Afghanistan")
-    profile = profile._replace(values={**profile.values, "tax_rate": tax_rate})
-    v = evaluate_country(dataset, profile, "msp").values
+    row = dataset.countries["country"].index("Afghanistan")
+    tax_rates = list(dataset.countries["tax_rate"])
+    tax_rates[row] = tax_rate
+    dataset = dataset._replace(countries={**dataset.countries, "tax_rate": tuple(tax_rates)})
+    v = evaluate_country(dataset, row, "msp").values
     assert v["tax_rate"] == tax_rate
     cfg = dataset.config
     inputs = BreakEvenInputs(capex=v["capex_usd"], opex=v["opex_usd_per_y"],

@@ -9,7 +9,7 @@ from agripellet.pipeline import STAGE_PLAN, run_pipeline
 from agripellet.replacement import plan_columns
 from agripellet.reporting import write_sweep_files
 from agripellet.sensitivity import sweep
-from conftest import make_dataset, make_profile, synthetic_market_profiles
+from conftest import country_rows, make_dataset, make_profile, synthetic_market_profiles
 from oracles import reports
 
 
@@ -22,7 +22,7 @@ def replanned_grid(dataset, multipliers, pellet_prices):
     scenario_a = dataset._replace(config=dataset.config._replace(scenario="A"))
     baseline = run_pipeline(scenario_a, through=STAGE_PLAN)
     consumption = {c.name: {f: c.values[f"cons_{f}"] or 0.0 for f in FUELS}
-                   for c in dataset.countries}
+                   for c in country_rows(dataset.countries)}
     planned = [r.values for r in reports(baseline)
                if r.values["weighted_lhv_mj_per_kg"] is not None]
     columns = {name: [v[name] for v in planned]
@@ -266,7 +266,7 @@ def test_failed_country_is_left_out(market_dataset):
     broken = make_profile(name="Broken", production={"rice": 1e7},
                           pli={"labor": 1.0, "raw_material": 1.0,
                                "construction": 0.0, "electricity": 1.0})
-    ds = make_dataset(market_dataset.countries + (broken,))
+    ds = make_dataset(country_rows(market_dataset.countries) + [broken])
     grid = sweep(ds)
     assert [name for name, _ in grid.baseline.errors] == ["Broken"]
     assert grid.s_ec == sweep(market_dataset).s_ec
@@ -277,7 +277,8 @@ def test_country_subset(market_dataset):
     # not depend on the other countries
     grid = sweep(market_dataset, countries=["Mkt00", "Mkt03"])
     assert [r.country for r in reports(grid.baseline)] == ["Mkt00", "Mkt03"]
-    pair = make_dataset([market_dataset.countries[0], market_dataset.countries[3]])
+    rows = country_rows(market_dataset.countries)
+    pair = make_dataset([rows[0], rows[3]])
     assert grid.s_ec == sweep(pair).s_ec != sweep(market_dataset).s_ec
 
 
