@@ -14,7 +14,6 @@ from .dataio import (
     resolve,
 )
 from .pipeline import GlobalReport, PipelineResult, run_pipeline, yoy_growth
-from .pricing import BreakEvenInputs
 from .sensitivity import SensitivityGrid, sweep
 
 __version__ = "0.1.0"
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CROPS",
     "FUELS",
-    "BreakEvenInputs",
     "CropCoefficients",
     "DataError",
     "Dataset",

@@ -26,31 +26,10 @@ MAINTENANCE_REF = 152_400.0
 INSURANCE_TAX_REF = 101_600.0   # not index scaled
 ADDITIONAL_REF = 76_200.0       # not index scaled
 
-# The order in which a country's price level indexes are checked.
-_CHECK_ORDER = ("construction", "labor", "raw_material", "electricity")
-
-
-def cost_failures(columns: dict) -> dict:
-    """Row -> message for each row with a price level index (``pli_<component>``
-    lists) that is not > 0, naming the first in the order construction, labor,
-    raw material, electricity; a row is scanned only when a column holds such
-    a value."""
-    pli = [columns[f"pli_{p}"] for p in _CHECK_ORDER]
-    if all(min(col, default=1.0) > 0 for col in pli):
-        return {}
-    failures = {}
-    for row, indexes in enumerate(zip(*pli)):
-        for p, index in zip(_CHECK_ORDER, indexes):
-            if index <= 0:
-                failures[row] = f"{p.replace('_', ' ')} index must be > 0, got {index}"
-                break
-    return failures
-
-
 def cost_columns(columns: dict) -> dict:
     """The columns ``epc_usd``, ``capex_usd`` and ``opex_usd_per_y`` from the
-    price level index columns ``pli_<component>``, each index > 0 (see
-    ``cost_failures``).
+    price level index columns ``pli_<component>``, each index > 0 as a
+    checked ``Dataset`` holds it.
 
     Every capital line scales with the construction index; CAPEX is the total
     fixed capital (direct, indirect and miscellaneous cost) plus working

@@ -10,9 +10,12 @@ loading, bounds checks and resolution derive from it.  Every table, and the
 only a column holding a bad cell is scanned cell by cell, so that each problem
 is named by line and column and listed in line order; ``load_dataset`` reads
 every file before it raises, so one error names the problems of them all.
-``Dataset.countries`` keeps those columns; ``resolve``, the one fallback rule
-for an empty cell, runs once per field and continent in the pipeline.  This
-module only reads files; every output goes through ``reporting``.
+``Dataset.countries`` keeps those columns read-only, and ``Dataset`` checks
+each against its bound, so a table built by hand is held to the loader's
+bounds and no stage checks one again.  ``resolve``, the one fallback rule for
+an empty cell, runs once per field and continent in the pipeline; a fallback
+mean is exact, so it lies within its values' range.  This module only reads
+files; every output goes through ``reporting``.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ import io
 import json
 import math
 import sys
-from functools import cached_property
+from collections import Counter
+from functools import cached_property, partial
 from itertools import compress, repeat
-from operator import not_
+from operator import is_not, methodcaller, mul, not_
 from pathlib import Path
+from types import MappingProxyType, NoneType
 from typing import NamedTuple
 
 CROPS = ("maize", "rice", "sugarcane", "wheat")
@@ -77,6 +82,24 @@ class Bound(NamedTuple):
             problems.append(f"{label}: must be {self.text}, got {value!r}")
 
 
+_is_not_none = partial(is_not, None)
+
+
+def fits(values, bound: Bound | None = None) -> bool:
+    """Whether the numbers of a column, None cells left out, are finite and
+    inside ``bound``, tested on their sum, min and max: False may also mean a
+    sum past float range or a cell that is no number, which a scan tells."""
+    try:
+        finite = math.isfinite(sum(values))  # False at a NaN, an inf, or a sum overflowing
+    except TypeError:  # None cells, tested again without them; or a cell that is no number
+        present = list(filter(_is_not_none, values))
+        return len(present) < len(values) and fits(present, bound)
+    except OverflowError:  # ints past float range
+        return False
+    return finite and (bound is None or not values or bound.lo <= min(values)
+                       and (bound.hi == math.inf or max(values) <= bound.hi))
+
+
 _ABOVE_ZERO = math.nextafter(0.0, 1.0)
 NONNEGATIVE = Bound(">= 0", 0.0, math.inf)
 POSITIVE = Bound("> 0", _ABOVE_ZERO, math.inf)
@@ -121,7 +144,6 @@ FIELDS = (
 COUNTRIES_COLUMNS = ("country", "continent") + tuple(f.column for f in FIELDS)
 COUNTRIES_KEYS = ("country", "continent") + tuple(f.key for f in FIELDS)  # of Dataset.countries
 RESOLVABLE_FIELDS = tuple(f.key for f in FIELDS if f.fallback)
-FIELD_BOUNDS = {f.key: f.bound for f in FIELDS}
 
 # The numeric cells of crops.csv and fuels.csv; keys are the record fields.
 CROP_FIELDS = (
@@ -247,7 +269,7 @@ class ModelConfig(CheckedRecord, _ModelConfig):
             raise DataError(problems)
         POSITIVE.check("plant_capacity", self.plant_capacity, problems)
         HORIZON.check("horizon_years", self.horizon_years, problems)
-        BELOW_ONE.check("salvage_rate", self.salvage_rate, problems)  # as BreakEvenInputs
+        BELOW_ONE.check("salvage_rate", self.salvage_rate, problems)  # salvage below tfc
         FRACTION.check("tfc_capex_ratio", self.tfc_capex_ratio, problems)
         FRACTION.check("pellet_efficiency", self.pellet_efficiency, problems)
         if self.scenario not in SCENARIOS:
@@ -269,7 +291,7 @@ class ModelConfig(CheckedRecord, _ModelConfig):
 class _Dataset(NamedTuple):
     crops: dict               # CropCoefficients per crop
     livestock_rates: LivestockRates
-    countries: dict           # COUNTRIES_KEYS -> tuple in file order, None at an empty cell
+    countries: MappingProxyType  # COUNTRIES_KEYS -> tuple in file order, None at an empty cell
     fuel_properties: dict     # FuelProperties per fuel
     pellet_ef: float
     config: ModelConfig
@@ -277,6 +299,13 @@ class _Dataset(NamedTuple):
 
 class Dataset(CheckedRecord, _Dataset):
     # no __slots__: the cached_property below keeps its table in the instance __dict__
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        # read-only, so that no column skips the check and the cached fallback means
+        # (the base's _replace builds without a second check)
+        return _Dataset._replace(self, countries=MappingProxyType(
+            {key: tuple(self.countries[key]) for key in COUNTRIES_KEYS}))
 
     def _check(self):
         countries = self.countries
@@ -294,6 +323,18 @@ class Dataset(CheckedRecord, _Dataset):
             seen.add(name)
             if not continent:
                 problems.append(f"country {name!r} has no continent label")
+        for f in FIELDS:  # each column whole, and only a column that trips cell by cell
+            col = countries[f.key]
+            if (len(col) != rows
+                    or set(map(type, col)) <= {float, NoneType} and fits(col, f.bound)):
+                continue
+            for row, value in enumerate(col):
+                if value is not None:
+                    label = f"countries column {f.key!r} row {row} ({countries['country'][row]!r})"
+                    if _is_finite_number(value):
+                        f.bound.check(label, value, problems)
+                    else:
+                        problems.append(f"{label}: not a finite number: {value!r}")
         if set(self.crops) != set(CROPS):
             problems.append(f"crops table must cover exactly {CROPS}")
         if set(self.fuel_properties) != set(FUELS):
@@ -305,9 +346,9 @@ class Dataset(CheckedRecord, _Dataset):
     def _fallbacks(self) -> dict:
         """Resolvable key -> (continent -> mean, world value or None, world tier tag).
 
-        Each mean sums its field's values in file order, as a scan of the
-        whole dataset does.  A world-average field has no continent tier: it
-        falls back to the crop's default dry matter.
+        Each mean is exact (see ``_means``), hence inside the field's bound.
+        A world-average field has no continent tier: it falls back to the
+        crop's default dry matter.
         """
         table = {}
         for f in FIELDS:
@@ -315,14 +356,40 @@ class Dataset(CheckedRecord, _Dataset):
                 crop = f.key.removeprefix("dmr_")
                 table[f.key] = ({}, self.crops[crop].dmr_default, WORLD_AVERAGE)
             elif f.fallback == CONTINENT:
-                by_continent, world = {}, []
-                for continent, value in zip(self.countries["continent"], self.countries[f.key]):
-                    if value is not None:
-                        by_continent.setdefault(continent, []).append(value)
-                        world.append(value)
-                table[f.key] = ({k: sum(v) / len(v) for k, v in by_continent.items()},
-                                sum(world) / len(world) if world else None, "world")
+                table[f.key] = (*_means(zip(self.countries["continent"], self.countries[f.key])),
+                                "world")
         return table
+
+
+def _exact_sum(ratios, weights) -> tuple:
+    """``(numerator, denominator)`` of the exact sum of each ``n / d`` among
+    ``ratios`` times its weight: every ``d`` is a power of two, so each ``n``
+    is carried over to the largest ``d``."""
+    numerators, denominators = zip(*ratios)
+    top = max(denominators)
+    return sum(map(mul, map(mul, numerators, map(top.__floordiv__, denominators)), weights)), top
+
+
+def _means(pairs) -> tuple:
+    """``(key -> mean, mean of all)`` of the numbers of ``(key, value)`` pairs,
+    None values left out (the mean of all None when there is no number).
+
+    Each mean is the exact sum, from each distinct value's integer ratio times
+    its count, divided once by the count: ``int / int`` rounds correctly, so a
+    mean has the same bits for its values in any order or repeated, and lies
+    within their range.  The sum of all is the sum of the keys' sums.
+    """
+    groups = {}
+    for key, value in pairs:
+        if value is not None:
+            groups.setdefault(key, []).append(value)
+    if not groups:
+        return {}, None
+    sums = {key: _exact_sum(map(methodcaller("as_integer_ratio"), counts), counts.values())
+            for key, counts in ((key, Counter(values)) for key, values in groups.items())}
+    total, top = _exact_sum(sums.values(), repeat(1))
+    return ({key: n / (d * len(groups[key])) for key, (n, d) in sums.items()},
+            total / (top * sum(map(len, groups.values()))))
 
 
 def default_crops() -> dict:
@@ -433,8 +500,7 @@ def _parse_column(file: str, column: str, bound: Bound, lines, cells, problems: 
                 values = list(map(next, map(source.__getitem__, gaps)))
             except ValueError:
                 pass
-    if values is not None and (not present or math.isfinite(sum(present))  # NaN, inf, overflow
-                               and bound.lo <= min(present) and max(present) <= bound.hi):
+    if values is not None and fits(present, bound):
         return values
     values = []
     for lineno, raw in zip(lines, cells):

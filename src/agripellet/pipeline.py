@@ -4,10 +4,12 @@ Each stage runs once over all the countries: each input is a column of
 ``Dataset.countries`` (``resolve`` fills the empty cells, once per field and
 continent), and each stage module's column function turns lists keyed by
 column into more of them.  The result is those columns, one row per
-evaluated country.  Failures are isolated: a country that fails a stage's
-check leaves every column at once and lands in the error list without
-aborting the rest, with the message its first failure gives.  Output
-ordering is by country name, so repeated runs over the same inputs are
+evaluated country.  No input is checked against its bound: the ``Dataset``
+was, and a fallback mean lies within its values' range.  Failures are
+isolated: a country whose field does not resolve, or whose values hold a NaN
+or an infinite number, leaves every column at once and lands in the error
+list without aborting the rest, with the message its first failure gives.
+Output ordering is by country name, so repeated runs over the same inputs are
 byte-identical downstream.
 """
 
@@ -18,7 +20,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
-from .dataio import CROPS, FUELS, PLI_COMPONENTS, DataError, Dataset, resolve
+from .dataio import CROPS, FUELS, PLI_COMPONENTS, DataError, Dataset, fits, resolve
 
 STAGE_ASSESS = "assess"
 STAGE_MSP = "msp"
@@ -121,13 +123,9 @@ _NO_FLOATS = ("use_saturated", "scenario", "rank_1", "rank_2", "rank_3")
 
 def _non_finite_rows(values: list) -> list:
     """The rows of a column holding a NaN or an infinite float; the column is
-    scanned only when the sum of its numbers (its None cells left out) is not
-    finite."""
-    try:
-        if math.isfinite(sum(filter(None, values))):  # zeros left out add nothing
-            return []
-    except (TypeError, OverflowError):  # a string among the numbers, or ints past float range
-        pass
+    scanned only when it fails the whole-column test ``fits``."""
+    if fits(values):
+        return []
     return [row for row, value in enumerate(values)
             if type(value) is float and not math.isfinite(value)]
 
@@ -149,10 +147,9 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
     Later stages resolve more input fields and so can fail on sparser
     datasets.  Each resolved input is recorded as its value ``X`` and fallback
     tier ``src_X``; a country without residue gets no plan columns.  A country
-    fails on the first of: an input that does not resolve, a price level index
-    or break-even input out of range, a NaN or infinite number among its values
-    (in column order), or among its plan's ranking scores.  Evaluation order
-    and output order are by country name.
+    fails on the first of: an input that does not resolve, a NaN or infinite
+    number among its values (in column order), or among its plan's ranking
+    scores.  Evaluation order and output order are by country name.
     """
     if through not in _STAGE_ORDER:
         raise ValueError(f"unknown stage {through!r}")
@@ -179,12 +176,9 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
     order = list(columns)  # the record's column order, for the non-finite check
     if depth >= 1:
         rows.resolve(_COST_INPUTS)
-        rows.drop(costs.cost_failures(resolved))
         columns.update(costs.cost_columns(resolved))
         rows.resolve(("discount_rate", "tax_rate"))
         columns["tfc_usd"] = [capex * cfg.tfc_capex_ratio for capex in columns["capex_usd"]]
-        rows.drop(pricing.input_failures({**columns, **resolved}, cfg.plant_capacity,
-                                         cfg.horizon_years, cfg.salvage_rate))
         solved = pricing.msp_columns({**columns, **resolved}, cfg.plant_capacity,
                                      cfg.horizon_years, cfg.salvage_rate)
         columns.update(solved)

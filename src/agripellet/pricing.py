@@ -6,7 +6,8 @@ Tax on loss years goes negative (a symmetric tax shield), which keeps NPV
 affine in price, so the break-even price is one closed-form inversion and NPV
 is the annuity factor times one year's cash flow plus the discounted salvage:
 a solve costs the same at any horizon length.  The year-by-year NPV and a
-bisection on it are kept in the test suite as the reference.
+bisection on it are kept in the test suite as the reference.  No input is
+checked here: a checked ``Dataset`` and ``ModelConfig`` hold each in its bound.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 from itertools import repeat
 from typing import NamedTuple
 
-from .dataio import (BELOW_ONE, FIELD_BOUNDS, HORIZON, NONNEGATIVE, POSITIVE, CheckedRecord,
-                     DataError)
 from .energy import per_tj
 
 
@@ -31,34 +30,16 @@ class _BreakEvenInputs(NamedTuple):
     tfc: float            # depreciable fixed capital, $
 
 
-# Each input's bound, checked in this order: the bounds the loader and
-# ModelConfig check the same quantities against.
-_INPUT_BOUNDS = (("q", POSITIVE), ("n", HORIZON), ("r", FIELD_BOUNDS["discount_rate"]),
-                 ("tr", FIELD_BOUNDS["tax_rate"]), ("salvage_rate", BELOW_ONE),
-                 ("capex", NONNEGATIVE), ("opex", NONNEGATIVE), ("tfc", NONNEGATIVE))
-
-
-class BreakEvenInputs(CheckedRecord, _BreakEvenInputs):
-    __slots__ = ()
-
-    def _check(self):
-        problems = []
-        for name, bound in _INPUT_BOUNDS:
-            bound.check(name, getattr(self, name), problems)
-        if problems:
-            raise DataError(problems)
-
-
-def salvage_value(inputs: BreakEvenInputs) -> float:
+def salvage_value(inputs: _BreakEvenInputs) -> float:
     return inputs.salvage_rate * inputs.tfc
 
 
-def depreciation(inputs: BreakEvenInputs) -> float:
+def depreciation(inputs: _BreakEvenInputs) -> float:
     """Straight-line annual depreciation of fixed capital less salvage, $/y."""
     return (inputs.tfc - salvage_value(inputs)) / inputs.n
 
 
-def _cash_flow(price: float, inputs: BreakEvenInputs, dep: float) -> tuple:
+def _cash_flow(price: float, inputs: _BreakEvenInputs, dep: float) -> tuple:
     revenue = price * inputs.q
     tax = inputs.tr * (revenue - inputs.opex - dep)
     return revenue, tax, revenue - inputs.opex - tax
@@ -73,12 +54,12 @@ def _annuity(r: float, n: int) -> float:
     return (1.0 - (1.0 + r) ** -n) / r
 
 
-def _terminal(inputs: BreakEvenInputs) -> float:
+def _terminal(inputs: _BreakEvenInputs) -> float:
     """Salvage value discounted from the end of the horizon, $."""
     return salvage_value(inputs) * (1.0 + inputs.r) ** -inputs.n
 
 
-def _invert(inputs: BreakEvenInputs, a: float, dep: float, terminal: float) -> float:
+def _invert(inputs: _BreakEvenInputs, a: float, dep: float, terminal: float) -> float:
     # NPV(p) = a*[(1-tr)*(p*q - opex) + tr*D] + terminal - capex
     per_t = a * (1.0 - inputs.tr)
     slope = per_t * inputs.q
@@ -116,32 +97,12 @@ def _rows(columns: dict, q: float, n: int, salvage_rate: float):
                columns["tfc_usd"])
 
 
-def input_failures(columns: dict, q: float, n: int, salvage_rate: float) -> dict:
-    """Row -> message for each row that ``BreakEvenInputs`` rejects, with its
-    message (see ``_rows`` for the arguments).  Each input is checked against
-    its bound as a column, and the rows are scanned only when one check trips."""
-    values = {"q": [q], "n": [n], "salvage_rate": [salvage_rate],
-              "r": columns["discount_rate"], "tr": columns["tax_rate"],
-              "capex": columns["capex_usd"], "opex": columns["opex_usd_per_y"],
-              "tfc": columns["tfc_usd"]}
-    if not columns["capex_usd"] or all(
-            bound.lo <= min(values[name]) and max(values[name]) <= bound.hi
-            and math.isfinite(sum(values[name])) for name, bound in _INPUT_BOUNDS):
-        return {}
-    failures = {}
-    for row, inputs in enumerate(_rows(columns, q, n, salvage_rate)):
-        try:
-            BreakEvenInputs(*inputs)
-        except DataError as exc:
-            failures[row] = str(exc)
-    return failures
-
-
 def msp_columns(columns: dict, q: float, n: int, salvage_rate: float) -> dict:
     """The msp stage's break-even columns, ``msp_usd_per_t`` through
-    ``annuity_factor``, for rows that ``input_failures`` passes (see ``_rows``
-    for the arguments); ``msp_usd_per_tj`` reads the column
-    ``weighted_lhv_mj_per_kg`` and is None where there is no heating value."""
+    ``annuity_factor`` (see ``_rows`` for the arguments); ``msp_usd_per_tj``
+    reads the column ``weighted_lhv_mj_per_kg`` and is None where there is no
+    heating value.  For inputs outside the bounds of a checked ``Dataset`` and
+    ``ModelConfig`` (such as a tax rate of 1) the columns promise nothing."""
     solved = list(map(list, zip(*map(_solve, _rows(columns, q, n, salvage_rate))))) \
         or [[] for _ in range(6)]
     price, npv, revenue, tax, cash_flow, annuity = solved

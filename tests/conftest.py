@@ -125,7 +125,7 @@ def synthetic_market_profiles(rng, count):
 
 def random_break_even_inputs(rng):
     """Valid solver inputs drawn from realistic plant ranges."""
-    from agripellet.pricing import BreakEvenInputs
+    from oracles import BreakEvenInputs
 
     capex = rng.uniform(5e5, 5e7)
     return BreakEvenInputs(

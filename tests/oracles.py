@@ -13,8 +13,10 @@ computes as whole columns.
 records, for the tests that read one country at a time.  The
 break-even solver as plain loops, linear in the horizon but plainly right
 and sharing no code with the package, checks the closed forms in
-``agripellet.pricing``; ``format_cell`` spells out, one value at a time,
-the CSV cell each typed value is written as;
+``agripellet.pricing``, on plants given as ``BreakEvenInputs``, which
+checks each input against the bound that the loader, the ``Dataset`` table
+check and ``ModelConfig`` hold it to; ``format_cell`` spells out, one value
+at a time, the CSV cell each typed value is written as;
 and the reference writer builds each output file the plain way, typed rows
 through ``csv.writer`` and whole dicts through ``json``, against which
 ``agripellet.reporting``'s streamed writer is compared byte for byte: the
@@ -34,14 +36,15 @@ from pathlib import Path
 from typing import NamedTuple
 
 from agripellet import costs, energy, pricing, replacement, residues
-from agripellet.dataio import (COUNTRIES_COLUMNS, COUNTRIES_KEYS, CROP_FIELDS, CROPS,
-                               CROPS_COLUMNS, DEFAULT_PELLET_EF, FIELDS, FUEL_FIELDS, FUELS,
-                               FUELS_COLUMNS, NONNEGATIVE, PLI_COMPONENTS, CropCoefficients,
+from agripellet.dataio import (BELOW_ONE, COUNTRIES_COLUMNS, COUNTRIES_KEYS, CROP_FIELDS,
+                               CROPS, CROPS_COLUMNS, DEFAULT_PELLET_EF, FIELDS,
+                               FUEL_FIELDS, FUELS, FUELS_COLUMNS, HORIZON, NONNEGATIVE,
+                               PLI_COMPONENTS, POSITIVE, CheckedRecord, CropCoefficients,
                                DataError, Dataset, Field, FuelProperties, LivestockRates,
                                ModelConfig, _read_rows, default_crops, default_fuel_properties,
                                load_config, parse_cell, resolve)
 from agripellet.pipeline import _STAGE_ORDER, STAGE_PLAN, GlobalReport
-from agripellet.pricing import BreakEvenInputs
+from agripellet.pricing import _BreakEvenInputs
 from agripellet.replacement import PLAN_COLUMNS
 from agripellet.reporting import _SAME_AS, PLOT_COLUMNS, REPORT_COLUMNS
 from agripellet.sensitivity import axis_label
@@ -82,7 +85,10 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
     Each resolved input is recorded as its value ``X`` and fallback tier
     ``src_X``; a country without residue gets no plan columns.  A NaN or
     infinite number among the values or the plan's ranking scores raises a
-    ``DataError``.
+    ``DataError``.  The plant's inputs are built as a checked
+    ``BreakEvenInputs``: a checked ``Dataset`` holds every resolved field in
+    its bound, so that check never fails where the pipeline, which checks no
+    bound, would go on.
     """
     if through not in _STAGE_ORDER:
         raise ValueError(f"unknown stage {through!r}")
@@ -114,11 +120,8 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
     scores = ()
     if depth >= 1:
         pli = {f"pli_{p}": [field(f"pli_{p}")] for p in PLI_COMPONENTS}
-        failures = costs.cost_failures(pli)
-        if failures:
-            raise DataError(failures[0])
         cost = one_row(costs.cost_columns(pli))
-        inputs = pricing.BreakEvenInputs(
+        inputs = BreakEvenInputs(
             capex=cost["capex_usd"],
             opex=cost["opex_usd_per_y"],
             q=cfg.plant_capacity,
@@ -297,6 +300,28 @@ def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet
                "carbon_tax_usd_per_tco2e": [carbon_tax] * len(rows),
                **dict(zip(PLAN_COLUMNS[2:], values))}
     return columns, values[len(PLAN_COLUMNS) - 2:]
+
+
+FIELD_BOUNDS = {f.key: f.bound for f in FIELDS}
+
+# Each input's bound, checked in this order: the bounds the loader, the
+# Dataset table check and ModelConfig check the same quantities against.
+_INPUT_BOUNDS = (("q", POSITIVE), ("n", HORIZON), ("r", FIELD_BOUNDS["discount_rate"]),
+                 ("tr", FIELD_BOUNDS["tax_rate"]), ("salvage_rate", BELOW_ONE),
+                 ("capex", NONNEGATIVE), ("opex", NONNEGATIVE), ("tfc", NONNEGATIVE))
+
+
+class BreakEvenInputs(CheckedRecord, _BreakEvenInputs):
+    """One plant's break-even inputs, each checked against its bound."""
+
+    __slots__ = ()
+
+    def _check(self):
+        problems = []
+        for name, bound in _INPUT_BOUNDS:
+            bound.check(name, getattr(self, name), problems)
+        if problems:
+            raise DataError(problems)
 
 
 def npv(price: float, inputs: BreakEvenInputs) -> float:

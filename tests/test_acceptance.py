@@ -9,7 +9,6 @@ import pytest
 
 from agripellet.dataio import CROPS, FUELS, FuelProperties, ModelConfig
 from agripellet.pipeline import run_pipeline
-from agripellet.pricing import BreakEvenInputs
 from agripellet.sensitivity import sweep
 from conftest import (
     ACCEPTANCE_LINES,
@@ -20,7 +19,7 @@ from conftest import (
     random_break_even_inputs,
     synthetic_market_profiles,
 )
-from oracles import npv, reports, solve_msp_bisection
+from oracles import BreakEvenInputs, npv, reports, solve_msp_bisection
 
 
 def record(number, description, fn):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -48,6 +49,21 @@ def test_report_is_byte_identical_across_runs(data_dir, tmp_path):
     out2 = tmp_path / "run2"
     assert run_cli("report", "--data", data_dir, "--out", out1) == 0
     assert run_cli("report", "--data", data_dir, "--out", out2) == 0
+    assert len(assert_same_files(out1, out2)) == 6
+
+
+def test_report_is_byte_identical_for_shuffled_rows(data_dir, tmp_path):
+    # each fallback mean is exact, so the order of the countries' rows changes no bit
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    for path in data_dir.iterdir():
+        (shuffled / path.name).write_bytes(path.read_bytes())
+    header, *lines = (data_dir / "countries.csv").read_text(encoding="utf-8").splitlines(True)
+    random.Random(0).shuffle(lines)
+    (shuffled / "countries.csv").write_text(header + "".join(lines), encoding="utf-8")
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    assert run_cli("report", "--data", data_dir, "--out", out1) == 0
+    assert run_cli("report", "--data", shuffled, "--out", out2) == 0
     assert len(assert_same_files(out1, out2)) == 6
 
 

@@ -10,10 +10,9 @@ from agripellet.costs import (
     INSURANCE_TAX_REF,
     MISC_FACTOR,
     cost_columns,
-    cost_failures,
 )
-from agripellet.dataio import PLI_COMPONENTS, ModelConfig
-from conftest import cost_row
+from agripellet.dataio import PLI_COMPONENTS, DataError, ModelConfig
+from conftest import cost_row, make_dataset, make_profile
 
 
 def capital_costs(construction_index):
@@ -83,23 +82,26 @@ def test_opex_affine_in_each_index():
 
 
 def test_nonpositive_index_rejected():
-    def failures(labor, raw_material, electricity, construction):
-        pli = {"labor": labor, "raw_material": raw_material, "electricity": electricity,
-               "construction": construction}
-        return cost_failures({f"pli_{p}": [index] for p, index in pli.items()})
+    """A price level index <= 0 is rejected by the table check when the
+    dataset is built, every bad cell by column and row, before any stage."""
+    def problems(*pli):
+        with pytest.raises(DataError) as raised:
+            make_dataset([make_profile(name=f"C{row}", pli=dict(zip(PLI_COMPONENTS, indexes)))
+                          for row, indexes in enumerate(pli)])
+        return raised.value.problems
 
-    assert failures(1.0, 1.0, 1.0, 0.0) == {0: "construction index must be > 0, got 0.0"}
-    assert failures(1.0, -1.0, 1.0, 1.0) == {0: "raw material index must be > 0, got -1.0"}
-    # the indexes are checked in the order construction, labor, raw material, electricity
-    assert failures(-1.0, 0.0, -2.0, -3.0) == {0: "construction index must be > 0, got -3.0"}
-    assert failures(-1.0, 0.0, -2.0, 1.0) == {0: "labor index must be > 0, got -1.0"}
-    assert failures(1.0, 1.0, -2.0, 1.0) == {0: "electricity index must be > 0, got -2.0"}
-    # each failing row by its index in the columns
-    columns = {"pli_labor": [1.0, 0.0, 2.0, -1.0], "pli_raw_material": [1.0] * 4,
-               "pli_electricity": [1.0] * 4, "pli_construction": [1.0, 1.0, 1.0, 0.0]}
-    assert cost_failures(columns) == {1: "labor index must be > 0, got 0.0",
-                                      3: "construction index must be > 0, got 0.0"}
-    assert cost_failures({f"pli_{p}": [0.5, 2.0] for p in PLI_COMPONENTS}) == {}
+    assert problems((1.0, 1.0, 1.0, 0.0)) == [
+        "countries column 'pli_electricity' row 0 ('C0'): must be > 0, got 0.0"]
+    assert problems((1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, 1.0)) == [
+        "countries column 'pli_raw_material' row 1 ('C1'): must be > 0, got -1.0"]
+    # every bad cell, column by column in table order, rows in order
+    assert problems((-1.0, 0.0, 1.0, 1.0), (1.0, 1.0, -2.0, -3.0), (0.5, 0.0, 1.0, 1.0)) == [
+        "countries column 'pli_labor' row 0 ('C0'): must be > 0, got -1.0",
+        "countries column 'pli_raw_material' row 0 ('C0'): must be > 0, got 0.0",
+        "countries column 'pli_raw_material' row 2 ('C2'): must be > 0, got 0.0",
+        "countries column 'pli_construction' row 1 ('C1'): must be > 0, got -2.0",
+        "countries column 'pli_electricity' row 1 ('C1'): must be > 0, got -3.0"]
+    make_dataset([make_profile(pli=dict.fromkeys(PLI_COMPONENTS, 5e-324))])  # > 0 is enough
 
 
 def test_estimate_costs_combines_sides():

@@ -1,14 +1,18 @@
 import csv
 import json
+import math
+import random
 import re
+import statistics
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from agripellet import dataio
 from agripellet.dataio import (
     COUNTRIES_COLUMNS,
     COUNTRIES_KEYS,
-    FIELD_BOUNDS,
     RESOLVABLE_FIELDS,
     DataError,
     ModelConfig,
@@ -23,9 +27,8 @@ from agripellet.dataio import (
     resolve,
 )
 from agripellet.pipeline import run_pipeline
-from agripellet.pricing import BreakEvenInputs
 from conftest import country_rows, make_dataset, make_profile, make_table
-from oracles import evaluate_country, save_dataset
+from oracles import FIELD_BOUNDS, evaluate_country, save_dataset
 
 COUNTRY_HEADER = (
     "country,continent,prod_maize_t,prod_rice_t,prod_sugarcane_t,prod_wheat_t,"
@@ -120,19 +123,19 @@ def test_repeated_pellet_row_rejected(tmp_path):
     assert load_fuels(path)[1] == 151.0
 
 
-def test_discount_rate_bound_shared_by_loader_and_solver(tmp_path):
+def test_discount_rate_bound_shared_by_loader_and_table(tmp_path):
     cells = dict.fromkeys(COUNTRIES_COLUMNS, "")
     cells.update(country="X", continent="Y", discount_rate="1.5")
     path = write_countries(tmp_path, [",".join(cells.values())])
     with pytest.raises(DataError) as loaded:
         load_countries(path)
-    with pytest.raises(DataError) as solved:
-        BreakEvenInputs(capex=1e6, opex=1e5, q=1e4, n=10, r=1.5, tr=0.25,
-                        salvage_rate=0.1, tfc=8e5)
+    with pytest.raises(DataError) as built:
+        make_dataset([make_profile(name="X", continent="Y", discount_rate=1.5)])
     text = FIELD_BOUNDS["discount_rate"].text
     assert text == "in [0, 1]"
     assert str(loaded.value) == f"countries.csv line 2: discount_rate: must be {text}, got 1.5"
-    assert str(solved.value) == f"r: must be {text}, got 1.5"
+    assert str(built.value) == (f"countries column 'discount_rate' row 0 ('X'): "
+                                f"must be {text}, got 1.5")
 
 
 def test_load_bundled_dataset(dataset):
@@ -189,6 +192,63 @@ def test_countries_table_with_a_short_or_wrong_column_rejected(dataset):
     with pytest.raises(DataError) as exc:
         dataset._replace(countries=make_table(rows))
     assert exc.value.problems == ["country 'B' has no continent label", "duplicate country 'A'"]
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("prod_maize", -1.0, "must be >= 0, got -1.0"),
+    ("cattle", -math.inf, "not a finite number: -inf"),
+    ("pli_labor", 0.0, "must be > 0, got 0.0"),
+    ("pli_construction", math.inf, "not a finite number: inf"),
+    ("dmr_rice", 0.0, "must be in (0, 1], got 0.0"),
+    ("dmr_rice", 1.0000000000000002, "must be in (0, 1], got 1.0000000000000002"),
+    ("discount_rate", -0.01, "must be in [0, 1], got -0.01"),
+    ("discount_rate", 1.5, "must be in [0, 1], got 1.5"),
+    ("tax_rate", -5e-324, "must be in [0, 1), got -5e-324"),
+    ("tax_rate", 1.0, "must be in [0, 1), got 1.0"),
+    ("price_coal", math.nan, "not a finite number: nan"),
+    ("cons_oil", "12", "not a finite number: '12'"),
+    ("price_oil", True, "not a finite number: True"),
+    ("swine", 10**400, f"not a finite number: {10**400!r}"),
+])
+def test_bad_cell_rejected_when_built(key, value, problem):
+    """A table built by hand is held to the loader's bounds: each bound kind,
+    below and above, and a NaN, an infinity, a str, a bool or an int past the
+    float range in a field column is one DataError naming column and row."""
+    rows = [make_profile(name="A"), make_profile(name="B"), make_profile(name="C")]
+    rows[1].values[key] = value
+    with pytest.raises(DataError) as raised:
+        make_dataset(rows)
+    assert raised.value.problems == [f"countries column {key!r} row 1 ('B'): {problem}"]
+
+
+def test_good_cells_pass_the_table_check():
+    # the ends a bound admits, ints and None cells
+    rows = [make_profile(name="A", dmr={"rice": 1.0}, discount_rate=1.0, tax_rate=0.0,
+                         pli=5e-324, livestock={"cattle": 3}, prices={"coal": 0.0}),
+            make_profile(name="B", dmr={"rice": 5e-324}, discount_rate=0.0,
+                         tax_rate=0.9999999999999999, prices={"coal": 1.7e308})]
+    ds = make_dataset(rows)
+    assert ds.countries["cattle"] == (3, None)
+
+
+def test_countries_table_is_read_only(dataset):
+    """The table is a read-only mapping of tuples: a column cannot be assigned
+    past the check and the cached fallback means.  A changed copy built with
+    ``_replace`` is a new table, checked again, with its own means."""
+    with pytest.raises(TypeError):
+        dataset.countries["tax_rate"] = dataset.countries["tax_rate"]
+    rows = [make_profile(name="A", continent="K", tax_rate=0.2),
+            make_profile(name="B", continent="K", tax_rate=None)]
+    ds = make_dataset(rows)
+    assert resolve(ds, 1, "tax_rate") == (0.2, "continent")
+    changed = ds._replace(countries={**ds.countries, "tax_rate": [0.4, None]})
+    assert type(changed.countries) is type(ds.countries) and changed.countries["tax_rate"] == (
+        0.4, None)
+    assert resolve(changed, 1, "tax_rate") == (0.4, "continent")
+    assert resolve(ds, 1, "tax_rate") == (0.2, "continent")
+    with pytest.raises(DataError, match=re.escape(
+            "countries column 'tax_rate' row 0 ('A'): must be in [0, 1), got 1.0")):
+        ds._replace(countries={**ds.countries, "tax_rate": (1.0, None)})
 
 
 def edited_copy(data_dir, tmp_path, edits):
@@ -590,6 +650,56 @@ def test_resolve_never_invents_data():
     assert value == pytest.approx((0.06 + 0.10) / 2)
 
 
+# a finite float of any magnitude: subnormals, and values near sys.float_info.max
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-5e-308, max_value=5e-308),
+    st.floats(min_value=sys.float_info.max / 2, max_value=sys.float_info.max))
+
+
+@given(st.lists(finite_floats, min_size=1, max_size=40), st.integers(0, 2**32))
+def test_fallback_mean_is_exact(values, seed):
+    """Each mean is the correctly rounded mean of the exact sum, as
+    ``statistics.mean``'s, so it lies in [min, max], and the same for the
+    values in any order, repeated, or split among continents."""
+    rng = random.Random(seed)
+    shuffled = rng.sample(values, len(values))
+    continents = [rng.choice("KLM") for _ in values]
+    means, world = dataio._means(zip(["K"] * len(values), values))
+    assert means == {"K": world} and world == statistics.mean(values)
+    assert min(values) <= world <= max(values)
+    assert dataio._means(zip(["K"] * len(values), shuffled))[1] == world
+    assert dataio._means(zip(["K"] * 3 * len(values), values * 3))[1] == world
+    split, split_world = dataio._means(zip(continents, values))
+    assert split_world == world
+    for continent, mean in split.items():
+        assert mean == statistics.mean(v for v, c in zip(values, continents) if c == continent)
+
+
+def test_fallback_means_leave_out_empty_cells():
+    assert dataio._means([("K", None), ("L", 2.0), ("K", 1.0), ("L", None)]) == (
+        {"K": 1.0, "L": 2.0}, 1.5)
+    assert dataio._means([("K", None)]) == ({}, None)
+    assert dataio._means([]) == ({}, None)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_renamed_copies_get_the_original_rows(dataset, k):
+    """k renamed copies of the bundled countries fall back to the same means,
+    so each copy's rows are the original's, every value bit for bit."""
+    rows = country_rows(dataset.countries)
+    copies = make_table([r._replace(name=f"{r.name} #{i}") for i in range(k) for r in rows])
+    original = run_pipeline(dataset).columns
+    result = run_pipeline(dataset._replace(countries=copies)).columns
+    names = result["country"]
+    for i in range(k):
+        index = [names.index(f"{name} #{i}") for name in original["country"]]
+        for column, values in original.items():
+            if column != "country":
+                assert list(map(repr, map(result[column].__getitem__, index))) == list(
+                    map(repr, values)), (i, column)
+
+
 def test_dataset_round_trip(dataset, tmp_path):
     save_dataset(dataset, tmp_path)
     reloaded = load_dataset(tmp_path)
@@ -633,11 +743,11 @@ def scan_resolve(dataset, row, name):
         return dataset.crops[name[4:]].dmr_default, "world-average"
     continent_vals = [c.values[name] for c in rows
                       if c.continent == country.continent and c.values[name] is not None]
-    if continent_vals:
-        return sum(continent_vals) / len(continent_vals), "continent"
+    if continent_vals:  # statistics.mean sums exactly and rounds once
+        return statistics.mean(continent_vals), "continent"
     world_vals = [c.values[name] for c in rows if c.values[name] is not None]
     if world_vals:
-        return sum(world_vals) / len(world_vals), "world"
+        return statistics.mean(world_vals), "world"
     raise UnresolvableFieldError(
         f"no country in the dataset has data for {name!r} (needed by {country.name!r})"
     )

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -217,15 +218,16 @@ def sparse_copy(profiles, seed):
                                for k, v in p.values.items()}) for p in profiles]
 
 
-def overflowing(profiles, keys=tuple(f.key for f in FIELDS)):
-    """Country i gets 1e308 or 1.7e308 in one of the fields ``keys``, a different one each."""
+def overflowing(profiles, keys):
+    """Country i gets 1e308 or 1.7e308 in one of the fields ``keys``, a different one each
+    (fields whose bound admits both, so that only derived values overflow)."""
     return [p._replace(values={**p.values, keys[i % len(keys)]: (1e308, 1.7e308)[i % 2]})
             for i, p in enumerate(profiles)]
 
 
 def out_of_range(profiles):
     """Library-built countries that the loader would reject: a PLI <= 0, a
-    discount rate > 1, and both at once."""
+    discount rate > 1, a tax rate of 1, and some at once."""
     changes = ({"pli_labor": 0.0}, {"pli_construction": -1.0, "pli_electricity": 0.0},
                {"discount_rate": 1.5}, {"discount_rate": 2.0, "tax_rate": 1.0},
                {"pli_raw_material": -0.5, "discount_rate": 3.0})
@@ -243,15 +245,14 @@ def oracle_datasets(bundled):
         "markets": make_dataset(markets),
         "sparse": bundled._replace(countries=make_table(sparse_copy(bundled_rows, 5))),
         "no-prices": make_dataset(no_prices),
-        "overflowing": bundled._replace(countries=make_table(overflowing(bundled_rows))),
+        # consumptions left out, the global totals stay finite: every stage fails
+        # countries on a derived value that overflows
+        "overflowing": bundled._replace(countries=make_table(overflowing(
+            bundled_rows, [f.key for f in FIELDS
+                           if f.bound.hi == math.inf and not f.key.startswith("cons_")]))),
         "overflowing-amounts": make_dataset(overflowing(
             markets, [f.key for f in FIELDS if not (f.fallback or f.key.startswith("cons_"))]
             + ["pli_construction"])),  # two overflowing consumptions overflow the global total
-        "out-of-range": make_dataset(out_of_range(markets)),
-        # a country with a PLI <= 0 fails on it before the rates no country has
-        "out-of-range-no-rates": make_dataset(
-            [p._replace(values={**p.values, "discount_rate": None, "tax_rate": None})
-             for p in out_of_range(markets)]),
         # oil has the highest emission intensity: its score alone overflows at C@1.2e303
         "oil-intensive": make_dataset(markets)._replace(fuel_properties={
             **default_fuel_properties(), "oil": FuelProperties(42.0, 9000.0)}),
@@ -276,6 +277,25 @@ def test_columns_match_the_per_country_oracle(dataset, through, scenario):
         assert "non-finite score_coal" in failed  # the scores are checked, best first
     if through == "plan" and scenario == "C@1.2e303":
         assert "non-finite score_oil" in failed
+
+
+@pytest.mark.parametrize("rates, cells", [(True, 20), (False, 10)])
+def test_out_of_range_table_rejected_when_built(rates, cells):
+    """The countries that the stages used to fail one at a time are rejected
+    with their table when it is built: one DataError names every bad cell by
+    column and row, in column order, whether or not any country has rates."""
+    rows = out_of_range(synthetic_market_profiles(random.Random(97), 24))
+    if not rates:
+        rows = [p._replace(values={**p.values, "discount_rate": None, "tax_rate": None})
+                for p in rows]
+    with pytest.raises(DataError) as raised:
+        make_dataset(rows)
+    expected = [f"countries column {f.key!r} row {row} ({p.name!r}): "
+                f"must be {f.bound.text}, got {p.values[f.key]!r}"
+                for f in FIELDS for row, p in enumerate(rows)
+                if p.values[f.key] is not None
+                and not f.bound.lo <= p.values[f.key] <= f.bound.hi]
+    assert raised.value.problems == expected and len(expected) == cells
 
 
 def test_injected_resolve_failure_matches_the_oracle(monkeypatch):

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from agripellet.dataio import DataError, ModelConfig
 from agripellet.pipeline import run_pipeline
-from agripellet.pricing import BreakEvenInputs, depreciation, salvage_value
-from conftest import cost_row, msp_row, random_break_even_inputs
-from oracles import evaluate_country, npv, solve_msp_bisection
+from agripellet.pricing import depreciation, salvage_value
+from conftest import cost_row, make_dataset, make_profile, msp_row, random_break_even_inputs
+from oracles import BreakEvenInputs, evaluate_country, npv, solve_msp_bisection
 
 
 def break_even_price(inputs):
@@ -176,9 +176,13 @@ def test_tax_raises_msp_when_capital_exceeds_depreciable_base(reference_inputs):
 
 
 def test_tax_rate_one_rejected():
-    with pytest.raises(DataError):
-        BreakEvenInputs(capex=1e6, opex=1e5, q=1e4, n=10, r=0.05, tr=1.0,
-                    salvage_rate=0.1, tfc=8e5)
+    # a tax rate of 1 leaves no after-tax revenue to break even on: the table
+    # check rejects it when the dataset is built, before the solver sees it
+    with pytest.raises(DataError) as raised:
+        make_dataset([make_profile(), make_profile(name="Taxland", tax_rate=1.0)])
+    assert raised.value.problems == [
+        "countries column 'tax_rate' row 1 ('Taxland'): must be in [0, 1), got 1.0"]
+    make_dataset([make_profile(tax_rate=0.9999999999999999)])  # the largest rate below 1
 
 
 @pytest.mark.parametrize("r", [5e-324, 1e-17, 1e-12, 1e-7])
@@ -193,7 +197,9 @@ def test_tiny_discount_rate_solves(reference_inputs, r):
 
 
 def test_salvage_rate_one_rejected(reference_inputs):
-    # the same [0, 1) range as ModelConfig.salvage_rate
+    # ModelConfig holds the solver's salvage rate in [0, 1), as the reference's inputs do
+    with pytest.raises(DataError, match=r"salvage_rate: must be in \[0, 1\), got 1.0"):
+        ModelConfig(salvage_rate=1.0)
     with pytest.raises(DataError, match="salvage_rate"):
         reference_inputs._replace(salvage_rate=1.0)
 

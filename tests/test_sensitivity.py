@@ -263,9 +263,10 @@ def test_monotone_on_bundled_data_for_generated_configs(dataset, config):
 
 
 def test_failed_country_is_left_out(market_dataset):
+    # a construction index of 1e308 overflows the plant's capital cost
     broken = make_profile(name="Broken", production={"rice": 1e7},
                           pli={"labor": 1.0, "raw_material": 1.0,
-                               "construction": 0.0, "electricity": 1.0})
+                               "construction": 1e308, "electricity": 1.0})
     ds = make_dataset(country_rows(market_dataset.countries) + [broken])
     grid = sweep(ds)
     assert [name for name, _ in grid.baseline.errors] == ["Broken"]
