@@ -679,7 +679,9 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
     when present, else defaults).  To run on a ``ModelConfig`` record, replace
     the loaded one: ``dataset._replace(config=cfg)``.  Every file is read
     before any fails: one ``DataError`` lists the problems of countries.csv,
-    crops.csv, fuels.csv and the config, in that order.
+    crops.csv, fuels.csv and the config, in that order; a file the system
+    refuses to read, such as a directory, has its ``OSError`` message as its
+    problem.
     """
     data_dir = Path(data_dir)
     problems = []
@@ -689,7 +691,9 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
             return loader(path)
         except DataError as exc:
             problems.extend(exc.problems)
-            return None
+        except OSError as exc:  # a path the system refuses, e.g. a directory
+            problems.append(str(exc))
+        return None
 
     countries = attempt(load_countries, data_dir / "countries.csv")
     crops_path = data_dir / "crops.csv"

@@ -145,6 +145,15 @@ def one_row(columns: dict) -> dict:
     return {name: col[0] for name, col in columns.items()}
 
 
+def assert_same_files(out1, out2):
+    """The two output directories hold the same files with the same bytes; their names."""
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    return names
+
+
 # rtp, srr and dmr of 1: each crop's production is its removable dry tonnage, exactly
 UNIT_CROPS = {c: CropCoefficients(1.0, 1.0, 1.0, crop.lhv) for c, crop in default_crops().items()}
 

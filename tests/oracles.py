@@ -15,7 +15,9 @@ break-even solver as plain loops, linear in the horizon but plainly right
 and sharing no code with the package, checks the closed forms in
 ``agripellet.pricing``, on plants given as ``BreakEvenInputs``, which
 checks each input against the bound that the loader, the ``Dataset`` table
-check and ``ModelConfig`` hold it to; ``format_cell`` spells out, one value
+check and ``ModelConfig`` hold it to; one plant's ``salvage_value`` and
+``depreciation`` are its formulas, which ``agripellet.pricing.msp_columns``
+computes as whole columns; ``format_cell`` spells out, one value
 at a time, the CSV cell each typed value is written as;
 and the reference writer builds each output file the plain way, typed rows
 through ``csv.writer`` and whole dicts through ``json``, against which
@@ -44,7 +46,6 @@ from agripellet.dataio import (BELOW_ONE, COUNTRIES_COLUMNS, COUNTRIES_KEYS, CRO
                                ModelConfig, _read_rows, default_crops, default_fuel_properties,
                                load_config, parse_cell, resolve)
 from agripellet.pipeline import _STAGE_ORDER, STAGE_PLAN, GlobalReport
-from agripellet.pricing import _BreakEvenInputs
 from agripellet.replacement import PLAN_COLUMNS
 from agripellet.reporting import _SAME_AS, PLOT_COLUMNS, REPORT_COLUMNS
 from agripellet.sensitivity import axis_label
@@ -311,6 +312,17 @@ _INPUT_BOUNDS = (("q", POSITIVE), ("n", HORIZON), ("r", FIELD_BOUNDS["discount_r
                  ("capex", NONNEGATIVE), ("opex", NONNEGATIVE), ("tfc", NONNEGATIVE))
 
 
+class _BreakEvenInputs(NamedTuple):
+    capex: float          # $
+    opex: float           # $/y
+    q: float              # pellet output, t/y
+    n: int                # horizon, years
+    r: float              # discount rate, fraction/y
+    tr: float             # tax rate, fraction
+    salvage_rate: float   # fraction of tfc recovered at end of horizon
+    tfc: float            # depreciable fixed capital, $
+
+
 class BreakEvenInputs(CheckedRecord, _BreakEvenInputs):
     """One plant's break-even inputs, each checked against its bound."""
 
@@ -324,6 +336,16 @@ class BreakEvenInputs(CheckedRecord, _BreakEvenInputs):
             raise DataError(problems)
 
 
+def salvage_value(inputs: BreakEvenInputs) -> float:
+    """Fixed capital recovered at the end of the horizon, $."""
+    return inputs.salvage_rate * inputs.tfc
+
+
+def depreciation(inputs: BreakEvenInputs) -> float:
+    """Straight-line annual depreciation of fixed capital less salvage, $/y."""
+    return (inputs.tfc - salvage_value(inputs)) / inputs.n
+
+
 def npv(price: float, inputs: BreakEvenInputs) -> float:
     """Net present value over the horizon, summed year by year.
 
@@ -331,10 +353,9 @@ def npv(price: float, inputs: BreakEvenInputs) -> float:
     profit after straight-line depreciation of the fixed capital less salvage
     (a refund in a loss year); the salvage comes back at the end.
     """
-    salvage = inputs.salvage_rate * inputs.tfc
-    depreciation = (inputs.tfc - salvage) / inputs.n
+    salvage = salvage_value(inputs)
     revenue = price * inputs.q
-    tax = inputs.tr * (revenue - inputs.opex - depreciation)
+    tax = inputs.tr * (revenue - inputs.opex - depreciation(inputs))
     cf = revenue - inputs.opex - tax
     total = 0.0
     factor = 1.0
@@ -711,6 +732,8 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
                 loaded[key] = load(path)
             except DataError as exc:
                 problems.extend(exc.problems)
+            except OSError as exc:
+                problems.append(str(exc))
     if problems:
         raise DataError(problems)
     fuel_properties, pellet_ef = loaded["fuels"]

@@ -1,7 +1,6 @@
 import csv
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -14,6 +13,7 @@ from agripellet import reporting
 from agripellet.cli import main
 from agripellet.dataio import COUNTRIES_COLUMNS, load_dataset
 from agripellet.pipeline import STAGE_PLAN, GlobalReport, run_pipeline
+from conftest import assert_same_files
 from oracles import format_cell, table_records, table_values
 
 
@@ -35,35 +35,11 @@ def test_report_writes_fixed_file_set(data_dir, tmp_path):
     assert len(payload["countries"]) == 178
 
 
-def assert_same_files(out1, out2):
-    """The two output directories hold the same files with the same bytes; their names."""
-    names = sorted(p.name for p in out1.iterdir())
-    assert names == sorted(p.name for p in out2.iterdir())
-    for name in names:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-    return names
-
-
 def test_report_is_byte_identical_across_runs(data_dir, tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     assert run_cli("report", "--data", data_dir, "--out", out1) == 0
     assert run_cli("report", "--data", data_dir, "--out", out2) == 0
-    assert len(assert_same_files(out1, out2)) == 6
-
-
-def test_report_is_byte_identical_for_shuffled_rows(data_dir, tmp_path):
-    # each fallback mean is exact, so the order of the countries' rows changes no bit
-    shuffled = tmp_path / "shuffled"
-    shuffled.mkdir()
-    for path in data_dir.iterdir():
-        (shuffled / path.name).write_bytes(path.read_bytes())
-    header, *lines = (data_dir / "countries.csv").read_text(encoding="utf-8").splitlines(True)
-    random.Random(0).shuffle(lines)
-    (shuffled / "countries.csv").write_text(header + "".join(lines), encoding="utf-8")
-    out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    assert run_cli("report", "--data", data_dir, "--out", out1) == 0
-    assert run_cli("report", "--data", shuffled, "--out", out2) == 0
     assert len(assert_same_files(out1, out2)) == 6
 
 
@@ -591,6 +567,22 @@ def copy_data(data_dir, tmp_path, edits=()):
         assert old in text
         (copy / name).write_text(text.replace(old, new), encoding="utf-8")
     return copy
+
+
+def test_unreadable_config_does_not_hide_other_files_problems(data_dir, tmp_path, capsys):
+    # a --config that names a directory raises an OSError, which is that file's problem
+    data = copy_data(data_dir, tmp_path, [("countries.csv", "\nAlbania,Europe,410000.0,",
+                                           "\nAlbania,Europe,-5,")])
+    config = tmp_path / "config-dir"
+    config.mkdir()
+    with pytest.raises(OSError) as refused:  # "[Errno 21] Is a directory: ..." on Linux
+        config.read_text(encoding="utf-8")
+    assert run_cli("msp", "--data", data, "--config", config, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: countries.csv line 3: prod_maize_t: must be >= 0, got -5.0",
+        f"error: {refused.value}"]
 
 
 TINY_CROP_LHV = [("crops.csv", f",{v}\n", ",5e-324\n") for v in ("17.3", "14.6", "17.2")]

@@ -683,23 +683,6 @@ def test_fallback_means_leave_out_empty_cells():
     assert dataio._means([]) == ({}, None)
 
 
-@pytest.mark.parametrize("k", [2, 3, 7])
-def test_renamed_copies_get_the_original_rows(dataset, k):
-    """k renamed copies of the bundled countries fall back to the same means,
-    so each copy's rows are the original's, every value bit for bit."""
-    rows = country_rows(dataset.countries)
-    copies = make_table([r._replace(name=f"{r.name} #{i}") for i in range(k) for r in rows])
-    original = run_pipeline(dataset).columns
-    result = run_pipeline(dataset._replace(countries=copies)).columns
-    names = result["country"]
-    for i in range(k):
-        index = [names.index(f"{name} #{i}") for name in original["country"]]
-        for column, values in original.items():
-            if column != "country":
-                assert list(map(repr, map(result[column].__getitem__, index))) == list(
-                    map(repr, values)), (i, column)
-
-
 def test_dataset_round_trip(dataset, tmp_path):
     save_dataset(dataset, tmp_path)
     reloaded = load_dataset(tmp_path)

@@ -4,13 +4,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agripellet.dataio import DataError, ModelConfig
 from agripellet.pipeline import run_pipeline
-from agripellet.pricing import depreciation, salvage_value
+from agripellet.pricing import msp_columns
 from conftest import cost_row, make_dataset, make_profile, msp_row, random_break_even_inputs
-from oracles import BreakEvenInputs, evaluate_country, npv, solve_msp_bisection
+from oracles import (BreakEvenInputs, depreciation, evaluate_country, npv, salvage_value,
+                     solve_msp_bisection)
 
 
 def break_even_price(inputs):
@@ -313,3 +314,33 @@ def test_generated_configs_solve(plant_capacity, horizon_years, salvage_rate,
     assert math.isfinite(result["msp_usd_per_t"]) and math.isfinite(result["npv_at_msp_usd"])
     if inputs.n <= 200:
         assert abs(result["msp_usd_per_t"] - solve_msp_bisection(inputs)) <= 0.01
+
+
+MSP_INPUTS = ("capex_usd", "opex_usd_per_y", "discount_rate", "tax_rate", "tfc_usd",
+              "weighted_lhv_mj_per_kg")
+# few rates, so that rows share them; 0.0 and 1e-9 take _annuity's two special branches
+RATE_POOL = (0.0, 1e-9, 1e-7, 0.05, 0.08, 0.3, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(0.0, 5e7), st.floats(0.0, 2e7),
+                               st.sampled_from(RATE_POOL), st.floats(0.0, 0.9),
+                               st.floats(0.0, 5e7), st.none() | st.floats(1.0, 20.0)),
+                     max_size=12),
+       q=st.floats(1e3, 1e6), n=st.integers(1, 60), salvage_rate=st.floats(0.0, 0.99))
+@example(rows=[], q=40_080.0, n=20, salvage_rate=0.1)
+def test_msp_columns_rows_match_each_row_alone(rows, q, n, salvage_rate):
+    """Each row of ``msp_columns`` over many rows is, bit for bit, what it gives
+    for that row alone; rows that share a rate share the annuity factor; no
+    rows give seven empty columns."""
+    columns = {key: [row[i] for row in rows] for i, key in enumerate(MSP_INPUTS)}
+    solved = msp_columns(columns, q, n, salvage_rate)
+    assert len(solved) == 7 and all(len(col) == len(rows) for col in solved.values())
+    for i, row in enumerate(rows):
+        alone = msp_columns({key: [value] for key, value in zip(MSP_INPUTS, row)},
+                            q, n, salvage_rate)
+        assert {name: repr(col[i]) for name, col in solved.items()} == {
+            name: repr(col[0]) for name, col in alone.items()}, row
+    annuity_by_rate = {}
+    for r, annuity in zip(columns["discount_rate"], solved["annuity_factor"]):
+        assert repr(annuity_by_rate.setdefault(r, annuity)) == repr(annuity), r
