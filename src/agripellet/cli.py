@@ -17,6 +17,7 @@ but yoy writes errors.txt once past loading; it is empty on a clean run.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -156,6 +157,10 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a command builds long-lived lists and tuples and leaves almost no cyclic
+    # garbage, so the cyclic collector would only re-scan them
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return COMMANDS[args.command](args)
     except DataError as exc:
@@ -165,6 +170,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # a path the system refuses, e.g. an --out that names a file
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

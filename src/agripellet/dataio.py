@@ -21,7 +21,6 @@ files; every output goes through ``reporting``.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import sys
@@ -335,12 +334,28 @@ class Dataset(CheckedRecord, _Dataset):
                         f.bound.check(label, value, problems)
                     else:
                         problems.append(f"{label}: not a finite number: {value!r}")
+        self._check_tables(problems)
+
+    def _check_tables(self, problems: list) -> None:
+        """A DataError of ``problems`` and those of the crops and fuels tables."""
         if set(self.crops) != set(CROPS):
             problems.append(f"crops table must cover exactly {CROPS}")
         if set(self.fuel_properties) != set(FUELS):
             problems.append(f"fuels table must cover exactly {FUELS}")
         if problems:
             raise DataError(problems)
+
+    def _replace(self, **changes):
+        """A changed copy, checked again; an unchanged countries table is not
+        scanned again, and with the crops unchanged too the copy keeps the
+        cached fallback means."""
+        if changes.get("countries", self.countries) is not self.countries:
+            return super()._replace(**changes)
+        copy = _Dataset._replace(self, **changes)
+        copy._check_tables([])
+        if "_fallbacks" in vars(self) and copy.crops is self.crops:
+            vars(copy)["_fallbacks"] = self._fallbacks
+        return copy
 
     @cached_property
     def _fallbacks(self) -> dict:
@@ -429,24 +444,38 @@ def _read_rows(path: Path, *headers: tuple) -> tuple:
     Blank lines are skipped; every other row must have the header's width,
     and every row that has not is named in one ``DataError``.  A file that is
     not UTF-8 text, or that ``csv`` cannot split, is a ``DataError`` naming
-    the line.
+    the line.  The file is decoded as it is read, with no copy of its text; a
+    bad byte is named before any other problem of the file, as when the whole
+    file was decoded first.
     """
     if not path.exists():
         raise DataError(f"missing file: {path}")
-    raw = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a byte-order mark
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path.name} line {line}: not UTF-8 text ({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+        with path.open(encoding="utf-8-sig", newline="") as f:  # skips a byte-order mark
+            try:
+                return _split_rows(path.name, csv.reader(f), headers)
+            except DataError:
+                f.read()  # a bad byte further on is named instead, wherever it lies
+                raise
+    except UnicodeDecodeError:  # its offset counts from the decoded chunk, not the file
+        raw = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{path.name} line {line}: not UTF-8 text ({exc.reason})") from None
+        raise
+
+
+def _split_rows(file: str, reader, headers: tuple) -> tuple:
+    """``_read_rows`` of the rows ``reader`` gives, from the file named ``file``."""
     try:
         first = next(reader, None)
         if first is None:
-            raise DataError(f"{path.name}: empty file, header row required")
+            raise DataError(f"{file}: empty file, header row required")
         header = tuple(h.strip() for h in first)
         if header not in headers:
-            raise DataError(f"{path.name}: header mismatch, expected "
+            raise DataError(f"{file}: header mismatch, expected "
                             + " or ".join(",".join(h) for h in headers))
         rows = []
         problems = []
@@ -456,12 +485,11 @@ def _read_rows(path: Path, *headers: tuple) -> tuple:
             if not row:
                 continue
             if len(row) != len(header):
-                problems.append(
-                    f"{path.name} line {lineno}: expected {len(header)} columns, got {len(row)}"
-                )
+                problems.append(f"{file} line {lineno}: expected {len(header)} columns, "
+                                f"got {len(row)}")
             rows.append((lineno, row))
     except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
-        raise DataError(f"{path.name} line {reader.line_num}: {exc}") from None
+        raise DataError(f"{file} line {reader.line_num}: {exc}") from None
     if problems:
         raise DataError(problems)
     return header, rows

@@ -18,7 +18,7 @@ import math
 import re
 from contextlib import ExitStack
 from functools import partial
-from itertools import repeat
+from itertools import filterfalse, repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_not
 from pathlib import Path
@@ -93,6 +93,7 @@ YOY_COLUMNS = ("country", "year_from", "year_to", "growth")
 
 _encode = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
 _BLOCK = 512  # records rendered and written at a time: bounds the text held in memory
+_PROBE = 64  # a block's first values, whose share of distinct ones picks how floats render
 _needs_quotes = re.compile('[,"\r\n]').search  # the cells ``csv``'s default dialect quotes
 _is_not_none = partial(is_not, None)
 
@@ -129,6 +130,24 @@ def _fill(types: list, texts: list, empty: str) -> list:
     return list(map(next, map(source.__getitem__, types)))
 
 
+def _check_finite(name: str, floats: list) -> None:
+    if not math.isfinite(sum(floats)):  # a NaN or an inf, or finite values overflowing
+        for value in floats:
+            _finite(name, value)
+
+
+def _repeated_floats(floats: list) -> list:
+    """Each float's ``repr``, each distinct value rendered once and the rest
+    looked up; value by value when 0.0 and -0.0, equal but printed apart, are
+    both among them."""
+    distinct = set(floats)
+    if 0.0 in distinct and len(set(map(math.copysign, repeat(1.0),
+                                       filterfalse(None, floats)))) > 1:
+        return list(map(float.__repr__, floats))
+    text_of = dict(zip(distinct, map(float.__repr__, distinct)))
+    return list(map(text_of.__getitem__, floats))
+
+
 def _render(name: str, values: list) -> tuple:
     """One column's cells as ``(csv texts, json texts)``, each text made once.
 
@@ -137,19 +156,26 @@ def _render(name: str, values: list) -> tuple:
     string quoted as ``csv`` and ``json`` quote it.  A NaN or infinite float raises
     ``ValueError``.  A column of floats, of strings or of bools, None among them
     or not, is rendered by whole-column C calls; only a column that mixes other
-    types goes value by value.
+    types goes value by value.  A block of floats whose first ``_PROBE`` values
+    are at most half distinct (a continent mean's repeats) renders each distinct
+    value once and looks the rest up; any other block renders each float,
+    hashing no value past the first ``_PROBE``.
     """
-    try:
-        texts = list(map(float.__repr__, values))
-    except TypeError:  # not all floats
-        pass
-    else:
-        if not math.isfinite(sum(values)):  # a NaN or an inf, or finite values overflowing
-            for value in values:
-                _finite(name, value)
-        return texts, texts
+    head = values[:_PROBE]
+    if len(set(head)) * 2 > len(head):  # mostly distinct
+        try:
+            texts = list(map(float.__repr__, values))
+        except TypeError:  # not all floats
+            pass
+        else:
+            _check_finite(name, values)
+            return texts, texts
     types = list(map(type, values))
     kinds = set(types)
+    if kinds == {float}:  # only a block that repeats values comes here
+        texts = _repeated_floats(values)
+        _check_finite(name, values)
+        return texts, texts
     if kinds == {str}:
         json_texts = list(map(encode_basestring_ascii, values))
         if _needs_quotes("".join(values)):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import re
@@ -543,6 +544,40 @@ def test_out_naming_a_file_exits_2(data_dir, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(taken) in err and err.count("\n") == 1
     assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("outcome", [0, 2, Boom])
+def test_main_leaves_the_cyclic_collector_as_it_found_it(data_dir, tmp_path, monkeypatch,
+                                                         enabled, outcome):
+    """The collector is off while a command runs, and is set back after exit 0,
+    exit 2 and a raised exception alike."""
+    seen = []
+
+    def write(out_dir, result):
+        seen.append(gc.isenabled())
+        if outcome is Boom:
+            raise Boom
+        if outcome == 2:
+            raise OSError("refused")
+
+    monkeypatch.setattr(reporting, "write_report_files", write)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome is Boom:
+            with pytest.raises(Boom):
+                run_cli("report", "--data", data_dir, "--out", tmp_path)
+        else:
+            assert run_cli("report", "--data", data_dir, "--out", tmp_path) == outcome
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

@@ -251,6 +251,32 @@ def test_countries_table_is_read_only(dataset):
         ds._replace(countries={**ds.countries, "tax_rate": (1.0, None)})
 
 
+def test_replace_rescans_only_a_changed_countries_table(monkeypatch):
+    """A copy whose countries table is unchanged is not scanned again; it keeps
+    the cached fallback means unless its crops change; its crops and fuels
+    tables are checked all the same."""
+    ds = make_dataset([make_profile(name="A", continent="K", tax_rate=0.2),
+                       make_profile(name="B", continent="K", tax_rate=None)])
+    means = ds._fallbacks
+    scans = []
+    fits = dataio.fits
+    monkeypatch.setattr(dataio, "fits", lambda *args: scans.append(args) or fits(*args))
+    changed = ds._replace(config=ds.config._replace(scenario="B"), countries=ds.countries)
+    assert changed.config.scenario == "B" and changed.countries is ds.countries
+    assert changed._fallbacks is means
+    rice = ds.crops["rice"]._replace(dmr_default=0.5)
+    recropped = ds._replace(crops={**ds.crops, "rice": rice})
+    assert recropped._fallbacks is not means and recropped._fallbacks["dmr_rice"][1] == 0.5
+    assert ds._fallbacks["dmr_rice"][1] != 0.5
+    assert scans == []
+    with pytest.raises(DataError, match="crops table must cover exactly"):
+        ds._replace(crops={})
+    with pytest.raises(DataError, match="fuels table must cover exactly"):
+        ds._replace(fuel_properties={})
+    assert ds._replace(countries={**ds.countries})._fallbacks is not means
+    assert scans
+
+
 def edited_copy(data_dir, tmp_path, edits):
     """A copy of the bundled data whose countries.csv has each ``(row, column)``
     cell set to its text; row 0 is the first country, on line 2."""
@@ -510,6 +536,27 @@ def test_undecodable_or_unsplittable_csv_names_the_file(tmp_path, name, kind, me
     with pytest.raises(DataError) as exc:
         reader(path)
     assert exc.value.problems == [f"{name} {message}"]
+
+
+@pytest.mark.parametrize("before", ["", "header", "huge-cell", "short-row", "byte-order-mark"])
+def test_a_bad_byte_far_into_the_file_is_named_by_its_line(tmp_path, before):
+    """The file is decoded as it is read, yet a bad byte thousands of lines on
+    is named by its own line, and first, whatever problem comes before it."""
+    header, row = CSV_READERS["countries.csv"][1].splitlines()
+    lines = [header, *[row.replace("A", f"A{i}", 1) for i in range(5000)]]
+    if before == "header":
+        lines[0] = "country,continent"
+    elif before == "huge-cell":
+        lines[1] = "x" * 131_073 + row
+    elif before == "short-row":
+        lines[1] = "X,Y,1"
+    data = "\n".join(lines).encode("utf-8")
+    data = data.replace(b"A4321,", b"A4321\xff,")  # line 4323
+    path = tmp_path / "countries.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + data if before == "byte-order-mark" else data)
+    with pytest.raises(DataError) as exc:
+        load_countries(path)
+    assert exc.value.problems == ["countries.csv line 4323: not UTF-8 text (invalid start byte)"]
 
 
 def test_missing_countries_file(tmp_path):

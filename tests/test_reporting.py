@@ -155,6 +155,8 @@ POOLS = {
                       max_size=4).map(lambda pool: [0.0, -0.0, *pool]),
     "bool": st.lists(st.booleans(), min_size=1, max_size=2),
     "str": st.lists(names, min_size=1, max_size=5),  # commas, quotes and line breaks
+    # equal values of three types, each written its own way: no lookup may merge them
+    "equal": st.just([0, 0.0, -0.0, False, 1, 1.0, True]),
 }
 # the report's columns that are not plan columns, so that any row may hold None
 FREE_COLUMNS = [name for name in reporting.REPORT_COLUMNS
