@@ -231,6 +231,14 @@ def _is_finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)  # exact for an int beyond float range
 
 
+def _check_number(label: str, value, bound: Bound, problems: list) -> None:
+    """Add a problem unless ``value`` is a finite number inside ``bound``."""
+    if _is_finite_number(value):
+        bound.check(label, value, problems)
+    else:
+        problems.append(f"{label}: not a finite number: {value!r}")
+
+
 class _ModelConfig(NamedTuple):
     plant_capacity: float = 40_080.0      # t pellets/y
     horizon_years: int = 20
@@ -315,13 +323,23 @@ class Dataset(CheckedRecord, _Dataset):
         rows = len(countries["country"])  # a shorter column would cut a zip() short
         problems = [f"countries column {key!r} has {len(col)} rows, 'country' has {rows}"
                     for key, col in countries.items() if len(col) != rows]
-        seen = set()
-        for name, continent in zip(countries["country"], countries["continent"]):
-            if name in seen:
-                problems.append(f"duplicate country {name!r}")
-            seen.add(name)
-            if not continent:
-                problems.append(f"country {name!r} has no continent label")
+        names, continents = countries["country"], countries["continent"]
+        if not (set(map(type, names)) | set(map(type, continents)) <= {str}
+                and "" not in names and "" not in continents and len(set(names)) == rows):
+            seen = set()  # the labels whole, and only labels that trip row by row
+            for row, (name, continent) in enumerate(zip(names, continents)):
+                if not name or type(name) is not str:
+                    problems.append(f"countries column 'country' row {row}: "
+                                    f"not a non-empty str: {name!r}")
+                elif name in seen:
+                    problems.append(f"duplicate country {name!r}")
+                else:
+                    seen.add(name)
+                if not continent:
+                    problems.append(f"country {name!r} has no continent label")
+                elif type(continent) is not str:
+                    problems.append(f"countries column 'continent' row {row} ({name!r}): "
+                                    f"not a str: {continent!r}")
         for f in FIELDS:  # each column whole, and only a column that trips cell by cell
             col = countries[f.key]
             if (len(col) != rows
@@ -329,19 +347,20 @@ class Dataset(CheckedRecord, _Dataset):
                 continue
             for row, value in enumerate(col):
                 if value is not None:
-                    label = f"countries column {f.key!r} row {row} ({countries['country'][row]!r})"
-                    if _is_finite_number(value):
-                        f.bound.check(label, value, problems)
-                    else:
-                        problems.append(f"{label}: not a finite number: {value!r}")
+                    _check_number(f"countries column {f.key!r} row {row} ({names[row]!r})",
+                                  value, f.bound, problems)
         self._check_tables(problems)
 
     def _check_tables(self, problems: list) -> None:
-        """A DataError of ``problems`` and those of the crops and fuels tables."""
+        """A DataError of ``problems`` and those of the crops and fuels tables, the
+        pellet emission factor (held to fuels.csv's ef bound) and livestock rates."""
         if set(self.crops) != set(CROPS):
             problems.append(f"crops table must cover exactly {CROPS}")
         if set(self.fuel_properties) != set(FUELS):
             problems.append(f"fuels table must cover exactly {FUELS}")
+        _check_number("pellet_ef", self.pellet_ef, FUEL_FIELDS[-1].bound, problems)
+        for animal, rate in self.livestock_rates._asdict().items():
+            _check_number(f"livestock rate {animal!r}", rate, NONNEGATIVE, problems)
         if problems:
             raise DataError(problems)
 

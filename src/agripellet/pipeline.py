@@ -1,15 +1,17 @@
 """End-to-end evaluation of every country, column by column, and global aggregation.
 
-Each stage runs once over all the countries: each input is a column of
-``Dataset.countries`` (``resolve`` fills the empty cells, once per field and
-continent), and each stage module's column function turns lists keyed by
-column into more of them.  The result is those columns, one row per
-evaluated country.  No input is checked against its bound: the ``Dataset``
-was, and a fallback mean lies within its values' range.  Failures are
-isolated: a country whose field does not resolve, or whose values hold a NaN
-or an infinite number, leaves every column at once and lands in the error
-list without aborting the rest, with the message its first failure gives.
-Output ordering is by country name, so repeated runs over the same inputs are
+A run has three steps.  First every input the requested stage reads is
+resolved, a column of ``Dataset.countries`` each (``resolve`` fills the empty
+cells, once per field and continent).  Then each stage runs once over the
+countries left, and each stage module's column function turns lists keyed by
+column into more of them.  Last, every number is checked to be finite.  The
+result is those columns, one row per evaluated country.  No input is checked
+against its bound: the ``Dataset`` was, and a fallback mean lies within its
+values' range.  Failures are isolated: a country leaves the run at one of two
+points, after resolution when a field does not resolve, or after the check
+when its values hold a NaN or an infinite number; it lands in the error list
+without aborting the rest, with the message its first failure gives.  Output
+ordering is by country name, so repeated runs over the same inputs are
 byte-identical downstream.
 """
 
@@ -20,7 +22,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
-from .dataio import CROPS, FUELS, PLI_COMPONENTS, DataError, Dataset, fits, resolve
+from .dataio import FUELS, RESOLVABLE_FIELDS, DataError, Dataset, fits, resolve
 
 STAGE_ASSESS = "assess"
 STAGE_MSP = "msp"
@@ -48,73 +50,50 @@ class PipelineResult(NamedTuple):
     errors: tuple        # (country, message), sorted by country name
 
 
-_CROP_INPUTS = tuple(f"dmr_{c}" for c in CROPS)
-_COST_INPUTS = tuple(f"pli_{p}" for p in PLI_COMPONENTS)
 _PRICE_INPUTS = tuple(f"price_{f}" for f in FUELS)
+# the stages read RESOLVABLE_FIELDS in order: 4 dry matters for assess, then 6
+# cost and finance inputs for msp, then 3 fuel prices for plan
+_STAGE_INPUTS = (4, 10, 13)
 
 
-class _Rows:
-    """The dataset rows still evaluating (``index``, in name order) and their
-    columns so far: ``columns`` the computed ones and ``resolved`` each resolved
-    input ``X`` with its fallback tier ``src_X``.  A failing row leaves all at once."""
+def _resolve(dataset: Dataset, index: list, names: tuple) -> tuple:
+    """``(resolved, failures)``: each field of ``names`` at the rows ``index``
+    as its value ``X`` and fallback tier ``src_X`` (a country's own value has
+    tier ``country``), and the message of each row (of ``index``) that does
+    not resolve.  Only empty cells go through ``resolve``, once per (field,
+    continent), as an empty cell's fallback depends on its field and continent
+    alone: the answer fills the continent's other empty cells.  A call that
+    fails is not reused, so each failing country gets its own message; a
+    country stops at its first failure."""
+    countries, resolved, failures = dataset.countries, {}, {}
+    continents = list(map(countries["continent"].__getitem__, index))
+    for name in names:
+        values = list(map(countries[name].__getitem__, index))
+        tiers = ["country"] * len(values)
+        if None in values:
+            answers = {}  # continent -> (value, tier)
+            for row, value in enumerate(values):
+                if value is None and row not in failures:
+                    answer = answers.get(continents[row])
+                    if answer is None:
+                        try:
+                            answer = resolve(dataset, index[row], name)
+                        except (DataError, ValueError) as exc:
+                            failures[row] = str(exc)
+                            continue
+                        answers[continents[row]] = answer
+                    values[row], tiers[row] = answer
+        resolved[name], resolved[f"src_{name}"] = values, tiers
+    return resolved, failures
 
-    def __init__(self, dataset: Dataset, index: list):
-        self.dataset = dataset
-        self.index = index
-        self.columns = {}
-        self.resolved = {}
-        self.errors = {}  # country -> message
 
-    def column(self, key: str) -> list:
-        """One column of ``dataset.countries``, at the rows still evaluating."""
-        return list(map(self.dataset.countries[key].__getitem__, self.index))
-
-    def drop(self, failures: dict) -> None:
-        """Remove the failed rows (row -> message) and record their messages."""
-        if not failures:
-            return
-        names = self.dataset.countries["country"]
-        for row, message in failures.items():
-            self.errors[names[self.index[row]]] = message
-        keep = [row for row in range(len(self.index)) if row not in failures]
-        self.index = [self.index[row] for row in keep]
-        for table in (self.columns, self.resolved):
-            for name, col in table.items():
-                table[name] = [col[row] for row in keep]
-
-    def resolve(self, names: tuple) -> None:
-        """Resolve the fields in order, a column at a time: a country's own
-        value has tier ``country``, and only empty cells go through
-        ``resolve``.  An empty cell's fallback depends on its field and
-        continent alone, so ``resolve`` runs once per (field, continent) and
-        its answer fills the continent's other empty cells; a call that fails
-        is not reused, so each failing country gets its own message.  A
-        country stops at its first failure."""
-        dataset, index, failures = self.dataset, self.index, {}
-        continents = self.column("continent")
-        for name in names:
-            values = self.column(name)
-            tiers = ["country"] * len(values)
-            if None in values:
-                answers = {}  # continent -> (value, tier)
-                for row, value in enumerate(values):
-                    if value is None and row not in failures:
-                        answer = answers.get(continents[row])
-                        if answer is None:
-                            try:
-                                answer = resolve(dataset, index[row], name)
-                            except (DataError, ValueError) as exc:
-                                failures[row] = str(exc)
-                                continue
-                            answers[continents[row]] = answer
-                        values[row], tiers[row] = answer
-            self.resolved[name], self.resolved[f"src_{name}"] = values, tiers
-        self.drop(failures)
-
-    def amounts(self, key: str) -> list:
-        """One field's column where a missing value is a real zero (an amount
-        has no fallback tier)."""
-        return [value or 0.0 for value in self.column(key)]
+def _drop(failures: dict, index: list, columns: dict) -> tuple:
+    """``index`` and ``columns`` without the rows of ``failures``."""
+    if not failures:
+        return index, columns
+    keep = [row for row in range(len(index)) if row not in failures]
+    return ([index[row] for row in keep],
+            {name: [col[row] for row in keep] for name, col in columns.items()})
 
 
 # Columns that never hold a float, so the non-finite check skips them (as src_X).
@@ -141,51 +120,51 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
                  countries=None) -> PipelineResult:
     """Evaluate every country (or the named subset), collecting failures.
 
-    Each stage runs once over all the countries still evaluating, column by
-    column.  ``assess`` stops after residues and energy, ``msp`` adds plant
-    costs and the break-even price, ``plan`` adds the fuel replacement plan.
-    Later stages resolve more input fields and so can fail on sparser
-    datasets.  Each resolved input is recorded as its value ``X`` and fallback
-    tier ``src_X``; a country without residue gets no plan columns.  A country
-    fails on the first of: an input that does not resolve, a NaN or infinite
-    number among its values (in column order), or among its plan's ranking
-    scores.  Evaluation order and output order are by country name.
+    ``assess`` stops after residues and energy, ``msp`` adds plant costs and
+    the break-even price, ``plan`` adds the fuel replacement plan.  Every input
+    the requested stage reads is resolved first (later stages read more, and so
+    can fail on sparser datasets); then each stage runs once over the countries
+    left, column by column.  Each resolved input is recorded as its value ``X``
+    and fallback tier ``src_X``; a country without residue gets no plan
+    columns.  A country leaves at its first input that does not resolve, or
+    else at its first NaN or infinite number, in column order and then among
+    its plan's ranking scores.  Evaluation order and output order are by
+    country name.
     """
     if through not in _STAGE_ORDER:
         raise ValueError(f"unknown stage {through!r}")
     depth = _STAGE_ORDER.index(through)
     cfg = dataset.config
     names = dataset.countries["country"]
-    selected = sorted(range(len(names)), key=names.__getitem__)
+    index = sorted(range(len(names)), key=names.__getitem__)
     if countries is not None:
         wanted = set(countries)
         unknown = wanted.difference(names)
         if unknown:
             raise DataError(f"unknown countries requested: {sorted(unknown)}")
-        selected = [row for row in selected if names[row] in wanted]
+        index = [row for row in index if names[row] in wanted]
 
-    rows = _Rows(dataset, selected)
-    columns, resolved = rows.columns, rows.resolved
-    rows.resolve(_CROP_INPUTS)
-    assessed, by_crop = residues.assess_columns(
+    resolved, failures = _resolve(dataset, index, RESOLVABLE_FIELDS[:_STAGE_INPUTS[depth]])
+    errors = {names[index[row]]: message for row, message in failures.items()}
+    index, resolved = _drop(failures, index, resolved)
+
+    def amounts(key):  # a field where a missing value is a real zero (no fallback tier)
+        return [dataset.countries[key][row] or 0.0 for row in index]
+
+    columns, by_crop = residues.assess_columns(
         dataset.crops, dataset.livestock_rates,
-        {**{key: rows.amounts(key) for key in residues.INPUT_KEYS}, **resolved})
-    columns.update(assessed)
-    columns.update(energy.energy_columns(by_crop, assessed["cr_final_t"], dataset.crops,
+        {**{key: amounts(key) for key in residues.INPUT_KEYS}, **resolved})
+    columns.update(energy.energy_columns(by_crop, columns["cr_final_t"], dataset.crops,
                                          cfg.pellet_efficiency))
-    order = list(columns)  # the record's column order, for the non-finite check
     if depth >= 1:
-        rows.resolve(_COST_INPUTS)
-        columns.update(costs.cost_columns(resolved))
-        rows.resolve(("discount_rate", "tax_rate"))
-        columns["tfc_usd"] = [capex * cfg.tfc_capex_ratio for capex in columns["capex_usd"]]
-        solved = pricing.msp_columns({**columns, **resolved}, cfg.plant_capacity,
-                                     cfg.horizon_years, cfg.salvage_rate)
-        columns.update(solved)
-        order += ["epc_usd", "tfc_usd", "capex_usd", "opex_usd_per_y", *solved]
+        cost = costs.cost_columns(resolved)
+        columns["epc_usd"] = cost["epc_usd"]
+        columns["tfc_usd"] = [capex * cfg.tfc_capex_ratio for capex in cost["capex_usd"]]
+        columns.update(cost)  # capex_usd and opex_usd_per_y after tfc_usd, in record order
+        columns.update(pricing.msp_columns({**columns, **resolved}, cfg.plant_capacity,
+                                           cfg.horizon_years, cfg.salvage_rate))
     ranked_scores = []
     if depth >= 2:
-        rows.resolve(_PRICE_INPUTS)
         planned = [row for row, lhv in enumerate(columns["weighted_lhv_mj_per_kg"])
                    if lhv is not None]  # no residue, no pellet heating value: no plan
 
@@ -193,47 +172,47 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
             return [col[row] for row in planned]
 
         def spread(col):  # the plan-less rows read None
-            if len(col) == len(rows.index):
+            if len(col) == len(index):
                 return col
-            full = [None] * len(rows.index)
+            full = [None] * len(index)
             for row, value in zip(planned, col):
                 full[row] = value
             return full
 
         plan, ranked_scores = replacement.plan_columns(
-            {name: pick(table[name]) for table, names in (
+            {key: pick(table[key]) for table, keys in (
                 (resolved, _PRICE_INPUTS),
                 (columns, ("msp_usd_per_t", "weighted_lhv_mj_per_kg", "pellet_energy_tj")))
-             for name in names},
-            {f: pick(rows.amounts(f"cons_{f}")) for f in FUELS},
+             for key in keys},
+            {f: pick(amounts(f"cons_{f}")) for f in FUELS},
             dataset.fuel_properties, dataset.pellet_ef, cfg.scenario, cfg.carbon_tax)
         columns.update((name, spread(col)) for name, col in plan.items())
         ranked_scores = list(map(spread, ranked_scores))
-        order += plan
 
     # each country's first NaN or infinite number in its record's order, then
     # among its ranking scores (best first); the message names the number but
     # not its value, so that no output, errors.txt included, holds nan or inf
     first, record = {}, {**columns, **resolved}
-    for name in (*order, *resolved):
+    for name, col in record.items():
         if name not in _NO_FLOATS and not name.startswith("src_"):
-            for row in _non_finite_rows(record[name]):
+            for row in _non_finite_rows(col):
                 first.setdefault(row, name)
     for rank, scores in enumerate(ranked_scores, start=1):
         for row in _non_finite_rows(scores):
             first.setdefault(row, f"score_{columns[f'rank_{rank}'][row]}")
-    rows.drop({row: f"non-finite {name} for {names[rows.index[row]]!r}"
-               for row, name in first.items()})
+    errors.update((names[index[row]], f"non-finite {name} for {names[index[row]]!r}")
+                  for row, name in first.items())
+    index, record = _drop(first, index, record)
 
-    result = {"country": rows.column("country"), "continent": rows.column("continent"),
-              **{name: columns[name] for name in order}, **resolved}
+    result = {"country": [names[row] for row in index],
+              "continent": [dataset.countries["continent"][row] for row in index], **record}
     plan = {name: result.get(name, []) for name in replacement.PLAN_COLUMNS}  # [] at assess, msp
-    total_cons = _total(*(rows.amounts(f"cons_{f}") for f in FUELS))
+    total_cons = _total(*(amounts(f"cons_{f}") for f in FUELS))
     total_alloc = _total(*(plan[f"alloc_{f}_tj"] for f in FUELS))
 
     global_report = GlobalReport(
-        countries_evaluated=len(rows.index),
-        countries_failed=len(rows.errors),
+        countries_evaluated=len(index),
+        countries_failed=len(errors),
         cr_final_t=_total(result["cr_final_t"]),
         pellet_energy_tj=_total(result["pellet_energy_tj"]),
         s_ec_usd_per_y=_total(plan["s_ec_usd_per_y"]),
@@ -246,7 +225,7 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
         if type(value) is float and not math.isfinite(value):
             raise DataError(f"non-finite global total {name}")
     return PipelineResult(columns=result, global_report=global_report,
-                          errors=tuple(sorted(rows.errors.items())))
+                          errors=tuple(sorted(errors.items())))
 
 
 # ---------------------------------------------------------------------------

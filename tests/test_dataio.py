@@ -15,6 +15,7 @@ from agripellet.dataio import (
     COUNTRIES_KEYS,
     RESOLVABLE_FIELDS,
     DataError,
+    LivestockRates,
     ModelConfig,
     UnresolvableFieldError,
     load_config,
@@ -229,6 +230,51 @@ def test_good_cells_pass_the_table_check():
                          tax_rate=0.9999999999999999, prices={"coal": 1.7e308})]
     ds = make_dataset(rows)
     assert ds.countries["cattle"] == (3, None)
+
+
+@pytest.mark.parametrize("name, continent, problems", [
+    (7, "K", ["countries column 'country' row 1: not a non-empty str: 7"]),
+    (None, "K", ["countries column 'country' row 1: not a non-empty str: None"]),
+    ("", "K", ["countries column 'country' row 1: not a non-empty str: ''"]),
+    ("B", 3.5, ["countries column 'continent' row 1 ('B'): not a str: 3.5"]),
+    ("B", None, ["country 'B' has no continent label"]),
+])
+def test_bad_label_rejected_when_built(name, continent, problems):
+    """A name and a continent label are each a non-empty str, as the loader
+    reads them: anything else is named before ``run_pipeline`` sorts by it."""
+    rows = [make_profile(name="A"), make_profile(name=name, continent=continent)]
+    with pytest.raises(DataError) as raised:
+        make_dataset(rows)
+    assert raised.value.problems == problems
+
+
+@pytest.mark.parametrize("changes, problems", [
+    ({"pellet_ef": -5.0}, ["pellet_ef: must be >= 0, got -5.0"]),
+    ({"pellet_ef": "1"}, ["pellet_ef: not a finite number: '1'"]),
+    ({"pellet_ef": math.nan}, ["pellet_ef: not a finite number: nan"]),
+    ({"livestock_rates": LivestockRates(cattle=-1.0)},
+     ["livestock rate 'cattle': must be >= 0, got -1.0"]),
+    ({"livestock_rates": LivestockRates(horses=math.inf, swine="2")},
+     ["livestock rate 'horses': not a finite number: inf",
+      "livestock rate 'swine': not a finite number: '2'"]),
+])
+def test_bad_pellet_ef_or_livestock_rate_rejected(dataset, changes, problems):
+    """``_replace`` holds the pellet emission factor to the bound of fuels.csv's
+    ef column, and each livestock rate to a finite number >= 0."""
+    with pytest.raises(DataError) as raised:
+        dataset._replace(**changes)
+    assert raised.value.problems == problems
+
+
+def test_every_table_problem_is_in_one_error():
+    rows = [make_profile(name="A"), make_profile(name=None, continent=3.5, tax_rate=1.0)]
+    with pytest.raises(DataError) as raised:
+        make_dataset(rows, pellet_ef=-1.0)
+    assert raised.value.problems == [
+        "countries column 'country' row 1: not a non-empty str: None",
+        "countries column 'continent' row 1 (None): not a str: 3.5",
+        "countries column 'tax_rate' row 1 (None): must be in [0, 1), got 1.0",
+        "pellet_ef: must be >= 0, got -1.0"]
 
 
 def test_countries_table_is_read_only(dataset):

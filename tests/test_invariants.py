@@ -2,13 +2,16 @@
 effect on every output is known exactly, so that no reference code is needed.
 
 Covered on the bundled data: power-of-two scaling of the amount columns in
-scenarios A, B and C (carbon tax 50), shuffled rows of ``countries.csv`` and
-renamed copies of every country.
+scenarios A, B and C (carbon tax 50), shuffled rows of ``countries.csv``,
+renamed copies of every country and a one-to-one renaming of the continents;
+and on the bundled data with overflowing cells, through each stage, a run on
+any subset of the countries.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agripellet.cli import main
 from agripellet.dataio import FIELDS
@@ -87,3 +90,59 @@ def test_renamed_copies_get_the_original_rows(dataset, k):
         for column, values in original.items():
             if column != "country":
                 assert reprs(map(result[column].__getitem__, index)) == reprs(values), (i, column)
+
+
+CONTINENTS = ("Africa", "Asia", "Europe", "North America", "Oceania", "South America")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(CONTINENTS), st.sampled_from(["", " (renamed)"]))
+def test_relabelled_continents_change_only_the_continent_column(dataset, labels, suffix):
+    """A continent's means depend on its members, not on its label: a
+    one-to-one renaming (the labels permuted, or new ones) changes only the
+    ``continent`` column, and no global total."""
+    assert set(dataset.countries["continent"]) == set(CONTINENTS)
+    renamed = dict(zip(CONTINENTS, (label + suffix for label in labels)))
+    table = {**dataset.countries,
+             "continent": tuple(map(renamed.__getitem__, dataset.countries["continent"]))}
+    original = run_pipeline(dataset)
+    result = run_pipeline(dataset._replace(countries=table))
+    assert result.errors == original.errors
+    assert repr(result.global_report) == repr(original.global_report)
+    assert list(result.columns) == list(original.columns)
+    for name, values in original.columns.items():
+        if name == "continent":
+            assert result.columns[name] == list(map(renamed.__getitem__, values))
+        else:
+            assert reprs(result.columns[name]) == reprs(values), name
+
+
+# Brazil fails at assess, Chad at msp; Peru's price fails every South American
+# country without its own oil price at plan, through the continent mean
+OVERFLOWING = {"Brazil": "prod_rice", "Chad": "pli_construction", "Peru": "price_oil"}
+
+
+@pytest.fixture(scope="module")
+def overflowing(dataset):
+    rows = [r._replace(values={**r.values, OVERFLOWING[r.name]: 1.7e308})
+            if r.name in OVERFLOWING else r for r in country_rows(dataset.countries)]
+    return dataset._replace(countries=make_table(rows))
+
+
+@pytest.mark.parametrize("through", ["assess", "msp", "plan"])
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_a_subset_gets_the_full_runs_rows_and_errors(overflowing, through, data):
+    """The means come from the whole table, so ``countries=`` any subset gives
+    exactly the full run's rows for those countries, and their errors."""
+    full = run_pipeline(overflowing, through)
+    failed = [name for name, _ in full.errors]
+    assert len(failed) == {"assess": 1, "msp": 2, "plan": 10}[through]
+    subset = data.draw(st.sets(st.sampled_from(failed)
+                               | st.sampled_from(overflowing.countries["country"]), max_size=12))
+    result = run_pipeline(overflowing, through, countries=subset)
+    assert result.errors == tuple(error for error in full.errors if error[0] in subset)
+    rows = [row for row, name in enumerate(full.columns["country"]) if name in subset]
+    assert list(result.columns) == list(full.columns)
+    for name, values in full.columns.items():
+        assert reprs(result.columns[name]) == reprs(map(values.__getitem__, rows)), name

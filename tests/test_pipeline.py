@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import agripellet.pipeline as pipeline_mod
 import oracles
@@ -235,6 +236,11 @@ def out_of_range(profiles):
             for i, p in enumerate(profiles)]
 
 
+# fields whose bound admits 1e308 and 1.7e308, the consumptions left out so that the
+# global totals stay finite: a country fails on a derived value that overflows
+OVERFLOW_KEYS = [f.key for f in FIELDS if f.bound.hi == math.inf and not f.key.startswith("cons_")]
+
+
 def oracle_datasets(bundled):
     rng = random.Random(97)
     markets = synthetic_market_profiles(rng, 24)
@@ -245,11 +251,9 @@ def oracle_datasets(bundled):
         "markets": make_dataset(markets),
         "sparse": bundled._replace(countries=make_table(sparse_copy(bundled_rows, 5))),
         "no-prices": make_dataset(no_prices),
-        # consumptions left out, the global totals stay finite: every stage fails
-        # countries on a derived value that overflows
-        "overflowing": bundled._replace(countries=make_table(overflowing(
-            bundled_rows, [f.key for f in FIELDS
-                           if f.bound.hi == math.inf and not f.key.startswith("cons_")]))),
+        # every stage fails countries on a derived value that overflows
+        "overflowing": bundled._replace(countries=make_table(overflowing(bundled_rows,
+                                                                         OVERFLOW_KEYS))),
         "overflowing-amounts": make_dataset(overflowing(
             markets, [f.key for f in FIELDS if not (f.fallback or f.key.startswith("cons_"))]
             + ["pli_construction"])),  # two overflowing consumptions overflow the global total
@@ -298,25 +302,53 @@ def test_out_of_range_table_rejected_when_built(rates, cells):
     assert raised.value.problems == expected and len(expected) == cells
 
 
-def test_injected_resolve_failure_matches_the_oracle(monkeypatch):
-    injected = {("Mkt02", "dmr_rice"), ("Mkt04", "tax_rate"), ("Mkt05", "price_oil")}
-    # only an empty cell goes through resolve, so each injected cell is emptied
+MARKETS = synthetic_market_profiles(random.Random(73), 6)  # 3 continents of 2 countries
+
+
+@settings(max_examples=60, deadline=None)
+@given(injected=st.sets(st.tuples(st.integers(0, len(MARKETS) - 1),
+                                  st.sampled_from(RESOLVABLE_FIELDS)), max_size=8),
+       overflow_keys=st.lists(st.sampled_from(OVERFLOW_KEYS), min_size=len(MARKETS),
+                              max_size=len(MARKETS)),
+       overflowed=st.sets(st.integers(0, len(MARKETS) - 1), max_size=3))
+def test_injected_resolve_failure_matches_the_oracle(injected, overflow_keys, overflowed):
+    """Countries leave at the two drop points, a failing resolve and a
+    non-finite number, as the per-country oracle fails them: each with its
+    first failure, a failed call not reused.  The survivors' rows are the ones
+    a run on the survivors alone gives.  Each injected cell is emptied, and
+    its field fails to resolve at every empty cell of its continent, as
+    ``resolve``'s answer for an empty cell depends on field and continent
+    alone."""
+    failing = {(MARKETS[row].continent, name) for row, name in injected}
+    injected = {(MARKETS[row].name, name) for row, name in injected}
+    rows = [p if row not in overflowed else q
+            for row, (p, q) in enumerate(zip(MARKETS, overflowing(MARKETS, overflow_keys)))]
     ds = make_dataset([p._replace(values={k: None if (p.name, k) in injected else v
-                                          for k, v in p.values.items()})
-                       for p in synthetic_market_profiles(random.Random(73), 6)])
+                                          for k, v in p.values.items()}) for p in rows])
     real_resolve = pipeline_mod.resolve
 
     def failing_resolve(dataset, row, name):
-        if (dataset.countries["country"][row], name) in injected:
-            raise DataError(f"injected failure resolving {name}")
+        countries = dataset.countries
+        if countries[name][row] is None and (countries["continent"][row], name) in failing:
+            raise DataError(f"injected failure resolving {name} "
+                            f"for {countries['country'][row]!r}")
         return real_resolve(dataset, row, name)
 
-    monkeypatch.setattr(pipeline_mod, "resolve", failing_resolve)
-    monkeypatch.setattr(oracles, "resolve", failing_resolve)
-    for through, failed in (("assess", ["Mkt02"]), ("msp", ["Mkt02", "Mkt04"]),
-                            ("plan", ["Mkt02", "Mkt04", "Mkt05"])):
-        expected = assert_matches_oracle(ds, through)
-        assert [name for name, _ in expected[1]] == failed
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(pipeline_mod, "resolve", failing_resolve)
+        monkeypatch.setattr(oracles, "resolve", failing_resolve)
+        for through, fields in (("assess", 4), ("msp", 10), ("plan", 13)):
+            expected = assert_matches_oracle(ds, through)
+            if expected is None:  # a global total that overflows, raised alike
+                continue
+            failed = {name for name, _ in expected[1]}
+            assert {name for name, key in injected if key in RESOLVABLE_FIELDS[:fields]} <= failed
+            full = run_pipeline(ds, through)
+            survivors = full.columns["country"]
+            alone = run_pipeline(ds, through, countries=survivors)
+            assert not alone.errors
+            assert repr(alone.columns) == repr(full.columns)
+            assert alone.global_report == full.global_report._replace(countries_failed=0)
 
 
 def counting(monkeypatch) -> list:
