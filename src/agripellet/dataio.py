@@ -10,12 +10,13 @@ loading, bounds checks and resolution derive from it.  Every table, and the
 only a column holding a bad cell is scanned cell by cell, so that each problem
 is named by line and column and listed in line order; ``load_dataset`` reads
 every file before it raises, so one error names the problems of them all.
-``Dataset.countries`` keeps those columns read-only, and ``Dataset`` checks
-each against its bound, so a table built by hand is held to the loader's
-bounds and no stage checks one again.  ``resolve``, the one fallback rule for
-an empty cell, runs once per field and continent in the pipeline; a fallback
-mean is exact, so it lies within its values' range.  This module only reads
-files; every output goes through ``reporting``.
+``Dataset`` keeps those columns, and its crops and fuels tables, read-only.
+The loader holds each cell to its bound as it parses it; a ``Dataset`` built
+by hand checks each column against the same bound, so no stage checks one
+again.  ``resolve``, the one fallback rule for an empty cell, runs once per
+field and continent in the pipeline; a fallback mean is exact, so it lies
+within its values' range.  This module only reads files; every output goes
+through ``reporting``.
 """
 
 from __future__ import annotations
@@ -296,10 +297,10 @@ class ModelConfig(CheckedRecord, _ModelConfig):
 
 
 class _Dataset(NamedTuple):
-    crops: dict               # CropCoefficients per crop
+    crops: MappingProxyType   # CropCoefficients per crop
     livestock_rates: LivestockRates
     countries: MappingProxyType  # COUNTRIES_KEYS -> tuple in file order, None at an empty cell
-    fuel_properties: dict     # FuelProperties per fuel
+    fuel_properties: MappingProxyType  # FuelProperties per fuel
     pellet_ef: float
     config: ModelConfig
 
@@ -309,10 +310,11 @@ class Dataset(CheckedRecord, _Dataset):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        # read-only, so that no column skips the check and the cached fallback means
+        # read-only, so that no table skips the check and the cached fallback means
         # (the base's _replace builds without a second check)
-        return _Dataset._replace(self, countries=MappingProxyType(
-            {key: tuple(self.countries[key]) for key in COUNTRIES_KEYS}))
+        return _Dataset._replace(
+            self, crops=_read_only(self.crops), fuel_properties=_read_only(self.fuel_properties),
+            countries=MappingProxyType({key: tuple(self.countries[key]) for key in COUNTRIES_KEYS}))
 
     def _check(self):
         countries = self.countries
@@ -370,6 +372,9 @@ class Dataset(CheckedRecord, _Dataset):
         cached fallback means."""
         if changes.get("countries", self.countries) is not self.countries:
             return super()._replace(**changes)
+        for key in ("crops", "fuel_properties"):
+            if key in changes and changes[key] is not getattr(self, key):
+                changes[key] = _read_only(changes[key])
         copy = _Dataset._replace(self, **changes)
         copy._check_tables([])
         if "_fallbacks" in vars(self) and copy.crops is self.crops:
@@ -393,6 +398,11 @@ class Dataset(CheckedRecord, _Dataset):
                 table[f.key] = (*_means(zip(self.countries["continent"], self.countries[f.key])),
                                 "world")
         return table
+
+
+def _read_only(table) -> MappingProxyType:
+    """A read-only copy of a mapping, which its caller can no longer change."""
+    return MappingProxyType(dict(table))
 
 
 def _exact_sum(ratios, weights) -> tuple:
@@ -754,14 +764,14 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
     if problems:
         raise DataError(problems)
     fuel_properties, pellet_ef = fuels
-    return Dataset(
-        crops=crops,
-        livestock_rates=LivestockRates(),
-        countries=countries,
-        fuel_properties=fuel_properties,
-        pellet_ef=pellet_ef,
-        config=cfg,
-    )
+    # built as _replace builds a copy over a checked table: each countries.csv
+    # cell was held to its bound as it was parsed, and named by file, line and
+    # column if it failed, so the table is not checked a second time
+    dataset = Dataset._make((MappingProxyType(crops), LivestockRates(),
+                             MappingProxyType(countries), MappingProxyType(fuel_properties),
+                             pellet_ef, cfg))
+    dataset._check_tables([])
+    return dataset
 
 
 # ---------------------------------------------------------------------------

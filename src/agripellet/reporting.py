@@ -6,9 +6,14 @@ column names, its only schema: a CSV has one row of those columns per row, a
 JSON file its head members, the rows as one list of records with the same keys
 in the same order, and its tail members.  The rows are streamed in blocks,
 each block sliced from the columns and rendered once, column by column, for
-all the files it goes to.  The per-country outputs (``PipelineResult.columns``),
-the sweep grid and the ``yoy`` statistics all go through it, so two runs over
-identical inputs produce byte-identical files, and none holds NaN or infinity.
+all the files it goes to: a CSV row is its cells joined by commas, a JSON
+record its texts joined each after its fixed key prefix (``{"country":``,
+``,"continent":``, ...).  A block renders each distinct value of a column once
+when its first values repeat (a continent mean, a fallback tier, a continent
+or fuel label) and looks the rest up.  The per-country outputs
+(``PipelineResult.columns``), the sweep grid and the ``yoy`` statistics all go
+through it, so two runs over identical inputs produce byte-identical files,
+and none holds NaN or infinity.
 """
 
 from __future__ import annotations
@@ -159,10 +164,14 @@ def _render(name: str, values: list) -> tuple:
     types goes value by value.  A block of floats whose first ``_PROBE`` values
     are at most half distinct (a continent mean's repeats) renders each distinct
     value once and looks the rest up; any other block renders each float,
-    hashing no value past the first ``_PROBE``.
+    hashing no value past the first ``_PROBE``.  Strings follow the same rule:
+    a block of repeated labels (``continent``, ``scenario``, ``rank_*``, the
+    ``src_*`` tiers) renders each distinct label once, and a block of mostly
+    distinct strings, such as ``country``, is encoded by whole-column calls.
     """
     head = values[:_PROBE]
-    if len(set(head)) * 2 > len(head):  # mostly distinct
+    distinct = len(set(head)) * 2 > len(head)  # mostly distinct
+    if distinct:
         try:
             texts = list(map(float.__repr__, values))
         except TypeError:  # not all floats
@@ -176,7 +185,7 @@ def _render(name: str, values: list) -> tuple:
         texts = _repeated_floats(values)
         _check_finite(name, values)
         return texts, texts
-    if kinds == {str}:
+    if kinds == {str} and distinct:
         json_texts = list(map(encode_basestring_ascii, values))
         if _needs_quotes("".join(values)):
             return list(map(_csv_cell, values)), json_texts
@@ -210,8 +219,10 @@ def _write_tables(data: dict, columns: tuple, csv_files: dict,
     column, and appended to every file: ``csv_files`` maps a CSV path to its
     columns (names in ``columns``, ``top_fuel`` read as ``rank_1``);
     ``json_file`` gets ``head``'s members, the list ``name`` holding one record
-    of ``columns`` per row, then ``tail``'s members.  On an error no file is
-    left behind.
+    of ``columns`` per row, then ``tail``'s members.  A record is one
+    ``"".join`` of each column's encoded key prefix (``{"key":`` for the first,
+    ``,"key":`` for the rest) and the row's JSON text, then ``}``.  On an error
+    no file is left behind.
     """
     paths = [*csv_files, *([json_file] if json_file else [])]
     for path in paths:
@@ -229,8 +240,7 @@ def _write_tables(data: dict, columns: tuple, csv_files: dict,
                 jf = stack.enter_context(json_file.open("w", encoding="utf-8"))
                 jf.write("{\n" + "".join(_json_member(k, v) + ",\n"
                                          for k, v in (head or {}).items()) + _encode(name) + ":[")
-                record = "{" + ",".join(_encode(c).replace("%", "%%") + ":%s"
-                                        for c in columns) + "}"
+                keys = [("," if i else "{") + _encode(c) + ":" for i, c in enumerate(columns)]
             for start in range(0, count, _BLOCK):
                 cells = [_render(column, col[start:start + _BLOCK])
                          for column, col in zip(columns, values)]
@@ -238,7 +248,9 @@ def _write_tables(data: dict, columns: tuple, csv_files: dict,
                     f.write("\r\n".join(map(",".join, zip(*[cells[i][0] for i in index])))
                             + "\r\n")
                 if json_file:
-                    texts = map(record.__mod__, zip(*[json for _, json in cells]))
+                    parts = [part for key, (_, texts) in zip(keys, cells)
+                             for part in (repeat(key), texts)]
+                    texts = map("".join, zip(*parts, repeat("}")))
                     jf.write((",\n" if start else "\n") + ",\n".join(texts))
             if json_file:
                 jf.write(("\n]" if count else "]")

@@ -323,6 +323,53 @@ def test_replace_rescans_only_a_changed_countries_table(monkeypatch):
     assert scans
 
 
+def test_crops_and_fuels_tables_are_read_only(data_dir):
+    """Neither table can change past the check and the cached fallback means,
+    in a loaded, a hand-built or a replaced copy, nor through the dict it was
+    built from; a copy with new crops resolves the world average from them."""
+    dataset = load_dataset(data_dir)  # not the shared one, which a failure would change
+    crops, fuels = dataio.default_crops(), dataio.default_fuel_properties()
+    base = make_dataset([make_profile(name="A", continent="K")])
+    built = dataio.Dataset(**{**base._asdict(), "crops": crops, "fuel_properties": fuels})
+    replaced = base._replace(crops=crops, fuel_properties=fuels)
+    maize = dataset.crops["maize"]._replace(dmr_default=0.5)
+    for ds in (dataset, built, replaced,
+               dataset._replace(config=dataset.config._replace(scenario="B"))):
+        assert resolve(ds, 0, "dmr_maize") == (0.7374, "world-average")
+        with pytest.raises(TypeError):
+            ds.crops["maize"] = maize
+        with pytest.raises(TypeError):
+            del ds.fuel_properties["coal"]
+    crops["maize"] = maize
+    del fuels["coal"]
+    for ds in (built, replaced):
+        assert ds.crops["maize"].dmr_default == 0.7374 and "coal" in ds.fuel_properties
+    recropped = dataset._replace(crops={**dataset.crops, "maize": maize})
+    assert resolve(recropped, 0, "dmr_maize") == (0.5, "world-average")
+    assert resolve(dataset, 0, "dmr_maize") == (0.7374, "world-average")
+    with pytest.raises(TypeError):
+        recropped.crops["maize"] = dataset.crops["maize"]
+
+
+def test_load_dataset_checks_each_countries_bound_once(data_dir, monkeypatch):
+    """The loader holds each cell to its bound as it parses it, so it builds its
+    Dataset without the full check a hand-built one runs; the crops and fuels
+    tables are checked all the same."""
+    def check(self):
+        raise AssertionError("Dataset._check ran")
+
+    expected = load_dataset(data_dir)
+    monkeypatch.setattr(dataio.Dataset, "_check", check)
+    loaded = load_dataset(data_dir)
+    assert loaded == expected and type(loaded) is dataio.Dataset
+    assert type(loaded.countries) is type(loaded.crops) is type(loaded.fuel_properties)
+    tables = []
+    monkeypatch.setattr(dataio.Dataset, "_check_tables",
+                        lambda self, problems: tables.append(problems))
+    load_dataset(data_dir)
+    assert tables == [[]]
+
+
 def edited_copy(data_dir, tmp_path, edits):
     """A copy of the bundled data whose countries.csv has each ``(row, column)``
     cell set to its text; row 0 is the first country, on line 2."""

@@ -7,7 +7,8 @@ then runs ``report``, ``msp`` and ``sweep`` in-process.  Every run must end in
 an exit code, never a traceback, and write no NaN or infinity.  The column
 reader must agree with the reference row scan in ``oracles``, value for value
 or message for message, on these copies and on copies of the ``yoy`` series
-with a few name, year and value cells set the same way.
+with a few name, year and value cells set the same way; a table the loader
+accepts must pass the full check of a hand-built ``Dataset``.
 """
 
 import contextlib
@@ -34,6 +35,12 @@ SERIES_VALUES = ("", " ", "-", "x", "0", "-1", "1_0", "nan", "1e308", "2001", "+
 MUTATION = st.tuples(st.sampled_from(TABLES), st.integers(0, 10**4), st.integers(0, 10**4),
                      st.one_of(st.tuples(st.just(True), st.sampled_from(EDGE_VALUES)),
                                st.tuples(st.just(False), st.sampled_from(KEY_VALUES))))
+# a countries.csv cell, each column as likely as the next, set to a number that
+# parses (inside its column's bound or not) or to a name or label
+COUNTRIES_MUTATION = st.tuples(
+    st.just(TABLES[0]), st.integers(0, 10**4), st.integers(0, len(dataio.COUNTRIES_COLUMNS) - 1),
+    st.one_of(st.tuples(st.just(True), st.sampled_from(EDGE_VALUES[:EDGE_VALUES.index("1_0")])),
+              st.tuples(st.just(False), st.sampled_from(KEY_VALUES))))
 
 
 def write_mutated_copy(data: Path, mutations) -> None:
@@ -96,6 +103,21 @@ def test_edge_cells_end_in_an_exit_code(mutations):
             assert (code == 1) == bool(failed)
             assert len(lines) == (int(failed[1]) if failed else 0)
             assert len({line.split(": ", 1)[0] for line in lines}) == len(lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(COUNTRIES_MUTATION, min_size=1, max_size=4))
+def test_a_loaded_dataset_passes_the_full_check(mutations):
+    """The loader checks each countries.csv cell once, as it parses it: any
+    table it accepts, the full check of a hand-built Dataset accepts as equal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        write_mutated_copy(data, mutations)
+        try:
+            ds = dataio.load_dataset(data)
+        except dataio.DataError:
+            return
+        assert dataio.Dataset(**ds._asdict()) == ds
 
 
 @settings(max_examples=25, deadline=None)

@@ -82,7 +82,8 @@ def edited(result, changes):
     return result._replace(columns=columns)
 
 
-names = st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", " ", "\u2028", "é", "€", "😀"]),
+names = st.text(st.one_of(st.sampled_from([",", '"', "\\", "\r", "\n", " ", "\u2028", "é", "€",
+                                           "😀"]),
                           st.characters(blacklist_categories=("Cs",))),
                 min_size=1, max_size=12)
 
@@ -100,6 +101,50 @@ def test_block_edges_match_the_oracle(bundled, count):
     written = assert_matches_oracle(copies(bundled, count, errors=[("Z", "failed")]))
     assert written["report/countries.csv"].count(b"\r\n") == 1 + count
     assert written["report/global.json"].count(b'\n{"country":"C') == count
+
+
+# Column names that a printf-style record template or a key quoted by hand
+# would write wrongly.
+ODD_NAMES = ("100%", "%s", "%%d", 'say "hi"', "back\\slash", "naïve €", "tab\tand\u2028line")
+
+
+def test_odd_column_names_are_written_as_json_dumps_writes_them(tmp_path):
+    rng = random.Random(3)
+    count = reporting._BLOCK + 1
+    pool = (0.5, -0.0, 1e308, None, 7, "%s", 'a "b"', "c\\d", "é")
+    data = {name: [rng.choice(pool) for _ in range(count)] for name in ODD_NAMES}
+    reporting._write_tables(data, ODD_NAMES, {tmp_path / "new.csv": ODD_NAMES},
+                            tmp_path / "new.json", {"%s": "%d"}, "rows%", {"tail": [1]})
+    records = [dict(zip(ODD_NAMES, row)) for row in zip(*data.values())]
+    oracles.write_json(tmp_path / "old.json", {"%s": "%d", "rows%": records, "tail": [1]})
+    oracles.write_csv(tmp_path / "old.csv", [ODD_NAMES, *zip(*data.values())])
+    for suffix in ("csv", "json"):
+        assert ((tmp_path / f"new.{suffix}").read_bytes()
+                == (tmp_path / f"old.{suffix}").read_bytes()), suffix
+    dumped = [json.dumps(record, separators=(",", ":")) for record in records]
+    lines = (tmp_path / "new.json").read_text(encoding="utf-8").splitlines()
+    assert lines[3:3 + count] == [line + "," for line in dumped[:-1]] + dumped[-1:]
+
+
+# Labels that csv quotes or json escapes, each one a distinct label per suffix.
+LABELS = ("a,b", 'say "hi"', "two\nlines", "café", "back\\slash", "plain")
+
+
+@pytest.mark.parametrize("count", [reporting._BLOCK, reporting._BLOCK + 1,
+                                   2 * reporting._BLOCK + 7])
+@pytest.mark.parametrize("distinct", [reporting._PROBE // 2, reporting._PROBE // 2 + 1],
+                         ids=["half-distinct", "mostly-distinct"])
+def test_repeated_labels_are_written_as_the_oracle_writes_them(bundled, distinct, count):
+    """A block whose first values repeat renders each label once, a block of
+    mostly distinct labels renders each: both as the oracle writes them, in
+    every block of the file."""
+    labels = [f"{LABELS[i % len(LABELS)]}{i}" for i in range(distinct)]
+    column = [labels[row % distinct] for row in range(count)]
+    head = column[:reporting._PROBE]
+    assert (len(set(head)) * 2 > len(head)) == (distinct > reporting._PROBE // 2)
+    base = copies(bundled, count)
+    labelled = {name: column for name in ("continent", "src_dmr_maize", "src_tax_rate")}
+    assert_matches_oracle(base._replace(columns={**base.columns, **labelled}))
 
 
 def test_all_failed_run_writes_headers_and_an_empty_list(bundled):
@@ -155,6 +200,9 @@ POOLS = {
                       max_size=4).map(lambda pool: [0.0, -0.0, *pool]),
     "bool": st.lists(st.booleans(), min_size=1, max_size=2),
     "str": st.lists(names, min_size=1, max_size=5),  # commas, quotes and line breaks
+    # about as many labels as a block probes: its first values near half distinct
+    "labels": st.lists(names, min_size=reporting._PROBE // 2, max_size=reporting._PROBE // 2 + 8,
+                       unique=True),
     # equal values of three types, each written its own way: no lookup may merge them
     "equal": st.just([0, 0.0, -0.0, False, 1, 1.0, True]),
 }
