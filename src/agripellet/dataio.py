@@ -2,21 +2,22 @@
 
 All model inputs arrive as UTF-8 CSV files (a leading byte-order mark is
 skipped) with a header row ("-" or an empty cell means "no data") plus an
-optional JSON run configuration.  Loaded data is immutable; downstream modules
-treat a Dataset as read-only.  ``FIELDS`` describes each numeric
+optional JSON run configuration.  ``FIELDS`` describes each numeric
 ``countries.csv`` column once (header, model key, bound, fallback tier);
 loading, bounds checks and resolution derive from it.  Every table, and the
 ``yoy`` series, is read column by column: each column is checked whole, and
-only a column holding a bad cell is scanned cell by cell, so that each problem
-is named by line and column and listed in line order; ``load_dataset`` reads
-every file before it raises, so one error names the problems of them all.
-``Dataset`` keeps those columns, and its crops and fuels tables, read-only.
-The loader holds each cell to its bound as it parses it; a ``Dataset`` built
-by hand checks each column against the same bound, so no stage checks one
-again.  ``resolve``, the one fallback rule for an empty cell, runs once per
-field and continent in the pipeline; a fallback mean is exact, so it lies
-within its values' range.  This module only reads files; every output goes
-through ``reporting``.
+only a column holding a bad cell is scanned cell by cell.  Each rule has one
+check: ``_check_cell`` holds a number to its ``Bound``, and ``_bad_names``
+finds empty, unknown, repeated and non-``str`` names and labels, whether the
+loader names the cell (by file, line and column, in line order) or a
+``Dataset`` built by hand does (by column and row, config key, crop or fuel).
+``load_dataset`` reads every file before it raises, so one error names the
+problems of them all, and checks each cell once, as it parses it.  A
+``Dataset`` and its tables are read-only, so no stage checks a value again.
+``resolve``, the one fallback rule for an empty cell, runs once per field and
+continent in the pipeline; a fallback mean is exact, so it lies within its
+values' range.  This module only reads files; every output goes through
+``reporting``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from collections import Counter
 from functools import cached_property, partial
 from itertools import compress, repeat
-from operator import is_not, methodcaller, mul, not_
+from operator import is_not, itemgetter, methodcaller, mul, not_
 from pathlib import Path
 from types import MappingProxyType, NoneType
 from typing import NamedTuple
@@ -76,10 +77,6 @@ class Bound(NamedTuple):
     text: str   # as messages and the README write it: ">= 0", "in (0, 1]"
     lo: float
     hi: float
-
-    def check(self, label: str, value, problems: list) -> None:
-        if not self.lo <= value <= self.hi:
-            problems.append(f"{label}: must be {self.text}, got {value!r}")
 
 
 _is_not_none = partial(is_not, None)
@@ -147,26 +144,20 @@ RESOLVABLE_FIELDS = tuple(f.key for f in FIELDS if f.fallback)
 
 # The numeric cells of crops.csv and fuels.csv; keys are the record fields.
 CROP_FIELDS = (
-    Field("rtp", "rtp", POSITIVE),
-    Field("srr", "srr", UNIT_INTERVAL),
-    Field("dmr_world", "dmr_default", FRACTION),
-    Field("lhv_mj_per_kg", "lhv", POSITIVE),
+    Field("rtp", "rtp", POSITIVE),                # residue per ton produced, t/t
+    Field("srr", "srr", UNIT_INTERVAL),           # removable fraction
+    Field("dmr_world", "dmr_default", FRACTION),  # world-average dry matter fraction
+    Field("lhv_mj_per_kg", "lhv", POSITIVE),      # MJ/kg
 )
 FUEL_FIELDS = (
-    Field("lhv_mj_per_kg", "lhv", POSITIVE),
-    Field("ef_kgco2e_per_t", "ef", NONNEGATIVE),
+    Field("lhv_mj_per_kg", "lhv", POSITIVE),      # MJ/kg
+    Field("ef_kgco2e_per_t", "ef", NONNEGATIVE),  # kgCO2e/t
 )
 CROPS_COLUMNS = ("crop",) + tuple(f.column for f in CROP_FIELDS)
 FUELS_COLUMNS = ("fuel",) + tuple(f.column for f in FUEL_FIELDS)
-
-
-def _check_fields(obj, table: tuple) -> None:
-    """A DataError naming the column of every attribute of ``obj`` outside its bound."""
-    problems = []
-    for f in table:
-        f.bound.check(f.column, getattr(obj, f.key), problems)
-    if problems:
-        raise DataError(problems)
+# Plain records, each checked by the Dataset that holds it.
+CropCoefficients = NamedTuple("CropCoefficients", [(f.key, float) for f in CROP_FIELDS])
+FuelProperties = NamedTuple("FuelProperties", [(f.key, float) for f in FUEL_FIELDS])
 
 
 class CheckedRecord:
@@ -189,20 +180,6 @@ class CheckedRecord:
         return type(self)(**{**self._asdict(), **changes})
 
 
-class _CropCoefficients(NamedTuple):
-    rtp: float          # residue per ton produced, t/t
-    srr: float          # removable fraction, 0..1
-    dmr_default: float  # world-average dry matter fraction, 0..1
-    lhv: float          # MJ/kg
-
-
-class CropCoefficients(CheckedRecord, _CropCoefficients):
-    __slots__ = ()
-
-    def _check(self):
-        _check_fields(self, CROP_FIELDS)
-
-
 class LivestockRates(NamedTuple):
     """Residue consumed per animal for feed/bedding, kg/day."""
 
@@ -215,29 +192,45 @@ class LivestockRates(NamedTuple):
         return getattr(self, animal)
 
 
-class _FuelProperties(NamedTuple):
-    lhv: float  # MJ/kg
-    ef: float   # kgCO2e/t
-
-
-class FuelProperties(CheckedRecord, _FuelProperties):
-    __slots__ = ()
-
-    def _check(self):
-        _check_fields(self, FUEL_FIELDS)
-
-
 def _is_finite_number(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)  # exact for an int beyond float range
 
 
-def _check_number(label: str, value, bound: Bound, problems: list) -> None:
-    """Add a problem unless ``value`` is a finite number inside ``bound``."""
-    if _is_finite_number(value):
-        bound.check(label, value, problems)
-    else:
+def _check_cell(label: str, value, bound: Bound, problems: list) -> None:
+    """The one bound check: add a problem named by ``label`` unless ``value``
+    is a finite number inside ``bound``.  An int past float range is named by
+    the bound when it lies outside it, as a config's horizon is."""
+    finite = _is_finite_number(value)
+    if ((finite or isinstance(value, int) and not isinstance(value, bool))
+            and not bound.lo <= value <= bound.hi):
+        problems.append(f"{label}: must be {bound.text}, got {value!r}")
+    elif not finite:
         problems.append(f"{label}: not a finite number: {value!r}")
+
+
+def _bad_names(cells, accepted=None, unique: bool = True) -> list:
+    """The one name and label check: ``(row, fault)`` of each cell, in row
+    order, that is ``"unknown"`` (not among ``accepted``; None: any),
+    ``"empty"`` (or None), ``"not a str"`` or, if ``unique``, a ``"duplicate"``;
+    a column that passes whole is not scanned."""
+    if (set(map(type, cells)) <= {str} and "" not in cells
+            and (accepted is None or set(cells).issubset(accepted))
+            and (not unique or len(set(cells)) == len(cells))):
+        return []
+    faults, seen = [], set()
+    for row, cell in enumerate(cells):
+        if accepted is not None and cell not in accepted:
+            faults.append((row, "unknown"))
+        elif not cell:
+            faults.append((row, "empty"))
+        elif type(cell) is not str:
+            faults.append((row, "not a str"))
+        elif cell in seen:
+            faults.append((row, "duplicate"))
+        elif unique:
+            seen.add(cell)
+    return faults
 
 
 class _ModelConfig(NamedTuple):
@@ -275,14 +268,14 @@ class ModelConfig(CheckedRecord, _ModelConfig):
                 problems.append(f"{name} must be a list of finite numbers, got {axis!r}")
         if problems:
             raise DataError(problems)
-        POSITIVE.check("plant_capacity", self.plant_capacity, problems)
-        HORIZON.check("horizon_years", self.horizon_years, problems)
-        BELOW_ONE.check("salvage_rate", self.salvage_rate, problems)  # salvage below tfc
-        FRACTION.check("tfc_capex_ratio", self.tfc_capex_ratio, problems)
-        FRACTION.check("pellet_efficiency", self.pellet_efficiency, problems)
+        _check_cell("plant_capacity", self.plant_capacity, POSITIVE, problems)
+        _check_cell("horizon_years", self.horizon_years, HORIZON, problems)
+        _check_cell("salvage_rate", self.salvage_rate, BELOW_ONE, problems)  # salvage below tfc
+        _check_cell("tfc_capex_ratio", self.tfc_capex_ratio, FRACTION, problems)
+        _check_cell("pellet_efficiency", self.pellet_efficiency, FRACTION, problems)
         if self.scenario not in SCENARIOS:
             problems.append(f"scenario must be A, B, or C, got {self.scenario!r}")
-        NONNEGATIVE.check("carbon_tax", self.carbon_tax, problems)
+        _check_cell("carbon_tax", self.carbon_tax, NONNEGATIVE, problems)
         # the sweep's closed form holds only for multipliers > 0
         if not self.fossil_multipliers or min(self.fossil_multipliers) <= 0:
             problems.append("fossil_multipliers must be a non-empty list of values > 0")
@@ -326,22 +319,14 @@ class Dataset(CheckedRecord, _Dataset):
         problems = [f"countries column {key!r} has {len(col)} rows, 'country' has {rows}"
                     for key, col in countries.items() if len(col) != rows]
         names, continents = countries["country"], countries["continent"]
-        if not (set(map(type, names)) | set(map(type, continents)) <= {str}
-                and "" not in names and "" not in continents and len(set(names)) == rows):
-            seen = set()  # the labels whole, and only labels that trip row by row
-            for row, (name, continent) in enumerate(zip(names, continents)):
-                if not name or type(name) is not str:
-                    problems.append(f"countries column 'country' row {row}: "
-                                    f"not a non-empty str: {name!r}")
-                elif name in seen:
-                    problems.append(f"duplicate country {name!r}")
-                else:
-                    seen.add(name)
-                if not continent:
-                    problems.append(f"country {name!r} has no continent label")
-                elif type(continent) is not str:
-                    problems.append(f"countries column 'continent' row {row} ({name!r}): "
-                                    f"not a str: {continent!r}")
+        labels = [(row, f"duplicate country {names[row]!r}" if fault == "duplicate" else
+                   f"countries column 'country' row {row}: not a non-empty str: {names[row]!r}")
+                  for row, fault in _bad_names(names)]
+        labels += [(row, f"country {names[row]!r} has no continent label" if fault == "empty"
+                    else f"countries column 'continent' row {row} ({names[row]!r}): "
+                         f"not a str: {continents[row]!r}")
+                   for row, fault in _bad_names(continents[:rows], unique=False)]
+        problems += [problem for _, problem in sorted(labels, key=itemgetter(0))]  # by row
         for f in FIELDS:  # each column whole, and only a column that trips cell by cell
             col = countries[f.key]
             if (len(col) != rows
@@ -349,20 +334,25 @@ class Dataset(CheckedRecord, _Dataset):
                 continue
             for row, value in enumerate(col):
                 if value is not None:
-                    _check_number(f"countries column {f.key!r} row {row} ({names[row]!r})",
-                                  value, f.bound, problems)
+                    _check_cell(f"countries column {f.key!r} row {row} ({names[row]!r})",
+                                value, f.bound, problems)
         self._check_tables(problems)
 
     def _check_tables(self, problems: list) -> None:
-        """A DataError of ``problems`` and those of the crops and fuels tables, the
+        """A DataError of ``problems`` and those of the crops and fuels tables
+        (each coefficient held to its crops.csv or fuels.csv column's bound), the
         pellet emission factor (held to fuels.csv's ef bound) and livestock rates."""
-        if set(self.crops) != set(CROPS):
-            problems.append(f"crops table must cover exactly {CROPS}")
-        if set(self.fuel_properties) != set(FUELS):
-            problems.append(f"fuels table must cover exactly {FUELS}")
-        _check_number("pellet_ef", self.pellet_ef, FUEL_FIELDS[-1].bound, problems)
+        for kind, table, names, fields in (("crop", self.crops, CROPS, CROP_FIELDS),
+                                           ("fuel", self.fuel_properties, FUELS, FUEL_FIELDS)):
+            if set(table) != set(names):
+                problems.append(f"{kind}s table must cover exactly {names}")
+            for name, record in table.items():
+                for f in fields:
+                    _check_cell(f"{kind} {name!r}: {f.column}", getattr(record, f.key), f.bound,
+                                problems)
+        _check_cell("pellet_ef", self.pellet_ef, FUEL_FIELDS[-1].bound, problems)
         for animal, rate in self.livestock_rates._asdict().items():
-            _check_number(f"livestock rate {animal!r}", rate, NONNEGATIVE, problems)
+            _check_cell(f"livestock rate {animal!r}", rate, NONNEGATIVE, problems)
         if problems:
             raise DataError(problems)
 
@@ -561,13 +551,15 @@ def _parse_column(file: str, column: str, bound: Bound, lines, cells, problems: 
         return values
     values = []
     for lineno, raw in zip(lines, cells):
+        found = []  # the cell's problem, named by its column; _report adds file and line
         try:
             value = parse_cell(raw)
+            if value is not None:
+                _check_cell(column, value, bound, found)
         except DataError as exc:
-            _report(problems, file, lineno, f"{column}: {exc}")
-            value = None
-        if value is not None and not bound.lo <= value <= bound.hi:
-            bound.check(f"{file} line {lineno}: {column}", value, problems.setdefault(lineno, []))
+            value, found = None, [f"{column}: {exc}"]
+        for problem in found:
+            _report(problems, file, lineno, problem)
         values.append(value)
     return values
 
@@ -587,19 +579,15 @@ def _read_table(path: Path, columns: tuple, names, fields: tuple) -> tuple:
     _, rows = _read_rows(path, columns)
     problems = {}
     keys = [row[0].strip() for _, row in rows]
-    if ("" in keys or len(set(keys)) != len(keys)
-            or (names is not None and not set(keys) <= set(names))):
-        seen = {}
-        for (lineno, _), name in zip(rows, keys):
-            if names is None and not name:
-                _report(problems, file, lineno, f"empty {kind} name")
-            elif names is not None and name not in names:
-                _report(problems, file, lineno, f"unknown {kind} {name!r}")
-            elif name in seen:
-                _report(problems, file, lineno,
-                        f"duplicate {kind} {name!r} (first at line {seen[name]})")
-            else:
-                seen[name] = lineno
+    faults = _bad_names(keys, names)
+    if faults:
+        first_line = dict(zip(reversed(keys), (lineno for lineno, _ in reversed(rows))))
+        for row, fault in faults:
+            name = keys[row]
+            _report(problems, file, rows[row][0],
+                    f"unknown {kind} {name!r}" if fault == "unknown" else
+                    f"empty {kind} name" if fault == "empty" else
+                    f"duplicate {kind} {name!r} (first at line {first_line[name]})")
         rows = [(lineno, row) for lineno, row in rows if lineno not in problems]
     lines = [lineno for lineno, _ in rows]
     first = len(columns) - len(fields)  # the first numeric cell
@@ -607,10 +595,8 @@ def _read_table(path: Path, columns: tuple, names, fields: tuple) -> tuple:
     table = {}
     for label, col in zip(columns[:first], cells[:first]):  # the name, then the labels
         table[label] = texts = tuple(map(str.strip, col))
-        if "" in texts:  # never in the name column, whose empty names are skipped
-            for lineno, text in zip(lines, texts):
-                if not text:
-                    _report(problems, file, lineno, f"{label} label is required")
+        for row, _ in _bad_names(texts, unique=False):  # none in the name column, checked above
+            _report(problems, file, lines[row], f"{label} label is required")
     for f, col in zip(fields, cells[first:]):
         table[f.key] = tuple(_parse_column(file, f.column, f.bound, lines, col, problems))
     return lines, table, problems

@@ -323,6 +323,14 @@ class _BreakEvenInputs(NamedTuple):
     tfc: float            # depreciable fixed capital, $
 
 
+def outside(label: str, value, bound) -> list:
+    """The problem of a value outside ``bound``, worded as the package words
+    it, by a range test of the reference's own."""
+    if bound.lo <= value <= bound.hi:
+        return []
+    return [f"{label}: must be {bound.text}, got {value!r}"]
+
+
 class BreakEvenInputs(CheckedRecord, _BreakEvenInputs):
     """One plant's break-even inputs, each checked against its bound."""
 
@@ -331,7 +339,7 @@ class BreakEvenInputs(CheckedRecord, _BreakEvenInputs):
     def _check(self):
         problems = []
         for name, bound in _INPUT_BOUNDS:
-            bound.check(name, getattr(self, name), problems)
+            problems += outside(name, getattr(self, name), bound)
         if problems:
             raise DataError(problems)
 
@@ -575,8 +583,8 @@ def parse_row(table: tuple, cells: list, where: str, problems: list) -> dict | N
         except DataError as exc:
             problems.append(f"{where}: {column}: {exc}")
             continue
-        if value is not None and not bound.lo <= value <= bound.hi:
-            bound.check(f"{where}: {column}", value, problems)
+        if value is not None:
+            problems += outside(f"{where}: {column}", value, bound)
         values[key] = value
     return values if len(problems) == found else None
 

@@ -1,0 +1,107 @@
+"""The command line as a user runs it: each test starts
+``python -m agripellet.cli`` in a child process on an edited copy of the
+bundled data, and checks its exit code and every line it writes to stderr.
+
+Run with ``PYTHONPATH=src`` it tests the source tree; run without it after
+``pip install .`` it tests the installed package.
+"""
+
+import csv
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+DATA_DIR = Path(__file__).parent / "data"
+
+
+def copy_data(tmp_path: Path) -> Path:
+    """A copy of the bundled data directory."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in DATA_DIR.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    return data
+
+
+def edit_csv(path: Path, edit) -> None:
+    """Rewrite a CSV file with ``edit`` applied to its list of rows."""
+    with path.open(newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    edit(rows)
+    with path.open("w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(rows)
+
+
+def agripellet(*args) -> tuple:
+    """``(exit code, stderr lines)`` of one run; a traceback fails the test."""
+    run = subprocess.run([sys.executable, "-m", "agripellet.cli", *map(str, args)],
+                         capture_output=True, text=True, encoding="utf-8")
+    assert "Traceback" not in run.stderr, run.stderr
+    return run.returncode, run.stderr.splitlines()
+
+
+def test_bad_cells_are_each_named(tmp_path):
+    """Bad cells trip the whole-column checks of countries.csv; each tripped
+    column is scanned and names its bad cells."""
+    data = copy_data(tmp_path)
+
+    def edit(rows):
+        header = rows[0]
+        for row, column, text in ((2, "prod_maize_t", "1_0"), (4, "cattle", "١"),
+                                  (6, "pli_raw", "nan"), (8, "dmr_maize", "1.5")):
+            rows[1 + row][header.index(column)] = text
+
+    edit_csv(data / "countries.csv", edit)
+    code, lines = agripellet("report", "--data", data, "--out", tmp_path / "out")
+    assert code == 2
+    assert set(lines) == {
+        "error: countries.csv line 4: prod_maize_t: not a number: '1_0'",
+        "error: countries.csv line 6: cattle: not a number: '١'",
+        "error: countries.csv line 8: pli_raw: not a finite number: 'nan'",
+        "error: countries.csv line 10: dmr_maize: must be in (0, 1], got 1.5",
+    }
+    assert len(lines) == 4
+
+
+def test_bad_tables_name_every_problem_in_file_and_line_order(tmp_path):
+    """Bad names, a bad cell and a pellet row without its ef, in crops.csv and
+    fuels.csv of one copy: one run names every problem of both files by line,
+    crops.csv first, each file's in line order, then the missing crops."""
+    data = copy_data(tmp_path)
+
+    def edit_crops(rows):
+        rows[2][0] = "barley"                   # line 3: not a crop
+        rows[3][rows[0].index("srr")] = "1_0"   # line 4: not a number
+        rows.append(rows[1])                    # line 6: maize again
+
+    def edit_fuels(rows):
+        assert rows[4][0] == "pellet"
+        rows[4][2] = ""                         # line 5: the pellet row without its ef
+
+    edit_csv(data / "crops.csv", edit_crops)
+    edit_csv(data / "fuels.csv", edit_fuels)
+    code, lines = agripellet("report", "--data", data, "--out", tmp_path / "out")
+    assert code == 2
+    assert set(lines) == {
+        "error: crops.csv line 3: unknown crop 'barley'",
+        "error: crops.csv line 4: srr: not a number: '1_0'",
+        "error: crops.csv line 6: duplicate crop 'maize' (first at line 2)",
+        "error: crops.csv: missing crops ['rice', 'sugarcane']",
+        "error: fuels.csv line 5: pellet row requires ef_kgco2e_per_t",
+    }
+    assert [m[1] for m in map(re.compile(r"error: crops\.csv line (\d*):").match, lines)
+            if m] == ["3", "4", "6"]
+    assert [line.split(" ")[1] for line in lines] == [
+        "crops.csv", "crops.csv", "crops.csv", "crops.csv:", "fuels.csv"]
+    assert len(lines) == 5
+
+
+def test_a_year_past_the_int_digit_limit_is_a_bad_cell(tmp_path):
+    """A year past int()'s 4,300-digit limit is a bad cell too: one line
+    naming it, exit 2."""
+    series = tmp_path / "long-year.csv"
+    series.write_text("year,value\n2000,1\n" + "1" * 5000 + ",2\n", encoding="utf-8")
+    code, lines = agripellet("yoy", series, "--out", tmp_path / "out")
+    assert code == 2
+    assert lines == ["error: long-year.csv line 3: year: too many digits (5000)"]

@@ -1,4 +1,5 @@
-"""Tests generated from ``dataio.FIELDS``, the one description of countries.csv."""
+"""Tests generated from ``dataio.FIELDS``, the one description of countries.csv,
+and from ``CROP_FIELDS`` and ``FUEL_FIELDS``, those of crops.csv and fuels.csv."""
 
 import math
 import tempfile
@@ -10,14 +11,24 @@ from hypothesis import given, settings, strategies as st
 from agripellet.dataio import (
     CONTINENT,
     COUNTRIES_COLUMNS,
+    COUNTRIES_KEYS,
+    CROP_FIELDS,
+    CROPS_COLUMNS,
     FIELDS,
+    FUEL_FIELDS,
     FUELS,
+    FUELS_COLUMNS,
     WORLD_AVERAGE,
     DataError,
+    default_crops,
+    default_fuel_properties,
     load_countries,
+    load_crops,
     load_dataset,
+    load_fuels,
 )
 from agripellet.pipeline import run_pipeline
+from conftest import make_dataset
 from oracles import reports
 
 README = Path(__file__).parent.parent / "README.md"
@@ -53,20 +64,63 @@ def test_bound_texts_have_an_oracle():
 
 
 def test_every_field_checks_its_bound_at_each_edge(tmp_path):
+    """Each one-row table through the loader, and built by hand as a Dataset."""
     path = tmp_path / "countries.csv"
+    empty = make_dataset([])
     for j, f in enumerate(FIELDS):
         for value in EDGES:
             cells = ["X", "Y"] + [""] * len(FIELDS)
             cells[2 + j] = repr(value)
             path.write_text(",".join(COUNTRIES_COLUMNS) + "\n" + ",".join(cells) + "\n",
                             encoding="utf-8")
+            table = {**dict.fromkeys(COUNTRIES_KEYS, (None,)), "country": ("X",),
+                     "continent": ("Y",), f.key: (value,)}
             if INSIDE[f.bound.text](value):
                 assert load_countries(path)[f.key] == (value,)
+                assert empty._replace(countries=table).countries[f.key] == (value,)
             else:
                 with pytest.raises(DataError) as exc:
                     load_countries(path)
                 assert exc.value.problems == [
                     f"countries.csv line 2: {f.column}: must be {f.bound.text}, got {value!r}"]
+                with pytest.raises(DataError) as exc:
+                    empty._replace(countries=table)
+                assert exc.value.problems == [f"countries column {f.key!r} row 0 ('X'): "
+                                              f"must be {f.bound.text}, got {value!r}"]
+
+
+@pytest.mark.parametrize("file, columns, fields, defaults, load, key", [
+    ("crops.csv", CROPS_COLUMNS, CROP_FIELDS, default_crops, load_crops, "crops"),
+    ("fuels.csv", FUELS_COLUMNS, FUEL_FIELDS, default_fuel_properties,
+     lambda path: load_fuels(path)[0], "fuel_properties"),
+])
+def test_every_coefficient_checks_its_bound_at_each_edge(tmp_path, file, columns, fields,
+                                                         defaults, load, key):
+    """Each crop and fuel coefficient of the first row through crops.csv or
+    fuels.csv, and in the crops or fuels table of a hand-built Dataset."""
+    path = tmp_path / file
+    empty = make_dataset([])
+    for f in fields:
+        for value in EDGES:
+            records = defaults()
+            name = next(iter(records))
+            records[name] = records[name]._replace(**{f.key: value})
+            path.write_text("\n".join([",".join(columns)] + [
+                ",".join([n, *map(repr, record)]) for n, record in records.items()]) + "\n",
+                encoding="utf-8")
+            if INSIDE[f.bound.text](value):
+                assert getattr(empty._replace(**{key: records}), key) == records
+                assert load(path) == records
+            else:
+                with pytest.raises(DataError) as exc:
+                    empty._replace(**{key: records})
+                assert exc.value.problems == [
+                    f"{columns[0]} {name!r}: {f.column}: must be {f.bound.text}, got {value!r}"]
+                with pytest.raises(DataError) as exc:
+                    load(path)
+                assert exc.value.problems == [  # the bad row's record is missing too
+                    f"{file} line 2: {f.column}: must be {f.bound.text}, got {value!r}",
+                    f"{file}: missing {columns[0]}s [{name!r}]"]
 
 
 def _inside(bound):

@@ -28,13 +28,25 @@ DATA_DIR = Path(__file__).parent / "data"
 # (file, its first numeric column)
 TABLES = (("countries.csv", 2), ("crops.csv", 1), ("fuels.csv", 1))
 EDGE_VALUES = ("0", "-0", "5e-324", "1e308", "1.7e308", repr(1 - 2**-53), "-", "", "1_0",
-               "nan", "inf", "\u0661")  # the last an Arabic-Indic one, which float reads
+               "nan", "inf", "\u0661",  # an Arabic-Indic one, which float reads
+               "-1", "2")  # -1 outside every bound, 2 outside each bound that ends at 1
 DUPLICATE = object()  # the name of the next row
 KEY_VALUES = ("", " ", "barley", "pellet", DUPLICATE)  # barley: neither a crop nor a fuel
 SERIES_VALUES = ("", " ", "-", "x", "0", "-1", "1_0", "nan", "1e308", "2001", "+2001", "\u0662")
-MUTATION = st.tuples(st.sampled_from(TABLES), st.integers(0, 10**4), st.integers(0, 10**4),
-                     st.one_of(st.tuples(st.just(True), st.sampled_from(EDGE_VALUES)),
-                               st.tuples(st.just(False), st.sampled_from(KEY_VALUES))))
+WIDTHS = {"countries.csv": len(dataio.COUNTRIES_COLUMNS), "crops.csv": len(dataio.CROPS_COLUMNS),
+          "fuels.csv": len(dataio.FUELS_COLUMNS)}
+
+
+def cell_mutation(numeric: bool, texts):
+    """One cell set to one of ``texts``: its column drawn evenly among the
+    numeric (or the name and label) columns of all three tables."""
+    columns = [(table, column) for table in TABLES
+               for column in range(WIDTHS[table[0]] - table[1] if numeric else table[1])]
+    return st.builds(lambda cell, row, text: (cell[0], row, cell[1], (numeric, text)),
+                     st.sampled_from(columns), st.integers(0, 10**4), st.sampled_from(texts))
+
+
+MUTATION = st.one_of(cell_mutation(True, EDGE_VALUES), cell_mutation(False, KEY_VALUES))
 # a countries.csv cell, each column as likely as the next, set to a number that
 # parses (inside its column's bound or not) or to a name or label
 COUNTRIES_MUTATION = st.tuples(
