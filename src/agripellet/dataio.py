@@ -592,10 +592,10 @@ def _read_table(path: Path, columns: tuple, names, fields: tuple) -> tuple:
     lines = [lineno for lineno, _ in rows]
     first = len(columns) - len(fields)  # the first numeric cell
     cells = list(zip(*[row for _, row in rows])) or [()] * len(columns)
-    table = {}
-    for label, col in zip(columns[:first], cells[:first]):  # the name, then the labels
+    table = {kind: tuple(map(str.strip, cells[0]))}  # the names, checked above
+    for label, col in zip(columns[1:first], cells[1:first]):  # the labels
         table[label] = texts = tuple(map(str.strip, col))
-        for row, _ in _bad_names(texts, unique=False):  # none in the name column, checked above
+        for row, _ in _bad_names(texts, unique=False):
             _report(problems, file, lines[row], f"{label} label is required")
     for f, col in zip(fields, cells[first:]):
         table[f.key] = tuple(_parse_column(file, f.column, f.bound, lines, col, problems))
