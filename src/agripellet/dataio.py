@@ -3,21 +3,17 @@
 All model inputs arrive as UTF-8 CSV files (a leading byte-order mark is
 skipped) with a header row ("-" or an empty cell means "no data") plus an
 optional JSON run configuration.  ``FIELDS`` describes each numeric
-``countries.csv`` column once (header, model key, bound, fallback tier);
-loading, bounds checks and resolution derive from it.  Every table, and the
-``yoy`` series, is read column by column: each column is checked whole, and
-only a column holding a bad cell is scanned cell by cell.  Each rule has one
-check: ``_check_cell`` holds a number to its ``Bound``, and ``_bad_names``
-finds empty, unknown, repeated and non-``str`` names and labels, whether the
-loader names the cell (by file, line and column, in line order) or a
-``Dataset`` built by hand does (by column and row, config key, crop or fuel).
+``countries.csv`` column once (header, model key, bound, fallback tier).
+Each rule has one check and one wording, and each caller adds only the
+place (file and line, column and row, or config key): ``_check_cell`` holds
+a number to its ``Bound``, ``_check_column`` a column (whole, then cell by
+cell only if it trips), and ``_bad_names`` finds bad names and labels.
 ``load_dataset`` reads every file before it raises, so one error names the
 problems of them all, and checks each cell once, as it parses it.  A
 ``Dataset`` and its tables are read-only, so no stage checks a value again.
 ``resolve``, the one fallback rule for an empty cell, runs once per field and
-continent in the pipeline; a fallback mean is exact, so it lies within its
-values' range.  This module only reads files; every output goes through
-``reporting``.
+continent; a fallback mean is exact, so it lies within its values' range.
+This module only reads files; every output goes through ``reporting``.
 """
 
 from __future__ import annotations
@@ -188,49 +184,60 @@ class LivestockRates(NamedTuple):
     sheep: float = 0.100
     swine: float = 0.063
 
-    def rate(self, animal: str) -> float:
-        return getattr(self, animal)
+
+def _check_cell(label: str, value, bound: Bound) -> list:
+    """The one bound check: no problem if ``value`` is a finite number inside
+    ``bound``, else its one problem, named by ``label``.  An int past float
+    range is named by the bound when it lies outside it, as a config's horizon
+    is."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    finite = (is_int or isinstance(value, float)) and abs(value) <= sys.float_info.max
+    if (finite or is_int) and not bound.lo <= value <= bound.hi:
+        return [f"{label}: must be {bound.text}, got {value!r}"]
+    return [] if finite else [f"{label}: not a finite number: {value!r}"]
 
 
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)  # exact for an int beyond float range
+def _check_column(values, bound: Bound, label) -> list:
+    """The one column bound check: ``(row, problem)`` of each cell of
+    ``values`` but None that ``_check_cell`` rejects, named by ``label(row)``;
+    a column of floats that ``fits`` whole is not scanned."""
+    if set(map(type, values)) <= {float, NoneType} and fits(values, bound):
+        return []
+    return [(row, problem) for row, value in enumerate(values) if value is not None
+            for problem in _check_cell(label(row), value, bound)]
 
 
-def _check_cell(label: str, value, bound: Bound, problems: list) -> None:
-    """The one bound check: add a problem named by ``label`` unless ``value``
-    is a finite number inside ``bound``.  An int past float range is named by
-    the bound when it lies outside it, as a config's horizon is."""
-    finite = _is_finite_number(value)
-    if ((finite or isinstance(value, int) and not isinstance(value, bool))
-            and not bound.lo <= value <= bound.hi):
-        problems.append(f"{label}: must be {bound.text}, got {value!r}")
-    elif not finite:
-        problems.append(f"{label}: not a finite number: {value!r}")
-
-
-def _bad_names(cells, accepted=None, unique: bool = True) -> list:
-    """The one name and label check: ``(row, fault)`` of each cell, in row
-    order, that is ``"unknown"`` (not among ``accepted``; None: any),
-    ``"empty"`` (or None), ``"not a str"`` or, if ``unique``, a ``"duplicate"``;
-    a column that passes whole is not scanned."""
+def _bad_names(cells, kind: str, place, accepted=None, label: bool = False) -> list:
+    """The one name and label check: ``(row, problem)`` of each cell of a
+    ``kind`` name (or ``label``), in row order, that is unknown (not among
+    ``accepted``; None: any), empty (or None), not a ``str`` or, for a name,
+    a duplicate, which names its first cell's ``place(row)``.  A column that
+    passes whole is not scanned."""
     if (set(map(type, cells)) <= {str} and "" not in cells
             and (accepted is None or set(cells).issubset(accepted))
-            and (not unique or len(set(cells)) == len(cells))):
+            and (label or len(set(cells)) == len(cells))):
         return []
-    faults, seen = [], set()
+    problems, seen = [], {}
     for row, cell in enumerate(cells):
         if accepted is not None and cell not in accepted:
-            faults.append((row, "unknown"))
+            problems.append((row, f"unknown {kind} {cell!r}"))
         elif not cell:
-            faults.append((row, "empty"))
+            problems.append((row, f"{kind} label is required" if label else f"empty {kind} name"))
         elif type(cell) is not str:
-            faults.append((row, "not a str"))
-        elif cell in seen:
-            faults.append((row, "duplicate"))
-        elif unique:
-            seen.add(cell)
-    return faults
+            problems.append((row, f"{kind} not a str: {cell!r}"))
+        elif not label and cell in seen:
+            problems.append((row, f"duplicate {kind} {cell!r} (first at {place(seen[cell])})"))
+        else:
+            seen.setdefault(cell, row)
+    return problems
+
+
+# The bound of each number of a config, and of each value of its two axes:
+# salvage stays below tfc, and the sweep's closed form holds only for m > 0
+_CONFIG_BOUNDS = {
+    "plant_capacity": POSITIVE, "horizon_years": HORIZON, "salvage_rate": BELOW_ONE,
+    "tfc_capex_ratio": FRACTION, "pellet_efficiency": FRACTION, "carbon_tax": NONNEGATIVE,
+    "fossil_multipliers": POSITIVE, "pellet_prices": Bound("finite", -math.inf, math.inf)}
 
 
 class _ModelConfig(NamedTuple):
@@ -256,35 +263,24 @@ class ModelConfig(CheckedRecord, _ModelConfig):
                                      pellet_prices=tuple(self.pellet_prices))
 
     def _check(self):
-        problems = [f"{name} must be a finite number, got {getattr(self, name)!r}"
-                    for name in ("plant_capacity", "salvage_rate", "tfc_capex_ratio",
-                                 "pellet_efficiency", "carbon_tax")
-                    if not _is_finite_number(getattr(self, name))]
-        if isinstance(self.horizon_years, bool) or not isinstance(self.horizon_years, int):
-            problems.append(f"horizon_years must be an integer, got {self.horizon_years!r}")
-        for name in ("fossil_multipliers", "pellet_prices"):
-            axis = getattr(self, name)
-            if not (isinstance(axis, (list, tuple)) and all(map(_is_finite_number, axis))):
-                problems.append(f"{name} must be a list of finite numbers, got {axis!r}")
-        if problems:
-            raise DataError(problems)
-        _check_cell("plant_capacity", self.plant_capacity, POSITIVE, problems)
-        _check_cell("horizon_years", self.horizon_years, HORIZON, problems)
-        _check_cell("salvage_rate", self.salvage_rate, BELOW_ONE, problems)  # salvage below tfc
-        _check_cell("tfc_capex_ratio", self.tfc_capex_ratio, FRACTION, problems)
-        _check_cell("pellet_efficiency", self.pellet_efficiency, FRACTION, problems)
+        problems = []
+        for key, bound in _CONFIG_BOUNDS.items():
+            value = getattr(self, key)
+            if key not in ("fossil_multipliers", "pellet_prices"):
+                problems += _check_cell(key, value, bound)
+            elif not (isinstance(value, (list, tuple)) and value):
+                problems.append(f"{key}: must be a non-empty list, got {value!r}")
+            else:
+                bad = [problem for i, cell in enumerate(value)
+                       for problem in _check_cell(f"{key}[{i}]", cell, bound)]
+                if not bad and len(set(value)) != len(value):  # one grid cell written twice
+                    bad = [f"{key}: must not repeat a value, got {list(value)!r}"]
+                problems += bad
+        horizon = self.horizon_years
+        if isinstance(horizon, float) and not _check_cell("horizon_years", horizon, HORIZON):
+            problems.append(f"horizon_years must be an integer, got {horizon!r}")
         if self.scenario not in SCENARIOS:
             problems.append(f"scenario must be A, B, or C, got {self.scenario!r}")
-        _check_cell("carbon_tax", self.carbon_tax, NONNEGATIVE, problems)
-        # the sweep's closed form holds only for multipliers > 0
-        if not self.fossil_multipliers or min(self.fossil_multipliers) <= 0:
-            problems.append("fossil_multipliers must be a non-empty list of values > 0")
-        if not self.pellet_prices:
-            problems.append("pellet_prices must not be empty")
-        for name in ("fossil_multipliers", "pellet_prices"):
-            axis = getattr(self, name)
-            if len(set(axis)) != len(axis):  # a repeat would write one grid cell twice
-                problems.append(f"{name} must not repeat a value, got {list(axis)!r}")
         if problems:
             raise DataError(problems)
 
@@ -318,24 +314,17 @@ class Dataset(CheckedRecord, _Dataset):
         rows = len(countries["country"])  # a shorter column would cut a zip() short
         problems = [f"countries column {key!r} has {len(col)} rows, 'country' has {rows}"
                     for key, col in countries.items() if len(col) != rows]
-        names, continents = countries["country"], countries["continent"]
-        labels = [(row, f"duplicate country {names[row]!r}" if fault == "duplicate" else
-                   f"countries column 'country' row {row}: not a non-empty str: {names[row]!r}")
-                  for row, fault in _bad_names(names)]
-        labels += [(row, f"country {names[row]!r} has no continent label" if fault == "empty"
-                    else f"countries column 'continent' row {row} ({names[row]!r}): "
-                         f"not a str: {continents[row]!r}")
-                   for row, fault in _bad_names(continents[:rows], unique=False)]
+        names = countries["country"]
+        labels = [(row, f"countries column {key!r} row {row}: {problem}")
+                  for key, label in (("country", False), ("continent", True))
+                  for row, problem in _bad_names(countries[key][:rows], key, "row {}".format,
+                                                 label=label)]
         problems += [problem for _, problem in sorted(labels, key=itemgetter(0))]  # by row
-        for f in FIELDS:  # each column whole, and only a column that trips cell by cell
-            col = countries[f.key]
-            if (len(col) != rows
-                    or set(map(type, col)) <= {float, NoneType} and fits(col, f.bound)):
-                continue
-            for row, value in enumerate(col):
-                if value is not None:
-                    _check_cell(f"countries column {f.key!r} row {row} ({names[row]!r})",
-                                value, f.bound, problems)
+        for f in FIELDS:
+            if len(countries[f.key]) == rows:
+                problems += [problem for _, problem in _check_column(
+                    countries[f.key], f.bound,
+                    lambda row: f"countries column {f.key!r} row {row} ({names[row]!r})")]
         self._check_tables(problems)
 
     def _check_tables(self, problems: list) -> None:
@@ -348,11 +337,11 @@ class Dataset(CheckedRecord, _Dataset):
                 problems.append(f"{kind}s table must cover exactly {names}")
             for name, record in table.items():
                 for f in fields:
-                    _check_cell(f"{kind} {name!r}: {f.column}", getattr(record, f.key), f.bound,
-                                problems)
-        _check_cell("pellet_ef", self.pellet_ef, FUEL_FIELDS[-1].bound, problems)
+                    problems += _check_cell(f"{kind} {name!r}: {f.column}",
+                                            getattr(record, f.key), f.bound)
+        problems += _check_cell("pellet_ef", self.pellet_ef, FUEL_FIELDS[-1].bound)
         for animal, rate in self.livestock_rates._asdict().items():
-            _check_cell(f"livestock rate {animal!r}", rate, NONNEGATIVE, problems)
+            problems += _check_cell(f"livestock rate {animal!r}", rate, NONNEGATIVE)
         if problems:
             raise DataError(problems)
 
@@ -551,16 +540,13 @@ def _parse_column(file: str, column: str, bound: Bound, lines, cells, problems: 
         return values
     values = []
     for lineno, raw in zip(lines, cells):
-        found = []  # the cell's problem, named by its column; _report adds file and line
         try:
-            value = parse_cell(raw)
-            if value is not None:
-                _check_cell(column, value, bound, found)
+            values.append(parse_cell(raw))
         except DataError as exc:
-            value, found = None, [f"{column}: {exc}"]
-        for problem in found:
-            _report(problems, file, lineno, problem)
-        values.append(value)
+            values.append(None)
+            _report(problems, file, lineno, f"{column}: {exc}")
+    for row, problem in _check_column(values, bound, lambda row: column):
+        _report(problems, file, lines[row], problem)
     return values
 
 
@@ -572,81 +558,68 @@ def _read_table(path: Path, columns: tuple, names, fields: tuple) -> tuple:
     ``names`` holds the accepted names (None: any non-empty name), and a name
     may not repeat; a row with a bad name is skipped.  The cells between the
     name and the ``fields`` numeric cells are text labels that may not be
-    empty.  Each column is checked whole, and only a column that trips is
-    scanned cell by cell.
+    empty.
     """
     file, kind = path.name, columns[0]
     _, rows = _read_rows(path, columns)
     problems = {}
     keys = [row[0].strip() for _, row in rows]
-    faults = _bad_names(keys, names)
-    if faults:
-        first_line = dict(zip(reversed(keys), (lineno for lineno, _ in reversed(rows))))
-        for row, fault in faults:
-            name = keys[row]
-            _report(problems, file, rows[row][0],
-                    f"unknown {kind} {name!r}" if fault == "unknown" else
-                    f"empty {kind} name" if fault == "empty" else
-                    f"duplicate {kind} {name!r} (first at line {first_line[name]})")
-        rows = [(lineno, row) for lineno, row in rows if lineno not in problems]
+    for row, problem in _bad_names(keys, kind, lambda row: f"line {rows[row][0]}", names):
+        _report(problems, file, rows[row][0], problem)
+    rows = [(lineno, row) for lineno, row in rows if lineno not in problems]
     lines = [lineno for lineno, _ in rows]
     first = len(columns) - len(fields)  # the first numeric cell
     cells = list(zip(*[row for _, row in rows])) or [()] * len(columns)
     table = {kind: tuple(map(str.strip, cells[0]))}  # the names, checked above
     for label, col in zip(columns[1:first], cells[1:first]):  # the labels
         table[label] = texts = tuple(map(str.strip, col))
-        for row, _ in _bad_names(texts, unique=False):
-            _report(problems, file, lines[row], f"{label} label is required")
+        for row, problem in _bad_names(texts, label, None, label=True):
+            _report(problems, file, lines[row], problem)
     for f, col in zip(fields, cells[first:]):
         table[f.key] = tuple(_parse_column(file, f.column, f.bound, lines, col, problems))
     return lines, table, problems
 
 
-def load_crops(path: str | Path) -> dict:
+def _load_records(path: str | Path, columns: tuple, names: tuple, fields: tuple, record,
+                  required: str, optional: tuple = ()) -> dict:
+    """The ``record`` of each row of crops.csv or fuels.csv, by name.
+
+    A row of ``names`` with an empty cell has the problem ``required``, and
+    each of ``names`` without a row is missing, after every line.  A row of
+    ``optional`` carries only its last cell, which is its record.
+    """
     path = Path(path)
-    lines, table, problems = _read_table(path, CROPS_COLUMNS, CROPS, CROP_FIELDS)
-    crops = {}
+    lines, table, problems = _read_table(path, columns, names + optional, fields)
+    records = {}
     for lineno, name, *values in zip(lines, *table.values()):
         if lineno in problems:  # a bad cell, named already
             continue
-        if None in values:
-            _report(problems, path.name, lineno, "all four coefficients are required")
+        if name in optional and values[-1] is None:
+            _report(problems, path.name, lineno, f"{name} row requires {columns[-1]}")
+        elif name in optional:
+            records[name] = values[-1]
+        elif None in values:
+            _report(problems, path.name, lineno, required)
         else:
-            crops[name] = CropCoefficients(*values)
-    missing = set(CROPS) - set(crops)
-    if missing:
-        problems[math.inf] = [f"{path.name}: missing crops {sorted(missing)}"]  # after every line
+            records[name] = record(*values)
+    missing = set(names) - set(records)
+    if missing:  # after every line
+        problems[math.inf] = [f"{path.name}: missing {columns[0]}s {sorted(missing)}"]
     _raise(problems)
-    return crops
+    return records
+
+
+def load_crops(path: str | Path) -> dict:
+    return _load_records(path, CROPS_COLUMNS, CROPS, CROP_FIELDS, CropCoefficients,
+                         "all four coefficients are required")
 
 
 def load_fuels(path: str | Path) -> tuple:
-    """Returns (fuel properties by fuel, pellet emission factor).
-
-    The optional ``pellet`` row carries only the pellet emission factor,
-    checked against the same bound as a fuel's.
-    """
-    path = Path(path)
-    lines, table, problems = _read_table(path, FUELS_COLUMNS, FUELS + ("pellet",), FUEL_FIELDS)
-    props = {}
-    pellet_ef = DEFAULT_PELLET_EF
-    for lineno, name, lhv, ef in zip(lines, *table.values()):
-        if lineno in problems:  # a bad cell, named already
-            continue
-        if name == "pellet":
-            if ef is None:
-                _report(problems, path.name, lineno, "pellet row requires ef_kgco2e_per_t")
-            else:
-                pellet_ef = ef
-        elif lhv is None or ef is None:
-            _report(problems, path.name, lineno, "lhv and ef are required")
-        else:
-            props[name] = FuelProperties(lhv, ef)
-    missing = set(FUELS) - set(props)
-    if missing:
-        problems[math.inf] = [f"{path.name}: missing fuels {sorted(missing)}"]  # after every line
-    _raise(problems)
-    return props, pellet_ef
+    """Returns (fuel properties by fuel, pellet emission factor): the
+    optional ``pellet`` row carries only the factor, held to a fuel's bound."""
+    fuels = _load_records(path, FUELS_COLUMNS, FUELS, FUEL_FIELDS, FuelProperties,
+                          "lhv and ef are required", ("pellet",))
+    return fuels, fuels.pop("pellet", DEFAULT_PELLET_EF)
 
 
 def load_countries(path: str | Path) -> dict:

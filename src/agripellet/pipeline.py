@@ -87,13 +87,13 @@ def _resolve(dataset: Dataset, index: list, names: tuple) -> tuple:
     return resolved, failures
 
 
-def _drop(failures: dict, index: list, columns: dict) -> tuple:
-    """``index`` and ``columns`` without the rows of ``failures``."""
+def _drop(failures: dict, index: list, *tables) -> tuple:
+    """``index`` and each of ``tables`` (lists by column) without the rows of ``failures``."""
     if not failures:
-        return index, columns
+        return (index, *tables)
     keep = [row for row in range(len(index)) if row not in failures]
     return ([index[row] for row in keep],
-            {name: [col[row] for row in keep] for name, col in columns.items()})
+            *({name: [col[row] for row in keep] for name, col in t.items()} for t in tables))
 
 
 # Columns that never hold a float, so the non-finite check skips them (as src_X).
@@ -163,7 +163,7 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
         columns.update(cost)  # capex_usd and opex_usd_per_y after tfc_usd, in record order
         columns.update(pricing.msp_columns({**columns, **resolved}, cfg.plant_capacity,
                                            cfg.horizon_years, cfg.salvage_rate))
-    ranked_scores = []
+    ranked_scores, cons = [], {f: amounts(f"cons_{f}") for f in FUELS}
     if depth >= 2:
         planned = [row for row, lhv in enumerate(columns["weighted_lhv_mj_per_kg"])
                    if lhv is not None]  # no residue, no pellet heating value: no plan
@@ -184,7 +184,7 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
                 (resolved, _PRICE_INPUTS),
                 (columns, ("msp_usd_per_t", "weighted_lhv_mj_per_kg", "pellet_energy_tj")))
              for key in keys},
-            {f: pick(amounts(f"cons_{f}")) for f in FUELS},
+            {f: pick(col) for f, col in cons.items()},
             dataset.fuel_properties, dataset.pellet_ef, cfg.scenario, cfg.carbon_tax)
         columns.update((name, spread(col)) for name, col in plan.items())
         ranked_scores = list(map(spread, ranked_scores))
@@ -202,12 +202,12 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
             first.setdefault(row, f"score_{columns[f'rank_{rank}'][row]}")
     errors.update((names[index[row]], f"non-finite {name} for {names[index[row]]!r}")
                   for row, name in first.items())
-    index, record = _drop(first, index, record)
+    index, record, cons = _drop(first, index, record, cons)
 
     result = {"country": [names[row] for row in index],
               "continent": [dataset.countries["continent"][row] for row in index], **record}
     plan = {name: result.get(name, []) for name in replacement.PLAN_COLUMNS}  # [] at assess, msp
-    total_cons = _total(*(amounts(f"cons_{f}") for f in FUELS))
+    total_cons = _total(*cons.values())
     total_alloc = _total(*(plan[f"alloc_{f}_tj"] for f in FUELS))
 
     global_report = GlobalReport(

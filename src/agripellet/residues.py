@@ -50,7 +50,7 @@ def assess_columns(crops: dict, rates: LivestockRates, inputs: dict) -> tuple:
                              inputs[f"dmr_{c}"])) for c in CROPS}
     demand = []
     for a in ANIMALS:
-        rate = rates.rate(a)
+        rate = getattr(rates, a)
         demand.append([n * rate * DAYS_PER_YEAR / 1000.0 for n in inputs[a]])
     feed = list(map(sum, zip(*demand)))
     bagasse = inputs["bagasse_bioenergy"]

@@ -272,7 +272,7 @@ def test_non_finite_carbon_tax_flag_exits_2(data_dir, tmp_path, capsys):
     """A --carbon-tax override is checked as config.json's carbon_tax is."""
     out = tmp_path / "out"
     assert run_cli("recop", "--data", data_dir, "--carbon-tax", "nan", "--out", out) == 2
-    assert capsys.readouterr().err == "error: carbon_tax must be a finite number, got nan\n"
+    assert capsys.readouterr().err == "error: carbon_tax: not a finite number: nan\n"
     assert not out.exists()
 
 

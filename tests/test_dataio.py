@@ -192,7 +192,9 @@ def test_countries_table_with_a_short_or_wrong_column_rejected(dataset):
     rows = [make_profile(name="A"), make_profile(name="B", continent=""), make_profile(name="A")]
     with pytest.raises(DataError) as exc:
         dataset._replace(countries=make_table(rows))
-    assert exc.value.problems == ["country 'B' has no continent label", "duplicate country 'A'"]
+    assert exc.value.problems == [
+        "countries column 'continent' row 1: continent label is required",
+        "countries column 'country' row 2: duplicate country 'A' (first at row 0)"]
 
 
 @pytest.mark.parametrize("key, value, problem", [
@@ -233,11 +235,11 @@ def test_good_cells_pass_the_table_check():
 
 
 @pytest.mark.parametrize("name, continent, problems", [
-    (7, "K", ["countries column 'country' row 1: not a non-empty str: 7"]),
-    (None, "K", ["countries column 'country' row 1: not a non-empty str: None"]),
-    ("", "K", ["countries column 'country' row 1: not a non-empty str: ''"]),
-    ("B", 3.5, ["countries column 'continent' row 1 ('B'): not a str: 3.5"]),
-    ("B", None, ["country 'B' has no continent label"]),
+    (7, "K", ["countries column 'country' row 1: country not a str: 7"]),
+    (None, "K", ["countries column 'country' row 1: empty country name"]),
+    ("", "K", ["countries column 'country' row 1: empty country name"]),
+    ("B", 3.5, ["countries column 'continent' row 1: continent not a str: 3.5"]),
+    ("B", None, ["countries column 'continent' row 1: continent label is required"]),
 ])
 def test_bad_label_rejected_when_built(name, continent, problems):
     """A name and a continent label are each a non-empty str, as the loader
@@ -271,8 +273,8 @@ def test_every_table_problem_is_in_one_error():
     with pytest.raises(DataError) as raised:
         make_dataset(rows, pellet_ef=-1.0)
     assert raised.value.problems == [
-        "countries column 'country' row 1: not a non-empty str: None",
-        "countries column 'continent' row 1 (None): not a str: 3.5",
+        "countries column 'country' row 1: empty country name",
+        "countries column 'continent' row 1: continent not a str: 3.5",
         "countries column 'tax_rate' row 1 (None): must be in [0, 1), got 1.0",
         "pellet_ef: must be >= 0, got -1.0"]
 
@@ -700,6 +702,43 @@ def test_config_value_types_rejected(tmp_path, key, value):
     path.write_text(json.dumps({key: value}), encoding="utf-8")
     with pytest.raises(DataError, match=key):
         load_config(path)
+
+
+# A value outside each config bound and the problem it gets (an axis value is
+# named by its place); any finite pellet price is inside its bound, so an
+# infinite one stands for the value outside it.
+OUT_OF_BOUND = {
+    "plant_capacity": (0.0, "must be > 0, got 0.0"),
+    "horizon_years": (0, f"must be in [1, {2**53}], got 0"),
+    "salvage_rate": (1.0, "must be in [0, 1), got 1.0"),
+    "tfc_capex_ratio": (1.5, "must be in (0, 1], got 1.5"),
+    "pellet_efficiency": (0.0, "must be in (0, 1], got 0.0"),
+    "carbon_tax": (-1.0, "must be >= 0, got -1.0"),
+    "fossil_multipliers": (0.0, "must be > 0, got 0.0"),
+    "pellet_prices": (math.inf, "not a finite number: inf"),
+}
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    pytest.param(key, value, problem, id=f"{key}-{value!r}")
+    for key in dataio._CONFIG_BOUNDS
+    for value, problem in (OUT_OF_BOUND[key], (math.nan, "not a finite number: nan"),
+                           (True, "not a finite number: True"))])
+@pytest.mark.parametrize("through", ["config.json", "ModelConfig"])
+def test_each_config_bound_rejects_with_the_cell_message(tmp_path, key, value, problem, through):
+    """Each entry of the config's (key, Bound) table holds its number, or each
+    value of its axis, to its bound through the one cell check: a value
+    outside the bound, NaN and a bool are each one problem in its words."""
+    axis = key in ("fossil_multipliers", "pellet_prices")
+    given = [1.0, value] if axis else value
+    with pytest.raises(DataError) as raised:
+        if through == "ModelConfig":
+            ModelConfig(**{key: given})
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({key: given}), encoding="utf-8")
+            load_config(path)
+    assert raised.value.problems == [f"{key}[1]: {problem}" if axis else f"{key}: {problem}"]
 
 
 def test_default_pellet_price_axis():

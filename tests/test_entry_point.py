@@ -1,12 +1,14 @@
 """The command line as a user runs it: each test starts
-``python -m agripellet.cli`` in a child process on an edited copy of the
-bundled data, and checks its exit code and every line it writes to stderr.
+``python -m agripellet.cli`` in a child process on the bundled data, an
+edited copy of it or an edited config, and checks its exit code and what it
+writes to stderr or errors.txt.
 
 Run with ``PYTHONPATH=src`` it tests the source tree; run without it after
 ``pip install .`` it tests the installed package.
 """
 
 import csv
+import json
 import re
 import subprocess
 import sys
@@ -33,10 +35,18 @@ def edit_csv(path: Path, edit) -> None:
         csv.writer(f).writerows(rows)
 
 
+def write_config(path: Path, **changes) -> Path:
+    """The bundled config.json with some keys changed, written to ``path``."""
+    config = json.loads((DATA_DIR / "config.json").read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**config, **changes}), encoding="utf-8")
+    return path
+
+
 def agripellet(*args) -> tuple:
-    """``(exit code, stderr lines)`` of one run; a traceback fails the test."""
+    """``(exit code, stderr lines)`` of one run; a traceback, or a run past
+    60 s, fails the test."""
     run = subprocess.run([sys.executable, "-m", "agripellet.cli", *map(str, args)],
-                         capture_output=True, text=True, encoding="utf-8")
+                         capture_output=True, text=True, encoding="utf-8", timeout=60)
     assert "Traceback" not in run.stderr, run.stderr
     return run.returncode, run.stderr.splitlines()
 
@@ -105,3 +115,28 @@ def test_a_year_past_the_int_digit_limit_is_a_bad_cell(tmp_path):
     code, lines = agripellet("yoy", series, "--out", tmp_path / "out")
     assert code == 2
     assert lines == ["error: long-year.csv line 3: year: too many digits (5000)"]
+
+
+def test_a_billion_year_horizon_runs_as_twenty_years_do(tmp_path):
+    """The break-even price is closed-form, so a 1e9-year horizon costs what
+    20 years do: the run ends within 60 s, with exit 0."""
+    config = write_config(tmp_path / "horizon_1e9.json", horizon_years=10**9)
+    code, _ = agripellet("msp", "--data", DATA_DIR, "--country", "Albania", "--config", config,
+                         "--out", tmp_path / "out")
+    assert code == 0
+
+
+def test_a_zero_slope_fails_every_country_with_exit_1(tmp_path):
+    """A break-even slope that rounds to 0.0 (a 5e-324 t/y plant over one
+    year, one tax rate raised to 0.6) fails every country with exit 1 and
+    errors.txt, not a traceback."""
+    data = copy_data(tmp_path)
+    config = write_config(tmp_path / "zero_slope.json", plant_capacity=5e-324, horizon_years=1)
+    countries = data / "countries.csv"
+    text = countries.read_text(encoding="utf-8")
+    assert text.count(",0.14,0.3,") == 1
+    countries.write_text(text.replace(",0.14,0.3,", ",0.14,0.6,"), encoding="utf-8")
+    out = tmp_path / "out"
+    code, _ = agripellet("msp", "--data", data, "--config", config, "--out", out)
+    assert code == 1
+    assert "non-finite msp_usd_per_t" in (out / "errors.txt").read_text(encoding="utf-8")

@@ -37,20 +37,32 @@ WIDTHS = {"countries.csv": len(dataio.COUNTRIES_COLUMNS), "crops.csv": len(datai
           "fuels.csv": len(dataio.FUELS_COLUMNS)}
 
 
+def data_rows(name: str) -> int:
+    """The number of rows after the header of a bundled table."""
+    with (DATA_DIR / name).open(newline="", encoding="utf-8") as f:
+        return len(list(csv.reader(f))) - 1
+
+
+# each row of a table as likely as the next
+ROW = {name: st.sampled_from(range(data_rows(name))) for name, _ in TABLES}
+
+
 def cell_mutation(numeric: bool, texts):
     """One cell set to one of ``texts``: its column drawn evenly among the
-    numeric (or the name and label) columns of all three tables."""
+    numeric (or the name and label) columns of all three tables, and its row
+    evenly among its table's rows."""
     columns = [(table, column) for table in TABLES
                for column in range(WIDTHS[table[0]] - table[1] if numeric else table[1])]
-    return st.builds(lambda cell, row, text: (cell[0], row, cell[1], (numeric, text)),
-                     st.sampled_from(columns), st.integers(0, 10**4), st.sampled_from(texts))
+    return st.sampled_from(columns).flatmap(lambda cell: st.builds(
+        lambda row, text: (cell[0], row, cell[1], (numeric, text)),
+        ROW[cell[0][0]], st.sampled_from(texts)))
 
 
 MUTATION = st.one_of(cell_mutation(True, EDGE_VALUES), cell_mutation(False, KEY_VALUES))
-# a countries.csv cell, each column as likely as the next, set to a number that
-# parses (inside its column's bound or not) or to a name or label
+# a countries.csv cell, each row and each column as likely as the next, set to a
+# number that parses (inside its column's bound or not) or to a name or label
 COUNTRIES_MUTATION = st.tuples(
-    st.just(TABLES[0]), st.integers(0, 10**4), st.integers(0, len(dataio.COUNTRIES_COLUMNS) - 1),
+    st.just(TABLES[0]), ROW[TABLES[0][0]], st.integers(0, len(dataio.COUNTRIES_COLUMNS) - 1),
     st.one_of(st.tuples(st.just(True), st.sampled_from(EDGE_VALUES[:EDGE_VALUES.index("1_0")])),
               st.tuples(st.just(False), st.sampled_from(KEY_VALUES))))
 
