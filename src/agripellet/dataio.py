@@ -278,9 +278,9 @@ class ModelConfig(CheckedRecord, _ModelConfig):
                 problems += bad
         horizon = self.horizon_years
         if isinstance(horizon, float) and not _check_cell("horizon_years", horizon, HORIZON):
-            problems.append(f"horizon_years must be an integer, got {horizon!r}")
+            problems.append(f"horizon_years: must be an integer, got {horizon!r}")
         if self.scenario not in SCENARIOS:
-            problems.append(f"scenario must be A, B, or C, got {self.scenario!r}")
+            problems.append(f"scenario: must be A, B, or C, got {self.scenario!r}")
         if problems:
             raise DataError(problems)
 
@@ -333,8 +333,11 @@ class Dataset(CheckedRecord, _Dataset):
         pellet emission factor (held to fuels.csv's ef bound) and livestock rates."""
         for kind, table, names, fields in (("crop", self.crops, CROPS, CROP_FIELDS),
                                            ("fuel", self.fuel_properties, FUELS, FUEL_FIELDS)):
-            if set(table) != set(names):
-                problems.append(f"{kind}s table must cover exactly {names}")
+            problems += [f"{kind}s table: {problem}"
+                         for _, problem in _bad_names(list(table), kind, None, accepted=names)]
+            missing = set(names) - set(table)
+            if missing:
+                problems.append(f"{kind}s table: missing {kind}s {sorted(missing)}")
             for name, record in table.items():
                 for f in fields:
                     problems += _check_cell(f"{kind} {name!r}: {f.column}",

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,6 +46,26 @@ def dataset():
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA_DIR
+
+
+def copy_data(copy: Path, edits=()) -> Path:
+    """A copy of the bundled data in the new directory ``copy``, with each
+    ``(file, old, new)`` text replaced."""
+    copy.mkdir()
+    for path in DATA_DIR.iterdir():
+        (copy / path.name).write_bytes(path.read_bytes())
+    for name, old, new in edits:
+        text = (copy / name).read_text(encoding="utf-8")
+        assert old in text
+        (copy / name).write_text(text.replace(old, new), encoding="utf-8")
+    return copy
+
+
+def write_config(path: Path, **changes) -> Path:
+    """The bundled config.json with some keys changed, written to ``path``."""
+    config = json.loads((DATA_DIR / "config.json").read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**config, **changes}), encoding="utf-8")
+    return path
 
 
 class Row(NamedTuple):

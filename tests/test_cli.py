@@ -1,11 +1,7 @@
 import csv
 import gc
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 from typing import get_type_hints
 
 import pytest
@@ -14,7 +10,7 @@ from agripellet import reporting
 from agripellet.cli import main
 from agripellet.dataio import COUNTRIES_COLUMNS, load_dataset
 from agripellet.pipeline import STAGE_PLAN, GlobalReport, run_pipeline
-from conftest import assert_same_files
+from conftest import assert_same_files, copy_data, write_config
 from oracles import format_cell, table_records, table_values
 
 
@@ -190,6 +186,10 @@ def test_recop_subcommand_with_scenario_override(data_dir, tmp_path):
         (row,) = list(csv.DictReader(f))
     assert row["scenario"] == "B"
     assert row["rank_1"] == "coal"  # emissions ranking puts coal first
+    assert run_cli("recop", "--data", data_dir, "--out", tmp_path, "--scenario", "C",
+                   "--carbon-tax", "50", "--format", "json") == 0
+    payload = json.loads((tmp_path / "recop.json").read_text(encoding="utf-8"))
+    assert {record["scenario"] for record in payload["countries"]} == {"C", None}
 
 
 def test_sweep_outputs(data_dir, tmp_path):
@@ -202,6 +202,7 @@ def test_sweep_outputs(data_dir, tmp_path):
     with (tmp_path / "sensitivity_long.csv").open(newline="", encoding="utf-8") as f:
         long_rows = list(csv.reader(f))
     assert len(long_rows) == 1 + 77
+    assert_no_non_finite_text(tmp_path)
 
 
 def test_sweep_json(data_dir, tmp_path):
@@ -352,6 +353,7 @@ def test_yoy_subcommand(data_dir, tmp_path):
     averages = {r[0]: float(r[3]) for r in rows[1:] if r[1] == "average"}
     assert averages["Vietnam"] == pytest.approx(0.792, rel=1e-9)
     assert averages["Canada"] == pytest.approx(0.031, rel=1e-9)
+    assert_no_non_finite_text(tmp_path)
 
 
 def test_yoy_json(data_dir, tmp_path):
@@ -409,30 +411,34 @@ def planned_countries(data_dir, tmp_path):
 
 
 def assert_no_non_finite_text(out):
+    """No file in ``out`` holds a NaN or an infinity, as CSV (``nan``, ``inf``)
+    or JSON (``NaN``, ``Infinity``) writes it."""
     for path in out.iterdir():
-        text = path.read_text(encoding="utf-8")
-        assert not any(token in text for token in ("nan", "NaN", "Infinity")), path.name
+        text = path.read_text(encoding="utf-8").lower()
+        assert "nan" not in text and "inf" not in text, path.name
 
 
-@pytest.mark.parametrize("country, column, failed", [
-    ("Afghanistan", "prod_wheat_t", 1),
+@pytest.mark.parametrize("country, column, failed, problem", [
+    ("Afghanistan", "prod_wheat_t", 1, "weighted_lhv_mj_per_kg"),
     # 27 other European countries have a plan and no coal price of their own, so
     # they price coal at the continent mean
-    ("Albania", "price_coal_usd_t", 28),
+    ("Albania", "price_coal_usd_t", 28, "s_ec_usd_per_y"),
 ], ids=["Afghanistan-prod_wheat_t", "Albania-price_coal_usd_t"])
-def test_overflowing_input_fails_country(data_dir, tmp_path, country, column, failed):
+def test_overflowing_input_fails_country(data_dir, tmp_path, country, column, failed, problem):
     """A finite 1e308 that overflows downstream fails exactly the countries that
-    use it, and never writes NaN."""
+    use it, each with one line, and never writes NaN; every other country's
+    countries.csv row is the clean run's, but those that read the continent mean."""
     data = tmp_path / "data"
     data.mkdir()
     with (data_dir / "countries.csv").open(newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
     continent = next(row["continent"] for row in rows if row["country"] == country)
-    expected = {country}
+    expected, readers = {country}, set()
     if column == "price_coal_usd_t":
         planned = planned_countries(data_dir, tmp_path)
-        expected |= {row["country"] for row in rows if row["country"] in planned
-                     and row["continent"] == continent and row[column] in ("", "-")}
+        readers = {row["country"] for row in rows
+                   if row["continent"] == continent and row[column] in ("", "-")}
+        expected |= readers & planned
     assert len(expected) == failed
     for row in rows:
         if row["country"] == country:
@@ -444,9 +450,17 @@ def test_overflowing_input_fails_country(data_dir, tmp_path, country, column, fa
     out = tmp_path / "out"
     for args in (("report",), ("recop", "--format", "json")):
         assert run_cli(*args, "--data", data, "--out", out) == 1
-        assert failed_countries(out) == expected
+        assert (out / "errors.txt").read_text(encoding="utf-8").splitlines() == [
+            f"{name}: non-finite {problem} for {name!r}" for name in sorted(expected)]
     assert_no_non_finite_text(out)
     json.loads((out / "global.json").read_text())
+    assert run_cli("report", "--data", data_dir, "--out", tmp_path / "clean") == 0
+    tables = []
+    for run in (tmp_path / "clean", out):
+        with (run / "countries.csv").open(newline="", encoding="utf-8") as f:
+            tables.append([row for row in csv.reader(f) if row[0] not in readers])
+    clean, overflowing = tables
+    assert overflowing == [row for row in clean if row[0] not in expected]
 
 
 def test_overflowing_ranking_score_fails_country(data_dir, tmp_path):
@@ -463,16 +477,9 @@ def test_overflowing_ranking_score_fails_country(data_dir, tmp_path):
     assert_no_non_finite_text(out)
 
 
-def write_config(data_dir, path, **changes):
-    """The bundled config.json with some keys changed, written to ``path``."""
-    config = json.loads((data_dir / "config.json").read_text(encoding="utf-8"))
-    path.write_text(json.dumps({**config, **changes}), encoding="utf-8")
-    return path
-
-
 def test_tfc_usd_is_the_solver_base(data_dir, tmp_path):
     """tfc_usd is tfc_capex_ratio * capex_usd, and the README's NPV identity holds on it."""
-    config = write_config(data_dir, tmp_path / "config.json", tfc_capex_ratio=0.9)
+    config = write_config(tmp_path / "config.json", tfc_capex_ratio=0.9)
     assert run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path) == 0
     with (tmp_path / "msp.csv").open(newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
@@ -489,7 +496,7 @@ def test_tfc_usd_is_the_solver_base(data_dir, tmp_path):
 
 
 def test_billion_year_horizon_runs(data_dir, tmp_path):
-    config = write_config(data_dir, tmp_path / "config.json", horizon_years=10**9)
+    config = write_config(tmp_path / "config.json", horizon_years=10**9)
     code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path,
                    "--country", "Albania")
     assert code == 0
@@ -504,7 +511,7 @@ def test_horizon_beyond_float_exits_2(data_dir, tmp_path, capsys):
     # 10**305 is a float but not an exact one: at discount_rate 0 its annuity
     # factor overflowed the MSP to NaN
     for horizon in (10**400, 10**305):
-        config = write_config(data_dir, tmp_path / "config.json", horizon_years=horizon)
+        config = write_config(tmp_path / "config.json", horizon_years=horizon)
         code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
         assert code == 2
         assert "horizon_years: must be in [1, 9007199254740992], got 1000" \
@@ -517,7 +524,7 @@ def test_fractional_horizon_exits_2(data_dir, tmp_path, capsys):
     config.write_text(json.dumps({"horizon_years": 20.5}), encoding="utf-8")
     code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
     assert code == 2
-    assert "horizon_years" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: horizon_years: must be an integer, got 20.5\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -580,34 +587,10 @@ def test_main_leaves_the_cyclic_collector_as_it_found_it(data_dir, tmp_path, mon
     assert seen == [False]
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    """The records are NamedTuples: starting the CLI imports neither module,
-    which together cost tens of milliseconds of start-up."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = "import agripellet.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
-
-
-def copy_data(data_dir, tmp_path, edits=()):
-    """A copy of the bundled data with each ``(file, old, new)`` text replaced."""
-    copy = tmp_path / "data"
-    copy.mkdir()
-    for path in data_dir.iterdir():
-        (copy / path.name).write_bytes(path.read_bytes())
-    for name, old, new in edits:
-        text = (copy / name).read_text(encoding="utf-8")
-        assert old in text
-        (copy / name).write_text(text.replace(old, new), encoding="utf-8")
-    return copy
-
-
 def test_unreadable_config_does_not_hide_other_files_problems(data_dir, tmp_path, capsys):
     # a --config that names a directory raises an OSError, which is that file's problem
-    data = copy_data(data_dir, tmp_path, [("countries.csv", "\nAlbania,Europe,410000.0,",
-                                           "\nAlbania,Europe,-5,")])
+    data = copy_data(tmp_path / "data", [("countries.csv", "\nAlbania,Europe,410000.0,",
+                                          "\nAlbania,Europe,-5,")])
     config = tmp_path / "config-dir"
     config.mkdir()
     with pytest.raises(OSError) as refused:  # "[Errno 21] Is a directory: ..." on Linux
@@ -632,7 +615,7 @@ TINY_CROP_LHV = [("crops.csv", f",{v}\n", ",5e-324\n") for v in ("17.3", "14.6",
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_tiny_heating_value_fails_countries_not_the_run(data_dir, tmp_path, capsys, command,
                                                         edits, column, fmt):
-    data = copy_data(data_dir, tmp_path, edits)
+    data = copy_data(tmp_path / "data", edits)
     out = tmp_path / "out"
     assert run_cli(command, "--data", data, "--out", out, "--format", fmt) == 1
     assert "Traceback" not in capsys.readouterr().err
@@ -641,9 +624,7 @@ def test_tiny_heating_value_fails_countries_not_the_run(data_dir, tmp_path, caps
     for line in lines:
         name = line.split(":")[0]
         assert line == f"{name}: non-finite {column} for {name!r}"
-    for path in out.iterdir():
-        text = path.read_text(encoding="utf-8").lower()
-        assert "inf" not in text and "nan" not in text, path.name
+    assert_no_non_finite_text(out)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -651,9 +632,8 @@ def test_zero_price_slope_fails_countries_not_the_run(data_dir, tmp_path, capsys
     # a 5e-324 t/y plant over one year: at Argentina's tax rate raised to 0.6
     # the break-even NPV's slope in price rounds to 0.0, at the others' the
     # price overflows; every country fails with an infinite price
-    data = copy_data(data_dir, tmp_path, [("countries.csv", ",0.14,0.3,", ",0.14,0.6,")])
-    config = write_config(data_dir, tmp_path / "config.json", plant_capacity=5e-324,
-                          horizon_years=1)
+    data = copy_data(tmp_path / "data", [("countries.csv", ",0.14,0.3,", ",0.14,0.6,")])
+    config = write_config(tmp_path / "config.json", plant_capacity=5e-324, horizon_years=1)
     out = tmp_path / "out"
     code = run_cli("msp", "--data", data, "--config", config, "--out", out, "--format", fmt)
     assert code == 1
@@ -663,9 +643,7 @@ def test_zero_price_slope_fails_countries_not_the_run(data_dir, tmp_path, capsys
     assert "Argentina: non-finite msp_usd_per_t for 'Argentina'" in lines
     for line in lines:
         assert ": non-finite msp_usd_per_t for " in line
-    for path in out.iterdir():
-        text = path.read_text(encoding="utf-8").lower()
-        assert "inf" not in text and "nan" not in text, path.name
+    assert_no_non_finite_text(out)
 
 
 def test_errors_txt_holds_one_line_per_failure(tmp_path, capsys):
@@ -699,7 +677,7 @@ FLOAT_TOTALS = [name for name, kind in get_type_hints(GlobalReport).items() if k
 def test_totals_over_no_rows_are_floats(data_dir, tmp_path, case):
     """``sum`` of no values is the int 0; every total is a float all the same,
     and no output cell reads a bare 0."""
-    data = copy_data(data_dir, tmp_path)
+    data = copy_data(tmp_path / "data")
     with (data / "countries.csv").open(newline="", encoding="utf-8") as f:
         header, *rows = list(csv.reader(f))
     if case == "header-only":

@@ -28,7 +28,7 @@ from agripellet.dataio import (
     resolve,
 )
 from agripellet.pipeline import run_pipeline
-from conftest import country_rows, make_dataset, make_profile, make_table
+from conftest import copy_data, country_rows, make_dataset, make_profile, make_table
 from oracles import FIELD_BOUNDS, evaluate_country, save_dataset
 
 COUNTRY_HEADER = (
@@ -317,10 +317,10 @@ def test_replace_rescans_only_a_changed_countries_table(monkeypatch):
     assert recropped._fallbacks is not means and recropped._fallbacks["dmr_rice"][1] == 0.5
     assert ds._fallbacks["dmr_rice"][1] != 0.5
     assert scans == []
-    with pytest.raises(DataError, match="crops table must cover exactly"):
-        ds._replace(crops={})
-    with pytest.raises(DataError, match="fuels table must cover exactly"):
-        ds._replace(fuel_properties={})
+    with pytest.raises(DataError, match=r"crops table: missing crops \['rice'\]"):
+        ds._replace(crops={name: crop for name, crop in ds.crops.items() if name != "rice"})
+    with pytest.raises(DataError, match="fuels table: unknown fuel 'peat'"):
+        ds._replace(fuel_properties={**ds.fuel_properties, "peat": ds.fuel_properties["coal"]})
     assert ds._replace(countries={**ds.countries})._fallbacks is not means
     assert scans
 
@@ -375,9 +375,7 @@ def test_load_dataset_checks_each_countries_bound_once(data_dir, monkeypatch):
 def edited_copy(data_dir, tmp_path, edits):
     """A copy of the bundled data whose countries.csv has each ``(row, column)``
     cell set to its text; row 0 is the first country, on line 2."""
-    tmp_path.mkdir()
-    for path in data_dir.iterdir():
-        (tmp_path / path.name).write_bytes(path.read_bytes())
+    copy_data(tmp_path)
     with (data_dir / "countries.csv").open(newline="", encoding="utf-8") as f:
         header, *rows = list(csv.reader(f))
     for (row, column), text in edits.items():
@@ -502,7 +500,7 @@ def test_every_bad_file_is_reported_in_one_error(data_dir, tmp_path):
     assert exc.value.problems == [
         "countries.csv line 2: tax_rate: must be in [0, 1), got 1.5",
         *crops_and_fuels,
-        "scenario must be A, B, or C, got 'Z'",
+        "scenario: must be A, B, or C, got 'Z'",
     ]
 
 

@@ -1,29 +1,20 @@
 """The command line as a user runs it: each test starts
 ``python -m agripellet.cli`` in a child process on the bundled data, an
 edited copy of it or an edited config, and checks its exit code and what it
-writes to stderr or errors.txt.
+writes to stderr or errors.txt; one test imports the package in a child
+process, as the ``agripellet`` script starts.
 
 Run with ``PYTHONPATH=src`` it tests the source tree; run without it after
 ``pip install .`` it tests the installed package.
 """
 
 import csv
-import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-DATA_DIR = Path(__file__).parent / "data"
-
-
-def copy_data(tmp_path: Path) -> Path:
-    """A copy of the bundled data directory."""
-    data = tmp_path / "data"
-    data.mkdir()
-    for path in DATA_DIR.iterdir():
-        (data / path.name).write_bytes(path.read_bytes())
-    return data
+from conftest import DATA_DIR, copy_data, write_config
 
 
 def edit_csv(path: Path, edit) -> None:
@@ -33,13 +24,6 @@ def edit_csv(path: Path, edit) -> None:
     edit(rows)
     with path.open("w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerows(rows)
-
-
-def write_config(path: Path, **changes) -> Path:
-    """The bundled config.json with some keys changed, written to ``path``."""
-    config = json.loads((DATA_DIR / "config.json").read_text(encoding="utf-8"))
-    path.write_text(json.dumps({**config, **changes}), encoding="utf-8")
-    return path
 
 
 def agripellet(*args) -> tuple:
@@ -54,7 +38,7 @@ def agripellet(*args) -> tuple:
 def test_bad_cells_are_each_named(tmp_path):
     """Bad cells trip the whole-column checks of countries.csv; each tripped
     column is scanned and names its bad cells."""
-    data = copy_data(tmp_path)
+    data = copy_data(tmp_path / "data")
 
     def edit(rows):
         header = rows[0]
@@ -78,7 +62,7 @@ def test_bad_tables_name_every_problem_in_file_and_line_order(tmp_path):
     """Bad names, a bad cell and a pellet row without its ef, in crops.csv and
     fuels.csv of one copy: one run names every problem of both files by line,
     crops.csv first, each file's in line order, then the missing crops."""
-    data = copy_data(tmp_path)
+    data = copy_data(tmp_path / "data")
 
     def edit_crops(rows):
         rows[2][0] = "barley"                   # line 3: not a crop
@@ -130,13 +114,26 @@ def test_a_zero_slope_fails_every_country_with_exit_1(tmp_path):
     """A break-even slope that rounds to 0.0 (a 5e-324 t/y plant over one
     year, one tax rate raised to 0.6) fails every country with exit 1 and
     errors.txt, not a traceback."""
-    data = copy_data(tmp_path)
+    assert (DATA_DIR / "countries.csv").read_text(encoding="utf-8").count(",0.14,0.3,") == 1
+    data = copy_data(tmp_path / "data", [("countries.csv", ",0.14,0.3,", ",0.14,0.6,")])
     config = write_config(tmp_path / "zero_slope.json", plant_capacity=5e-324, horizon_years=1)
-    countries = data / "countries.csv"
-    text = countries.read_text(encoding="utf-8")
-    assert text.count(",0.14,0.3,") == 1
-    countries.write_text(text.replace(",0.14,0.3,", ",0.14,0.6,"), encoding="utf-8")
     out = tmp_path / "out"
     code, _ = agripellet("msp", "--data", data, "--config", config, "--out", out)
     assert code == 1
     assert "non-finite msp_usd_per_t" in (out / "errors.txt").read_text(encoding="utf-8")
+
+
+def test_import_loads_no_dataclasses_or_inspect_and_exports_no_gone_name():
+    """The records are NamedTuples: starting the CLI imports neither module,
+    which together cost tens of milliseconds of start-up.  Every name in
+    ``__all__`` imports, and the removed per-country records (output and
+    input), dataset writer and checked solver inputs are not among them."""
+    code = ("import agripellet.cli, sys\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "from agripellet import *\n"
+            "print(sorted({'CountryReport', 'CountryProfile', 'save_dataset', 'BreakEvenInputs'}"
+            " & set(dir())))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n[]\n"

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from agripellet.cli import main
 from agripellet.dataio import FIELDS
 from agripellet.pipeline import run_pipeline
-from conftest import assert_same_files, country_rows, make_table
+from conftest import assert_same_files, copy_data, country_rows, make_table
 
 # the countries.csv columns with no fallback: production, livestock, bioenergy
 # and fuel consumption amounts, which every stage uses linearly or as a ratio
@@ -63,12 +63,11 @@ def test_amounts_scaled_by_a_power_of_two(dataset, scenario, carbon_tax, scaled_
 
 def test_report_is_byte_identical_for_shuffled_rows(data_dir, tmp_path):
     # each fallback mean is exact, so the order of the countries' rows changes no bit
-    shuffled = tmp_path / "shuffled"
-    shuffled.mkdir()
-    for path in data_dir.iterdir():
-        (shuffled / path.name).write_bytes(path.read_bytes())
-    header, *lines = (data_dir / "countries.csv").read_text(encoding="utf-8").splitlines(True)
+    shuffled = copy_data(tmp_path / "shuffled")
+    text = (data_dir / "countries.csv").read_text(encoding="utf-8")
+    header, *lines = text.splitlines(True)
     random.Random(0).shuffle(lines)
+    assert header + "".join(lines) != text
     (shuffled / "countries.csv").write_text(header + "".join(lines), encoding="utf-8")
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert main(["report", "--data", str(data_dir), "--out", str(out1)]) == 0
@@ -76,7 +75,7 @@ def test_report_is_byte_identical_for_shuffled_rows(data_dir, tmp_path):
     assert len(assert_same_files(out1, out2)) == 6
 
 
-@pytest.mark.parametrize("k", [2, 3, 7])
+@pytest.mark.parametrize("k", [2, 3, 7, 20])
 def test_renamed_copies_get_the_original_rows(dataset, k):
     """k renamed copies of the bundled countries fall back to the same means,
     so each copy's rows are the original's, every value bit for bit."""

@@ -331,8 +331,9 @@ RATE_POOL = (0.0, 1e-9, 1e-7, 0.05, 0.08, 0.3, 1.0)
 @example(rows=[], q=40_080.0, n=20, salvage_rate=0.1)
 def test_msp_columns_rows_match_each_row_alone(rows, q, n, salvage_rate):
     """Each row of ``msp_columns`` over many rows is, bit for bit, what it gives
-    for that row alone; rows that share a rate share the annuity factor; no
-    rows give seven empty columns."""
+    for that row alone; rows that share a rate share the annuity factor, at rate
+    0 the horizon itself; the NPV at each break-even price is zero to the cent;
+    no rows give seven empty columns."""
     columns = {key: [row[i] for row in rows] for i, key in enumerate(MSP_INPUTS)}
     solved = msp_columns(columns, q, n, salvage_rate)
     assert len(solved) == 7 and all(len(col) == len(rows) for col in solved.values())
@@ -342,5 +343,9 @@ def test_msp_columns_rows_match_each_row_alone(rows, q, n, salvage_rate):
         assert {name: repr(col[i]) for name, col in solved.items()} == {
             name: repr(col[0]) for name, col in alone.items()}, row
     annuity_by_rate = {}
-    for r, annuity in zip(columns["discount_rate"], solved["annuity_factor"]):
+    for r, annuity, npv in zip(columns["discount_rate"], solved["annuity_factor"],
+                               solved["npv_at_msp_usd"]):
         assert repr(annuity_by_rate.setdefault(r, annuity)) == repr(annuity), r
+        if r == 0:
+            assert annuity == n
+        assert abs(npv) <= 0.01, r

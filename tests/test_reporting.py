@@ -96,7 +96,8 @@ def test_any_country_name_is_written_as_the_oracle_writes_it(bundled, countries,
     assert_matches_oracle(base._replace(columns={**base.columns, "country": countries}))
 
 
-@pytest.mark.parametrize("count", [0, 1, reporting._BLOCK, reporting._BLOCK + 1])
+@pytest.mark.parametrize("count", [0, 1, reporting._BLOCK, reporting._BLOCK + 1,
+                                   2 * reporting._BLOCK + 1])
 def test_block_edges_match_the_oracle(bundled, count):
     written = assert_matches_oracle(copies(bundled, count, errors=[("Z", "failed")]))
     assert written["report/countries.csv"].count(b"\r\n") == 1 + count
