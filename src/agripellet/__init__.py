@@ -7,7 +7,6 @@ from .dataio import (
     DataError,
     Dataset,
     FuelProperties,
-    LivestockRates,
     ModelConfig,
     UnresolvableFieldError,
     load_dataset,
@@ -26,7 +25,6 @@ __all__ = [
     "Dataset",
     "FuelProperties",
     "GlobalReport",
-    "LivestockRates",
     "ModelConfig",
     "PipelineResult",
     "SensitivityGrid",

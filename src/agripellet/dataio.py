@@ -10,7 +10,8 @@ a number to its ``Bound``, ``_check_column`` a column (whole, then cell by
 cell only if it trips), and ``_bad_names`` finds bad names and labels.
 ``load_dataset`` reads every file before it raises, so one error names the
 problems of them all, and checks each cell once, as it parses it.  A
-``Dataset`` and its tables are read-only, so no stage checks a value again.
+``Dataset`` and its tables are read-only, so no stage checks a value again;
+``_build`` makes every one, loaded, built by hand or ``_replace``d.
 ``resolve``, the one fallback rule for an empty cell, runs once per field and
 continent; a fallback mean is exact, so it lies within its values' range.
 This module only reads files; every output goes through ``reporting``.
@@ -156,35 +157,6 @@ CropCoefficients = NamedTuple("CropCoefficients", [(f.key, float) for f in CROP_
 FuelProperties = NamedTuple("FuelProperties", [(f.key, float) for f in FUEL_FIELDS])
 
 
-class CheckedRecord:
-    """Mixin for a record whose constructor checks its fields.
-
-    A ``NamedTuple`` can define no ``__new__`` and take no mixin, so a checked
-    record is a ``NamedTuple`` of its fields plus a subclass of this mixin and
-    that tuple which defines ``_check``.  ``_replace`` builds through the
-    constructor, so a changed copy is checked again.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
-
-    def _replace(self, **changes):
-        return type(self)(**{**self._asdict(), **changes})
-
-
-class LivestockRates(NamedTuple):
-    """Residue consumed per animal for feed/bedding, kg/day."""
-
-    cattle: float = 0.375
-    horses: float = 1.500
-    sheep: float = 0.100
-    swine: float = 0.063
-
-
 def _check_cell(label: str, value, bound: Bound) -> list:
     """The one bound check: no problem if ``value`` is a finite number inside
     ``bound``, else its one problem, named by ``label``.  An int past float
@@ -207,15 +179,16 @@ def _check_column(values, bound: Bound, label) -> list:
             for problem in _check_cell(label(row), value, bound)]
 
 
-def _bad_names(cells, kind: str, place, accepted=None, label: bool = False) -> list:
+def _bad_names(cells, kind: str, place=None, accepted=None, label: bool = False) -> list:
     """The one name and label check: ``(row, problem)`` of each cell of a
-    ``kind`` name (or ``label``), in row order, that is unknown (not among
-    ``accepted``; None: any), empty (or None), not a ``str`` or, for a name,
-    a duplicate, which names its first cell's ``place(row)``.  A column that
-    passes whole is not scanned."""
+    ``kind`` name (or, worded as such, ``label``), in row order, that is
+    unknown (not among ``accepted``; None: any), empty (or None), not a
+    ``str`` or, given ``place``, a duplicate, which names its first cell's
+    ``place(row)``; with no ``place`` a name may repeat.  A column that passes
+    whole is not scanned."""
     if (set(map(type, cells)) <= {str} and "" not in cells
             and (accepted is None or set(cells).issubset(accepted))
-            and (label or len(set(cells)) == len(cells))):
+            and (place is None or len(set(cells)) == len(cells))):
         return []
     problems, seen = [], {}
     for row, cell in enumerate(cells):
@@ -225,7 +198,7 @@ def _bad_names(cells, kind: str, place, accepted=None, label: bool = False) -> l
             problems.append((row, f"{kind} label is required" if label else f"empty {kind} name"))
         elif type(cell) is not str:
             problems.append((row, f"{kind} not a str: {cell!r}"))
-        elif not label and cell in seen:
+        elif place is not None and cell in seen:
             problems.append((row, f"duplicate {kind} {cell!r} (first at {place(seen[cell])})"))
         else:
             seen.setdefault(cell, row)
@@ -252,15 +225,20 @@ class _ModelConfig(NamedTuple):
     pellet_prices: tuple = tuple(10.0 + 19.0 * i for i in range(11))  # 10 .. 200 $/t inclusive
 
 
-class ModelConfig(CheckedRecord, _ModelConfig):
+class ModelConfig(_ModelConfig):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        self._check()
         # a config file gives the axes as lists; the record holds them as tuples
         # (the base's _replace builds without a second check)
         return _ModelConfig._replace(self, fossil_multipliers=tuple(self.fossil_multipliers),
                                      pellet_prices=tuple(self.pellet_prices))
+
+    def _replace(self, **changes):
+        """A changed copy, checked again."""
+        return ModelConfig(**{**self._asdict(), **changes})
 
     def _check(self):
         problems = []
@@ -287,25 +265,25 @@ class ModelConfig(CheckedRecord, _ModelConfig):
 
 class _Dataset(NamedTuple):
     crops: MappingProxyType   # CropCoefficients per crop
-    livestock_rates: LivestockRates
     countries: MappingProxyType  # COUNTRIES_KEYS -> tuple in file order, None at an empty cell
     fuel_properties: MappingProxyType  # FuelProperties per fuel
     pellet_ef: float
     config: ModelConfig
 
 
-class Dataset(CheckedRecord, _Dataset):
+class Dataset(_Dataset):
     # no __slots__: the cached_property below keeps its table in the instance __dict__
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        # read-only, so that no table skips the check and the cached fallback means
-        # (the base's _replace builds without a second check)
-        return _Dataset._replace(
-            self, crops=_read_only(self.crops), fuel_properties=_read_only(self.fuel_properties),
-            countries=MappingProxyType({key: tuple(self.countries[key]) for key in COUNTRIES_KEYS}))
+        problems = self._check()
+        # read-only, so that no column skips the check and the cached fallback means
+        countries = MappingProxyType({key: tuple(self.countries[key]) for key in COUNTRIES_KEYS})
+        return _build(_Dataset._replace(self, countries=countries), problems)
 
-    def _check(self):
+    def _check(self) -> list:
+        """The problems of the countries table, raised at once if a column is
+        missing or unknown."""
         countries = self.countries
         wrong = set(countries).symmetric_difference(COUNTRIES_KEYS)
         if wrong:
@@ -316,25 +294,25 @@ class Dataset(CheckedRecord, _Dataset):
                     for key, col in countries.items() if len(col) != rows]
         names = countries["country"]
         labels = [(row, f"countries column {key!r} row {row}: {problem}")
-                  for key, label in (("country", False), ("continent", True))
-                  for row, problem in _bad_names(countries[key][:rows], key, "row {}".format,
-                                                 label=label)]
+                  for key, place, label in (("country", "row {}".format, False),
+                                            ("continent", None, True))
+                  for row, problem in _bad_names(countries[key][:rows], key, place, label=label)]
         problems += [problem for _, problem in sorted(labels, key=itemgetter(0))]  # by row
         for f in FIELDS:
             if len(countries[f.key]) == rows:
                 problems += [problem for _, problem in _check_column(
                     countries[f.key], f.bound,
                     lambda row: f"countries column {f.key!r} row {row} ({names[row]!r})")]
-        self._check_tables(problems)
+        return problems
 
     def _check_tables(self, problems: list) -> None:
         """A DataError of ``problems`` and those of the crops and fuels tables
-        (each coefficient held to its crops.csv or fuels.csv column's bound), the
-        pellet emission factor (held to fuels.csv's ef bound) and livestock rates."""
+        (each coefficient held to its crops.csv or fuels.csv column's bound) and
+        the pellet emission factor (held to fuels.csv's ef bound)."""
         for kind, table, names, fields in (("crop", self.crops, CROPS, CROP_FIELDS),
                                            ("fuel", self.fuel_properties, FUELS, FUEL_FIELDS)):
             problems += [f"{kind}s table: {problem}"
-                         for _, problem in _bad_names(list(table), kind, None, accepted=names)]
+                         for _, problem in _bad_names(list(table), kind, accepted=names)]
             missing = set(names) - set(table)
             if missing:
                 problems.append(f"{kind}s table: missing {kind}s {sorted(missing)}")
@@ -343,25 +321,16 @@ class Dataset(CheckedRecord, _Dataset):
                     problems += _check_cell(f"{kind} {name!r}: {f.column}",
                                             getattr(record, f.key), f.bound)
         problems += _check_cell("pellet_ef", self.pellet_ef, FUEL_FIELDS[-1].bound)
-        for animal, rate in self.livestock_rates._asdict().items():
-            problems += _check_cell(f"livestock rate {animal!r}", rate, NONNEGATIVE)
         if problems:
             raise DataError(problems)
 
     def _replace(self, **changes):
-        """A changed copy, checked again; an unchanged countries table is not
-        scanned again, and with the crops unchanged too the copy keeps the
-        cached fallback means."""
-        if changes.get("countries", self.countries) is not self.countries:
-            return super()._replace(**changes)
-        for key in ("crops", "fuel_properties"):
-            if key in changes and changes[key] is not getattr(self, key):
-                changes[key] = _read_only(changes[key])
-        copy = _Dataset._replace(self, **changes)
-        copy._check_tables([])
-        if "_fallbacks" in vars(self) and copy.crops is self.crops:
-            vars(copy)["_fallbacks"] = self._fallbacks
-        return copy
+        """A changed copy, checked again, with its own fallback means; an
+        unchanged countries table is not scanned again."""
+        copy = _Dataset._replace(self, **changes)  # a ValueError at an unknown field
+        if copy.countries is not self.countries:
+            return Dataset(*copy)
+        return _build(copy, [])
 
     @cached_property
     def _fallbacks(self) -> dict:
@@ -382,9 +351,16 @@ class Dataset(CheckedRecord, _Dataset):
         return table
 
 
-def _read_only(table) -> MappingProxyType:
-    """A read-only copy of a mapping, which its caller can no longer change."""
-    return MappingProxyType(dict(table))
+def _build(fields: _Dataset, problems: list) -> Dataset:
+    """The one way fields become a ``Dataset``: over a countries table that is
+    read-only and scanned already, with ``problems`` its problems.  The crops
+    and fuels tables are copied read-only, which their caller can no longer
+    change, and checked; one DataError names every problem."""
+    dataset = Dataset._make(_Dataset._replace(
+        fields, crops=MappingProxyType(dict(fields.crops)),
+        fuel_properties=MappingProxyType(dict(fields.fuel_properties))))
+    dataset._check_tables(problems)
+    return dataset
 
 
 def _exact_sum(ratios, weights) -> tuple:
@@ -642,11 +618,11 @@ def load_series(path: str | Path) -> dict:
     file = path.name
     header, rows = _read_rows(path, ("country", "year", "value"), ("year", "value"))
     problems = {}
-    keys = []  # (name, year) of each row
+    names = [row[0].strip() if header[0] == "country" else "all" for _, row in rows]
+    for row, problem in _bad_names(names, "country"):
+        _report(problems, file, rows[row][0], problem)
+    years = []
     for lineno, row in rows:
-        name = row[0].strip() if header[0] == "country" else "all"
-        if not name:
-            _report(problems, file, lineno, "empty country name")
         raw_year = row[-2].strip()
         year = None
         if not (raw_year.isascii() and raw_year.isdigit()):  # int() takes 2_000, +2001, ٢٠٠١
@@ -656,7 +632,7 @@ def load_series(path: str | Path) -> dict:
                 year = int(raw_year)
             except ValueError:  # past int()'s limit on digits (4,300 by default)
                 _report(problems, file, lineno, f"year: too many digits ({len(raw_year)})")
-        keys.append((name, year))
+        years.append(year)
     lines = [lineno for lineno, _ in rows]
     cells = [row[-1] for _, row in rows]
     values = _parse_column(file, "value", NONNEGATIVE, lines, cells, problems)
@@ -665,7 +641,7 @@ def load_series(path: str | Path) -> dict:
             _report(problems, file, lineno, "value: missing value")
     _raise(problems)
     series = {}
-    for (name, year), value in zip(keys, values):
+    for name, year, value in zip(names, years, values):
         series.setdefault(name, []).append((year, value))
     return series
 
@@ -725,15 +701,9 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
     cfg = attempt(load_config, config) if config is not None else ModelConfig()
     if problems:
         raise DataError(problems)
-    fuel_properties, pellet_ef = fuels
-    # built as _replace builds a copy over a checked table: each countries.csv
-    # cell was held to its bound as it was parsed, and named by file, line and
-    # column if it failed, so the table is not checked a second time
-    dataset = Dataset._make((MappingProxyType(crops), LivestockRates(),
-                             MappingProxyType(countries), MappingProxyType(fuel_properties),
-                             pellet_ef, cfg))
-    dataset._check_tables([])
-    return dataset
+    # each countries.csv cell was held to its bound as it was parsed, and named
+    # by file, line and column if it failed, so the table is not scanned again
+    return _build(_Dataset(crops, MappingProxyType(countries), *fuels, cfg), [])
 
 
 # ---------------------------------------------------------------------------

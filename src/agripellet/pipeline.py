@@ -152,8 +152,7 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
         return [dataset.countries[key][row] or 0.0 for row in index]
 
     columns, by_crop = residues.assess_columns(
-        dataset.crops, dataset.livestock_rates,
-        {**{key: amounts(key) for key in residues.INPUT_KEYS}, **resolved})
+        dataset.crops, {**{key: amounts(key) for key in residues.INPUT_KEYS}, **resolved})
     columns.update(energy.energy_columns(by_crop, columns["cr_final_t"], dataset.crops,
                                          cfg.pellet_efficiency))
     if depth >= 1:

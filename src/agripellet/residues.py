@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .dataio import ANIMALS, CROPS, LivestockRates
+from .dataio import ANIMALS, CROPS
 
 # Share of "other vegetal" bioenergy attributed to maize/rice/wheat residues:
 # cereals are 31.3% of primary crop output and these three are 91% of cereals.
@@ -14,6 +14,8 @@ BIG_THREE_CEREAL_SHARE = 0.91
 OTHER_BIOENERGY_ATTRIBUTION = CEREAL_SHARE * BIG_THREE_CEREAL_SHARE
 
 DAYS_PER_YEAR = 365.0
+# Residue used per head for feed and bedding, kg/day, in ANIMALS order.
+LIVESTOCK_RATES = {"cattle": 0.375, "horses": 1.500, "sheep": 0.100, "swine": 0.063}
 
 # The countries.csv amounts the residue accounting reads (a missing value is 0.0).
 INPUT_KEYS = (*(f"prod_{c}" for c in CROPS), *ANIMALS, "bagasse_bioenergy", "other_bioenergy")
@@ -29,7 +31,7 @@ def removable_dry_residue(cr_total: float, srr: float, dmr: float) -> float:
     return cr_total * srr * dmr
 
 
-def assess_columns(crops: dict, rates: LivestockRates, inputs: dict) -> tuple:
+def assess_columns(crops: dict, inputs: dict) -> tuple:
     """The assess stage's residue columns, and each row's final tonnage per crop.
 
     ``inputs`` holds one list per key, a row per country: the amounts
@@ -48,10 +50,8 @@ def assess_columns(crops: dict, rates: LivestockRates, inputs: dict) -> tuple:
                 for c in CROPS}
     removable = {c: list(map(removable_dry_residue, cr_total[c], repeat(crops[c].srr),
                              inputs[f"dmr_{c}"])) for c in CROPS}
-    demand = []
-    for a in ANIMALS:
-        rate = getattr(rates, a)
-        demand.append([n * rate * DAYS_PER_YEAR / 1000.0 for n in inputs[a]])
+    demand = ([n * rate * DAYS_PER_YEAR / 1000.0 for n in inputs[a]]
+              for a, rate in LIVESTOCK_RATES.items())
     feed = list(map(sum, zip(*demand)))
     bagasse = inputs["bagasse_bioenergy"]
     attributed = [o * OTHER_BIOENERGY_ATTRIBUTION for o in inputs["other_bioenergy"]]

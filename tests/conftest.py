@@ -14,7 +14,6 @@ from agripellet.dataio import (
     PLI_COMPONENTS,
     FIELDS,
     Dataset,
-    LivestockRates,
     ModelConfig,
     default_crops,
     default_fuel_properties,
@@ -113,7 +112,6 @@ def make_profile(name="Testland", continent="Testia", production=None, dmr=None,
 def make_dataset(rows, config=None, pellet_ef=151.0):
     return Dataset(
         crops=default_crops(),
-        livestock_rates=LivestockRates(),
         countries=make_table(rows),
         fuel_properties=default_fuel_properties(),
         pellet_ef=pellet_ef,
@@ -189,7 +187,7 @@ def assess_row(crops=UNIT_CROPS, production=None, livestock=None, bagasse=0.0,
     inputs.update({a: [v or 0.0] for a, v in (livestock or {}).items()})
     inputs.update(bagasse_bioenergy=[bagasse], other_bioenergy=[other])
     inputs.update({f"dmr_{c}": [crops[c].dmr_default] for c in CROPS})
-    columns, by_crop = assess_columns(crops, LivestockRates(), inputs)
+    columns, by_crop = assess_columns(crops, inputs)
     return one_row(columns), one_row(by_crop)
 
 

@@ -41,10 +41,10 @@ from agripellet import costs, energy, pricing, replacement, residues
 from agripellet.dataio import (BELOW_ONE, COUNTRIES_COLUMNS, COUNTRIES_KEYS, CROP_FIELDS,
                                CROPS, CROPS_COLUMNS, DEFAULT_PELLET_EF, FIELDS,
                                FUEL_FIELDS, FUELS, FUELS_COLUMNS, HORIZON, NONNEGATIVE,
-                               PLI_COMPONENTS, POSITIVE, CheckedRecord, CropCoefficients,
-                               DataError, Dataset, Field, FuelProperties, LivestockRates,
-                               ModelConfig, _read_rows, default_crops, default_fuel_properties,
-                               load_config, parse_cell, resolve)
+                               PLI_COMPONENTS, POSITIVE, CropCoefficients, DataError,
+                               Dataset, Field, FuelProperties, ModelConfig, _read_rows,
+                               default_crops, default_fuel_properties, load_config,
+                               parse_cell, resolve)
 from agripellet.pipeline import _STAGE_ORDER, STAGE_PLAN, GlobalReport
 from agripellet.replacement import PLAN_COLUMNS
 from agripellet.reporting import _SAME_AS, PLOT_COLUMNS, REPORT_COLUMNS
@@ -110,7 +110,7 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
         return countries[key][row] or 0.0
 
     assessed, by_crop = residues.assess_columns(
-        dataset.crops, dataset.livestock_rates,
+        dataset.crops,
         {**{key: [amount(key)] for key in residues.INPUT_KEYS},
          **{f"dmr_{c}": [field(f"dmr_{c}")] for c in CROPS}})
     potential = energy.energy_columns(by_crop, assessed["cr_final_t"], dataset.crops,
@@ -331,17 +331,22 @@ def outside(label: str, value, bound) -> list:
     return [f"{label}: must be {bound.text}, got {value!r}"]
 
 
-class BreakEvenInputs(CheckedRecord, _BreakEvenInputs):
-    """One plant's break-even inputs, each checked against its bound."""
+class BreakEvenInputs(_BreakEvenInputs):
+    """One plant's break-even inputs, each checked against its bound, also in
+    a changed copy."""
 
     __slots__ = ()
 
-    def _check(self):
-        problems = []
-        for name, bound in _INPUT_BOUNDS:
-            problems += outside(name, getattr(self, name), bound)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        problems = [problem for name, bound in _INPUT_BOUNDS
+                    for problem in outside(name, getattr(self, name), bound)]
         if problems:
             raise DataError(problems)
+        return self
+
+    def _replace(self, **changes):
+        return BreakEvenInputs(**{**self._asdict(), **changes})
 
 
 def salvage_value(inputs: BreakEvenInputs) -> float:
@@ -747,7 +752,6 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
     fuel_properties, pellet_ef = loaded["fuels"]
     return Dataset(
         crops=loaded["crops"],
-        livestock_rates=LivestockRates(),
         countries=loaded["countries"],
         fuel_properties=fuel_properties,
         pellet_ef=pellet_ef,

@@ -15,7 +15,6 @@ from agripellet.dataio import (
     COUNTRIES_KEYS,
     RESOLVABLE_FIELDS,
     DataError,
-    LivestockRates,
     ModelConfig,
     UnresolvableFieldError,
     load_config,
@@ -254,18 +253,25 @@ def test_bad_label_rejected_when_built(name, continent, problems):
     ({"pellet_ef": -5.0}, ["pellet_ef: must be >= 0, got -5.0"]),
     ({"pellet_ef": "1"}, ["pellet_ef: not a finite number: '1'"]),
     ({"pellet_ef": math.nan}, ["pellet_ef: not a finite number: nan"]),
-    ({"livestock_rates": LivestockRates(cattle=-1.0)},
-     ["livestock rate 'cattle': must be >= 0, got -1.0"]),
-    ({"livestock_rates": LivestockRates(horses=math.inf, swine="2")},
-     ["livestock rate 'horses': not a finite number: inf",
-      "livestock rate 'swine': not a finite number: '2'"]),
 ])
 def test_bad_pellet_ef_or_livestock_rate_rejected(dataset, changes, problems):
     """``_replace`` holds the pellet emission factor to the bound of fuels.csv's
-    ef column, and each livestock rate to a finite number >= 0."""
+    ef column.  The livestock rates are constants of ``residues``, which no
+    ``Dataset`` holds (see ``test_replace_rejects_an_unknown_field``)."""
     with pytest.raises(DataError) as raised:
         dataset._replace(**changes)
     assert raised.value.problems == problems
+
+
+@pytest.mark.parametrize("countries", [False, True])
+def test_replace_rejects_an_unknown_field(dataset, countries):
+    """A field a ``Dataset`` does not have, such as the gone
+    ``livestock_rates``, is a ValueError naming it, whether or not the copy
+    has a new countries table."""
+    changes = {"countries": {**dataset.countries}} if countries else {}
+    with pytest.raises(ValueError, match="'livestock_rates'") as raised:
+        dataset._replace(livestock_rates=(0.375, 1.5, 0.1, 0.063), **changes)
+    assert not isinstance(raised.value, DataError)
 
 
 def test_every_table_problem_is_in_one_error():
@@ -300,28 +306,27 @@ def test_countries_table_is_read_only(dataset):
 
 
 def test_replace_rescans_only_a_changed_countries_table(monkeypatch):
-    """A copy whose countries table is unchanged is not scanned again; it keeps
-    the cached fallback means unless its crops change; its crops and fuels
-    tables are checked all the same."""
+    """A copy whose countries table is unchanged is not scanned again; its
+    crops and fuels tables are checked all the same, and a copy with new crops
+    resolves the world average from them."""
     ds = make_dataset([make_profile(name="A", continent="K", tax_rate=0.2),
                        make_profile(name="B", continent="K", tax_rate=None)])
-    means = ds._fallbacks
+    old = resolve(ds, 1, "dmr_rice")
     scans = []
     fits = dataio.fits
     monkeypatch.setattr(dataio, "fits", lambda *args: scans.append(args) or fits(*args))
     changed = ds._replace(config=ds.config._replace(scenario="B"), countries=ds.countries)
     assert changed.config.scenario == "B" and changed.countries is ds.countries
-    assert changed._fallbacks is means
     rice = ds.crops["rice"]._replace(dmr_default=0.5)
     recropped = ds._replace(crops={**ds.crops, "rice": rice})
-    assert recropped._fallbacks is not means and recropped._fallbacks["dmr_rice"][1] == 0.5
-    assert ds._fallbacks["dmr_rice"][1] != 0.5
+    assert resolve(recropped, 1, "dmr_rice") == (0.5, "world-average") != old
+    assert resolve(ds, 1, "dmr_rice") == old
     assert scans == []
     with pytest.raises(DataError, match=r"crops table: missing crops \['rice'\]"):
         ds._replace(crops={name: crop for name, crop in ds.crops.items() if name != "rice"})
     with pytest.raises(DataError, match="fuels table: unknown fuel 'peat'"):
         ds._replace(fuel_properties={**ds.fuel_properties, "peat": ds.fuel_properties["coal"]})
-    assert ds._replace(countries={**ds.countries})._fallbacks is not means
+    ds._replace(countries={**ds.countries})
     assert scans
 
 
