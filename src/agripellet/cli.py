@@ -10,8 +10,9 @@ report   full pipeline: countries.csv, global.json, errors.txt, plot CSVs
 yoy      year-on-year growth statistics for an annual production series
 
 The data directory defaults to $AGRIPELLET_DATA, then the current directory.
-Exit code is 0 only when every country evaluated cleanly.  Every subcommand
-but yoy writes errors.txt once past loading; it is empty on a clean run.
+Exit code is 0 only when every country (for yoy, every series) evaluated
+cleanly.  Every subcommand writes errors.txt once past loading, a line per
+failure; it is empty on a clean run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import gc
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import reporting, sensitivity
@@ -48,22 +50,27 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--carbon-tax", type=float, default=None, metavar="USD_PER_TCO2E",
                           help="carbon tax for scenario C (overrides config)")
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default="out", help="output directory (default: ./out)")
+    out.add_argument("--out", type=Path, default="out", help="output directory (default: ./out)")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=["csv", "json"], default="csv",
                      help="output format (default: csv)")
+    series = argparse.ArgumentParser(add_help=False)
+    series.add_argument("series", help="CSV with columns country,year,value (country optional)")
 
-    for name, text, parents in (
-        ("assess", "residue availability and pellet energy", [inputs, out, fmt]),
-        ("msp", "plant costs and break-even pellet price", [inputs, out, fmt]),
-        ("recop", "fuel replacement plans and savings", [inputs, scenario, out, fmt]),
-        ("sweep", "sensitivity grid of global savings", [inputs, out, fmt]),
-        ("report", "full pipeline report (CSVs and global.json)", [inputs, scenario, out]),
+    # each handler returns its (name, message) failures and its count of clean evaluations
+    for name, text, parents, handler in (
+        ("assess", "residue availability and pellet energy", [inputs, out, fmt],
+         partial(_run_stage, STAGE_ASSESS, reporting.ASSESS_COLUMNS)),
+        ("msp", "plant costs and break-even pellet price", [inputs, out, fmt],
+         partial(_run_stage, STAGE_MSP, reporting.MSP_COLUMNS)),
+        ("recop", "fuel replacement plans and savings", [inputs, scenario, out, fmt],
+         partial(_run_stage, STAGE_PLAN, reporting.RECOP_COLUMNS)),
+        ("sweep", "sensitivity grid of global savings", [inputs, out, fmt], _run_sweep),
+        ("report", "full pipeline report (CSVs and global.json)", [inputs, scenario, out],
+         _run_report),
+        ("yoy", "year-on-year growth statistics", [out, fmt, series], _run_yoy),
     ):
-        sub.add_parser(name, parents=parents, help=text)
-
-    yoy = sub.add_parser("yoy", parents=[out, fmt], help="year-on-year growth statistics")
-    yoy.add_argument("series", help="CSV with columns country,year,value (country optional)")
+        sub.add_parser(name, parents=parents, help=text).set_defaults(handler=handler)
     return parser
 
 
@@ -78,81 +85,53 @@ def _load(args):
     return dataset
 
 
-def _finish(result, out_dir: Path) -> int:
-    """Write ``errors.txt`` (empty on a clean run) and give the exit code."""
-    reporting.write_errors_txt(out_dir / "errors.txt", result)
-    if result.errors:
-        print(f"{len(result.errors)} of "
-              f"{len(result.errors) + result.global_report.countries_evaluated} countries failed "
-              f"(see {out_dir / 'errors.txt'})", file=sys.stderr)
-        return 1
-    return 0
+def _outcome(result) -> tuple:
+    return result.errors, result.global_report.countries_evaluated
 
 
-def _run_stage(args, stage: str, columns: tuple, stem: str) -> int:
-    dataset = _load(args)
-    result = run_pipeline(dataset, through=stage, countries=args.country)
-    out_dir = Path(args.out)
-    reporting.write_table(out_dir / f"{stem}.{args.format}", columns, result)
-    print(f"wrote {out_dir / (stem + '.' + args.format)} "
-          f"({result.global_report.countries_evaluated} countries)")
-    return _finish(result, out_dir)
+def _run_stage(stage: str, columns: tuple, args) -> tuple:
+    """One per-country stage, written to ``<subcommand>.<format>``."""
+    result = run_pipeline(_load(args), through=stage, countries=args.country)
+    path = args.out / f"{args.command}.{args.format}"
+    reporting.write_table(path, columns, result)
+    print(f"wrote {path} ({result.global_report.countries_evaluated} countries)")
+    return _outcome(result)
 
 
-def cmd_assess(args) -> int:
-    return _run_stage(args, STAGE_ASSESS, reporting.ASSESS_COLUMNS, "assess")
-
-
-def cmd_msp(args) -> int:
-    return _run_stage(args, STAGE_MSP, reporting.MSP_COLUMNS, "msp")
-
-
-def cmd_recop(args) -> int:
-    return _run_stage(args, STAGE_PLAN, reporting.RECOP_COLUMNS, "recop")
-
-
-def cmd_sweep(args) -> int:
-    dataset = _load(args)
-    grid = sensitivity.sweep(dataset, countries=args.country)
-    out_dir = Path(args.out)
-    paths = reporting.write_sweep_files(out_dir, grid, args.format)
+def _run_sweep(args) -> tuple:
+    grid = sensitivity.sweep(_load(args), countries=args.country)
+    paths = reporting.write_sweep_files(args.out, grid, args.format)
     print("wrote " + " and ".join(map(str, paths)))
-    return _finish(grid.baseline, out_dir)
+    return _outcome(grid.baseline)
 
 
-def cmd_report(args) -> int:
-    dataset = _load(args)
-    result = run_pipeline(dataset, through=STAGE_PLAN, countries=args.country)
-    out_dir = Path(args.out)
-    reporting.write_report_files(out_dir, result)
-    print(f"wrote report for {result.global_report.countries_evaluated} countries to {out_dir}")
-    return _finish(result, out_dir)
+def _run_report(args) -> tuple:
+    result = run_pipeline(_load(args), through=STAGE_PLAN, countries=args.country)
+    reporting.write_report_files(args.out, result)
+    print(f"wrote report for {result.global_report.countries_evaluated} countries to {args.out}")
+    return _outcome(result)
 
 
-def cmd_yoy(args) -> int:
+def _run_yoy(args) -> tuple:
     series = load_series(args.series)
-    results = {}
-    failures = []
+    results, failures = {}, []
     for name in sorted(series):
         try:
             results[name] = yoy_growth(series[name])
         except DataError as exc:
             failures.append((name, str(exc)))
-    path = reporting.write_yoy_file(args.out, results, failures, args.format)
-    print(f"wrote {path}")
-    for name, message in failures:
-        print(f"{reporting.one_line(name)}: {message}", file=sys.stderr)
-    return 1 if failures else 0
+    print(f"wrote {reporting.write_yoy_file(args.out, results, failures, args.format)}")
+    return failures, len(results)
 
 
-COMMANDS = {
-    "assess": cmd_assess,
-    "msp": cmd_msp,
-    "recop": cmd_recop,
-    "sweep": cmd_sweep,
-    "report": cmd_report,
-    "yoy": cmd_yoy,
-}
+def _finish(errors: list, evaluated: int, out_dir: Path) -> int:
+    """Write ``errors.txt`` (empty on a clean run) and give the exit code."""
+    reporting.write_errors_txt(out_dir / "errors.txt", errors)
+    if errors:
+        print(f"{len(errors)} of {len(errors) + evaluated} countries failed "
+              f"(see {out_dir / 'errors.txt'})", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv=None) -> int:
@@ -162,7 +141,7 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return COMMANDS[args.command](args)
+        return _finish(*args.handler(args), args.out)
     except DataError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)

@@ -211,6 +211,7 @@ _CONFIG_BOUNDS = {
     "plant_capacity": POSITIVE, "horizon_years": HORIZON, "salvage_rate": BELOW_ONE,
     "tfc_capex_ratio": FRACTION, "pellet_efficiency": FRACTION, "carbon_tax": NONNEGATIVE,
     "fossil_multipliers": POSITIVE, "pellet_prices": Bound("finite", -math.inf, math.inf)}
+_AXES = ("fossil_multipliers", "pellet_prices")  # the sweep grid's axes, lists of numbers
 
 
 class _ModelConfig(NamedTuple):
@@ -231,10 +232,13 @@ class ModelConfig(_ModelConfig):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         self._check()
-        # a config file gives the axes as lists; the record holds them as tuples
-        # (the base's _replace builds without a second check)
-        return _ModelConfig._replace(self, fossil_multipliers=tuple(self.fossil_multipliers),
-                                     pellet_prices=tuple(self.pellet_prices))
+        # a config file gives numbers as ints or floats and the axes as lists; the
+        # record holds floats, the axes as tuples of floats, and the horizon as an
+        # int (the base's _replace builds without a second check)
+        numbers = {key: getattr(self, key) for key in _CONFIG_BOUNDS if key != "horizon_years"}
+        return _ModelConfig._replace(self, **{
+            key: tuple(map(float, value)) if key in _AXES else float(value)
+            for key, value in numbers.items()})
 
     def _replace(self, **changes):
         """A changed copy, checked again."""
@@ -244,7 +248,7 @@ class ModelConfig(_ModelConfig):
         problems = []
         for key, bound in _CONFIG_BOUNDS.items():
             value = getattr(self, key)
-            if key not in ("fossil_multipliers", "pellet_prices"):
+            if key not in _AXES:
                 problems += _check_cell(key, value, bound)
             elif not (isinstance(value, (list, tuple)) and value):
                 problems.append(f"{key}: must be a non-empty list, got {value!r}")
@@ -720,6 +724,9 @@ def resolve(dataset: Dataset, row: int, name: str) -> tuple:
     fallback = dataset._fallbacks.get(name)
     if fallback is None:
         raise KeyError(f"not a resolvable field: {name!r}")
+    rows = len(dataset.countries["country"])
+    if not 0 <= row < rows:  # a negative row would index from the end
+        raise IndexError(f"no countries row {row!r} in a table of {rows} rows")
     own = dataset.countries[name][row]
     if own is not None:
         return own, "country"

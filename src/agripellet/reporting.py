@@ -285,12 +285,12 @@ def one_line(name: str) -> str:
     return repr(name) if _line_break(name) else name
 
 
-def write_errors_txt(path: str | Path, result: PipelineResult) -> None:
-    """One line per failed country: its name (see ``one_line``) and message."""
+def write_errors_txt(path: str | Path, errors: list) -> None:
+    """One line per ``(name, message)`` failure: the name (see ``one_line``) and message."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"{one_line(name)}: {message}" for name, message in result.errors]
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    path.write_text("".join(f"{one_line(name)}: {message}\n" for name, message in errors),
+                    encoding="utf-8")
 
 
 def write_report_files(out_dir: str | Path, result: PipelineResult) -> None:

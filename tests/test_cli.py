@@ -192,6 +192,18 @@ def test_recop_subcommand_with_scenario_override(data_dir, tmp_path):
     assert {record["scenario"] for record in payload["countries"]} == {"C", None}
 
 
+def test_config_carbon_tax_is_written_as_the_flags(data_dir, tmp_path):
+    """config.json's "carbon_tax": 50 and --carbon-tax 50 give the same recop.csv."""
+    config = write_config(tmp_path / "config.json", carbon_tax=50)
+    assert run_cli("recop", "--data", data_dir, "--country", "Brazil", "--config", config,
+                   "--out", tmp_path / "config") == 0
+    assert run_cli("recop", "--data", data_dir, "--country", "Brazil", "--carbon-tax", "50",
+                   "--out", tmp_path / "flag") == 0
+    written = (tmp_path / "config" / "recop.csv").read_bytes()
+    assert written == (tmp_path / "flag" / "recop.csv").read_bytes()
+    assert b",50.0," in written
+
+
 def test_sweep_outputs(data_dir, tmp_path):
     code = run_cli("sweep", "--data", data_dir, "--out", tmp_path)
     assert code == 0
@@ -244,13 +256,23 @@ def test_sweep_with_failed_country_exits_1(tmp_path, capsys):
     assert all(v == (0.0, 0.0) for v in cells.values())
 
 
-def test_clean_run_empties_stale_errors_txt(data_dir, tmp_path):
-    write_unresolvable_dataset(tmp_path)
+@pytest.mark.parametrize("command", ["assess", "msp", "recop", "sweep", "report", "yoy"])
+def test_clean_run_empties_stale_errors_txt(data_dir, tmp_path, command):
+    """A failing run, then a clean run into the same --out: errors.txt names the
+    failure, then is empty."""
+    if command == "yoy":
+        series = tmp_path / "series.csv"
+        series.write_text("country,year,value\nX,2000,0\nX,2001,0\n", encoding="utf-8")
+        failing, clean, name = (series,), (data_dir / "production_series.csv",), "X"
+    else:  # an overflowing production fails Afghanistan from the first stage on
+        data = copy_data(tmp_path / "data", [("countries.csv", "\nAfghanistan,Asia,180000.0,",
+                                              "\nAfghanistan,Asia,1e308,")])
+        failing, clean, name = ("--data", data), ("--data", data_dir), "Afghanistan"
     out = tmp_path / "out"
-    assert run_cli("sweep", "--data", tmp_path, "--out", out) == 1
-    assert (out / "errors.txt").read_text().startswith("X: ")
-    assert run_cli("sweep", "--data", data_dir, "--out", out) == 0
-    assert (out / "errors.txt").read_text() == ""
+    assert run_cli(command, *failing, "--out", out) == 1
+    assert (out / "errors.txt").read_text(encoding="utf-8").startswith(f"{name}: ")
+    assert run_cli(command, *clean, "--out", out) == 0
+    assert (out / "errors.txt").read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize("key, value", [
@@ -333,7 +355,10 @@ def test_yoy_overflowing_series_fails_on_its_own(tmp_path, capsys, fmt):
     series.write_text("country,year,value\nA,2000,1e-300\nA,2001,1e300\nB,2000,1\nB,2001,2\n",
                       encoding="utf-8")
     assert run_cli("yoy", series, "--out", tmp_path, "--format", fmt) == 1
-    assert capsys.readouterr().err == "A: growth is not a finite number\n"
+    assert capsys.readouterr().err == (
+        f"1 of 2 countries failed (see {tmp_path / 'errors.txt'})\n")
+    assert (tmp_path / "errors.txt").read_text(encoding="utf-8") == (
+        "A: growth is not a finite number\n")
     text = (tmp_path / f"yoy.{fmt}").read_text(encoding="utf-8")
     assert not re.search("nan|inf", text, re.IGNORECASE)
     if fmt == "json":
@@ -665,9 +690,12 @@ def test_yoy_names_a_multi_line_series_on_one_line(tmp_path, capsys):
     series = tmp_path / "series.csv"
     series.write_text('country,year,value\n"A\nB",2000,0\n"A\nB",2001,0\nC,2000,0\nC,2001,0\n',
                       encoding="utf-8")
-    assert run_cli("yoy", series, "--out", tmp_path / "out") == 1
-    assert capsys.readouterr().err == ("'A\\nB': every base year is zero; growth is undefined\n"
-                                       "C: every base year is zero; growth is undefined\n")
+    out = tmp_path / "out"
+    assert run_cli("yoy", series, "--out", out) == 1
+    assert capsys.readouterr().err == f"2 of 2 countries failed (see {out / 'errors.txt'})\n"
+    assert (out / "errors.txt").read_text(encoding="utf-8") == (
+        "'A\\nB': every base year is zero; growth is undefined\n"
+        "C: every base year is zero; growth is undefined\n")
 
 
 FLOAT_TOTALS = [name for name, kind in get_type_hints(GlobalReport).items() if kind is float]

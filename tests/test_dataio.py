@@ -676,6 +676,19 @@ def test_config_validation(tmp_path):
     assert load_config(path).horizon_years == 20
 
 
+def test_config_numbers_are_floats_but_the_horizon():
+    """A config file's ints are held as the floats a flag gives (the horizon
+    stays an int), so an output cell reads 50.0 whichever way 50 came in."""
+    cfg = ModelConfig(plant_capacity=40_000, horizon_years=20, salvage_rate=0,
+                      tfc_capex_ratio=1, pellet_efficiency=1, carbon_tax=50,
+                      fossil_multipliers=[1, 2.5], pellet_prices=[-10, 20])
+    assert cfg == (40_000.0, 20, 0.0, 1.0, 1.0, "A", 50.0, (1.0, 2.5), (-10.0, 20.0))
+    assert [type(value) for value in cfg] == [float, int, float, float, float, str, float,
+                                              tuple, tuple]
+    assert {type(value) for axis in cfg[-2:] for value in axis} == {float}
+    assert type(ModelConfig(carbon_tax=50).carbon_tax) is float
+
+
 @pytest.mark.parametrize("key, value", [
     ("horizon_years", 20.5),
     ("horizon_years", True),
@@ -809,6 +822,15 @@ def test_resolve_unknown_field_rejected():
     ds = make_dataset([a])
     with pytest.raises(KeyError):
         resolve(ds, 0, "bogus_field")
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["row-1", "row-len"])
+def test_resolve_rejects_a_row_outside_the_table(dataset, past_end):
+    """Row -1 is not the last country, and a row past the end is named too."""
+    rows = len(dataset.countries["country"])
+    row = rows if past_end else -1
+    with pytest.raises(IndexError, match=rf"^no countries row {row} in a table of {rows} rows$"):
+        resolve(dataset, row, "price_coal")
 
 
 def test_resolve_is_deterministic(dataset):

@@ -1,8 +1,8 @@
 """The command line as a user runs it: each test starts
 ``python -m agripellet.cli`` in a child process on the bundled data, an
-edited copy of it or an edited config, and checks its exit code and what it
-writes to stderr or errors.txt; one test imports the package in a child
-process, as the ``agripellet`` script starts.
+edited copy of it, an edited config or a series file, and checks its exit
+code and what it writes to stderr or errors.txt; one test imports the package
+in a child process, as the ``agripellet`` script starts.
 
 Run with ``PYTHONPATH=src`` it tests the source tree; run without it after
 ``pip install .`` it tests the installed package.
@@ -99,6 +99,19 @@ def test_a_year_past_the_int_digit_limit_is_a_bad_cell(tmp_path):
     code, lines = agripellet("yoy", series, "--out", tmp_path / "out")
     assert code == 2
     assert lines == ["error: long-year.csv line 3: year: too many digits (5000)"]
+
+
+def test_a_failed_series_is_named_in_errors_txt_with_exit_1(tmp_path):
+    """yoy follows the other subcommands' failure rule: a series whose growth
+    overflows is one errors.txt line, stderr the one summary line, exit 1."""
+    series = tmp_path / "series.csv"
+    series.write_text("country,year,value\nA,2000,1e-300\nA,2001,1e300\nB,2000,1\nB,2001,2\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    code, lines = agripellet("yoy", series, "--out", out)
+    assert code == 1
+    assert lines == [f"1 of 2 countries failed (see {out / 'errors.txt'})"]
+    assert (out / "errors.txt").read_text(encoding="utf-8") == "A: growth is not a finite number\n"
 
 
 def test_a_billion_year_horizon_runs_as_twenty_years_do(tmp_path):

@@ -3,12 +3,12 @@
 Each example writes a copy of the bundled data with a few cells set to values
 at the edges of what the loader and the model take: numeric cells to edge
 numbers, name and label cells to empty, blank, repeated or unknown names.  It
-then runs ``report``, ``msp`` and ``sweep`` in-process.  Every run must end in
-an exit code, never a traceback, and write no NaN or infinity.  The column
-reader must agree with the reference row scan in ``oracles``, value for value
-or message for message, on these copies and on copies of the ``yoy`` series
-with a few name, year and value cells set the same way; a table the loader
-accepts must pass the full check of a hand-built ``Dataset``.
+then runs ``report``, ``msp`` and ``sweep`` in-process, and ``yoy`` on copies
+of the series with a few name, year and value cells set the same way.  Every
+run must end in an exit code, never a traceback, and write no NaN or
+infinity.  The column reader must agree with the reference row scan in
+``oracles``, value for value or message for message, on all these copies; a
+table the loader accepts must pass the full check of a hand-built ``Dataset``.
 """
 
 import contextlib
@@ -93,6 +93,42 @@ def write_mutated_copy(data: Path, mutations) -> None:
             (data / name).write_bytes((DATA_DIR / name).read_bytes())
 
 
+def unnamed_text(path: Path) -> str:
+    """An output's text without its names, since a series may be named "nan":
+    no JSON string, no CSV cell under a ``country`` or ``continent`` header,
+    and of each errors.txt line only the message after its name."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return re.sub(r'"(?:[^"\\]|\\.)*"', "", text)
+    if path.suffix == ".txt":
+        return "\n".join(line.split(": ", 1)[1] for line in text.splitlines())
+    header, *rows = list(csv.reader(io.StringIO(text, newline=""))) or [[]]
+    numbers = [i for i, column in enumerate(header) if column not in ("country", "continent")]
+    return "\n".join(",".join(row[i] for i in numbers) for row in rows)
+
+
+def assert_ends_in_an_exit_code(argv: list, out: Path) -> None:
+    """Run ``main(argv)`` into ``out``: an exit code and no traceback, no NaN or
+    infinity in any output, and exit 1 exactly when the summary line names the
+    failures, which errors.txt holds a line each of."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--out", str(out)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    for path in out.glob("*"):
+        text = unnamed_text(path).lower()
+        assert "nan" not in text and "inf" not in text, (argv[0], path.name)
+    if code == 2:  # a DataError: its message, and no errors.txt
+        assert stderr.getvalue().startswith("error: ")
+        return
+    failed = re.match(r"(\d+) of \d+ countries failed", stderr.getvalue())
+    lines = (out / "errors.txt").read_text(encoding="utf-8").splitlines()
+    assert (code == 1) == bool(failed)
+    assert len(lines) == (int(failed[1]) if failed else 0)
+    assert len({line.split(": ", 1)[0] for line in lines}) == len(lines)
+
+
 def loaded(load, data: Path):
     """The dataset ``load`` reads as text, or the problems of the DataError it raises."""
     try:
@@ -110,23 +146,7 @@ def test_edge_cells_end_in_an_exit_code(mutations):
         assert loaded(dataio.load_dataset, data) == loaded(oracles.load_dataset, data)
 
         for command in ("report", "msp", "sweep"):
-            out = Path(tmp) / command
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                code = main([command, "--data", str(data), "--out", str(out)])
-            assert code in (0, 1, 2)
-            assert "Traceback" not in stderr.getvalue()
-            for path in out.glob("*"):
-                text = path.read_text(encoding="utf-8").lower()
-                assert "nan" not in text and "inf" not in text, (command, path.name)
-            if code == 2:  # a DataError: its message, and no errors.txt
-                assert stderr.getvalue().startswith("error: ")
-                continue
-            failed = re.match(r"(\d+) of \d+ countries failed", stderr.getvalue())
-            lines = (out / "errors.txt").read_text(encoding="utf-8").splitlines()
-            assert (code == 1) == bool(failed)
-            assert len(lines) == (int(failed[1]) if failed else 0)
-            assert len({line.split(": ", 1)[0] for line in lines}) == len(lines)
+            assert_ends_in_an_exit_code([command, "--data", str(data)], Path(tmp) / command)
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,3 +177,4 @@ def test_series_cells_load_as_the_row_scan_loads_them(mutations):
         with path.open("w", newline="", encoding="utf-8") as f:
             csv.writer(f).writerows(rows)
         assert loaded(dataio.load_series, path) == loaded(oracles.load_series, path)
+        assert_ends_in_an_exit_code(["yoy", str(path)], Path(tmp) / "out")

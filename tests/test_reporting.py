@@ -157,7 +157,7 @@ def test_all_failed_run_writes_headers_and_an_empty_list(bundled):
 
 @pytest.mark.parametrize("column, value, name, cell", [
     ("cr_final_t", 1e308, "report/countries.csv", b",1e+308,"),  # a sum that overflows
-    ("carbon_tax_usd_per_tco2e", 50, "recop.csv", b",50,"),  # a config's "carbon_tax": 50
+    ("carbon_tax_usd_per_tco2e", 50, "recop.csv", b",50,"),  # an int, as yoy's years are
 ])
 def test_edited_values_match_the_oracle(bundled, column, value, name, cell):
     result = copies(bundled, 3)
