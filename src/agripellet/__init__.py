@@ -12,8 +12,9 @@ from .dataio import (
     load_dataset,
     resolve,
 )
-from .pipeline import GlobalReport, PipelineResult, run_pipeline, yoy_growth
+from .pipeline import GlobalReport, PipelineResult, run_pipeline
 from .sensitivity import SensitivityGrid, sweep
+from .yoy import yoy_growth
 
 __version__ = "0.1.0"
 

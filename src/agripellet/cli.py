@@ -25,8 +25,9 @@ from functools import partial
 from pathlib import Path
 
 from . import reporting, sensitivity
-from .dataio import SCENARIOS, DataError, load_dataset, load_series
-from .pipeline import STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, run_pipeline, yoy_growth
+from .dataio import SCENARIOS, DataError, load_dataset
+from .pipeline import STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, run_pipeline
+from .yoy import load_series, yoy_growth
 
 DATA_DIR_ENV = "AGRIPELLET_DATA"
 
@@ -58,19 +59,20 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("series", help="CSV with columns country,year,value (country optional)")
 
     # each handler returns its (name, message) failures and its count of clean evaluations
-    for name, text, parents, handler in (
+    for name, text, parents, handler, noun in (
         ("assess", "residue availability and pellet energy", [inputs, out, fmt],
-         partial(_run_stage, STAGE_ASSESS, reporting.ASSESS_COLUMNS)),
+         partial(_run_stage, STAGE_ASSESS, reporting.ASSESS_COLUMNS), "countries"),
         ("msp", "plant costs and break-even pellet price", [inputs, out, fmt],
-         partial(_run_stage, STAGE_MSP, reporting.MSP_COLUMNS)),
+         partial(_run_stage, STAGE_MSP, reporting.MSP_COLUMNS), "countries"),
         ("recop", "fuel replacement plans and savings", [inputs, scenario, out, fmt],
-         partial(_run_stage, STAGE_PLAN, reporting.RECOP_COLUMNS)),
-        ("sweep", "sensitivity grid of global savings", [inputs, out, fmt], _run_sweep),
+         partial(_run_stage, STAGE_PLAN, reporting.RECOP_COLUMNS), "countries"),
+        ("sweep", "sensitivity grid of global savings", [inputs, out, fmt], _run_sweep,
+         "countries"),
         ("report", "full pipeline report (CSVs and global.json)", [inputs, scenario, out],
-         _run_report),
-        ("yoy", "year-on-year growth statistics", [out, fmt, series], _run_yoy),
+         _run_report, "countries"),
+        ("yoy", "year-on-year growth statistics", [out, fmt, series], _run_yoy, "series"),
     ):
-        sub.add_parser(name, parents=parents, help=text).set_defaults(handler=handler)
+        sub.add_parser(name, parents=parents, help=text).set_defaults(handler=handler, noun=noun)
     return parser
 
 
@@ -124,11 +126,11 @@ def _run_yoy(args) -> tuple:
     return failures, len(results)
 
 
-def _finish(errors: list, evaluated: int, out_dir: Path) -> int:
+def _finish(errors: list, evaluated: int, out_dir: Path, noun: str) -> int:
     """Write ``errors.txt`` (empty on a clean run) and give the exit code."""
     reporting.write_errors_txt(out_dir / "errors.txt", errors)
     if errors:
-        print(f"{len(errors)} of {len(errors) + evaluated} countries failed "
+        print(f"{len(errors)} of {len(errors) + evaluated} {noun} failed "
               f"(see {out_dir / 'errors.txt'})", file=sys.stderr)
         return 1
     return 0
@@ -141,7 +143,7 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _finish(*args.handler(args), args.out)
+        return _finish(*args.handler(args), args.out, args.noun)
     except DataError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)

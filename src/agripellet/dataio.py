@@ -3,7 +3,8 @@
 All model inputs arrive as UTF-8 CSV files (a leading byte-order mark is
 skipped) with a header row ("-" or an empty cell means "no data") plus an
 optional JSON run configuration.  ``FIELDS`` describes each numeric
-``countries.csv`` column once (header, model key, bound, fallback tier).
+``countries.csv`` column once (header, model key, bound, fallback tier, and
+the pipeline stage that resolves it).
 Each rule has one check and one wording, and each caller adds only the
 place (file and line, column and row, or config key): ``_check_cell`` holds
 a number to its ``Bound``, ``_check_column`` a column (whole, then cell by
@@ -108,36 +109,42 @@ WORLD_AVERAGE = "world-average"  # the crop's world-average default from crops.c
 CONTINENT = "continent"          # the continent mean, else the world mean
 
 
+# The pipeline's stages, in run order; each reads the fields that name it.
+STAGE_ASSESS = "assess"  # residues and pellet energy
+STAGE_MSP = "msp"        # plant costs and the break-even price
+STAGE_PLAN = "plan"      # the fuel replacement plan
+
+
 class Field(NamedTuple):
     column: str     # CSV header
     key: str        # Dataset.countries column key; a resolved field's output column
     bound: Bound
     fallback: str | None = None
+    stage: str | None = None  # the stage that resolves it (None: an amount, read as is)
 
 
 # Every numeric countries.csv column, in file order after country and continent.
 FIELDS = (
     *(Field(f"prod_{c}_t", f"prod_{c}", NONNEGATIVE) for c in CROPS),
-    *(Field(f"dmr_{c}", f"dmr_{c}", FRACTION, WORLD_AVERAGE) for c in CROPS),
+    *(Field(f"dmr_{c}", f"dmr_{c}", FRACTION, WORLD_AVERAGE, STAGE_ASSESS) for c in CROPS),
     *(Field(a, a, NONNEGATIVE) for a in ANIMALS),
     Field("bagasse_bioenergy_t", "bagasse_bioenergy", NONNEGATIVE),
     Field("other_bioenergy_t", "other_bioenergy", NONNEGATIVE),
-    Field("pli_labor", "pli_labor", POSITIVE, CONTINENT),
-    Field("pli_raw", "pli_raw_material", POSITIVE, CONTINENT),
-    Field("pli_construction", "pli_construction", POSITIVE, CONTINENT),
-    Field("pli_electricity", "pli_electricity", POSITIVE, CONTINENT),
-    Field("discount_rate", "discount_rate", UNIT_INTERVAL, CONTINENT),
-    Field("tax_rate", "tax_rate", BELOW_ONE, CONTINENT),
-    Field("price_coal_usd_t", "price_coal", NONNEGATIVE, CONTINENT),
-    Field("price_oil_usd_t", "price_oil", NONNEGATIVE, CONTINENT),
-    Field("price_gas_usd_t", "price_natural_gas", NONNEGATIVE, CONTINENT),
+    Field("pli_labor", "pli_labor", POSITIVE, CONTINENT, STAGE_MSP),
+    Field("pli_raw", "pli_raw_material", POSITIVE, CONTINENT, STAGE_MSP),
+    Field("pli_construction", "pli_construction", POSITIVE, CONTINENT, STAGE_MSP),
+    Field("pli_electricity", "pli_electricity", POSITIVE, CONTINENT, STAGE_MSP),
+    Field("discount_rate", "discount_rate", UNIT_INTERVAL, CONTINENT, STAGE_MSP),
+    Field("tax_rate", "tax_rate", BELOW_ONE, CONTINENT, STAGE_MSP),
+    Field("price_coal_usd_t", "price_coal", NONNEGATIVE, CONTINENT, STAGE_PLAN),
+    Field("price_oil_usd_t", "price_oil", NONNEGATIVE, CONTINENT, STAGE_PLAN),
+    Field("price_gas_usd_t", "price_natural_gas", NONNEGATIVE, CONTINENT, STAGE_PLAN),
     Field("cons_coal_tj", "cons_coal", NONNEGATIVE),
     Field("cons_oil_tj", "cons_oil", NONNEGATIVE),
     Field("cons_gas_tj", "cons_natural_gas", NONNEGATIVE),
 )
 COUNTRIES_COLUMNS = ("country", "continent") + tuple(f.column for f in FIELDS)
 COUNTRIES_KEYS = ("country", "continent") + tuple(f.key for f in FIELDS)  # of Dataset.countries
-RESOLVABLE_FIELDS = tuple(f.key for f in FIELDS if f.fallback)
 
 # The numeric cells of crops.csv and fuels.csv; keys are the record fields.
 CROP_FIELDS = (
@@ -611,45 +618,6 @@ def load_countries(path: str | Path) -> dict:
     return table
 
 
-def load_series(path: str | Path) -> dict:
-    """Annual series by name, each a list of ``(year, value)`` in file order.
-
-    The header is ``country,year,value``, or ``year,value`` for one series
-    named ``all``.  A year is written in ASCII digits alone, and a value is
-    required and >= 0.  Each row's problems are listed in that order.
-    """
-    path = Path(path)
-    file = path.name
-    header, rows = _read_rows(path, ("country", "year", "value"), ("year", "value"))
-    problems = {}
-    names = [row[0].strip() if header[0] == "country" else "all" for _, row in rows]
-    for row, problem in _bad_names(names, "country"):
-        _report(problems, file, rows[row][0], problem)
-    years = []
-    for lineno, row in rows:
-        raw_year = row[-2].strip()
-        year = None
-        if not (raw_year.isascii() and raw_year.isdigit()):  # int() takes 2_000, +2001, ٢٠٠١
-            _report(problems, file, lineno, f"year: not an integer: {raw_year!r}")
-        else:
-            try:
-                year = int(raw_year)
-            except ValueError:  # past int()'s limit on digits (4,300 by default)
-                _report(problems, file, lineno, f"year: too many digits ({len(raw_year)})")
-        years.append(year)
-    lines = [lineno for lineno, _ in rows]
-    cells = [row[-1] for _, row in rows]
-    values = _parse_column(file, "value", NONNEGATIVE, lines, cells, problems)
-    for lineno, value, cell in zip(lines, values, cells):
-        if value is None and cell.strip() in _NO_DATA:
-            _report(problems, file, lineno, "value: missing value")
-    _raise(problems)
-    series = {}
-    for name, year, value in zip(names, years, values):
-        series.setdefault(name, []).append((year, value))
-    return series
-
-
 def load_config(path: str | Path) -> ModelConfig:
     path = Path(path)
     if not path.exists():
@@ -663,10 +631,7 @@ def load_config(path: str | Path) -> ModelConfig:
     unknown = set(raw) - set(ModelConfig._fields)
     if unknown:
         raise DataError(f"{path.name}: unknown config keys {sorted(unknown)}")
-    try:
-        return ModelConfig(**raw)
-    except TypeError as exc:
-        raise DataError(f"{path.name}: {exc}") from None
+    return ModelConfig(**raw)  # every key is a field, and _check words each bad value
 
 
 def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Dataset:

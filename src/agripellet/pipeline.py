@@ -1,18 +1,17 @@
 """End-to-end evaluation of every country, column by column, and global aggregation.
 
-A run has three steps.  First every input the requested stage reads is
-resolved, a column of ``Dataset.countries`` each (``resolve`` fills the empty
-cells, once per field and continent).  Then each stage runs once over the
-countries left, and each stage module's column function turns lists keyed by
-column into more of them.  Last, every number is checked to be finite.  The
-result is those columns, one row per evaluated country.  No input is checked
-against its bound: the ``Dataset`` was, and a fallback mean lies within its
-values' range.  Failures are isolated: a country leaves the run at one of two
-points, after resolution when a field does not resolve, or after the check
-when its values hold a NaN or an infinite number; it lands in the error list
-without aborting the rest, with the message its first failure gives.  Output
-ordering is by country name, so repeated runs over the same inputs are
-byte-identical downstream.
+A run has three steps.  First it resolves the inputs of the requested stage
+and of the stages before it (the fields whose ``Field.stage`` names them), a
+column of ``Dataset.countries`` each; ``resolve`` fills the empty cells, once
+per field and continent.  Then each stage of ``_STAGES`` runs once over the
+countries left, its stage module's column functions turning lists keyed by
+column into more of them.  Last, every number is checked to be finite.  No
+input is checked against its bound: the ``Dataset`` was, and a fallback mean
+lies within its values' range.  A country that fails, after resolution when a
+field does not resolve or after the check when its values hold a NaN or an
+infinite number, lands in the error list with its first failure's message,
+and the rest run on.  Output ordering is by country name, so repeated runs
+over the same inputs are byte-identical downstream.
 """
 
 from __future__ import annotations
@@ -22,12 +21,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
-from .dataio import FUELS, RESOLVABLE_FIELDS, DataError, Dataset, fits, resolve
-
-STAGE_ASSESS = "assess"
-STAGE_MSP = "msp"
-STAGE_PLAN = "plan"
-_STAGE_ORDER = (STAGE_ASSESS, STAGE_MSP, STAGE_PLAN)
+from .dataio import (FIELDS, FUELS, STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, DataError, Dataset,
+                     fits, resolve)
 
 
 class GlobalReport(NamedTuple):
@@ -51,9 +46,6 @@ class PipelineResult(NamedTuple):
 
 
 _PRICE_INPUTS = tuple(f"price_{f}" for f in FUELS)
-# the stages read RESOLVABLE_FIELDS in order: 4 dry matters for assess, then 6
-# cost and finance inputs for msp, then 3 fuel prices for plan
-_STAGE_INPUTS = (4, 10, 13)
 
 
 def _resolve(dataset: Dataset, index: list, names: tuple) -> tuple:
@@ -116,25 +108,74 @@ def _total(*columns) -> float:
     return sum(filter(None, chain.from_iterable(zip(*columns))), 0.0)
 
 
+def _assess(dataset: Dataset, inputs: dict) -> tuple:
+    """The residue columns, then the pellet energy columns."""
+    assessed, by_crop = residues.assess_columns(dataset.crops, inputs)
+    assessed.update(energy.energy_columns(by_crop, assessed["cr_final_t"], dataset.crops,
+                                          dataset.config.pellet_efficiency))
+    return assessed, []
+
+
+def _msp(dataset: Dataset, inputs: dict) -> tuple:
+    """The cost columns in record order (``tfc_usd`` first), then the break-even ones."""
+    cfg = dataset.config
+    cost = costs.cost_columns(inputs)
+    msp = {"epc_usd": cost["epc_usd"],
+           "tfc_usd": [capex * cfg.tfc_capex_ratio for capex in cost["capex_usd"]], **cost}
+    msp.update(pricing.msp_columns({**inputs, **msp}, cfg.plant_capacity, cfg.horizon_years,
+                                   cfg.salvage_rate))
+    return msp, []
+
+
+def _plan(dataset: Dataset, inputs: dict) -> tuple:
+    """The plan columns and the ranking scores (best first) of the rows with a
+    pellet heating value; a row without residue reads None in each."""
+    lhv = inputs["weighted_lhv_mj_per_kg"]
+    planned = [row for row, value in enumerate(lhv) if value is not None]
+
+    def pick(col):
+        return [col[row] for row in planned]
+
+    def spread(col):  # the plan-less rows read None
+        if len(col) == len(lhv):
+            return col
+        values = iter(col)
+        return [None if value is None else next(values) for value in lhv]
+
+    cfg = dataset.config
+    plan, ranked_scores = replacement.plan_columns(
+        {key: pick(inputs[key]) for key in (*_PRICE_INPUTS, "msp_usd_per_t",
+                                             "weighted_lhv_mj_per_kg", "pellet_energy_tj")},
+        {f: pick(inputs[f"cons_{f}"]) for f in FUELS},
+        dataset.fuel_properties, dataset.pellet_ef, cfg.scenario, cfg.carbon_tax)
+    return {name: spread(col) for name, col in plan.items()}, list(map(spread, ranked_scores))
+
+
+# Each stage, in run order, takes the dataset and its inputs (a list per key,
+# a row per country: the amounts, the earlier stages' columns and the resolved
+# fields) and returns its columns and the columns of its ranking scores.
+_STAGES = {STAGE_ASSESS: _assess, STAGE_MSP: _msp, STAGE_PLAN: _plan}
+_STAGE_ORDER = tuple(_STAGES)
+
+
 def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
                  countries=None) -> PipelineResult:
     """Evaluate every country (or the named subset), collecting failures.
 
     ``assess`` stops after residues and energy, ``msp`` adds plant costs and
     the break-even price, ``plan`` adds the fuel replacement plan.  Every input
-    the requested stage reads is resolved first (later stages read more, and so
-    can fail on sparser datasets); then each stage runs once over the countries
-    left, column by column.  Each resolved input is recorded as its value ``X``
-    and fallback tier ``src_X``; a country without residue gets no plan
-    columns.  A country leaves at its first input that does not resolve, or
-    else at its first NaN or infinite number, in column order and then among
-    its plan's ranking scores.  Evaluation order and output order are by
-    country name.
+    the requested stage and the stages before it read (each ``Field`` names
+    its stage) is resolved first, so later stages can fail on sparser
+    datasets; then each stage runs once over the countries left, column by
+    column.  Each resolved input is recorded as its value ``X`` and fallback
+    tier ``src_X``; a country without residue gets no plan columns.  A
+    country leaves at its first input that does not resolve, or else at its
+    first NaN or infinite number, in column order and then among its plan's
+    ranking scores.  Evaluation order and output order are by country name.
     """
-    if through not in _STAGE_ORDER:
+    if through not in _STAGES:
         raise ValueError(f"unknown stage {through!r}")
-    depth = _STAGE_ORDER.index(through)
-    cfg = dataset.config
+    stages = _STAGE_ORDER[:_STAGE_ORDER.index(through) + 1]
     names = dataset.countries["country"]
     index = sorted(range(len(names)), key=names.__getitem__)
     if countries is not None:
@@ -144,49 +185,18 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
             raise DataError(f"unknown countries requested: {sorted(unknown)}")
         index = [row for row in index if names[row] in wanted]
 
-    resolved, failures = _resolve(dataset, index, RESOLVABLE_FIELDS[:_STAGE_INPUTS[depth]])
+    resolved, failures = _resolve(dataset, index, [f.key for f in FIELDS if f.stage in stages])
     errors = {names[index[row]]: message for row, message in failures.items()}
     index, resolved = _drop(failures, index, resolved)
+    # the fields without a stage, where a missing value is a real zero (no fallback tier)
+    amounts = {f.key: [dataset.countries[f.key][row] or 0.0 for row in index]
+               for f in FIELDS if f.stage is None}
 
-    def amounts(key):  # a field where a missing value is a real zero (no fallback tier)
-        return [dataset.countries[key][row] or 0.0 for row in index]
-
-    columns, by_crop = residues.assess_columns(
-        dataset.crops, {**{key: amounts(key) for key in residues.INPUT_KEYS}, **resolved})
-    columns.update(energy.energy_columns(by_crop, columns["cr_final_t"], dataset.crops,
-                                         cfg.pellet_efficiency))
-    if depth >= 1:
-        cost = costs.cost_columns(resolved)
-        columns["epc_usd"] = cost["epc_usd"]
-        columns["tfc_usd"] = [capex * cfg.tfc_capex_ratio for capex in cost["capex_usd"]]
-        columns.update(cost)  # capex_usd and opex_usd_per_y after tfc_usd, in record order
-        columns.update(pricing.msp_columns({**columns, **resolved}, cfg.plant_capacity,
-                                           cfg.horizon_years, cfg.salvage_rate))
-    ranked_scores, cons = [], {f: amounts(f"cons_{f}") for f in FUELS}
-    if depth >= 2:
-        planned = [row for row, lhv in enumerate(columns["weighted_lhv_mj_per_kg"])
-                   if lhv is not None]  # no residue, no pellet heating value: no plan
-
-        def pick(col):
-            return [col[row] for row in planned]
-
-        def spread(col):  # the plan-less rows read None
-            if len(col) == len(index):
-                return col
-            full = [None] * len(index)
-            for row, value in zip(planned, col):
-                full[row] = value
-            return full
-
-        plan, ranked_scores = replacement.plan_columns(
-            {key: pick(table[key]) for table, keys in (
-                (resolved, _PRICE_INPUTS),
-                (columns, ("msp_usd_per_t", "weighted_lhv_mj_per_kg", "pellet_energy_tj")))
-             for key in keys},
-            {f: pick(col) for f, col in cons.items()},
-            dataset.fuel_properties, dataset.pellet_ef, cfg.scenario, cfg.carbon_tax)
-        columns.update((name, spread(col)) for name, col in plan.items())
-        ranked_scores = list(map(spread, ranked_scores))
+    columns, ranked_scores = {}, []
+    for stage in stages:
+        new, scores = _STAGES[stage](dataset, {**amounts, **columns, **resolved})
+        columns.update(new)
+        ranked_scores += scores
 
     # each country's first NaN or infinite number in its record's order, then
     # among its ranking scores (best first); the message names the number but
@@ -201,12 +211,12 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
             first.setdefault(row, f"score_{columns[f'rank_{rank}'][row]}")
     errors.update((names[index[row]], f"non-finite {name} for {names[index[row]]!r}")
                   for row, name in first.items())
-    index, record, cons = _drop(first, index, record, cons)
+    index, record, amounts = _drop(first, index, record, amounts)
 
     result = {"country": [names[row] for row in index],
               "continent": [dataset.countries["continent"][row] for row in index], **record}
     plan = {name: result.get(name, []) for name in replacement.PLAN_COLUMNS}  # [] at assess, msp
-    total_cons = _total(*cons.values())
+    total_cons = _total(*(amounts[f"cons_{f}"] for f in FUELS))
     total_alloc = _total(*(plan[f"alloc_{f}_tj"] for f in FUELS))
 
     global_report = GlobalReport(
@@ -225,49 +235,3 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
             raise DataError(f"non-finite global total {name}")
     return PipelineResult(columns=result, global_report=global_report,
                           errors=tuple(sorted(errors.items())))
-
-
-# ---------------------------------------------------------------------------
-# Year-on-year production growth (reporting statistic)
-
-class GrowthPair(NamedTuple):
-    year_from: int
-    year_to: int
-    growth: float | None  # None when the base year is zero
-
-
-class GrowthResult(NamedTuple):
-    pairs: tuple
-    average: float  # mean growth over pairs with a nonzero base year
-
-
-def yoy_growth(series) -> GrowthResult:
-    """Year-on-year growth fractions for a consecutive annual series.
-
-    ``series`` is an iterable of (year, value).  Pairs with a zero base year
-    carry no growth figure and are excluded from the average.  A growth or an
-    average beyond the float range raises a ``DataError``.
-    """
-    points = sorted((int(y), float(v)) for y, v in series)
-    if len(points) < 2:
-        raise DataError("series must contain at least two years")
-    years = [y for y, _ in points]
-    if len(set(years)) != len(years):
-        raise DataError("duplicate years in series")
-    if any(b - a != 1 for a, b in zip(years, years[1:])):
-        raise DataError("series years must be consecutive")
-    pairs = []
-    rates = []
-    for (y0, v0), (y1, v1) in zip(points, points[1:]):
-        if v0 > 0:
-            rate = (v1 - v0) / v0
-            rates.append(rate)
-        else:
-            rate = None
-        pairs.append(GrowthPair(y0, y1, rate))
-    if not rates:
-        raise DataError("every base year is zero; growth is undefined")
-    average = sum(rates) / len(rates)
-    if not math.isfinite(average):  # an infinite rate (each is >= -1) or an overflowing sum
-        raise DataError("growth is not a finite number")  # no value named: no output holds inf
-    return GrowthResult(pairs=tuple(pairs), average=average)

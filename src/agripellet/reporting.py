@@ -29,56 +29,39 @@ from operator import is_not
 from pathlib import Path
 from types import NoneType
 
-from .dataio import CROPS, FUELS, PLI_COMPONENTS, RESOLVABLE_FIELDS
-from .pipeline import PipelineResult
+from .dataio import CROPS, FIELDS
+from .pipeline import _STAGE_ORDER, STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, PipelineResult
 from .replacement import PLAN_COLUMNS
 from .sensitivity import SensitivityGrid, axis_label
 
 
-def _resolved(names) -> tuple:
-    """Each resolved input's value column followed by its fallback-tier column."""
-    return tuple(c for name in names for c in (name, f"src_{name}"))
+def _resolved(*stages) -> tuple:
+    """The value column, then the fallback-tier column, of each input that
+    ``stages`` resolve, in ``FIELDS`` order."""
+    return tuple(c for f in FIELDS if f.stage in stages for c in (f.key, f"src_{f.key}"))
 
 
-ASSESS_COLUMNS = (
-    ("country", "continent")
-    + tuple(f"cr_total_{c}_t" for c in CROPS)
-    + tuple(f"cr_removable_dry_{c}_t" for c in CROPS)
-    + ("feed_bedding_use_t", "bagasse_bioenergy_use_t", "other_bioenergy_attributed_t",
-       "cr_final_t", "use_saturated",
-       "weighted_lhv_mj_per_kg", "pellet_mass_t", "pellet_energy_tj")
-    + _resolved(f"dmr_{c}" for c in CROPS)
-)
-
-MSP_COLUMNS = (
-    ("country", "continent", "epc_usd", "tfc_usd", "capex_usd", "opex_usd_per_y",
-     "msp_usd_per_t", "msp_usd_per_tj", "npv_at_msp_usd",
-     "revenue_usd_per_y", "tax_usd_per_y", "cash_flow_usd_per_y", "annuity_factor")
-    + _resolved([f"pli_{p}" for p in PLI_COMPONENTS] + ["discount_rate", "tax_rate"])
-)
-
+# Column runs that a stage's output and report's countries.csv both hold.
+_CR_TOTAL = tuple(f"cr_total_{c}_t" for c in CROPS)
+_FINAL = ("feed_bedding_use_t", "bagasse_bioenergy_use_t", "other_bioenergy_attributed_t",
+          "cr_final_t", "use_saturated", "weighted_lhv_mj_per_kg", "pellet_mass_t",
+          "pellet_energy_tj")
+_BREAK_EVEN = ("msp_usd_per_t", "msp_usd_per_tj", "npv_at_msp_usd", "revenue_usd_per_y",
+               "tax_usd_per_y", "cash_flow_usd_per_y", "annuity_factor")
 _PLAN_COLUMNS = PLAN_COLUMNS[PLAN_COLUMNS.index("rank_3") + 1:]  # allocations and savings
 
-RECOP_COLUMNS = (
-    ("country", "continent", "scenario", "carbon_tax_usd_per_tco2e", "pellet_energy_tj",
-     "rank_1", "rank_2", "rank_3")
-    + _PLAN_COLUMNS
-    + _resolved(f"price_{f}" for f in FUELS)
-)
-
-REPORT_COLUMNS = (
-    ("country", "continent")
-    + tuple(f"cr_total_{c}_t" for c in CROPS)
-    + ("cr_removable_dry_t", "feed_bedding_use_t", "bagasse_bioenergy_use_t",
-       "other_bioenergy_attributed_t", "cr_final_t", "use_saturated",
-       "weighted_lhv_mj_per_kg", "pellet_mass_t", "pellet_energy_tj",
-       "capex_usd", "opex_usd_per_y", "tfc_usd",
-       "msp_usd_per_t", "msp_usd_per_tj", "npv_at_msp_usd",
-       "revenue_usd_per_y", "tax_usd_per_y", "cash_flow_usd_per_y", "annuity_factor",
-       "scenario", "rank_1", "rank_2", "rank_3")
-    + _PLAN_COLUMNS
-    + _resolved(RESOLVABLE_FIELDS)
-)
+ASSESS_COLUMNS = (("country", "continent") + _CR_TOTAL
+                  + tuple(f"cr_removable_dry_{c}_t" for c in CROPS) + _FINAL
+                  + _resolved(STAGE_ASSESS))
+MSP_COLUMNS = (("country", "continent", "epc_usd", "tfc_usd", "capex_usd", "opex_usd_per_y")
+               + _BREAK_EVEN + _resolved(STAGE_MSP))
+RECOP_COLUMNS = (("country", "continent", "scenario", "carbon_tax_usd_per_tco2e",
+                  "pellet_energy_tj", "rank_1", "rank_2", "rank_3")
+                 + _PLAN_COLUMNS + _resolved(STAGE_PLAN))
+REPORT_COLUMNS = (("country", "continent") + _CR_TOTAL + ("cr_removable_dry_t",) + _FINAL
+                  + ("capex_usd", "opex_usd_per_y", "tfc_usd") + _BREAK_EVEN
+                  + ("scenario", "rank_1", "rank_2", "rank_3") + _PLAN_COLUMNS
+                  + _resolved(*_STAGE_ORDER))
 
 # Plot-ready CSVs written beside countries.csv, by file name, each a subset of
 # its columns (``top_fuel`` is ``rank_1``).

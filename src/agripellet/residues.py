@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .dataio import ANIMALS, CROPS
+from .dataio import CROPS
 
 # Share of "other vegetal" bioenergy attributed to maize/rice/wheat residues:
 # cereals are 31.3% of primary crop output and these three are 91% of cereals.
@@ -16,9 +16,6 @@ OTHER_BIOENERGY_ATTRIBUTION = CEREAL_SHARE * BIG_THREE_CEREAL_SHARE
 DAYS_PER_YEAR = 365.0
 # Residue used per head for feed and bedding, kg/day, in ANIMALS order.
 LIVESTOCK_RATES = {"cattle": 0.375, "horses": 1.500, "sheep": 0.100, "swine": 0.063}
-
-# The countries.csv amounts the residue accounting reads (a missing value is 0.0).
-INPUT_KEYS = (*(f"prod_{c}" for c in CROPS), *ANIMALS, "bagasse_bioenergy", "other_bioenergy")
 
 
 def total_residue(production: float, rtp: float) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 from typing import NamedTuple
@@ -21,9 +22,11 @@ from agripellet.dataio import (
 )
 from agripellet.pricing import msp_columns
 from agripellet.replacement import plan_columns
-from agripellet.residues import INPUT_KEYS, assess_columns
+from agripellet.residues import assess_columns
 
 DATA_DIR = Path(__file__).parent / "data"
+# The countries.csv fields with a fallback tier, in file order.
+RESOLVABLE_FIELDS = tuple(f.key for f in FIELDS if f.fallback)
 
 # pass/fail lines collected by tests/test_acceptance.py, printed in the summary
 ACCEPTANCE_LINES = []
@@ -182,7 +185,7 @@ def assess_row(crops=UNIT_CROPS, production=None, livestock=None, bagasse=0.0,
     """``assess_columns`` on one country, each dry matter fraction the crop's
     default: its residue columns and its final tonnage per crop.  A missing
     amount reads as 0.0, as the pipeline reads it."""
-    inputs = {key: [0.0] for key in INPUT_KEYS}
+    inputs = {f.key: [0.0] for f in FIELDS if f.stage is None}  # every amount
     inputs.update({f"prod_{c}": [v] for c, v in (production or {}).items()})
     inputs.update({a: [v or 0.0] for a, v in (livestock or {}).items()})
     inputs.update(bagasse_bioenergy=[bagasse], other_bioenergy=[other])
@@ -219,3 +222,23 @@ def plan_row(pellet_energy, consumption, prices, props, pellet_price, weighted_l
                                 pellet_ef, scenario, carbon_tax)
     plan = one_row(plan)
     return plan, [(plan[f"rank_{i}"], score) for i, (score,) in enumerate(scores, start=1)]
+
+
+def csv_table(path: Path) -> tuple:
+    """``(header, {country: {column: cell}})`` of a per-country CSV."""
+    with path.open(newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
+    return header, {row[0]: dict(zip(header, row)) for row in rows}
+
+
+def assert_stage_agrees_with_report(stage_csv: Path, report_csv: Path) -> int:
+    """Every column that a stage's CSV shares with report's countries.csv
+    holds the same cell in both, for each country both keep; returns the
+    number of shared columns."""
+    header, stage = csv_table(stage_csv)
+    report_header, report = csv_table(report_csv)
+    shared = [column for column in header if column in report_header]
+    for country in stage.keys() & report.keys():
+        assert ([stage[country][column] for column in shared]
+                == [report[country][column] for column in shared]), country
+    return len(shared)

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from agripellet import costs, energy, pricing, replacement, residues
-from agripellet.dataio import (BELOW_ONE, COUNTRIES_COLUMNS, COUNTRIES_KEYS, CROP_FIELDS,
+from agripellet.dataio import (ANIMALS, BELOW_ONE, COUNTRIES_COLUMNS, COUNTRIES_KEYS, CROP_FIELDS,
                                CROPS, CROPS_COLUMNS, DEFAULT_PELLET_EF, FIELDS,
                                FUEL_FIELDS, FUELS, FUELS_COLUMNS, HORIZON, NONNEGATIVE,
                                PLI_COMPONENTS, POSITIVE, CropCoefficients, DataError,
@@ -111,7 +111,8 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
 
     assessed, by_crop = residues.assess_columns(
         dataset.crops,
-        {**{key: [amount(key)] for key in residues.INPUT_KEYS},
+        {**{f"prod_{c}": [amount(f"prod_{c}")] for c in CROPS},
+         **{key: [amount(key)] for key in (*ANIMALS, "bagasse_bioenergy", "other_bioenergy")},
          **{f"dmr_{c}": [field(f"dmr_{c}")] for c in CROPS}})
     potential = energy.energy_columns(by_crop, assessed["cr_final_t"], dataset.crops,
                                       cfg.pellet_efficiency)
@@ -582,7 +583,7 @@ def parse_row(table: tuple, cells: list, where: str, problems: list) -> dict | N
     """
     found = len(problems)
     values = {}
-    for (column, key, bound, _), raw in zip(table, cells):
+    for (column, key, bound, *_), raw in zip(table, cells):
         try:
             value = parse_cell(raw)
         except DataError as exc:

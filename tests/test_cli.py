@@ -10,7 +10,7 @@ from agripellet import reporting
 from agripellet.cli import main
 from agripellet.dataio import COUNTRIES_COLUMNS, load_dataset
 from agripellet.pipeline import STAGE_PLAN, GlobalReport, run_pipeline
-from conftest import assert_same_files, copy_data, write_config
+from conftest import assert_same_files, assert_stage_agrees_with_report, copy_data, write_config
 from oracles import format_cell, table_records, table_values
 
 
@@ -356,7 +356,7 @@ def test_yoy_overflowing_series_fails_on_its_own(tmp_path, capsys, fmt):
                       encoding="utf-8")
     assert run_cli("yoy", series, "--out", tmp_path, "--format", fmt) == 1
     assert capsys.readouterr().err == (
-        f"1 of 2 countries failed (see {tmp_path / 'errors.txt'})\n")
+        f"1 of 2 series failed (see {tmp_path / 'errors.txt'})\n")
     assert (tmp_path / "errors.txt").read_text(encoding="utf-8") == (
         "A: growth is not a finite number\n")
     text = (tmp_path / f"yoy.{fmt}").read_text(encoding="utf-8")
@@ -567,6 +567,28 @@ def test_unparsable_config_exits_2(data_dir, tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "missing file: {config}"),
+    ("[1, 2]", "config.json: top-level object required"),
+], ids=["missing", "list"])
+def test_config_that_is_missing_or_not_an_object_exits_2(data_dir, tmp_path, capsys, text,
+                                                         message):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_countries_file_exits_2(tmp_path, capsys):
+    data = copy_data(tmp_path / "data")
+    (data / "countries.csv").write_bytes(b"")
+    assert run_cli("assess", "--data", data, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: countries.csv: empty file, header row required\n"
+
+
 @pytest.mark.parametrize("command", ["report", "yoy"])
 def test_out_naming_a_file_exits_2(data_dir, tmp_path, capsys, command):
     taken = tmp_path / "taken"
@@ -671,6 +693,32 @@ def test_zero_price_slope_fails_countries_not_the_run(data_dir, tmp_path, capsys
     assert_no_non_finite_text(out)
 
 
+@pytest.mark.parametrize("edits, failed", [
+    ([], 0),
+    # Afghanistan overflows at assess, Albania's construction index at msp
+    ([("countries.csv", "\nAfghanistan,Asia,180000.0,", "\nAfghanistan,Asia,1.7e308,"),
+      ("countries.csv", ",1.0521617837106931,1.1124008553550546,",
+       ",1.0521617837106931,1.7e308,")], 2),
+], ids=["bundled", "failing"])
+def test_stage_subcommands_agree_with_report(tmp_path, edits, failed):
+    """Each column that assess, msp or recop shares with report's
+    countries.csv holds the same cells, for every country both keep; a
+    country that a stage fails, each later stage fails too."""
+    data = copy_data(tmp_path / "data", edits)
+    names = []
+    for command in ("assess", "msp", "recop", "report"):
+        out = tmp_path / command
+        assert run_cli(command, "--data", data, "--out", out) == (1 if failed else 0)
+        names.append({line.split(": ")[0]
+                      for line in (out / "errors.txt").read_text(encoding="utf-8").splitlines()})
+    assert names[0] <= names[1] <= names[2] == names[3]
+    assert len(names[0]) == failed // 2 and len(names[2]) == failed
+    shared = [assert_stage_agrees_with_report(tmp_path / command / f"{command}.csv",
+                                              tmp_path / "report" / "countries.csv")
+              for command in ("assess", "msp", "recop")]
+    assert shared == [22, 24, 23]
+
+
 def test_errors_txt_holds_one_line_per_failure(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -692,7 +740,7 @@ def test_yoy_names_a_multi_line_series_on_one_line(tmp_path, capsys):
                       encoding="utf-8")
     out = tmp_path / "out"
     assert run_cli("yoy", series, "--out", out) == 1
-    assert capsys.readouterr().err == f"2 of 2 countries failed (see {out / 'errors.txt'})\n"
+    assert capsys.readouterr().err == f"2 of 2 series failed (see {out / 'errors.txt'})\n"
     assert (out / "errors.txt").read_text(encoding="utf-8") == (
         "'A\\nB': every base year is zero; growth is undefined\n"
         "C: every base year is zero; growth is undefined\n")

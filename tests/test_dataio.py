@@ -5,15 +5,16 @@ import random
 import re
 import statistics
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agripellet import dataio
 from agripellet.dataio import (
     COUNTRIES_COLUMNS,
     COUNTRIES_KEYS,
-    RESOLVABLE_FIELDS,
     DataError,
     ModelConfig,
     UnresolvableFieldError,
@@ -22,12 +23,13 @@ from agripellet.dataio import (
     load_crops,
     load_dataset,
     load_fuels,
-    load_series,
     parse_cell,
     resolve,
 )
 from agripellet.pipeline import run_pipeline
-from conftest import copy_data, country_rows, make_dataset, make_profile, make_table
+from agripellet.yoy import load_series
+from conftest import (RESOLVABLE_FIELDS, copy_data, country_rows, make_dataset, make_profile,
+                      make_table)
 from oracles import FIELD_BOUNDS, evaluate_country, save_dataset
 
 COUNTRY_HEADER = (
@@ -674,6 +676,31 @@ def test_config_validation(tmp_path):
     path.write_text(json.dumps({"plant_capacity": 1000.0}), encoding="utf-8")
     assert load_config(path).plant_capacity == 1000.0
     assert load_config(path).horizon_years == 20
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=st.dictionaries(st.sampled_from(ModelConfig._fields), JSON_VALUES, max_size=4))
+def test_any_object_of_config_keys_loads_or_names_its_problems(raw):
+    """Every JSON object whose keys are config fields gives a ``ModelConfig``
+    or a DataError, whatever the values' types: ``ModelConfig(**raw)`` takes
+    each field by name, and ``_check`` words every bad value, so
+    ``load_config`` has no ``TypeError`` to catch."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except DataError as exc:
+            assert exc.problems
+        else:
+            assert cfg == ModelConfig(**raw)
 
 
 def test_config_numbers_are_floats_but_the_horizon():

@@ -110,7 +110,7 @@ def test_a_failed_series_is_named_in_errors_txt_with_exit_1(tmp_path):
     out = tmp_path / "out"
     code, lines = agripellet("yoy", series, "--out", out)
     assert code == 1
-    assert lines == [f"1 of 2 countries failed (see {out / 'errors.txt'})"]
+    assert lines == [f"1 of 2 series failed (see {out / 'errors.txt'})"]
     assert (out / "errors.txt").read_text(encoding="utf-8") == "A: growth is not a finite number\n"
 
 

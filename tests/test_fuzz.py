@@ -21,7 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from agripellet import dataio
+from agripellet import dataio, yoy
 from agripellet.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -122,7 +122,7 @@ def assert_ends_in_an_exit_code(argv: list, out: Path) -> None:
     if code == 2:  # a DataError: its message, and no errors.txt
         assert stderr.getvalue().startswith("error: ")
         return
-    failed = re.match(r"(\d+) of \d+ countries failed", stderr.getvalue())
+    failed = re.match(r"(\d+) of \d+ (?:countries|series) failed", stderr.getvalue())
     lines = (out / "errors.txt").read_text(encoding="utf-8").splitlines()
     assert (code == 1) == bool(failed)
     assert len(lines) == (int(failed[1]) if failed else 0)
@@ -176,5 +176,5 @@ def test_series_cells_load_as_the_row_scan_loads_them(mutations):
         path = Path(tmp) / "series.csv"
         with path.open("w", newline="", encoding="utf-8") as f:
             csv.writer(f).writerows(rows)
-        assert loaded(dataio.load_series, path) == loaded(oracles.load_series, path)
+        assert loaded(yoy.load_series, path) == loaded(oracles.load_series, path)
         assert_ends_in_an_exit_code(["yoy", str(path)], Path(tmp) / "out")

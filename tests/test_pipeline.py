@@ -1,14 +1,16 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import agripellet.pipeline as pipeline_mod
 import oracles
-from agripellet.dataio import (CROPS, FIELDS, FUELS, RESOLVABLE_FIELDS, DataError, FuelProperties,
-                               default_fuel_properties)
-from agripellet.pipeline import GrowthResult, run_pipeline, yoy_growth
+from agripellet.dataio import (CROPS, FIELDS, FUELS, DataError, FuelProperties,
+                               default_fuel_properties, load_dataset)
+from agripellet.pipeline import run_pipeline
 from agripellet.reporting import (
     _SAME_AS,
     ASSESS_COLUMNS,
@@ -16,9 +18,11 @@ from agripellet.reporting import (
     PLOT_COLUMNS,
     RECOP_COLUMNS,
     REPORT_COLUMNS,
+    write_report_files,
+    write_table,
 )
-from conftest import (country_rows, make_dataset, make_profile, make_table,
-                      synthetic_market_profiles)
+from conftest import (DATA_DIR, RESOLVABLE_FIELDS, assert_stage_agrees_with_report, country_rows,
+                      make_dataset, make_profile, make_table, synthetic_market_profiles)
 from oracles import evaluate_country, reports, table_records, table_rows
 
 
@@ -83,9 +87,15 @@ def test_field_missing_everywhere_fails_cleanly():
     result = run_pipeline(ds, through="plan")
     assert len(result.errors) == 2
     assert all("price_coal" in msg for _, msg in result.errors)
-    # the residue stage still works on the same dataset
-    assess = run_pipeline(ds, through="assess")
-    assert assess.errors == ()
+    # the residue and plant stages still work on the same dataset: a price is a plan input only
+    for through in ("assess", "msp"):
+        result = run_pipeline(ds, through=through)
+        assert result.errors == () and result.columns["country"] == ["A", "B"]
+
+
+def test_unknown_stage_raises(dataset):
+    with pytest.raises(ValueError, match="^unknown stage 'bogus'$"):
+        run_pipeline(dataset, through="bogus")
 
 
 def test_evaluation_is_deterministic(dataset):
@@ -145,48 +155,6 @@ def test_report_schema_is_stable(dataset):
     assert full[0] == subset[0] == list(REPORT_COLUMNS)
     assert len(full) == 179  # header + 178 countries
     assert len(subset) == 2
-
-
-# ---------------------------------------------------------------------------
-# year-on-year growth
-
-def test_growth_simple_pair():
-    result = yoy_growth([(2020, 100.0), (2021, 150.0)])
-    assert result.average == pytest.approx(0.5)
-    assert result.pairs[0].growth == pytest.approx(0.5)
-
-
-def test_growth_constant_series():
-    result = yoy_growth([(2012, 5.0), (2013, 5.0), (2014, 5.0)])
-    assert result.average == 0.0
-
-
-def test_growth_constant_rate_round_trip():
-    # a series built from a constant 79.2%/y growth rate returns that average
-    values = [(2012, 120_000.0)]
-    for year in range(2013, 2023):
-        values.append((year, values[-1][1] * 1.792))
-    result = yoy_growth(values)
-    assert isinstance(result, GrowthResult)
-    assert len(result.pairs) == 10
-    assert result.average == pytest.approx(0.792, rel=1e-12)
-
-
-def test_growth_zero_base_years_skipped():
-    result = yoy_growth([(2019, 0.0), (2020, 10.0), (2021, 20.0)])
-    assert result.pairs[0].growth is None
-    assert result.average == pytest.approx(1.0)
-
-
-def test_growth_errors():
-    with pytest.raises(DataError, match="at least two"):
-        yoy_growth([(2020, 1.0)])
-    with pytest.raises(DataError, match="consecutive"):
-        yoy_growth([(2018, 1.0), (2020, 2.0)])
-    with pytest.raises(DataError, match="duplicate"):
-        yoy_growth([(2020, 1.0), (2020, 2.0)])
-    with pytest.raises(DataError, match="zero"):
-        yoy_growth([(2020, 0.0), (2021, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -405,3 +373,59 @@ def test_a_field_no_country_reports_fails_each_country_by_name(dataset, monkeypa
     assert {name for name, _, _ in calls} <= set(RESOLVABLE_FIELDS[:10])  # no plan is made
     others = [(name, continent) for name, continent, _ in calls if name != "tax_rate"]
     assert len(others) == len(set(others))
+
+
+# ---------------------------------------------------------------------------
+# the stage subcommands against report
+
+STAGE_OUTPUTS = {"assess": ASSESS_COLUMNS, "msp": MSP_COLUMNS, "plan": RECOP_COLUMNS}
+
+
+def assert_stages_agree_with_report(dataset) -> dict:
+    """Write each stage's CSV and report's countries.csv for ``dataset``, as
+    the ``assess``, ``msp``, ``recop`` and ``report`` subcommands do: every
+    country that a stage fails, each later stage fails too, and every column
+    a stage's CSV shares with countries.csv holds the same cells for the
+    countries both keep.  Returns the number of shared columns by stage."""
+    results = {stage: run_pipeline(dataset, stage) for stage in STAGE_OUTPUTS}
+    shared, failed = {}, set()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_report_files(out, results["plan"])
+        for stage, result in results.items():
+            names = {name for name, _ in result.errors}
+            assert failed <= names, stage
+            failed = names
+            write_table(out / f"{stage}.csv", STAGE_OUTPUTS[stage], result)
+            shared[stage] = assert_stage_agrees_with_report(out / f"{stage}.csv",
+                                                            out / "countries.csv")
+    return shared
+
+
+def test_stages_agree_with_report_on_the_bundled_data(dataset):
+    assert assert_stages_agree_with_report(dataset) == {"assess": 22, "msp": 24, "plan": 23}
+
+
+@pytest.mark.parametrize("scenario", ["A", "C@50"])
+def test_stages_agree_with_report_on_the_oracle_datasets(dataset, scenario):
+    name, tax = SCENARIOS[scenario]
+    for ds in oracle_datasets(dataset).values():
+        assert_stages_agree_with_report(ds._replace(config=ds.config._replace(scenario=name,
+                                                                              carbon_tax=tax)))
+
+
+BUNDLED_ROWS = country_rows(load_dataset(DATA_DIR).countries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.sets(st.integers(0, len(BUNDLED_ROWS) - 1), min_size=1, max_size=12),
+       seed=st.integers(0, 3), scenario=st.sampled_from(sorted(SCENARIOS)))
+def test_stages_agree_with_report_on_subsets(dataset, rows, seed, scenario):
+    """A few bundled countries, a seeded third of their cells emptied, as a
+    dataset of their own: its fallback means, and the fields no country
+    reports, are the subset's."""
+    name, tax = SCENARIOS[scenario]
+    subset = sparse_copy([BUNDLED_ROWS[row] for row in sorted(rows)], seed)
+    ds = dataset._replace(countries=make_table(subset),
+                          config=dataset.config._replace(scenario=name, carbon_tax=tax))
+    assert_stages_agree_with_report(ds)

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import oracles
 from agripellet import reporting
 from agripellet.dataio import DataError
-from agripellet.pipeline import PipelineResult, run_pipeline, yoy_growth
+from agripellet.pipeline import PipelineResult, run_pipeline
 from agripellet.sensitivity import sweep
+from agripellet.yoy import yoy_growth
 
 STAGES = {"assess": reporting.ASSESS_COLUMNS, "msp": reporting.MSP_COLUMNS,
           "recop": reporting.RECOP_COLUMNS}

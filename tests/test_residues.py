@@ -88,6 +88,14 @@ def test_final_residue_simple_subtraction():
     assert by_crop["maize"] == pytest.approx(7e6 * 0.4)
 
 
+def test_final_residue_under_one_ton_is_split():
+    """A country with 1 t of removable residue and 0.5 t left after its uses:
+    the split is pro rata, not zero, at tonnages in (0, 1]."""
+    a, by_crop = final_row({"maize": 0.75, "rice": 0.25, "sugarcane": 0.0, "wheat": 0.0}, 0.5)
+    assert (a["cr_removable_dry_t"], a["cr_final_t"]) == (1.0, 0.5)
+    assert by_crop == {"maize": 0.375, "rice": 0.125, "sugarcane": 0.0, "wheat": 0.0}
+
+
 def test_final_residue_clamped_and_flagged():
     removable = {"maize": 1e6, "rice": 0.0, "sugarcane": 0.0, "wheat": 0.0}
     a, by_crop = final_row(removable, 2e6)
