@@ -156,5 +156,16 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The process entry, of ``python -m agripellet.cli`` and the
+    ``agripellet`` script: ``main``, then exit with its code.  Every object
+    still tracked is frozen first, so the interpreter's collections at
+    shutdown do not scan them again; atexit handlers still run.  ``main``
+    called in-process freezes nothing."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,7 +14,8 @@ problems of them all, and checks each cell once, as it parses it.  A
 ``Dataset`` and its tables are read-only, so no stage checks a value again;
 ``_build`` makes every one, loaded, built by hand or ``_replace``d.
 ``resolve``, the one fallback rule for an empty cell, runs once per field and
-continent; a fallback mean is exact, so it lies within its values' range.
+continent; a field's fallback means are computed the first time it falls back,
+and each is exact, so it lies within its values' range.
 This module only reads files; every output goes through ``reporting``.
 """
 
@@ -143,6 +144,7 @@ FIELDS = (
     Field("cons_oil_tj", "cons_oil", NONNEGATIVE),
     Field("cons_gas_tj", "cons_natural_gas", NONNEGATIVE),
 )
+_FALLBACK_TIERS = {f.key: f.fallback for f in FIELDS if f.fallback is not None}
 COUNTRIES_COLUMNS = ("country", "continent") + tuple(f.column for f in FIELDS)
 COUNTRIES_KEYS = ("country", "continent") + tuple(f.key for f in FIELDS)  # of Dataset.countries
 
@@ -345,21 +347,11 @@ class Dataset(_Dataset):
 
     @cached_property
     def _fallbacks(self) -> dict:
-        """Resolvable key -> (continent -> mean, world value or None, world tier tag).
-
-        Each mean is exact (see ``_means``), hence inside the field's bound.
-        A world-average field has no continent tier: it falls back to the
-        crop's default dry matter.
-        """
-        table = {}
-        for f in FIELDS:
-            if f.fallback == WORLD_AVERAGE:  # key dmr_<crop>
-                crop = f.key.removeprefix("dmr_")
-                table[f.key] = ({}, self.crops[crop].dmr_default, WORLD_AVERAGE)
-            elif f.fallback == CONTINENT:
-                table[f.key] = (*_means(zip(self.countries["continent"], self.countries[f.key])),
-                                "world")
-        return table
+        """Continent-tier key -> (continent -> mean, world mean or None), each
+        put in by ``resolve`` the first time its field falls back, so a run
+        computes the means of only the fields it reads.  Each mean is exact
+        (see ``_means``), hence inside the field's bound."""
+        return {}
 
 
 def _build(fields: _Dataset, problems: list) -> Dataset:
@@ -684,22 +676,29 @@ def resolve(dataset: Dataset, row: int, name: str) -> tuple:
     A ``CONTINENT`` field falls back country -> continent mean -> world mean
     over the countries that carry data.  A ``WORLD_AVERAGE`` (dry matter)
     field skips the continent tier and falls back straight to the crop's
-    world-average default.
+    world-average default.  A field's means are computed the first time one of
+    its cells falls back, and kept on the dataset.
     """
-    fallback = dataset._fallbacks.get(name)
-    if fallback is None:
+    tier = _FALLBACK_TIERS.get(name)
+    if tier is None:
         raise KeyError(f"not a resolvable field: {name!r}")
-    rows = len(dataset.countries["country"])
+    countries = dataset.countries
+    rows = len(countries["country"])
     if not 0 <= row < rows:  # a negative row would index from the end
         raise IndexError(f"no countries row {row!r} in a table of {rows} rows")
-    own = dataset.countries[name][row]
+    own = countries[name][row]
     if own is not None:
         return own, "country"
-    continent_means, world, world_tag = fallback
-    continent = dataset.countries["continent"][row]
+    if tier == WORLD_AVERAGE:  # key dmr_<crop>
+        return dataset.crops[name.removeprefix("dmr_")].dmr_default, WORLD_AVERAGE
+    means = dataset._fallbacks.get(name)
+    if means is None:
+        means = dataset._fallbacks[name] = _means(zip(countries["continent"], countries[name]))
+    continent_means, world = means
+    continent = countries["continent"][row]
     if continent in continent_means:
         return continent_means[continent], "continent"
     if world is not None:
-        return world, world_tag
+        return world, "world"
     raise UnresolvableFieldError(f"no country in the dataset has data for {name!r} "
-                                 f"(needed by {dataset.countries['country'][row]!r})")
+                                 f"(needed by {countries['country'][row]!r})")

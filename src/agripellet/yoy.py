@@ -23,7 +23,7 @@ def load_series(path: str | Path) -> dict:
     header, rows = _read_rows(Path(path), ("country", "year", "value"), ("year", "value"))
     problems = {}
     names = [row[0].strip() if header[0] == "country" else "all" for _, row in rows]
-    for row, problem in _bad_names(names, "country"):
+    for row, problem in _bad_names(names, "series"):
         _report(problems, file, rows[row][0], problem)
     years = []
     for lineno, row in rows:

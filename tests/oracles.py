@@ -702,7 +702,7 @@ def load_series(path: str | Path) -> dict:
         found = len(problems)
         name = row[0].strip() if header[0] == "country" else "all"
         if not name:
-            problems.append(f"{where}: empty country name")
+            problems.append(f"{where}: empty series name")
         raw_year = row[-2].strip()
         if not (raw_year.isascii() and raw_year.isdigit()):  # int() takes 2_000, +2001, ٢٠٠١
             problems.append(f"{where}: year: not an integer: {raw_year!r}")

@@ -2,12 +2,13 @@ import csv
 import gc
 import json
 import re
+import sys
 from typing import get_type_hints
 
 import pytest
 
 from agripellet import reporting
-from agripellet.cli import main
+from agripellet.cli import main, run
 from agripellet.dataio import COUNTRIES_COLUMNS, load_dataset
 from agripellet.pipeline import STAGE_PLAN, GlobalReport, run_pipeline
 from conftest import assert_same_files, assert_stage_agrees_with_report, copy_data, write_config
@@ -302,7 +303,7 @@ def test_non_finite_carbon_tax_flag_exits_2(data_dir, tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ("A,2001,1,9", "series.csv line 3: expected 3 columns, got 4"),
     ("A,2001", "series.csv line 3: expected 3 columns, got 2"),
-    (",2001,1", "series.csv line 3: empty country name"),
+    (",2001,1", "series.csv line 3: empty series name"),
     ("A,2001,-4", "series.csv line 3: value: must be >= 0, got -4.0"),
     ("A,2000.5,1", "series.csv line 3: year: not an integer: '2000.5'"),
     ("A,2001,", "series.csv line 3: value: missing value"),
@@ -609,8 +610,9 @@ class Boom(Exception):
 def test_main_leaves_the_cyclic_collector_as_it_found_it(data_dir, tmp_path, monkeypatch,
                                                          enabled, outcome):
     """The collector is off while a command runs, and is set back after exit 0,
-    exit 2 and a raised exception alike."""
+    exit 2 and a raised exception alike; ``main`` freezes no object."""
     seen = []
+    frozen = gc.get_freeze_count()
 
     def write(out_dir, result):
         seen.append(gc.isenabled())
@@ -632,6 +634,31 @@ def test_main_leaves_the_cyclic_collector_as_it_found_it(data_dir, tmp_path, mon
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False]
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_run_freezes_after_the_outputs_and_exits_with_mains_code(data_dir, tmp_path,
+                                                                monkeypatch, code):
+    """``run`` freezes the tracked objects only once ``main`` has written its
+    outputs and errors.txt, then exits with ``main``'s code."""
+    data = {0: data_dir, 1: tmp_path, 2: tmp_path / "nowhere"}[code]
+    if code == 1:
+        write_unresolvable_dataset(tmp_path)
+    out = tmp_path / "out"
+
+    def written():
+        return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+    frozen = []  # the files written when each freeze began
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(written()))
+    monkeypatch.setattr(sys, "argv", ["agripellet", "sweep", "--data", str(data),
+                                      "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == code
+    assert frozen == [written()]
+    assert ("errors.txt" in frozen[0]) is (code != 2)
 
 
 def test_unreadable_config_does_not_hide_other_files_problems(data_dir, tmp_path, capsys):

@@ -13,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from agripellet import dataio
 from agripellet.dataio import (
+    CONTINENT,
     COUNTRIES_COLUMNS,
     COUNTRIES_KEYS,
+    FIELDS,
+    STAGE_MSP,
     DataError,
     ModelConfig,
     UnresolvableFieldError,
@@ -472,7 +475,7 @@ def test_rows_with_several_problems_are_listed_in_line_order(tmp_path):
     with pytest.raises(DataError) as exc:
         load_series(series)
     assert exc.value.problems == [
-        "series.csv line 3: empty country name",
+        "series.csv line 3: empty series name",
         "series.csv line 3: year: not an integer: '20x1'",
         "series.csv line 3: value: must be >= 0, got -5.0",
         "series.csv line 4: value: missing value",
@@ -703,6 +706,19 @@ def test_any_object_of_config_keys_loads_or_names_its_problems(raw):
             assert cfg == ModelConfig(**raw)
 
 
+def test_an_int_sum_past_float_range_does_not_fit():
+    """``fits`` is False on ints whose sum lies past float range, whether one
+    int does or each fits and their sum does not, None cells beside them or not;
+    a config given such an int is a DataError naming its key."""
+    huge, near_max = 10**400, int(sys.float_info.max)
+    for values in ([huge], [near_max, near_max], [near_max, None, near_max], [1.0, huge]):
+        assert not dataio.fits(values)
+    assert dataio.fits([near_max, 1.0]) and dataio.fits([near_max, None])
+    with pytest.raises(DataError) as exc:
+        ModelConfig(plant_capacity=huge)
+    assert exc.value.problems == [f"plant_capacity: not a finite number: {huge!r}"]
+
+
 def test_config_numbers_are_floats_but_the_horizon():
     """A config file's ints are held as the floats a flag gives (the horizon
     stays an int), so an output cell reads 50.0 whichever way 50 came in."""
@@ -858,6 +874,31 @@ def test_resolve_rejects_a_row_outside_the_table(dataset, past_end):
     row = rows if past_end else -1
     with pytest.raises(IndexError, match=rf"^no countries row {row} in a table of {rows} rows$"):
         resolve(dataset, row, "price_coal")
+
+
+def test_a_fields_means_are_computed_the_first_time_it_falls_back(data_dir, monkeypatch):
+    """An assess run reads only the dry matters, whose fallback is the crop
+    default, and computes no continent mean; msp computes those of its 6
+    fields and plan those of the 3 prices, each field's once, with the bits of
+    the means of its whole column."""
+    dataset = load_dataset(data_dir)  # not the shared one, whose means may be computed already
+    pli = [f.key for f in FIELDS if f.key.startswith("pli_")]  # no bundled cell is empty
+    dataset = dataset._replace(countries={**dataset.countries, **{
+        key: (None, *dataset.countries[key][1:]) for key in pli}})
+    calls = []
+    means = dataio._means
+    monkeypatch.setattr(dataio, "_means", lambda pairs: calls.append(1) or means(pairs))
+    assessed = run_pipeline(dataset, "assess")
+    assert "world-average" in assessed.columns["src_dmr_maize"]
+    assert calls == [] and dataset._fallbacks == {}
+    run_pipeline(dataset, "msp")
+    assert set(dataset._fallbacks) == {f.key for f in FIELDS if f.stage == STAGE_MSP}
+    assert len(calls) == 6
+    run_pipeline(dataset, "plan")
+    assert set(dataset._fallbacks) == {f.key for f in FIELDS if f.fallback == CONTINENT}
+    assert len(calls) == 9
+    for key, got in dataset._fallbacks.items():
+        assert got == means(zip(dataset.countries["continent"], dataset.countries[key])), key
 
 
 def test_resolve_is_deterministic(dataset):

@@ -2,7 +2,8 @@
 ``python -m agripellet.cli`` in a child process on the bundled data, an
 edited copy of it, an edited config or a series file, and checks its exit
 code and what it writes to stderr or errors.txt; one test imports the package
-in a child process, as the ``agripellet`` script starts.
+in a child process, as the ``agripellet`` script starts, and one runs the
+module under an atexit hook that reads the collector's freeze count.
 
 Run with ``PYTHONPATH=src`` it tests the source tree; run without it after
 ``pip install .`` it tests the installed package.
@@ -151,3 +152,20 @@ def test_import_loads_no_dataclasses_or_inspect_and_exports_no_gone_name():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n[]\n"
+
+
+def test_the_module_entry_freezes_before_the_interpreter_shuts_down(tmp_path):
+    """``python -m agripellet.cli`` exits through ``run``: an atexit hook, which
+    runs before the shutdown collections, finds the tracked objects frozen, and
+    the exit code is the command's."""
+    code = ("import atexit, gc, runpy\n"
+            "print('before', gc.get_freeze_count())\n"
+            "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0))\n"
+            "runpy.run_module('agripellet.cli', run_name='__main__')\n")
+    for args, exit_code in ((("--data", DATA_DIR), 0), (("--data", tmp_path / "nowhere"), 2)):
+        done = subprocess.run([sys.executable, "-c", code, "assess", *map(str, args),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == exit_code, done.stderr
+        lines = done.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("before 0", "at exit True")

@@ -168,6 +168,23 @@ def test_edited_values_match_the_oracle(bundled, column, value, name, cell):
     assert written[name].count(cell) == len(present)  # a plan-less row has no plan columns
 
 
+@pytest.mark.parametrize("count", [reporting._PROBE, reporting._BLOCK + 1])
+def test_a_repeating_block_holding_both_zeros_writes_each_zero(bundled, count):
+    """A block of repeated floats that holds 0.0 and -0.0, equal but printed
+    apart, is rendered value by value: its CSV and JSON hold both texts, as the
+    oracle writes them."""
+    base = copies(bundled, count)
+    column = [(0.0, -0.0, 1.5)[row % 3] for row in range(count)]
+    written = assert_matches_oracle(base._replace(columns={**base.columns,
+                                                          "cr_final_t": column}))
+    header, *rows = written["report/countries.csv"].decode().splitlines()
+    at = header.split(",").index("cr_final_t")
+    assert [row.split(",")[at] for row in rows] == list(map(repr, column))
+    records = json.loads(written["report/global.json"])["countries"]
+    assert [math.copysign(1.0, r["cr_final_t"]) for r in records[:3]] == [1.0, -1.0, 1.0]
+    assert written["report/global.json"].count(b'"cr_final_t":-0.0,') == count // 3
+
+
 @pytest.mark.parametrize("bad", [
     # one NaN and one infinity, in columns of floats
     ({"pellet_energy_tj": math.nan}, {"discount_rate": math.inf}),
