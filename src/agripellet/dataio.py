@@ -1,10 +1,11 @@
 """Input dataset loading, validation, and missing-value resolution.
 
-All model inputs arrive as UTF-8 CSV files (a leading byte-order mark is
-skipped) with a header row ("-" or an empty cell means "no data") plus an
-optional JSON run configuration.  ``FIELDS`` describes each numeric
-``countries.csv`` column once (header, model key, bound, fallback tier, and
-the pipeline stage that resolves it).
+All model inputs arrive as UTF-8 CSV files with a header row ("-" or an
+empty cell means "no data") plus an optional JSON run configuration.  Each is
+read once by ``_read_text``, its bytes decoded whole (a leading byte-order
+mark is skipped) before ``csv`` or ``json`` parses the text.  ``FIELDS``
+describes each numeric ``countries.csv`` column once (header, model key,
+bound, fallback tier, and the pipeline stage that resolves it).
 Each rule has one check and one wording, and each caller adds only the
 place (file and line, column and row, or config key): ``_check_cell`` holds
 a number to its ``Bound``, ``_check_column`` a column (whole, then cell by
@@ -22,6 +23,8 @@ This module only reads files; every output goes through ``reporting``.
 from __future__ import annotations
 
 import csv
+import errno
+import io
 import json
 import math
 import sys
@@ -36,7 +39,6 @@ from typing import NamedTuple
 CROPS = ("maize", "rice", "sugarcane", "wheat")
 FUELS = ("coal", "oil", "natural_gas")
 ANIMALS = ("cattle", "horses", "sheep", "swine")
-PLI_COMPONENTS = ("labor", "raw_material", "construction", "electricity")
 # Replacement ranking objectives: cost, emissions, cost with a carbon tax.
 SCENARIOS = ("A", "B", "C")
 
@@ -428,37 +430,35 @@ def parse_cell(raw: str) -> float | None:
     return value
 
 
+def _read_text(path: Path) -> str:
+    """The text of an input file: its bytes read once, a leading byte-order
+    mark dropped, decoded as UTF-8 in one call.  A bad byte is named by its
+    line; a missing file, or one the system refuses to read (such as a
+    directory), is a ``DataError`` too."""
+    try:
+        raw = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
+    except OSError as exc:  # missing, as Path.exists() tells it, or refused (a directory)
+        missing = exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
+        raise DataError(f"missing file: {path}" if missing else str(exc)) from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path.name} line {line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_rows(path: Path, *headers: tuple) -> tuple:
     """``(header, [(lineno, cells)])`` of a CSV whose header is one of ``headers``.
 
     Blank lines are skipped; every other row must have the header's width,
-    and every row that has not is named in one ``DataError``.  A file that is
-    not UTF-8 text, or that ``csv`` cannot split, is a ``DataError`` naming
-    the line.  The file is decoded as it is read, with no copy of its text; a
-    bad byte is named before any other problem of the file, as when the whole
-    file was decoded first.
+    and every row that has not is named in one ``DataError``.  The file is
+    decoded whole before it is split, so a bad byte is named before any other
+    problem of the file.  Only ``\\n``, ``\\r`` and ``\\r\\n`` end a row
+    (``str.splitlines`` would also break at ``\\v``, ``\\x85``, ``\\u2028`` and
+    others); a cell ``csv`` cannot split is a ``DataError`` naming its line.
     """
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
-    try:
-        with path.open(encoding="utf-8-sig", newline="") as f:  # skips a byte-order mark
-            try:
-                return _split_rows(path.name, csv.reader(f), headers)
-            except DataError:
-                f.read()  # a bad byte further on is named instead, wherever it lies
-                raise
-    except UnicodeDecodeError:  # its offset counts from the decoded chunk, not the file
-        raw = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
-            raise DataError(f"{path.name} line {line}: not UTF-8 text ({exc.reason})") from None
-        raise
-
-
-def _split_rows(file: str, reader, headers: tuple) -> tuple:
-    """``_read_rows`` of the rows ``reader`` gives, from the file named ``file``."""
+    file = path.name
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
         first = next(reader, None)
         if first is None:
@@ -612,11 +612,10 @@ def load_countries(path: str | Path) -> dict:
 
 def load_config(path: str | Path) -> ModelConfig:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing file: {path}")
+    text = _read_text(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
-    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and ints over 4,300 digits
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also ints over 4,300 digits, deep nesting
         raise DataError(f"{path.name}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path.name}: top-level object required")
@@ -647,8 +646,6 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
             return loader(path)
         except DataError as exc:
             problems.extend(exc.problems)
-        except OSError as exc:  # a path the system refuses, e.g. a directory
-            problems.append(str(exc))
         return None
 
     countries = attempt(load_countries, data_dir / "countries.csv")

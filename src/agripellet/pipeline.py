@@ -70,7 +70,7 @@ def _resolve(dataset: Dataset, index: list, names: tuple) -> tuple:
                     if answer is None:
                         try:
                             answer = resolve(dataset, index[row], name)
-                        except (DataError, ValueError) as exc:
+                        except ValueError as exc:
                             failures[row] = str(exc)
                             continue
                         answers[continents[row]] = answer

@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 from pathlib import Path
 from typing import NamedTuple
 
@@ -12,7 +13,6 @@ from agripellet.dataio import (
     CROPS,
     CropCoefficients,
     FUELS,
-    PLI_COMPONENTS,
     FIELDS,
     Dataset,
     ModelConfig,
@@ -25,6 +25,8 @@ from agripellet.replacement import plan_columns
 from agripellet.residues import assess_columns
 
 DATA_DIR = Path(__file__).parent / "data"
+# The price level indexes of a country, each a pli_<component> field.
+PLI_COMPONENTS = ("labor", "raw_material", "construction", "electricity")
 # The countries.csv fields with a fallback tier, in file order.
 RESOLVABLE_FIELDS = tuple(f.key for f in FIELDS if f.fallback)
 
@@ -43,6 +45,23 @@ def pytest_terminal_summary(terminalreporter):
 def dataset():
     """The bundled 178-country dataset."""
     return load_dataset(DATA_DIR)
+
+
+@pytest.fixture(scope="session")
+def renamed_copies(dataset):
+    """Three renamed copies of the bundled countries in one table (534 rows)."""
+    rows = country_rows(dataset.countries)
+    return dataset._replace(countries=make_table(
+        r._replace(name=f"{r.name} #{i}") for i in range(3) for r in rows))
+
+
+@pytest.fixture(scope="session")
+def dense_dataset(dataset):
+    """300 synthetic countries with every field set, under the bundled config."""
+    rng = random.Random(3)
+    rows = [r._replace(values={**r.values, **{f"dmr_{c}": rng.uniform(0.3, 1.0) for c in CROPS}})
+            for r in synthetic_market_profiles(rng, 300)]
+    return make_dataset(rows, config=dataset.config)
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,7 @@ from agripellet import costs, energy, pricing, replacement, residues
 from agripellet.dataio import (ANIMALS, BELOW_ONE, COUNTRIES_COLUMNS, COUNTRIES_KEYS, CROP_FIELDS,
                                CROPS, CROPS_COLUMNS, DEFAULT_PELLET_EF, FIELDS,
                                FUEL_FIELDS, FUELS, FUELS_COLUMNS, HORIZON, NONNEGATIVE,
-                               PLI_COMPONENTS, POSITIVE, CropCoefficients, DataError,
+                               POSITIVE, CropCoefficients, DataError,
                                Dataset, Field, FuelProperties, ModelConfig, _read_rows,
                                default_crops, default_fuel_properties, load_config,
                                parse_cell, resolve)
@@ -49,6 +49,7 @@ from agripellet.pipeline import _STAGE_ORDER, STAGE_PLAN, GlobalReport
 from agripellet.replacement import PLAN_COLUMNS
 from agripellet.reporting import _SAME_AS, PLOT_COLUMNS, REPORT_COLUMNS
 from agripellet.sensitivity import axis_label
+from conftest import PLI_COMPONENTS
 
 BISECTION_BRACKET = (0.0, 1e6)  # $/t
 

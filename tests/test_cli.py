@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import re
+import runpy
 import sys
 from typing import get_type_hints
 
@@ -553,18 +554,26 @@ def test_fractional_horizon_exits_2(data_dir, tmp_path, capsys):
     assert capsys.readouterr().err == "error: horizon_years: must be an integer, got 20.5\n"
 
 
-@pytest.mark.parametrize("text", [
-    b'{"plant_capacity": 1' + b"0" * 5000 + b"}",  # beyond int()'s 4,300-digit limit
-    b"[" * 100_000,                                  # deeper than the decoder recurses
-    json.dumps({"plant_capacity": 1000.0}).encode("utf-16"),
-], ids=["5001-digit-int", "deep-nesting", "utf-16"])
-def test_unparsable_config_exits_2(data_dir, tmp_path, capsys, text):
+@pytest.mark.parametrize("text, message", [
+    # beyond int()'s 4,300-digit limit
+    (b'{"plant_capacity": 1' + b"0" * 5000 + b"}", "config.json: invalid JSON ("),
+    (b"[" * 100_000, "config.json: invalid JSON ("),  # deeper than the decoder recurses
+    # read as every input is: a bad byte is named by its line, and the parser's
+    # position counts the file's own characters, each \r included
+    (json.dumps({"plant_capacity": 1000.0}).encode("utf-16"),
+     "config.json line 1: not UTF-8 text (invalid start byte)\n"),
+    (b'{\n  "scenario": "A",\n  "carbon_tax": "\xe1"}',
+     "config.json line 3: not UTF-8 text (invalid continuation byte)\n"),
+    (b'{\r\n  "scenario": "A",\r\n  "carbon_tax" 1}',
+     "config.json: invalid JSON (Expecting ':' delimiter: line 3 column 16 (char 38))\n"),
+], ids=["5001-digit-int", "deep-nesting", "utf-16", "latin-1", "crlf"])
+def test_unparsable_config_exits_2(data_dir, tmp_path, capsys, text, message):
     config = tmp_path / "config.json"
     config.write_bytes(text)
     code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config.json: invalid JSON (") and err.count("\n") == 1
+    assert err.startswith("error: " + message) and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -661,20 +670,55 @@ def test_run_freezes_after_the_outputs_and_exits_with_mains_code(data_dir, tmp_p
     assert ("errors.txt" in frozen[0]) is (code != 2)
 
 
-def test_unreadable_config_does_not_hide_other_files_problems(data_dir, tmp_path, capsys):
-    # a --config that names a directory raises an OSError, which is that file's problem
-    data = copy_data(tmp_path / "data", [("countries.csv", "\nAlbania,Europe,410000.0,",
-                                          "\nAlbania,Europe,-5,")])
-    config = tmp_path / "config-dir"
-    config.mkdir()
+@pytest.mark.parametrize("code", [0, 2])
+def test_module_run_as_a_script_exits_with_mains_code(data_dir, tmp_path, monkeypatch, code):
+    """``python -m agripellet.cli`` runs the module's ``__main__`` block, which
+    exits through ``run`` with ``main``'s code."""
+    data = data_dir if code == 0 else tmp_path / "nowhere"
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    monkeypatch.setattr(sys, "argv", ["agripellet", "assess", "--data", str(data),
+                                      "--out", str(tmp_path / "out")])
+    # the module is imported already, so runpy warns that it runs a second copy
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("agripellet.cli", run_name="__main__")
+    assert exc.value.code == code
+
+
+# a bad cell of another input than the one that names a directory, and its problems
+BAD_MAIZE = ("countries.csv", "\nAlbania,Europe,410000.0,", "\nAlbania,Europe,-5,",
+             ["countries.csv line 3: prod_maize_t: must be >= 0, got -5.0"])
+BAD_RTP = ("crops.csv", "\nmaize,1.0,", "\nmaize,-1,",
+           ["crops.csv line 2: rtp: must be > 0, got -1.0", "crops.csv: missing crops ['maize']"])
+
+
+@pytest.mark.parametrize("target", ["countries.csv", "crops.csv", "fuels.csv", "--config", "yoy"])
+def test_a_directory_in_place_of_an_input_exits_2(tmp_path, capsys, target):
+    """An input that names a directory is one line of ``error: <OSError message>``,
+    exit 2 and no traceback; the problems of the other files are still listed,
+    in the order countries.csv, crops.csv, fuels.csv, config."""
+    *edit, problems = BAD_RTP if target == "countries.csv" else BAD_MAIZE
+    data = copy_data(tmp_path / "data", [edit])
+    directory = data / target if target.endswith(".csv") else tmp_path / "input-dir"
+    if directory.exists():
+        directory.unlink()
+    directory.mkdir()
     with pytest.raises(OSError) as refused:  # "[Errno 21] Is a directory: ..." on Linux
-        config.read_text(encoding="utf-8")
-    assert run_cli("msp", "--data", data, "--config", config, "--out", tmp_path / "out") == 2
+        directory.read_bytes()
+    out = tmp_path / "out"
+    if target == "yoy":
+        assert run_cli("yoy", directory, "--out", out) == 2
+        expected = [f"error: {refused.value}"]
+    else:
+        extra = ("--config", directory) if target == "--config" else ()
+        assert run_cli("msp", "--data", data, *extra, "--out", out) == 2
+        problems = ([refused.value, *problems] if target == "countries.csv"
+                    else [*problems, refused.value])
+        expected = [f"error: {problem}" for problem in problems]
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines() == [
-        "error: countries.csv line 3: prod_maize_t: must be >= 0, got -5.0",
-        f"error: {refused.value}"]
+    assert err.splitlines() == expected
+    assert not out.exists()
 
 
 TINY_CROP_LHV = [("crops.csv", f",{v}\n", ",5e-324\n") for v in ("17.3", "14.6", "17.2")]

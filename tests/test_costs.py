@@ -11,8 +11,8 @@ from agripellet.costs import (
     MISC_FACTOR,
     cost_columns,
 )
-from agripellet.dataio import PLI_COMPONENTS, DataError, ModelConfig
-from conftest import cost_row, make_dataset, make_profile
+from agripellet.dataio import DataError, ModelConfig
+from conftest import PLI_COMPONENTS, cost_row, make_dataset, make_profile
 
 
 def capital_costs(construction_index):

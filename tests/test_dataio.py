@@ -643,8 +643,9 @@ def test_undecodable_or_unsplittable_csv_names_the_file(tmp_path, name, kind, me
 
 @pytest.mark.parametrize("before", ["", "header", "huge-cell", "short-row", "byte-order-mark"])
 def test_a_bad_byte_far_into_the_file_is_named_by_its_line(tmp_path, before):
-    """The file is decoded as it is read, yet a bad byte thousands of lines on
-    is named by its own line, and first, whatever problem comes before it."""
+    """The file is decoded whole before it is split, so a bad byte thousands
+    of lines on is named by its own line, and first, whatever problem comes
+    before it."""
     header, row = CSV_READERS["countries.csv"][1].splitlines()
     lines = [header, *[row.replace("A", f"A{i}", 1) for i in range(5000)]]
     if before == "header":
@@ -662,9 +663,30 @@ def test_a_bad_byte_far_into_the_file_is_named_by_its_line(tmp_path, before):
     assert exc.value.problems == ["countries.csv line 4323: not UTF-8 text (invalid start byte)"]
 
 
-def test_missing_countries_file(tmp_path):
-    with pytest.raises(DataError, match="missing file"):
-        load_dataset(tmp_path)
+def test_only_newline_and_return_end_a_row(tmp_path):
+    """A cell keeps the characters other than ``\\n`` and ``\\r`` that
+    ``str.splitlines`` would break a line at."""
+    names = ["A\vB", "A\fB", "A\x1cB", "A\x1dB", "A\x1eB", "A\x85B", "A\u2028B", "A\u2029B"]
+    path = tmp_path / "series.csv"
+    path.write_text("country,year,value\r\n"
+                    + "".join(f"{name},2000,1\n{name},2001,2\r" for name in names),
+                    encoding="utf-8", newline="")
+    assert load_series(path) == {name: [(2000, 1.0), (2001, 2.0)] for name in names}
+
+
+@pytest.mark.parametrize("kind", ["empty-directory", "a-file", "symlink-loop"])
+def test_missing_countries_file(tmp_path, kind):
+    # a data path that names a file, or a link to itself, holds no countries.csv either
+    data = tmp_path / "data.csv"
+    if kind == "empty-directory":
+        data.mkdir()
+    elif kind == "a-file":
+        data.write_text("x\n", encoding="utf-8")
+    else:
+        data.symlink_to(data)
+    with pytest.raises(DataError) as exc:
+        load_dataset(data)
+    assert exc.value.problems == [f"missing file: {data / 'countries.csv'}"]
 
 
 def test_config_validation(tmp_path):
