@@ -27,6 +27,7 @@ import errno
 import io
 import json
 import math
+import os
 import sys
 from collections import Counter
 from functools import cached_property, partial
@@ -631,8 +632,10 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
     ``countries.csv`` is required.  ``crops.csv`` and ``fuels.csv`` are
     optional; absent files fall back to the built-in reference coefficients.
     ``config`` is a path to a JSON file, or None (uses ``data_dir/config.json``
-    when present, else defaults).  To run on a ``ModelConfig`` record, replace
-    the loaded one: ``dataset._replace(config=cfg)``.  Every file is read
+    when present, else defaults).  A link to a missing file is present, not
+    absent: it is read, and named as a ``missing file``.  To run on a
+    ``ModelConfig`` record, replace the loaded one:
+    ``dataset._replace(config=cfg)``.  Every file is read
     before any fails: one ``DataError`` lists the problems of countries.csv,
     crops.csv, fuels.csv and the config, in that order; a file the system
     refuses to read, such as a directory, has its ``OSError`` message as its
@@ -650,11 +653,11 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
 
     countries = attempt(load_countries, data_dir / "countries.csv")
     crops_path = data_dir / "crops.csv"
-    crops = attempt(load_crops, crops_path) if crops_path.exists() else default_crops()
+    crops = attempt(load_crops, crops_path) if os.path.lexists(crops_path) else default_crops()
     fuels_path = data_dir / "fuels.csv"
-    fuels = (attempt(load_fuels, fuels_path) if fuels_path.exists()
+    fuels = (attempt(load_fuels, fuels_path) if os.path.lexists(fuels_path)
              else (default_fuel_properties(), DEFAULT_PELLET_EF))
-    if config is None and (data_dir / "config.json").exists():
+    if config is None and os.path.lexists(data_dir / "config.json"):
         config = data_dir / "config.json"
     cfg = attempt(load_config, config) if config is not None else ModelConfig()
     if problems:

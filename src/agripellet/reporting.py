@@ -90,25 +90,8 @@ def _csv_cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
 
 
-def _finite(name: str, value: float) -> float:
-    if not math.isfinite(value):  # named without its value: no output holds nan/inf
-        raise ValueError(f"non-finite value in column {name}")
-    return value
-
-
-def _cell(name: str, value) -> tuple:
-    """One value's ``(csv text, json text)``."""
-    if value is None:
-        return "", "null"
-    if value is True or value is False:
-        text = "true" if value else "false"
-    elif isinstance(value, str):
-        return _csv_cell(value), encode_basestring_ascii(value)
-    elif type(value) is int:
-        text = int.__repr__(value)
-    else:
-        text = float.__repr__(_finite(name, value))
-    return text, text
+# ``(csv text, json text)`` of None and the bools, for ``_render``'s lookup path.
+_TEXTS = {None: ("", "null"), True: ("true", "true"), False: ("false", "false")}
 
 
 def _fill(types: list, texts: list, empty: str) -> list:
@@ -119,9 +102,10 @@ def _fill(types: list, texts: list, empty: str) -> list:
 
 
 def _check_finite(name: str, floats: list) -> None:
-    if not math.isfinite(sum(floats)):  # a NaN or an inf, or finite values overflowing
-        for value in floats:
-            _finite(name, value)
+    # a NaN or an inf, or finite values overflowing
+    if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
+        # named without its value: no output holds nan/inf
+        raise ValueError(f"non-finite value in column {name}")
 
 
 def _repeated_floats(floats: list) -> list:
@@ -139,12 +123,12 @@ def _repeated_floats(floats: list) -> list:
 def _render(name: str, values: list) -> tuple:
     """One column's cells as ``(csv texts, json texts)``, each text made once.
 
-    A float is its ``repr`` in both (one shared list for a column of floats), None
-    an empty cell or ``null``, a bool ``true``/``false``, an int its digits, and a
-    string quoted as ``csv`` and ``json`` quote it.  A NaN or infinite float raises
-    ``ValueError``.  A column of floats, of strings or of bools, None among them
-    or not, is rendered by whole-column C calls; only a column that mixes other
-    types goes value by value.  A block of floats whose first ``_PROBE`` values
+    A column holds floats, strings or bools, each beside None; any other value,
+    such as an int, or floats beside strings, raises a ``TypeError`` naming the
+    column.  A float is its ``repr`` in both (one shared list for a column of
+    floats), None an empty cell or ``null``, a bool ``true``/``false``, and a
+    string quoted as ``csv`` and ``json`` quote it.  A NaN or infinite float
+    raises ``ValueError``.  A block of floats whose first ``_PROBE`` values
     are at most half distinct (a continent mean's repeats) renders each distinct
     value once and looks the rest up; any other block renders each float,
     hashing no value past the first ``_PROBE``.  Strings follow the same rule:
@@ -179,10 +163,12 @@ def _render(name: str, values: list) -> tuple:
     if kinds <= {str, bool, NoneType}:  # no two of these types compare equal
         csv_of, json_of = {}, {}  # each distinct value rendered once, then looked up
         for value in set(values):
-            csv_of[value], json_of[value] = _cell(name, value)
+            csv_of[value], json_of[value] = (
+                (_csv_cell(value), encode_basestring_ascii(value)) if type(value) is str
+                else _TEXTS[value])
         return list(map(csv_of.__getitem__, values)), list(map(json_of.__getitem__, values))
-    cells = [_cell(name, value) for value in values]
-    return [csv_text for csv_text, _ in cells], [json_text for _, json_text in cells]
+    raise TypeError(f"column {name} holds {', '.join(sorted(t.__name__ for t in kinds))}: "
+                    "the writer takes floats, strings or bools, each beside None")
 
 
 def _json_member(key: str, value) -> str:
@@ -317,7 +303,9 @@ def write_sweep_files(out_dir: str | Path, grid: SensitivityGrid, fmt: str) -> l
 
 def write_yoy_file(out_dir: str | Path, results: dict, failures: list, fmt: str) -> Path:
     """``yoy.csv``, a row per year pair and an ``average`` row per series, or ``yoy.json``,
-    each series' ``GrowthResult`` and the ``(name, message)`` failures; returns its path."""
+    each series' ``GrowthResult`` and the ``(name, message)`` failures; returns its path.
+    The CSV's years are written as text, since the writer takes no int; the JSON's
+    are numbers, encoded with its ``series`` member."""
     path = Path(out_dir) / f"yoy.{fmt}"
     if fmt == "json":
         errors = {"series": [name for name, _ in failures],
@@ -328,7 +316,8 @@ def write_yoy_file(out_dir: str | Path, results: dict, failures: list, fmt: str)
     else:
         table = {column: [] for column in YOY_COLUMNS}
         for name, res in results.items():
-            for row in (*res.pairs, ("average", None, res.average)):
+            rows = [(str(p.year_from), str(p.year_to), p.growth) for p in res.pairs]
+            for row in (*rows, ("average", None, res.average)):
                 for column, value in zip(YOY_COLUMNS, (name, *row)):
                     table[column].append(value)
         _write_tables(table, YOY_COLUMNS, {path: YOY_COLUMNS})

@@ -33,6 +33,7 @@ give the same values, and the same problems in the same order.
 import csv
 import json
 import math
+import os
 from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -730,15 +731,15 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
     problems = []
     loaded = {}
     crops_path, fuels_path = data_dir / "crops.csv", data_dir / "fuels.csv"
-    if config is None and (data_dir / "config.json").exists():
+    if config is None and os.path.lexists(data_dir / "config.json"):
         config = data_dir / "config.json"
     for key, load, path in (("countries", load_countries, data_dir / "countries.csv"),
                             ("crops", load_crops, crops_path),
                             ("fuels", load_fuels, fuels_path),
                             ("config", load_config, config)):
-        if key == "crops" and not crops_path.exists():
+        if key == "crops" and not os.path.lexists(crops_path):
             loaded[key] = default_crops()
-        elif key == "fuels" and not fuels_path.exists():
+        elif key == "fuels" and not os.path.lexists(fuels_path):
             loaded[key] = default_fuel_properties(), DEFAULT_PELLET_EF
         elif key == "config" and config is None:
             loaded[key] = ModelConfig()

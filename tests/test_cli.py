@@ -721,6 +721,24 @@ def test_a_directory_in_place_of_an_input_exits_2(tmp_path, capsys, target):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["crops.csv", "fuels.csv", "config.json"])
+def test_a_link_to_a_missing_optional_file_exits_2(tmp_path, capsys, name):
+    """An optional input that is a link to a missing file is read, not taken as
+    absent: one ``error: missing file: …`` line and exit 2.  With the link
+    gone, the run falls back to the defaults."""
+    data = copy_data(tmp_path / "data")
+    link = data / name
+    link.unlink()
+    link.symlink_to(tmp_path / "gone" / name)
+    out = tmp_path / "out"
+    assert run_cli("assess", "--data", data, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: missing file: {link}"]
+    assert not out.exists()
+    link.unlink()
+    assert run_cli("assess", "--data", data, "--out", out) == 0
+
+
 TINY_CROP_LHV = [("crops.csv", f",{v}\n", ",5e-324\n") for v in ("17.3", "14.6", "17.2")]
 
 

@@ -689,6 +689,21 @@ def test_missing_countries_file(tmp_path, kind):
     assert exc.value.problems == [f"missing file: {data / 'countries.csv'}"]
 
 
+@pytest.mark.parametrize("name", ["crops.csv", "fuels.csv", "config.json"])
+def test_a_link_to_a_missing_optional_file_is_a_missing_file(tmp_path, name):
+    """A dangling link is present, not absent: it is read and named, after
+    countries.csv's problems."""
+    data = copy_data(tmp_path / "data", [("countries.csv", "\nAlbania,Europe,410000.0,",
+                                          "\nAlbania,Europe,-5,")])
+    link = data / name
+    link.unlink()
+    link.symlink_to(tmp_path / "gone" / name)
+    with pytest.raises(DataError) as exc:
+        load_dataset(data)
+    assert exc.value.problems == ["countries.csv line 3: prod_maize_t: must be >= 0, got -5.0",
+                                  f"missing file: {link}"]
+
+
 def test_config_validation(tmp_path):
     with pytest.raises(DataError, match="scenario"):
         ModelConfig(scenario="D")

@@ -1,8 +1,9 @@
 """Metamorphic invariants of the whole pipeline: changes to the input whose
 effect on every output is known exactly, so that no reference code is needed.
 
-Covered on the bundled data, on three renamed copies of it in one table and on
-a dense synthetic table: power-of-two scaling of the amount columns in
+Covered on the bundled data, on three renamed copies of it in one table, on
+a dense synthetic table and on copies with edge values in a few numeric cells
+(as ``test_fuzz`` writes them): power-of-two scaling of the amount columns in
 scenarios A, B and C (carbon tax 50).  Covered on the bundled data: shuffled
 rows of ``countries.csv``, renamed copies of every country and a one-to-one
 renaming of the continents; and on the bundled data with overflowing cells,
@@ -10,14 +11,17 @@ through each stage, a run on any subset of the countries.
 """
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from agripellet.cli import main
-from agripellet.dataio import FIELDS
+from agripellet.dataio import FIELDS, DataError, load_dataset
 from agripellet.pipeline import run_pipeline
 from conftest import assert_same_files, copy_data, country_rows, make_table
+from test_fuzz import EDGE_VALUES, cell_mutation, write_mutated_copy
 
 # the countries.csv columns with no fallback: production, livestock, bioenergy
 # and fuel consumption amounts, which every stage uses linearly or as a ratio
@@ -43,16 +47,12 @@ SCALED_COLUMNS = {"dataset": BUNDLED_SCALED, "renamed_copies": BUNDLED_SCALED,
                   "dense_dataset": {"A": 21, "B": 20, "C": 21}}
 
 
-@pytest.mark.parametrize("k", range(-4, 5))
-@pytest.mark.parametrize("scenario, carbon_tax", [("A", 0.0), ("B", 0.0), ("C", 50.0)])
-@pytest.mark.parametrize("source", ["dataset", "renamed_copies", "dense_dataset"])
-def test_amounts_scaled_by_a_power_of_two(request, source, scenario, carbon_tax, k):
-    """Scaling by 2^k is exact in binary floating point, so each output column
-    and each global total is either unchanged or exactly 2^k times its value,
-    and the same countries fail with the same messages."""
-    assert len(AMOUNT_KEYS) == 13
-    scaled_columns = SCALED_COLUMNS[source][scenario]
-    dataset = request.getfixturevalue(source)
+def scaled_columns(dataset, scenario: str, carbon_tax: float, k: int) -> list:
+    """The output columns that scaling the amounts by 2^k changes, run in
+    ``scenario`` at ``carbon_tax``.  Scaling by 2^k is exact in binary floating
+    point, so each output column and each global total is either unchanged or
+    exactly 2^k times its value, and the same countries fail with the same
+    messages."""
     factor = 2.0 ** k
     base = dataset._replace(config=dataset.config._replace(scenario=scenario,
                                                            carbon_tax=carbon_tax))
@@ -68,10 +68,47 @@ def test_amounts_scaled_by_a_power_of_two(request, source, scenario, carbon_tax,
         if got != reprs(values):
             assert got == reprs(scale(v, factor) for v in values), name
             scaled.append(name)
-    assert len(scaled) == (scaled_columns if k else 0), scaled
     for name, value in original.global_report._asdict().items():
         got = getattr(result.global_report, name)
         assert repr(got) in (repr(value), repr(scale(value, factor))), name
+    return scaled
+
+
+SCENARIOS = [("A", 0.0), ("B", 0.0), ("C", 50.0)]
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+@pytest.mark.parametrize("scenario, carbon_tax", SCENARIOS)
+@pytest.mark.parametrize("source", ["dataset", "renamed_copies", "dense_dataset"])
+def test_amounts_scaled_by_a_power_of_two(request, source, scenario, carbon_tax, k):
+    assert len(AMOUNT_KEYS) == 13
+    scaled = scaled_columns(request.getfixturevalue(source), scenario, carbon_tax, k)
+    assert len(scaled) == (SCALED_COLUMNS[source][scenario] if k else 0), scaled
+
+
+# test_fuzz's edge values that can load and neither overflow nor go subnormal
+# at 2^±4: 5e-324, 1e308 and 1.7e308 would, and the other five fail every load
+SCALABLE_EDGES = tuple(v for v in EDGE_VALUES
+                       if v not in ("5e-324", "1e308", "1.7e308", "1_0", "nan", "inf",
+                                    "\u0661", "-1"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(cell_mutation(True, SCALABLE_EDGES), min_size=1, max_size=4),
+       st.sampled_from(SCENARIOS), st.sampled_from([k for k in range(-4, 5) if k]))
+def test_amounts_of_a_fuzzed_copy_scaled_by_a_power_of_two(mutations, scenario, k):
+    """The invariant of ``test_amounts_scaled_by_a_power_of_two`` on copies of
+    the bundled data with a few numeric cells set to edge values, as
+    ``test_fuzz`` writes them; a copy that does not load is not an example."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_mutated_copy(Path(tmp) / "data", mutations)
+        try:
+            dataset = load_dataset(Path(tmp) / "data")
+        except DataError:
+            assume(False)
+    scaled = scaled_columns(dataset, *scenario, k)
+    energy = run_pipeline(dataset, "assess").columns["pellet_energy_tj"]
+    assert ("pellet_energy_tj" in scaled) == any(energy), scaled
 
 
 def test_report_is_byte_identical_for_shuffled_rows(data_dir, tmp_path):

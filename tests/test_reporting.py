@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -113,8 +114,9 @@ ODD_NAMES = ("100%", "%s", "%%d", 'say "hi"', "back\\slash", "naïve €", "tab\
 def test_odd_column_names_are_written_as_json_dumps_writes_them(tmp_path):
     rng = random.Random(3)
     count = reporting._BLOCK + 1
-    pool = (0.5, -0.0, 1e308, None, 7, "%s", 'a "b"', "c\\d", "é")
-    data = {name: [rng.choice(pool) for _ in range(count)] for name in ODD_NAMES}
+    pools = ((0.5, -0.0, 1e308, None), ("%s", 'a "b"', "c\\d", "é", None))  # one kind each
+    data = {name: [rng.choice(pools[i % 2]) for _ in range(count)]
+            for i, name in enumerate(ODD_NAMES)}
     reporting._write_tables(data, ODD_NAMES, {tmp_path / "new.csv": ODD_NAMES},
                             tmp_path / "new.json", {"%s": "%d"}, "rows%", {"tail": [1]})
     records = [dict(zip(ODD_NAMES, row)) for row in zip(*data.values())]
@@ -158,7 +160,6 @@ def test_all_failed_run_writes_headers_and_an_empty_list(bundled):
 
 @pytest.mark.parametrize("column, value, name, cell", [
     ("cr_final_t", 1e308, "report/countries.csv", b",1e+308,"),  # a sum that overflows
-    ("carbon_tax_usd_per_tco2e", 50, "recop.csv", b",50,"),  # an int, as yoy's years are
 ])
 def test_edited_values_match_the_oracle(bundled, column, value, name, cell):
     result = copies(bundled, 3)
@@ -166,6 +167,34 @@ def test_edited_values_match_the_oracle(bundled, column, value, name, cell):
     written = assert_matches_oracle(edited(result, [{column: value} if row in present else {}
                                                     for row in range(3)]))
     assert written[name].count(cell) == len(present)  # a plan-less row has no plan columns
+
+
+@pytest.mark.parametrize("count", [3, reporting._BLOCK + 2])
+@pytest.mark.parametrize("column, value", [
+    ("carbon_tax_usd_per_tco2e", 50),  # an int in each planned row, as yoy's years are
+    ("pellet_energy_tj", 50),
+    ("pellet_energy_tj", "12.5"),  # one string among floats, in the last block
+], ids=["int-tax", "int-energy", "str-among-floats"])
+def test_a_value_of_another_kind_raises_and_leaves_no_file(bundled, tmp_path, column, value,
+                                                            count):
+    """The writer takes floats, strings or bools, each beside None: an int, or a
+    string among floats, is a ``TypeError`` naming the column, from every writer
+    whose columns hold it, and no file is left behind, even once a block of
+    rows is written."""
+    result = copies(bundled, count)
+    present = [row for row, old in enumerate(result.columns[column]) if old is not None]
+    rows = present if type(value) is int else present[-1:]
+    result = edited(result, [{column: value} if row in rows else {} for row in range(count)])
+    match = f"^column {column} holds .*{type(value).__name__}"
+    writers = [partial(reporting.write_table, tmp_path / f"{stem}.{fmt}", columns, result)
+               for stem, columns in STAGES.items() if column in columns for fmt in ("csv", "json")]
+    if column in reporting.REPORT_COLUMNS:
+        writers.append(partial(reporting.write_report_files, tmp_path / "report", result))
+    assert writers
+    for write in writers:
+        with pytest.raises(TypeError, match=match):
+            write()
+    assert files(tmp_path) == {}
 
 
 @pytest.mark.parametrize("count", [reporting._PROBE, reporting._BLOCK + 1])
@@ -222,8 +251,6 @@ POOLS = {
     # about as many labels as a block probes: its first values near half distinct
     "labels": st.lists(names, min_size=reporting._PROBE // 2, max_size=reporting._PROBE // 2 + 8,
                        unique=True),
-    # equal values of three types, each written its own way: no lookup may merge them
-    "equal": st.just([0, 0.0, -0.0, False, 1, 1.0, True]),
 }
 # the report's columns that are not plan columns, so that any row may hold None
 FREE_COLUMNS = [name for name in reporting.REPORT_COLUMNS
