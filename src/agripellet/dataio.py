@@ -12,8 +12,9 @@ a number to its ``Bound``, ``_check_column`` a column (whole, then cell by
 cell only if it trips), and ``_bad_names`` finds bad names and labels.
 ``load_dataset`` reads every file before it raises, so one error names the
 problems of them all, and checks each cell once, as it parses it.  A
-``Dataset`` and its tables are read-only, so no stage checks a value again;
-``_build`` makes every one, loaded, built by hand or ``_replace``d.
+``Dataset`` and its tables are read-only, so no stage checks a value again,
+and hold each number as a float, also one given by hand as an int; ``_build``
+makes every one, loaded, built by hand or ``_replace``d.
 ``resolve``, the one fallback rule for an empty cell, runs once per field and
 continent; a field's fallback means are computed the first time it falls back,
 and each is exact, so it lies within its values' range.
@@ -31,8 +32,8 @@ import os
 import sys
 from collections import Counter
 from functools import cached_property, partial
-from itertools import compress, repeat
-from operator import is_not, itemgetter, methodcaller, mul, not_
+from itertools import repeat
+from operator import is_not, itemgetter, methodcaller, mul
 from pathlib import Path
 from types import MappingProxyType, NoneType
 from typing import NamedTuple
@@ -43,17 +44,6 @@ ANIMALS = ("cattle", "horses", "sheep", "swine")
 # Replacement ranking objectives: cost, emissions, cost with a carbon tax.
 SCENARIOS = ("A", "B", "C")
 
-# Residue generated per ton of crop harvested, t/t.
-DEFAULT_RTP = {"maize": 1.00, "rice": 1.40, "sugarcane": 1.00, "wheat": 1.30}
-# Fraction of residue that can be removed from fields without degrading soil.
-DEFAULT_SRR = {"maize": 0.50, "rice": 0.60, "sugarcane": 0.875, "wheat": 0.40}
-# World-average dry matter as a fraction of fresh residue weight.
-DEFAULT_DMR_WORLD = {"maize": 0.7374, "rice": 0.8774, "sugarcane": 0.4388, "wheat": 0.8627}
-# Lower heating value of the residue, MJ/kg.
-DEFAULT_RESIDUE_LHV = {"maize": 17.3, "rice": 14.6, "sugarcane": 17.3, "wheat": 17.2}
-# Fossil fuel lower heating values (MJ/kg) and emission factors (kgCO2e/t).
-DEFAULT_FUEL_LHV = {"coal": 23.9, "oil": 42.0, "natural_gas": 42.0}
-DEFAULT_FUEL_EF = {"coal": 2592.0, "oil": 2977.0, "natural_gas": 2114.0}
 DEFAULT_PELLET_EF = 151.0  # kgCO2e per ton of pellets burned
 
 
@@ -196,12 +186,7 @@ def _bad_names(cells, kind: str, place=None, accepted=None, label: bool = False)
     ``kind`` name (or, worded as such, ``label``), in row order, that is
     unknown (not among ``accepted``; None: any), empty (or None), not a
     ``str`` or, given ``place``, a duplicate, which names its first cell's
-    ``place(row)``; with no ``place`` a name may repeat.  A column that passes
-    whole is not scanned."""
-    if (set(map(type, cells)) <= {str} and "" not in cells
-            and (accepted is None or set(cells).issubset(accepted))
-            and (place is None or len(set(cells)) == len(cells))):
-        return []
+    ``place(row)``; with no ``place`` a name may repeat."""
     problems, seen = [], {}
     for row, cell in enumerate(cells):
         if accepted is not None and cell not in accepted:
@@ -294,8 +279,10 @@ class Dataset(_Dataset):
         self = super().__new__(cls, *args, **kwargs)
         problems = self._check()
         # read-only, so that no column skips the check and the cached fallback means
-        countries = MappingProxyType({key: tuple(self.countries[key]) for key in COUNTRIES_KEYS})
-        return _build(_Dataset._replace(self, countries=countries), problems)
+        countries = {key: tuple(self.countries[key]) for key in COUNTRIES_KEYS}
+        if not problems:  # checked, so every number converts: held as floats, as loaded
+            countries.update((f.key, _floats(countries[f.key])) for f in FIELDS)
+        return _build(_Dataset._replace(self, countries=MappingProxyType(countries)), problems)
 
     def _check(self) -> list:
         """The problems of the countries table, raised at once if a column is
@@ -357,16 +344,29 @@ class Dataset(_Dataset):
         return {}
 
 
+def _floats(values) -> tuple:
+    """A checked column, each number as a float and each None kept."""
+    return tuple(None if value is None else float(value) for value in values)
+
+
+def _records(table: dict, record, fields: tuple) -> MappingProxyType:
+    """A checked crops or fuels table, read-only, each of its records a
+    ``record`` of floats."""
+    return MappingProxyType({name: record(*(float(getattr(values, f.key)) for f in fields))
+                             for name, values in table.items()})
+
+
 def _build(fields: _Dataset, problems: list) -> Dataset:
     """The one way fields become a ``Dataset``: over a countries table that is
     read-only and scanned already, with ``problems`` its problems.  The crops
-    and fuels tables are copied read-only, which their caller can no longer
-    change, and checked; one DataError names every problem."""
-    dataset = Dataset._make(_Dataset._replace(
-        fields, crops=MappingProxyType(dict(fields.crops)),
-        fuel_properties=MappingProxyType(dict(fields.fuel_properties))))
-    dataset._check_tables(problems)
-    return dataset
+    and fuels tables and the pellet factor are checked; one DataError names
+    every problem.  Then each number of them is held as a float, as the loader
+    holds it, in new read-only tables that their caller can no longer change."""
+    Dataset._make(fields)._check_tables(problems)
+    return Dataset._make(_Dataset._replace(
+        fields, crops=_records(fields.crops, CropCoefficients, CROP_FIELDS),
+        fuel_properties=_records(fields.fuel_properties, FuelProperties, FUEL_FIELDS),
+        pellet_ef=float(fields.pellet_ef)))
 
 
 def _exact_sum(ratios, weights) -> tuple:
@@ -401,15 +401,21 @@ def _means(pairs) -> tuple:
 
 
 def default_crops() -> dict:
-    return {
-        c: CropCoefficients(DEFAULT_RTP[c], DEFAULT_SRR[c], DEFAULT_DMR_WORLD[c],
-                            DEFAULT_RESIDUE_LHV[c])
-        for c in CROPS
-    }
+    """The built-in crop coefficients, for a dataset without crops.csv: residue
+    per ton produced (t/t), removable fraction without degrading the soil,
+    world-average dry matter fraction, and residue heating value (MJ/kg)."""
+    return {"maize": CropCoefficients(1.00, 0.50, 0.7374, 17.3),
+            "rice": CropCoefficients(1.40, 0.60, 0.8774, 14.6),
+            "sugarcane": CropCoefficients(1.00, 0.875, 0.4388, 17.3),
+            "wheat": CropCoefficients(1.30, 0.40, 0.8627, 17.2)}
 
 
 def default_fuel_properties() -> dict:
-    return {f: FuelProperties(DEFAULT_FUEL_LHV[f], DEFAULT_FUEL_EF[f]) for f in FUELS}
+    """The built-in fossil fuel properties, for a dataset without fuels.csv:
+    heating value (MJ/kg) and emission factor (kgCO2e/t)."""
+    return {"coal": FuelProperties(23.9, 2592.0),
+            "oil": FuelProperties(42.0, 2977.0),
+            "natural_gas": FuelProperties(42.0, 2114.0)}
 
 
 _NO_DATA = ("", "-")  # a cell that holds no data, once stripped
@@ -501,26 +507,21 @@ def _parse_column(file: str, column: str, bound: Bound, lines, cells, problems: 
     """The values of one numeric column, None for an empty cell.
 
     The column is parsed whole when its text is ASCII without ``_`` (``float``
-    reads both, ``parse_cell`` neither), ``float`` reads each cell that holds
-    data, and the values are finite and inside ``bound``: ``parse_cell`` and
-    the bound check accept each of its cells alike.  Otherwise every cell goes
-    through them, and each bad one adds its problem to its line's.
+    reads both, ``parse_cell`` neither), ``float`` reads each cell, and the
+    values are finite and inside ``bound``: ``parse_cell`` and the bound check
+    accept each of its cells alike.  Otherwise, as for any column with an empty
+    cell, every cell goes through them, and each bad one adds its problem to
+    its line's.
     """
     text = "".join(cells)
-    values = None
     if text.isascii() and "_" not in text:
         try:
-            values = present = list(map(float, cells))
+            values = list(map(float, cells))
         except ValueError:  # an empty cell, or a cell float cannot read
-            gaps = list(map(_NO_DATA.__contains__, map(str.strip, cells)))
-            try:
-                present = list(map(float, compress(cells, map(not_, gaps))))
-                source = {False: iter(present), True: repeat(None)}  # a gap reads None
-                values = list(map(next, map(source.__getitem__, gaps)))
-            except ValueError:
-                pass
-    if values is not None and fits(present, bound):
-        return values
+            pass
+        else:
+            if fits(values, bound):
+                return values
     values = []
     for lineno, raw in zip(lines, cells):
         try:

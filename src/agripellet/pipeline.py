@@ -5,13 +5,15 @@ and of the stages before it (the fields whose ``Field.stage`` names them), a
 column of ``Dataset.countries`` each; ``resolve`` fills the empty cells, once
 per field and continent.  Then each stage of ``_STAGES`` runs once over the
 countries left, its stage module's column functions turning lists keyed by
-column into more of them.  Last, every number is checked to be finite.  No
-input is checked against its bound: the ``Dataset`` was, and a fallback mean
-lies within its values' range.  A country that fails, after resolution when a
-field does not resolve or after the check when its values hold a NaN or an
-infinite number, lands in the error list with its first failure's message,
-and the rest run on.  Output ordering is by country name, so repeated runs
-over the same inputs are byte-identical downstream.
+column into more of them.  Last, every number the stages computed is checked
+to be finite.  No resolved input is checked, against its bound or for being
+finite: the ``Dataset`` holds its cells finite and in bound, a fallback mean
+lies within its values' range, and a dry-matter default is a checked crop
+coefficient.  A country that fails, after resolution when a field does not
+resolve or after the check when its values hold a NaN or an infinite number,
+lands in the error list with its first failure's message, and the rest run
+on.  Output ordering is by country name, so repeated runs over the same
+inputs are byte-identical downstream.
 """
 
 from __future__ import annotations
@@ -88,13 +90,10 @@ def _drop(failures: dict, index: list, *tables) -> tuple:
             *({name: [col[row] for row in keep] for name, col in t.items()} for t in tables))
 
 
-# Columns that never hold a float, so the non-finite check skips them (as src_X).
-_NO_FLOATS = ("use_saturated", "scenario", "rank_1", "rank_2", "rank_3")
-
-
 def _non_finite_rows(values: list) -> list:
-    """The rows of a column holding a NaN or an infinite float; the column is
-    scanned only when it fails the whole-column test ``fits``."""
+    """The rows of a column holding a NaN or an infinite float (none in a
+    column of labels); the column is scanned only when it fails the
+    whole-column test ``fits``."""
     if fits(values):
         return []
     return [row for row, value in enumerate(values)
@@ -198,20 +197,20 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
         columns.update(new)
         ranked_scores += scores
 
-    # each country's first NaN or infinite number in its record's order, then
-    # among its ranking scores (best first); the message names the number but
-    # not its value, so that no output, errors.txt included, holds nan or inf
-    first, record = {}, {**columns, **resolved}
-    for name, col in record.items():
-        if name not in _NO_FLOATS and not name.startswith("src_"):
-            for row in _non_finite_rows(col):
-                first.setdefault(row, name)
+    # each country's first NaN or infinite number in its computed columns'
+    # order, then among its ranking scores (best first); the message names the
+    # number but not its value, so that no output, errors.txt included, holds
+    # nan or inf.  The resolved inputs are finite (see the module docstring).
+    first = {}
+    for name, col in columns.items():
+        for row in _non_finite_rows(col):
+            first.setdefault(row, name)
     for rank, scores in enumerate(ranked_scores, start=1):
         for row in _non_finite_rows(scores):
             first.setdefault(row, f"score_{columns[f'rank_{rank}'][row]}")
     errors.update((names[index[row]], f"non-finite {name} for {names[index[row]]!r}")
                   for row, name in first.items())
-    index, record, amounts = _drop(first, index, record, amounts)
+    index, record, amounts = _drop(first, index, {**columns, **resolved}, amounts)
 
     result = {"country": [names[row] for row in index],
               "continent": [dataset.countries["continent"][row] for row in index], **record}

@@ -9,11 +9,11 @@ each block sliced from the columns and rendered once, column by column, for
 all the files it goes to: a CSV row is its cells joined by commas, a JSON
 record its texts joined each after its fixed key prefix (``{"country":``,
 ``,"continent":``, ...).  A block renders each distinct value of a column once
-when its first values repeat (a continent mean, a fallback tier, a continent
-or fuel label) and looks the rest up.  The per-country outputs
-(``PipelineResult.columns``), the sweep grid and the ``yoy`` statistics all go
-through it, so two runs over identical inputs produce byte-identical files,
-and none holds NaN or infinity.
+and looks the rest up when it holds labels (a fallback tier, a continent or
+fuel label) or when its first floats repeat (a continent mean).  The
+per-country outputs (``PipelineResult.columns``), the sweep grid and the
+``yoy`` statistics all go through it, so two runs over identical inputs
+produce byte-identical files, and none holds NaN or infinity.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ import json
 import math
 import re
 from contextlib import ExitStack
-from functools import partial
 from itertools import filterfalse, repeat
 from json.encoder import encode_basestring_ascii
-from operator import is_not
 from pathlib import Path
 from types import NoneType
 
-from .dataio import CROPS, FIELDS
+from .dataio import CROPS, FIELDS, _is_not_none
 from .pipeline import _STAGE_ORDER, STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, PipelineResult
 from .replacement import PLAN_COLUMNS
 from .sensitivity import SensitivityGrid, axis_label
@@ -83,7 +81,6 @@ _encode = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
 _BLOCK = 512  # records rendered and written at a time: bounds the text held in memory
 _PROBE = 64  # a block's first values, whose share of distinct ones picks how floats render
 _needs_quotes = re.compile('[,"\r\n]').search  # the cells ``csv``'s default dialect quotes
-_is_not_none = partial(is_not, None)
 
 
 def _csv_cell(text: str) -> str:
@@ -92,6 +89,15 @@ def _csv_cell(text: str) -> str:
 
 # ``(csv text, json text)`` of None and the bools, for ``_render``'s lookup path.
 _TEXTS = {None: ("", "null"), True: ("true", "true"), False: ("false", "false")}
+_FLOATS = frozenset({float})
+
+
+def _check_kinds(name: str, kinds: set) -> None:
+    """The kind rule: a column holds floats, or strings and bools, each beside
+    None; ``kinds`` holds the types of its values."""
+    if not (kinds <= {float, NoneType} or kinds <= {str, bool, NoneType}):
+        raise TypeError(f"column {name} holds {', '.join(sorted(t.__name__ for t in kinds))}: "
+                        "the writer takes floats, strings or bools, each beside None")
 
 
 def _fill(types: list, texts: list, empty: str) -> list:
@@ -121,54 +127,47 @@ def _repeated_floats(floats: list) -> list:
 
 
 def _render(name: str, values: list) -> tuple:
-    """One column's cells as ``(csv texts, json texts)``, each text made once.
+    """One block of a column as ``(csv texts, json texts, kinds)``, each text
+    made once, and ``kinds`` the set of its values' types.
 
-    A column holds floats, strings or bools, each beside None; any other value,
-    such as an int, or floats beside strings, raises a ``TypeError`` naming the
-    column.  A float is its ``repr`` in both (one shared list for a column of
-    floats), None an empty cell or ``null``, a bool ``true``/``false``, and a
-    string quoted as ``csv`` and ``json`` quote it.  A NaN or infinite float
-    raises ``ValueError``.  A block of floats whose first ``_PROBE`` values
-    are at most half distinct (a continent mean's repeats) renders each distinct
+    A block breaking the kind rule (``_check_kinds``), such as one holding an
+    int, or floats beside strings, raises a ``TypeError`` naming the column.
+    A float is its ``repr`` in both (one shared list for a column of floats),
+    None an empty cell or ``null``, a bool ``true``/``false``, and a string
+    quoted as ``csv`` and ``json`` quote it.  A NaN or infinite float raises
+    ``ValueError``.  A block of floats whose first ``_PROBE`` values are at
+    most half distinct (a continent mean's repeats) renders each distinct
     value once and looks the rest up; any other block renders each float,
-    hashing no value past the first ``_PROBE``.  Strings follow the same rule:
-    a block of repeated labels (``continent``, ``scenario``, ``rank_*``, the
-    ``src_*`` tiers) renders each distinct label once, and a block of mostly
-    distinct strings, such as ``country``, is encoded by whole-column calls.
+    hashing no value past the first ``_PROBE``.  Strings, bools and None
+    render each distinct value once and look the rest up.
     """
     head = values[:_PROBE]
-    distinct = len(set(head)) * 2 > len(head)  # mostly distinct
-    if distinct:
+    if len(set(head)) * 2 > len(head):  # mostly distinct
         try:
             texts = list(map(float.__repr__, values))
         except TypeError:  # not all floats
             pass
         else:
             _check_finite(name, values)
-            return texts, texts
+            return texts, texts, _FLOATS
     types = list(map(type, values))
     kinds = set(types)
-    if kinds == {float}:  # only a block that repeats values comes here
+    _check_kinds(name, kinds)
+    if kinds == _FLOATS:  # only a block that repeats values comes here
         texts = _repeated_floats(values)
         _check_finite(name, values)
-        return texts, texts
-    if kinds == {str} and distinct:
-        json_texts = list(map(encode_basestring_ascii, values))
-        if _needs_quotes("".join(values)):
-            return list(map(_csv_cell, values)), json_texts
-        return values, json_texts
+        return texts, texts, kinds
     if kinds == {float, NoneType}:  # the floats rendered as a column, then the gaps filled
-        texts, _ = _render(name, list(filter(_is_not_none, values)))
-        return _fill(types, texts, ""), _fill(types, texts, "null")
-    if kinds <= {str, bool, NoneType}:  # no two of these types compare equal
-        csv_of, json_of = {}, {}  # each distinct value rendered once, then looked up
-        for value in set(values):
-            csv_of[value], json_of[value] = (
-                (_csv_cell(value), encode_basestring_ascii(value)) if type(value) is str
-                else _TEXTS[value])
-        return list(map(csv_of.__getitem__, values)), list(map(json_of.__getitem__, values))
-    raise TypeError(f"column {name} holds {', '.join(sorted(t.__name__ for t in kinds))}: "
-                    "the writer takes floats, strings or bools, each beside None")
+        texts, _, _ = _render(name, list(filter(_is_not_none, values)))
+        return _fill(types, texts, ""), _fill(types, texts, "null"), kinds
+    # strings, bools and None, no two of which compare equal: each distinct
+    # value rendered once, then looked up
+    csv_of, json_of = {}, {}
+    for value in set(values):
+        csv_of[value], json_of[value] = (
+            (_csv_cell(value), encode_basestring_ascii(value)) if type(value) is str
+            else _TEXTS[value])
+    return list(map(csv_of.__getitem__, values)), list(map(json_of.__getitem__, values)), kinds
 
 
 def _json_member(key: str, value) -> str:
@@ -190,8 +189,10 @@ def _write_tables(data: dict, columns: tuple, csv_files: dict,
     ``json_file`` gets ``head``'s members, the list ``name`` holding one record
     of ``columns`` per row, then ``tail``'s members.  A record is one
     ``"".join`` of each column's encoded key prefix (``{"key":`` for the first,
-    ``,"key":`` for the rest) and the row's JSON text, then ``}``.  On an error
-    no file is left behind.
+    ``,"key":`` for the rest) and the row's JSON text, then ``}``.  Each
+    column keeps to the kind rule across its blocks, so a column of floats
+    whose later block holds strings raises ``TypeError`` as one block would.
+    On an error no file is left behind.
     """
     paths = [*csv_files, *([json_file] if json_file else [])]
     for path in paths:
@@ -210,9 +211,14 @@ def _write_tables(data: dict, columns: tuple, csv_files: dict,
                 jf.write("{\n" + "".join(_json_member(k, v) + ",\n"
                                          for k, v in (head or {}).items()) + _encode(name) + ":[")
                 keys = [("," if i else "{") + _encode(c) + ":" for i, c in enumerate(columns)]
+            held = [set() for _ in columns]  # the types each column has held so far
             for start in range(0, count, _BLOCK):
-                cells = [_render(column, col[start:start + _BLOCK])
-                         for column, col in zip(columns, values)]
+                cells = []
+                for column, col, kinds in zip(columns, values, held):
+                    csv_texts, json_texts, block_kinds = _render(column, col[start:start + _BLOCK])
+                    kinds |= block_kinds
+                    _check_kinds(column, kinds)
+                    cells.append((csv_texts, json_texts))
                 for f, index in csvs:
                     f.write("\r\n".join(map(",".join, zip(*[cells[i][0] for i in index])))
                             + "\r\n")

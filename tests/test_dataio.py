@@ -11,12 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agripellet import dataio
+from agripellet import dataio, reporting
 from agripellet.dataio import (
     CONTINENT,
     COUNTRIES_COLUMNS,
     COUNTRIES_KEYS,
+    CROP_FIELDS,
     FIELDS,
+    FUEL_FIELDS,
     STAGE_MSP,
     DataError,
     ModelConfig,
@@ -31,8 +33,8 @@ from agripellet.dataio import (
 )
 from agripellet.pipeline import run_pipeline
 from agripellet.yoy import load_series
-from conftest import (RESOLVABLE_FIELDS, copy_data, country_rows, make_dataset, make_profile,
-                      make_table)
+from conftest import (RESOLVABLE_FIELDS, assert_same_files, copy_data, country_rows, make_dataset,
+                      make_profile, make_table)
 from oracles import FIELD_BOUNDS, evaluate_country, save_dataset
 
 COUNTRY_HEADER = (
@@ -235,7 +237,48 @@ def test_good_cells_pass_the_table_check():
             make_profile(name="B", dmr={"rice": 5e-324}, discount_rate=0.0,
                          tax_rate=0.9999999999999999, prices={"coal": 1.7e308})]
     ds = make_dataset(rows)
-    assert ds.countries["cattle"] == (3, None)
+    assert ds.countries["cattle"] == (3.0, None) and type(ds.countries["cattle"][0]) is float
+
+
+def test_numbers_given_as_ints_are_held_and_written_as_floats(dataset, tmp_path):
+    """A hand-built table may give a number as an int.  Once checked, every
+    number of the countries table, of the crops and fuels records and the
+    pellet factor is held as a float, so the outputs are those of the float
+    twin, byte for byte; an int past float range is still its DataError."""
+    def twin(kind):
+        countries = {**dataset.countries, **{
+            f.key: [kind(value) if value is not None and value.is_integer() else value
+                    for value in dataset.countries[f.key]] for f in FIELDS}}
+        countries["tax_rate"] = [kind(0)] * len(countries["country"])
+        return dataset._replace(
+            countries=countries,
+            crops={**dataset.crops, "rice": dataset.crops["rice"]._replace(dmr_default=kind(1))},
+            fuel_properties={**dataset.fuel_properties,
+                             "coal": dataset.fuel_properties["coal"]._replace(ef=kind(2592))},
+            pellet_ef=kind(151))
+
+    ints, floats = twin(int), twin(float)
+    assert {type(value) for f in FIELDS for value in ints.countries[f.key]} == {float, type(None)}
+    assert {type(value) for table in (ints.crops, ints.fuel_properties)
+            for record in table.values() for value in record} == {float}
+    assert type(ints.pellet_ef) is float
+    for ds, out in ((ints, tmp_path / "ints"), (floats, tmp_path / "floats")):
+        result = run_pipeline(ds)
+        reporting.write_report_files(out, result)
+        for fmt in ("csv", "json"):
+            reporting.write_table(out / f"assess.{fmt}", reporting.ASSESS_COLUMNS, result)
+            reporting.write_table(out / f"msp.{fmt}", reporting.MSP_COLUMNS, result)
+    assert len(assert_same_files(tmp_path / "ints", tmp_path / "floats")) == 9
+
+    with pytest.raises(DataError) as raised:
+        dataset._replace(countries={**dataset.countries, "swine": (10**400, *[None] * 177)},
+                         crops={**dataset.crops,
+                                "rice": dataset.crops["rice"]._replace(rtp=10**400)},
+                         pellet_ef=10**400)
+    assert raised.value.problems == [
+        f"countries column 'swine' row 0 ('Afghanistan'): not a finite number: {10**400!r}",
+        f"crop 'rice': rtp: not a finite number: {10**400!r}",
+        f"pellet_ef: not a finite number: {10**400!r}"]
 
 
 @pytest.mark.parametrize("name, continent, problems", [
@@ -395,14 +438,30 @@ def edited_copy(data_dir, tmp_path, edits):
     return tmp_path
 
 
+def gap_columns(path, fields) -> tuple:
+    """``(rows, columns)``: the number of rows of a CSV, and those of its
+    ``fields`` columns that hold an empty cell."""
+    with path.open(newline="", encoding="utf-8") as f:
+        header, *rows = list(csv.reader(f))
+    return len(rows), {f.column for f in fields
+                       if any(row[header.index(f.column)].strip() in ("", "-") for row in rows)}
+
+
 def test_clean_columns_are_parsed_whole(data_dir, tmp_path, monkeypatch):
-    """A column is scanned cell by cell only when its whole-column check trips,
-    and then each bad cell is named as it always has been."""
+    """A column is scanned cell by cell only when it holds an empty cell or its
+    whole-column check trips, and then each bad cell is named as it always has
+    been."""
     scanned = []
     monkeypatch.setattr(dataio, "parse_cell", lambda raw: scanned.append(raw) or parse_cell(raw))
     load_dataset(data_dir)
-    assert scanned == []
+    rows, gaps = gap_columns(data_dir / "countries.csv", FIELDS)
+    # the gap cells of crops.csv and fuels.csv (the pellet row's lhv), in every copy below
+    tables = sum(count * len(columns) for count, columns in (
+        gap_columns(data_dir / "crops.csv", CROP_FIELDS),
+        gap_columns(data_dir / "fuels.csv", FUEL_FIELDS)))
+    assert len(scanned) - tables == rows * len(gaps) == 178 * 17 == 3026
 
+    scanned.clear()
     bad = edited_copy(data_dir, tmp_path / "bad", {
         (2, "prod_maize_t"): "1_0", (4, "cattle"): "\u0661", (6, "pli_raw"): "nan",
         (8, "dmr_maize"): "1.5", (10, "continent"): " ", (11, "country"): "Afghanistan"})
@@ -416,8 +475,10 @@ def test_clean_columns_are_parsed_whole(data_dir, tmp_path, monkeypatch):
         "countries.csv line 12: continent label is required",
         "countries.csv line 13: duplicate country 'Afghanistan' (first at line 2)",
     ]
-    # the four tripped columns, each in every row but the duplicate, which is skipped
-    assert len(scanned) == 4 * 177
+    # the gap columns and the four tripped ones, each in every row but the
+    # duplicate, which is skipped
+    tripped = {"prod_maize_t", "cattle", "pli_raw", "dmr_maize"}
+    assert len(scanned) - tables == 177 * len(gaps | tripped)
 
     # finite cells whose sum overflows trip the finiteness check: the column is
     # scanned, finds nothing wrong, and gives the values the cells hold
@@ -425,7 +486,7 @@ def test_clean_columns_are_parsed_whole(data_dir, tmp_path, monkeypatch):
     overflow = edited_copy(data_dir, tmp_path / "overflow",
                            {(0, "cons_coal_tj"): "1.7e308", (1, "cons_coal_tj"): "1.7e308"})
     countries = load_dataset(overflow).countries
-    assert len(scanned) == 178
+    assert len(scanned) - tables == 178 * len(gaps | {"cons_coal_tj"})
     assert countries["cons_coal"][:2] == (1.7e308, 1.7e308)
     assert ({key: col[2:] for key, col in countries.items()}
             == {key: col[2:] for key, col in load_dataset(data_dir).countries.items()})

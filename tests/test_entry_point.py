@@ -2,20 +2,22 @@
 ``python -m agripellet.cli`` in a child process on the bundled data, an
 edited copy of it, an edited config or a series file, and checks its exit
 code and what it writes to stderr or errors.txt; one test imports the package
-in a child process, as the ``agripellet`` script starts, and one runs the
-module under an atexit hook that reads the collector's freeze count.
+in a child process, as the ``agripellet`` script starts, one runs the
+module under an atexit hook that reads the collector's freeze count, and one
+compares the outputs of runs under two string hash seeds.
 
 Run with ``PYTHONPATH=src`` it tests the source tree; run without it after
 ``pip install .`` it tests the installed package.
 """
 
 import csv
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-from conftest import DATA_DIR, copy_data, write_config
+from conftest import DATA_DIR, assert_same_files, copy_data, write_config
 
 
 def edit_csv(path: Path, edit) -> None:
@@ -169,3 +171,20 @@ def test_the_module_entry_freezes_before_the_interpreter_shuts_down(tmp_path):
         assert done.returncode == exit_code, done.stderr
         lines = done.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("before 0", "at exit True")
+
+
+def test_outputs_are_byte_identical_across_hash_seeds(tmp_path):
+    """Each process hashes strings with its own seed, and the writer renders a
+    block's labels through a set: ``report`` on the bundled data and ``sweep
+    --format json`` write the same bytes under ``PYTHONHASHSEED`` 1 and 2."""
+    commands = {"report": (), "sweep": ("--format", "json")}
+    for seed in ("1", "2"):
+        for command, options in commands.items():
+            out = tmp_path / seed / command
+            done = subprocess.run([sys.executable, "-m", "agripellet.cli", command, *options,
+                                   "--data", str(DATA_DIR), "--out", str(out)],
+                                  env={**os.environ, "PYTHONHASHSEED": seed},
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+    for command in commands:
+        assert assert_same_files(tmp_path / "1" / command, tmp_path / "2" / command)

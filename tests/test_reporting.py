@@ -169,18 +169,20 @@ def test_edited_values_match_the_oracle(bundled, column, value, name, cell):
     assert written[name].count(cell) == len(present)  # a plan-less row has no plan columns
 
 
-@pytest.mark.parametrize("count", [3, reporting._BLOCK + 2])
+@pytest.mark.parametrize("count", [3, reporting._BLOCK + 1, reporting._BLOCK + 2])
 @pytest.mark.parametrize("column, value", [
     ("carbon_tax_usd_per_tco2e", 50),  # an int in each planned row, as yoy's years are
     ("pellet_energy_tj", 50),
-    ("pellet_energy_tj", "12.5"),  # one string among floats, in the last block
-], ids=["int-tax", "int-energy", "str-among-floats"])
+    ("pellet_energy_tj", "12.5"),  # one string among floats, in the last row
+    ("scenario", 1.5),  # one float among strings, in the last row
+], ids=["int-tax", "int-energy", "str-among-floats", "float-among-strings"])
 def test_a_value_of_another_kind_raises_and_leaves_no_file(bundled, tmp_path, column, value,
                                                             count):
     """The writer takes floats, strings or bools, each beside None: an int, or a
-    string among floats, is a ``TypeError`` naming the column, from every writer
-    whose columns hold it, and no file is left behind, even once a block of
-    rows is written."""
+    string among floats or a float among strings, is a ``TypeError`` naming the
+    column, from every writer whose columns hold it, and no file is left
+    behind, even once a block of rows is written.  The rule holds across
+    blocks: at ``_BLOCK + 1`` rows the odd value is alone in the last block."""
     result = copies(bundled, count)
     present = [row for row, old in enumerate(result.columns[column]) if old is not None]
     rows = present if type(value) is int else present[-1:]
@@ -195,6 +197,17 @@ def test_a_value_of_another_kind_raises_and_leaves_no_file(bundled, tmp_path, co
         with pytest.raises(TypeError, match=match):
             write()
     assert files(tmp_path) == {}
+
+
+def test_a_column_whose_first_block_is_empty_is_written(bundled):
+    """A column of None in its first block and floats in its next, or labels,
+    is written as the oracle writes it."""
+    count = reporting._BLOCK + 1
+    base = copies(bundled, count)
+    gaps = [None] * reporting._BLOCK
+    assert_matches_oracle(base._replace(columns={**base.columns,
+                                                 "cr_final_t": [*gaps, 1.5],
+                                                 "scenario": [*gaps, "A"]}))
 
 
 @pytest.mark.parametrize("count", [reporting._PROBE, reporting._BLOCK + 1])
