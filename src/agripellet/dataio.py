@@ -15,9 +15,10 @@ problems of them all, and checks each cell once, as it parses it.  A
 ``Dataset`` and its tables are read-only, so no stage checks a value again,
 and hold each number as a float, also one given by hand as an int; ``_build``
 makes every one, loaded, built by hand or ``_replace``d.
-``resolve``, the one fallback rule for an empty cell, runs once per field and
-continent; a field's fallback means are computed the first time it falls back,
-and each is exact, so it lies within its values' range.
+``resolve_column``, the one fallback rule for an empty cell, fills a field's
+empty cells at once; it computes the field's means only if a cell is empty,
+from the whole column, and each is exact, so it lies within its values' range.
+``resolve`` answers one cell through it.
 This module only reads files; every output goes through ``reporting``.
 """
 
@@ -31,7 +32,7 @@ import math
 import os
 import sys
 from collections import Counter
-from functools import cached_property, partial
+from functools import partial
 from itertools import repeat
 from operator import is_not, itemgetter, methodcaller, mul
 from pathlib import Path
@@ -273,12 +274,12 @@ class _Dataset(NamedTuple):
 
 
 class Dataset(_Dataset):
-    # no __slots__: the cached_property below keeps its table in the instance __dict__
+    __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         problems = self._check()
-        # read-only, so that no column skips the check and the cached fallback means
+        # read-only, so that no column skips the check
         countries = {key: tuple(self.countries[key]) for key in COUNTRIES_KEYS}
         if not problems:  # checked, so every number converts: held as floats, as loaded
             countries.update((f.key, _floats(countries[f.key])) for f in FIELDS)
@@ -328,20 +329,12 @@ class Dataset(_Dataset):
             raise DataError(problems)
 
     def _replace(self, **changes):
-        """A changed copy, checked again, with its own fallback means; an
-        unchanged countries table is not scanned again."""
+        """A changed copy, checked again; an unchanged countries table is not
+        scanned again."""
         copy = _Dataset._replace(self, **changes)  # a ValueError at an unknown field
         if copy.countries is not self.countries:
             return Dataset(*copy)
         return _build(copy, [])
-
-    @cached_property
-    def _fallbacks(self) -> dict:
-        """Continent-tier key -> (continent -> mean, world mean or None), each
-        put in by ``resolve`` the first time its field falls back, so a run
-        computes the means of only the fields it reads.  Each mean is exact
-        (see ``_means``), hence inside the field's bound."""
-        return {}
 
 
 def _floats(values) -> tuple:
@@ -671,35 +664,53 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
 # ---------------------------------------------------------------------------
 # Missing-value resolution
 
-def resolve(dataset: Dataset, row: int, name: str) -> tuple:
-    """Resolve one nullable field of the country at ``row`` to ``(value, provenance_tag)``.
+def resolve_column(dataset: Dataset, name: str, rows) -> tuple:
+    """``(values, tiers, failures)`` of one nullable field at the countries
+    rows ``rows`` (a sequence of row numbers): each cell's value, filled if
+    empty, and its fallback tier, and the message of each position of
+    ``rows`` whose cell does not resolve (its value and tier None).
 
     A ``CONTINENT`` field falls back country -> continent mean -> world mean
     over the countries that carry data.  A ``WORLD_AVERAGE`` (dry matter)
     field skips the continent tier and falls back straight to the crop's
-    world-average default.  A field's means are computed the first time one of
-    its cells falls back, and kept on the dataset.
+    world-average default.  The means are computed only when a cell of
+    ``rows`` is empty, once, from the whole column, so a subset of rows
+    gets the fallback of the whole table.
     """
     tier = _FALLBACK_TIERS.get(name)
     if tier is None:
         raise KeyError(f"not a resolvable field: {name!r}")
     countries = dataset.countries
-    rows = len(countries["country"])
-    if not 0 <= row < rows:  # a negative row would index from the end
-        raise IndexError(f"no countries row {row!r} in a table of {rows} rows")
-    own = countries[name][row]
-    if own is not None:
-        return own, "country"
+    values = list(map(countries[name].__getitem__, rows))
+    tiers, failures = ["country"] * len(values), {}
+    if None not in values:
+        return values, tiers, failures
+    continents = countries["continent"]
     if tier == WORLD_AVERAGE:  # key dmr_<crop>
-        return dataset.crops[name.removeprefix("dmr_")].dmr_default, WORLD_AVERAGE
-    means = dataset._fallbacks.get(name)
-    if means is None:
-        means = dataset._fallbacks[name] = _means(zip(countries["continent"], countries[name]))
-    continent_means, world = means
-    continent = countries["continent"][row]
-    if continent in continent_means:
-        return continent_means[continent], "continent"
-    if world is not None:
-        return world, "world"
-    raise UnresolvableFieldError(f"no country in the dataset has data for {name!r} "
+        means, world = {}, dataset.crops[name.removeprefix("dmr_")].dmr_default
+    else:
+        (means, world), tier = _means(zip(continents, countries[name])), "world"  # the world mean's
+    for pos, row in enumerate(rows):
+        if values[pos] is None:
+            if continents[row] in means:
+                values[pos], tiers[pos] = means[continents[row]], "continent"
+            elif world is not None:
+                values[pos], tiers[pos] = world, tier
+            else:
+                tiers[pos] = None
+                failures[pos] = (f"no country in the dataset has data for {name!r} "
                                  f"(needed by {countries['country'][row]!r})")
+    return values, tiers, failures
+
+
+def resolve(dataset: Dataset, row: int, name: str) -> tuple:
+    """One field of the country at ``row`` as ``(value, fallback tier)``:
+    ``resolve_column`` of the one cell, so an empty cell reads its whole
+    column.  A cell that does not resolve raises ``UnresolvableFieldError``."""
+    rows = len(dataset.countries["country"])
+    if name in _FALLBACK_TIERS and not 0 <= row < rows:  # a negative row would index from the end
+        raise IndexError(f"no countries row {row!r} in a table of {rows} rows")
+    (value,), (tier,), failures = resolve_column(dataset, name, (row,))
+    if failures:
+        raise UnresolvableFieldError(failures[0])
+    return value, tier

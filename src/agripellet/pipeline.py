@@ -2,8 +2,8 @@
 
 A run has three steps.  First it resolves the inputs of the requested stage
 and of the stages before it (the fields whose ``Field.stage`` names them), a
-column of ``Dataset.countries`` each; ``resolve`` fills the empty cells, once
-per field and continent.  Then each stage of ``_STAGES`` runs once over the
+column of ``Dataset.countries`` each, whose empty cells ``resolve_column``
+fills at once.  Then each stage of ``_STAGES`` runs once over the
 countries left, its stage module's column functions turning lists keyed by
 column into more of them.  Last, every number the stages computed is checked
 to be finite.  No resolved input is checked, against its bound or for being
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
 from .dataio import (FIELDS, FUELS, STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, DataError, Dataset,
-                     fits, resolve)
+                     fits, resolve_column)
 
 
 class GlobalReport(NamedTuple):
@@ -54,30 +54,12 @@ def _resolve(dataset: Dataset, index: list, names: tuple) -> tuple:
     """``(resolved, failures)``: each field of ``names`` at the rows ``index``
     as its value ``X`` and fallback tier ``src_X`` (a country's own value has
     tier ``country``), and the message of each row (of ``index``) that does
-    not resolve.  Only empty cells go through ``resolve``, once per (field,
-    continent), as an empty cell's fallback depends on its field and continent
-    alone: the answer fills the continent's other empty cells.  A call that
-    fails is not reused, so each failing country gets its own message; a
-    country stops at its first failure."""
-    countries, resolved, failures = dataset.countries, {}, {}
-    continents = list(map(countries["continent"].__getitem__, index))
+    not resolve: a country's first failure, in the order of ``names``."""
+    resolved, failures = {}, {}
     for name in names:
-        values = list(map(countries[name].__getitem__, index))
-        tiers = ["country"] * len(values)
-        if None in values:
-            answers = {}  # continent -> (value, tier)
-            for row, value in enumerate(values):
-                if value is None and row not in failures:
-                    answer = answers.get(continents[row])
-                    if answer is None:
-                        try:
-                            answer = resolve(dataset, index[row], name)
-                        except ValueError as exc:
-                            failures[row] = str(exc)
-                            continue
-                        answers[continents[row]] = answer
-                    values[row], tiers[row] = answer
-        resolved[name], resolved[f"src_{name}"] = values, tiers
+        resolved[name], resolved[f"src_{name}"], failed = resolve_column(dataset, name, index)
+        for row, message in failed.items():
+            failures.setdefault(row, message)
     return resolved, failures
 
 

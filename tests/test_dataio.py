@@ -19,7 +19,6 @@ from agripellet.dataio import (
     CROP_FIELDS,
     FIELDS,
     FUEL_FIELDS,
-    STAGE_MSP,
     DataError,
     ModelConfig,
     UnresolvableFieldError,
@@ -30,6 +29,7 @@ from agripellet.dataio import (
     load_fuels,
     parse_cell,
     resolve,
+    resolve_column,
 )
 from agripellet.pipeline import run_pipeline
 from agripellet.yoy import load_series
@@ -335,8 +335,8 @@ def test_every_table_problem_is_in_one_error():
 
 def test_countries_table_is_read_only(dataset):
     """The table is a read-only mapping of tuples: a column cannot be assigned
-    past the check and the cached fallback means.  A changed copy built with
-    ``_replace`` is a new table, checked again, with its own means."""
+    past the check.  A changed copy built with ``_replace`` is a new table,
+    checked again, whose fallback means are its own."""
     with pytest.raises(TypeError):
         dataset.countries["tax_rate"] = dataset.countries["tax_rate"]
     rows = [make_profile(name="A", continent="K", tax_rate=0.2),
@@ -379,9 +379,9 @@ def test_replace_rescans_only_a_changed_countries_table(monkeypatch):
 
 
 def test_crops_and_fuels_tables_are_read_only(data_dir):
-    """Neither table can change past the check and the cached fallback means,
-    in a loaded, a hand-built or a replaced copy, nor through the dict it was
-    built from; a copy with new crops resolves the world average from them."""
+    """Neither table can change past the check, in a loaded, a hand-built or
+    a replaced copy, nor through the dict it was built from; a copy with new
+    crops resolves the world average from them."""
     dataset = load_dataset(data_dir)  # not the shared one, which a failure would change
     crops, fuels = dataio.default_crops(), dataio.default_fuel_properties()
     base = make_dataset([make_profile(name="A", continent="K")])
@@ -974,29 +974,35 @@ def test_resolve_rejects_a_row_outside_the_table(dataset, past_end):
         resolve(dataset, row, "price_coal")
 
 
-def test_a_fields_means_are_computed_the_first_time_it_falls_back(data_dir, monkeypatch):
+def test_a_fields_means_are_computed_the_first_time_it_falls_back(dataset, monkeypatch):
     """An assess run reads only the dry matters, whose fallback is the crop
     default, and computes no continent mean; msp computes those of its 6
-    fields and plan those of the 3 prices, each field's once, with the bits of
-    the means of its whole column."""
-    dataset = load_dataset(data_dir)  # not the shared one, whose means may be computed already
+    fields and plan also those of the 3 prices, each field's once per run,
+    with the bits of the means of its whole column."""
     pli = [f.key for f in FIELDS if f.key.startswith("pli_")]  # no bundled cell is empty
     dataset = dataset._replace(countries={**dataset.countries, **{
         key: (None, *dataset.countries[key][1:]) for key in pli}})
     calls = []
     means = dataio._means
-    monkeypatch.setattr(dataio, "_means", lambda pairs: calls.append(1) or means(pairs))
-    assessed = run_pipeline(dataset, "assess")
-    assert "world-average" in assessed.columns["src_dmr_maize"]
-    assert calls == [] and dataset._fallbacks == {}
-    run_pipeline(dataset, "msp")
-    assert set(dataset._fallbacks) == {f.key for f in FIELDS if f.stage == STAGE_MSP}
-    assert len(calls) == 6
-    run_pipeline(dataset, "plan")
-    assert set(dataset._fallbacks) == {f.key for f in FIELDS if f.fallback == CONTINENT}
-    assert len(calls) == 9
-    for key, got in dataset._fallbacks.items():
-        assert got == means(zip(dataset.countries["continent"], dataset.countries[key])), key
+    monkeypatch.setattr(dataio, "_means", lambda pairs: calls.append(means(pairs)) or calls[-1])
+    whole = [means(zip(dataset.countries["continent"], dataset.countries[f.key]))
+             for f in FIELDS if f.fallback == CONTINENT]  # the 6 msp fields, then the 3 prices
+    for through, count in (("assess", 0), ("msp", 6), ("plan", 9)):
+        calls.clear()
+        result = run_pipeline(dataset, through)
+        assert calls == whole[:count], through
+    assert "world-average" in result.columns["src_dmr_maize"]
+
+
+def test_a_dataset_holds_no_mutable_state(dataset):
+    """A ``Dataset`` has no instance ``__dict__``, loaded, built by hand or
+    ``_replace``d: it carries nothing besides its read-only fields."""
+    built = make_dataset([make_profile(name="A", continent="K")])
+    for ds in (dataset, built, dataset._replace(config=dataset.config._replace(scenario="B")),
+               built._replace(countries={**built.countries})):
+        with pytest.raises(AttributeError):
+            ds.means = {}
+        assert not hasattr(ds, "__dict__")
 
 
 def test_resolve_is_deterministic(dataset):
@@ -1106,17 +1112,30 @@ def scan_resolve(dataset, row, name):
     )
 
 
+def scanned(resolver, *args) -> tuple:
+    """``(value, tier, message)`` of a resolver's answer: a message of None, or
+    a value and tier of None at an ``UnresolvableFieldError``."""
+    try:
+        return (*resolver(*args), None)
+    except UnresolvableFieldError as exc:
+        return None, None, str(exc)
+
+
 def assert_resolve_matches_scan(dataset):
-    for row, country in enumerate(dataset.countries["country"]):
-        for name in RESOLVABLE_FIELDS:
-            try:
-                expected = scan_resolve(dataset, row, name)
-            except UnresolvableFieldError as exc:
-                with pytest.raises(UnresolvableFieldError) as got:
-                    resolve(dataset, row, name)
-                assert str(got.value) == str(exc)
-            else:
-                assert resolve(dataset, row, name) == expected, (country, name)
+    """``resolve`` of each cell, and ``resolve_column`` of each field at every
+    row, at every third row (whose means still come from all rows, as under
+    ``--country``) and at every row shuffled, give the scan's value and tier,
+    or its message."""
+    everyone = range(len(dataset.countries["country"]))
+    shuffled = random.Random(5).sample(everyone, len(everyone))
+    for name in RESOLVABLE_FIELDS:
+        expected = [scanned(scan_resolve, dataset, row, name) for row in everyone]
+        for row in everyone:
+            assert scanned(resolve, dataset, row, name) == expected[row], (row, name)
+        for rows in (list(everyone), list(everyone[::3]), shuffled):
+            values, tiers, failures = resolve_column(dataset, name, rows)
+            assert list(zip(values, tiers, map(failures.get, range(len(rows))))) == [
+                expected[row] for row in rows], name
 
 
 def test_resolve_matches_scan_on_bundled_data(dataset):

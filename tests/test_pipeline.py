@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import agripellet.pipeline as pipeline_mod
 import oracles
-from agripellet.dataio import (CROPS, FIELDS, FUELS, DataError, FuelProperties,
+from agripellet import dataio
+from agripellet.dataio import (CONTINENT, CROPS, FIELDS, FUELS, DataError, FuelProperties,
                                default_fuel_properties, load_dataset)
 from agripellet.pipeline import run_pipeline
 from agripellet.reporting import (
@@ -61,18 +62,38 @@ def test_country_filter(dataset):
         run_pipeline(dataset, countries=["Atlantis"])
 
 
+def injecting(monkeypatch, failure) -> None:
+    """Fail each empty cell at which ``failure(countries, row, name)`` gives a
+    message, in ``pipeline.resolve_column`` and the oracle's ``resolve`` alike."""
+    real_column, real_resolve = pipeline_mod.resolve_column, oracles.resolve
+
+    def message(dataset, row, name):
+        countries = dataset.countries
+        return countries[name][row] is None and failure(countries, row, name)
+
+    def failing_column(dataset, name, rows):
+        values, tiers, failures = real_column(dataset, name, rows)
+        for pos, row in enumerate(rows):
+            if problem := message(dataset, row, name):
+                values[pos] = tiers[pos] = None
+                failures[pos] = problem
+        return values, tiers, failures
+
+    def failing_resolve(dataset, row, name):
+        if problem := message(dataset, row, name):
+            raise DataError(problem)
+        return real_resolve(dataset, row, name)
+
+    monkeypatch.setattr(pipeline_mod, "resolve_column", failing_column)
+    monkeypatch.setattr(oracles, "resolve", failing_resolve)
+
+
 def test_one_bad_country_does_not_abort(monkeypatch):
     rng = random.Random(73)
     profiles = synthetic_market_profiles(rng, 5)
     ds = make_dataset(profiles)
-    real_resolve = pipeline_mod.resolve
-
-    def failing_resolve(dataset, row, name):
-        if dataset.countries["country"][row] == "Mkt02":
-            raise DataError(f"injected failure resolving {name}")
-        return real_resolve(dataset, row, name)
-
-    monkeypatch.setattr(pipeline_mod, "resolve", failing_resolve)
+    injecting(monkeypatch, lambda countries, row, name: countries["country"][row] == "Mkt02"
+              and f"injected failure resolving {name}")
     result = run_pipeline(ds)
     assert [name for name, _ in result.errors] == ["Mkt02"]
     assert "injected failure" in result.errors[0][1]
@@ -282,29 +303,23 @@ MARKETS = synthetic_market_profiles(random.Random(73), 6)  # 3 continents of 2 c
 def test_injected_resolve_failure_matches_the_oracle(injected, overflow_keys, overflowed):
     """Countries leave at the two drop points, a failing resolve and a
     non-finite number, as the per-country oracle fails them: each with its
-    first failure, a failed call not reused.  The survivors' rows are the ones
-    a run on the survivors alone gives.  Each injected cell is emptied, and
-    its field fails to resolve at every empty cell of its continent, as
-    ``resolve``'s answer for an empty cell depends on field and continent
-    alone."""
+    first failure, named by country.  The survivors' rows are the ones a run
+    on the survivors alone gives.  Each injected cell is emptied, and its
+    field fails to resolve at every empty cell of its continent, as an empty
+    cell's fallback depends on field and continent alone."""
     failing = {(MARKETS[row].continent, name) for row, name in injected}
     injected = {(MARKETS[row].name, name) for row, name in injected}
     rows = [p if row not in overflowed else q
             for row, (p, q) in enumerate(zip(MARKETS, overflowing(MARKETS, overflow_keys)))]
     ds = make_dataset([p._replace(values={k: None if (p.name, k) in injected else v
                                           for k, v in p.values.items()}) for p in rows])
-    real_resolve = pipeline_mod.resolve
 
-    def failing_resolve(dataset, row, name):
-        countries = dataset.countries
-        if countries[name][row] is None and (countries["continent"][row], name) in failing:
-            raise DataError(f"injected failure resolving {name} "
-                            f"for {countries['country'][row]!r}")
-        return real_resolve(dataset, row, name)
+    def failure(countries, row, name):
+        return ((countries["continent"][row], name) in failing
+                and f"injected failure resolving {name} for {countries['country'][row]!r}")
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(pipeline_mod, "resolve", failing_resolve)
-        monkeypatch.setattr(oracles, "resolve", failing_resolve)
+        injecting(monkeypatch, failure)
         for through, fields in (("assess", 4), ("msp", 10), ("plan", 13)):
             expected = assert_matches_oracle(ds, through)
             if expected is None:  # a global total that overflows, raised alike
@@ -320,16 +335,17 @@ def test_injected_resolve_failure_matches_the_oracle(injected, overflow_keys, ov
 
 
 def counting(monkeypatch) -> list:
-    """The ``(field, continent, country)`` of each ``pipeline.resolve`` call, as made."""
-    real_resolve = pipeline_mod.resolve
+    """The ``(field, failed countries)`` of each ``pipeline.resolve_column``
+    call, as made."""
+    real_column = pipeline_mod.resolve_column
     calls = []
 
-    def counting_resolve(dataset, row, name):
-        countries = dataset.countries
-        calls.append((name, countries["continent"][row], countries["country"][row]))
-        return real_resolve(dataset, row, name)
+    def counting_column(dataset, name, rows):
+        values, tiers, failures = real_column(dataset, name, rows)
+        calls.append((name, [dataset.countries["country"][rows[pos]] for pos in failures]))
+        return values, tiers, failures
 
-    monkeypatch.setattr(pipeline_mod, "resolve", counting_resolve)
+    monkeypatch.setattr(pipeline_mod, "resolve_column", counting_column)
     return calls
 
 
@@ -337,30 +353,32 @@ def counting(monkeypatch) -> list:
 # assess, then 6 cost and finance inputs for msp, then 3 fuel prices for plan
 @pytest.mark.parametrize("through, fields", [("assess", 4), ("msp", 10), ("plan", 13)])
 def test_resolve_runs_once_per_field_and_continent(dataset, monkeypatch, through, fields):
-    calls = counting(monkeypatch)
+    """A field's continent and world means are computed once per run, and only
+    for a continent-tier field with an empty cell: a dry matter's fallback is
+    its crop's default, and renamed copies add empty cells, not means."""
+    calls = []
+    means = dataio._means
+    monkeypatch.setattr(dataio, "_means", lambda pairs: calls.append(1) or means(pairs))
     counts = []
     rows = country_rows(dataset.countries)
+    continental = {f.key for f in FIELDS if f.fallback == CONTINENT}
     for copies in (1, 2, 3, 4):  # the bundled countries and renamed copies of them
         renamed = [c._replace(name=f"{c.name} #{i}") for i in range(1, copies) for c in rows]
         ds = dataset._replace(countries=make_table(rows + renamed))
-        empty = {(name, c.continent) for c in rows + renamed
-                 for name in RESOLVABLE_FIELDS[:fields] if c.values[name] is None}
+        empty = {name for c in rows + renamed for name in RESOLVABLE_FIELDS[:fields]
+                 if c.values[name] is None}
         calls.clear()
         result = run_pipeline(ds, through)
         assert not result.errors
         assert empty  # the bundled data has empty cells to resolve
-        # once for each (field, continent) among the empty cells: never twice,
-        # never for a field and continent whose cells are all present
-        assert sorted((name, continent) for name, continent, _ in calls) == sorted(empty)
+        assert len(calls) == len(empty & continental)
         counts.append(len(calls))
-    assert counts == [len(empty)] * 4  # the copies add empty cells, not calls
-    if through == "plan":
-        assert counts[0] == 54
+    assert counts == [{"assess": 0, "msp": 2, "plan": 5}[through]] * 4
 
 
 def test_a_field_no_country_reports_fails_each_country_by_name(dataset, monkeypatch):
-    """A failing call is not reused: each country with the empty cell gets its
-    own message, and the other fields still resolve once per continent."""
+    """A field no country reports fails each country that reads it with its
+    own message, and the other fields, each resolved once, still resolve."""
     ds = dataset._replace(countries={**dataset.countries,
                                      "tax_rate": (None,) * len(dataset.countries["tax_rate"])})
     calls = counting(monkeypatch)
@@ -369,10 +387,9 @@ def test_a_field_no_country_reports_fails_each_country_by_name(dataset, monkeypa
     assert result.errors == tuple(
         (name, f"no country in the dataset has data for 'tax_rate' (needed by {name!r})")
         for name in names)
-    assert sorted(country for name, _, country in calls if name == "tax_rate") == names
-    assert {name for name, _, _ in calls} <= set(RESOLVABLE_FIELDS[:10])  # no plan is made
-    others = [(name, continent) for name, continent, _ in calls if name != "tax_rate"]
-    assert len(others) == len(set(others))
+    assert result.columns["country"] == []  # no plan is made
+    assert [name for name, _ in calls] == list(RESOLVABLE_FIELDS)  # each field once, in order
+    assert {name: failed for name, failed in calls if failed} == {"tax_rate": names}
 
 
 # ---------------------------------------------------------------------------
