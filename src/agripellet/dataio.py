@@ -497,20 +497,24 @@ def _raise(problems: dict) -> None:
 
 
 def _parse_column(file: str, column: str, bound: Bound, lines, cells, problems: dict) -> list:
-    """The values of one numeric column, None for an empty cell.
+    """The values of one numeric column, None for a gap (a cell empty or
+    ``-`` once stripped).
 
     The column is parsed whole when its text is ASCII without ``_`` (``float``
-    reads both, ``parse_cell`` neither), ``float`` reads each cell, and the
-    values are finite and inside ``bound``: ``parse_cell`` and the bound check
-    accept each of its cells alike.  Otherwise, as for any column with an empty
-    cell, every cell goes through them, and each bad one adds its problem to
-    its line's.
+    reads both, ``parse_cell`` neither), ``float`` reads each cell but a gap,
+    and the numbers are finite and inside ``bound``: ``parse_cell`` and the
+    bound check accept each of its cells alike.  Only a column whose
+    whole-column check trips is scanned: every cell goes through them, and
+    each bad one adds its problem to its line's.
     """
     text = "".join(cells)
     if text.isascii() and "_" not in text:
         try:
-            values = list(map(float, cells))
-        except ValueError:  # an empty cell, or a cell float cannot read
+            try:
+                values = list(map(float, cells))
+            except ValueError:  # a gap, or a cell float cannot read
+                values = [None if cell.strip() in _NO_DATA else float(cell) for cell in cells]
+        except ValueError:  # a cell float cannot read
             pass
         else:
             if fits(values, bound):

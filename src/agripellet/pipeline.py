@@ -170,7 +170,7 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
     errors = {names[index[row]]: message for row, message in failures.items()}
     index, resolved = _drop(failures, index, resolved)
     # the fields without a stage, where a missing value is a real zero (no fallback tier)
-    amounts = {f.key: [dataset.countries[f.key][row] or 0.0 for row in index]
+    amounts = {f.key: [value or 0.0 for value in map(dataset.countries[f.key].__getitem__, index)]
                for f in FIELDS if f.stage is None}
 
     columns, ranked_scores = {}, []

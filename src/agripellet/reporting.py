@@ -89,6 +89,8 @@ def _csv_cell(text: str) -> str:
 
 # ``(csv text, json text)`` of None and the bools, for ``_render``'s lookup path.
 _TEXTS = {None: ("", "null"), True: ("true", "true"), False: ("false", "false")}
+# A float column's JSON text by its CSV text, where the two differ: None's.
+_NULL = dict([_TEXTS[None]])
 _FLOATS = frozenset({float})
 
 
@@ -98,13 +100,6 @@ def _check_kinds(name: str, kinds: set) -> None:
     if not (kinds <= {float, NoneType} or kinds <= {str, bool, NoneType}):
         raise TypeError(f"column {name} holds {', '.join(sorted(t.__name__ for t in kinds))}: "
                         "the writer takes floats, strings or bools, each beside None")
-
-
-def _fill(types: list, texts: list, empty: str) -> list:
-    """A column of floats beside None as texts: ``texts``, one per float, with
-    ``empty`` at each None; ``types`` holds each value's type."""
-    source = {float: iter(texts), NoneType: repeat(empty)}
-    return list(map(next, map(source.__getitem__, types)))
 
 
 def _check_finite(name: str, floats: list) -> None:
@@ -150,16 +145,16 @@ def _render(name: str, values: list) -> tuple:
         else:
             _check_finite(name, values)
             return texts, texts, _FLOATS
-    types = list(map(type, values))
-    kinds = set(types)
+    kinds = set(map(type, values))
     _check_kinds(name, kinds)
     if kinds == _FLOATS:  # only a block that repeats values comes here
         texts = _repeated_floats(values)
         _check_finite(name, values)
         return texts, texts, kinds
     if kinds == {float, NoneType}:  # the floats rendered as a column, then the gaps filled
-        texts, _, _ = _render(name, list(filter(_is_not_none, values)))
-        return _fill(types, texts, ""), _fill(types, texts, "null"), kinds
+        floats = iter(_render(name, list(filter(_is_not_none, values)))[0])
+        texts = ["" if value is None else next(floats) for value in values]
+        return texts, list(map(_NULL.get, texts, texts)), kinds
     # strings, bools and None, no two of which compare equal: each distinct
     # value rendered once, then looked up
     csv_of, json_of = {}, {}

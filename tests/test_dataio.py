@@ -16,7 +16,6 @@ from agripellet.dataio import (
     CONTINENT,
     COUNTRIES_COLUMNS,
     COUNTRIES_KEYS,
-    CROP_FIELDS,
     FIELDS,
     FUEL_FIELDS,
     DataError,
@@ -448,18 +447,24 @@ def gap_columns(path, fields) -> tuple:
 
 
 def test_clean_columns_are_parsed_whole(data_dir, tmp_path, monkeypatch):
-    """A column is scanned cell by cell only when it holds an empty cell or its
-    whole-column check trips, and then each bad cell is named as it always has
-    been."""
+    """A column is scanned cell by cell only when its whole-column check trips,
+    which a gap (an empty or ``-`` cell) does not, and then each bad cell is
+    named as it always has been."""
     scanned = []
     monkeypatch.setattr(dataio, "parse_cell", lambda raw: scanned.append(raw) or parse_cell(raw))
     load_dataset(data_dir)
+    # every column parses whole, the 17 gap columns of countries.csv and
+    # fuels.csv's (the pellet row's lhv) among them
     rows, gaps = gap_columns(data_dir / "countries.csv", FIELDS)
-    # the gap cells of crops.csv and fuels.csv (the pellet row's lhv), in every copy below
-    tables = sum(count * len(columns) for count, columns in (
-        gap_columns(data_dir / "crops.csv", CROP_FIELDS),
-        gap_columns(data_dir / "fuels.csv", FUEL_FIELDS)))
-    assert len(scanned) - tables == rows * len(gaps) == 178 * 17 == 3026
+    assert (rows, len(gaps)) == (178, 17)
+    assert gap_columns(data_dir / "fuels.csv", FUEL_FIELDS) == (4, {"lhv_mj_per_kg"})
+    assert len(scanned) == 0
+
+    # gaps and numbers padded with whitespace parse whole too, as parse_cell reads them
+    padded = edited_copy(data_dir, tmp_path / "padded", {
+        (0, "tax_rate"): " - ", (1, "tax_rate"): "\t", (2, "tax_rate"): " 0.25\t"})
+    assert load_dataset(padded).countries["tax_rate"][:3] == (None, None, 0.25)
+    assert len(scanned) == 0
 
     scanned.clear()
     bad = edited_copy(data_dir, tmp_path / "bad", {
@@ -475,10 +480,11 @@ def test_clean_columns_are_parsed_whole(data_dir, tmp_path, monkeypatch):
         "countries.csv line 12: continent label is required",
         "countries.csv line 13: duplicate country 'Afghanistan' (first at line 2)",
     ]
-    # the gap columns and the four tripped ones, each in every row but the
-    # duplicate, which is skipped
+    # the four tripped columns alone, three of which hold gaps, each in every
+    # row but the duplicate, which is skipped
     tripped = {"prod_maize_t", "cattle", "pli_raw", "dmr_maize"}
-    assert len(scanned) - tables == 177 * len(gaps | tripped)
+    assert len(tripped & gaps) == 3
+    assert len(scanned) == 177 * 4
 
     # finite cells whose sum overflows trip the finiteness check: the column is
     # scanned, finds nothing wrong, and gives the values the cells hold
@@ -486,7 +492,7 @@ def test_clean_columns_are_parsed_whole(data_dir, tmp_path, monkeypatch):
     overflow = edited_copy(data_dir, tmp_path / "overflow",
                            {(0, "cons_coal_tj"): "1.7e308", (1, "cons_coal_tj"): "1.7e308"})
     countries = load_dataset(overflow).countries
-    assert len(scanned) - tables == 178 * len(gaps | {"cons_coal_tj"})
+    assert len(scanned) == 178 * 1
     assert countries["cons_coal"][:2] == (1.7e308, 1.7e308)
     assert ({key: col[2:] for key, col in countries.items()}
             == {key: col[2:] for key, col in load_dataset(data_dir).countries.items()})

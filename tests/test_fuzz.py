@@ -27,8 +27,9 @@ from agripellet.cli import main
 DATA_DIR = Path(__file__).parent / "data"
 # (file, its first numeric column)
 TABLES = (("countries.csv", 2), ("crops.csv", 1), ("fuels.csv", 1))
-EDGE_VALUES = ("0", "-0", "5e-324", "1e308", "1.7e308", repr(1 - 2**-53), "-", "", "1_0",
-               "nan", "inf", "\u0661",  # an Arabic-Indic one, which float reads
+EDGE_VALUES = ("0", "-0", "5e-324", "1e308", "1.7e308", repr(1 - 2**-53), "-", "",
+               " - ", " ", "\t1.5 ",  # gaps and a number, each padded with whitespace
+               "1_0", "nan", "inf", "\u0661",  # an Arabic-Indic one, which float reads
                "-1", "2")  # -1 outside every bound, 2 outside each bound that ends at 1
 DUPLICATE = object()  # the name of the next row
 KEY_VALUES = ("", " ", "barley", "pellet", DUPLICATE)  # barley: neither a crop nor a fuel

@@ -210,21 +210,28 @@ def test_a_column_whose_first_block_is_empty_is_written(bundled):
                                                  "scenario": [*gaps, "A"]}))
 
 
-@pytest.mark.parametrize("count", [reporting._PROBE, reporting._BLOCK + 1])
-def test_a_repeating_block_holding_both_zeros_writes_each_zero(bundled, count):
+@pytest.mark.parametrize("count, cycle", [
+    pytest.param(count, cycle, id=f"{count}{suffix}")
+    for cycle, suffix in (((0.0, -0.0, 1.5), ""), ((0.0, -0.0, None, 1.5), "-beside-None"))
+    for count in (reporting._PROBE, reporting._BLOCK + 1)])
+def test_a_repeating_block_holding_both_zeros_writes_each_zero(bundled, count, cycle):
     """A block of repeated floats that holds 0.0 and -0.0, equal but printed
-    apart, is rendered value by value: its CSV and JSON hold both texts, as the
-    oracle writes them."""
+    apart, is rendered value by value, beside None too: its CSV and JSON hold
+    both texts, and an empty cell and ``null`` at each None, as the oracle
+    writes them."""
     base = copies(bundled, count)
-    column = [(0.0, -0.0, 1.5)[row % 3] for row in range(count)]
+    column = [cycle[row % len(cycle)] for row in range(count)]
     written = assert_matches_oracle(base._replace(columns={**base.columns,
                                                           "cr_final_t": column}))
     header, *rows = written["report/countries.csv"].decode().splitlines()
     at = header.split(",").index("cr_final_t")
-    assert [row.split(",")[at] for row in rows] == list(map(repr, column))
+    assert [row.split(",")[at] for row in rows] == ["" if v is None else repr(v) for v in column]
     records = json.loads(written["report/global.json"])["countries"]
-    assert [math.copysign(1.0, r["cr_final_t"]) for r in records[:3]] == [1.0, -1.0, 1.0]
-    assert written["report/global.json"].count(b'"cr_final_t":-0.0,') == count // 3
+    signs = [None if v is None else math.copysign(1.0, v) for v in column]
+    assert [None if r["cr_final_t"] is None else math.copysign(1.0, r["cr_final_t"])
+            for r in records] == signs
+    assert written["report/global.json"].count(b'"cr_final_t":-0.0,') == signs.count(-1.0)
+    assert written["report/global.json"].count(b'"cr_final_t":null,') == column.count(None)
 
 
 @pytest.mark.parametrize("bad", [
