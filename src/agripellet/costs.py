@@ -8,6 +8,8 @@ operating side).
 
 from __future__ import annotations
 
+from .dataio import add_rows
+
 # Capital cascade (US$)
 EPC_REF = 1_249_570.0    # equipment purchase cost
 DIRECT_FACTOR = 3.25     # total plant direct cost, as a multiple of equipment cost
@@ -47,9 +49,10 @@ def cost_columns(columns: dict) -> dict:
     return {
         "epc_usd": epc,
         "capex_usd": [t + WORKING_CAPITAL_FACTOR * t + STARTUP_FACTOR * t for t in tfc],
-        "opex_usd_per_y": [
-            sum((RAW_MATERIAL_REF * m, labor_ref * lab, UTILITIES_REF * e, MAINTENANCE_REF * c,
-                 INSURANCE_TAX_REF, ADDITIONAL_REF))
-            for lab, m, e, c in zip(columns["pli_labor"], columns["pli_raw_material"],
-                                    columns["pli_electricity"], construction)],
+        "opex_usd_per_y": add_rows((
+            [RAW_MATERIAL_REF * m for m in columns["pli_raw_material"]],
+            [labor_ref * lab for lab in columns["pli_labor"]],
+            [UTILITIES_REF * e for e in columns["pli_electricity"]],
+            [MAINTENANCE_REF * c for c in construction],
+            [INSURANCE_TAX_REF] * len(epc), [ADDITIONAL_REF] * len(epc))),
     }

@@ -18,7 +18,8 @@ makes every one, loaded, built by hand or ``_replace``d.
 ``resolve_column``, the one fallback rule for an empty cell, fills a field's
 empty cells at once; it computes the field's means only if a cell is empty,
 from the whole column, and each is exact, so it lies within its values' range.
-``resolve`` answers one cell through it.
+``resolve`` answers one cell through it.  ``add_rows`` and ``add_all`` are
+every float sum of the model, each a fold left to right from 0.0.
 This module only reads files; every output goes through ``reporting``.
 """
 
@@ -32,9 +33,9 @@ import math
 import os
 import sys
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 from itertools import repeat
-from operator import is_not, itemgetter, methodcaller, mul
+from operator import add, is_not, itemgetter, methodcaller, mul
 from pathlib import Path
 from types import MappingProxyType, NoneType
 from typing import NamedTuple
@@ -88,6 +89,21 @@ def fits(values, bound: Bound | None = None) -> bool:
         return False
     return finite and (bound is None or not values or bound.lo <= min(values)
                        and (bound.hi == math.inf or max(values) <= bound.hi))
+
+
+# Every float sum of the model is one of these two, adding left to right from
+# 0.0 as ``sum`` does up to Python 3.11 (it compensates since 3.12), so each
+# total is the same number on every version.
+def add_all(values) -> float:
+    """The values added in order, starting at 0.0."""
+    return reduce(add, values, 0.0)
+
+
+def add_rows(columns) -> list:
+    """Each row's sum over one or more equal-length float columns, in the
+    columns' order, starting at 0.0."""
+    first, *rest = columns  # no column is a ValueError: a repeat(0.0) seed would never end
+    return list(reduce(partial(map, add), rest, map(add, repeat(0.0), first)))
 
 
 _ABOVE_ZERO = math.nextafter(0.0, 1.0)
@@ -331,7 +347,11 @@ class Dataset(_Dataset):
     def _replace(self, **changes):
         """A changed copy, checked again; an unchanged countries table is not
         scanned again."""
-        copy = _Dataset._replace(self, **changes)  # a ValueError at an unknown field
+        # tested here, as namedtuple's own test raises a TypeError since Python 3.13
+        unknown = [key for key in changes if key not in self._fields]
+        if unknown:
+            raise ValueError(f"Got unexpected field names: {unknown!r}")
+        copy = _Dataset._replace(self, **changes)
         if copy.countries is not self.countries:
             return Dataset(*copy)
         return _build(copy, [])

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from .dataio import CROPS
+from .dataio import CROPS, add_rows
 
 
 def per_tj(value: float, lhv: float) -> float:
@@ -30,8 +30,8 @@ def energy_columns(by_crop: dict, cr_final: list, crops: dict, efficiency: float
     value; mass in tons and LHV in MJ/kg make mass*lhv GJ/y, and the 1e-3
     factor yields TJ/y.
     """
-    totals = map(sum, zip(*(by_crop[c] for c in CROPS)))
-    weighted = map(sum, zip(*([s * crops[c].lhv for s in by_crop[c]] for c in CROPS)))
+    totals = add_rows(by_crop[c] for c in CROPS)
+    weighted = add_rows([s * crops[c].lhv for s in by_crop[c]] for c in CROPS)
     lhv = [None if total <= 0 else w / total for total, w in zip(totals, weighted)]
     mass = [0.0 if w is None else c * efficiency for c, w in zip(cr_final, lhv)]
     return {

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
 from .dataio import (FIELDS, FUELS, STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, DataError, Dataset,
-                     fits, resolve_column)
+                     add_all, fits, resolve_column)
 
 
 class GlobalReport(NamedTuple):
@@ -86,7 +86,7 @@ def _total(*columns) -> float:
     """The columns' numbers summed row by row, a row's in the columns' order.
     The sum starts at 0.0, so a total over no rows is a float too; None (a
     plan-less row) and zeros add nothing to it and are left out."""
-    return sum(filter(None, chain.from_iterable(zip(*columns))), 0.0)
+    return add_all(filter(None, chain.from_iterable(zip(*columns))))
 
 
 def _assess(dataset: Dataset, inputs: dict) -> tuple:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import repeat
 from operator import add, getitem, itemgetter, mul, neg, sub
 
-from .dataio import FUELS, SCENARIOS
+from .dataio import FUELS, SCENARIOS, add_rows
 from .energy import per_tj
 
 # Fixed order for breaking score ties, so output is reproducible.
@@ -94,10 +94,10 @@ def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet
         takes.append(take)
     take_rows = list(zip(*takes))
     alloc = [list(map(getitem, take_rows, map(list.index, orders, repeat(i)))) for i in _INDEXES]
-    alloc_total = list(map(sum, zip(*alloc)))
+    alloc_total = add_rows(alloc)
 
     def saved(gaps):  # each row's allocations times their gaps, summed
-        return list(map(sum, zip(*(map(mul, a, gap) for a, gap in zip(alloc, gaps)))))
+        return add_rows(map(mul, a, gap) for a, gap in zip(alloc, gaps))
 
     plan = {
         "scenario": [scenario] * len(energy),
@@ -105,7 +105,7 @@ def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet
         **{f"rank_{k}": list(map(FUELS.__getitem__, fuels)) for k, fuels in enumerate(ranked, 1)},
         **{f"alloc_{f}_tj": col for f, col in zip(FUELS, alloc)},
         **{f"replaced_{f}_frac": _ratios(a, c) for f, a, c in zip(FUELS, alloc, cons)},
-        "replaced_overall_frac": _ratios(alloc_total, list(map(sum, cons_rows))),
+        "replaced_overall_frac": _ratios(alloc_total, add_rows(cons)),
         "unused_pellet_tj": list(map(max, repeat(0.0), map(sub, energy, alloc_total))),
         "s_ec_usd_per_y": saved(cost_gap),
         "s_em_kgco2e_per_y": saved(emission_gap),

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .dataio import CROPS
+from .dataio import CROPS, add_rows
 
 # Share of "other vegetal" bioenergy attributed to maize/rice/wheat residues:
 # cereals are 31.3% of primary crop output and these three are 91% of cereals.
@@ -49,10 +49,10 @@ def assess_columns(crops: dict, inputs: dict) -> tuple:
                              inputs[f"dmr_{c}"])) for c in CROPS}
     demand = ([n * rate * DAYS_PER_YEAR / 1000.0 for n in inputs[a]]
               for a, rate in LIVESTOCK_RATES.items())
-    feed = list(map(sum, zip(*demand)))
+    feed = add_rows(demand)
     bagasse = inputs["bagasse_bioenergy"]
     attributed = [o * OTHER_BIOENERGY_ATTRIBUTION for o in inputs["other_bioenergy"]]
-    total = list(map(sum, zip(*(removable[c] for c in CROPS))))
+    total = add_rows(removable[c] for c in CROPS)
     final = [max(0.0, t - (f + b + a)) for t, f, b, a in zip(total, feed, bagasse, attributed)]
     saturated = [t > 0 and c == 0.0 for t, c in zip(total, final)]
     by_crop = {c: [f * r / t if f > 0 and t > 0 else 0.0

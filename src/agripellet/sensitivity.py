@@ -18,9 +18,11 @@ writes the grid; its CSVs and this module's messages print an axis value by
 from __future__ import annotations
 
 import math
+from itertools import compress, repeat
+from operator import mul
 from typing import NamedTuple
 
-from .dataio import FUELS, DataError, Dataset
+from .dataio import FUELS, DataError, Dataset, add_all, add_rows
 from .pipeline import STAGE_PLAN, PipelineResult, run_pipeline
 from .replacement import fuel_lcoe
 
@@ -47,15 +49,13 @@ def sweep(dataset: Dataset, countries=None) -> SensitivityGrid:
     baseline = run_pipeline(dataset._replace(config=cfg), through=STAGE_PLAN,
                             countries=countries)
     columns = baseline.columns
-    alloc = [columns[f"alloc_{f}_tj"] for f in FUELS]
-    prices = [columns[f"price_{f}"] for f in FUELS]
-    lhv = [dataset.fuel_properties[f].lhv for f in FUELS]
-    a = b = 0.0
-    for row, lhv_pellet in enumerate(columns["weighted_lhv_mj_per_kg"]):
-        if columns["rank_1"][row] is None:  # no residue, no plan, nothing to allocate
-            continue
-        a += sum(x[row] * fuel_lcoe(p[row], h) for x, p, h in zip(alloc, prices, lhv))
-        b += sum(x[row] for x in alloc) * fuel_lcoe(1.0, lhv_pellet)
+    planned = [rank is not None for rank in columns["rank_1"]]  # no residue: no plan
+    alloc = [list(compress(columns[f"alloc_{f}_tj"], planned)) for f in FUELS]
+    lcoe = (map(fuel_lcoe, compress(columns[f"price_{f}"], planned),
+                repeat(dataset.fuel_properties[f].lhv)) for f in FUELS)
+    a = add_all(add_rows(map(mul, x, c) for x, c in zip(alloc, lcoe)))
+    pellet_lcoe = map(fuel_lcoe, repeat(1.0), compress(columns["weighted_lhv_mj_per_kg"], planned))
+    b = add_all(map(mul, add_rows(alloc), pellet_lcoe))
     s_ec = {(m, p): m * a - p * b for m in cfg.fossil_multipliers for p in cfg.pellet_prices}
     for (m, p), value in s_ec.items():  # finite baseline plans can still overflow here
         if not math.isfinite(value):

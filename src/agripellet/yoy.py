@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .dataio import (_NO_DATA, NONNEGATIVE, DataError, _bad_names, _parse_column, _raise,
-                     _read_rows, _report)
+                     _read_rows, _report, add_all)
 
 
 def load_series(path: str | Path) -> dict:
@@ -81,7 +81,7 @@ def yoy_growth(series) -> GrowthResult:
     rates = [pair.growth for pair in pairs if pair.growth is not None]
     if not rates:
         raise DataError("every base year is zero; growth is undefined")
-    average = sum(rates) / len(rates)
+    average = add_all(rates) / len(rates)
     if not math.isfinite(average):  # an infinite rate (each is >= -1) or an overflowing sum
         raise DataError("growth is not a finite number")  # no value named: no output holds inf
     return GrowthResult(pairs=tuple(pairs), average=average)

@@ -55,6 +55,16 @@ from conftest import PLI_COMPONENTS
 BISECTION_BRACKET = (0.0, 1e6)  # $/t
 
 
+def left_sum(values) -> float:
+    """The values added one at a time from 0.0, left to right, as the package
+    adds every float sum; ``sum`` compensates its rounding since Python 3.12,
+    so it can differ in the last digits."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class CountryReport(NamedTuple):
     country: str
     values: dict  # output column name -> typed value, for each column its stage computes
@@ -203,13 +213,13 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
         except (DataError, ValueError) as exc:
             errors.append((names[row], str(exc)))
 
-    total_cons = sum((
+    total_cons = left_sum(
         dataset.countries[f"cons_{f}"][row] or 0.0
         for row in evaluated
         for f in FUELS
-    ), 0.0)  # a float total over no rows too
+    )
     planned = [r.values for r in reports if "rank_1" in r.values]
-    total_alloc = sum((v[f"alloc_{f}_tj"] for v in planned for f in FUELS), 0.0)
+    total_alloc = left_sum(v[f"alloc_{f}_tj"] for v in planned for f in FUELS)
     rank_first = {f: 0 for f in FUELS}
     for v in planned:
         rank_first[v["rank_1"]] += 1
@@ -217,10 +227,10 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
     global_report = GlobalReport(
         countries_evaluated=len(reports),
         countries_failed=len(errors),
-        cr_final_t=sum((r.values["cr_final_t"] for r in reports), 0.0),
-        pellet_energy_tj=sum((r.values["pellet_energy_tj"] for r in reports), 0.0),
-        s_ec_usd_per_y=sum((v["s_ec_usd_per_y"] for v in planned), 0.0),
-        s_em_kgco2e_per_y=sum((v["s_em_kgco2e_per_y"] for v in planned), 0.0),
+        cr_final_t=left_sum(r.values["cr_final_t"] for r in reports),
+        pellet_energy_tj=left_sum(r.values["pellet_energy_tj"] for r in reports),
+        s_ec_usd_per_y=left_sum(v["s_ec_usd_per_y"] for v in planned),
+        s_em_kgco2e_per_y=left_sum(v["s_em_kgco2e_per_y"] for v in planned),
         fossil_consumption_tj=total_cons,
         replaced_fraction_overall=total_alloc / total_cons if total_cons > 0 else 0.0,
         rank_first_counts=rank_first,
@@ -261,14 +271,14 @@ def allocate(pellet_energy: float, consumption, order: list) -> tuple:
         take = consumption[i] if consumption[i] < remaining else remaining  # min(remaining, c)
         allocation[i] = take
         remaining -= take
-    return allocation, max(0.0, pellet_energy - sum(allocation))
+    return allocation, max(0.0, pellet_energy - left_sum(allocation))
 
 
 def savings(allocation: list, lcoe, intensity, pellet_lcoe: float,
             pellet_intensity: float) -> tuple:
     """(economic savings $/y, emissions savings kgCO2e/y) of an allocation."""
-    return (sum([a * (c - pellet_lcoe) for a, c in zip(allocation, lcoe)]),
-            sum([a * (i - pellet_intensity) for a, i in zip(allocation, intensity)]))
+    return (left_sum(a * (c - pellet_lcoe) for a, c in zip(allocation, lcoe)),
+            left_sum(a * (i - pellet_intensity) for a, i in zip(allocation, intensity)))
 
 
 def plan(pellet_energy: float, consumption, lcoe, intensity, pellet_lcoe: float,
@@ -278,10 +288,10 @@ def plan(pellet_energy: float, consumption, lcoe, intensity, pellet_lcoe: float,
     scores = plan_scores(lcoe, intensity, pellet_lcoe, pellet_intensity, scenario, carbon_tax)
     order = replacement._order(scores)
     allocation, unused = allocate(pellet_energy, consumption, order)
-    total_cons = sum(consumption)
+    total_cons = left_sum(consumption)
     return ([FUELS[i] for i in order] + allocation
             + [a / c if c > 0 else 0.0 for a, c in zip(allocation, consumption)]
-            + [sum(allocation) / total_cons if total_cons > 0 else 0.0, unused,
+            + [left_sum(allocation) / total_cons if total_cons > 0 else 0.0, unused,
                *savings(allocation, lcoe, intensity, pellet_lcoe, pellet_intensity)]
             + [scores[i] for i in order])
 

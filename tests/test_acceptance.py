@@ -19,7 +19,7 @@ from conftest import (
     random_break_even_inputs,
     synthetic_market_profiles,
 )
-from oracles import BreakEvenInputs, npv, reports, solve_msp_bisection
+from oracles import BreakEvenInputs, left_sum, npv, reports, solve_msp_bisection
 
 
 def record(number, description, fn):
@@ -232,9 +232,9 @@ def test_criterion_10_global_totals_and_scenario_inequality(dataset):
             assert not result_a.errors
             g = result_a.global_report
             planned = [r.values for r in reports(result_a) if "rank_1" in r.values]
-            assert g.s_ec_usd_per_y == sum(v["s_ec_usd_per_y"] for v in planned)
-            assert g.s_em_kgco2e_per_y == sum(v["s_em_kgco2e_per_y"] for v in planned)
-            assert g.cr_final_t == sum(r.values["cr_final_t"] for r in reports(result_a))
+            assert g.s_ec_usd_per_y == left_sum(v["s_ec_usd_per_y"] for v in planned)
+            assert g.s_em_kgco2e_per_y == left_sum(v["s_em_kgco2e_per_y"] for v in planned)
+            assert g.cr_final_t == left_sum(r.values["cr_final_t"] for r in reports(result_a))
             result_b = run_pipeline(ds._replace(config=ds.config._replace(scenario="B")))
             assert not result_b.errors
             assert result_b.global_report.s_em_kgco2e_per_y > g.s_em_kgco2e_per_y

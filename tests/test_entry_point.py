@@ -159,18 +159,18 @@ def test_import_loads_no_dataclasses_or_inspect_and_exports_no_gone_name():
 def test_the_module_entry_freezes_before_the_interpreter_shuts_down(tmp_path):
     """``python -m agripellet.cli`` exits through ``run``: an atexit hook, which
     runs before the shutdown collections, finds the tracked objects frozen, and
-    the exit code is the command's."""
+    the exit code is the command's.  It compares with the count at start, which
+    is not 0 on every version (375 on 3.12.1)."""
     code = ("import atexit, gc, runpy\n"
-            "print('before', gc.get_freeze_count())\n"
-            "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0))\n"
+            "before = gc.get_freeze_count()\n"
+            "atexit.register(lambda: print('at exit', gc.get_freeze_count() > before))\n"
             "runpy.run_module('agripellet.cli', run_name='__main__')\n")
     for args, exit_code in ((("--data", DATA_DIR), 0), (("--data", tmp_path / "nowhere"), 2)):
         done = subprocess.run([sys.executable, "-c", code, "assess", *map(str, args),
                                "--out", str(tmp_path / "out")],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == exit_code, done.stderr
-        lines = done.stdout.splitlines()
-        assert (lines[0], lines[-1]) == ("before 0", "at exit True")
+        assert done.stdout.splitlines()[-1] == "at exit True"
 
 
 def test_outputs_are_byte_identical_across_hash_seeds(tmp_path):

@@ -7,9 +7,13 @@ a dense synthetic table and on copies with edge values in a few numeric cells
 scenarios A, B and C (carbon tax 50).  Covered on the bundled data: shuffled
 rows of ``countries.csv``, renamed copies of every country and a one-to-one
 renaming of the continents; and on the bundled data with overflowing cells,
-through each stage, a run on any subset of the countries.
+through each stage, a run on any subset of the countries.  Covered on the
+bundled data and the dense table: a ``sum`` that compensates its rounding, as
+Python 3.12's does.
 """
 
+import builtins
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -21,6 +25,7 @@ from agripellet.cli import main
 from agripellet.dataio import FIELDS, DataError, load_dataset
 from agripellet.pipeline import run_pipeline
 from conftest import assert_same_files, copy_data, country_rows, make_table
+from oracles import left_sum
 from test_fuzz import EDGE_VALUES, cell_mutation, write_mutated_copy
 
 # the countries.csv columns with no fallback: production, livestock, bioenergy
@@ -123,6 +128,70 @@ def test_report_is_byte_identical_for_shuffled_rows(data_dir, tmp_path):
     assert main(["report", "--data", str(data_dir), "--out", str(out1)]) == 0
     assert main(["report", "--data", str(shuffled), "--out", str(out2)]) == 0
     assert len(assert_same_files(out1, out2)) == 6
+
+
+_plain_sum = builtins.sum
+
+
+def compensated_sum(values, start=0):
+    """``sum`` as Python 3.12 adds floats, with Neumaier's compensation (the
+    plain result once the compensation is not finite); other values as
+    ``sum`` adds them on this interpreter."""
+    values = list(values)
+    if not (type(start) in (int, float) and values and all(type(v) is float for v in values)):
+        return _plain_sum(values, start)
+    total, compensation = float(start), 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_outputs_do_not_depend_on_how_sum_adds_floats(data_dir, tmp_path, monkeypatch):
+    """Every float sum of the package adds left to right from 0.0, so
+    ``report``, ``sweep`` and ``yoy`` on the bundled data write the same bytes
+    whether ``sum`` adds plainly (Python 3.10 and 3.11) or compensates (since
+    3.12); so does ``yoy`` on 19 growth rates near 0.1, whose compensated sum
+    differs from the plain one in its last bit."""
+    assert compensated_sum([0.1] * 10) == 1.0 != left_sum([0.1] * 10)  # the patch tells
+    growth = tmp_path / "growth.csv"
+    growth.write_text("year,value\n" + "".join(f"{2000 + k},{10 * 1.1 ** k!r}\n"
+                                                for k in range(20)), encoding="utf-8")
+    commands = (("report", "--data", data_dir), ("sweep", "--data", data_dir),
+                ("yoy", data_dir / "production_series.csv"), ("yoy", growth))
+
+    def run(out):
+        for i, command in enumerate(commands):
+            assert main([*map(str, command), "--out", str(out / str(i))]) == 0
+        return {path.relative_to(out).as_posix(): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    plain = run(tmp_path / "plain")
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    compensated = run(tmp_path / "compensated")
+    monkeypatch.undo()
+    assert len(plain) == 13 and plain.keys() == compensated.keys()
+    assert [name for name in plain if plain[name] != compensated[name]] == []
+
+
+@pytest.mark.parametrize("scenario", ["A", "B", "C"])
+def test_dense_columns_do_not_depend_on_how_sum_adds_floats(dense_dataset, scenario,
+                                                           monkeypatch):
+    """The same on the dense table, whose plans split their pellet energy
+    among fuels more often than the bundled countries' do."""
+    config = dense_dataset.config._replace(scenario=scenario, carbon_tax=50.0)
+    dataset = dense_dataset._replace(config=config)
+    plain = run_pipeline(dataset)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    compensated = run_pipeline(dataset)
+    monkeypatch.undo()
+    assert [name for name, col in plain.columns.items()
+            if reprs(col) != reprs(compensated.columns[name])] == []
+    assert repr(plain.global_report) == repr(compensated.global_report)
 
 
 @pytest.mark.parametrize("k", [2, 3, 7, 20])

@@ -24,7 +24,7 @@ from agripellet.reporting import (
 )
 from conftest import (DATA_DIR, RESOLVABLE_FIELDS, assert_stage_agrees_with_report, country_rows,
                       make_dataset, make_profile, make_table, synthetic_market_profiles)
-from oracles import evaluate_country, reports, table_records, table_rows
+from oracles import evaluate_country, left_sum, reports, table_records, table_rows
 
 
 def test_full_pipeline_clean_on_bundled_data(dataset):
@@ -39,8 +39,8 @@ def test_global_totals_are_exact_sums(dataset):
     result = run_pipeline(dataset)
     g = result.global_report
     for key in ("cr_final_t", "pellet_energy_tj", "s_ec_usd_per_y", "s_em_kgco2e_per_y"):
-        assert getattr(g, key) == sum(r.values[key] for r in reports(result)
-                                      if r.values.get(key) is not None)
+        assert getattr(g, key) == left_sum(r.values[key] for r in reports(result)
+                                           if r.values.get(key) is not None)
 
 
 def test_single_country_dataset_matches_its_report():
