@@ -8,9 +8,7 @@ from .dataio import (
     Dataset,
     FuelProperties,
     ModelConfig,
-    UnresolvableFieldError,
     load_dataset,
-    resolve,
 )
 from .pipeline import GlobalReport, PipelineResult, run_pipeline
 from .sensitivity import SensitivityGrid, sweep
@@ -29,9 +27,7 @@ __all__ = [
     "ModelConfig",
     "PipelineResult",
     "SensitivityGrid",
-    "UnresolvableFieldError",
     "load_dataset",
-    "resolve",
     "run_pipeline",
     "sweep",
     "yoy_growth",

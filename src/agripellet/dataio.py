@@ -18,8 +18,8 @@ makes every one, loaded, built by hand or ``_replace``d.
 ``resolve_column``, the one fallback rule for an empty cell, fills a field's
 empty cells at once; it computes the field's means only if a cell is empty,
 from the whole column, and each is exact, so it lies within its values' range.
-``resolve`` answers one cell through it.  ``add_rows`` and ``add_all`` are
-every float sum of the model, each a fold left to right from 0.0.
+``add_rows`` and ``add_all`` are every float sum of the model, each a fold
+left to right from 0.0.
 This module only reads files; every output goes through ``reporting``.
 """
 
@@ -57,10 +57,6 @@ class DataError(ValueError):
             problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-class UnresolvableFieldError(DataError):
-    """No country anywhere in the dataset carries data for the requested field."""
 
 
 class Bound(NamedTuple):
@@ -228,6 +224,16 @@ _CONFIG_BOUNDS = {
 _AXES = ("fossil_multipliers", "pellet_prices")  # the sweep grid's axes, lists of numbers
 
 
+def _changed(record, changes: dict) -> dict:
+    """The fields of a ``ModelConfig`` or ``Dataset`` with ``changes``; a field
+    it does not have is a ValueError naming it, on every Python version
+    (namedtuple's own test raises a TypeError since Python 3.13)."""
+    unknown = [key for key in changes if key not in record._fields]
+    if unknown:
+        raise ValueError(f"Got unexpected field names: {unknown!r}")
+    return {**record._asdict(), **changes}
+
+
 class _ModelConfig(NamedTuple):
     plant_capacity: float = 40_080.0      # t pellets/y
     horizon_years: int = 20
@@ -256,7 +262,7 @@ class ModelConfig(_ModelConfig):
 
     def _replace(self, **changes):
         """A changed copy, checked again."""
-        return ModelConfig(**{**self._asdict(), **changes})
+        return ModelConfig(**_changed(self, changes))
 
     def _check(self):
         problems = []
@@ -347,11 +353,7 @@ class Dataset(_Dataset):
     def _replace(self, **changes):
         """A changed copy, checked again; an unchanged countries table is not
         scanned again."""
-        # tested here, as namedtuple's own test raises a TypeError since Python 3.13
-        unknown = [key for key in changes if key not in self._fields]
-        if unknown:
-            raise ValueError(f"Got unexpected field names: {unknown!r}")
-        copy = _Dataset._replace(self, **changes)
+        copy = _Dataset(**_changed(self, changes))
         if copy.countries is not self.countries:
             return Dataset(*copy)
         return _build(copy, [])
@@ -725,16 +727,3 @@ def resolve_column(dataset: Dataset, name: str, rows) -> tuple:
                 failures[pos] = (f"no country in the dataset has data for {name!r} "
                                  f"(needed by {countries['country'][row]!r})")
     return values, tiers, failures
-
-
-def resolve(dataset: Dataset, row: int, name: str) -> tuple:
-    """One field of the country at ``row`` as ``(value, fallback tier)``:
-    ``resolve_column`` of the one cell, so an empty cell reads its whole
-    column.  A cell that does not resolve raises ``UnresolvableFieldError``."""
-    rows = len(dataset.countries["country"])
-    if name in _FALLBACK_TIERS and not 0 <= row < rows:  # a negative row would index from the end
-        raise IndexError(f"no countries row {row!r} in a table of {rows} rows")
-    (value,), (tier,), failures = resolve_column(dataset, name, (row,))
-    if failures:
-        raise UnresolvableFieldError(failures[0])
-    return value, tier

@@ -141,7 +141,8 @@ _STAGE_ORDER = tuple(_STAGES)
 
 def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
                  countries=None) -> PipelineResult:
-    """Evaluate every country (or the named subset), collecting failures.
+    """Evaluate every country (or the named subset, a collection of names),
+    collecting failures.
 
     ``assess`` stops after residues and energy, ``msp`` adds plant costs and
     the break-even price, ``plan`` adds the fuel replacement plan.  Every input
@@ -159,6 +160,8 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
     stages = _STAGE_ORDER[:_STAGE_ORDER.index(through) + 1]
     names = dataset.countries["country"]
     index = sorted(range(len(names)), key=names.__getitem__)
+    if isinstance(countries, str):  # not a name's letters
+        raise TypeError(f"countries: expected a collection of country names, got {countries!r}")
     if countries is not None:
         wanted = set(countries)
         unknown = wanted.difference(names)

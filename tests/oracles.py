@@ -4,8 +4,10 @@
 each through every stage into one record, against which the column-by-column
 ``agripellet.pipeline.run_pipeline`` is compared value by value: each stage's
 column function runs on the country's one row, so what they check is the
-pipeline's own work, the order in which a country resolves its fields and
-meets its first failure, its non-finite check and the global totals.  The
+pipeline's own work, how and in which order a country resolves its fields and
+meets its first failure, its non-finite check and the global totals.  A field
+resolves by ``scan_resolve``, its own scan of the field's column on each call,
+which shares no code with ``agripellet.dataio.resolve_column``.  The
 plan stage is the exception: it runs through ``plan``, the replacement plan
 computed one country at a time, which ``agripellet.replacement.plan_columns``
 computes as whole columns.
@@ -34,6 +36,7 @@ import csv
 import json
 import math
 import os
+import statistics
 from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -45,7 +48,7 @@ from agripellet.dataio import (ANIMALS, BELOW_ONE, COUNTRIES_COLUMNS, COUNTRIES_
                                POSITIVE, CropCoefficients, DataError,
                                Dataset, Field, FuelProperties, ModelConfig, _read_rows,
                                default_crops, default_fuel_properties, load_config,
-                               parse_cell, resolve)
+                               parse_cell)
 from agripellet.pipeline import _STAGE_ORDER, STAGE_PLAN, GlobalReport
 from agripellet.replacement import PLAN_COLUMNS
 from agripellet.reporting import _SAME_AS, PLOT_COLUMNS, REPORT_COLUMNS
@@ -89,6 +92,30 @@ class OracleResult(NamedTuple):
     errors: tuple        # (country, message), sorted by country name
 
 
+def scan_resolve(dataset: Dataset, row: int, name: str) -> tuple:
+    """``(value, fallback tier)`` of one field of the country at ``row``, from
+    a scan of the field's column on each call: the country's own value, else a
+    dry matter's crop default, else the mean of its continent's values, else
+    the world's.  A field that no country carries raises a ``DataError``."""
+    countries = dataset.countries
+    column, continents = countries[name], countries["continent"]
+    own = column[row]
+    if own is not None:
+        return own, "country"
+    if name.startswith("dmr_"):
+        return dataset.crops[name[4:]].dmr_default, "world-average"
+    continent_vals = [value for value, continent in zip(column, continents)
+                      if continent == continents[row] and value is not None]
+    if continent_vals:  # statistics.mean sums exactly and rounds once
+        return statistics.mean(continent_vals), "continent"
+    world_vals = [value for value in column if value is not None]
+    if world_vals:
+        return statistics.mean(world_vals), "world"
+    raise DataError(
+        f"no country in the dataset has data for {name!r} (needed by {countries['country'][row]!r})"
+    )
+
+
 def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> CountryReport:
     """Evaluate the country at ``row`` of ``dataset.countries`` up to the requested stage.
 
@@ -112,7 +139,7 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
     resolved = {}
 
     def field(key):
-        resolved[key], resolved[f"src_{key}"] = resolve(dataset, row, key)
+        resolved[key], resolved[f"src_{key}"] = scan_resolve(dataset, row, key)
         return resolved[key]
 
     def one_row(columns):

@@ -20,21 +20,19 @@ from agripellet.dataio import (
     FUEL_FIELDS,
     DataError,
     ModelConfig,
-    UnresolvableFieldError,
     load_config,
     load_countries,
     load_crops,
     load_dataset,
     load_fuels,
     parse_cell,
-    resolve,
     resolve_column,
 )
 from agripellet.pipeline import run_pipeline
 from agripellet.yoy import load_series
-from conftest import (RESOLVABLE_FIELDS, assert_same_files, copy_data, country_rows, make_dataset,
+from conftest import (RESOLVABLE_FIELDS, assert_same_files, copy_data, make_dataset,
                       make_profile, make_table)
-from oracles import FIELD_BOUNDS, evaluate_country, save_dataset
+from oracles import FIELD_BOUNDS, evaluate_country, save_dataset, scan_resolve
 
 COUNTRY_HEADER = (
     "country,continent,prod_maize_t,prod_rice_t,prod_sugarcane_t,prod_wheat_t,"
@@ -312,13 +310,15 @@ def test_bad_pellet_ef_or_livestock_rate_rejected(dataset, changes, problems):
 
 @pytest.mark.parametrize("countries", [False, True])
 def test_replace_rejects_an_unknown_field(dataset, countries):
-    """A field a ``Dataset`` does not have, such as the gone
-    ``livestock_rates``, is a ValueError naming it, whether or not the copy
-    has a new countries table."""
+    """A field that a ``Dataset`` or its ``ModelConfig`` does not have, such as
+    the gone ``livestock_rates``, is the same ValueError naming it, whether or
+    not the dataset's copy has a new countries table."""
     changes = {"countries": {**dataset.countries}} if countries else {}
-    with pytest.raises(ValueError, match="'livestock_rates'") as raised:
-        dataset._replace(livestock_rates=(0.375, 1.5, 0.1, 0.063), **changes)
-    assert not isinstance(raised.value, DataError)
+    for record, more in ((dataset, changes), (dataset.config, {})):
+        with pytest.raises(ValueError, match=re.escape(
+                "Got unexpected field names: ['livestock_rates']")) as raised:
+            record._replace(livestock_rates=(0.375, 1.5, 0.1, 0.063), **more)
+        assert not isinstance(raised.value, DataError)
 
 
 def test_every_table_problem_is_in_one_error():
@@ -341,12 +341,12 @@ def test_countries_table_is_read_only(dataset):
     rows = [make_profile(name="A", continent="K", tax_rate=0.2),
             make_profile(name="B", continent="K", tax_rate=None)]
     ds = make_dataset(rows)
-    assert resolve(ds, 1, "tax_rate") == (0.2, "continent")
+    assert resolve_column(ds, "tax_rate", [1]) == ([0.2], ["continent"], {})
     changed = ds._replace(countries={**ds.countries, "tax_rate": [0.4, None]})
     assert type(changed.countries) is type(ds.countries) and changed.countries["tax_rate"] == (
         0.4, None)
-    assert resolve(changed, 1, "tax_rate") == (0.4, "continent")
-    assert resolve(ds, 1, "tax_rate") == (0.2, "continent")
+    assert resolve_column(changed, "tax_rate", [1]) == ([0.4], ["continent"], {})
+    assert resolve_column(ds, "tax_rate", [1]) == ([0.2], ["continent"], {})
     with pytest.raises(DataError, match=re.escape(
             "countries column 'tax_rate' row 0 ('A'): must be in [0, 1), got 1.0")):
         ds._replace(countries={**ds.countries, "tax_rate": (1.0, None)})
@@ -358,7 +358,7 @@ def test_replace_rescans_only_a_changed_countries_table(monkeypatch):
     resolves the world average from them."""
     ds = make_dataset([make_profile(name="A", continent="K", tax_rate=0.2),
                        make_profile(name="B", continent="K", tax_rate=None)])
-    old = resolve(ds, 1, "dmr_rice")
+    old = resolve_column(ds, "dmr_rice", [1])
     scans = []
     fits = dataio.fits
     monkeypatch.setattr(dataio, "fits", lambda *args: scans.append(args) or fits(*args))
@@ -366,8 +366,8 @@ def test_replace_rescans_only_a_changed_countries_table(monkeypatch):
     assert changed.config.scenario == "B" and changed.countries is ds.countries
     rice = ds.crops["rice"]._replace(dmr_default=0.5)
     recropped = ds._replace(crops={**ds.crops, "rice": rice})
-    assert resolve(recropped, 1, "dmr_rice") == (0.5, "world-average") != old
-    assert resolve(ds, 1, "dmr_rice") == old
+    assert resolve_column(recropped, "dmr_rice", [1]) == ([0.5], ["world-average"], {}) != old
+    assert resolve_column(ds, "dmr_rice", [1]) == old
     assert scans == []
     with pytest.raises(DataError, match=r"crops table: missing crops \['rice'\]"):
         ds._replace(crops={name: crop for name, crop in ds.crops.items() if name != "rice"})
@@ -389,7 +389,7 @@ def test_crops_and_fuels_tables_are_read_only(data_dir):
     maize = dataset.crops["maize"]._replace(dmr_default=0.5)
     for ds in (dataset, built, replaced,
                dataset._replace(config=dataset.config._replace(scenario="B"))):
-        assert resolve(ds, 0, "dmr_maize") == (0.7374, "world-average")
+        assert resolve_column(ds, "dmr_maize", [0]) == ([0.7374], ["world-average"], {})
         with pytest.raises(TypeError):
             ds.crops["maize"] = maize
         with pytest.raises(TypeError):
@@ -399,8 +399,8 @@ def test_crops_and_fuels_tables_are_read_only(data_dir):
     for ds in (built, replaced):
         assert ds.crops["maize"].dmr_default == 0.7374 and "coal" in ds.fuel_properties
     recropped = dataset._replace(crops={**dataset.crops, "maize": maize})
-    assert resolve(recropped, 0, "dmr_maize") == (0.5, "world-average")
-    assert resolve(dataset, 0, "dmr_maize") == (0.7374, "world-average")
+    assert resolve_column(recropped, "dmr_maize", [0]) == ([0.5], ["world-average"], {})
+    assert resolve_column(dataset, "dmr_maize", [0]) == ([0.7374], ["world-average"], {})
     with pytest.raises(TypeError):
         recropped.crops["maize"] = dataset.crops["maize"]
 
@@ -919,21 +919,19 @@ def test_default_pellet_price_axis():
 def test_resolve_own_value_wins():
     p = make_profile(name="A", discount_rate=0.07)
     ds = make_dataset([p])
-    assert resolve(ds, 0, "discount_rate") == (0.07, "country")
+    assert resolve_column(ds, "discount_rate", [0]) == ([0.07], ["country"], {})
 
 
 def test_resolve_dmr_world_average():
     p = make_profile(name="A", production={"maize": 1.0})
     ds = make_dataset([p])
-    value, tag = resolve(ds, 0, "dmr_maize")
-    assert value == 0.7374
-    assert tag == "world-average"
+    assert resolve_column(ds, "dmr_maize", [0]) == ([0.7374], ["world-average"], {})
 
 
 def test_resolve_dmr_override_used():
     p = make_profile(name="A", dmr={"maize": 0.8513})
     ds = make_dataset([p])
-    assert resolve(ds, 0, "dmr_maize") == (0.8513, "country")
+    assert resolve_column(ds, "dmr_maize", [0]) == ([0.8513], ["country"], {})
 
 
 def test_resolve_continent_mean():
@@ -941,43 +939,30 @@ def test_resolve_continent_mean():
     b = make_profile(name="B", continent="K", discount_rate=0.12)
     c = make_profile(name="C", continent="K", discount_rate=None)
     ds = make_dataset([a, b, c])
-    value, tag = resolve(ds, 2, "discount_rate")
+    (value,), tiers, failures = resolve_column(ds, "discount_rate", [2])
     assert value == pytest.approx(0.10)
-    assert tag == "continent"
+    assert (tiers, failures) == (["continent"], {})
 
 
 def test_resolve_world_mean_when_continent_empty():
     a = make_profile(name="A", continent="K", tax_rate=0.30)
     b = make_profile(name="B", continent="L", tax_rate=None)
     ds = make_dataset([a, b])
-    value, tag = resolve(ds, 1, "tax_rate")
-    assert value == 0.30
-    assert tag == "world"
+    assert resolve_column(ds, "tax_rate", [1]) == ([0.30], ["world"], {})
 
 
 def test_resolve_unresolvable_names_field():
     a = make_profile(name="A", prices={"coal": None})
     ds = make_dataset([a])
-    with pytest.raises(UnresolvableFieldError,
-                       match=r"^no country in the dataset has data for 'price_coal' "
-                             r"\(needed by 'A'\)$"):
-        resolve(ds, 0, "price_coal")
+    assert resolve_column(ds, "price_coal", [0]) == ([None], [None], {
+        0: "no country in the dataset has data for 'price_coal' (needed by 'A')"})
 
 
 def test_resolve_unknown_field_rejected():
     a = make_profile(name="A")
     ds = make_dataset([a])
     with pytest.raises(KeyError):
-        resolve(ds, 0, "bogus_field")
-
-
-@pytest.mark.parametrize("past_end", [False, True], ids=["row-1", "row-len"])
-def test_resolve_rejects_a_row_outside_the_table(dataset, past_end):
-    """Row -1 is not the last country, and a row past the end is named too."""
-    rows = len(dataset.countries["country"])
-    row = rows if past_end else -1
-    with pytest.raises(IndexError, match=rf"^no countries row {row} in a table of {rows} rows$"):
-        resolve(dataset, row, "price_coal")
+        resolve_column(ds, "bogus_field", [0])
 
 
 def test_a_fields_means_are_computed_the_first_time_it_falls_back(dataset, monkeypatch):
@@ -1013,11 +998,11 @@ def test_a_dataset_holds_no_mutable_state(dataset):
 
 def test_resolve_is_deterministic(dataset):
     country = dataset.countries["country"].index("Albania")
-    first = {name: resolve(dataset, country, name) for name in RESOLVABLE_FIELDS}
-    second = {name: resolve(dataset, country, name) for name in RESOLVABLE_FIELDS}
+    first = {name: resolve_column(dataset, name, [country]) for name in RESOLVABLE_FIELDS}
+    second = {name: resolve_column(dataset, name, [country]) for name in RESOLVABLE_FIELDS}
     assert first == second
     report = evaluate_country(dataset, country)
-    assert first == {name: (report.values[name], report.values[f"src_{name}"])
+    assert first == {name: ([report.values[name]], [report.values[f"src_{name}"]], {})
                      for name in RESOLVABLE_FIELDS}
 
 
@@ -1027,8 +1012,8 @@ def test_resolve_never_invents_data():
     b = make_profile(name="B", continent="K", discount_rate=0.10)
     c = make_profile(name="C", continent="L", discount_rate=None)
     ds = make_dataset([a, b, c])
-    value, tag = resolve(ds, 2, "discount_rate")
-    assert tag == "world"
+    (value,), tiers, failures = resolve_column(ds, "discount_rate", [2])
+    assert (tiers, failures) == (["world"], {})
     assert value == pytest.approx((0.06 + 0.10) / 2)
 
 
@@ -1091,53 +1076,30 @@ def test_resolved_inputs_cover_all_fields(dataset):
     assert report.values["src_dmr_maize"] == "world-average"
     assert report.values["src_pli_labor"] == "country"
     assert report.values["src_discount_rate"] == "continent"
-    assert resolve(dataset, country, "discount_rate") == (
-        report.values["discount_rate"], "continent")
+    assert resolve_column(dataset, "discount_rate", [country]) == (
+        [report.values["discount_rate"]], ["continent"], {})
 
 
 # ---------------------------------------------------------------------------
-# resolution oracle: the per-call continent/world scan that resolve replaced
+# resolution against the oracle's per-call continent/world scan
 
-def scan_resolve(dataset, row, name):
-    rows = country_rows(dataset.countries)
-    country = rows[row]
-    own = country.values[name]
-    if own is not None:
-        return own, "country"
-    if name.startswith("dmr_"):
-        return dataset.crops[name[4:]].dmr_default, "world-average"
-    continent_vals = [c.values[name] for c in rows
-                      if c.continent == country.continent and c.values[name] is not None]
-    if continent_vals:  # statistics.mean sums exactly and rounds once
-        return statistics.mean(continent_vals), "continent"
-    world_vals = [c.values[name] for c in rows if c.values[name] is not None]
-    if world_vals:
-        return statistics.mean(world_vals), "world"
-    raise UnresolvableFieldError(
-        f"no country in the dataset has data for {name!r} (needed by {country.name!r})"
-    )
-
-
-def scanned(resolver, *args) -> tuple:
-    """``(value, tier, message)`` of a resolver's answer: a message of None, or
-    a value and tier of None at an ``UnresolvableFieldError``."""
+def scanned(dataset, row, name) -> tuple:
+    """``(value, tier, message)`` of the scan's answer: a message of None, or
+    a value and tier of None at a ``DataError``."""
     try:
-        return (*resolver(*args), None)
-    except UnresolvableFieldError as exc:
+        return (*scan_resolve(dataset, row, name), None)
+    except DataError as exc:
         return None, None, str(exc)
 
 
 def assert_resolve_matches_scan(dataset):
-    """``resolve`` of each cell, and ``resolve_column`` of each field at every
-    row, at every third row (whose means still come from all rows, as under
-    ``--country``) and at every row shuffled, give the scan's value and tier,
-    or its message."""
+    """``resolve_column`` of each field at every row, at every third row
+    (whose means still come from all rows, as under ``--country``) and at
+    every row shuffled gives the scan's value and tier, or its message."""
     everyone = range(len(dataset.countries["country"]))
     shuffled = random.Random(5).sample(everyone, len(everyone))
     for name in RESOLVABLE_FIELDS:
-        expected = [scanned(scan_resolve, dataset, row, name) for row in everyone]
-        for row in everyone:
-            assert scanned(resolve, dataset, row, name) == expected[row], (row, name)
+        expected = [scanned(dataset, row, name) for row in everyone]
         for rows in (list(everyone), list(everyone[::3]), shuffled):
             values, tiers, failures = resolve_column(dataset, name, rows)
             assert list(zip(values, tiers, map(failures.get, range(len(rows))))) == [
@@ -1166,8 +1128,8 @@ def test_resolve_matches_scan_on_world_tier_and_unresolvable():
     ]
     ds = make_dataset(profiles)
     assert_resolve_matches_scan(ds)
-    assert resolve(ds, 2, "tax_rate")[1] == "world"
-    assert resolve(ds, 3, "price_natural_gas")[1] == "world"
+    assert resolve_column(ds, "tax_rate", [2])[1] == ["world"]
+    assert resolve_column(ds, "price_natural_gas", [3])[1] == ["world"]
     # only the plan stage needs fuel prices
     assert run_pipeline(ds, through="assess").errors == ()
     assert run_pipeline(ds, through="msp").errors == ()

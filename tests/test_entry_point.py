@@ -143,13 +143,13 @@ def test_import_loads_no_dataclasses_or_inspect_and_exports_no_gone_name():
     """The records are NamedTuples: starting the CLI imports neither module,
     which together cost tens of milliseconds of start-up.  Every name in
     ``__all__`` imports, and the removed per-country records (output and
-    input), dataset writer, checked solver inputs and livestock rates are not
-    among them."""
+    input), dataset writer, checked solver inputs, livestock rates and one-cell
+    resolver and its error are not among them."""
     code = ("import agripellet.cli, sys\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
             "from agripellet import *\n"
             "print(sorted({'CountryReport', 'CountryProfile', 'save_dataset', 'BreakEvenInputs',"
-            " 'LivestockRates'} & set(dir())))\n")
+            " 'LivestockRates', 'resolve', 'UnresolvableFieldError'} & set(dir())))\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr

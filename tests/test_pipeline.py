@@ -22,6 +22,7 @@ from agripellet.reporting import (
     write_report_files,
     write_table,
 )
+from agripellet.sensitivity import sweep
 from conftest import (DATA_DIR, RESOLVABLE_FIELDS, assert_stage_agrees_with_report, country_rows,
                       make_dataset, make_profile, make_table, synthetic_market_profiles)
 from oracles import evaluate_country, left_sum, reports, table_records, table_rows
@@ -62,10 +63,19 @@ def test_country_filter(dataset):
         run_pipeline(dataset, countries=["Atlantis"])
 
 
+def test_a_str_of_countries_is_not_read_as_letters(dataset):
+    """One name given as a str, to the pipeline or the sweep, is a TypeError
+    naming the argument, not a DataError listing its letters as countries."""
+    for run in (run_pipeline, sweep):
+        with pytest.raises(TypeError, match="^countries: expected a collection of country "
+                                            "names, got 'Brazil'$"):
+            run(dataset, countries="Brazil")
+
+
 def injecting(monkeypatch, failure) -> None:
     """Fail each empty cell at which ``failure(countries, row, name)`` gives a
-    message, in ``pipeline.resolve_column`` and the oracle's ``resolve`` alike."""
-    real_column, real_resolve = pipeline_mod.resolve_column, oracles.resolve
+    message, in ``pipeline.resolve_column`` and the oracle's ``scan_resolve`` alike."""
+    real_column, real_resolve = pipeline_mod.resolve_column, oracles.scan_resolve
 
     def message(dataset, row, name):
         countries = dataset.countries
@@ -85,7 +95,7 @@ def injecting(monkeypatch, failure) -> None:
         return real_resolve(dataset, row, name)
 
     monkeypatch.setattr(pipeline_mod, "resolve_column", failing_column)
-    monkeypatch.setattr(oracles, "resolve", failing_resolve)
+    monkeypatch.setattr(oracles, "scan_resolve", failing_resolve)
 
 
 def test_one_bad_country_does_not_abort(monkeypatch):
