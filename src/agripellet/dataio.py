@@ -8,13 +8,15 @@ describes each numeric ``countries.csv`` column once (header, model key,
 bound, fallback tier, and the pipeline stage that resolves it).
 Each rule has one check and one wording, and each caller adds only the
 place (file and line, column and row, or config key): ``_check_cell`` holds
-a number to its ``Bound``, ``_check_column`` a column (whole, then cell by
-cell only if it trips), and ``_bad_names`` finds bad names and labels.
+a number to its ``Bound``, ``_check_column`` a column cell by cell, and
+``_bad_names`` finds bad names and labels.
 ``load_dataset`` reads every file before it raises, so one error names the
 problems of them all, and checks each cell once, as it parses it.  A
 ``Dataset`` and its tables are read-only, so no stage checks a value again,
-and hold each number as a float, also one given by hand as an int; ``_build``
-makes every one, loaded, built by hand or ``_replace``d.
+and hold each number as a float, also one given by hand as an int.  A field
+is checked once, when it gets a new value: ``_checked`` checks each field of
+a ``Dataset`` built by hand and each field a ``_replace`` changes, and the
+loader, which checked every cell as it parsed it, checks nothing again.
 ``resolve_column``, the one fallback rule for an empty cell, fills a field's
 empty cells at once; it computes the field's means only if a cell is empty,
 from the whole column, and each is exact, so it lies within its values' range.
@@ -37,7 +39,7 @@ from functools import partial, reduce
 from itertools import repeat
 from operator import add, is_not, itemgetter, methodcaller, mul
 from pathlib import Path
-from types import MappingProxyType, NoneType
+from types import MappingProxyType
 from typing import NamedTuple
 
 CROPS = ("maize", "rice", "sugarcane", "wheat")
@@ -186,10 +188,7 @@ def _check_cell(label: str, value, bound: Bound) -> list:
 
 def _check_column(values, bound: Bound, label) -> list:
     """The one column bound check: ``(row, problem)`` of each cell of
-    ``values`` but None that ``_check_cell`` rejects, named by ``label(row)``;
-    a column of floats that ``fits`` whole is not scanned."""
-    if set(map(type, values)) <= {float, NoneType} and fits(values, bound):
-        return []
+    ``values`` but None that ``_check_cell`` rejects, named by ``label(row)``."""
     return [(row, problem) for row, value in enumerate(values) if value is not None
             for problem in _check_cell(label(row), value, bound)]
 
@@ -299,26 +298,33 @@ class Dataset(_Dataset):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        problems = self._check()
-        # read-only, so that no column skips the check
-        countries = {key: tuple(self.countries[key]) for key in COUNTRIES_KEYS}
-        if not problems:  # checked, so every number converts: held as floats, as loaded
-            countries.update((f.key, _floats(countries[f.key])) for f in FIELDS)
-        return _build(_Dataset._replace(self, countries=MappingProxyType(countries)), problems)
+        return _checked(super().__new__(cls, *args, **kwargs), cls._fields)
 
-    def _check(self) -> list:
-        """The problems of the countries table, raised at once if a column is
-        missing or unknown."""
-        countries = self.countries
+    def _replace(self, **changes):
+        """A changed copy, whose fields given a new value are checked."""
+        return _checked(self._make(_changed(self, changes).values()),
+                        [key for key, value in changes.items() if value is not getattr(self, key)])
+
+
+def _checked(record: Dataset, new) -> Dataset:
+    """``record`` once each of its fields named in ``new`` passes its one
+    check, in this order: the countries table (a missing or unknown column
+    raised at once), the crops and fuels tables (each coefficient held to its
+    crops.csv or fuels.csv column's bound), the pellet emission factor (held
+    to fuels.csv's ef bound) and the config (a ``ModelConfig``).  One
+    DataError names every problem.  Only then is each of those fields held
+    read-only, each number as a float, as the loader holds it, in new tables
+    that their caller can no longer change."""
+    problems = []
+    countries = record.countries
+    if "countries" in new:
         wrong = set(countries).symmetric_difference(COUNTRIES_KEYS)
         if wrong:
             raise DataError([f"countries table: {'unknown' if key in countries else 'missing'} "
                              f"column {key!r}" for key in sorted(wrong)])
         rows = len(countries["country"])  # a shorter column would cut a zip() short
-        problems = [f"countries column {key!r} has {len(col)} rows, 'country' has {rows}"
-                    for key, col in countries.items() if len(col) != rows]
-        names = countries["country"]
+        problems += [f"countries column {key!r} has {len(col)} rows, 'country' has {rows}"
+                     for key, col in countries.items() if len(col) != rows]
         labels = [(row, f"countries column {key!r} row {row}: {problem}")
                   for key, place, label in (("country", "row {}".format, False),
                                             ("continent", None, True))
@@ -327,61 +333,38 @@ class Dataset(_Dataset):
         for f in FIELDS:
             if len(countries[f.key]) == rows:
                 problems += [problem for _, problem in _check_column(
-                    countries[f.key], f.bound,
-                    lambda row: f"countries column {f.key!r} row {row} ({names[row]!r})")]
-        return problems
-
-    def _check_tables(self, problems: list) -> None:
-        """A DataError of ``problems`` and those of the crops and fuels tables
-        (each coefficient held to its crops.csv or fuels.csv column's bound) and
-        the pellet emission factor (held to fuels.csv's ef bound)."""
-        for kind, table, names, fields in (("crop", self.crops, CROPS, CROP_FIELDS),
-                                           ("fuel", self.fuel_properties, FUELS, FUEL_FIELDS)):
-            problems += [f"{kind}s table: {problem}"
-                         for _, problem in _bad_names(list(table), kind, accepted=names)]
-            missing = set(names) - set(table)
-            if missing:
-                problems.append(f"{kind}s table: missing {kind}s {sorted(missing)}")
-            for name, record in table.items():
-                for f in fields:
-                    problems += _check_cell(f"{kind} {name!r}: {f.column}",
-                                            getattr(record, f.key), f.bound)
-        problems += _check_cell("pellet_ef", self.pellet_ef, FUEL_FIELDS[-1].bound)
-        if problems:
-            raise DataError(problems)
-
-    def _replace(self, **changes):
-        """A changed copy, checked again; an unchanged countries table is not
-        scanned again."""
-        copy = _Dataset(**_changed(self, changes))
-        if copy.countries is not self.countries:
-            return Dataset(*copy)
-        return _build(copy, [])
-
-
-def _floats(values) -> tuple:
-    """A checked column, each number as a float and each None kept."""
-    return tuple(None if value is None else float(value) for value in values)
-
-
-def _records(table: dict, record, fields: tuple) -> MappingProxyType:
-    """A checked crops or fuels table, read-only, each of its records a
-    ``record`` of floats."""
-    return MappingProxyType({name: record(*(float(getattr(values, f.key)) for f in fields))
-                             for name, values in table.items()})
-
-
-def _build(fields: _Dataset, problems: list) -> Dataset:
-    """The one way fields become a ``Dataset``: over a countries table that is
-    read-only and scanned already, with ``problems`` its problems.  The crops
-    and fuels tables and the pellet factor are checked; one DataError names
-    every problem.  Then each number of them is held as a float, as the loader
-    holds it, in new read-only tables that their caller can no longer change."""
-    Dataset._make(fields)._check_tables(problems)
-    return Dataset._make(_Dataset._replace(
-        fields, crops=_records(fields.crops, CropCoefficients, CROP_FIELDS),
-        fuel_properties=_records(fields.fuel_properties, FuelProperties, FUEL_FIELDS),
-        pellet_ef=float(fields.pellet_ef)))
+                    countries[f.key], f.bound, lambda row: f"countries column {f.key!r} "
+                    f"row {row} ({countries['country'][row]!r})")]
+    tables = [table for table in (("crops", "crop", CROPS, CROP_FIELDS, CropCoefficients),
+                                  ("fuel_properties", "fuel", FUELS, FUEL_FIELDS, FuelProperties))
+              if table[0] in new]
+    for key, kind, accepted, fields, _ in tables:
+        table = getattr(record, key)
+        problems += [f"{kind}s table: {problem}"
+                     for _, problem in _bad_names(list(table), kind, accepted=accepted)]
+        missing = set(accepted) - set(table)
+        if missing:
+            problems.append(f"{kind}s table: missing {kind}s {sorted(missing)}")
+        problems += [problem for name, values in table.items() for f in fields
+                     for problem in _check_cell(f"{kind} {name!r}: {f.column}",
+                                                getattr(values, f.key), f.bound)]
+    if "pellet_ef" in new:
+        problems += _check_cell("pellet_ef", record.pellet_ef, FUEL_FIELDS[-1].bound)
+    if "config" in new and not isinstance(record.config, ModelConfig):
+        problems.append(f"config: must be a ModelConfig, got {record.config!r}")
+    if problems:
+        raise DataError(problems)
+    held = {key: MappingProxyType({name: kept(*(float(getattr(values, f.key)) for f in fields))
+                                   for name, values in getattr(record, key).items()})
+            for key, _, _, fields, kept in tables}
+    if "countries" in new:
+        held["countries"] = MappingProxyType({
+            **{key: tuple(countries[key]) for key in COUNTRIES_KEYS[:2]},
+            **{f.key: tuple(None if value is None else float(value) for value in countries[f.key])
+               for f in FIELDS}})
+    if "pellet_ef" in new:
+        held["pellet_ef"] = float(record.pellet_ef)
+    return _Dataset._replace(record, **held)
 
 
 def _exact_sum(ratios, weights) -> tuple:
@@ -682,9 +665,10 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
     cfg = attempt(load_config, config) if config is not None else ModelConfig()
     if problems:
         raise DataError(problems)
-    # each countries.csv cell was held to its bound as it was parsed, and named
-    # by file, line and column if it failed, so the table is not scanned again
-    return _build(_Dataset(crops, MappingProxyType(countries), *fuels, cfg), [])
+    # each cell was held to its bound as it was parsed, and named by file, line
+    # and column if it failed, so no field is checked again
+    return Dataset._make((MappingProxyType(crops), MappingProxyType(countries),
+                          MappingProxyType(fuels[0]), fuels[1], cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +691,10 @@ def resolve_column(dataset: Dataset, name: str, rows) -> tuple:
     if tier is None:
         raise KeyError(f"not a resolvable field: {name!r}")
     countries = dataset.countries
+    size = len(countries["country"])
+    if rows and not 0 <= min(rows) <= max(rows) < size:  # a negative row would index from the end
+        row = next(row for row in rows if not 0 <= row < size)
+        raise IndexError(f"no countries row {row!r} in a table of {size} rows")
     values = list(map(countries[name].__getitem__, rows))
     tiers, failures = ["country"] * len(values), {}
     if None not in values:

@@ -47,21 +47,31 @@ def dataset():
     return load_dataset(DATA_DIR)
 
 
-@pytest.fixture(scope="session")
-def renamed_copies(dataset):
-    """Three renamed copies of the bundled countries in one table (534 rows)."""
+def renamed_copies_of(dataset):
+    """Three renamed copies of the countries of ``dataset`` in one table."""
     rows = country_rows(dataset.countries)
     return dataset._replace(countries=make_table(
         r._replace(name=f"{r.name} #{i}") for i in range(3) for r in rows))
 
 
-@pytest.fixture(scope="session")
-def dense_dataset(dataset):
-    """300 synthetic countries with every field set, under the bundled config."""
+def dense_copy_of(dataset):
+    """300 synthetic countries with every field set, under the config of ``dataset``."""
     rng = random.Random(3)
     rows = [r._replace(values={**r.values, **{f"dmr_{c}": rng.uniform(0.3, 1.0) for c in CROPS}})
             for r in synthetic_market_profiles(rng, 300)]
     return make_dataset(rows, config=dataset.config)
+
+
+@pytest.fixture(scope="session")
+def renamed_copies(dataset):
+    """Three renamed copies of the bundled countries in one table (534 rows)."""
+    return renamed_copies_of(dataset)
+
+
+@pytest.fixture(scope="session")
+def dense_dataset(dataset):
+    """300 synthetic countries with every field set, under the bundled config."""
+    return dense_copy_of(dataset)
 
 
 @pytest.fixture(scope="session")

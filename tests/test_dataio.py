@@ -353,15 +353,16 @@ def test_countries_table_is_read_only(dataset):
 
 
 def test_replace_rescans_only_a_changed_countries_table(monkeypatch):
-    """A copy whose countries table is unchanged is not scanned again; its
-    crops and fuels tables are checked all the same, and a copy with new crops
-    resolves the world average from them."""
+    """A copy whose countries table is unchanged is not scanned again; a new
+    crops or fuels table is checked, and a copy with new crops resolves the
+    world average from them."""
     ds = make_dataset([make_profile(name="A", continent="K", tax_rate=0.2),
                        make_profile(name="B", continent="K", tax_rate=None)])
     old = resolve_column(ds, "dmr_rice", [1])
     scans = []
-    fits = dataio.fits
-    monkeypatch.setattr(dataio, "fits", lambda *args: scans.append(args) or fits(*args))
+    check = dataio._check_column
+    monkeypatch.setattr(dataio, "_check_column",
+                        lambda *args: scans.append(args) or check(*args))
     changed = ds._replace(config=ds.config._replace(scenario="B"), countries=ds.countries)
     assert changed.config.scenario == "B" and changed.countries is ds.countries
     rice = ds.crops["rice"]._replace(dmr_default=0.5)
@@ -406,22 +407,41 @@ def test_crops_and_fuels_tables_are_read_only(data_dir):
 
 
 def test_load_dataset_checks_each_countries_bound_once(data_dir, monkeypatch):
-    """The loader holds each cell to its bound as it parses it, so it builds its
-    Dataset without the full check a hand-built one runs; the crops and fuels
-    tables are checked all the same."""
-    def check(self):
-        raise AssertionError("Dataset._check ran")
-
-    expected = load_dataset(data_dir)
-    monkeypatch.setattr(dataio.Dataset, "_check", check)
+    """A field is checked once, when it gets a new value.  The loader holds
+    each cell to its bound as it parses it, so it checks no field of its
+    Dataset again; a copy checks only the fields given a new value: the
+    config alone, or the crops table alone."""
+    checked, cells = [], []
+    spy, cell = dataio._checked, dataio._check_cell
+    monkeypatch.setattr(dataio, "_checked",
+                        lambda record, new: checked.append(sorted(new)) or spy(record, new))
+    monkeypatch.setattr(dataio, "_check_cell",
+                        lambda label, *args: cells.append(label) or cell(label, *args))
     loaded = load_dataset(data_dir)
-    assert loaded == expected and type(loaded) is dataio.Dataset
+    # the config checks its own keys as it is built: the loader's only cell checks
+    assert type(loaded) is dataio.Dataset and checked == [] and cells
+    assert {label.partition("[")[0] for label in cells} <= set(dataio.ModelConfig._fields)
     assert type(loaded.countries) is type(loaded.crops) is type(loaded.fuel_properties)
-    tables = []
-    monkeypatch.setattr(dataio.Dataset, "_check_tables",
-                        lambda self, problems: tables.append(problems))
-    load_dataset(data_dir)
-    assert tables == [[]]
+    assert loaded == dataio.Dataset(*loaded)
+    config = loaded.config._replace(scenario="B")
+    checked.clear(), cells.clear()
+    loaded._replace(config=config)
+    assert (checked, cells) == ([["config"]], [])
+    checked.clear()
+    loaded._replace(crops={**loaded.crops}, countries=loaded.countries)
+    assert checked == [["crops"]]
+    assert len(cells) == 16 and all(label.startswith("crop ") for label in cells)
+
+
+@pytest.mark.parametrize("config", [None, {"scenario": "B"}])
+def test_config_must_be_a_model_config(dataset, config):
+    """A config that is no ``ModelConfig`` is one DataError naming it, in a
+    hand-built Dataset and in a copy, not an AttributeError in a later run."""
+    for build in (lambda: dataio.Dataset(**{**dataset._asdict(), "config": config}),
+                  lambda: dataset._replace(config=config)):
+        with pytest.raises(DataError) as raised:
+            build()
+        assert raised.value.problems == [f"config: must be a ModelConfig, got {config!r}"]
 
 
 def edited_copy(data_dir, tmp_path, edits):
@@ -963,6 +983,18 @@ def test_resolve_unknown_field_rejected():
     ds = make_dataset([a])
     with pytest.raises(KeyError):
         resolve_column(ds, "bogus_field", [0])
+
+
+@pytest.mark.parametrize("rows, row", [([-1], -1), ([0, 178], 178), ([5, -178, 200], -178)])
+def test_resolve_rejects_a_row_outside_the_table(dataset, rows, row):
+    """A row must lie in ``0 <= row < len(table)``: a negative one would
+    answer for a country counted from the end, and one past the end has no
+    country.  Either is an IndexError naming the row and the table size."""
+    with pytest.raises(IndexError, match=re.escape(
+            f"no countries row {row} in a table of 178 rows")):
+        resolve_column(dataset, "price_coal", rows)
+    assert resolve_column(dataset, "price_coal", [0, 177])[1] == ["continent", "continent"]
+    assert resolve_column(dataset, "price_coal", []) == ([], [], {})
 
 
 def test_a_fields_means_are_computed_the_first_time_it_falls_back(dataset, monkeypatch):
