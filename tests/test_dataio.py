@@ -424,7 +424,8 @@ def test_load_dataset_checks_each_countries_bound_once(data_dir, monkeypatch):
     assert type(loaded.countries) is type(loaded.crops) is type(loaded.fuel_properties)
     assert loaded == dataio.Dataset(*loaded)
     config = loaded.config._replace(scenario="B")
-    checked.clear(), cells.clear()
+    checked.clear()
+    cells.clear()
     loaded._replace(config=config)
     assert (checked, cells) == ([["config"]], [])
     checked.clear()
