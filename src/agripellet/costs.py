@@ -28,31 +28,34 @@ MAINTENANCE_REF = 152_400.0
 INSURANCE_TAX_REF = 101_600.0   # not index scaled
 ADDITIONAL_REF = 76_200.0       # not index scaled
 
-def cost_columns(columns: dict) -> dict:
-    """The columns ``epc_usd``, ``capex_usd`` and ``opex_usd_per_y`` from the
-    price level index columns ``pli_<component>``, each index > 0 as a
-    checked ``Dataset`` holds it.
+# The msp stage's cost columns, in output order.
+COST_COLUMNS = ("epc_usd", "tfc_usd", "capex_usd", "opex_usd_per_y")
+
+
+def cost_columns(columns: dict, tfc_capex_ratio: float) -> dict:
+    """The ``COST_COLUMNS`` from the price level index columns
+    ``pli_<component>``, each index > 0 as a checked ``Dataset`` holds it, and
+    the config's ``tfc_capex_ratio``.
 
     Every capital line scales with the construction index; CAPEX is the total
     fixed capital (direct, indirect and miscellaneous cost) plus working
-    capital and start-up on top of it.  OPEX is $/y: all three labor lines
-    (base, overhead, supervision) scale with the labor index, maintenance
-    follows construction, and insurance/tax and additional expenses are not
-    scaled.
+    capital and start-up on top of it, and ``tfc_usd`` is CAPEX times
+    ``tfc_capex_ratio``.  OPEX is $/y: all three labor lines (base, overhead,
+    supervision) scale with the labor index, maintenance follows construction,
+    and insurance/tax and additional expenses are not scaled.
     """
     construction = columns["pli_construction"]
     epc = [EPC_REF * index for index in construction]
     direct = [DIRECT_FACTOR * e for e in epc]
     indirect = [INDIRECT_FACTOR * d for d in direct]
     tfc = [d + i + MISC_FACTOR * (d + i) for d, i in zip(direct, indirect)]
+    capex = [t + WORKING_CAPITAL_FACTOR * t + STARTUP_FACTOR * t for t in tfc]
     labor_ref = LABOR_REF + LABOR_OVERHEAD_REF + LABOR_SUPERVISION_REF
-    return {
-        "epc_usd": epc,
-        "capex_usd": [t + WORKING_CAPITAL_FACTOR * t + STARTUP_FACTOR * t for t in tfc],
-        "opex_usd_per_y": add_rows((
-            [RAW_MATERIAL_REF * m for m in columns["pli_raw_material"]],
-            [labor_ref * lab for lab in columns["pli_labor"]],
-            [UTILITIES_REF * e for e in columns["pli_electricity"]],
-            [MAINTENANCE_REF * c for c in construction],
-            [INSURANCE_TAX_REF] * len(epc), [ADDITIONAL_REF] * len(epc))),
-    }
+    opex = add_rows((
+        [RAW_MATERIAL_REF * m for m in columns["pli_raw_material"]],
+        [labor_ref * lab for lab in columns["pli_labor"]],
+        [UTILITIES_REF * e for e in columns["pli_electricity"]],
+        [MAINTENANCE_REF * c for c in construction],
+        [INSURANCE_TAX_REF] * len(epc), [ADDITIONAL_REF] * len(epc)))
+    values = (epc, [c * tfc_capex_ratio for c in capex], capex, opex)
+    return dict(zip(COST_COLUMNS, values, strict=True))

@@ -35,6 +35,7 @@ import math
 import os
 import sys
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from functools import partial, reduce
 from itertools import repeat
 from operator import add, is_not, itemgetter, methodcaller, mul
@@ -233,6 +234,12 @@ def _changed(record, changes: dict) -> dict:
     return {**record._asdict(), **changes}
 
 
+def _make(cls, iterable):
+    """A record of ``iterable``'s values, checked as ``cls(...)`` checks it
+    (namedtuple's own ``_make`` skips ``__new__``)."""
+    return cls(*iterable)
+
+
 class _ModelConfig(NamedTuple):
     plant_capacity: float = 40_080.0      # t pellets/y
     horizon_years: int = 20
@@ -247,17 +254,18 @@ class _ModelConfig(NamedTuple):
 
 class ModelConfig(_ModelConfig):
     __slots__ = ()
+    _make = classmethod(_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         self._check()
         # a config file gives numbers as ints or floats and the axes as lists; the
         # record holds floats, the axes as tuples of floats, and the horizon as an
-        # int (the base's _replace builds without a second check)
+        # int (built by tuple.__new__, without a second check)
         numbers = {key: getattr(self, key) for key in _CONFIG_BOUNDS if key != "horizon_years"}
-        return _ModelConfig._replace(self, **{
+        return tuple.__new__(cls, _changed(self, {
             key: tuple(map(float, value)) if key in _AXES else float(value)
-            for key, value in numbers.items()})
+            for key, value in numbers.items()}).values())
 
     def _replace(self, **changes):
         """A changed copy, checked again."""
@@ -296,32 +304,52 @@ class _Dataset(NamedTuple):
 
 class Dataset(_Dataset):
     __slots__ = ()
+    _make = classmethod(_make)
 
     def __new__(cls, *args, **kwargs):
         return _checked(super().__new__(cls, *args, **kwargs), cls._fields)
 
     def _replace(self, **changes):
         """A changed copy, whose fields given a new value are checked."""
-        return _checked(self._make(_changed(self, changes).values()),
+        return _checked(tuple.__new__(type(self), _changed(self, changes).values()),
                         [key for key, value in changes.items() if value is not getattr(self, key)])
+
+
+# The type of each table's values (a countries column: a sequence of cells).
+_TABLE_TYPES = {"countries": Sequence, "crops": CropCoefficients, "fuel_properties": FuelProperties}
+
+
+def _wrong_type(table, kind) -> str | None:
+    """The name of the type that keeps ``table`` from being a mapping to
+    ``kind`` values, with the key it sits at, or None."""
+    if not isinstance(table, Mapping):
+        return type(table).__name__
+    return next((f"{type(value).__name__} at {key!r}" for key, value in table.items()
+                 if not isinstance(value, kind)), None)
 
 
 def _checked(record: Dataset, new) -> Dataset:
     """``record`` once each of its fields named in ``new`` passes its one
-    check, in this order: the countries table (a missing or unknown column
-    raised at once), the crops and fuels tables (each coefficient held to its
-    crops.csv or fuels.csv column's bound), the pellet emission factor (held
-    to fuels.csv's ef bound) and the config (a ``ModelConfig``).  One
-    DataError names every problem.  Only then is each of those fields held
-    read-only, each number as a float, as the loader holds it, in new tables
-    that their caller can no longer change."""
-    problems = []
+    check.  First each table's type: a mapping to sequences (countries), to
+    ``CropCoefficients`` or to ``FuelProperties``, a wrong one the field's one
+    problem.  Then, in this order: the countries table (a missing or unknown
+    column raised at once), the crops and fuels tables (each coefficient held
+    to its crops.csv or fuels.csv column's bound), the pellet emission factor
+    (a number held to fuels.csv's ef bound) and the config (a
+    ``ModelConfig``).  One DataError names every problem.  Only then is each
+    of those fields held read-only, each number as a float, as the loader
+    holds it, in new tables that their caller can no longer change."""
+    mistyped = {key: f"{key}: must be a mapping to {kind.__name__} values, got {got}"
+                for key, kind in _TABLE_TYPES.items() if key in new
+                for got in [_wrong_type(getattr(record, key), kind)] if got}
+    problems, new = list(mistyped.values()), [key for key in new if key not in mistyped]
     countries = record.countries
     if "countries" in new:
         wrong = set(countries).symmetric_difference(COUNTRIES_KEYS)
         if wrong:
-            raise DataError([f"countries table: {'unknown' if key in countries else 'missing'} "
-                             f"column {key!r}" for key in sorted(wrong)])
+            raise DataError(problems + [
+                f"countries table: {'unknown' if key in countries else 'missing'} "
+                f"column {key!r}" for key in sorted(wrong)])
         rows = len(countries["country"])  # a shorter column would cut a zip() short
         problems += [f"countries column {key!r} has {len(col)} rows, 'country' has {rows}"
                      for key, col in countries.items() if len(col) != rows]
@@ -364,7 +392,7 @@ def _checked(record: Dataset, new) -> Dataset:
                for f in FIELDS}})
     if "pellet_ef" in new:
         held["pellet_ef"] = float(record.pellet_ef)
-    return _Dataset._replace(record, **held)
+    return tuple.__new__(type(record), _changed(record, held).values())
 
 
 def _exact_sum(ratios, weights) -> tuple:
@@ -667,8 +695,8 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
         raise DataError(problems)
     # each cell was held to its bound as it was parsed, and named by file, line
     # and column if it failed, so no field is checked again
-    return Dataset._make((MappingProxyType(crops), MappingProxyType(countries),
-                          MappingProxyType(fuels[0]), fuels[1], cfg))
+    return tuple.__new__(Dataset, (MappingProxyType(crops), MappingProxyType(countries),
+                                   MappingProxyType(fuels[0]), fuels[1], cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,13 @@ def per_tj(value: float, lhv: float) -> float:
     return value / tj_per_t if tj_per_t else math.inf
 
 
+# The assess stage's energy columns, in output order.
+ENERGY_COLUMNS = ("weighted_lhv_mj_per_kg", "pellet_mass_t", "pellet_energy_tj")
+
+
 def energy_columns(by_crop: dict, cr_final: list, crops: dict, efficiency: float) -> dict:
-    """The assess stage's energy columns, ``weighted_lhv_mj_per_kg``,
-    ``pellet_mass_t`` and ``pellet_energy_tj``, from each row's final tonnage
-    ``cr_final`` and its split ``by_crop`` (crop -> list).
+    """The ``ENERGY_COLUMNS`` from each row's final tonnage ``cr_final`` and
+    its split ``by_crop`` (crop -> list).
 
     The heating value is each row's crop heating values weighted by its
     per-crop tonnage, None for a row without residue.  The pellet mass and
@@ -34,8 +37,5 @@ def energy_columns(by_crop: dict, cr_final: list, crops: dict, efficiency: float
     weighted = add_rows([s * crops[c].lhv for s in by_crop[c]] for c in CROPS)
     lhv = [None if total <= 0 else w / total for total, w in zip(totals, weighted)]
     mass = [0.0 if w is None else c * efficiency for c, w in zip(cr_final, lhv)]
-    return {
-        "weighted_lhv_mj_per_kg": lhv,
-        "pellet_mass_t": mass,
-        "pellet_energy_tj": [0.0 if w is None else m * w * 1e-3 for m, w in zip(mass, lhv)],
-    }
+    energy = [0.0 if w is None else m * w * 1e-3 for m, w in zip(mass, lhv)]
+    return dict(zip(ENERGY_COLUMNS, (lhv, mass, energy), strict=True))

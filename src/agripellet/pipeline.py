@@ -98,11 +98,9 @@ def _assess(dataset: Dataset, inputs: dict) -> tuple:
 
 
 def _msp(dataset: Dataset, inputs: dict) -> tuple:
-    """The cost columns in record order (``tfc_usd`` first), then the break-even ones."""
+    """The cost columns, then the break-even ones."""
     cfg = dataset.config
-    cost = costs.cost_columns(inputs)
-    msp = {"epc_usd": cost["epc_usd"],
-           "tfc_usd": [capex * cfg.tfc_capex_ratio for capex in cost["capex_usd"]], **cost}
+    msp = costs.cost_columns(inputs, cfg.tfc_capex_ratio)
     msp.update(pricing.msp_columns({**inputs, **msp}, cfg.plant_capacity, cfg.horizon_years,
                                    cfg.salvage_rate))
     return msp, []

@@ -42,12 +42,16 @@ def _price(a: float, tr: float, q: float, opex: float, dep: float, terminal: flo
     return -intercept / slope if slope else math.inf
 
 
+# The msp stage's break-even columns, in output order.
+BREAK_EVEN_COLUMNS = ("msp_usd_per_t", "msp_usd_per_tj", "npv_at_msp_usd", "revenue_usd_per_y",
+                      "tax_usd_per_y", "cash_flow_usd_per_y", "annuity_factor")
+
+
 def msp_columns(columns: dict, q: float, n: int, salvage_rate: float) -> dict:
-    """The msp stage's break-even columns, ``msp_usd_per_t`` through
-    ``annuity_factor``, from the columns ``capex_usd``, ``opex_usd_per_y``,
-    ``discount_rate``, ``tax_rate`` and ``tfc_usd``, and the pellet output
-    ``q`` (t/y), horizon ``n`` (years) and ``salvage_rate`` (of tfc), the same
-    in every row.  ``msp_usd_per_tj`` reads the column
+    """The ``BREAK_EVEN_COLUMNS`` from the columns ``capex_usd``,
+    ``opex_usd_per_y``, ``discount_rate``, ``tax_rate`` and ``tfc_usd``, and
+    the pellet output ``q`` (t/y), horizon ``n`` (years) and ``salvage_rate``
+    (of tfc), the same in every row.  ``msp_usd_per_tj`` reads the column
     ``weighted_lhv_mj_per_kg`` and is None where there is no heating value.
     NPV is ``annuity * cash_flow + terminal - capex``, zero up to rounding.
     For inputs outside the bounds of a checked ``Dataset`` and ``ModelConfig``
@@ -63,14 +67,8 @@ def msp_columns(columns: dict, q: float, n: int, salvage_rate: float) -> dict:
     revenue = [p * q for p in price]
     tax = [tr * (rev - o - d) for tr, rev, o, d in zip(tax_rates, revenue, opex, dep)]
     cash_flow = [rev - o - t for rev, o, t in zip(revenue, opex, tax)]
-    return {
-        "msp_usd_per_t": price,
-        "msp_usd_per_tj": [per_tj(p, lhv) if lhv else None
-                           for p, lhv in zip(price, columns["weighted_lhv_mj_per_kg"])],
-        "npv_at_msp_usd": [a * cf + term - c
-                           for a, cf, term, c in zip(annuity, cash_flow, terminal, capex)],
-        "revenue_usd_per_y": revenue,
-        "tax_usd_per_y": tax,
-        "cash_flow_usd_per_y": cash_flow,
-        "annuity_factor": annuity,
-    }
+    per_tj_price = [per_tj(p, lhv) if lhv else None
+                    for p, lhv in zip(price, columns["weighted_lhv_mj_per_kg"])]
+    npv = [a * cf + term - c for a, cf, term, c in zip(annuity, cash_flow, terminal, capex)]
+    values = (price, per_tj_price, npv, revenue, tax, cash_flow, annuity)
+    return dict(zip(BREAK_EVEN_COLUMNS, values, strict=True))

@@ -99,16 +99,10 @@ def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet
     def saved(gaps):  # each row's allocations times their gaps, summed
         return add_rows(map(mul, a, gap) for a, gap in zip(alloc, gaps))
 
-    plan = {
-        "scenario": [scenario] * len(energy),
-        "carbon_tax_usd_per_tco2e": [carbon_tax] * len(energy),
-        **{f"rank_{k}": list(map(FUELS.__getitem__, fuels)) for k, fuels in enumerate(ranked, 1)},
-        **{f"alloc_{f}_tj": col for f, col in zip(FUELS, alloc)},
-        **{f"replaced_{f}_frac": _ratios(a, c) for f, a, c in zip(FUELS, alloc, cons)},
-        "replaced_overall_frac": _ratios(alloc_total, add_rows(cons)),
-        "unused_pellet_tj": list(map(max, repeat(0.0), map(sub, energy, alloc_total))),
-        "s_ec_usd_per_y": saved(cost_gap),
-        "s_em_kgco2e_per_y": saved(emission_gap),
-    }
+    plan = dict(zip(PLAN_COLUMNS, (
+        [scenario] * len(energy), [carbon_tax] * len(energy),
+        *(list(map(FUELS.__getitem__, fuels)) for fuels in ranked), *alloc,
+        *(_ratios(a, c) for a, c in zip(alloc, cons)), _ratios(alloc_total, add_rows(cons)),
+        list(map(max, repeat(0.0), map(sub, energy, alloc_total))),
+        saved(cost_gap), saved(emission_gap)), strict=True))
     return plan, [list(map(getitem, score_rows, fuels)) for fuels in ranked]
-

@@ -14,6 +14,15 @@ fuel label) or when its first floats repeat (a continent mean).  The
 per-country outputs (``PipelineResult.columns``), the sweep grid and the
 ``yoy`` statistics all go through it, so two runs over identical inputs
 produce byte-identical files, and none holds NaN or infinity.
+
+Each per-country column is named once, in a tuple of the stage module that
+builds it (``residues.RESIDUE_COLUMNS``, ``energy.ENERGY_COLUMNS``,
+``costs.COST_COLUMNS``, ``pricing.BREAK_EVEN_COLUMNS`` and
+``replacement.PLAN_COLUMNS``), and ``PipelineResult.columns`` holds them in
+that run order, then each resolved field's ``X``, ``src_X``.  Each output's
+spec (``ASSESS_COLUMNS``, ``MSP_COLUMNS``, ``RECOP_COLUMNS``,
+``REPORT_COLUMNS``) is a selection from those tuples that names only the
+columns it drops or moves.
 """
 
 from __future__ import annotations
@@ -27,9 +36,13 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import NoneType
 
+from .costs import COST_COLUMNS
 from .dataio import CROPS, FIELDS, _is_not_none
+from .energy import ENERGY_COLUMNS
 from .pipeline import _STAGE_ORDER, STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, PipelineResult
+from .pricing import BREAK_EVEN_COLUMNS
 from .replacement import PLAN_COLUMNS
+from .residues import RESIDUE_COLUMNS
 from .sensitivity import SensitivityGrid, axis_label
 
 
@@ -39,27 +52,25 @@ def _resolved(*stages) -> tuple:
     return tuple(c for f in FIELDS if f.stage in stages for c in (f.key, f"src_{f.key}"))
 
 
-# Column runs that a stage's output and report's countries.csv both hold.
-_CR_TOTAL = tuple(f"cr_total_{c}_t" for c in CROPS)
-_FINAL = ("feed_bedding_use_t", "bagasse_bioenergy_use_t", "other_bioenergy_attributed_t",
-          "cr_final_t", "use_saturated", "weighted_lhv_mj_per_kg", "pellet_mass_t",
-          "pellet_energy_tj")
-_BREAK_EVEN = ("msp_usd_per_t", "msp_usd_per_tj", "npv_at_msp_usd", "revenue_usd_per_y",
-               "tax_usd_per_y", "cash_flow_usd_per_y", "annuity_factor")
-_PLAN_COLUMNS = PLAN_COLUMNS[PLAN_COLUMNS.index("rank_3") + 1:]  # allocations and savings
+def _without(columns: tuple, *names) -> tuple:
+    """``columns`` in their order, without ``names``."""
+    return tuple(column for column in columns if column not in names)
 
-ASSESS_COLUMNS = (("country", "continent") + _CR_TOTAL
-                  + tuple(f"cr_removable_dry_{c}_t" for c in CROPS) + _FINAL
-                  + _resolved(STAGE_ASSESS))
-MSP_COLUMNS = (("country", "continent", "epc_usd", "tfc_usd", "capex_usd", "opex_usd_per_y")
-               + _BREAK_EVEN + _resolved(STAGE_MSP))
-RECOP_COLUMNS = (("country", "continent", "scenario", "carbon_tax_usd_per_tco2e",
-                  "pellet_energy_tj", "rank_1", "rank_2", "rank_3")
-                 + _PLAN_COLUMNS + _resolved(STAGE_PLAN))
-REPORT_COLUMNS = (("country", "continent") + _CR_TOTAL + ("cr_removable_dry_t",) + _FINAL
-                  + ("capex_usd", "opex_usd_per_y", "tfc_usd") + _BREAK_EVEN
-                  + ("scenario", "rank_1", "rank_2", "rank_3") + _PLAN_COLUMNS
-                  + _resolved(*_STAGE_ORDER))
+
+# Each per-country output's columns: a selection, in run order, from the
+# stage modules' column tuples, naming only the columns it drops or moves.
+ASSESS_COLUMNS = ("country", "continent", *_without(RESIDUE_COLUMNS, "cr_removable_dry_t"),
+                  *ENERGY_COLUMNS, *_resolved(STAGE_ASSESS))
+MSP_COLUMNS = ("country", "continent", *COST_COLUMNS, *BREAK_EVEN_COLUMNS,
+               *_resolved(STAGE_MSP))
+_TAXED = PLAN_COLUMNS.index("carbon_tax_usd_per_tco2e") + 1  # recop's pellet energy comes next
+RECOP_COLUMNS = ("country", "continent", *PLAN_COLUMNS[:_TAXED], "pellet_energy_tj",
+                 *PLAN_COLUMNS[_TAXED:], *_resolved(STAGE_PLAN))
+REPORT_COLUMNS = ("country", "continent",
+                  *_without(RESIDUE_COLUMNS, *(f"cr_removable_dry_{c}_t" for c in CROPS)),
+                  *ENERGY_COLUMNS, *_without(COST_COLUMNS, "epc_usd", "tfc_usd"), "tfc_usd",
+                  *BREAK_EVEN_COLUMNS, *_without(PLAN_COLUMNS, "carbon_tax_usd_per_tco2e"),
+                  *_resolved(*_STAGE_ORDER))
 
 # Plot-ready CSVs written beside countries.csv, by file name, each a subset of
 # its columns (``top_fuel`` is ``rank_1``).

@@ -28,14 +28,22 @@ def removable_dry_residue(cr_total: float, srr: float, dmr: float) -> float:
     return cr_total * srr * dmr
 
 
+# The assess stage's residue columns, in output order.
+RESIDUE_COLUMNS = (
+    *(f"cr_total_{c}_t" for c in CROPS), *(f"cr_removable_dry_{c}_t" for c in CROPS),
+    "cr_removable_dry_t", "feed_bedding_use_t", "bagasse_bioenergy_use_t",
+    "other_bioenergy_attributed_t", "cr_final_t", "use_saturated",
+)
+
+
 def assess_columns(crops: dict, inputs: dict) -> tuple:
     """The assess stage's residue columns, and each row's final tonnage per crop.
 
     ``inputs`` holds one list per key, a row per country: the amounts
     ``prod_<crop>``, the head count of each animal, ``bagasse_bioenergy`` and
     ``other_bioenergy`` (a missing value read as 0.0) and the resolved
-    ``dmr_<crop>``.  Returns the columns ``cr_total_<crop>_t`` through
-    ``use_saturated`` and ``{crop: list}`` of the final tonnage split.
+    ``dmr_<crop>``.  Returns the ``RESIDUE_COLUMNS`` and ``{crop: list}`` of
+    the final tonnage split.
 
     Competing uses (the herd's feed and bedding, bagasse bioenergy and the
     attributed share of other vegetal bioenergy) are subtracted from each
@@ -43,27 +51,19 @@ def assess_columns(crops: dict, inputs: dict) -> tuple:
     per-crop final split is pro rata to each crop's removable share (needed
     downstream only for the heating-value weighting).
     """
-    cr_total = {c: list(map(total_residue, inputs[f"prod_{c}"], repeat(crops[c].rtp)))
-                for c in CROPS}
-    removable = {c: list(map(removable_dry_residue, cr_total[c], repeat(crops[c].srr),
-                             inputs[f"dmr_{c}"])) for c in CROPS}
+    cr_total = [list(map(total_residue, inputs[f"prod_{c}"], repeat(crops[c].rtp)))
+                for c in CROPS]
+    removable = [list(map(removable_dry_residue, col, repeat(crops[c].srr), inputs[f"dmr_{c}"]))
+                 for c, col in zip(CROPS, cr_total)]
     demand = ([n * rate * DAYS_PER_YEAR / 1000.0 for n in inputs[a]]
               for a, rate in LIVESTOCK_RATES.items())
     feed = add_rows(demand)
     bagasse = inputs["bagasse_bioenergy"]
     attributed = [o * OTHER_BIOENERGY_ATTRIBUTION for o in inputs["other_bioenergy"]]
-    total = add_rows(removable[c] for c in CROPS)
+    total = add_rows(removable)
     final = [max(0.0, t - (f + b + a)) for t, f, b, a in zip(total, feed, bagasse, attributed)]
     saturated = [t > 0 and c == 0.0 for t, c in zip(total, final)]
-    by_crop = {c: [f * r / t if f > 0 and t > 0 else 0.0
-                   for f, r, t in zip(final, removable[c], total)] for c in CROPS}
-    return {
-        **{f"cr_total_{c}_t": cr_total[c] for c in CROPS},
-        **{f"cr_removable_dry_{c}_t": removable[c] for c in CROPS},
-        "cr_removable_dry_t": total,
-        "feed_bedding_use_t": feed,
-        "bagasse_bioenergy_use_t": bagasse,
-        "other_bioenergy_attributed_t": attributed,
-        "cr_final_t": final,
-        "use_saturated": saturated,
-    }, by_crop
+    by_crop = {c: [f * r / t if f > 0 and t > 0 else 0.0 for f, r, t in zip(final, col, total)]
+               for c, col in zip(CROPS, removable)}
+    values = (*cr_total, *removable, total, feed, bagasse, attributed, final, saturated)
+    return dict(zip(RESIDUE_COLUMNS, values, strict=True)), by_crop

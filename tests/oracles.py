@@ -161,7 +161,7 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
     scores = ()
     if depth >= 1:
         pli = {f"pli_{p}": [field(f"pli_{p}")] for p in PLI_COMPONENTS}
-        cost = one_row(costs.cost_columns(pli))
+        cost = one_row(costs.cost_columns(pli, cfg.tfc_capex_ratio))
         inputs = BreakEvenInputs(
             capex=cost["capex_usd"],
             opex=cost["opex_usd_per_y"],

@@ -117,7 +117,8 @@ def test_cost_table_reproduction(dataset, data_dir):
                     for row in csv.DictReader(f)}
     countries = dataset.countries
     assert len(expected) == len(countries["country"])
-    est = cost_columns({f"pli_{p}": list(countries[f"pli_{p}"]) for p in PLI_COMPONENTS})
+    est = cost_columns({f"pli_{p}": list(countries[f"pli_{p}"]) for p in PLI_COMPONENTS},
+                       dataset.config.tfc_capex_ratio)
     for name, capex, opex in zip(countries["country"], est["capex_usd"], est["opex_usd_per_y"]):
         exp_capex, exp_opex = expected[name]
         assert capex == pytest.approx(exp_capex, rel=1e-3), name

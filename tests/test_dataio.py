@@ -445,6 +445,39 @@ def test_config_must_be_a_model_config(dataset, config):
         assert raised.value.problems == [f"config: must be a ModelConfig, got {config!r}"]
 
 
+@pytest.mark.parametrize("build, problems", [
+    (lambda ds: dataio.Dataset._make([None] * 5),
+     ["countries: must be a mapping to Sequence values, got NoneType",
+      "crops: must be a mapping to CropCoefficients values, got NoneType",
+      "fuel_properties: must be a mapping to FuelProperties values, got NoneType",
+      "pellet_ef: not a finite number: None", "config: must be a ModelConfig, got None"]),
+    (lambda ds: dataio.ModelConfig._make([None] * 9),
+     [*(f"{key}: not a finite number: None" for key in ("plant_capacity", "horizon_years",
+        "salvage_rate", "tfc_capex_ratio", "pellet_efficiency", "carbon_tax")),
+      "fossil_multipliers: must be a non-empty list, got None",
+      "pellet_prices: must be a non-empty list, got None",
+      "scenario: must be A, B, or C, got None"]),
+    (lambda ds: ds._replace(countries=None),
+     ["countries: must be a mapping to Sequence values, got NoneType"]),
+    (lambda ds: ds._replace(crops=None),
+     ["crops: must be a mapping to CropCoefficients values, got NoneType"]),
+    (lambda ds: ds._replace(fuel_properties=[1]),
+     ["fuel_properties: must be a mapping to FuelProperties values, got list"]),
+    (lambda ds: ds._replace(crops={"maize": (1, 2, 3, 4)}),
+     ["crops: must be a mapping to CropCoefficients values, got tuple at 'maize'"]),
+    (lambda ds: ds._replace(countries={**ds.countries, "tax_rate": 5}),
+     ["countries: must be a mapping to Sequence values, got int at 'tax_rate'"]),
+], ids=["Dataset._make", "ModelConfig._make", "countries=None", "crops=None",
+        "fuel_properties=list", "crops=tuple", "countries=int column"])
+def test_a_record_of_wrong_types_is_a_data_error(dataset, build, problems):
+    """``_make`` checks a record as its constructor does, and a field of the
+    wrong type is one problem that names it: a DataError, not a TypeError or
+    AttributeError from the checks or from a later run."""
+    with pytest.raises(DataError) as raised:
+        build(dataset)
+    assert raised.value.problems == problems
+
+
 def edited_copy(data_dir, tmp_path, edits):
     """A copy of the bundled data whose countries.csv has each ``(row, column)``
     cell set to its text; row 0 is the first country, on line 2."""

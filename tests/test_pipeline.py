@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import agripellet.pipeline as pipeline_mod
 import oracles
-from agripellet import dataio
+from agripellet import costs, dataio, energy, pricing, replacement, residues
 from agripellet.dataio import (CONTINENT, CROPS, FIELDS, FUELS, DataError, FuelProperties,
                                default_fuel_properties, load_dataset)
 from agripellet.pipeline import run_pipeline
@@ -178,6 +178,39 @@ def test_every_output_column_is_a_record_key(dataset):
     assert len(planned) == 120
     for report in planned:
         assert set(report.values) == columns
+
+
+# Each stage's column functions, in run order, with the tuple naming their columns.
+COLUMN_FUNCTIONS = {
+    "assess": ((residues, "assess_columns", residues.RESIDUE_COLUMNS),
+               (energy, "energy_columns", energy.ENERGY_COLUMNS)),
+    "msp": ((costs, "cost_columns", costs.COST_COLUMNS),
+            (pricing, "msp_columns", pricing.BREAK_EVEN_COLUMNS)),
+    "plan": ((replacement, "plan_columns", replacement.PLAN_COLUMNS),),
+}
+
+
+@pytest.mark.parametrize("through", list(COLUMN_FUNCTIONS))
+def test_a_run_orders_its_columns_by_the_stage_tuples(dataset, monkeypatch, through):
+    """A library caller reads ``result.columns`` in this order: country and
+    continent, each stage's column tuples in run order, then ``X, src_X`` of
+    each resolved field in ``FIELDS`` order.  Each column function returns
+    exactly its tuple's keys, in order."""
+    stages = list(COLUMN_FUNCTIONS)[:list(COLUMN_FUNCTIONS).index(through) + 1]
+    functions = [spec for stage in stages for spec in COLUMN_FUNCTIONS[stage]]
+    returned = {}
+    for module, name, _ in functions:
+        def spy(*args, function=getattr(module, name), name=name):
+            result = function(*args)
+            returned[name] = list(result[0] if type(result) is tuple else result)
+            return result
+        monkeypatch.setattr(module, name, spy)
+    result = run_pipeline(dataset, through)
+    assert returned == {name: list(columns) for _, name, columns in functions}
+    resolved = [c for f in FIELDS if f.stage in stages for c in (f.key, f"src_{f.key}")]
+    assert list(result.columns) == ["country", "continent",
+                                    *(c for _, _, columns in functions for c in columns),
+                                    *resolved]
 
 
 def test_report_schema_is_stable(dataset):
