@@ -32,17 +32,16 @@ ADDITIONAL_REF = 76_200.0       # not index scaled
 COST_COLUMNS = ("epc_usd", "tfc_usd", "capex_usd", "opex_usd_per_y")
 
 
-def cost_columns(columns: dict, tfc_capex_ratio: float) -> dict:
+def cost_columns(columns: dict) -> dict:
     """The ``COST_COLUMNS`` from the price level index columns
-    ``pli_<component>``, each index > 0 as a checked ``Dataset`` holds it, and
-    the config's ``tfc_capex_ratio``.
+    ``pli_<component>``, each index > 0 as a checked ``Dataset`` holds it.
 
-    Every capital line scales with the construction index; CAPEX is the total
-    fixed capital (direct, indirect and miscellaneous cost) plus working
-    capital and start-up on top of it, and ``tfc_usd`` is CAPEX times
-    ``tfc_capex_ratio``.  OPEX is $/y: all three labor lines (base, overhead,
-    supervision) scale with the labor index, maintenance follows construction,
-    and insurance/tax and additional expenses are not scaled.
+    Every capital line scales with the construction index; ``tfc_usd`` is the
+    total fixed capital (direct, indirect and miscellaneous cost), and CAPEX
+    is that plus working capital and start-up on top of it.  OPEX is $/y: all
+    three labor lines (base, overhead, supervision) scale with the labor
+    index, maintenance follows construction, and insurance/tax and additional
+    expenses are not scaled.
     """
     construction = columns["pli_construction"]
     epc = [EPC_REF * index for index in construction]
@@ -57,5 +56,4 @@ def cost_columns(columns: dict, tfc_capex_ratio: float) -> dict:
         [UTILITIES_REF * e for e in columns["pli_electricity"]],
         [MAINTENANCE_REF * c for c in construction],
         [INSURANCE_TAX_REF] * len(epc), [ADDITIONAL_REF] * len(epc)))
-    values = (epc, [c * tfc_capex_ratio for c in capex], capex, opex)
-    return dict(zip(COST_COLUMNS, values, strict=True))
+    return dict(zip(COST_COLUMNS, (epc, tfc, capex, opex), strict=True))

@@ -219,7 +219,7 @@ def _bad_names(cells, kind: str, place=None, accepted=None, label: bool = False)
 # salvage stays below tfc, and the sweep's closed form holds only for m > 0
 _CONFIG_BOUNDS = {
     "plant_capacity": POSITIVE, "horizon_years": HORIZON, "salvage_rate": BELOW_ONE,
-    "tfc_capex_ratio": FRACTION, "pellet_efficiency": FRACTION, "carbon_tax": NONNEGATIVE,
+    "pellet_efficiency": FRACTION, "carbon_tax": NONNEGATIVE,
     "fossil_multipliers": POSITIVE, "pellet_prices": Bound("finite", -math.inf, math.inf)}
 _AXES = ("fossil_multipliers", "pellet_prices")  # the sweep grid's axes, lists of numbers
 
@@ -244,7 +244,6 @@ class _ModelConfig(NamedTuple):
     plant_capacity: float = 40_080.0      # t pellets/y
     horizon_years: int = 20
     salvage_rate: float = 0.10            # fraction of total fixed capital
-    tfc_capex_ratio: float = 1.0 / 1.2    # from 5% working capital + 15% start-up loading
     pellet_efficiency: float = 0.95       # mass surviving pelletization
     scenario: str = "A"
     carbon_tax: float = 0.0               # $/tCO2e, scenario C only
@@ -346,10 +345,10 @@ def _checked(record: Dataset, new) -> Dataset:
     countries = record.countries
     if "countries" in new:
         wrong = set(countries).symmetric_difference(COUNTRIES_KEYS)
-        if wrong:
+        if wrong:  # keys of any type, in the order of their text
             raise DataError(problems + [
                 f"countries table: {'unknown' if key in countries else 'missing'} "
-                f"column {key!r}" for key in sorted(wrong)])
+                f"column {key!r}" for key in sorted(wrong, key=lambda key: (str(key), repr(key)))])
         rows = len(countries["country"])  # a shorter column would cut a zip() short
         problems += [f"countries column {key!r} has {len(col)} rows, 'country' has {rows}"
                      for key, col in countries.items() if len(col) != rows]

@@ -100,7 +100,7 @@ def _assess(dataset: Dataset, inputs: dict) -> tuple:
 def _msp(dataset: Dataset, inputs: dict) -> tuple:
     """The cost columns, then the break-even ones."""
     cfg = dataset.config
-    msp = costs.cost_columns(inputs, cfg.tfc_capex_ratio)
+    msp = costs.cost_columns(inputs)
     msp.update(pricing.msp_columns({**inputs, **msp}, cfg.plant_capacity, cfg.horizon_years,
                                    cfg.salvage_rate))
     return msp, []

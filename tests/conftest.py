@@ -223,13 +223,11 @@ def assess_row(crops=UNIT_CROPS, production=None, livestock=None, bagasse=0.0,
     return one_row(columns), one_row(by_crop)
 
 
-def cost_row(labor=1.0, raw_material=1.0, electricity=1.0, construction=1.0,
-             tfc_capex_ratio=ModelConfig().tfc_capex_ratio) -> dict:
+def cost_row(labor=1.0, raw_material=1.0, electricity=1.0, construction=1.0) -> dict:
     """``cost_columns`` on one country's price level indexes."""
     pli = {"labor": labor, "raw_material": raw_material, "electricity": electricity,
            "construction": construction}
-    return one_row(cost_columns({f"pli_{p}": [index] for p, index in pli.items()},
-                                tfc_capex_ratio))
+    return one_row(cost_columns({f"pli_{p}": [index] for p, index in pli.items()}))
 
 
 def msp_row(inputs, weighted_lhv=None) -> dict:

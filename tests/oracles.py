@@ -161,7 +161,7 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
     scores = ()
     if depth >= 1:
         pli = {f"pli_{p}": [field(f"pli_{p}")] for p in PLI_COMPONENTS}
-        cost = one_row(costs.cost_columns(pli, cfg.tfc_capex_ratio))
+        cost = one_row(costs.cost_columns(pli))
         inputs = BreakEvenInputs(
             capex=cost["capex_usd"],
             opex=cost["opex_usd_per_y"],
@@ -170,7 +170,7 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
             r=field("discount_rate"),
             tr=field("tax_rate"),
             salvage_rate=cfg.salvage_rate,
-            tfc=cost["capex_usd"] * cfg.tfc_capex_ratio,
+            tfc=cost["tfc_usd"],
         )
         msp = one_row(pricing.msp_columns(
             {"capex_usd": [inputs.capex], "opex_usd_per_y": [inputs.opex],

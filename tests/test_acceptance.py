@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from agripellet.dataio import CROPS, FUELS, FuelProperties, ModelConfig
+from agripellet.dataio import CROPS, FUELS, FuelProperties
 from agripellet.pipeline import run_pipeline
 from agripellet.sensitivity import sweep
 from conftest import (
@@ -87,7 +87,7 @@ def test_criterion_04_cost_reference_identity():
         capex, opex = est["capex_usd"], est["opex_usd_per_y"]
         assert abs(capex - 6_540_000.0) <= 1.0, capex
         assert abs(opex - 2_540_000.0) <= 1.0, opex
-        tfc = capex * ModelConfig().tfc_capex_ratio  # the solver's depreciable base
+        tfc = est["tfc_usd"]  # the solver's depreciable base
         assert abs(tfc - 5_450_000.0) <= 1.0, tfc
         return f"capex {capex:.2f}, opex {opex:.2f}"
 
@@ -124,7 +124,7 @@ def test_criterion_06_hand_anchor_and_tax_neutrality():
         est = cost_row(labor=1.0, raw_material=1.0, electricity=1.0, construction=1.0)
         anchor = BreakEvenInputs(capex=est["capex_usd"], opex=est["opex_usd_per_y"], q=40_080.0,
                                  n=20, r=0.0, tr=0.0, salvage_rate=0.10,
-                                 tfc=est["capex_usd"] / 1.2)
+                                 tfc=est["tfc_usd"])
         msp = msp_row(anchor)["msp_usd_per_t"]
         assert msp == pytest.approx(70.85, abs=0.01), msp
         # tax neutrality at r = 0 holds in the regime its premise describes:

@@ -505,17 +505,22 @@ def test_overflowing_ranking_score_fails_country(data_dir, tmp_path):
 
 
 def test_tfc_usd_is_the_solver_base(data_dir, tmp_path):
-    """tfc_usd is tfc_capex_ratio * capex_usd, and the README's NPV identity holds on it."""
-    config = write_config(tmp_path / "config.json", tfc_capex_ratio=0.9)
-    assert run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path) == 0
+    """tfc_usd is the README's capital cascade on epc_usd, capex_usd is it plus
+    5% and 15% of it, each bit for bit, and the README's NPV identity holds
+    on tfc_usd."""
+    assert run_cli("msp", "--data", data_dir, "--out", tmp_path) == 0
     with (tmp_path / "msp.csv").open(newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 178
     for row in rows:
-        v = {k: float(row[k]) for k in ("capex_usd", "tfc_usd", "npv_at_msp_usd",
+        v = {k: float(row[k]) for k in ("epc_usd", "capex_usd", "tfc_usd", "npv_at_msp_usd",
                                          "annuity_factor", "cash_flow_usd_per_y",
                                          "discount_rate")}
-        assert v["tfc_usd"] == 0.9 * v["capex_usd"], row["country"]
+        direct = 3.25 * v["epc_usd"]
+        indirect = 0.22 * direct
+        tfc = v["tfc_usd"]
+        assert tfc == direct + indirect + 0.10 * (direct + indirect), row["country"]
+        assert v["capex_usd"] == tfc + 0.05 * tfc + 0.15 * tfc, row["country"]
         identity = (v["annuity_factor"] * v["cash_flow_usd_per_y"]
                     + 0.1 * v["tfc_usd"] * (1 + v["discount_rate"]) ** -20 - v["capex_usd"])
         assert abs(identity - v["npv_at_msp_usd"]) <= 0.01, row["country"]

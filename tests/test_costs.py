@@ -9,16 +9,18 @@ from agripellet.costs import (
     INDIRECT_FACTOR,
     INSURANCE_TAX_REF,
     MISC_FACTOR,
+    STARTUP_FACTOR,
+    WORKING_CAPITAL_FACTOR,
     cost_columns,
 )
-from agripellet.dataio import DataError, ModelConfig
+from agripellet.dataio import DataError
 from conftest import PLI_COMPONENTS, cost_row, make_dataset, make_profile
 
 
 def capital_costs(construction_index):
-    """(equipment purchase cost, CAPEX) of one country."""
+    """(equipment purchase cost, total fixed capital, CAPEX) of one country."""
     row = cost_row(construction=construction_index)
-    return row["epc_usd"], row["capex_usd"]
+    return row["epc_usd"], row["tfc_usd"], row["capex_usd"]
 
 
 def operating_costs(labor, raw_material, electricity, construction):
@@ -27,9 +29,9 @@ def operating_costs(labor, raw_material, electricity, construction):
 
 
 def test_reference_identity_capex():
-    epc, capex = capital_costs(1.0)
+    epc, tfc, capex = capital_costs(1.0)
     assert epc == EPC_REF == 1_249_570.0
-    assert capex * ModelConfig().tfc_capex_ratio == pytest.approx(5_450_000.0, abs=1.0)
+    assert tfc == pytest.approx(5_450_000.0, abs=1.0)
     assert capex == pytest.approx(6_540_000.0, abs=1.0)
 
 
@@ -42,17 +44,19 @@ def test_reference_identity_opex():
 
 
 def test_capex_linear_in_index():
-    assert capital_costs(0.5)[1] == pytest.approx(3_270_000.0, abs=1.0)
+    assert capital_costs(0.5)[2] == pytest.approx(3_270_000.0, abs=1.0)
 
 
 def test_capex_tfc_ratio_fixed():
-    # the default tfc_capex_ratio is the cascade's: total fixed capital
-    # (direct, indirect, miscellaneous) over CAPEX, at every index
+    # tfc_usd is the cascade's total fixed capital (direct, indirect,
+    # miscellaneous), and CAPEX is 1.2 times it, at every index
     for idx in (0.2, 0.7, 1.0, 1.9, 3.4):
-        epc, capex = capital_costs(idx)
-        tfc = DIRECT_FACTOR * epc * (1 + INDIRECT_FACTOR) * (1 + MISC_FACTOR)
+        epc, tfc, capex = capital_costs(idx)
+        direct = DIRECT_FACTOR * epc
+        indirect = INDIRECT_FACTOR * direct
+        assert tfc == direct + indirect + MISC_FACTOR * (direct + indirect)
+        assert capex == tfc + WORKING_CAPITAL_FACTOR * tfc + STARTUP_FACTOR * tfc
         assert capex / tfc == pytest.approx(1.2, rel=1e-12)
-        assert capex * ModelConfig().tfc_capex_ratio == pytest.approx(tfc, rel=1e-12)
 
 
 def test_opex_labor_doubles():
@@ -117,8 +121,7 @@ def test_cost_table_reproduction(dataset, data_dir):
                     for row in csv.DictReader(f)}
     countries = dataset.countries
     assert len(expected) == len(countries["country"])
-    est = cost_columns({f"pli_{p}": list(countries[f"pli_{p}"]) for p in PLI_COMPONENTS},
-                       dataset.config.tfc_capex_ratio)
+    est = cost_columns({f"pli_{p}": list(countries[f"pli_{p}"]) for p in PLI_COMPONENTS})
     for name, capex, opex in zip(countries["country"], est["capex_usd"], est["opex_usd_per_y"]):
         exp_capex, exp_opex = expected[name]
         assert capex == pytest.approx(exp_capex, rel=1e-3), name

@@ -451,9 +451,9 @@ def test_config_must_be_a_model_config(dataset, config):
       "crops: must be a mapping to CropCoefficients values, got NoneType",
       "fuel_properties: must be a mapping to FuelProperties values, got NoneType",
       "pellet_ef: not a finite number: None", "config: must be a ModelConfig, got None"]),
-    (lambda ds: dataio.ModelConfig._make([None] * 9),
+    (lambda ds: dataio.ModelConfig._make([None] * 8),
      [*(f"{key}: not a finite number: None" for key in ("plant_capacity", "horizon_years",
-        "salvage_rate", "tfc_capex_ratio", "pellet_efficiency", "carbon_tax")),
+        "salvage_rate", "pellet_efficiency", "carbon_tax")),
       "fossil_multipliers: must be a non-empty list, got None",
       "pellet_prices: must be a non-empty list, got None",
       "scenario: must be A, B, or C, got None"]),
@@ -467,8 +467,12 @@ def test_config_must_be_a_model_config(dataset, config):
      ["crops: must be a mapping to CropCoefficients values, got tuple at 'maize'"]),
     (lambda ds: ds._replace(countries={**ds.countries, "tax_rate": 5}),
      ["countries: must be a mapping to Sequence values, got int at 'tax_rate'"]),
+    # unknown column keys of unlike types, named in the order of their str
+    (lambda ds: ds._replace(countries={**ds.countries, 5: (), "zz": ()}),
+     ["countries table: unknown column 5", "countries table: unknown column 'zz'"]),
 ], ids=["Dataset._make", "ModelConfig._make", "countries=None", "crops=None",
-        "fuel_properties=list", "crops=tuple", "countries=int column"])
+        "fuel_properties=list", "crops=tuple", "countries=int column",
+        "countries=int and str keys"])
 def test_a_record_of_wrong_types_is_a_data_error(dataset, build, problems):
     """``_make`` checks a record as its constructor does, and a field of the
     wrong type is one problem that names it: a DataError, not a TypeError or
@@ -834,6 +838,11 @@ def test_config_validation(tmp_path):
     path.write_text(json.dumps({"plant_capacity": 1000.0, "bogus": 1}), encoding="utf-8")
     with pytest.raises(DataError, match="unknown config keys"):
         load_config(path)
+    # the capital cascade gives tfc_usd, so its old ratio key is unknown
+    path.write_text(json.dumps({"tfc_capex_ratio": 1 / 1.2}), encoding="utf-8")
+    with pytest.raises(DataError) as raised:
+        load_config(path)
+    assert str(raised.value) == "config.json: unknown config keys ['tfc_capex_ratio']"
     path.write_text(json.dumps({"plant_capacity": 1000.0}), encoding="utf-8")
     assert load_config(path).plant_capacity == 1000.0
     assert load_config(path).horizon_years == 20
@@ -881,10 +890,10 @@ def test_config_numbers_are_floats_but_the_horizon():
     """A config file's ints are held as the floats a flag gives (the horizon
     stays an int), so an output cell reads 50.0 whichever way 50 came in."""
     cfg = ModelConfig(plant_capacity=40_000, horizon_years=20, salvage_rate=0,
-                      tfc_capex_ratio=1, pellet_efficiency=1, carbon_tax=50,
+                      pellet_efficiency=1, carbon_tax=50,
                       fossil_multipliers=[1, 2.5], pellet_prices=[-10, 20])
-    assert cfg == (40_000.0, 20, 0.0, 1.0, 1.0, "A", 50.0, (1.0, 2.5), (-10.0, 20.0))
-    assert [type(value) for value in cfg] == [float, int, float, float, float, str, float,
+    assert cfg == (40_000.0, 20, 0.0, 1.0, "A", 50.0, (1.0, 2.5), (-10.0, 20.0))
+    assert [type(value) for value in cfg] == [float, int, float, float, str, float,
                                               tuple, tuple]
     assert {type(value) for axis in cfg[-2:] for value in axis} == {float}
     assert type(ModelConfig(carbon_tax=50).carbon_tax) is float
@@ -928,7 +937,6 @@ OUT_OF_BOUND = {
     "plant_capacity": (0.0, "must be > 0, got 0.0"),
     "horizon_years": (0, f"must be in [1, {2**53}], got 0"),
     "salvage_rate": (1.0, "must be in [0, 1), got 1.0"),
-    "tfc_capex_ratio": (1.5, "must be in (0, 1], got 1.5"),
     "pellet_efficiency": (0.0, "must be in (0, 1], got 0.0"),
     "carbon_tax": (-1.0, "must be >= 0, got -1.0"),
     "fossil_multipliers": (0.0, "must be > 0, got 0.0"),
@@ -1116,6 +1124,10 @@ def test_fallback_means_leave_out_empty_cells():
     assert dataio._means([]) == ({}, None)
 
 
+def test_bundled_config_is_the_defaults(data_dir):
+    assert load_dataset(data_dir).config == ModelConfig()
+
+
 def test_dataset_round_trip(dataset, tmp_path):
     save_dataset(dataset, tmp_path)
     reloaded = load_dataset(tmp_path)
@@ -1124,7 +1136,7 @@ def test_dataset_round_trip(dataset, tmp_path):
 
 def test_dataset_round_trip_keeps_every_config_field(dataset, tmp_path):
     cfg = ModelConfig(plant_capacity=12_345.5, horizon_years=7, salvage_rate=0.2,
-                      tfc_capex_ratio=0.9, pellet_efficiency=0.8, scenario="C",
+                      pellet_efficiency=0.8, scenario="C",
                       carbon_tax=35.0, fossil_multipliers=(0.5, 2.0),
                       pellet_prices=(15.0, 30.0, 45.0))
     default = ModelConfig()

@@ -22,16 +22,16 @@ def break_even_price(inputs):
 @pytest.fixture
 def reference_inputs():
     """Unit-index plant, zero discounting and tax: the hand-solvable anchor."""
-    capex = cost_row()["capex_usd"]
+    cost = cost_row()
     return BreakEvenInputs(
-        capex=capex,
+        capex=cost["capex_usd"],
         opex=2_540_000.0,
         q=40_080.0,
         n=20,
         r=0.0,
         tr=0.0,
         salvage_rate=0.10,
-        tfc=capex / 1.2,
+        tfc=cost["tfc_usd"],
     )
 
 
@@ -298,18 +298,15 @@ def test_tax_rate_near_one_solves(dataset, tax_rate):
 @given(plant_capacity=st.floats(1e3, 1e6),
        horizon_years=st.integers(1, 200) | st.integers(1, 10**9),
        salvage_rate=st.floats(0.0, 0.99),
-       tfc_capex_ratio=st.floats(0.01, 1.0),
        r=st.floats(0.0, 1.0),
        tr=st.floats(0.0, 0.9))
-def test_generated_configs_solve(plant_capacity, horizon_years, salvage_rate,
-                                 tfc_capex_ratio, r, tr):
+def test_generated_configs_solve(plant_capacity, horizon_years, salvage_rate, r, tr):
     cfg = ModelConfig(plant_capacity=plant_capacity, horizon_years=horizon_years,
-                      salvage_rate=salvage_rate, tfc_capex_ratio=tfc_capex_ratio)
-    capex = cost_row()["capex_usd"]
-    inputs = BreakEvenInputs(capex=capex, opex=2_540_000.0, q=cfg.plant_capacity,
+                      salvage_rate=salvage_rate)
+    cost = cost_row()
+    inputs = BreakEvenInputs(capex=cost["capex_usd"], opex=2_540_000.0, q=cfg.plant_capacity,
                              n=cfg.horizon_years, r=r, tr=tr,
-                             salvage_rate=cfg.salvage_rate,
-                             tfc=capex * cfg.tfc_capex_ratio)
+                             salvage_rate=cfg.salvage_rate, tfc=cost["tfc_usd"])
     result = msp_row(inputs)
     assert math.isfinite(result["msp_usd_per_t"]) and math.isfinite(result["npv_at_msp_usd"])
     if inputs.n <= 200:

@@ -246,7 +246,6 @@ def test_matches_replanning_on_generated_markets(dataset, multipliers, pellet_pr
     plant_capacity=st.floats(1e3, 1e6),
     horizon_years=st.integers(1, 10**9),
     salvage_rate=st.floats(0.0, 0.99),
-    tfc_capex_ratio=st.floats(0.01, 1.0),
     fossil_multipliers=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=6, unique=True),
     pellet_prices=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=6, unique=True),
 )).map(lambda fields: ModelConfig(**fields)))
