@@ -1,14 +1,17 @@
 """Country-specific plant CAPEX/OPEX scaled from the reference pellet plant.
 
-Reference breakdown is for a 40,080 t/y plant in Saskatchewan, Canada; local
-cost levels are applied through price level index ratios (construction for the
-capital side; labor, raw material, electricity, and construction for the
+Reference breakdown is for a 40,080 t/y plant (``OUTPUT_REF``) in
+Saskatchewan, Canada, the one plant every country builds and prices; local
+cost levels are applied through price level index ratios (construction for
+the capital side; labor, raw material, electricity, and construction for the
 operating side).
 """
 
 from __future__ import annotations
 
 from .dataio import add_rows
+
+OUTPUT_REF = 40_080.0  # t pellets/y, the output every line below is costed for
 
 # Capital cascade (US$)
 EPC_REF = 1_249_570.0    # equipment purchase cost

@@ -90,6 +90,16 @@ def fits(values, bound: Bound | None = None) -> bool:
                        and (bound.hi == math.inf or max(values) <= bound.hi))
 
 
+def non_finite_rows(values: list) -> list:
+    """The rows of a column holding a NaN or an infinite float (none in a
+    column of labels); the column is scanned only when it fails the
+    whole-column test ``fits``."""
+    if fits(values):
+        return []
+    return [row for row, value in enumerate(values)
+            if isinstance(value, float) and not math.isfinite(value)]
+
+
 # Every float sum of the model is one of these two, adding left to right from
 # 0.0 as ``sum`` does up to Python 3.11 (it compensates since 3.12), so each
 # total is the same number on every version.
@@ -218,9 +228,9 @@ def _bad_names(cells, kind: str, place=None, accepted=None, label: bool = False)
 # The bound of each number of a config, and of each value of its two axes:
 # salvage stays below tfc, and the sweep's closed form holds only for m > 0
 _CONFIG_BOUNDS = {
-    "plant_capacity": POSITIVE, "horizon_years": HORIZON, "salvage_rate": BELOW_ONE,
-    "pellet_efficiency": FRACTION, "carbon_tax": NONNEGATIVE,
-    "fossil_multipliers": POSITIVE, "pellet_prices": Bound("finite", -math.inf, math.inf)}
+    "horizon_years": HORIZON, "salvage_rate": BELOW_ONE, "pellet_efficiency": FRACTION,
+    "carbon_tax": NONNEGATIVE, "fossil_multipliers": POSITIVE,
+    "pellet_prices": Bound("finite", -math.inf, math.inf)}
 _AXES = ("fossil_multipliers", "pellet_prices")  # the sweep grid's axes, lists of numbers
 
 
@@ -241,7 +251,6 @@ def _make(cls, iterable):
 
 
 class _ModelConfig(NamedTuple):
-    plant_capacity: float = 40_080.0      # t pellets/y
     horizon_years: int = 20
     salvage_rate: float = 0.10            # fraction of total fixed capital
     pellet_efficiency: float = 0.95       # mass surviving pelletization

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
 from .dataio import (FIELDS, FUELS, STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, DataError, Dataset,
-                     add_all, fits, resolve_column)
+                     add_all, non_finite_rows, resolve_column)
 
 
 class GlobalReport(NamedTuple):
@@ -72,16 +72,6 @@ def _drop(failures: dict, index: list, *tables) -> tuple:
             *({name: [col[row] for row in keep] for name, col in t.items()} for t in tables))
 
 
-def _non_finite_rows(values: list) -> list:
-    """The rows of a column holding a NaN or an infinite float (none in a
-    column of labels); the column is scanned only when it fails the
-    whole-column test ``fits``."""
-    if fits(values):
-        return []
-    return [row for row, value in enumerate(values)
-            if type(value) is float and not math.isfinite(value)]
-
-
 def _total(*columns) -> float:
     """The columns' numbers summed row by row, a row's in the columns' order.
     The sum starts at 0.0, so a total over no rows is a float too; None (a
@@ -101,8 +91,7 @@ def _msp(dataset: Dataset, inputs: dict) -> tuple:
     """The cost columns, then the break-even ones."""
     cfg = dataset.config
     msp = costs.cost_columns(inputs)
-    msp.update(pricing.msp_columns({**inputs, **msp}, cfg.plant_capacity, cfg.horizon_years,
-                                   cfg.salvage_rate))
+    msp.update(pricing.msp_columns({**inputs, **msp}, cfg.horizon_years, cfg.salvage_rate))
     return msp, []
 
 
@@ -186,10 +175,10 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
     # nan or inf.  The resolved inputs are finite (see the module docstring).
     first = {}
     for name, col in columns.items():
-        for row in _non_finite_rows(col):
+        for row in non_finite_rows(col):
             first.setdefault(row, name)
     for rank, scores in enumerate(ranked_scores, start=1):
-        for row in _non_finite_rows(scores):
+        for row in non_finite_rows(scores):
             first.setdefault(row, f"score_{columns[f'rank_{rank}'][row]}")
     errors.update((names[index[row]], f"non-finite {name} for {names[index[row]]!r}")
                   for row, name in first.items())

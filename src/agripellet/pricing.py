@@ -6,8 +6,8 @@ Tax on loss years goes negative (a symmetric tax shield), which keeps NPV
 affine in price, so the break-even price is one closed-form inversion and NPV
 is the annuity factor times one year's cash flow plus the discounted salvage:
 a solve costs the same at any horizon length.  ``msp_columns`` computes whole
-columns, one comprehension per quantity, with no per-plant record; the annuity
-factor is computed once per distinct discount rate.  The per-plant formulas,
+columns, one comprehension per quantity, with no per-plant record, for the
+reference plant's output ``costs.OUTPUT_REF``.  The per-plant formulas,
 the year-by-year NPV and a bisection on it are kept in the test suite as the
 reference.  No input is checked here: a checked ``Dataset`` and
 ``ModelConfig`` hold each in its bound.
@@ -16,8 +16,8 @@ reference.  No input is checked here: a checked ``Dataset`` and
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
+from .costs import OUTPUT_REF
 from .energy import per_tj
 
 
@@ -30,16 +30,14 @@ def _annuity(r: float, n: int) -> float:
     return (1.0 - (1.0 + r) ** -n) / r
 
 
-def _price(a: float, tr: float, q: float, opex: float, dep: float, terminal: float,
+def _price(a: float, tr: float, opex: float, dep: float, terminal: float,
            capex: float) -> float:
-    """The price that zeroes NPV(p) = a*[(1-tr)*(p*q - opex) + tr*dep] + terminal - capex."""
-    per_t = a * (1.0 - tr)
-    slope = per_t * q
+    """The price that zeroes NPV(p) = a*[(1-tr)*(p*q - opex) + tr*dep] + terminal - capex,
+    q the reference plant's output.  Within the config and field bounds (a in
+    [0.5, 2**53], 1 - tr >= 2**-53) the slope a*(1-tr)*q is a float > 0."""
+    slope = a * (1.0 - tr) * OUTPUT_REF
     intercept = a * (-(1.0 - tr) * opex + tr * dep) + terminal - capex
-    if math.isinf(slope):  # a huge plant overflows the slope but not the price
-        return -intercept / per_t / q
-    # a slope that rounds to 0.0 gives infinity, a non-finite price the pipeline rejects
-    return -intercept / slope if slope else math.inf
+    return -intercept / slope
 
 
 # The msp stage's break-even columns, in output order.
@@ -47,24 +45,24 @@ BREAK_EVEN_COLUMNS = ("msp_usd_per_t", "msp_usd_per_tj", "npv_at_msp_usd", "reve
                       "tax_usd_per_y", "cash_flow_usd_per_y", "annuity_factor")
 
 
-def msp_columns(columns: dict, q: float, n: int, salvage_rate: float) -> dict:
-    """The ``BREAK_EVEN_COLUMNS`` from the columns ``capex_usd``,
-    ``opex_usd_per_y``, ``discount_rate``, ``tax_rate`` and ``tfc_usd``, and
-    the pellet output ``q`` (t/y), horizon ``n`` (years) and ``salvage_rate``
-    (of tfc), the same in every row.  ``msp_usd_per_tj`` reads the column
-    ``weighted_lhv_mj_per_kg`` and is None where there is no heating value.
+def msp_columns(columns: dict, n: int, salvage_rate: float) -> dict:
+    """The ``BREAK_EVEN_COLUMNS`` of the reference plant (``OUTPUT_REF`` t/y)
+    from the columns ``capex_usd``, ``opex_usd_per_y``, ``discount_rate``,
+    ``tax_rate`` and ``tfc_usd``, and the horizon ``n`` (years) and
+    ``salvage_rate`` (of tfc), the same in every row.  ``msp_usd_per_tj``
+    reads the column ``weighted_lhv_mj_per_kg`` and is None where there is no
+    heating value.
     NPV is ``annuity * cash_flow + terminal - capex``, zero up to rounding.
     For inputs outside the bounds of a checked ``Dataset`` and ``ModelConfig``
     (such as a tax rate of 1) the columns promise nothing."""
     capex, opex, tfc = columns["capex_usd"], columns["opex_usd_per_y"], columns["tfc_usd"]
     rates, tax_rates = columns["discount_rate"], columns["tax_rate"]
-    annuity_by_rate = {r: _annuity(r, n) for r in set(rates)}
-    annuity = list(map(annuity_by_rate.__getitem__, rates))
+    annuity = [_annuity(r, n) for r in rates]
     salvage = [salvage_rate * t for t in tfc]
     dep = [(t - s) / n for t, s in zip(tfc, salvage)]
     terminal = [s * (1.0 + r) ** -n for s, r in zip(salvage, rates)]
-    price = list(map(_price, annuity, tax_rates, repeat(q), opex, dep, terminal, capex))
-    revenue = [p * q for p in price]
+    price = list(map(_price, annuity, tax_rates, opex, dep, terminal, capex))
+    revenue = [p * OUTPUT_REF for p in price]
     tax = [tr * (rev - o - d) for tr, rev, o, d in zip(tax_rates, revenue, opex, dep)]
     cash_flow = [rev - o - t for rev, o, t in zip(revenue, opex, tax)]
     per_tj_price = [per_tj(p, lhv) if lhv else None

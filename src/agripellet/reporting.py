@@ -37,7 +37,7 @@ from pathlib import Path
 from types import NoneType
 
 from .costs import COST_COLUMNS
-from .dataio import CROPS, FIELDS, _is_not_none
+from .dataio import CROPS, FIELDS, _is_not_none, non_finite_rows
 from .energy import ENERGY_COLUMNS
 from .pipeline import _STAGE_ORDER, STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, PipelineResult
 from .pricing import BREAK_EVEN_COLUMNS
@@ -113,13 +113,6 @@ def _check_kinds(name: str, kinds: set) -> None:
                         "the writer takes floats, strings or bools, each beside None")
 
 
-def _check_finite(name: str, floats: list) -> None:
-    # a NaN or an inf, or finite values overflowing
-    if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
-        # named without its value: no output holds nan/inf
-        raise ValueError(f"non-finite value in column {name}")
-
-
 def _repeated_floats(floats: list) -> list:
     """Each float's ``repr``, each distinct value rendered once and the rest
     looked up; value by value when 0.0 and -0.0, equal but printed apart, are
@@ -154,13 +147,15 @@ def _render(name: str, values: list) -> tuple:
         except TypeError:  # not all floats
             pass
         else:
-            _check_finite(name, values)
+            if non_finite_rows(values):  # named without its value: no output holds nan/inf
+                raise ValueError(f"non-finite value in column {name}")
             return texts, texts, _FLOATS
     kinds = set(map(type, values))
     _check_kinds(name, kinds)
     if kinds == _FLOATS:  # only a block that repeats values comes here
         texts = _repeated_floats(values)
-        _check_finite(name, values)
+        if non_finite_rows(values):
+            raise ValueError(f"non-finite value in column {name}")
         return texts, texts, kinds
     if kinds == {float, NoneType}:  # the floats rendered as a column, then the gaps filled
         floats = iter(_render(name, list(filter(_is_not_none, values)))[0])

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import pytest
 
-from agripellet.costs import cost_columns
+from agripellet.costs import OUTPUT_REF, cost_columns
 from agripellet.dataio import (
     ANIMALS,
     COUNTRIES_KEYS,
@@ -92,6 +92,12 @@ def copy_data(copy: Path, edits=()) -> Path:
     return copy
 
 
+# Argentina's labor index raised to 1e302: its plant's OPEX stays finite, but
+# its break-even price overflows to infinity
+INFINITE_PRICE = ("countries.csv", ",1.1490870763477612,1.1490870763477612,0.5432570779968319,",
+                  ",1e302,1.1490870763477612,0.5432570779968319,")
+
+
 def write_config(path: Path, **changes) -> Path:
     """The bundled config.json with some keys changed, written to ``path``."""
     config = json.loads((DATA_DIR / "config.json").read_text(encoding="utf-8"))
@@ -175,14 +181,14 @@ def synthetic_market_profiles(rng, count):
 
 
 def random_break_even_inputs(rng):
-    """Valid solver inputs drawn from realistic plant ranges."""
+    """Valid solver inputs of the reference plant drawn from realistic ranges."""
     from oracles import BreakEvenInputs
 
     capex = rng.uniform(5e5, 5e7)
     return BreakEvenInputs(
         capex=capex,
         opex=rng.uniform(1e5, 2e7),
-        q=rng.uniform(1e3, 2e5),
+        q=OUTPUT_REF,
         n=rng.randint(1, 40),
         r=rng.uniform(0.0, 0.3),
         tr=rng.uniform(0.0, 0.6),
@@ -232,11 +238,13 @@ def cost_row(labor=1.0, raw_material=1.0, electricity=1.0, construction=1.0) -> 
 
 def msp_row(inputs, weighted_lhv=None) -> dict:
     """``msp_columns`` on one plant's ``BreakEvenInputs``, with the pellets'
-    heating value (MJ/kg) for the price per TJ."""
+    heating value (MJ/kg) for the price per TJ.  The plant is the reference
+    plant: the solver prices no other output."""
+    assert inputs.q == OUTPUT_REF, inputs.q
     columns = {"capex_usd": [inputs.capex], "opex_usd_per_y": [inputs.opex],
                "discount_rate": [inputs.r], "tax_rate": [inputs.tr], "tfc_usd": [inputs.tfc],
                "weighted_lhv_mj_per_kg": [weighted_lhv]}
-    return one_row(msp_columns(columns, inputs.q, inputs.n, inputs.salvage_rate))
+    return one_row(msp_columns(columns, inputs.n, inputs.salvage_rate))
 
 
 def plan_row(pellet_energy, consumption, prices, props, pellet_price, weighted_lhv, pellet_ef,

@@ -165,7 +165,7 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
         inputs = BreakEvenInputs(
             capex=cost["capex_usd"],
             opex=cost["opex_usd_per_y"],
-            q=cfg.plant_capacity,
+            q=costs.OUTPUT_REF,
             n=cfg.horizon_years,
             r=field("discount_rate"),
             tr=field("tax_rate"),
@@ -176,7 +176,7 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
             {"capex_usd": [inputs.capex], "opex_usd_per_y": [inputs.opex],
              "discount_rate": [inputs.r], "tax_rate": [inputs.tr], "tfc_usd": [inputs.tfc],
              "weighted_lhv_mj_per_kg": [lhv]},
-            inputs.q, inputs.n, inputs.salvage_rate))
+            inputs.n, inputs.salvage_rate))
         values.update({"epc_usd": cost["epc_usd"], "tfc_usd": inputs.tfc,
                        "capex_usd": cost["capex_usd"], "opex_usd_per_y": cost["opex_usd_per_y"],
                        **msp})

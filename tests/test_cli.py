@@ -12,7 +12,8 @@ from agripellet import reporting
 from agripellet.cli import main, run
 from agripellet.dataio import COUNTRIES_COLUMNS, load_dataset
 from agripellet.pipeline import STAGE_PLAN, GlobalReport, run_pipeline
-from conftest import assert_same_files, assert_stage_agrees_with_report, copy_data, write_config
+from conftest import (INFINITE_PRICE, assert_same_files, assert_stage_agrees_with_report,
+                      copy_data, write_config)
 from oracles import format_cell, table_records, table_values
 
 
@@ -561,11 +562,11 @@ def test_fractional_horizon_exits_2(data_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("text, message", [
     # beyond int()'s 4,300-digit limit
-    (b'{"plant_capacity": 1' + b"0" * 5000 + b"}", "config.json: invalid JSON ("),
+    (b'{"carbon_tax": 1' + b"0" * 5000 + b"}", "config.json: invalid JSON ("),
     (b"[" * 100_000, "config.json: invalid JSON ("),  # deeper than the decoder recurses
     # read as every input is: a bad byte is named by its line, and the parser's
     # position counts the file's own characters, each \r included
-    (json.dumps({"plant_capacity": 1000.0}).encode("utf-16"),
+    (json.dumps({"carbon_tax": 10.0}).encode("utf-16"),
      "config.json line 1: not UTF-8 text (invalid start byte)\n"),
     (b'{\n  "scenario": "A",\n  "carbon_tax": "\xe1"}',
      "config.json line 3: not UTF-8 text (invalid continuation byte)\n"),
@@ -594,6 +595,17 @@ def test_config_that_is_missing_or_not_an_object_exits_2(data_dir, tmp_path, cap
     code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
     assert code == 2
     assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_naming_a_plant_output_exits_2(data_dir, tmp_path, capsys):
+    """Every country builds the reference plant, so a config.json that still
+    gives the plant's output names an unknown key, and nothing is written."""
+    config = write_config(tmp_path / "config.json", plant_capacity=40_080.0)
+    code = run_cli("msp", "--data", data_dir, "--config", config, "--out", tmp_path / "out")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: config.json: unknown config keys ['plant_capacity']\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -769,21 +781,14 @@ def test_tiny_heating_value_fails_countries_not_the_run(data_dir, tmp_path, caps
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_zero_price_slope_fails_countries_not_the_run(data_dir, tmp_path, capsys, fmt):
-    # a 5e-324 t/y plant over one year: at Argentina's tax rate raised to 0.6
-    # the break-even NPV's slope in price rounds to 0.0, at the others' the
-    # price overflows; every country fails with an infinite price
-    data = copy_data(tmp_path / "data", [("countries.csv", ",0.14,0.3,", ",0.14,0.6,")])
-    config = write_config(tmp_path / "config.json", plant_capacity=5e-324, horizon_years=1)
+def test_an_infinite_price_fails_its_country_not_the_run(data_dir, tmp_path, capsys, fmt):
+    data = copy_data(tmp_path / "data", [INFINITE_PRICE])
     out = tmp_path / "out"
-    code = run_cli("msp", "--data", data, "--config", config, "--out", out, "--format", fmt)
+    code = run_cli("msp", "--data", data, "--out", out, "--format", fmt)
     assert code == 1
     assert "Traceback" not in capsys.readouterr().err
-    lines = (out / "errors.txt").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 178
-    assert "Argentina: non-finite msp_usd_per_t for 'Argentina'" in lines
-    for line in lines:
-        assert ": non-finite msp_usd_per_t for " in line
+    assert (out / "errors.txt").read_text(encoding="utf-8").splitlines() == [
+        "Argentina: non-finite msp_usd_per_t for 'Argentina'"]
     assert_no_non_finite_text(out)
 
 

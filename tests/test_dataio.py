@@ -451,9 +451,9 @@ def test_config_must_be_a_model_config(dataset, config):
       "crops: must be a mapping to CropCoefficients values, got NoneType",
       "fuel_properties: must be a mapping to FuelProperties values, got NoneType",
       "pellet_ef: not a finite number: None", "config: must be a ModelConfig, got None"]),
-    (lambda ds: dataio.ModelConfig._make([None] * 8),
-     [*(f"{key}: not a finite number: None" for key in ("plant_capacity", "horizon_years",
-        "salvage_rate", "pellet_efficiency", "carbon_tax")),
+    (lambda ds: dataio.ModelConfig._make([None] * 7),
+     [*(f"{key}: not a finite number: None" for key in ("horizon_years", "salvage_rate",
+                                                        "pellet_efficiency", "carbon_tax")),
       "fossil_multipliers: must be a non-empty list, got None",
       "pellet_prices: must be a non-empty list, got None",
       "scenario: must be A, B, or C, got None"]),
@@ -835,7 +835,7 @@ def test_config_validation(tmp_path):
     with pytest.raises(DataError, match="pellet_efficiency"):
         ModelConfig(pellet_efficiency=1.5)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"plant_capacity": 1000.0, "bogus": 1}), encoding="utf-8")
+    path.write_text(json.dumps({"carbon_tax": 10.0, "bogus": 1}), encoding="utf-8")
     with pytest.raises(DataError, match="unknown config keys"):
         load_config(path)
     # the capital cascade gives tfc_usd, so its old ratio key is unknown
@@ -843,9 +843,17 @@ def test_config_validation(tmp_path):
     with pytest.raises(DataError) as raised:
         load_config(path)
     assert str(raised.value) == "config.json: unknown config keys ['tfc_capex_ratio']"
-    path.write_text(json.dumps({"plant_capacity": 1000.0}), encoding="utf-8")
-    assert load_config(path).plant_capacity == 1000.0
+    path.write_text(json.dumps({"carbon_tax": 10.0}), encoding="utf-8")
+    assert load_config(path).carbon_tax == 10.0
     assert load_config(path).horizon_years == 20
+
+
+def test_the_plant_output_is_no_config_field():
+    """The plant is the reference plant (``costs.OUTPUT_REF``): a config
+    names no output of its own, in a copy or in config.json."""
+    assert len(ModelConfig._fields) == 7
+    with pytest.raises(ValueError, match="Got unexpected field names: \\['plant_capacity'\\]"):
+        ModelConfig()._replace(plant_capacity=1.0)
 
 
 JSON_VALUES = st.recursive(
@@ -882,19 +890,17 @@ def test_an_int_sum_past_float_range_does_not_fit():
         assert not dataio.fits(values)
     assert dataio.fits([near_max, 1.0]) and dataio.fits([near_max, None])
     with pytest.raises(DataError) as exc:
-        ModelConfig(plant_capacity=huge)
-    assert exc.value.problems == [f"plant_capacity: not a finite number: {huge!r}"]
+        ModelConfig(carbon_tax=huge)
+    assert exc.value.problems == [f"carbon_tax: not a finite number: {huge!r}"]
 
 
 def test_config_numbers_are_floats_but_the_horizon():
     """A config file's ints are held as the floats a flag gives (the horizon
     stays an int), so an output cell reads 50.0 whichever way 50 came in."""
-    cfg = ModelConfig(plant_capacity=40_000, horizon_years=20, salvage_rate=0,
-                      pellet_efficiency=1, carbon_tax=50,
+    cfg = ModelConfig(horizon_years=20, salvage_rate=0, pellet_efficiency=1, carbon_tax=50,
                       fossil_multipliers=[1, 2.5], pellet_prices=[-10, 20])
-    assert cfg == (40_000.0, 20, 0.0, 1.0, "A", 50.0, (1.0, 2.5), (-10.0, 20.0))
-    assert [type(value) for value in cfg] == [float, int, float, float, str, float,
-                                              tuple, tuple]
+    assert cfg == (20, 0.0, 1.0, "A", 50.0, (1.0, 2.5), (-10.0, 20.0))
+    assert [type(value) for value in cfg] == [int, float, float, str, float, tuple, tuple]
     assert {type(value) for axis in cfg[-2:] for value in axis} == {float}
     assert type(ModelConfig(carbon_tax=50).carbon_tax) is float
 
@@ -902,7 +908,7 @@ def test_config_numbers_are_floats_but_the_horizon():
 @pytest.mark.parametrize("key, value", [
     ("horizon_years", 20.5),
     ("horizon_years", True),
-    ("plant_capacity", "40080"),
+    ("salvage_rate", "0.1"),
     ("carbon_tax", None),
     ("carbon_tax", float("nan")),
     ("salvage_rate", float("inf")),
@@ -919,7 +925,6 @@ def test_config_numbers_are_floats_but_the_horizon():
     # the annuity factor needs float(horizon_years)
     pytest.param("horizon_years", 10**400, id="horizon_years-10**400"),
     # an integer beyond float range is not a finite number
-    pytest.param("plant_capacity", 10**400, id="plant_capacity-10**400"),
     pytest.param("carbon_tax", 10**400, id="carbon_tax-10**400"),
     pytest.param("fossil_multipliers", [1.0, 10**400], id="fossil_multipliers-10**400"),
 ])
@@ -934,7 +939,6 @@ def test_config_value_types_rejected(tmp_path, key, value):
 # named by its place); any finite pellet price is inside its bound, so an
 # infinite one stands for the value outside it.
 OUT_OF_BOUND = {
-    "plant_capacity": (0.0, "must be > 0, got 0.0"),
     "horizon_years": (0, f"must be in [1, {2**53}], got 0"),
     "salvage_rate": (1.0, "must be in [0, 1), got 1.0"),
     "pellet_efficiency": (0.0, "must be in (0, 1], got 0.0"),
@@ -1135,8 +1139,7 @@ def test_dataset_round_trip(dataset, tmp_path):
 
 
 def test_dataset_round_trip_keeps_every_config_field(dataset, tmp_path):
-    cfg = ModelConfig(plant_capacity=12_345.5, horizon_years=7, salvage_rate=0.2,
-                      pellet_efficiency=0.8, scenario="C",
+    cfg = ModelConfig(horizon_years=7, salvage_rate=0.2, pellet_efficiency=0.8, scenario="C",
                       carbon_tax=35.0, fossil_multipliers=(0.5, 2.0),
                       pellet_prices=(15.0, 30.0, 45.0))
     default = ModelConfig()

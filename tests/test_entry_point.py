@@ -17,7 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import DATA_DIR, assert_same_files, copy_data, write_config
+from conftest import DATA_DIR, INFINITE_PRICE, assert_same_files, copy_data, write_config
 
 
 def edit_csv(path: Path, edit) -> None:
@@ -126,15 +126,14 @@ def test_a_billion_year_horizon_runs_as_twenty_years_do(tmp_path):
     assert code == 0
 
 
-def test_a_zero_slope_fails_every_country_with_exit_1(tmp_path):
-    """A break-even slope that rounds to 0.0 (a 5e-324 t/y plant over one
-    year, one tax rate raised to 0.6) fails every country with exit 1 and
-    errors.txt, not a traceback."""
-    assert (DATA_DIR / "countries.csv").read_text(encoding="utf-8").count(",0.14,0.3,") == 1
-    data = copy_data(tmp_path / "data", [("countries.csv", ",0.14,0.3,", ",0.14,0.6,")])
-    config = write_config(tmp_path / "zero_slope.json", plant_capacity=5e-324, horizon_years=1)
+def test_an_infinite_price_fails_its_country_with_exit_1(tmp_path):
+    """A break-even price that overflows (Argentina's labor index raised to
+    1e302) fails its country with exit 1 and errors.txt, not a traceback."""
+    name, text, _ = INFINITE_PRICE
+    assert (DATA_DIR / name).read_text(encoding="utf-8").count(text) == 1
+    data = copy_data(tmp_path / "data", [INFINITE_PRICE])
     out = tmp_path / "out"
-    code, _ = agripellet("msp", "--data", data, "--config", config, "--out", out)
+    code, _ = agripellet("msp", "--data", data, "--out", out)
     assert code == 1
     assert "non-finite msp_usd_per_t" in (out / "errors.txt").read_text(encoding="utf-8")
 

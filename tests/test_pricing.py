@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agripellet.dataio import DataError, ModelConfig
-from agripellet.pipeline import run_pipeline
-from agripellet.pricing import msp_columns
+from agripellet.costs import OUTPUT_REF
+from agripellet.dataio import HORIZON, DataError, ModelConfig
+from agripellet.pricing import _annuity, msp_columns
 from conftest import cost_row, make_dataset, make_profile, msp_row, random_break_even_inputs
-from oracles import (BreakEvenInputs, depreciation, evaluate_country, npv, salvage_value,
-                     solve_msp_bisection)
+from oracles import (FIELD_BOUNDS, BreakEvenInputs, depreciation, evaluate_country, npv,
+                     salvage_value, solve_msp_bisection)
 
 
 def break_even_price(inputs):
@@ -26,7 +26,7 @@ def reference_inputs():
     return BreakEvenInputs(
         capex=cost["capex_usd"],
         opex=2_540_000.0,
-        q=40_080.0,
+        q=OUTPUT_REF,
         n=20,
         r=0.0,
         tr=0.0,
@@ -85,7 +85,7 @@ def test_world_average_plant_anchor():
     inputs = BreakEvenInputs(
         capex=5_327_862.0,
         opex=3_585_823.0,
-        q=40_080.0,
+        q=OUTPUT_REF,
         n=20,
         r=0.08,
         tr=0.25,
@@ -112,7 +112,7 @@ def test_annual_trace_shape_and_discounting():
 def test_negative_tax_in_loss_years():
     # at r = 0 and a depreciable base above the capital outlay, the break-even
     # year's cash flow (capex - salvage) / n is below its depreciation, a loss
-    inputs = BreakEvenInputs(capex=4e6, opex=2e6, q=40_080.0, n=20, r=0.0, tr=0.3,
+    inputs = BreakEvenInputs(capex=4e6, opex=2e6, q=OUTPUT_REF, n=20, r=0.0, tr=0.3,
                              salvage_rate=0.1, tfc=5e6)
     assert msp_row(inputs)["tax_usd_per_y"] < 0.0  # symmetric tax shield, no clamping
 
@@ -136,7 +136,6 @@ def test_msp_monotone_responses():
         assert break_even_price(inputs._replace(opex=inputs.opex * 1.2)) >= base
         assert break_even_price(inputs._replace(capex=inputs.capex * 1.2)) >= base
         assert break_even_price(inputs._replace(r=inputs.r + 0.05)) >= base
-        assert break_even_price(inputs._replace(q=inputs.q * 1.5)) <= base
 
 
 def test_msp_scales_with_costs():
@@ -155,7 +154,7 @@ def test_tax_neutral_at_zero_discount_when_fully_depreciated():
     """With r = 0 and the whole capital outlay depreciable (tfc = capex), the
     break-even price makes total taxable income zero, so it cannot depend on
     the tax rate."""
-    base = BreakEvenInputs(capex=6_540_000.0, opex=2_540_000.0, q=40_080.0, n=20,
+    base = BreakEvenInputs(capex=6_540_000.0, opex=2_540_000.0, q=OUTPUT_REF, n=20,
                        r=0.0, tr=0.0, salvage_rate=0.10, tfc=6_540_000.0)
     msp0 = break_even_price(base)
     for tr in (0.1, 0.25, 0.4, 0.6, 0.9):
@@ -228,25 +227,16 @@ def test_long_horizon_solves_in_constant_time(reference_inputs):
     assert abs(result["npv_at_msp_usd"]) <= 0.01
 
 
-def test_slope_below_float_range_gives_infinity(reference_inputs):
-    # NPV's slope in price, annuity * (1 - tax_rate) * q, rounds to 0.0 at a
-    # 5e-324 t/y plant when the other two factors multiply to less than 0.5:
-    # the price is infinite, a non-finite value the pipeline rejects
-    inputs = reference_inputs._replace(q=5e-324, n=1, r=0.14, tr=0.6)
-    assert msp_row(inputs)["msp_usd_per_t"] == math.inf
-
-
-def test_slope_beyond_float_range_solves(dataset):
-    # at a 1e308 t/y plant the slope overflows to infinity, but the price,
-    # about 1e-301 $/t, is a float: it is the exact inversion's, not 0.0
-    cfg = dataset.config._replace(plant_capacity=1e308)
-    result = run_pipeline(dataset._replace(config=cfg), "msp", ["Albania"])
-    v = {name: col[0] for name, col in result.columns.items()}
-    inputs = BreakEvenInputs(capex=v["capex_usd"], opex=v["opex_usd_per_y"],
-                             q=cfg.plant_capacity, n=cfg.horizon_years, r=v["discount_rate"],
-                             tr=v["tax_rate"], salvage_rate=cfg.salvage_rate, tfc=v["tfc_usd"])
-    assert 0.0 < v["msp_usd_per_t"] == pytest.approx(float(exact_msp(inputs)), rel=1e-9)
-    assert abs(v["npv_at_msp_usd"]) <= 1e-9 * v["capex_usd"]
+@pytest.mark.parametrize("r", [FIELD_BOUNDS["discount_rate"].lo, 5e-324, 1e-7, 1e-6,
+                               FIELD_BOUNDS["discount_rate"].hi])
+@pytest.mark.parametrize("n", [int(HORIZON.lo), 20, int(HORIZON.hi)])
+@pytest.mark.parametrize("tr", [FIELD_BOUNDS["tax_rate"].lo, FIELD_BOUNDS["tax_rate"].hi])
+def test_price_slope_is_a_positive_float_at_every_bound_corner(r, n, tr):
+    """NPV's slope in price, annuity * (1 - tax_rate) * OUTPUT_REF, is finite
+    and > 0 at each corner of the discount rate, horizon and tax rate bounds,
+    so the closed form's one division never meets a zero or infinite slope."""
+    slope = _annuity(r, n) * (1.0 - tr) * OUTPUT_REF
+    assert math.isfinite(slope) and slope > 0.0
 
 
 def test_horizon_beyond_float_rejected(reference_inputs):
@@ -288,23 +278,21 @@ def test_tax_rate_near_one_solves(dataset, tax_rate):
     assert v["tax_rate"] == tax_rate
     cfg = dataset.config
     inputs = BreakEvenInputs(capex=v["capex_usd"], opex=v["opex_usd_per_y"],
-                             q=cfg.plant_capacity, n=cfg.horizon_years, r=v["discount_rate"],
+                             q=OUTPUT_REF, n=cfg.horizon_years, r=v["discount_rate"],
                              tr=tax_rate, salvage_rate=cfg.salvage_rate, tfc=v["tfc_usd"])
     assert math.isfinite(v["msp_usd_per_t"]) and math.isfinite(v["npv_at_msp_usd"])
     assert v["msp_usd_per_t"] == pytest.approx(float(exact_msp(inputs)), rel=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
-@given(plant_capacity=st.floats(1e3, 1e6),
-       horizon_years=st.integers(1, 200) | st.integers(1, 10**9),
+@given(horizon_years=st.integers(1, 200) | st.integers(1, 10**9),
        salvage_rate=st.floats(0.0, 0.99),
        r=st.floats(0.0, 1.0),
        tr=st.floats(0.0, 0.9))
-def test_generated_configs_solve(plant_capacity, horizon_years, salvage_rate, r, tr):
-    cfg = ModelConfig(plant_capacity=plant_capacity, horizon_years=horizon_years,
-                      salvage_rate=salvage_rate)
+def test_generated_configs_solve(horizon_years, salvage_rate, r, tr):
+    cfg = ModelConfig(horizon_years=horizon_years, salvage_rate=salvage_rate)
     cost = cost_row()
-    inputs = BreakEvenInputs(capex=cost["capex_usd"], opex=2_540_000.0, q=cfg.plant_capacity,
+    inputs = BreakEvenInputs(capex=cost["capex_usd"], opex=2_540_000.0, q=OUTPUT_REF,
                              n=cfg.horizon_years, r=r, tr=tr,
                              salvage_rate=cfg.salvage_rate, tfc=cost["tfc_usd"])
     result = msp_row(inputs)
@@ -324,19 +312,19 @@ RATE_POOL = (0.0, 1e-9, 1e-7, 0.05, 0.08, 0.3, 1.0)
                                st.sampled_from(RATE_POOL), st.floats(0.0, 0.9),
                                st.floats(0.0, 5e7), st.none() | st.floats(1.0, 20.0)),
                      max_size=12),
-       q=st.floats(1e3, 1e6), n=st.integers(1, 60), salvage_rate=st.floats(0.0, 0.99))
-@example(rows=[], q=40_080.0, n=20, salvage_rate=0.1)
-def test_msp_columns_rows_match_each_row_alone(rows, q, n, salvage_rate):
+       n=st.integers(1, 60), salvage_rate=st.floats(0.0, 0.99))
+@example(rows=[], n=20, salvage_rate=0.1)
+def test_msp_columns_rows_match_each_row_alone(rows, n, salvage_rate):
     """Each row of ``msp_columns`` over many rows is, bit for bit, what it gives
     for that row alone; rows that share a rate share the annuity factor, at rate
     0 the horizon itself; the NPV at each break-even price is zero to the cent;
     no rows give seven empty columns."""
     columns = {key: [row[i] for row in rows] for i, key in enumerate(MSP_INPUTS)}
-    solved = msp_columns(columns, q, n, salvage_rate)
+    solved = msp_columns(columns, n, salvage_rate)
     assert len(solved) == 7 and all(len(col) == len(rows) for col in solved.values())
     for i, row in enumerate(rows):
         alone = msp_columns({key: [value] for key, value in zip(MSP_INPUTS, row)},
-                            q, n, salvage_rate)
+                            n, salvage_rate)
         assert {name: repr(col[i]) for name, col in solved.items()} == {
             name: repr(col[0]) for name, col in alone.items()}, row
     annuity_by_rate = {}

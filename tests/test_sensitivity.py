@@ -243,7 +243,6 @@ def test_matches_replanning_on_generated_markets(dataset, multipliers, pellet_pr
 
 @settings(max_examples=30, deadline=None)
 @given(config=st.fixed_dictionaries(dict(  # the other fields keep their defaults
-    plant_capacity=st.floats(1e3, 1e6),
     horizon_years=st.integers(1, 10**9),
     salvage_rate=st.floats(0.0, 0.99),
     fossil_multipliers=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=6, unique=True),
