@@ -25,9 +25,9 @@ from functools import partial
 from pathlib import Path
 
 from . import reporting, sensitivity
-from .dataio import SCENARIOS, DataError, load_dataset
+from .dataio import SCENARIOS, DataError, load_dataset, load_series
 from .pipeline import STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, run_pipeline
-from .yoy import load_series, yoy_growth
+from .yoy import yoy_growth
 
 DATA_DIR_ENV = "AGRIPELLET_DATA"
 

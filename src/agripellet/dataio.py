@@ -1,9 +1,11 @@
 """Input dataset loading, validation, and missing-value resolution.
 
 All model inputs arrive as UTF-8 CSV files with a header row ("-" or an
-empty cell means "no data") plus an optional JSON run configuration.  Each is
-read once by ``_read_text``, its bytes decoded whole (a leading byte-order
-mark is skipped) before ``csv`` or ``json`` parses the text.  ``FIELDS``
+empty cell means "no data") plus an optional JSON run configuration, and
+``load_series`` reads the ``yoy`` subcommand's annual series file as one more
+such CSV: this module reads every input file.  Each is read once by
+``_read_text``, its bytes decoded whole (a leading byte-order mark is skipped)
+before ``csv`` or ``json`` parses the text.  ``FIELDS``
 describes each numeric ``countries.csv`` column once (header, model key,
 bound, fallback tier, and the pipeline stage that resolves it).
 Each rule has one check and one wording, and each caller adds only the
@@ -38,7 +40,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from functools import partial, reduce
 from itertools import repeat
-from operator import add, is_not, itemgetter, methodcaller, mul
+from operator import add, itemgetter, methodcaller, mul
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -72,9 +74,6 @@ class Bound(NamedTuple):
     hi: float
 
 
-_is_not_none = partial(is_not, None)
-
-
 def fits(values, bound: Bound | None = None) -> bool:
     """Whether the numbers of a column, None cells left out, are finite and
     inside ``bound``, tested on their sum, min and max: False may also mean a
@@ -82,7 +81,7 @@ def fits(values, bound: Bound | None = None) -> bool:
     try:
         finite = math.isfinite(sum(values))  # False at a NaN, an inf, or a sum overflowing
     except TypeError:  # None cells, tested again without them; or a cell that is no number
-        present = list(filter(_is_not_none, values))
+        present = [value for value in values if value is not None]
         return len(present) < len(values) and fits(present, bound)
     except OverflowError:  # ints past float range
         return False
@@ -91,10 +90,12 @@ def fits(values, bound: Bound | None = None) -> bool:
 
 
 def non_finite_rows(values: list) -> list:
-    """The rows of a column holding a NaN or an infinite float (none in a
-    column of labels); the column is scanned only when it fails the
-    whole-column test ``fits``."""
-    if fits(values):
+    """The rows of a column holding a NaN or an infinite float.  By the
+    writer's kind rule a column holds floats, or strings and bools, each
+    beside None, so one whose first truthy value is no float (labels, or only
+    None and zeros) holds no such float and is not scanned; a column of floats
+    is scanned only when it fails the whole-column test ``fits``."""
+    if not isinstance(next(filter(None, values), None), float) or fits(values):
         return []
     return [row for row, value in enumerate(values)
             if isinstance(value, float) and not math.isfinite(value)]
@@ -665,6 +666,44 @@ def load_config(path: str | Path) -> ModelConfig:
     return ModelConfig(**raw)  # every key is a field, and _check words each bad value
 
 
+def load_series(path: str | Path) -> dict:
+    """Annual series by name, each a list of ``(year, value)`` in file order.
+
+    The header is ``country,year,value``, or ``year,value`` for one series
+    named ``all``.  A year is written in ASCII digits alone, and a value is
+    required and >= 0.  Each row's problems are listed in that order.
+    """
+    file = Path(path).name
+    header, rows = _read_rows(Path(path), ("country", "year", "value"), ("year", "value"))
+    problems = {}
+    names = [row[0].strip() if header[0] == "country" else "all" for _, row in rows]
+    for row, problem in _bad_names(names, "series"):
+        _report(problems, file, rows[row][0], problem)
+    years = []
+    for lineno, row in rows:
+        raw_year = row[-2].strip()
+        year = None
+        if not (raw_year.isascii() and raw_year.isdigit()):  # int() takes 2_000, +2001, ٢٠٠١
+            _report(problems, file, lineno, f"year: not an integer: {raw_year!r}")
+        else:
+            try:
+                year = int(raw_year)
+            except ValueError:  # past int()'s limit on digits (4,300 by default)
+                _report(problems, file, lineno, f"year: too many digits ({len(raw_year)})")
+        years.append(year)
+    lines = [lineno for lineno, _ in rows]
+    cells = [row[-1] for _, row in rows]
+    values = _parse_column(file, "value", NONNEGATIVE, lines, cells, problems)
+    for lineno, value, cell in zip(lines, values, cells):
+        if value is None and cell.strip() in _NO_DATA:
+            _report(problems, file, lineno, "value: missing value")
+    _raise(problems)
+    series = {}
+    for name, year, value in zip(names, years, values):
+        series.setdefault(name, []).append((year, value))
+    return series
+
+
 def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Dataset:
     """Load and validate all inputs under ``data_dir``.
 
@@ -712,9 +751,10 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
 
 def resolve_column(dataset: Dataset, name: str, rows) -> tuple:
     """``(values, tiers, failures)`` of one nullable field at the countries
-    rows ``rows`` (a sequence of row numbers): each cell's value, filled if
-    empty, and its fallback tier, and the message of each position of
-    ``rows`` whose cell does not resolve (its value and tier None).
+    rows ``rows`` (an iterable of row numbers, taken into a list once): each
+    cell's value, filled if empty, and its fallback tier, and the message of
+    each position of ``rows`` whose cell does not resolve (its value and tier
+    None).
 
     A ``CONTINENT`` field falls back country -> continent mean -> world mean
     over the countries that carry data.  A ``WORLD_AVERAGE`` (dry matter)
@@ -726,7 +766,7 @@ def resolve_column(dataset: Dataset, name: str, rows) -> tuple:
     tier = _FALLBACK_TIERS.get(name)
     if tier is None:
         raise KeyError(f"not a resolvable field: {name!r}")
-    countries = dataset.countries
+    countries, rows = dataset.countries, list(rows)  # min() and max() each read it
     size = len(countries["country"])
     if rows and not 0 <= min(rows) <= max(rows) < size:  # a negative row would index from the end
         row = next(row for row in rows if not 0 <= row < size)

@@ -37,9 +37,9 @@ from pathlib import Path
 from types import NoneType
 
 from .costs import COST_COLUMNS
-from .dataio import CROPS, FIELDS, _is_not_none, non_finite_rows
+from .dataio import CROPS, FIELDS, non_finite_rows
 from .energy import ENERGY_COLUMNS
-from .pipeline import _STAGE_ORDER, STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, PipelineResult
+from .pipeline import STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, PipelineResult
 from .pricing import BREAK_EVEN_COLUMNS
 from .replacement import PLAN_COLUMNS
 from .residues import RESIDUE_COLUMNS
@@ -70,7 +70,7 @@ REPORT_COLUMNS = ("country", "continent",
                   *_without(RESIDUE_COLUMNS, *(f"cr_removable_dry_{c}_t" for c in CROPS)),
                   *ENERGY_COLUMNS, *_without(COST_COLUMNS, "epc_usd", "tfc_usd"), "tfc_usd",
                   *BREAK_EVEN_COLUMNS, *_without(PLAN_COLUMNS, "carbon_tax_usd_per_tco2e"),
-                  *_resolved(*_STAGE_ORDER))
+                  *_resolved(STAGE_ASSESS, STAGE_MSP, STAGE_PLAN))
 
 # Plot-ready CSVs written beside countries.csv, by file name, each a subset of
 # its columns (``top_fuel`` is ``rank_1``).
@@ -158,7 +158,7 @@ def _render(name: str, values: list) -> tuple:
             raise ValueError(f"non-finite value in column {name}")
         return texts, texts, kinds
     if kinds == {float, NoneType}:  # the floats rendered as a column, then the gaps filled
-        floats = iter(_render(name, list(filter(_is_not_none, values)))[0])
+        floats = iter(_render(name, [value for value in values if value is not None])[0])
         texts = ["" if value is None else next(floats) for value in values]
         return texts, list(map(_NULL.get, texts, texts)), kinds
     # strings, bools and None, no two of which compare equal: each distinct

@@ -25,11 +25,12 @@ from agripellet.dataio import (
     load_crops,
     load_dataset,
     load_fuels,
+    load_series,
+    non_finite_rows,
     parse_cell,
     resolve_column,
 )
 from agripellet.pipeline import run_pipeline
-from agripellet.yoy import load_series
 from conftest import (RESOLVABLE_FIELDS, assert_same_files, copy_data, make_dataset,
                       make_profile, make_table)
 from oracles import FIELD_BOUNDS, evaluate_country, save_dataset, scan_resolve
@@ -1041,6 +1042,63 @@ def test_resolve_rejects_a_row_outside_the_table(dataset, rows, row):
         resolve_column(dataset, "price_coal", rows)
     assert resolve_column(dataset, "price_coal", [0, 177])[1] == ["continent", "continent"]
     assert resolve_column(dataset, "price_coal", []) == ([], [], {})
+
+
+def test_resolve_reads_its_rows_once(dataset):
+    """``rows`` may be any iterable of row numbers: a generator, a range, a
+    tuple and a list of the same rows give the same answer (a generator was
+    used up by the range check before)."""
+    rows = range(0, 178, 7)
+    for name in RESOLVABLE_FIELDS:
+        expected = resolve_column(dataset, name, list(rows))
+        assert resolve_column(dataset, name, (row for row in rows)) == expected
+        assert resolve_column(dataset, name, rows) == expected
+        assert resolve_column(dataset, name, tuple(rows)) == expected
+
+
+class CountedList(list):
+    """A list that counts the values read from it by iteration."""
+
+    read = 0
+
+    def __iter__(self):
+        for value in super().__iter__():
+            self.read += 1
+            yield value
+
+
+@pytest.mark.parametrize("column", [
+    ["coal", "oil", None, "natural_gas"] * 250,
+    [None, "A", "B"] * 300,
+    [True, None, False] * 300,
+])
+def test_a_column_of_labels_is_not_scanned(column):
+    """A column of strings or bools beside None holds no float, so
+    ``non_finite_rows`` names no row of it without a pass over its rows."""
+    counted = CountedList(column)
+    assert non_finite_rows(counted) == []
+    assert counted.read < len(column)
+
+
+def test_the_label_columns_of_a_plan_run_are_not_scanned(dataset):
+    columns = run_pipeline(dataset).columns
+    for name in ("scenario", "rank_1", "rank_2", "rank_3"):
+        counted = CountedList(columns[name])
+        assert non_finite_rows(counted) == []
+        assert counted.read < len(columns[name]), name
+
+
+@pytest.mark.parametrize("column, rows", [
+    ([None, 0.0, -0.0, 1.5, math.nan, None, -math.inf], [4, 6]),
+    ([0.0, -0.0, None, math.inf], [3]),
+    ([math.nan], [0]),
+    ([None, 2.0, 3.0], []),
+    ([0.0, None, -0.0], []),
+    ([None, None], []),
+    ([], []),
+])
+def test_a_float_column_names_each_non_finite_row(column, rows):
+    assert non_finite_rows(column) == rows
 
 
 def test_a_fields_means_are_computed_the_first_time_it_falls_back(dataset, monkeypatch):

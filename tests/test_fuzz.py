@@ -21,7 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from agripellet import dataio, yoy
+from agripellet import dataio
 from agripellet.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -177,5 +177,5 @@ def test_series_cells_load_as_the_row_scan_loads_them(mutations):
         path = Path(tmp) / "series.csv"
         with path.open("w", newline="", encoding="utf-8") as f:
             csv.writer(f).writerows(rows)
-        assert loaded(yoy.load_series, path) == loaded(oracles.load_series, path)
+        assert loaded(dataio.load_series, path) == loaded(oracles.load_series, path)
         assert_ends_in_an_exit_code(["yoy", str(path)], Path(tmp) / "out")
