@@ -96,8 +96,9 @@ def _msp(dataset: Dataset, inputs: dict) -> tuple:
 
 
 def _plan(dataset: Dataset, inputs: dict) -> tuple:
-    """The plan columns and the ranking scores (best first) of the rows with a
-    pellet heating value; a row without residue reads None in each."""
+    """The plan columns and the ranking scores (best first) of the rows whose
+    pellet heating value is not None, each ranked against its msp stage's
+    ``msp_usd_per_tj``; a row without residue reads None in each."""
     lhv = inputs["weighted_lhv_mj_per_kg"]
     planned = [row for row, value in enumerate(lhv) if value is not None]
 
@@ -112,7 +113,7 @@ def _plan(dataset: Dataset, inputs: dict) -> tuple:
 
     cfg = dataset.config
     plan, ranked_scores = replacement.plan_columns(
-        {key: pick(inputs[key]) for key in (*_PRICE_INPUTS, "msp_usd_per_t",
+        {key: pick(inputs[key]) for key in (*_PRICE_INPUTS, "msp_usd_per_tj",
                                              "weighted_lhv_mj_per_kg", "pellet_energy_tj")},
         {f: pick(inputs[f"cons_{f}"]) for f in FUELS},
         dataset.fuel_properties, dataset.pellet_ef, cfg.scenario, cfg.carbon_tax)

@@ -49,9 +49,11 @@ def msp_columns(columns: dict, n: int, salvage_rate: float) -> dict:
     """The ``BREAK_EVEN_COLUMNS`` of the reference plant (``OUTPUT_REF`` t/y)
     from the columns ``capex_usd``, ``opex_usd_per_y``, ``discount_rate``,
     ``tax_rate`` and ``tfc_usd``, and the horizon ``n`` (years) and
-    ``salvage_rate`` (of tfc), the same in every row.  ``msp_usd_per_tj``
-    reads the column ``weighted_lhv_mj_per_kg`` and is None where there is no
-    heating value.
+    ``salvage_rate`` (of tfc), the same in every row.  ``msp_usd_per_tj``,
+    the pellet LCOE that ``replacement.plan_columns`` ranks the fuels against,
+    is the price at the column ``weighted_lhv_mj_per_kg`` by ``per_tj``: None
+    where that is None, and infinite where it is so small (0.0 included) that
+    a ton holds 0.0 TJ, so that the row fails its finite check here.
     NPV is ``annuity * cash_flow + terminal - capex``, zero up to rounding.
     For inputs outside the bounds of a checked ``Dataset`` and ``ModelConfig``
     (such as a tax rate of 1) the columns promise nothing."""
@@ -65,7 +67,7 @@ def msp_columns(columns: dict, n: int, salvage_rate: float) -> dict:
     revenue = [p * OUTPUT_REF for p in price]
     tax = [tr * (rev - o - d) for tr, rev, o, d in zip(tax_rates, revenue, opex, dep)]
     cash_flow = [rev - o - t for rev, o, t in zip(revenue, opex, tax)]
-    per_tj_price = [per_tj(p, lhv) if lhv else None
+    per_tj_price = [None if lhv is None else per_tj(p, lhv)
                     for p, lhv in zip(price, columns["weighted_lhv_mj_per_kg"])]
     npv = [a * cf + term - c for a, cf, term, c in zip(annuity, cash_flow, terminal, capex)]
     values = (price, per_tj_price, npv, revenue, tax, cash_flow, annuity)

@@ -49,9 +49,10 @@ def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet
                  scenario: str, carbon_tax: float) -> tuple:
     """The plan stage's columns for rows that have a heating value.
 
-    ``columns`` holds ``price_<fuel>``, ``msp_usd_per_t`` (the pellet price),
-    ``weighted_lhv_mj_per_kg`` and ``pellet_energy_tj``; ``consumption`` each
-    fuel's consumption column (TJ, a missing value read as 0.0).  Returns the
+    ``columns`` holds ``price_<fuel>``, ``msp_usd_per_tj`` (the pellet LCOE
+    as ``pricing.msp_columns`` gives it), ``weighted_lhv_mj_per_kg`` and
+    ``pellet_energy_tj``; ``consumption`` each fuel's consumption column
+    (TJ, a missing value read as 0.0).  Returns the
     ``PLAN_COLUMNS`` and the columns of each row's scores best first, which
     order ``rank_1..3`` without being columns and can overflow alone.
 
@@ -65,7 +66,7 @@ def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     lhv, energy = columns["weighted_lhv_mj_per_kg"], columns["pellet_energy_tj"]
-    pellet_lcoe = list(map(fuel_lcoe, columns["msp_usd_per_t"], lhv))
+    pellet_lcoe = columns["msp_usd_per_tj"]
     pellet_intensity = list(map(emission_intensity, repeat(pellet_ef), lhv))
     lcoe, intensity = [], []  # per fuel: a column of $/TJ, one kgCO2e/TJ
     for f in FUELS:

@@ -48,13 +48,13 @@ def sweep(dataset: Dataset, countries=None) -> SensitivityGrid:
     cfg = dataset.config._replace(scenario="A")
     baseline = run_pipeline(dataset._replace(config=cfg), through=STAGE_PLAN,
                             countries=countries)
-    columns = baseline.columns
-    planned = [rank is not None for rank in columns["rank_1"]]  # no residue: no plan
+    columns, lhv = baseline.columns, baseline.columns["weighted_lhv_mj_per_kg"]
+    planned = [value is not None for value in lhv]  # no heating value: no plan, as in _plan
     alloc = [list(compress(columns[f"alloc_{f}_tj"], planned)) for f in FUELS]
     lcoe = (map(fuel_lcoe, compress(columns[f"price_{f}"], planned),
                 repeat(dataset.fuel_properties[f].lhv)) for f in FUELS)
     a = add_all(add_rows(map(mul, x, c) for x, c in zip(alloc, lcoe)))
-    pellet_lcoe = map(fuel_lcoe, repeat(1.0), compress(columns["weighted_lhv_mj_per_kg"], planned))
+    pellet_lcoe = map(fuel_lcoe, repeat(1.0), compress(lhv, planned))
     b = add_all(map(mul, add_rows(alloc), pellet_lcoe))
     s_ec = {(m, p): m * a - p * b for m in cfg.fossil_multipliers for p in cfg.pellet_prices}
     for (m, p), value in s_ec.items():  # finite baseline plans can still overflow here

@@ -247,13 +247,14 @@ def msp_row(inputs, weighted_lhv=None) -> dict:
     return one_row(msp_columns(columns, inputs.n, inputs.salvage_rate))
 
 
-def plan_row(pellet_energy, consumption, prices, props, pellet_price, weighted_lhv, pellet_ef,
+def plan_row(pellet_energy, consumption, prices, props, pellet_lcoe, weighted_lhv, pellet_ef,
              scenario, carbon_tax=0.0) -> tuple:
     """``plan_columns`` on one country: its plan's values, and its ranking as
     ``[(fuel, score)]`` best first.  ``consumption`` and ``prices`` ($/t) map
     each fuel to its value, ``props`` to its ``FuelProperties``; the pellet
-    price is in $/t at ``weighted_lhv`` MJ/kg."""
-    columns = {**{f"price_{f}": [prices[f]] for f in FUELS}, "msp_usd_per_t": [pellet_price],
+    LCOE is in $/TJ, as the msp stage's ``msp_usd_per_tj``, and the pellets'
+    heating value ``weighted_lhv`` in MJ/kg."""
+    columns = {**{f"price_{f}": [prices[f]] for f in FUELS}, "msp_usd_per_tj": [pellet_lcoe],
                "weighted_lhv_mj_per_kg": [weighted_lhv], "pellet_energy_tj": [pellet_energy]}
     plan, scores = plan_columns(columns, {f: [consumption[f]] for f in FUELS}, props,
                                 pellet_ef, scenario, carbon_tax)

@@ -50,7 +50,7 @@ from agripellet.dataio import (ANIMALS, BELOW_ONE, COUNTRIES_COLUMNS, COUNTRIES_
                                default_crops, default_fuel_properties, load_config,
                                parse_cell)
 from agripellet.pipeline import _STAGE_ORDER, STAGE_PLAN, GlobalReport
-from agripellet.replacement import PLAN_COLUMNS
+from agripellet.replacement import CANONICAL_FUEL_ORDER, PLAN_COLUMNS
 from agripellet.reporting import _SAME_AS, PLOT_COLUMNS, REPORT_COLUMNS
 from agripellet.sensitivity import axis_label
 from conftest import PLI_COMPONENTS
@@ -184,7 +184,7 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
         prices = {f"price_{f}": [field(f"price_{f}")] for f in FUELS}
         if lhv is not None:  # no residue, no pellet heating value: no plan
             plan, ranked = plan_columns(  # the reference, one row at a time
-                {**prices, "msp_usd_per_t": [msp["msp_usd_per_t"]],
+                {**prices, "msp_usd_per_tj": [msp["msp_usd_per_tj"]],
                  "weighted_lhv_mj_per_kg": [lhv],
                  "pellet_energy_tj": [values["pellet_energy_tj"]]},
                 {f: [amount(f"cons_{f}")] for f in FUELS},
@@ -311,9 +311,11 @@ def savings(allocation: list, lcoe, intensity, pellet_lcoe: float,
 def plan(pellet_energy: float, consumption, lcoe, intensity, pellet_lcoe: float,
          pellet_intensity: float, scenario: str, carbon_tax: float) -> list:
     """One country's plan as the values of ``PLAN_COLUMNS`` from ``rank_1`` on,
-    followed by its scores best first."""
+    followed by its scores best first.  The fuels are ranked by score, a tie
+    broken by ``CANONICAL_FUEL_ORDER``, with no code of the package."""
     scores = plan_scores(lcoe, intensity, pellet_lcoe, pellet_intensity, scenario, carbon_tax)
-    order = replacement._order(scores)
+    order = sorted(range(len(FUELS)),
+                   key=lambda i: (-scores[i], CANONICAL_FUEL_ORDER.index(FUELS[i])))
     allocation, unused = allocate(pellet_energy, consumption, order)
     total_cons = left_sum(consumption)
     return ([FUELS[i] for i in order] + allocation
@@ -333,7 +335,7 @@ def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet
     intensity = [replacement.emission_intensity(fuel_properties[f].ef, fuel_properties[f].lhv)
                  for f in FUELS]
     rows = list(map(plan, columns["pellet_energy_tj"], zip(*(consumption[f] for f in FUELS)),
-                    lcoe, repeat(intensity), map(fuel_lcoe, columns["msp_usd_per_t"], lhv),
+                    lcoe, repeat(intensity), columns["msp_usd_per_tj"],
                     map(replacement.emission_intensity, repeat(pellet_ef), lhv),
                     repeat(scenario), repeat(carbon_tax)))
     values = list(map(list, zip(*rows))) or [[] for _ in range(len(PLAN_COLUMNS) + 1)]

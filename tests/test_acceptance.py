@@ -158,7 +158,7 @@ def test_criterion_07_ranking_anchor():
         consumption = dict.fromkeys(FUELS, 0.0)
 
         def ranking(scenario, carbon_tax=0.0):
-            return plan_row(0.0, consumption, prices, props, 6_600.0 * 16.0e-3, 16.0, 151.0,
+            return plan_row(0.0, consumption, prices, props, 6_600.0, 16.0, 151.0,
                             scenario, carbon_tax)[1]
 
         ranking_a = ranking("A")
@@ -177,8 +177,8 @@ def test_criterion_08_allocation_property_suite():
             prices = {f: rng.uniform(5.0, 1000.0) for f in FUELS}
             props = {f: FuelProperties(rng.uniform(8.0, 50.0), rng.uniform(100.0, 4000.0))
                      for f in FUELS}
-            pellet = (rng.uniform(10.0, 500.0), rng.uniform(12.0, 18.0),
-                      rng.uniform(30.0, 600.0))  # price $/t, heating value, emission factor
+            pellet = (rng.uniform(500.0, 42_000.0), rng.uniform(12.0, 18.0),
+                      rng.uniform(30.0, 600.0))  # LCOE $/TJ, heating value, emission factor
             consumption = {f: rng.uniform(0.0, 1e5) for f in FUELS}
             energy = rng.uniform(0.0, 2.5e5)
             plan_a, _ = plan_row(energy, consumption, prices, props, *pellet, "A")

@@ -757,14 +757,22 @@ def test_a_link_to_a_missing_optional_file_exits_2(tmp_path, capsys, name):
 
 
 TINY_CROP_LHV = [("crops.csv", f",{v}\n", ",5e-324\n") for v in ("17.3", "14.6", "17.2")]
+# Brazil cut to 1 t of maize, with no livestock or bioenergy: 0.3687 t of residue
+BRAZIL_1_T_OF_MAIZE = ("countries.csv", "\nBrazil,South America,88460000.0,11660000.0,"
+                       "715660000.0,7870000.0,,,,,224600000.0,5780000.0,20540000.0,42540000.0,"
+                       "71300000.0,42481480.18116068,",
+                       "\nBrazil,South America,1.0,0.0,0.0,0.0,,,,,0.0,0.0,0.0,0.0,0.0,0.0,")
 
 
 @pytest.mark.parametrize("command, edits, column", [
     # every crop's heating value is 5e-324 MJ/kg: a ton holds 0.0 TJ at float precision
     ("msp", TINY_CROP_LHV, "msp_usd_per_tj"),
     ("recop", TINY_CROP_LHV, "msp_usd_per_tj"),
+    # and Brazil's weighted heating value, 0.3687 * 5e-324 / 0.3687, rounds to 0.0
+    ("msp", [*TINY_CROP_LHV, BRAZIL_1_T_OF_MAIZE], "msp_usd_per_tj"),
+    ("recop", [*TINY_CROP_LHV, BRAZIL_1_T_OF_MAIZE], "msp_usd_per_tj"),
     ("recop", [("fuels.csv", "coal,23.9,", "coal,5e-324,")], "s_ec_usd_per_y"),
-], ids=["msp-crops", "recop-crops", "recop-coal"])
+], ids=["msp-crops", "recop-crops", "msp-crops-zero", "recop-crops-zero", "recop-coal"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_tiny_heating_value_fails_countries_not_the_run(data_dir, tmp_path, capsys, command,
                                                         edits, column, fmt):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -25,7 +26,7 @@ def average_plan(scenario="A", pellet_energy=100.0, consumption=CONSUMPTION,
     """One country's plan at the global-average energy costs, and its ranking;
     scenario A ranks oil, natural gas, coal there."""
     return plan_row(pellet_energy, consumption, AVERAGE_PRICES, PROPS,
-                    pellet_lcoe * weighted_lhv * 1e-3, weighted_lhv, 151.0, scenario, carbon_tax)
+                    pellet_lcoe, weighted_lhv, 151.0, scenario, carbon_tax)
 
 
 def allocation(plan):
@@ -81,7 +82,7 @@ def test_scenario_b_ranking_with_default_factors():
 def test_tie_break_is_canonical():
     props = {f: FuelProperties(20.0, 2000.0) for f in FUELS}
     prices = {f: 100.0 for f in FUELS}
-    _, ranking = plan_row(100.0, CONSUMPTION, prices, props, 80.0, 16.0, 151.0, "A")
+    _, ranking = plan_row(100.0, CONSUMPTION, prices, props, 5_000.0, 16.0, 151.0, "A")
     assert [f for f, _ in ranking] == ["coal", "natural_gas", "oil"]
 
 
@@ -137,18 +138,18 @@ def random_raw_case(rng):
     prices = {f: rng.uniform(10.0, 900.0) for f in FUELS}
     props = {f: FuelProperties(rng.uniform(10.0, 50.0), rng.uniform(500.0, 4000.0))
              for f in FUELS}
-    pellet_price = rng.uniform(20.0, 400.0)
+    pellet_lcoe = rng.uniform(1_000.0, 35_000.0)  # $/TJ: about 20-400 $/t at 12-18 MJ/kg
     wlhv = rng.uniform(12.0, 18.0)
     pellet_ef = rng.uniform(50.0, 500.0)
     consumption = {f: rng.uniform(0.0, 1e5) for f in FUELS}
     energy = rng.uniform(0.0, 3e5)
-    return prices, props, pellet_price, wlhv, pellet_ef, consumption, energy
+    return prices, props, pellet_lcoe, wlhv, pellet_ef, consumption, energy
 
 
 def random_plan(rng, scenarios):
     """A random country's plan in each scenario."""
-    prices, props, pellet_price, wlhv, pellet_ef, consumption, energy = random_raw_case(rng)
-    plans = [plan_row(energy, consumption, prices, props, pellet_price, wlhv, pellet_ef,
+    prices, props, pellet_lcoe, wlhv, pellet_ef, consumption, energy = random_raw_case(rng)
+    plans = [plan_row(energy, consumption, prices, props, pellet_lcoe, wlhv, pellet_ef,
                       scenario)[0] for scenario in scenarios]
     return plans, consumption, energy
 
@@ -175,13 +176,13 @@ def test_label_permutation_symmetry():
     rng = random.Random(61)
     perm = {"coal": "oil", "oil": "natural_gas", "natural_gas": "coal"}
     for _ in range(100):
-        prices, props, pellet_price, wlhv, pellet_ef, consumption, energy = random_raw_case(rng)
-        plan, _ = plan_row(energy, consumption, prices, props, pellet_price, wlhv, pellet_ef,
+        prices, props, pellet_lcoe, wlhv, pellet_ef, consumption, energy = random_raw_case(rng)
+        plan, _ = plan_row(energy, consumption, prices, props, pellet_lcoe, wlhv, pellet_ef,
                            "A")
         plan_p, _ = plan_row(energy, {perm[f]: consumption[f] for f in FUELS},
                              {perm[f]: prices[f] for f in FUELS},
                              {perm[f]: props[f] for f in FUELS},
-                             pellet_price, wlhv, pellet_ef, "A")
+                             pellet_lcoe, wlhv, pellet_ef, "A")
         for f in FUELS:
             assert plan_p[f"alloc_{perm[f]}_tj"] == pytest.approx(
                 plan[f"alloc_{f}_tj"], rel=1e-9, abs=1e-9
@@ -209,7 +210,7 @@ def edges(*values, lo=0.0, hi=1e6):
 
 ROW = {  # one country's plan inputs, each key a column
     "pellet_energy_tj": edges(0.0, -0.0, 1.0, 100.0, 1e308),
-    "msp_usd_per_t": edges(0.0, 100.0, 1e308, 1.7e308),
+    "msp_usd_per_tj": edges(0.0, 6_600.0, 1e308, 1.7e308, math.inf),
     "weighted_lhv_mj_per_kg": edges(5e-324, 16.0, 42.0, lo=1e-3, hi=30.0),
     **{f"price_{f}": edges(0.0, -0.0, 100.0, 1e308, 1.7e308) for f in FUELS},
     **{f"cons_{f}": edges(0.0, -0.0, 10.0, 1e308) for f in FUELS},  # the loader reads -0

@@ -28,13 +28,14 @@ def replanned_grid(dataset, multipliers, pellet_prices):
     columns = {name: [v[name] for v in planned]
                for name in ("weighted_lhv_mj_per_kg", "pellet_energy_tj")}
     cons = {f: [consumption[v["country"]][f] for v in planned] for f in FUELS}
+    tj_per_t = [lhv * 1e-3 for lhv in columns["weighted_lhv_mj_per_kg"]]
     grid = {}
     for m in multipliers:
-        for p in pellet_prices:
+        for p in pellet_prices:  # $/t, handed over in $/TJ at each heating value
             plans, _ = plan_columns(
                 {**columns, **{f"price_{f}": [v[f"price_{f}"] * m for v in planned]
                                for f in FUELS},
-                 "msp_usd_per_t": [p] * len(planned)},
+                 "msp_usd_per_tj": [p / tj for tj in tj_per_t]},
                 cons, dataset.fuel_properties, dataset.pellet_ef, "A", 0.0)
             total_ec = total_em = 0.0
             for s_ec, s_em in zip(plans["s_ec_usd_per_y"], plans["s_em_kgco2e_per_y"]):
