@@ -1,7 +1,6 @@
 import math
 import random
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +9,7 @@ from agripellet.costs import OUTPUT_REF
 from agripellet.dataio import HORIZON, DataError, ModelConfig
 from agripellet.pricing import _annuity, msp_columns
 from conftest import cost_row, make_dataset, make_profile, msp_row, random_break_even_inputs
+from exact import exact_msp
 from oracles import (FIELD_BOUNDS, BreakEvenInputs, depreciation, evaluate_country, npv,
                      salvage_value, solve_msp_bisection)
 
@@ -252,19 +252,6 @@ def test_zero_rate_solves_up_to_largest_exact_horizon(reference_inputs):
     with pytest.raises(DataError, match=r"n: must be in \[1, 9007199254740992\], "
                                         r"got 9007199254740993"):
         reference_inputs._replace(n=2**53 + 1)
-
-
-def exact_msp(inputs: BreakEvenInputs) -> Fraction:
-    """The closed form's affine inversion evaluated in exact rationals."""
-    r, tr, q = Fraction(inputs.r), Fraction(inputs.tr), Fraction(inputs.q)
-    a = sum((1 + r) ** -t for t in range(1, inputs.n + 1))
-    salvage = Fraction(inputs.salvage_rate) * Fraction(inputs.tfc)
-    dep = (Fraction(inputs.tfc) - salvage) / inputs.n
-    terminal = salvage * (1 + r) ** -inputs.n
-    slope = a * (1 - tr) * q
-    intercept = a * (-(1 - tr) * Fraction(inputs.opex) + tr * dep) + terminal \
-        - Fraction(inputs.capex)
-    return -intercept / slope
 
 
 @pytest.mark.parametrize("tax_rate", [1 - 1e-9, 1 - 1e-12, math.nextafter(1.0, 0.0)])
