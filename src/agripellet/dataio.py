@@ -1,4 +1,4 @@
-"""Input dataset loading, validation, and missing-value resolution.
+"""Input dataset loading and validation.
 
 All model inputs arrive as UTF-8 CSV files with a header row ("-" or an
 empty cell means "no data") plus an optional JSON run configuration, and
@@ -19,9 +19,6 @@ and hold each number as a float, also one given by hand as an int.  A field
 is checked once, when it gets a new value: ``_checked`` checks each field of
 a ``Dataset`` built by hand and each field a ``_replace`` changes, and the
 loader, which checked every cell as it parsed it, checks nothing again.
-``resolve_column``, the one fallback rule for an empty cell, fills a field's
-empty cells at once; it computes the field's means only if a cell is empty,
-from the whole column, and each is exact, so it lies within its values' range.
 ``add_rows`` and ``add_all`` are every float sum of the model, each a fold
 left to right from 0.0.
 This module only reads files; every output goes through ``reporting``.
@@ -36,11 +33,10 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from functools import partial, reduce
 from itertools import repeat
-from operator import add, itemgetter, methodcaller, mul
+from operator import add, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -164,7 +160,6 @@ FIELDS = (
     Field("cons_oil_tj", "cons_oil", NONNEGATIVE),
     Field("cons_gas_tj", "cons_natural_gas", NONNEGATIVE),
 )
-_FALLBACK_TIERS = {f.key: f.fallback for f in FIELDS if f.fallback is not None}
 COUNTRIES_COLUMNS = ("country", "continent") + tuple(f.column for f in FIELDS)
 COUNTRIES_KEYS = ("country", "continent") + tuple(f.key for f in FIELDS)  # of Dataset.countries
 
@@ -402,37 +397,6 @@ def _checked(record: Dataset, new) -> Dataset:
     if "pellet_ef" in new:
         held["pellet_ef"] = float(record.pellet_ef)
     return tuple.__new__(type(record), _changed(record, held).values())
-
-
-def _exact_sum(ratios, weights) -> tuple:
-    """``(numerator, denominator)`` of the exact sum of each ``n / d`` among
-    ``ratios`` times its weight: every ``d`` is a power of two, so each ``n``
-    is carried over to the largest ``d``."""
-    numerators, denominators = zip(*ratios)
-    top = max(denominators)
-    return sum(map(mul, map(mul, numerators, map(top.__floordiv__, denominators)), weights)), top
-
-
-def _means(pairs) -> tuple:
-    """``(key -> mean, mean of all)`` of the numbers of ``(key, value)`` pairs,
-    None values left out (the mean of all None when there is no number).
-
-    Each mean is the exact sum, from each distinct value's integer ratio times
-    its count, divided once by the count: ``int / int`` rounds correctly, so a
-    mean has the same bits for its values in any order or repeated, and lies
-    within their range.  The sum of all is the sum of the keys' sums.
-    """
-    groups = {}
-    for key, value in pairs:
-        if value is not None:
-            groups.setdefault(key, []).append(value)
-    if not groups:
-        return {}, None
-    sums = {key: _exact_sum(map(methodcaller("as_integer_ratio"), counts), counts.values())
-            for key, counts in ((key, Counter(values)) for key, values in groups.items())}
-    total, top = _exact_sum(sums.values(), repeat(1))
-    return ({key: n / (d * len(groups[key])) for key, (n, d) in sums.items()},
-            total / (top * sum(map(len, groups.values()))))
 
 
 def default_crops() -> dict:
@@ -744,50 +708,3 @@ def load_dataset(data_dir: str | Path, config: str | Path | None = None) -> Data
     # and column if it failed, so no field is checked again
     return tuple.__new__(Dataset, (MappingProxyType(crops), MappingProxyType(countries),
                                    MappingProxyType(fuels[0]), fuels[1], cfg))
-
-
-# ---------------------------------------------------------------------------
-# Missing-value resolution
-
-def resolve_column(dataset: Dataset, name: str, rows) -> tuple:
-    """``(values, tiers, failures)`` of one nullable field at the countries
-    rows ``rows`` (an iterable of row numbers, taken into a list once): each
-    cell's value, filled if empty, and its fallback tier, and the message of
-    each position of ``rows`` whose cell does not resolve (its value and tier
-    None).
-
-    A ``CONTINENT`` field falls back country -> continent mean -> world mean
-    over the countries that carry data.  A ``WORLD_AVERAGE`` (dry matter)
-    field skips the continent tier and falls back straight to the crop's
-    world-average default.  The means are computed only when a cell of
-    ``rows`` is empty, once, from the whole column, so a subset of rows
-    gets the fallback of the whole table.
-    """
-    tier = _FALLBACK_TIERS.get(name)
-    if tier is None:
-        raise KeyError(f"not a resolvable field: {name!r}")
-    countries, rows = dataset.countries, list(rows)  # min() and max() each read it
-    size = len(countries["country"])
-    if rows and not 0 <= min(rows) <= max(rows) < size:  # a negative row would index from the end
-        row = next(row for row in rows if not 0 <= row < size)
-        raise IndexError(f"no countries row {row!r} in a table of {size} rows")
-    values = list(map(countries[name].__getitem__, rows))
-    tiers, failures = ["country"] * len(values), {}
-    if None not in values:
-        return values, tiers, failures
-    continents = countries["continent"]
-    if tier == WORLD_AVERAGE:  # key dmr_<crop>
-        means, world = {}, dataset.crops[name.removeprefix("dmr_")].dmr_default
-    else:
-        (means, world), tier = _means(zip(continents, countries[name])), "world"  # the world mean's
-    for pos, row in enumerate(rows):
-        if values[pos] is None:
-            if continents[row] in means:
-                values[pos], tiers[pos] = means[continents[row]], "continent"
-            elif world is not None:
-                values[pos], tiers[pos] = world, tier
-            else:
-                tiers[pos] = None
-                failures[pos] = (f"no country in the dataset has data for {name!r} "
-                                 f"(needed by {countries['country'][row]!r})")
-    return values, tiers, failures

@@ -2,18 +2,19 @@
 
 A run has three steps.  First it resolves the inputs of the requested stage
 and of the stages before it (the fields whose ``Field.stage`` names them), a
-column of ``Dataset.countries`` each, whose empty cells ``resolve_column``
-fills at once.  Then each stage of ``_STAGES`` runs once over the
-countries left, its stage module's column functions turning lists keyed by
-column into more of them.  Last, every number the stages computed is checked
-to be finite.  No resolved input is checked, against its bound or for being
-finite: the ``Dataset`` holds its cells finite and in bound, a fallback mean
-lies within its values' range, and a dry-matter default is a checked crop
-coefficient.  A country that fails, after resolution when a field does not
-resolve or after the check when its values hold a NaN or an infinite number,
-lands in the error list with its first failure's message, and the rest run
-on.  Output ordering is by country name, so repeated runs over the same
-inputs are byte-identical downstream.
+column of ``Dataset.countries`` each, whose empty cells
+``imputation.resolve_column`` fills at once.  Then each stage of ``_STAGES``
+runs once over the countries left, its stage module's column functions
+turning lists keyed by column into more of them.  Last, every number the
+stages computed is checked to be finite.  No resolved input is checked,
+against its bound or for being finite: the ``Dataset`` holds its cells
+finite and in bound, a fallback mean lies within its values' range, and a
+dry-matter default is a checked crop coefficient.  A country that fails,
+after resolution when a field does not resolve or after the check when its
+values hold a NaN or an infinite number, lands in the error list with its
+first failure's message, and the rest run on.  Output ordering is by
+country name, so repeated runs over the same inputs are byte-identical
+downstream.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import NamedTuple
 
 from . import costs, energy, pricing, replacement, residues
 from .dataio import (FIELDS, FUELS, STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, DataError, Dataset,
-                     add_all, non_finite_rows, resolve_column)
+                     add_all, non_finite_rows)
+from .imputation import resolve_column, resolved_columns
 
 
 class GlobalReport(NamedTuple):
@@ -50,16 +52,16 @@ class PipelineResult(NamedTuple):
 _PRICE_INPUTS = tuple(f"price_{f}" for f in FUELS)
 
 
-def _resolve(dataset: Dataset, index: list, names: tuple) -> tuple:
-    """``(resolved, failures)``: each field of ``names`` at the rows ``index``
-    as its value ``X`` and fallback tier ``src_X`` (a country's own value has
-    tier ``country``), and the message of each row (of ``index``) that does
-    not resolve: a country's first failure, in the order of ``names``."""
+def _resolve(dataset: Dataset, index: list, columns: tuple) -> tuple:
+    """``(resolved, failures)``: each field of ``columns``, pairs of a value
+    column ``X`` and its fallback-tier column ``src_X``, at the rows ``index``
+    (a country's own value has tier ``country``), and the message of each row
+    (of ``index``) that does not resolve: a country's first failure, in the
+    order of ``columns``."""
     resolved, failures = {}, {}
-    for name in names:
-        resolved[name], resolved[f"src_{name}"], failed = resolve_column(dataset, name, index)
-        for row, message in failed.items():
-            failures.setdefault(row, message)
+    for name, tier in zip(columns[::2], columns[1::2]):
+        resolved[name], resolved[tier], failed = resolve_column(dataset, name, index)
+        failures = failed | failures  # a country's earlier failure stands
     return resolved, failures
 
 
@@ -157,7 +159,7 @@ def run_pipeline(dataset: Dataset, through: str = STAGE_PLAN,
             raise DataError(f"unknown countries requested: {sorted(unknown)}")
         index = [row for row in index if names[row] in wanted]
 
-    resolved, failures = _resolve(dataset, index, [f.key for f in FIELDS if f.stage in stages])
+    resolved, failures = _resolve(dataset, index, resolved_columns(*stages))
     errors = {names[index[row]]: message for row, message in failures.items()}
     index, resolved = _drop(failures, index, resolved)
     # the fields without a stage, where a missing value is a real zero (no fallback tier)

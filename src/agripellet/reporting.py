@@ -37,19 +37,14 @@ from pathlib import Path
 from types import NoneType
 
 from .costs import COST_COLUMNS
-from .dataio import CROPS, FIELDS, non_finite_rows
+from .dataio import CROPS, non_finite_rows
 from .energy import ENERGY_COLUMNS
+from .imputation import resolved_columns
 from .pipeline import STAGE_ASSESS, STAGE_MSP, STAGE_PLAN, PipelineResult
 from .pricing import BREAK_EVEN_COLUMNS
 from .replacement import PLAN_COLUMNS
 from .residues import RESIDUE_COLUMNS
 from .sensitivity import SensitivityGrid, axis_label
-
-
-def _resolved(*stages) -> tuple:
-    """The value column, then the fallback-tier column, of each input that
-    ``stages`` resolve, in ``FIELDS`` order."""
-    return tuple(c for f in FIELDS if f.stage in stages for c in (f.key, f"src_{f.key}"))
 
 
 def _without(columns: tuple, *names) -> tuple:
@@ -60,17 +55,17 @@ def _without(columns: tuple, *names) -> tuple:
 # Each per-country output's columns: a selection, in run order, from the
 # stage modules' column tuples, naming only the columns it drops or moves.
 ASSESS_COLUMNS = ("country", "continent", *_without(RESIDUE_COLUMNS, "cr_removable_dry_t"),
-                  *ENERGY_COLUMNS, *_resolved(STAGE_ASSESS))
+                  *ENERGY_COLUMNS, *resolved_columns(STAGE_ASSESS))
 MSP_COLUMNS = ("country", "continent", *COST_COLUMNS, *BREAK_EVEN_COLUMNS,
-               *_resolved(STAGE_MSP))
+               *resolved_columns(STAGE_MSP))
 _TAXED = PLAN_COLUMNS.index("carbon_tax_usd_per_tco2e") + 1  # recop's pellet energy comes next
 RECOP_COLUMNS = ("country", "continent", *PLAN_COLUMNS[:_TAXED], "pellet_energy_tj",
-                 *PLAN_COLUMNS[_TAXED:], *_resolved(STAGE_PLAN))
+                 *PLAN_COLUMNS[_TAXED:], *resolved_columns(STAGE_PLAN))
 REPORT_COLUMNS = ("country", "continent",
                   *_without(RESIDUE_COLUMNS, *(f"cr_removable_dry_{c}_t" for c in CROPS)),
                   *ENERGY_COLUMNS, *_without(COST_COLUMNS, "epc_usd", "tfc_usd"), "tfc_usd",
                   *BREAK_EVEN_COLUMNS, *_without(PLAN_COLUMNS, "carbon_tax_usd_per_tco2e"),
-                  *_resolved(STAGE_ASSESS, STAGE_MSP, STAGE_PLAN))
+                  *resolved_columns(STAGE_ASSESS, STAGE_MSP, STAGE_PLAN))
 
 # Plot-ready CSVs written beside countries.csv, by file name, each a subset of
 # its columns (``top_fuel`` is ``rank_1``).

@@ -7,7 +7,7 @@ column function runs on the country's one row, so what they check is the
 pipeline's own work, how and in which order a country resolves its fields and
 meets its first failure, its non-finite check and the global totals.  A field
 resolves by ``scan_resolve``, its own scan of the field's column on each call,
-which shares no code with ``agripellet.dataio.resolve_column``.  The
+which shares no code with ``agripellet.imputation.resolve_column``.  The
 plan stage is the exception: it runs through ``plan``, the replacement plan
 computed one country at a time, which ``agripellet.replacement.plan_columns``
 computes as whole columns.

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agripellet import dataio, reporting
+from agripellet import dataio, imputation, reporting
 from agripellet.dataio import (
     CONTINENT,
     COUNTRIES_COLUMNS,
@@ -28,8 +28,8 @@ from agripellet.dataio import (
     load_series,
     non_finite_rows,
     parse_cell,
-    resolve_column,
 )
+from agripellet.imputation import resolve_column
 from agripellet.pipeline import run_pipeline
 from conftest import (RESOLVABLE_FIELDS, assert_same_files, copy_data, make_dataset,
                       make_profile, make_table)
@@ -1110,8 +1110,8 @@ def test_a_fields_means_are_computed_the_first_time_it_falls_back(dataset, monke
     dataset = dataset._replace(countries={**dataset.countries, **{
         key: (None, *dataset.countries[key][1:]) for key in pli}})
     calls = []
-    means = dataio._means
-    monkeypatch.setattr(dataio, "_means", lambda pairs: calls.append(means(pairs)) or calls[-1])
+    means = imputation._means
+    monkeypatch.setattr(imputation, "_means", lambda pairs: calls.append(means(pairs)) or calls[-1])
     whole = [means(zip(dataset.countries["continent"], dataset.countries[f.key]))
              for f in FIELDS if f.fallback == CONTINENT]  # the 6 msp fields, then the 3 prices
     for through, count in (("assess", 0), ("msp", 6), ("plan", 9)):
@@ -1168,22 +1168,22 @@ def test_fallback_mean_is_exact(values, seed):
     rng = random.Random(seed)
     shuffled = rng.sample(values, len(values))
     continents = [rng.choice("KLM") for _ in values]
-    means, world = dataio._means(zip(["K"] * len(values), values))
+    means, world = imputation._means(zip(["K"] * len(values), values))
     assert means == {"K": world} and world == statistics.mean(values)
     assert min(values) <= world <= max(values)
-    assert dataio._means(zip(["K"] * len(values), shuffled))[1] == world
-    assert dataio._means(zip(["K"] * 3 * len(values), values * 3))[1] == world
-    split, split_world = dataio._means(zip(continents, values))
+    assert imputation._means(zip(["K"] * len(values), shuffled))[1] == world
+    assert imputation._means(zip(["K"] * 3 * len(values), values * 3))[1] == world
+    split, split_world = imputation._means(zip(continents, values))
     assert split_world == world
     for continent, mean in split.items():
         assert mean == statistics.mean(v for v, c in zip(values, continents) if c == continent)
 
 
 def test_fallback_means_leave_out_empty_cells():
-    assert dataio._means([("K", None), ("L", 2.0), ("K", 1.0), ("L", None)]) == (
+    assert imputation._means([("K", None), ("L", 2.0), ("K", 1.0), ("L", None)]) == (
         {"K": 1.0, "L": 2.0}, 1.5)
-    assert dataio._means([("K", None)]) == ({}, None)
-    assert dataio._means([]) == ({}, None)
+    assert imputation._means([("K", None)]) == ({}, None)
+    assert imputation._means([]) == ({}, None)
 
 
 def test_bundled_config_is_the_defaults(data_dir):

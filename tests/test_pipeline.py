@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import agripellet.pipeline as pipeline_mod
 import oracles
-from agripellet import costs, dataio, energy, pricing, replacement, residues
+from agripellet import costs, energy, imputation, pricing, replacement, residues
 from agripellet.dataio import (CONTINENT, CROPS, FIELDS, FUELS, DataError, FuelProperties,
                                default_fuel_properties, load_dataset)
 from agripellet.pipeline import run_pipeline
@@ -400,8 +400,8 @@ def test_resolve_runs_once_per_field_and_continent(dataset, monkeypatch, through
     for a continent-tier field with an empty cell: a dry matter's fallback is
     its crop's default, and renamed copies add empty cells, not means."""
     calls = []
-    means = dataio._means
-    monkeypatch.setattr(dataio, "_means", lambda pairs: calls.append(1) or means(pairs))
+    means = imputation._means
+    monkeypatch.setattr(imputation, "_means", lambda pairs: calls.append(1) or means(pairs))
     counts = []
     rows = country_rows(dataset.countries)
     continental = {f.key for f in FIELDS if f.fallback == CONTINENT}

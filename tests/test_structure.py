@@ -2,7 +2,8 @@
 imports, or reads as an attribute, a name beginning with ``_`` (a dunder
 aside) that another package module defines.  A rule a module keeps to itself
 then has one code path.  The tests, ``tests/oracles.py`` among them, may
-import private names.
+import private names.  The fallback rule for an empty cell is defined in
+``imputation`` alone, which reads ``dataio``, and ``dataio`` never imports it.
 """
 
 import ast
@@ -78,3 +79,32 @@ def test_every_form_of_reaching_in_is_found():
     assert private_reaches(source, "yoy") == [
         (1, "dataio._raise"), (2, "pipeline._STAGE_ORDER"), (6, "dataio._read_rows"),
         (6, "reporting._render")]
+
+
+def imported_names(source: str) -> set:
+    """Every module and name that an import statement of ``source`` names,
+    each dotted path also split at its dots."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for path in [getattr(node, "module", None) or ""] + [a.name for a in node.names]:
+                names.update(path.split("."))
+    return names
+
+
+def test_dataio_does_not_import_imputation():
+    """The fallback rule reads ``dataio``'s field table, never the reverse,
+    so ``dataio`` loads without it."""
+    assert "imputation" in imported_names("from . import dataio, imputation")
+    assert "imputation" in imported_names("from agripellet.imputation import _means")
+    assert "imputation" in imported_names("import agripellet.imputation as fill")
+    assert "imputation" not in imported_names((SRC / "dataio.py").read_text(encoding="utf-8"))
+
+
+def test_the_fallback_rule_is_defined_once():
+    defined = {name: [] for name in ("resolve_column", "_means", "_exact_sum")}
+    for module in MODULES:
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in defined:
+                defined[node.name].append(module)
+    assert defined == {name: ["imputation"] for name in defined}
