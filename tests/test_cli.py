@@ -785,6 +785,7 @@ def test_tiny_heating_value_fails_countries_not_the_run(data_dir, tmp_path, caps
     for line in lines:
         name = line.split(":")[0]
         assert line == f"{name}: non-finite {column} for {name!r}"
+    assert f"Brazil: non-finite {column} for 'Brazil'" in lines
     assert_no_non_finite_text(out)
 
 

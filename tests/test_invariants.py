@@ -5,14 +5,16 @@ Covered on the bundled data, on three renamed copies of it in one table, on
 a dense synthetic table and on copies with edge values in a few numeric cells
 (as ``test_fuzz`` writes them): power-of-two scaling of the amount columns in
 scenarios A, B and C (carbon tax 50).  Covered on the bundled data: shuffled
-rows of ``countries.csv``, renamed copies of every country and a one-to-one
-renaming of the continents; and on the bundled data with overflowing cells,
-through each stage, a run on any subset of the countries.  Covered on the
-bundled data and the dense table: a ``sum`` that compensates its rounding, as
-Python 3.12's does.
+rows of ``countries.csv``, its empty cells written as ``" - "``, renamed
+copies of every country and a one-to-one renaming of the continents; and on
+the bundled data with overflowing cells, through each stage, a run on any
+subset of the countries.  Covered on the bundled data and the dense table: a
+``sum`` that compensates its rounding, as Python 3.12's does.
 """
 
 import builtins
+import csv
+import io
 import math
 import random
 import tempfile
@@ -116,17 +118,33 @@ def test_amounts_of_a_fuzzed_copy_scaled_by_a_power_of_two(mutations, scenario, 
     assert ("pellet_energy_tj" in scaled) == any(energy), scaled
 
 
-def test_report_is_byte_identical_for_shuffled_rows(data_dir, tmp_path):
-    # each fallback mean is exact, so the order of the countries' rows changes no bit
-    shuffled = copy_data(tmp_path / "shuffled")
-    text = (data_dir / "countries.csv").read_text(encoding="utf-8")
+def shuffled_rows(text: str) -> str:
     header, *lines = text.splitlines(True)
     random.Random(0).shuffle(lines)
-    assert header + "".join(lines) != text
-    (shuffled / "countries.csv").write_text(header + "".join(lines), encoding="utf-8")
+    return header + "".join(lines)
+
+
+def dashed_gaps(text: str) -> str:
+    """Each empty cell written as ``" - "``; csv, as a cell may be quoted."""
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    assert sum(cell == "" for row in rows for cell in row) == 1601
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows([header] + [[cell or " - " for cell in row] for row in rows])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("rewrite", [shuffled_rows, dashed_gaps])
+def test_report_is_byte_identical_for_an_equivalent_countries_csv(rewrite, data_dir, tmp_path):
+    # each fallback mean is exact, so the order of the countries' rows changes
+    # no bit; a gap written as " - " reads as an empty cell does
+    text = (data_dir / "countries.csv").read_text(encoding="utf-8")
+    rewritten = rewrite(text)
+    assert rewritten != text
+    copy = copy_data(tmp_path / "copy")
+    (copy / "countries.csv").write_text(rewritten, encoding="utf-8", newline="")
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert main(["report", "--data", str(data_dir), "--out", str(out1)]) == 0
-    assert main(["report", "--data", str(shuffled), "--out", str(out2)]) == 0
+    assert main(["report", "--data", str(copy), "--out", str(out2)]) == 0
     assert len(assert_same_files(out1, out2)) == 6
 
 

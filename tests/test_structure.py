@@ -4,14 +4,19 @@ aside) that another package module defines.  A rule a module keeps to itself
 then has one code path.  The tests, ``tests/oracles.py`` among them, may
 import private names.  The fallback rule for an empty cell is defined in
 ``imputation`` alone, which reads ``dataio``, and ``dataio`` never imports it.
+CI has one test path too: its workflow runs the installed script once, on the
+bundled data, and each other scenario is a tier-1 test, not an inline step.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "agripellet"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "agripellet"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 PACKAGE = SRC.name
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
@@ -108,3 +113,10 @@ def test_the_fallback_rule_is_defined_once():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in defined:
                 defined[node.name].append(module)
     assert defined == {name: ["imputation"] for name in defined}
+
+
+def test_ci_runs_the_installed_script_once():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    runs = re.findall(r"agripellet (?:assess|msp|recop|sweep|report|yoy)\b.*", text)
+    assert runs == ["agripellet report --data tests/data --out out"]
+    assert "<<" not in text  # no step writes a script of its own
