@@ -71,7 +71,7 @@ class Bound(NamedTuple):
 
 
 def fits(values, bound: Bound | None = None) -> bool:
-    """Whether the numbers of a column, None cells left out, are finite and
+    """Whether the floats of a column, None cells left out, are finite and
     inside ``bound``, tested on their sum, min and max: False may also mean a
     sum past float range or a cell that is no number, which a scan tells."""
     try:
@@ -79,8 +79,6 @@ def fits(values, bound: Bound | None = None) -> bool:
     except TypeError:  # None cells, tested again without them; or a cell that is no number
         present = [value for value in values if value is not None]
         return len(present) < len(values) and fits(present, bound)
-    except OverflowError:  # ints past float range
-        return False
     return finite and (bound is None or not values or bound.lo <= min(values)
                        and (bound.hi == math.inf or max(values) <= bound.hi))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import repeat
 from operator import add, getitem, itemgetter, mul, neg, sub
 
-from .dataio import FUELS, SCENARIOS, add_rows
+from .dataio import FUELS, add_rows
 from .energy import per_tj
 
 # Fixed order for breaking score ties, so output is reproducible.
@@ -58,13 +58,11 @@ def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet
 
     Each fuel's per-TJ score is a column: scenario A scores cost savings, B
     emissions savings, C cost savings with the carbon tax priced into both
-    sides (intensity converted kg -> t).  Only the ranking is made row by row.
-    The pellet energy is allocated greedily down it, a whole rank at a time,
+    sides (intensity converted kg -> t).  The ranking and the allocation are
+    made row by row: each row's pellet energy goes greedily down its ranking,
     each fuel taking the least of its consumption and what is left; every
     per-row sum runs over the fuels in ``FUELS`` order.
     """
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
     lhv, energy = columns["weighted_lhv_mj_per_kg"], columns["pellet_energy_tj"]
     pellet_lcoe = columns["msp_usd_per_tj"]
     pellet_intensity = list(map(emission_intensity, repeat(pellet_ef), lhv))
@@ -87,14 +85,11 @@ def plan_columns(columns: dict, consumption: dict, fuel_properties: dict, pellet
     orders = list(map(_order, score_rows))
     ranked = [list(map(itemgetter(k), orders)) for k in _INDEXES]  # fuel index at each rank
     cons = [consumption[f] for f in FUELS]
-    cons_rows = list(zip(*cons))
-    takes, remaining = [], energy
-    for fuels in ranked:
-        take = list(map(min, remaining, map(getitem, cons_rows, fuels)))
-        remaining = list(map(sub, remaining, take))
-        takes.append(take)
-    take_rows = list(zip(*takes))
-    alloc = [list(map(getitem, take_rows, map(list.index, orders, repeat(i)))) for i in _INDEXES]
+    alloc = [[0.0] * len(energy) for _ in FUELS]
+    for row, (order, left) in enumerate(zip(orders, energy)):
+        for i in order:
+            alloc[i][row] = take = min(left, cons[i][row])
+            left -= take
     alloc_total = add_rows(alloc)
 
     def saved(gaps):  # each row's allocations times their gaps, summed

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import pytest
 
-from agripellet.costs import OUTPUT_REF, cost_columns
+from agripellet.costs import cost_columns
 from agripellet.dataio import (
     ANIMALS,
     COUNTRIES_KEYS,
@@ -188,7 +188,6 @@ def random_break_even_inputs(rng):
     return BreakEvenInputs(
         capex=capex,
         opex=rng.uniform(1e5, 2e7),
-        q=OUTPUT_REF,
         n=rng.randint(1, 40),
         r=rng.uniform(0.0, 0.3),
         tr=rng.uniform(0.0, 0.6),
@@ -240,7 +239,6 @@ def msp_row(inputs, weighted_lhv=None) -> dict:
     """``msp_columns`` on one plant's ``BreakEvenInputs``, with the pellets'
     heating value (MJ/kg) for the price per TJ.  The plant is the reference
     plant: the solver prices no other output."""
-    assert inputs.q == OUTPUT_REF, inputs.q
     columns = {"capex_usd": [inputs.capex], "opex_usd_per_y": [inputs.opex],
                "discount_rate": [inputs.r], "tax_rate": [inputs.tr], "tfc_usd": [inputs.tfc],
                "weighted_lhv_mj_per_kg": [weighted_lhv]}

@@ -10,16 +10,16 @@ fresh directory that holds its inputs, so every path it prints is relative:
 - ``assess``, ``msp``, ``recop --scenario C --carbon-tax 50``, ``sweep`` and
   ``yoy``, each in CSV and JSON, and ``report``, on the bundled data;
 - ``report`` on ``conftest``'s renamed copies (534 rows) and dense dataset
-  (300 rows, every field set), each written out as a data directory;
-- ``report`` on the bundled data with every ``tax_rate`` empty, which fails
-  each country (exit 1), and on a copy with bad cells in three files, which
-  is a ``DataError`` (exit 2).
+  (300 rows, every field set), and on the bundled data with every
+  ``tax_rate`` empty, which fails each country (exit 1), each written out as
+  a data directory by ``oracles.save_dataset``;
+- ``report`` on a copy of the bundled data with bad cells in three files,
+  which is a ``DataError`` (exit 2).
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import io
 import json
@@ -29,8 +29,9 @@ import tempfile
 from pathlib import Path
 
 from agripellet.cli import main
-from agripellet.dataio import COUNTRIES_COLUMNS, COUNTRIES_KEYS, load_dataset
+from agripellet.dataio import load_dataset
 from conftest import DATA_DIR, copy_data, dense_copy_of, renamed_copies_of
+from oracles import save_dataset
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -54,27 +55,15 @@ RUNS = {
 }
 
 
-def write_countries(dataset, path: Path) -> None:
-    """``dataset``'s countries table as ``path``, a countries.csv: each number
-    as its repr, which reads back as the same float, and an empty cell for None."""
-    rows = zip(*(dataset.countries[key] for key in COUNTRIES_KEYS))
-    with path.open("w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerows([COUNTRIES_COLUMNS, *(
-            ["" if cell is None else cell if type(cell) is str else repr(cell) for cell in row]
-            for row in rows)])
-
-
 def write_inputs(work: Path) -> None:
     """The data directories of ``RUNS``, under ``work``."""
     copy_data(work / "data")
     bundled = load_dataset(DATA_DIR)
-    for name, copy in (("renamed", renamed_copies_of(bundled)), ("dense", dense_copy_of(bundled))):
-        # both keep the bundled crops, fuels and config, so those files are copied
-        assert copy._replace(countries=bundled.countries) == bundled
-        write_countries(copy, copy_data(work / name) / "countries.csv")
     untaxed = bundled._replace(countries={**bundled.countries,
                                           "tax_rate": (None,) * len(bundled.countries["country"])})
-    write_countries(untaxed, copy_data(work / "untaxed") / "countries.csv")
+    for name, copy in (("renamed", renamed_copies_of(bundled)), ("dense", dense_copy_of(bundled)),
+                       ("untaxed", untaxed)):
+        save_dataset(copy, work / name)
     copy_data(work / "bad", [("countries.csv", "Afghanistan,Asia,180000.0,",
                               "Afghanistan,Asia,-180000.0,"),
                              ("crops.csv", "maize,1.0,0.5,", "maize,1.0,1.5,"),

@@ -45,7 +45,7 @@ from agripellet import costs, energy, pricing, replacement, residues
 from agripellet.dataio import (ANIMALS, BELOW_ONE, COUNTRIES_COLUMNS, COUNTRIES_KEYS, CROP_FIELDS,
                                CROPS, CROPS_COLUMNS, DEFAULT_PELLET_EF, FIELDS,
                                FUEL_FIELDS, FUELS, FUELS_COLUMNS, HORIZON, NONNEGATIVE,
-                               POSITIVE, CropCoefficients, DataError,
+                               CropCoefficients, DataError,
                                Dataset, Field, FuelProperties, ModelConfig, _read_rows,
                                default_crops, default_fuel_properties, load_config,
                                parse_cell)
@@ -165,7 +165,6 @@ def evaluate_country(dataset: Dataset, row: int, through: str = STAGE_PLAN) -> C
         inputs = BreakEvenInputs(
             capex=cost["capex_usd"],
             opex=cost["opex_usd_per_y"],
-            q=costs.OUTPUT_REF,
             n=cfg.horizon_years,
             r=field("discount_rate"),
             tr=field("tax_rate"),
@@ -349,7 +348,7 @@ FIELD_BOUNDS = {f.key: f.bound for f in FIELDS}
 
 # Each input's bound, checked in this order: the bounds the loader, the
 # Dataset table check and ModelConfig check the same quantities against.
-_INPUT_BOUNDS = (("q", POSITIVE), ("n", HORIZON), ("r", FIELD_BOUNDS["discount_rate"]),
+_INPUT_BOUNDS = (("n", HORIZON), ("r", FIELD_BOUNDS["discount_rate"]),
                  ("tr", FIELD_BOUNDS["tax_rate"]), ("salvage_rate", BELOW_ONE),
                  ("capex", NONNEGATIVE), ("opex", NONNEGATIVE), ("tfc", NONNEGATIVE))
 
@@ -357,7 +356,6 @@ _INPUT_BOUNDS = (("q", POSITIVE), ("n", HORIZON), ("r", FIELD_BOUNDS["discount_r
 class _BreakEvenInputs(NamedTuple):
     capex: float          # $
     opex: float           # $/y
-    q: float              # pellet output, t/y
     n: int                # horizon, years
     r: float              # discount rate, fraction/y
     tr: float             # tax rate, fraction
@@ -375,7 +373,8 @@ def outside(label: str, value, bound) -> list:
 
 class BreakEvenInputs(_BreakEvenInputs):
     """One plant's break-even inputs, each checked against its bound, also in
-    a changed copy."""
+    a changed copy.  Its output is the reference plant's, ``costs.OUTPUT_REF``
+    t/y: the package prices no other."""
 
     __slots__ = ()
 
@@ -409,7 +408,7 @@ def npv(price: float, inputs: BreakEvenInputs) -> float:
     (a refund in a loss year); the salvage comes back at the end.
     """
     salvage = salvage_value(inputs)
-    revenue = price * inputs.q
+    revenue = price * costs.OUTPUT_REF
     tax = inputs.tr * (revenue - inputs.opex - depreciation(inputs))
     cf = revenue - inputs.opex - tax
     total = 0.0

@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from agripellet.costs import OUTPUT_REF
 from agripellet.dataio import CROPS, FUELS, FuelProperties
 from agripellet.pipeline import run_pipeline
 from agripellet.sensitivity import sweep
@@ -123,7 +122,7 @@ def test_criterion_05_solver_oracle_equivalence():
 def test_criterion_06_hand_anchor_and_tax_neutrality():
     def run():
         est = cost_row(labor=1.0, raw_material=1.0, electricity=1.0, construction=1.0)
-        anchor = BreakEvenInputs(capex=est["capex_usd"], opex=est["opex_usd_per_y"], q=OUTPUT_REF,
+        anchor = BreakEvenInputs(capex=est["capex_usd"], opex=est["opex_usd_per_y"],
                                  n=20, r=0.0, tr=0.0, salvage_rate=0.10,
                                  tfc=est["tfc_usd"])
         msp = msp_row(anchor)["msp_usd_per_t"]

@@ -26,7 +26,6 @@ def reference_inputs():
     return BreakEvenInputs(
         capex=cost["capex_usd"],
         opex=2_540_000.0,
-        q=OUTPUT_REF,
         n=20,
         r=0.0,
         tr=0.0,
@@ -85,7 +84,6 @@ def test_world_average_plant_anchor():
     inputs = BreakEvenInputs(
         capex=5_327_862.0,
         opex=3_585_823.0,
-        q=OUTPUT_REF,
         n=20,
         r=0.08,
         tr=0.25,
@@ -112,7 +110,7 @@ def test_annual_trace_shape_and_discounting():
 def test_negative_tax_in_loss_years():
     # at r = 0 and a depreciable base above the capital outlay, the break-even
     # year's cash flow (capex - salvage) / n is below its depreciation, a loss
-    inputs = BreakEvenInputs(capex=4e6, opex=2e6, q=OUTPUT_REF, n=20, r=0.0, tr=0.3,
+    inputs = BreakEvenInputs(capex=4e6, opex=2e6, n=20, r=0.0, tr=0.3,
                              salvage_rate=0.1, tfc=5e6)
     assert msp_row(inputs)["tax_usd_per_y"] < 0.0  # symmetric tax shield, no clamping
 
@@ -154,7 +152,7 @@ def test_tax_neutral_at_zero_discount_when_fully_depreciated():
     """With r = 0 and the whole capital outlay depreciable (tfc = capex), the
     break-even price makes total taxable income zero, so it cannot depend on
     the tax rate."""
-    base = BreakEvenInputs(capex=6_540_000.0, opex=2_540_000.0, q=OUTPUT_REF, n=20,
+    base = BreakEvenInputs(capex=6_540_000.0, opex=2_540_000.0, n=20,
                        r=0.0, tr=0.0, salvage_rate=0.10, tfc=6_540_000.0)
     msp0 = break_even_price(base)
     for tr in (0.1, 0.25, 0.4, 0.6, 0.9):
@@ -221,7 +219,7 @@ def test_long_horizon_solves_in_constant_time(reference_inputs):
     result = msp_row(inputs)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1, f"solve took {elapsed:.3f}s"
-    perpetuity = (inputs.opex + inputs.r * inputs.capex / (1.0 - inputs.tr)) / inputs.q
+    perpetuity = (inputs.opex + inputs.r * inputs.capex / (1.0 - inputs.tr)) / OUTPUT_REF
     assert result["msp_usd_per_t"] == pytest.approx(perpetuity, rel=1e-9)
     assert result["annuity_factor"] == pytest.approx(1.0 / inputs.r, rel=1e-12)
     assert abs(result["npv_at_msp_usd"]) <= 0.01
@@ -265,8 +263,8 @@ def test_tax_rate_near_one_solves(dataset, tax_rate):
     assert v["tax_rate"] == tax_rate
     cfg = dataset.config
     inputs = BreakEvenInputs(capex=v["capex_usd"], opex=v["opex_usd_per_y"],
-                             q=OUTPUT_REF, n=cfg.horizon_years, r=v["discount_rate"],
-                             tr=tax_rate, salvage_rate=cfg.salvage_rate, tfc=v["tfc_usd"])
+                             n=cfg.horizon_years, r=v["discount_rate"], tr=tax_rate,
+                             salvage_rate=cfg.salvage_rate, tfc=v["tfc_usd"])
     assert math.isfinite(v["msp_usd_per_t"]) and math.isfinite(v["npv_at_msp_usd"])
     assert v["msp_usd_per_t"] == pytest.approx(float(exact_msp(inputs)), rel=1e-9)
 
@@ -279,7 +277,7 @@ def test_tax_rate_near_one_solves(dataset, tax_rate):
 def test_generated_configs_solve(horizon_years, salvage_rate, r, tr):
     cfg = ModelConfig(horizon_years=horizon_years, salvage_rate=salvage_rate)
     cost = cost_row()
-    inputs = BreakEvenInputs(capex=cost["capex_usd"], opex=2_540_000.0, q=OUTPUT_REF,
+    inputs = BreakEvenInputs(capex=cost["capex_usd"], opex=2_540_000.0,
                              n=cfg.horizon_years, r=r, tr=tr,
                              salvage_rate=cfg.salvage_rate, tfc=cost["tfc_usd"])
     result = msp_row(inputs)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from agripellet.dataio import FUELS, FuelProperties, default_fuel_properties
+from agripellet.cli import main
+from agripellet.dataio import (FUELS, DataError, FuelProperties, ModelConfig,
+                               default_fuel_properties)
 from agripellet.replacement import PLAN_COLUMNS, emission_intensity, fuel_lcoe, plan_columns
-from conftest import plan_row
+from conftest import DATA_DIR, plan_row
 
 PROPS = default_fuel_properties()
 
@@ -86,9 +88,16 @@ def test_tie_break_is_canonical():
     assert [f for f, _ in ranking] == ["coal", "natural_gas", "oil"]
 
 
-def test_unknown_scenario_rejected():
-    with pytest.raises(ValueError):
-        average_plan("Z")
+def test_an_unknown_scenario_stops_at_the_config_or_the_flag(tmp_path):
+    """A scenario reaches the plan stage only through a checked ``ModelConfig``
+    or ``--scenario``, and each rejects one outside A, B and C."""
+    with pytest.raises(DataError) as exc:
+        ModelConfig(scenario="Z")
+    assert exc.value.problems == ["scenario: must be A, B, or C, got 'Z'"]
+    with pytest.raises(SystemExit) as exit_:
+        main(["recop", "--data", str(DATA_DIR), "--scenario", "Z", "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_greedy_allocation_hand_example():

@@ -4,6 +4,7 @@ aside) that another package module defines.  A rule a module keeps to itself
 then has one code path.  The tests, ``tests/oracles.py`` among them, may
 import private names.  The fallback rule for an empty cell is defined in
 ``imputation`` alone, which reads ``dataio``, and ``dataio`` never imports it.
+The stage modules raise nothing: their inputs are checked where they enter.
 CI has one test path too: its workflow runs the installed script once, on the
 bundled data, and each other scenario is a tier-1 test, not an inline step.
 """
@@ -19,6 +20,7 @@ SRC = ROOT / "src" / "agripellet"
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 PACKAGE = SRC.name
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+STAGES = ("residues", "energy", "costs", "pricing", "replacement")
 
 
 def _private(name: str) -> bool:
@@ -113,6 +115,15 @@ def test_the_fallback_rule_is_defined_once():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in defined:
                 defined[node.name].append(module)
     assert defined == {name: ["imputation"] for name in defined}
+
+
+def test_the_stage_modules_raise_nothing():
+    """A stage function checks no bound (README): a bad scenario or number
+    stops at ``ModelConfig``, the flags or the loader, before any stage."""
+    raising = [(module, node.lineno) for module in STAGES
+               for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")))
+               if isinstance(node, ast.Raise)]
+    assert raising == []
 
 
 def test_ci_runs_the_installed_script_once():
